@@ -68,7 +68,6 @@ from .garkavi import (
 from .instances import CenterInstance, RenormInstance, load_corpus, load_instance
 from .space import (
     FunctionFamily,
-    Space,
     farthest_radius,
     global_center,
     hausdorff,

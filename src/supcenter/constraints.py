@@ -2,15 +2,13 @@
 
 A constraint subspace is the joint kernel of finitely many functionals of
 total-variation norm one.  Feasible regions are kept in H-representation
-(equalities plus <= inequalities); vertices are enumerated exhaustively over
-active sets at desk scale, with a polar-dual route for constraint systems too
-large for subset search.
+(equalities plus <= inequalities).  Vertices are enumerated on the affine
+hull of the equalities: as the facets of the polar dual's convex hull (Qhull)
+from dimension 2 up, as the two ends of an interval in dimension 1.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -22,7 +20,7 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .space import as_vector
-from .tolerances import DEDUP_TOL, DEFAULT_TOL, EXHAUSTIVE_BUDGET
+from .tolerances import DEDUP_TOL, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -75,11 +73,6 @@ class Functional:
         return row
 
 
-def evaluate(mu: Functional, v) -> float:
-    """Apply a functional to a vector."""
-    return mu(v)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Joint kernel of finitely many functionals inside dimension ``dim``."""
@@ -114,15 +107,12 @@ def subspace_membership(y: Subspace, v, tol: float = DEFAULT_TOL) -> bool:
 class Polytope:
     """H-polytope {v : a_ub v <= b_ub, a_eq v = b_eq} with a vertex cache.
 
-    ``bounded_hint`` skips the boundedness probe for polytopes known bounded
-    by construction (for example, sections of a bounded ball).  The vertex
-    cache is filled once and then only read.
+    The vertex cache is filled once and then only read.
     """
 
-    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "bounded_hint", "_vertices")
+    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices")
 
-    def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None,
-                 bounded_hint: bool = False):
+    def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None):
         if dim is None:
             for a in (a_ub, a_eq):
                 if a is not None:
@@ -134,7 +124,6 @@ class Polytope:
         self.a_eq, self.b_eq = lp._as_matrix(a_eq, b_eq, dim)
         for arr in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
             arr.setflags(write=False)
-        self.bounded_hint = bounded_hint
         self._vertices = None
 
     @property
@@ -146,7 +135,7 @@ class Polytope:
         eye = np.eye(dim)
         return cls(a_ub=np.vstack([eye, -eye]), b_ub=np.full(2 * dim, float(radius)))
 
-    def with_rows(self, a_ub, b_ub, bounded_hint: bool | None = None) -> "Polytope":
+    def with_rows(self, a_ub, b_ub) -> "Polytope":
         """New polytope with extra inequality rows appended."""
         a_extra, b_extra = lp._as_matrix(a_ub, b_ub, self.dim)
         return Polytope(
@@ -155,7 +144,6 @@ class Polytope:
             a_eq=self.a_eq if self.a_eq.size else None,
             b_eq=self.b_eq if self.b_eq.size else None,
             dim=self.dim,
-            bounded_hint=self.bounded_hint if bounded_hint is None else bounded_hint,
         )
 
     def violation(self, v) -> float:
@@ -191,40 +179,6 @@ def ball_polytope(y: Subspace, lam: float) -> Polytope:
     return Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0]))
 
 
-def _coordinate_range_probe(poly: Polytope, tol: float) -> None:
-    """Raise if the polytope is empty or has an unbounded coordinate."""
-    n = poly.dim
-    for j in range(n):
-        c = np.zeros(n)
-        c[j] = 1.0
-        for sense in ("min", "max"):
-            sol = lp.solve(
-                lp.LinearProgram(c=c, sense=sense, a_ub=poly.a_ub, b_ub=poly.b_ub,
-                                 a_eq=poly.a_eq if poly.a_eq.size else None,
-                                 b_eq=poly.b_eq if poly.b_eq.size else None),
-                tol=tol,
-            )
-            if sol.status == lp.INFEASIBLE:
-                raise InfeasiblePolytopeError("polytope is empty")
-            if sol.status == lp.UNBOUNDED:
-                raise UnboundedPolytopeError(f"coordinate {j} is unbounded ({sense})")
-
-
-def _syntactically_boxed(poly: Polytope) -> bool:
-    # every coordinate carries an explicit upper and lower bound row
-    has_hi = np.zeros(poly.dim, dtype=bool)
-    has_lo = np.zeros(poly.dim, dtype=bool)
-    for row in poly.a_ub:
-        nz = np.flatnonzero(row)
-        if nz.size == 1:
-            (j,) = nz
-            if row[j] > 0:
-                has_hi[j] = True
-            else:
-                has_lo[j] = True
-    return bool(np.all(has_hi) and np.all(has_lo))
-
-
 def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int, tol: float):
     """Particular solution and orthonormal null-space basis of the equalities."""
     if a_eq.shape[0] == 0:
@@ -238,21 +192,16 @@ def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int, tol: float):
     return v0, basis
 
 
-def _active_set_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float) -> np.ndarray:
-    m = a.shape[0]
+def _interval_enum(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The two ends of the interval {z : a z <= b} in dimension 1."""
+    ends = b / a[:, 0]
+    upper, lower = ends[a[:, 0] > 0], ends[a[:, 0] < 0]
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    row_norms = np.linalg.norm(a, axis=1)
-    pts = []
-    for subset in itertools.combinations(range(m), d):
-        sub = a[list(subset)]
-        det = np.linalg.det(sub)
-        gate = np.prod(row_norms[list(subset)]) + 1e-30
-        if abs(det) <= 1e-10 * gate:
-            continue
-        z = np.linalg.solve(sub, b[list(subset)])
-        if np.max(a @ z - b) <= tol * scale * 10.0:
-            pts.append(z)
-    return np.array(pts) if pts else np.zeros((0, d))
+    if upper.size and lower.size and lower.max() - upper.min() > tol * scale:
+        raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
+    if not (upper.size and lower.size):
+        raise UnboundedPolytopeError("interval is unbounded on one side")
+    return np.array([[lower.max()], [upper.min()]])
 
 
 def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: int) -> np.ndarray:
@@ -265,12 +214,14 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
     c[d] = -1.0
     a_ext = np.hstack([a, l1[:, None]])
     sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ext, b_ub=b), tol=tol)
-    if sol.status == lp.INFEASIBLE:
-        raise InfeasiblePolytopeError("polytope is empty")
+    if sol.status == lp.UNBOUNDED:
+        raise UnboundedPolytopeError("polytope holds sup-balls of every radius")
     if sol.status != lp.OPTIMAL:
         raise EnumerationError(f"interior-point LP ended with status {sol.status}")
     rho = -sol.value
     z0 = sol.x[:d]
+    if rho < -1e-7 * scale:
+        raise InfeasiblePolytopeError("polytope is empty: its inscribed radius is negative")
     if rho <= 1e-7 * scale:
         # flat polytope: promote implicitly tight rows to equalities and recurse
         # (each promotion drops the affine dimension, so d bounds the depth)
@@ -279,6 +230,10 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
         tight = []
         for i in range(a.shape[0]):
             s = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b), tol=tol)
+            if s.status == lp.INFEASIBLE:
+                raise InfeasiblePolytopeError("polytope is empty")
+            if s.status == lp.UNBOUNDED:  # a_i.z has no lower bound: not tight
+                continue
             if s.status != lp.OPTIMAL:
                 raise EnumerationError(f"tightness LP ended with status {s.status}")
             if b[i] - s.value <= 1e-8 * scale:  # even min a_i.z == b_i: tight everywhere
@@ -287,18 +242,18 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
             raise EnumerationError("flat polytope without implicit equalities")
         mask = np.ones(a.shape[0], dtype=bool)
         mask[tight] = False
-        sub = Polytope(a_ub=a[mask], b_ub=b[mask], a_eq=a[tight], b_eq=b[tight],
-                       dim=d, bounded_hint=True)
+        sub = Polytope(a_ub=a[mask], b_ub=b[mask], a_eq=a[tight], b_eq=b[tight], dim=d)
         return _enumerate_reduced(sub, tol, depth + 1)
 
     shifted_b = b - a @ z0
     polar_pts = a / shifted_b[:, None]
     hull = ConvexHull(polar_pts)
     eqs = hull.equations  # rows [normal | offset]: normal.p + offset <= 0
+    reach = float(np.max(np.abs(polar_pts)))
     verts = []
     for row in eqs:
         normal, off = row[:d], row[d]
-        if -off <= 1e-12:
+        if -off <= 1e-9 * reach:
             raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
         verts.append(z0 + normal / (-off))
     return np.array(verts)
@@ -321,43 +276,52 @@ def _enumerate_reduced(poly: Polytope, tol: float, depth: int) -> np.ndarray:
     if np.any(b[dead] < -tol * scale):
         raise InfeasiblePolytopeError("a constraint excludes the whole affine hull")
     a, b = a[live], b[live]
-    if a.shape[0] < d:
-        raise UnboundedPolytopeError("fewer inequality rows than free dimensions")
-    if math.comb(a.shape[0], d) <= EXHAUSTIVE_BUDGET:
-        pts = _active_set_enum(a, b, d, tol)
+    if d == 1:
+        pts = _interval_enum(a, b, tol)
+    elif np.linalg.matrix_rank(a) < d:
+        # the rows leave a line free: unbounded, unless the system is empty
+        if a.shape[0] and lp.solve(lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b),
+                                   tol=tol).status == lp.INFEASIBLE:
+            raise InfeasiblePolytopeError("polytope is empty")
+        raise UnboundedPolytopeError("inequality rows do not span the free dimensions")
     else:
         pts = _polar_dual_enum(a, b, d, tol, depth)
-    if pts.shape[0] == 0:
-        return np.zeros((0, d0))
     return v0 + pts @ basis.T
 
 
-def enumerate_vertices(poly: Polytope, tol: float = DEFAULT_TOL,
-                       dedup_tol: float = DEDUP_TOL) -> np.ndarray:
-    """All vertices of a bounded polytope, deduplicated and sorted.
+def _tolerant_ranks(column: np.ndarray) -> np.ndarray:
+    # values chained by gaps of at most DEDUP_TOL share a rank, so last-ulp
+    # noise cannot reorder rows that agree in this column
+    order = np.argsort(column, kind="stable")
+    ranks = np.empty(column.size, dtype=np.int64)
+    ranks[order] = np.concatenate([[0], np.cumsum(np.diff(column[order]) > DEDUP_TOL)])
+    return ranks
+
+
+def merge_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order, each dropped when it lies within DEDUP_TOL
+    (sup distance) of a row already kept.  Used for vertex lists and for the
+    facet equations of a convex hull."""
+    rows = np.asarray(rows, dtype=float)
+    keys = [_tolerant_ranks(col) for col in rows.T]
+    kept: list[np.ndarray] = []
+    for row in rows[np.lexsort(keys[::-1])]:
+        if not kept or np.min(np.max(np.abs(np.array(kept) - row), axis=1)) > DEDUP_TOL:
+            kept.append(row)
+    return np.array(kept)
+
+
+def enumerate_vertices(poly: Polytope, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """All vertices of a bounded polytope, merged by merge_rows and sorted.
 
     Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
-    unbounded systems.  Near-duplicate vertices (within ``dedup_tol`` in every
-    coordinate) are merged.
+    unbounded systems.
     """
-    if not poly.bounded_hint and not _syntactically_boxed(poly):
-        _coordinate_range_probe(poly, tol)
     raw = _enumerate_reduced(poly, tol, depth=0)
-    if raw.shape[0] == 0:
-        # distinguish an empty polytope from a numerically lost one
-        _coordinate_range_probe(poly, tol)
-        raise EnumerationError("no vertex found although the polytope is nonempty")
-
     scale = 1.0 + float(np.max(np.abs(raw)))
     keep = [v for v in raw if poly.violation(v) <= max(1e-7 * scale, tol * 100.0)]
     if not keep:
-        _coordinate_range_probe(poly, tol)
         raise EnumerationError("all candidate vertices failed the feasibility filter")
-
-    seen: dict[tuple, np.ndarray] = {}
-    for v in keep:
-        key = tuple(np.round(v / dedup_tol).astype(np.int64))
-        seen.setdefault(key, v)
-    verts = np.array(sorted(seen.values(), key=tuple))
+    verts = merge_rows(np.array(keep))
     verts.setflags(write=False)
     return verts

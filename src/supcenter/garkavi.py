@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .constraints import Functional, Polytope, Subspace
+from .constraints import Functional, Polytope, Subspace, merge_rows
 from .errors import LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import DEFAULT_TOL
@@ -95,7 +95,7 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
     eye = np.eye(n)
     box_rows = np.vstack([eye[1:], -eye[1:]])
     ball_y0 = Polytope(a_ub=box_rows, b_ub=np.concatenate([y0[1:] + gamma, gamma - y0[1:]]),
-                       a_eq=eye[:1], b_eq=np.zeros(1), bounded_hint=True)
+                       a_eq=eye[:1], b_eq=np.zeros(1))
 
     # certificate: the ball stays strictly inside the unit ball of Y
     max_norm = 0.0
@@ -146,12 +146,11 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
             "a positive shrink theta is required in finite dimension",
             certificate="disjoint")
 
-    slab = Polytope(a_ub=slab_rows, b_ub=slab_rhs, a_eq=eye[:1], b_eq=np.zeros(1),
-                    bounded_hint=True)
+    slab = Polytope(a_ub=slab_rows, b_ub=slab_rhs, a_eq=eye[:1], b_eq=np.zeros(1))
     cube = Polytope(a_ub=box_rows, b_ub=np.full(2 * (n - 1), gamma),
-                    a_eq=eye[:1], b_eq=np.ones(1), bounded_hint=True)
+                    a_eq=eye[:1], b_eq=np.ones(1))
     small_ball = Polytope(a_ub=box_rows, b_ub=np.full(2 * (n - 1), gamma),
-                          a_eq=eye[:1], b_eq=np.zeros(1), bounded_hint=True)
+                          a_eq=eye[:1], b_eq=np.zeros(1))
 
     from scipy.spatial import ConvexHull
 
@@ -163,13 +162,14 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
     if certificates["ball-interior"] <= 1e-12:
         raise ModelBuildError("origin is not interior to the renormed ball",
                               certificate="ball-interior")
-    ball_facets = hull.equations[:, :n] / offsets[:, None]
+    # Qhull splits facets into simplices: merge the rows of a shared hyperplane
+    ball_facets = merge_rows(hull.equations[:, :n] / offsets[:, None])
     ball_facets.setflags(write=False)
 
     # facet description of the section B cap Y: gauge of differences inside Y
     # only needs these few rows instead of every facet of B
     section = Polytope(a_ub=ball_facets, b_ub=np.ones(ball_facets.shape[0]),
-                       a_eq=eye[:1], b_eq=np.zeros(1), bounded_hint=True)
+                       a_eq=eye[:1], b_eq=np.zeros(1))
     section_vertices = section.vertices(tol)
     section_hull = ConvexHull(section_vertices[:, 1:])
     section_offsets = -section_hull.equations[:, n - 1]
@@ -177,8 +177,8 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
     if certificates["section-interior"] <= 1e-12:
         raise ModelBuildError("origin is not interior to the ball section in Y",
                               certificate="section-interior")
-    section_facets = np.hstack([np.zeros((section_hull.equations.shape[0], 1)),
-                                section_hull.equations[:, : n - 1] / section_offsets[:, None]])
+    in_y = merge_rows(section_hull.equations[:, : n - 1] / section_offsets[:, None])
+    section_facets = np.hstack([np.zeros((in_y.shape[0], 1)), in_y])
     section_facets.setflags(write=False)
 
     model = GarkaviModel(n=n, seed=seed, gamma=gamma, theta=theta, phi=phi, x0=x0, y0=y0,
@@ -310,7 +310,7 @@ def metric_projection(model: GarkaviModel, x, eps: float = 0.0,
     facets = model.ball_facets
     eye = np.eye(model.n)
     return Polytope(a_ub=-facets, b_ub=dist + eps - facets @ x,
-                    a_eq=eye[:1], b_eq=np.zeros(1), bounded_hint=True)
+                    a_eq=eye[:1], b_eq=np.zeros(1))
 
 
 def _gauge_distance_to_hull(model: GarkaviModel, x, verts: np.ndarray,

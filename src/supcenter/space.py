@@ -8,8 +8,6 @@ quantity everything else in the package minimizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyFamilyError
@@ -24,27 +22,6 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.size}")
     return arr
-
-
-@dataclass(frozen=True)
-class Space:
-    """Ambient space: an ordered tuple of distinct point labels."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) == 0:
-            raise ValueError("a space needs at least one point")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("point labels must be distinct")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def of_dim(cls, n: int) -> "Space":
-        return cls(tuple(f"s{i + 1}" for i in range(n)))
 
 
 class FunctionFamily:

@@ -7,12 +7,9 @@ so that callers can tighten or relax the whole stack coherently.
 # Absolute tolerance for feasibility, optimality and set-membership checks.
 DEFAULT_TOL = 1e-9
 
-# Vertices closer than this (coordinate-wise) are considered duplicates.
+# Merge radius of constraints.merge_rows: a vertex, or a convex-hull facet
+# equation, within this sup distance of one already kept is the same row.
 DEDUP_TOL = 1e-7
-
-# Largest number of active-set subsets the exhaustive vertex search will visit
-# before switching to the polar-dual route.
-EXHAUSTIVE_BUDGET = 50_000
 
 # Simplex pivot guards.
 PIVOT_EPS = 1e-10

@@ -3,8 +3,12 @@
 The grid oracle walks an explicit mesh on the constraint set and never calls
 the package's LP; scipy's HiGHS solver provides a second, independent LP
 route.  Between them every radius has two derivations that share no code
-with the implementation under test.
+with the implementation under test.  Vertex lists are checked against an
+exhaustive active-set search, which shares no code with the package's
+polar-dual enumeration.
 """
+
+import itertools
 
 import numpy as np
 from scipy.optimize import linprog
@@ -101,3 +105,38 @@ def scipy_solve(lp_problem):
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
     value = sign * res.fun if res.status == 0 else None
     return status, value, res.x if res.status == 0 else None
+
+
+def active_set_vertices(a, b, tol=1e-9, merge_tol=1e-7):
+    """Vertices of the full-dimensional {z : a z <= b}, by solving every square
+    subsystem of d rows and keeping the feasible solutions.
+
+    Exponential in the number of rows: desk-scale systems only.  Solutions
+    within merge_tol (sup distance) of one already found are dropped.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, d = a.shape
+    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    row_norms = np.linalg.norm(a, axis=1)
+    pts = []
+    for subset in itertools.combinations(range(m), d):
+        sub = a[list(subset)]
+        det = np.linalg.det(sub)
+        gate = np.prod(row_norms[list(subset)]) + 1e-30
+        if abs(det) <= 1e-10 * gate:
+            continue
+        z = np.linalg.solve(sub, b[list(subset)])
+        if np.max(a @ z - b) <= tol * scale * 10.0 and all(
+                np.max(np.abs(z - p)) > merge_tol for p in pts):
+            pts.append(z)
+    return np.array(pts) if pts else np.zeros((0, d))
+
+
+def min_row_gap(rows):
+    """Smallest sup distance between two distinct rows (inf for fewer than two)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] < 2:
+        return float("inf")
+    gaps = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2)
+    return float(np.min(gaps[np.triu_indices(rows.shape[0], k=1)]))

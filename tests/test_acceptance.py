@@ -8,9 +8,11 @@ for the full suite is five minutes on a desktop.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,9 +266,14 @@ def test_criterion_8_renormed_ball_suite():
 
 def test_criterion_9_byte_identical_corpus_json():
     with criterion(9, "full-corpus JSON byte-identical across runs"):
+        # the CLI runs on the same supcenter as this test, installed or not
+        src = str(Path(sc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
         def run(argv):
             proc = subprocess.run([sys.executable, "-m", "supcenter.cli", *argv],
-                                  capture_output=True, timeout=300)
+                                  capture_output=True, timeout=300, env=env)
             assert proc.returncode == 0, proc.stderr.decode()
             return proc.stdout
 

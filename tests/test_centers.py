@@ -8,7 +8,9 @@ from supcenter.errors import (
     PreconditionError,
 )
 
-from oracles import scipy_radius
+from supcenter.tolerances import DEDUP_TOL
+
+from oracles import min_row_gap, scipy_radius
 
 
 class TestWorkedInstance:
@@ -196,3 +198,12 @@ def test_subspace_problem_box_certified(worked):
 def test_center_report_mode_label(worked):
     _, _, problem = worked
     assert sc.center_set(problem).mode == "pointwise"
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_corpus_vertex_lists_have_no_duplicates(inst):
+    problem = inst.problem()
+    polys = [sc.center_set(problem).center_polytope]
+    polys += [sc.near_center_set(problem, delta) for delta in (0.2, 0.1, 0.05)]
+    for poly in polys:
+        assert min_row_gap(poly.vertices()) > DEDUP_TOL

@@ -6,6 +6,9 @@ from supcenter.errors import (
     InfeasiblePolytopeError,
     UnboundedPolytopeError,
 )
+from supcenter.tolerances import DEDUP_TOL
+
+from oracles import active_set_vertices, min_row_gap
 
 
 class TestFunctional:
@@ -33,7 +36,6 @@ class TestFunctional:
     def test_evaluates(self):
         mu = con.Functional(support=(0, 2), weights=(0.25, -0.75))
         assert mu([1.0, 9.0, 2.0]) == pytest.approx(0.25 - 1.5)
-        assert con.evaluate(mu, [1.0, 9.0, 2.0]) == mu([1.0, 9.0, 2.0])
 
     def test_dense_row(self):
         mu = con.Functional(support=(2, 0), weights=(0.5, -0.5))
@@ -101,14 +103,21 @@ class TestVertexEnumeration:
         poly = box.with_rows(np.array([[1.0, 0.0]]), np.array([1.0]))  # repeat a facet
         assert poly.vertices().shape == (4, 2)
 
-    def test_empty_polytope_raises(self):
-        poly = con.Polytope(a_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                            b_ub=np.array([-1.0, -1.0]))
+    @pytest.mark.parametrize("a_ub, b_ub", [
+        ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]),   # x <= -1 and x >= 1 in the plane
+        ([[1.0], [-1.0]], [-1.0, -1.0]),             # the same on the line
+    ], ids=["2d", "1d"])
+    def test_empty_polytope_raises(self, a_ub, b_ub):
+        poly = con.Polytope(a_ub=np.array(a_ub), b_ub=np.array(b_ub))
         with pytest.raises(InfeasiblePolytopeError):
             poly.vertices()
 
-    def test_unbounded_polytope_raises(self):
-        poly = con.Polytope(a_ub=np.array([[1.0, 0.0]]), b_ub=np.array([1.0]))
+    @pytest.mark.parametrize("a_ub, b_ub", [
+        ([[1.0, 0.0]], [1.0]),                       # a half-plane
+        ([[1.0], [2.0]], [1.0, 3.0]),                # a ray on the line
+    ], ids=["2d", "1d"])
+    def test_unbounded_polytope_raises(self, a_ub, b_ub):
+        poly = con.Polytope(a_ub=np.array(a_ub), b_ub=np.array(b_ub))
         with pytest.raises(UnboundedPolytopeError):
             poly.vertices()
 
@@ -119,7 +128,7 @@ class TestVertexEnumeration:
         assert verts.shape == (1, 2)
         assert verts[0] == pytest.approx([0.3, -0.7])
 
-    def test_polar_dual_agrees_with_exhaustive(self, rng, monkeypatch):
+    def test_polar_dual_agrees_with_exhaustive(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 4))
             m = int(rng.integers(d + 2, 10))
@@ -128,10 +137,8 @@ class TestVertexEnumeration:
             b = rng.uniform(0.5, 1.5, m)
             rows = np.vstack([a, np.eye(d), -np.eye(d)])
             rhs = np.concatenate([b, np.full(2 * d, 2.0)])
-            exhaustive = con.Polytope(a_ub=rows, b_ub=rhs).vertices()
-            monkeypatch.setattr(con, "EXHAUSTIVE_BUDGET", 1)
+            exhaustive = active_set_vertices(rows, rhs)
             polar = con.Polytope(a_ub=rows, b_ub=rhs).vertices()
-            monkeypatch.undo()
             assert exhaustive.shape == polar.shape
             gap = max(np.min(np.max(np.abs(polar - v), axis=1)) for v in exhaustive)
             assert gap < 1e-7
@@ -142,6 +149,15 @@ class TestVertexEnumeration:
         assert poly.vertices() is first
         assert not first.flags.writeable
         assert sorted(map(tuple, first)) == list(map(tuple, first))
+
+
+def test_merge_rows_merges_and_orders_through_noise():
+    noise = 1e-15
+    rows = np.array([[0.5 + noise, 0.0], [0.5, 1.0], [0.5, 0.0], [0.5 - noise, 1.0 + noise]])
+    merged = con.merge_rows(rows)
+    assert merged.shape == (2, 2)
+    assert merged[:, 1] == pytest.approx([0.0, 1.0])
+    assert min_row_gap(merged) > DEDUP_TOL
 
 
 def test_ball_polytope_rejects_nonpositive_scale():

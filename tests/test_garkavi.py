@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from supcenter.errors import ModelBuildError
+from supcenter.instances import load_corpus
 from supcenter.garkavi import (
     build_model,
     center_trend,
@@ -13,6 +14,9 @@ from supcenter.garkavi import (
     _gauge_facets,
 )
 from supcenter.space import _hausdorff_points
+from supcenter.tolerances import DEDUP_TOL
+
+from oracles import min_row_gap
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,14 @@ class TestBuild:
             sup = float(np.max(np.abs(x)))
             assert model3.c_lower * sup <= g + 1e-9
             assert g <= model3.c_upper * sup + 1e-9
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_corpus_model_facets_are_distinct_and_hold_the_hull(inst):
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    assert min_row_gap(model.ball_facets) > DEDUP_TOL
+    assert min_row_gap(model.section_facets) > DEDUP_TOL
+    assert np.all(model.hull_points @ model.ball_facets.T <= 1.0 + 1e-9)
 
 
 class TestGauge:

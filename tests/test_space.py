@@ -14,12 +14,6 @@ def test_as_vector_checks_dimension():
         sp.as_vector([1, 2], dim=3)
 
 
-def test_space_labels():
-    s = sp.Space.of_dim(3)
-    assert s.dim == 3
-    assert len(set(s.labels)) == 3
-
-
 def test_family_requires_members():
     with pytest.raises(EmptyFamilyError):
         sp.FunctionFamily(np.zeros((0, 3)))
