@@ -3,8 +3,10 @@
 For a constraint set V and a finite family B, the restricted radius is
 rad_V(B) = inf_{v in V} r(v, B); the center set is the slab S_rad(B)
 intersected with V, and the near-center set relaxes the slab by a slack
-delta.  All three reduce to linear programs over H-polytopes here, and every
-report recomputes the radius by LP rather than trusting a cached value.
+delta.  All three reduce to linear programs over H-polytopes here.  The
+radius is solved once, by one epigraph LP in center_set, and then handed on:
+near_center_set, the stability modulus and the repair take an already-solved
+radius instead of solving it again.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ import numpy as np
 
 from . import lp
 from .constraints import Polytope, Subspace, ball_polytope
-from .errors import (
-    DimensionMismatchError,
-    InfeasiblePolytopeError,
-    LPNumericalError,
-    PreconditionError,
-)
+from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
 from .space import FunctionFamily, _hausdorff_points, as_vector, farthest_radius, global_center
 from .tolerances import BOX_FACTOR, DEFAULT_TOL
 
@@ -86,43 +83,6 @@ def subspace_problem(family: FunctionFamily, y: Subspace,
     return problem
 
 
-def _radius_lp(values: np.ndarray, feasible: Polytope, tol: float) -> tuple[float, np.ndarray]:
-    """min t s.t. v in feasible, |v_i - f_i| <= t for every member f."""
-    m, n = values.shape
-    mi = feasible.a_ub.shape[0]
-    a_ub = np.zeros((mi + 2 * m * n, n + 1))
-    b_ub = np.zeros(mi + 2 * m * n)
-    a_ub[:mi, :n] = feasible.a_ub
-    b_ub[:mi] = feasible.b_ub
-    eye = np.eye(n)
-    for k in range(m):
-        lo = mi + 2 * k * n
-        a_ub[lo : lo + n, :n] = eye
-        a_ub[lo : lo + n, n] = -1.0
-        b_ub[lo : lo + n] = values[k]
-        a_ub[lo + n : lo + 2 * n, :n] = -eye
-        a_ub[lo + n : lo + 2 * n, n] = -1.0
-        b_ub[lo + n : lo + 2 * n] = -values[k]
-    a_eq = b_eq = None
-    if feasible.a_eq.shape[0]:
-        a_eq = np.hstack([feasible.a_eq, np.zeros((feasible.a_eq.shape[0], 1))])
-        b_eq = feasible.b_eq
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq), tol=tol)
-    if sol.status == lp.INFEASIBLE:
-        raise InfeasiblePolytopeError("constraint set V is empty")
-    if sol.status != lp.OPTIMAL:
-        raise LPNumericalError(f"radius LP ended with status {sol.status}")
-    return float(sol.value), sol.x[:n]
-
-
-def restricted_radius(problem: CenterProblem, tol: float = DEFAULT_TOL) -> float:
-    """rad_V(B) as the optimal value of a single LP."""
-    radius, _ = _radius_lp(problem.family.values, problem.feasible, tol)
-    return radius
-
-
 def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
     """V intersected with {v : |v - f|_inf <= width for every member f}."""
     values = problem.family.values
@@ -139,18 +99,31 @@ def center_set(problem: CenterProblem, tol: float = DEFAULT_TOL) -> CenterReport
     The representative is whichever optimum the deterministic pivot rule
     lands on; the polytope is the canonical answer.
     """
-    radius, rep = _radius_lp(problem.family.values, problem.feasible, tol)
+    eye = np.eye(problem.dim)
+    radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
+                                 problem.feasible, tol)
     poly = _slab_polytope(problem, radius)
     if poly.violation(rep) > tol * 100.0 + 1e-12:
         raise LPNumericalError("radius minimizer violates its own center polytope")
     return CenterReport(radius=radius, representative=rep, center_polytope=poly)
 
 
-def near_center_set(problem: CenterProblem, delta: float, tol: float = DEFAULT_TOL) -> Polytope:
-    """cent_V(B, delta): all v in V with r(v, B) <= rad_V(B) + delta."""
+def restricted_radius(problem: CenterProblem, tol: float = DEFAULT_TOL) -> float:
+    """rad_V(B) as the optimal value of a single LP."""
+    return center_set(problem, tol=tol).radius
+
+
+def near_center_set(problem: CenterProblem, delta: float, tol: float = DEFAULT_TOL,
+                    radius: float | None = None) -> Polytope:
+    """cent_V(B, delta): all v in V with r(v, B) <= rad_V(B) + delta.
+
+    radius is rad_V(B) when the caller has already solved it; otherwise it is
+    solved here.
+    """
     if delta < 0:
         raise ValueError(f"slack must be nonnegative, got {delta}")
-    radius, _ = _radius_lp(problem.family.values, problem.feasible, tol)
+    if radius is None:
+        radius = restricted_radius(problem, tol=tol)
     return _slab_polytope(problem, radius + delta)
 
 
@@ -177,18 +150,19 @@ def check_scaling_identity(y: Subspace, family: FunctionFamily, lam: float,
     direct = CenterProblem(family=family, feasible=ball_polytope(y, lam))
     shrunk = CenterProblem(family=FunctionFamily(family.values / lam),
                            feasible=ball_polytope(y, 1.0))
-    r_direct = restricted_radius(direct, tol=tol)
-    r_shrunk = restricted_radius(shrunk, tol=tol)
-    radius_gap = abs(r_direct - lam * r_shrunk)
+    c_direct = center_set(direct, tol=tol)
+    c_shrunk = center_set(shrunk, tol=tol)
+    radius_gap = abs(c_direct.radius - lam * c_shrunk.radius)
 
-    left = center_set(direct, tol=tol).center_polytope.vertices(tol)
-    right = lam * center_set(shrunk, tol=tol).center_polytope.vertices(tol)
+    left = c_direct.center_polytope.vertices(tol)
+    right = lam * c_shrunk.center_polytope.vertices(tol)
     center_gap = _hausdorff_points(left, right)
 
     if delta is None:
-        delta = 0.25 * max(r_direct, tol)
-    near_left = near_center_set(direct, delta, tol=tol).vertices(tol)
-    near_right = lam * near_center_set(shrunk, delta / lam, tol=tol).vertices(tol)
+        delta = 0.25 * max(c_direct.radius, tol)
+    near_left = near_center_set(direct, delta, tol=tol, radius=c_direct.radius).vertices(tol)
+    near_right = lam * near_center_set(shrunk, delta / lam, tol=tol,
+                                       radius=c_shrunk.radius).vertices(tol)
     near_gap = _hausdorff_points(near_left, near_right)
 
     passed = radius_gap <= set_tol and center_gap <= set_tol and near_gap <= set_tol
@@ -219,15 +193,14 @@ def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | N
     at lam = tau the identity is too fragile in floating point.
     """
     free = subspace_problem(family, y, tol=tol)
-    r_free = restricted_radius(free, tol=tol)
-    tau = float(np.max(np.abs(family.values))) + r_free
+    free_centers = center_set(free, tol=tol)
+    tau = float(np.max(np.abs(family.values))) + free_centers.radius
     if lam is None:
         lam = tau + 1.0
     if lam < tau - tol:
         raise PreconditionError(f"scale {lam} below threshold {tau}: inclusion not guaranteed")
 
     scaled = CenterProblem(family=family, feasible=ball_polytope(y, lam))
-    free_centers = center_set(free, tol=tol)
     scaled_centers = center_set(scaled, tol=tol)
 
     inclusion_gap = max(

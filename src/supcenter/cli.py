@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 all good, 1 a certified check or construction failed, 2 bad
-input (file, schema, precondition), 3 numerical trouble (LP iteration cap,
-enumeration failure).  --json switches any command to canonical JSON on
+input (file, schema, precondition, a NaN or infinite number), 3 numerical
+trouble (LP iteration cap, enumeration failure).  --json switches any command to canonical JSON on
 stdout; the corpus summary is byte-identical between runs by construction.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__, construct, garkavi, sampling
 from .centers import (
     CenterProblem,
-    ball_problem,
     center_set,
     check_scaling_identity,
     check_threshold_equality,
@@ -51,6 +50,14 @@ def _emit(args, payload, lines):
     else:
         for line in lines:
             print(line)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _center_instance(path) -> CenterInstance:
@@ -105,12 +112,11 @@ def cmd_near_center(args) -> int:
 def cmd_construct(args) -> int:
     inst = _center_instance(args.instance)
     reduction = construct.finite_reduction(inst.family, inst.subspace, tol=args.tol)
-    radius = restricted_radius(ball_problem(inst.family, inst.subspace), tol=args.tol)
+    radius = reduction.radius
     h = construct.constructive_center(inst.family, inst.subspace, reduction=reduction,
                                       tol=args.tol)
     payload = {"instance": inst.name, "radius": radius, "alpha": reduction.alpha,
-               "regime": construct.MATCHED if radius - reduction.alpha <= 1e-9 else construct.GAP,
-               "center": h}
+               "regime": reduction.regime, "center": h}
     lines = [f"{inst.name}: R = {radius:.12g}, support optimum alpha = {reduction.alpha:.12g}",
              f"constructive center: {np.array2string(h, precision=10)}"]
     if args.eps is not None:
@@ -126,6 +132,8 @@ def cmd_construct(args) -> int:
 def cmd_repair(args) -> int:
     inst = _center_instance(args.instance)
     g = np.array([float(tok) for tok in args.point.split(",")])
+    if not np.all(np.isfinite(g)):
+        raise PreconditionError(f"--point must be finite, got {args.point}")
     reduction = construct.finite_reduction(inst.family, inst.subspace, tol=args.tol)
     delta = args.delta
     if delta is None:
@@ -183,16 +191,15 @@ def cmd_check_lemmas(args) -> int:
             failures.append(f"threshold trial {trial}")
 
         other = sampling.perturbed_family(rng, family, float(rng.uniform(0.0, 0.5)))
-        gap = abs(restricted_radius(problem, tol=args.tol)
-                  - restricted_radius(CenterProblem(family=other, feasible=problem.feasible),
-                                      tol=args.tol))
+        radius = restricted_radius(problem, tol=args.tol)
+        gap = abs(radius - restricted_radius(CenterProblem(family=other, feasible=problem.feasible),
+                                             tol=args.tol))
         d_h = hausdorff(family, other)
         lipschitz_ok = gap <= d_h + 1e-9
         if not lipschitz_ok:
             failures.append(f"lipschitz trial {trial}")
 
         perturb_ok = True
-        radius = restricted_radius(problem, tol=args.tol)
         if radius > 1e-6:
             gamma = 0.4 * radius
             eps = args.eps
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("instance", help="path to an instance JSON file")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP tolerance")
+        p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="LP tolerance")
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
 
     p = sub.add_parser("radius", help="restricted Chebyshev radius of an instance")
@@ -318,27 +325,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("near-center", help="vertices of the near-center set")
     common(p)
-    p.add_argument("--delta", type=float, required=True, help="radius slack (>= 0)")
+    p.add_argument("--delta", type=_finite_float, required=True, help="radius slack (>= 0)")
     p.set_defaults(func=cmd_near_center)
 
     p = sub.add_parser("construct", help="explicit center from the support reduction")
     common(p)
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=_finite_float, default=None,
                    help="also report the admissible repair slack for this eps")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("repair", help="move a near-center onto the center set")
     common(p)
     p.add_argument("--point", required=True, help="comma-separated coordinates of g")
-    p.add_argument("--eps", type=float, required=True, help="repair distance budget")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--eps", type=_finite_float, required=True, help="repair distance budget")
+    p.add_argument("--delta", type=_finite_float, default=None,
                    help="admitted slack of g (default: the instance's admissible slack)")
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("p1-modulus", help="largest slack keeping near-centers within eps")
     common(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta-max", type=float, default=None, help="search cap (default eps)")
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--delta-max", type=_finite_float, default=None, help="search cap (default eps)")
     p.set_defaults(func=cmd_p1_modulus)
 
     p = sub.add_parser("check-lemmas", help="randomized scaling/threshold/Lipschitz/perturbation checks")
@@ -346,15 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="3,4", help="comma-separated ambient dimensions")
-    p.add_argument("--eps", type=float, default=0.2, help="perturbation move budget")
+    p.add_argument("--eps", type=_finite_float, default=0.2, help="perturbation move budget")
     p.set_defaults(func=cmd_check_lemmas)
 
     p = sub.add_parser("renorm", help="build the renormed-ball model and check the half-ball identity")
     common(p, instance=False)
     p.add_argument("--n", type=int, required=True, help="ambient dimension (>= 3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=1.0 / 16.0)
-    p.add_argument("--theta", type=float, default=1e-3,
+    p.add_argument("--gamma", type=_finite_float, default=1.0 / 16.0)
+    p.add_argument("--theta", type=_finite_float, default=1e-3,
                    help="slab shrink; 0 reproduces the attained-infimum failure")
     p.add_argument("--samples", type=int, default=3, help="sampled x per eps (0 = build only)")
     p.set_defaults(func=cmd_renorm)

@@ -45,6 +45,8 @@ class Functional:
             raise ValueError("support indices must be distinct")
         if any(i < 0 for i in support):
             raise IndexError(f"negative support index in {support}")
+        if not all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if any(w == 0.0 for w in weights):
             raise ValueError("weights must be nonzero")
         tv = sum(abs(w) for w in weights)

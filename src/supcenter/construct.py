@@ -19,7 +19,6 @@ from . import lp
 from .centers import (
     CenterProblem,
     CenterReport,
-    _radius_lp,
     ball_problem,
     center_set,
     near_center_set,
@@ -29,7 +28,7 @@ from .constraints import Polytope, Subspace
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .space import FunctionFamily, as_vector, farthest_radius, sup_norm
 from .stability import p1_modulus
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, REGIME_TOL
 
 # regimes of the reduced problem relative to the full radius
 MATCHED = "matched"   # R == alpha: the support already forces the radius
@@ -42,7 +41,8 @@ class SupportReduction:
 
     slots[i] is the ambient index of reduced coordinate i (supports are
     concatenated functional by functional, so an ambient point shared by two
-    functionals occupies two tied slots).
+    functionals occupies two tied slots).  radius is the full kernel-ball
+    radius R, solved once here and read by every step that needs it.
     """
 
     slots: tuple[int, ...]
@@ -51,10 +51,15 @@ class SupportReduction:
     alpha: float
     eta: np.ndarray
     ties: tuple[tuple[int, int], ...]  # (earlier slot, later slot) pairs
+    radius: float
 
     @property
     def size(self) -> int:
         return len(self.slots)
+
+    @property
+    def regime(self) -> str:
+        return MATCHED if self.radius - self.alpha <= REGIME_TOL else GAP
 
 
 def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_TOL) -> SupportReduction:
@@ -72,10 +77,10 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
         balance_rows.append((offset, mu.weights))
         offset += len(mu.support)
     m = len(slots)
+    radius = restricted_radius(ball_problem(family, y), tol=tol)
     if m == 0:
-        reduction = SupportReduction(slots=(), polytope=None, reduced_family=None,
-                                     alpha=0.0, eta=np.zeros(0), ties=())
-        return reduction
+        return SupportReduction(slots=(), polytope=None, reduced_family=None,
+                                alpha=0.0, eta=np.zeros(0), ties=(), radius=radius)
 
     a_eq = np.zeros((len(balance_rows), m))
     for row, (off, weights) in enumerate(balance_rows):
@@ -96,17 +101,15 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
                     a_eq=np.vstack([a_eq, tie_rows]),
                     b_eq=np.zeros(a_eq.shape[0] + len(ties)))
 
-    reduced_values = family.values[:, slots]
-    alpha, eta = _radius_lp(reduced_values, poly, tol)
-    alpha = max(alpha, 0.0)
-
-    radius = restricted_radius(ball_problem(family, y), tol=tol)
+    reduced_family = FunctionFamily(family.values[:, slots])
+    reduced = center_set(CenterProblem(family=reduced_family, feasible=poly), tol=tol)
+    alpha = max(reduced.radius, 0.0)
     if alpha > radius + tol * 100.0:
         raise ConstructionError(
             f"reduced optimum {alpha} exceeds the full restricted radius {radius}")
-    return SupportReduction(slots=tuple(slots), polytope=poly,
-                            reduced_family=FunctionFamily(reduced_values),
-                            alpha=alpha, eta=eta, ties=tuple(ties))
+    return SupportReduction(slots=tuple(slots), polytope=poly, reduced_family=reduced_family,
+                            alpha=alpha, eta=reduced.representative, ties=tuple(ties),
+                            radius=radius)
 
 
 def _embed_slots(reduction: SupportReduction, values: np.ndarray, dim: int,
@@ -161,7 +164,7 @@ def constructive_center(family: FunctionFamily, y: Subspace,
     """
     if reduction is None:
         reduction = finite_reduction(family, y, tol=tol)
-    radius = restricted_radius(ball_problem(family, y), tol=tol)
+    radius = reduction.radius
     g = _embed_slots(reduction, reduction.eta, family.dim, tol)
     upper = family.values.min(axis=0) + radius
     lower = family.values.max(axis=0) - radius
@@ -204,31 +207,6 @@ def _reduced_problem(reduction: SupportReduction) -> CenterProblem:
     return CenterProblem(family=reduction.reduced_family, feasible=reduction.polytope)
 
 
-def _relaxed_modulus(problem: CenterProblem, beta: float, eps: float, delta_max: float,
-                     tol: float, resolution: float = 1e-4) -> float:
-    """Largest delta with cent(beta+delta) within eps of cent(beta)."""
-    base = near_center_set(problem, beta, tol=tol)
-
-    def worst(delta: float) -> float:
-        verts = near_center_set(problem, beta + delta, tol=tol).vertices(tol)
-        return max((lp.distance_to_polytope(v, base, tol=tol)[0] for v in verts), default=0.0)
-
-    step = resolution * delta_max
-    if worst(delta_max) <= eps:
-        return delta_max
-    lo = step
-    if worst(lo) > eps:
-        return 0.0
-    hi = delta_max
-    while hi - lo > step:
-        mid = 0.5 * (lo + hi)
-        if worst(mid) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
                      reduction: SupportReduction | None = None,
                      tol: float = DEFAULT_TOL) -> SlackChoice:
@@ -243,32 +221,28 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
         raise PreconditionError(f"eps must be positive, got {eps}")
     if reduction is None:
         reduction = finite_reduction(family, y, tol=tol)
-    radius = restricted_radius(ball_problem(family, y), tol=tol)
-    alpha = reduction.alpha
+    alpha, radius, regime = reduction.alpha, reduction.radius, reduction.regime
     beta = radius - alpha
 
     if reduction.size == 0:
         # no support constraints: every clamped repair is already exact
-        return SlackChoice(value=eps, regime=GAP if radius > tol else MATCHED,
-                           origin="trivial", alpha=alpha, beta=beta, radius=radius)
+        return SlackChoice(value=eps, regime=regime, origin="trivial",
+                           alpha=alpha, beta=beta, radius=radius)
 
-    if beta <= 1e-9:
-        report = p1_modulus(_reduced_problem(reduction), eps, delta_max=eps, tol=tol)
-        if report.degenerate:
-            raise ConstructionError(
-                f"reduced stability modulus degenerate at eps={eps}; cannot pick a slack")
-        return SlackChoice(value=min(report.delta_star, eps), regime=MATCHED,
-                           origin="modulus", alpha=alpha, beta=beta, radius=radius)
-
-    if alpha > tol * 10.0:
+    if regime == MATCHED:
+        base_slack, origin = 0.0, "modulus"
+    elif alpha > tol * 10.0:
         bound = min(alpha, eps * beta / (6.0 * alpha + 4.0 * beta))
         return SlackChoice(value=min(0.5 * bound, eps), regime=GAP, origin="formula",
                            alpha=alpha, beta=beta, radius=radius)
-    delta = _relaxed_modulus(_reduced_problem(reduction), beta, eps, delta_max=eps, tol=tol)
-    if delta <= 0.0:
+    else:
+        base_slack, origin = beta, "relaxed-modulus"
+    report = p1_modulus(_reduced_problem(reduction), eps, delta_max=eps, tol=tol,
+                        base_slack=base_slack)
+    if report.degenerate:
         raise ConstructionError(
-            f"relaxed stability modulus degenerate at eps={eps}; cannot pick a slack")
-    return SlackChoice(value=min(delta, eps), regime=GAP, origin="relaxed-modulus",
+            f"reduced stability modulus degenerate at eps={eps}; cannot pick a slack")
+    return SlackChoice(value=min(report.delta_star, eps), regime=regime, origin=origin,
                        alpha=alpha, beta=beta, radius=radius)
 
 
@@ -287,7 +261,7 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     slack = tol * 100.0
     if reduction is None:
         reduction = finite_reduction(family, y, tol=tol)
-    radius = restricted_radius(ball_problem(family, y), tol=tol)
+    radius = reduction.radius
 
     if sup_norm(g) > 1.0 + slack:
         raise PreconditionError(f"g not in the unit ball: |g| = {sup_norm(g)}")
@@ -300,9 +274,9 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
             f"g not admissible: r(g, B) = {r_g} > R + delta = {radius + inp.delta}")
 
     if reduction.size:
-        beta = radius - reduction.alpha
-        target_slack = 0.0 if beta <= 1e-9 else beta
-        target = near_center_set(_reduced_problem(reduction), target_slack, tol=tol)
+        target_slack = 0.0 if reduction.regime == MATCHED else radius - reduction.alpha
+        target = near_center_set(_reduced_problem(reduction), target_slack, tol=tol,
+                                 radius=reduction.alpha)
         x_g = g[list(reduction.slots)]
         dist, z = lp.distance_to_polytope(x_g, target, tol=tol)
         if dist > inp.eps + slack:

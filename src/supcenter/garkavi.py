@@ -279,25 +279,17 @@ def gauge_decomposition(model: GarkaviModel, x, tol: float = DEFAULT_TOL):
     return value, parts
 
 
+def _subspace_polytope(n: int) -> Polytope:
+    """Y = ker(first coordinate) as a polytope without inequality rows."""
+    return Polytope(a_eq=np.eye(n)[:1], b_eq=np.zeros(1))
+
+
 def subspace_gauge_distance(model: GarkaviModel, x, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """min over y in Y of gauge(x - y), with a nearest point."""
     x = as_vector(x, model.n)
-    n = model.n
-    facets = model.ball_facets
-    m = facets.shape[0]
-    a_ub = np.zeros((m, n + 1))
-    a_ub[:, :n] = -facets
-    a_ub[:, n] = -1.0
-    b_ub = -facets @ x
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, 0] = 1.0
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(1)),
-                   tol=tol)
-    if sol.status != lp.OPTIMAL:
-        raise LPNumericalError(f"distance LP ended with status {sol.status}")
-    return max(float(sol.value), 0.0), sol.x[:n]
+    # gauge(x - y) = max_a a.(x - y) = max_a (-a).(y - x)
+    dist, y = lp.epigraph_lp(-model.ball_facets, x, _subspace_polytope(model.n), tol)
+    return max(dist, 0.0), y
 
 
 def metric_projection(model: GarkaviModel, x, eps: float = 0.0,
@@ -457,24 +449,7 @@ def center_trend(n_values: tuple[int, ...], seed: int = 0, gamma: float = 1.0 / 
     for n in n_values:
         model = build_model(n, seed=seed, gamma=gamma, theta=theta, tol=tol)
         targets = np.vstack([np.zeros(n), model.x0 + model.y0])
-        facets = model.ball_facets
-        m = facets.shape[0]
-        a_ub = np.zeros((2 * m, n + 1))
-        b_ub = np.zeros(2 * m)
-        for k, target in enumerate(targets):
-            a_ub[k * m:(k + 1) * m, :n] = facets
-            a_ub[k * m:(k + 1) * m, n] = -1.0
-            b_ub[k * m:(k + 1) * m] = facets @ target
-        eye = np.eye(n)
-        a_eq = np.zeros((1, n + 1))
-        a_eq[0, 0] = 1.0
-        c = np.zeros(n + 1)
-        c[n] = 1.0
-        sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(1)),
-                       tol=tol)
-        if sol.status != lp.OPTIMAL:
-            raise LPNumericalError(f"trend LP ended with status {sol.status}")
-        center = sol.x[:n]
-        rows.append(TrendRow(n=n, radius=float(sol.value),
+        radius, center = lp.epigraph_lp(model.ball_facets, targets, _subspace_polytope(n), tol)
+        rows.append(TrendRow(n=n, radius=radius,
                              phi_at_center=model.phi(center), alpha=model.alpha))
     return tuple(rows)

@@ -116,8 +116,9 @@ def parse_instance(data: dict, where: str = "instance"):
         raise InstanceError(f"{where}: constraint must be one of {CONSTRAINT_MODES}, "
                             f"got '{constraint}'", field="constraint")
     scale = float(data.get("scale", 1.0))
-    if constraint == "scaled-ball" and scale <= 0:
-        raise InstanceError(f"{where}: scale must be positive, got {scale}", field="scale")
+    if not np.isfinite(scale) or (constraint == "scaled-ball" and scale <= 0):
+        raise InstanceError(f"{where}: scale must be finite and positive, got {scale}",
+                            field="scale")
     interpretation = data.get("interpretation", "sup-space")
     if interpretation not in INTERPRETATIONS:
         raise InstanceError(f"{where}: interpretation must be one of {INTERPRETATIONS}, "

@@ -5,6 +5,11 @@ tableau with Bland's anti-cycling rule is enough: deterministic pivoting,
 guaranteed termination, no sparse machinery.  Free variables are split into
 positive parts and bounds become ordinary rows, which keeps the standard-form
 conversion tiny at the cost of a slightly wider tableau.
+
+The restricted radius, the sup-norm distance to a polytope and the gauge
+distances of the renormed-ball model share one program shape, built in one
+place by epigraph_lp: min t over v in a polytope with g.(v - target) <= t for
+every row g of a fixed matrix and every target.
 """
 
 from __future__ import annotations
@@ -231,6 +236,41 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     return LPSolution(status=OPTIMAL, value=value, x=x, iterations=iterations)
 
 
+def epigraph_lp(rows, targets, poly: "Polytope", tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+    """min t subject to v in poly and g.(v - target) <= t for every row g of
+    rows and every target, as (t, v).
+
+    With rows [I; -I], t is the sup-norm distance from v to the farthest
+    target.  Raises InfeasiblePolytopeError when poly is empty and
+    LPNumericalError when the LP ends in any other way without an optimum.
+    """
+    rows = np.asarray(rows, dtype=float)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    k, n = rows.shape
+    mi = poly.a_ub.shape[0]
+    a_ub = np.zeros((mi + targets.shape[0] * k, n + 1))
+    b_ub = np.zeros(a_ub.shape[0])
+    a_ub[:mi, :n] = poly.a_ub
+    b_ub[:mi] = poly.b_ub
+    for j, target in enumerate(targets):
+        lo = mi + j * k
+        a_ub[lo : lo + k, :n] = rows
+        a_ub[lo : lo + k, n] = -1.0
+        b_ub[lo : lo + k] = rows @ target
+    a_eq = b_eq = None
+    if poly.a_eq.shape[0]:
+        a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
+        b_eq = poly.b_eq
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq), tol=tol)
+    if sol.status == INFEASIBLE:
+        raise InfeasiblePolytopeError("the polytope of the epigraph LP is empty")
+    if sol.status != OPTIMAL:
+        raise LPNumericalError(f"epigraph LP ended with status {sol.status}")
+    return float(sol.value), sol.x[:n]
+
+
 def distance_to_polytope(x, poly: "Polytope", tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Sup-norm distance from x to a polytope, with a nearest point.
 
@@ -243,31 +283,6 @@ def distance_to_polytope(x, poly: "Polytope", tol: float = DEFAULT_TOL) -> tuple
         raise ValueError(f"point dim {n} does not match polytope dim {poly.dim}")
     if poly.contains(x, tol):
         return 0.0, x.copy()
-
-    # variables (v, t): minimize t subject to v in P and |v - x| <= t
-    mi = poly.a_ub.shape[0]
-    a_ub = np.zeros((mi + 2 * n, n + 1))
-    b_ub = np.zeros(mi + 2 * n)
-    a_ub[:mi, :n] = poly.a_ub
-    b_ub[:mi] = poly.b_ub
-    a_ub[mi : mi + n, :n] = np.eye(n)
-    a_ub[mi : mi + n, n] = -1.0
-    b_ub[mi : mi + n] = x
-    a_ub[mi + n :, :n] = -np.eye(n)
-    a_ub[mi + n :, n] = -1.0
-    b_ub[mi + n :] = -x
-
-    a_eq = None
-    b_eq = None
-    if poly.a_eq.shape[0]:
-        a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
-        b_eq = poly.b_eq
-
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq), tol=tol)
-    if sol.status == INFEASIBLE:
-        raise InfeasiblePolytopeError("distance target polytope is empty")
-    if sol.status != OPTIMAL:
-        raise LPNumericalError(f"distance LP ended with status {sol.status}")
-    return max(float(sol.value), 0.0), sol.x[:n]
+    eye = np.eye(n)
+    dist, v = epigraph_lp(np.vstack([eye, -eye]), x, poly, tol)
+    return max(dist, 0.0), v

@@ -40,6 +40,8 @@ class FunctionFamily:
             raise DimensionMismatchError(f"expected (members, dim) data, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise EmptyFamilyError("a family must have at least one member")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("family values must be finite")
         arr.setflags(write=False)
         self.values = arr
 

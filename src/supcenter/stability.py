@@ -25,6 +25,18 @@ from .tolerances import DEFAULT_TOL
 logger = logging.getLogger(__name__)
 
 
+def _farthest_vertex(verts: np.ndarray, target: Polytope,
+                     tol: float) -> tuple[float, np.ndarray | None]:
+    worst = 0.0
+    witness = None
+    for v in verts:
+        dist, _ = lp.distance_to_polytope(v, target, tol=tol)
+        if dist > worst:
+            worst = dist
+            witness = v
+    return worst, witness
+
+
 def worst_near_center_distance(problem: CenterProblem, delta: float,
                                center: CenterReport | None = None,
                                tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray | None]:
@@ -35,15 +47,8 @@ def worst_near_center_distance(problem: CenterProblem, delta: float,
     """
     if center is None:
         center = center_set(problem, tol=tol)
-    verts = near_center_set(problem, delta, tol=tol).vertices(tol)
-    worst = 0.0
-    witness = None
-    for v in verts:
-        dist, _ = lp.distance_to_polytope(v, center.center_polytope, tol=tol)
-        if dist > worst:
-            worst = dist
-            witness = v
-    return worst, witness
+    verts = near_center_set(problem, delta, tol=tol, radius=center.radius).vertices(tol)
+    return _farthest_vertex(verts, center.center_polytope, tol)
 
 
 @dataclass(frozen=True)
@@ -64,22 +69,26 @@ class ModulusReport:
 
 def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
                center: CenterReport | None = None, tol: float = DEFAULT_TOL,
-               resolution: float = 1e-4) -> ModulusReport:
+               resolution: float = 1e-4, base_slack: float = 0.0) -> ModulusReport:
     """Largest slack delta in (0, delta_max] with worst distance <= eps.
 
-    Bisection on the monotone map delta -> worst distance, resolved to
-    resolution * delta_max.  A zero modulus is reported with the degenerate
-    flag set: in finite dimension the modulus must be positive, so a zero is
-    a diagnostic, not an answer.
+    The worst distance is measured from cent_V(B, base_slack + delta) to
+    cent_V(B, base_slack), which for the default base_slack = 0 is the center
+    set itself.  Bisection on the monotone map delta -> worst distance,
+    resolved to resolution * delta_max.  A zero modulus is reported with the
+    degenerate flag set: in finite dimension the modulus must be positive, so
+    a zero is a diagnostic, not an answer.
     """
     if eps <= 0 or delta_max <= 0:
         raise ValueError("eps and delta_max must be positive")
     if center is None:
         center = center_set(problem, tol=tol)
+    base = near_center_set(problem, base_slack, tol=tol, radius=center.radius)
     probes: list[ModulusProbe] = []
 
     def probe(delta: float) -> float:
-        worst, witness = worst_near_center_distance(problem, delta, center=center, tol=tol)
+        near = near_center_set(problem, base_slack + delta, tol=tol, radius=center.radius)
+        worst, witness = _farthest_vertex(near.vertices(tol), base, tol)
         probes.append(ModulusProbe(delta=delta, worst=worst,
                                    witness=None if witness is None else tuple(witness)))
         return worst
@@ -141,9 +150,8 @@ def sequence_criterion_check(problem: CenterProblem, trials: int, seed: int,
     steps = []
     for n in range(1, trials + 1):
         slack = 1.0 / n
-        near = near_center_set(problem, slack, tol=tol)
-        verts = near.vertices(tol)
-        bound, witness = worst_near_center_distance(problem, slack, center=center, tol=tol)
+        verts = near_center_set(problem, slack, tol=tol, radius=center.radius).vertices(tol)
+        bound, witness = _farthest_vertex(verts, center.center_polytope, tol)
         if mode == "witness" and witness is not None:
             point = witness
         else:

@@ -11,6 +11,10 @@ DEFAULT_TOL = 1e-9
 # equation, within this sup distance of one already kept is the same row.
 DEDUP_TOL = 1e-7
 
+# Regime test of the support reduction: a full radius R within this of the
+# support optimum alpha is matched (R == alpha), farther above it is a gap.
+REGIME_TOL = 1e-9
+
 # Simplex pivot guards.
 PIVOT_EPS = 1e-10
 LP_MAX_ITER = 50_000

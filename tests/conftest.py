@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import supcenter as sc
+from supcenter import constraints, lp
 
 settings.register_profile(
     "ci",
@@ -17,6 +20,38 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Counter of lp.solve calls: all of them under "solves", and each under
+    the innermost of distance_to_polytope ("distance") and enumerate_vertices
+    ("enumerate") running at the time, or "other" outside both.  Calls of
+    those two functions are counted under "calls:<name>"."""
+    counts = Counter()
+    scope: list[str] = []
+    real_solve = lp.solve
+
+    def solve(*args, **kwargs):
+        counts["solves"] += 1
+        counts[scope[-1] if scope else "other"] += 1
+        return real_solve(*args, **kwargs)
+
+    def scoped(name, fn):
+        def run(*args, **kwargs):
+            counts["calls:" + name] += 1
+            scope.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+        return run
+
+    monkeypatch.setattr(lp, "solve", solve)
+    monkeypatch.setattr(lp, "distance_to_polytope", scoped("distance", lp.distance_to_polytope))
+    monkeypatch.setattr(constraints, "enumerate_vertices",
+                        scoped("enumerate", constraints.enumerate_vertices))
+    return counts
 
 
 @pytest.fixture

@@ -107,6 +107,25 @@ def scipy_solve(lp_problem):
     return status, value, res.x if res.status == 0 else None
 
 
+def highs_distance(x, poly):
+    """Sup-norm distance from x to the H-polytope poly via HiGHS: min t with
+    |v - x| <= t coordinatewise and v in poly."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    eye, col = np.eye(n), np.ones((n, 1))
+    a_ub = np.vstack([np.hstack([eye, -col]), np.hstack([-eye, -col]),
+                      np.hstack([poly.a_ub, np.zeros((poly.a_ub.shape[0], 1))])])
+    b_ub = np.concatenate([x, -x, poly.b_ub])
+    a_eq = b_eq = None
+    if poly.a_eq.shape[0]:
+        a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
+        b_eq = poly.b_eq
+    res = linprog(np.append(np.zeros(n), 1.0), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    assert res.status == 0, f"oracle LP failed: {res.message}"
+    return float(res.fun)
+
+
 def active_set_vertices(a, b, tol=1e-9, merge_tol=1e-7):
     """Vertices of the full-dimensional {z : a z <= b}, by solving every square
     subsystem of d rows and keeping the feasible solutions.

@@ -6,9 +6,8 @@ import pytest
 from supcenter.cli import BAD_INPUT, CHECK_FAILED, OK, main
 
 
-@pytest.fixture
-def worked_file(tmp_path):
-    payload = {
+def worked_payload():
+    return {
         "schema": 1,
         "kind": "center",
         "name": "worked",
@@ -16,8 +15,12 @@ def worked_file(tmp_path):
         "family": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         "functionals": [{"support": [0, 1], "weights": [0.5, -0.5]}],
     }
+
+
+@pytest.fixture
+def worked_file(tmp_path):
     path = tmp_path / "worked.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(json.dumps(worked_payload()), encoding="utf-8")
     return str(path)
 
 
@@ -127,6 +130,38 @@ def test_invalid_schema_is_bad_input(tmp_path, capsys):
 def test_negative_delta_is_bad_input(worked_file, capsys):
     assert main(["near-center", worked_file, "--delta", "-0.5"]) == BAD_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("family", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ("family", [[float("inf"), 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ("scale", float("nan")),
+    ("functionals", [{"support": [0, 1], "weights": [float("nan"), 0.5]}]),
+], ids=["nan-family", "inf-family", "nan-scale", "nan-weight"])
+def test_non_finite_instance_is_bad_input(tmp_path, capsys, field, value):
+    payload = worked_payload()
+    payload[field] = value
+    if field == "scale":
+        payload["constraint"] = "scaled-ball"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["radius", str(path)]) == BAD_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_point_is_bad_input(worked_file, capsys):
+    assert main(["repair", worked_file, "--point", "nan,0,0", "--eps", "0.1"]) == BAD_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--delta"])
+def test_non_finite_option_is_bad_input(worked_file, capsys, flag):
+    argv = ["repair", worked_file, "--point", "0.5,0.5,0", "--eps", "0.1", "--delta", "0.05"]
+    argv[argv.index(flag) + 1] = "nan"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == BAD_INPUT
+    assert "finite" in capsys.readouterr().err
 
 
 def test_repair_rejects_far_point(worked_file, capsys):

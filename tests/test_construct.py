@@ -16,6 +16,8 @@ from supcenter.construct import (
 from supcenter.errors import DimensionMismatchError, PreconditionError
 from supcenter.sampling import near_center_point, random_ball_problem
 
+from oracles import highs_distance
+
 
 def gap_instance():
     """One functional on points 1 and 2; the family peaks off support, so
@@ -153,6 +155,19 @@ class TestAdmissibleSlack:
         assert choice.origin == "relaxed-modulus"
         assert choice.value > 0.0
 
+    def test_zero_alpha_slack_against_highs(self):
+        # every vertex of cent(beta + delta) of the reduced problem lies
+        # within eps of cent(beta)
+        family, y = zero_alpha_instance()
+        eps = 0.1
+        red = finite_reduction(family, y)
+        choice = admissible_slack(family, y, eps, reduction=red)
+        problem = sc.CenterProblem(family=red.reduced_family, feasible=red.polytope)
+        base = sc.near_center_set(problem, choice.beta)
+        verts = sc.near_center_set(problem, choice.beta + choice.value).vertices()
+        assert verts.shape[0] > 0
+        assert max(highs_distance(v, base) for v in verts) <= eps + 1e-9
+
     def test_trivial_without_functionals(self):
         y = sc.Subspace(dim=2, functionals=())
         family = sc.FunctionFamily([[0.4, -0.2]])
@@ -210,6 +225,28 @@ class TestRepair:
         with pytest.raises(PreconditionError):
             repair_near_center(RepairInput(g=[-1.0, -1.0, 0.0], eps=0.1, delta=0.05),
                                family, y)
+
+
+class TestSolveCounts:
+    """The full radius is solved once, in finite_reduction, and handed on."""
+
+    def test_finite_reduction(self, worked, solve_counts):
+        family, y, _ = worked
+        red = finite_reduction(family, y)
+        assert solve_counts["solves"] == 2
+        assert red.radius == pytest.approx(0.5, abs=1e-9)
+        assert red.regime == MATCHED
+
+    def test_consumers_reuse_the_reduction(self, worked, solve_counts):
+        family, y, _ = worked
+        red = finite_reduction(family, y)
+        solve_counts.clear()
+        constructive_center(family, y, reduction=red)
+        assert solve_counts["solves"] == 0
+        repair_near_center(RepairInput(g=[0.6, 0.6, 0.1], eps=0.2, delta=0.2),
+                           family, y, reduction=red)
+        assert solve_counts["solves"] <= 1
+        assert solve_counts["other"] == 0
 
 
 def test_simplex_mode_tags_report(worked):

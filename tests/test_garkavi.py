@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supcenter.errors import ModelBuildError
 from supcenter.instances import load_corpus
@@ -114,6 +116,16 @@ class TestProjection:
     def test_distance_to_x0_is_one(self, model3):
         dist, nearest = subspace_gauge_distance(model3, model3.x0)
         assert dist == pytest.approx(1.0, abs=1e-8)
+        assert abs(nearest[0]) <= 1e-9
+
+    @given(coords=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           use_four=st.booleans())
+    def test_distance_to_y_is_first_coordinate(self, model3, model4, coords, use_four):
+        # translation along Y and homogeneity give d(x, Y) = |x_0| d(x0, Y) = |x_0|
+        model = model4 if use_four else model3
+        x = np.array(coords[:model.n])
+        dist, nearest = subspace_gauge_distance(model, x)
+        assert dist == pytest.approx(abs(x[0]), abs=1e-8 * (1.0 + np.max(np.abs(x))))
         assert abs(nearest[0]) <= 1e-9
 
     def test_projection_of_x0_is_small_cube(self, model3, model4):

@@ -9,6 +9,8 @@ from supcenter.stability import (
     worst_near_center_distance,
 )
 
+from oracles import highs_distance
+
 
 def test_worst_distance_zero_at_zero_slack(worked):
     _, _, problem = worked
@@ -74,7 +76,37 @@ class TestModulus:
             p1_modulus(problem, eps=0.1, delta_max=0.0)
 
 
+def test_p1_modulus_solves_no_radius_again(worked, solve_counts):
+    # with the center given, every solve is a distance LP or part of
+    # enumerating a probe's near-center polytope
+    _, _, problem = worked
+    center = sc.center_set(problem)
+    solve_counts.clear()
+    report = p1_modulus(problem, eps=0.1, delta_max=0.3, center=center)
+    assert len(report.probes) > 2
+    assert solve_counts["distance"] > 0
+    assert solve_counts["other"] == 0
+
+
+def test_p1_modulus_base_slack_against_highs(worked):
+    # each probe's worst distance runs from cent(base + delta) to cent(base)
+    _, _, problem = worked
+    base_slack = 0.1
+    report = p1_modulus(problem, eps=0.05, delta_max=0.3, base_slack=base_slack)
+    assert len(report.probes) > 2 and 0.0 < report.delta_star < 0.3
+    base = sc.near_center_set(problem, base_slack)
+    for p in report.probes:
+        verts = sc.near_center_set(problem, base_slack + p.delta).vertices()
+        assert p.worst == pytest.approx(max(highs_distance(v, base) for v in verts), abs=1e-7)
+
+
 class TestSequenceCriterion:
+    def test_one_enumeration_per_step(self, worked, solve_counts):
+        _, _, problem = worked
+        sequence_criterion_check(problem, trials=3, seed=7)
+        assert solve_counts["calls:enumerate"] == 3
+        assert solve_counts["other"] == 1  # the center set, solved once
+
     def test_random_mode(self, worked):
         _, _, problem = worked
         report = sequence_criterion_check(problem, trials=6, seed=7)
