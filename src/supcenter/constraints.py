@@ -230,8 +230,12 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
         if depth > d:
             raise EnumerationError("implicit-equality recursion did not terminate")
         tight = []
+        solved: dict[bytes, lp.LPSolution] = {}  # equal rows pose the same LP
         for i in range(a.shape[0]):
-            s = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b), tol=tol)
+            key = a[i].tobytes()
+            if key not in solved:
+                solved[key] = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b), tol=tol)
+            s = solved[key]
             if s.status == lp.INFEASIBLE:
                 raise InfeasiblePolytopeError("polytope is empty")
             if s.status == lp.UNBOUNDED:  # a_i.z has no lower bound: not tight

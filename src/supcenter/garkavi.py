@@ -76,7 +76,7 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
         raise ValueError(f"the model needs dimension >= 3, got {n}")
     if not 0 < gamma < 1.0 / 12.0:
         raise ValueError(f"gamma must sit in (0, 1/12), got {gamma}")
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.3, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)

@@ -82,9 +82,13 @@ def parse_instance(data: dict, where: str = "instance"):
 
     if kind == "renorm":
         n = _need(data, "n", int, where)
+        gamma = float(data.get("gamma", 1.0 / 16.0))
+        theta = float(data.get("theta", 1e-3))
+        for key, value in (("gamma", gamma), ("theta", theta)):
+            if not np.isfinite(value):
+                raise InstanceError(f"{where}: {key} must be finite, got {value}", field=key)
         return RenormInstance(name=name, n=n, seed=int(data.get("seed", 0)),
-                              gamma=float(data.get("gamma", 1.0 / 16.0)),
-                              theta=float(data.get("theta", 1e-3)), expected=expected)
+                              gamma=gamma, theta=theta, expected=expected)
     if kind != "center":
         raise InstanceError(f"{where}: unknown kind '{kind}'", field="kind")
 

@@ -1,10 +1,17 @@
-"""Dense two-phase simplex solver.
+"""Dense simplex solver.
 
 Desk-scale instances only (tens of variables and constraints), so a plain
 tableau with Bland's anti-cycling rule is enough: deterministic pivoting,
 guaranteed termination, no sparse machinery.  Free variables are split into
 positive parts and bounds become ordinary rows, which keeps the standard-form
 conversion tiny at the cost of a slightly wider tableau.
+
+Phase 1 is the auxiliary problem with a single artificial (Chvatal, Linear
+Programming, 1983, ch. 3): every inequality slack starts basic, and the rows
+with a negative right-hand side share one artificial column, which enters with
+one pivot at the most negative row and so makes every right-hand side
+nonnegative.  Equality rows, flipped to a nonnegative right-hand side, keep an
+artificial each.  Phase 1 minimizes the sum of the artificials.
 
 The restricted radius, the sup-norm distance to a polytope and the gauge
 distances of the renormed-ball model share one program shape, built in one
@@ -138,51 +145,38 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     mi, me = a_ub.shape[0], a_eq.shape[0]
     m = mi + me
 
-    # standard form: split x = u - w, add one slack per inequality row
+    # standard form: split x = u - w and add one slack per inequality row;
+    # each equality row, flipped to a nonnegative rhs, gets an artificial, and
+    # the inequality rows with a negative rhs share one more (the last column)
     nsplit = 2 * n
     ncore = nsplit + mi
-    a_std = np.zeros((m, ncore))
-    a_std[:mi, :n] = a_ub
-    a_std[:mi, n:nsplit] = -a_ub
-    a_std[:mi, nsplit:] = np.eye(mi)
-    a_std[mi:, :n] = a_eq
-    a_std[mi:, n:nsplit] = -a_eq
-    b_std = np.concatenate([b_ub, b_eq])
+    total = ncore + me + 1
+    neg = b_ub < 0
+    flip = np.where(b_eq < 0, -1.0, 1.0)
+    tab = np.zeros((m + 1, total + 1))
+    tab[:mi, :n] = a_ub
+    tab[mi:m, :n] = a_eq * flip[:, None]
+    tab[:m, n:nsplit] = -tab[:m, :n]
+    tab[:m, nsplit:total - 1] = np.eye(m)
+    tab[:mi, total - 1] = np.where(neg, -1.0, 0.0)
+    tab[:m, -1] = np.concatenate([b_ub, np.abs(b_eq)])
+    basis = np.arange(nsplit, nsplit + m)
     c_std = np.concatenate([obj, -obj, np.zeros(mi)])
 
-    flip = b_std < 0
-    a_std[flip] *= -1.0
-    b_std[flip] = -b_std[flip]
-
-    scale_b = 1.0 + (float(np.max(b_std)) if m else 0.0)
+    scale_b = 1.0 + float(np.max(np.abs(tab[:m, -1]), initial=0.0))
     feas_tol = tol * scale_b * 10.0
 
-    # phase 1: slacks start basic where their column is still +1, otherwise
-    # an artificial variable fills the row
-    basis = np.empty(m, dtype=int)
-    art_rows = []
-    for i in range(m):
-        if i < mi and not flip[i]:
-            basis[i] = nsplit + i
-        else:
-            art_rows.append(i)
-    nart = len(art_rows)
-    total = ncore + nart
-    tab = np.zeros((m + 1, total + 1))
-    tab[:m, :ncore] = a_std
-    tab[:m, -1] = b_std
-    for k, i in enumerate(art_rows):
-        tab[i, ncore + k] = 1.0
-        basis[i] = ncore + k
-
+    # phase 1: minimize the sum of the artificials.  The shared one enters at
+    # the most negative row, which leaves every rhs nonnegative.
     iterations = 0
-    if nart:
-        cost1 = np.zeros(total)
-        cost1[ncore:] = 1.0
-        tab[-1, :total] = cost1
-        for i in range(m):
-            if basis[i] >= ncore:
-                tab[-1] -= tab[i]
+    if me or neg.any():
+        tab[-1, ncore:total] = 1.0
+        tab[-1] -= tab[mi:m].sum(axis=0)
+        if neg.any():
+            row = int(np.argmin(b_ub))
+            _pivot(tab, row, total - 1)
+            basis[row] = total - 1
+            iterations = 1
         it = _bland_loop(tab, basis, total, tol, max_iter)
         if it < 0:
             raise LPNumericalError("phase-1 objective unbounded; inconsistent tableau")

@@ -27,14 +27,13 @@ logger = logging.getLogger(__name__)
 
 def _farthest_vertex(verts: np.ndarray, target: Polytope,
                      tol: float) -> tuple[float, np.ndarray | None]:
-    worst = 0.0
-    witness = None
-    for v in verts:
-        dist, _ = lp.distance_to_polytope(v, target, tol=tol)
-        if dist > worst:
-            worst = dist
-            witness = v
-    return worst, witness
+    """Largest distance from a vertex to target, with the first vertex that
+    comes within tol of it, so rounding cannot choose among tied vertices."""
+    dists = [lp.distance_to_polytope(v, target, tol=tol)[0] for v in verts]
+    worst = max(dists, default=0.0)
+    if worst <= 0.0:
+        return 0.0, None
+    return worst, next(v for v, dist in zip(verts, dists) if dist >= worst - tol)
 
 
 def worst_near_center_distance(problem: CenterProblem, delta: float,
@@ -94,18 +93,20 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
         return worst
 
     step = resolution * delta_max
-    if probe(delta_max) <= eps:
+    # worst(delta) often equals eps up to rounding (at delta = eps in
+    # particular), so each comparison allows tol
+    if probe(delta_max) <= eps + tol:
         return ModulusReport(eps=eps, delta_max=delta_max, delta_star=delta_max,
                              probes=tuple(probes), degenerate=False)
     lo = step
-    if probe(lo) > eps:
+    if probe(lo) > eps + tol:
         logger.warning("stability modulus degenerate at eps=%g: even delta=%g fails", eps, lo)
         return ModulusReport(eps=eps, delta_max=delta_max, delta_star=0.0,
                              probes=tuple(probes), degenerate=True)
     hi = delta_max
     while hi - lo > step:
         mid = 0.5 * (lo + hi)
-        if probe(mid) <= eps:
+        if probe(mid) <= eps + tol:
             lo = mid
         else:
             hi = mid

@@ -149,6 +149,17 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys, field, value):
     assert "finite" in capsys.readouterr().err
 
 
+def test_non_finite_renorm_theta_is_bad_input(monkeypatch, capsys):
+    # refused as input, not answered by a failed model certificate (exit 1)
+    import supcenter.cli as cli
+    from supcenter.instances import parse_instance
+
+    payload = {"schema": 1, "kind": "renorm", "name": "r", "n": 3, "theta": float("nan")}
+    monkeypatch.setattr(cli, "load_corpus", lambda: [parse_instance(payload)])
+    assert main(["corpus", "--kind", "renorm"]) == BAD_INPUT
+    assert "theta must be finite" in capsys.readouterr().err
+
+
 def test_non_finite_point_is_bad_input(worked_file, capsys):
     assert main(["repair", worked_file, "--point", "nan,0,0", "--eps", "0.1"]) == BAD_INPUT
     assert "finite" in capsys.readouterr().err

@@ -54,6 +54,8 @@ class TestBuild:
             build_model(3, gamma=0.2)
         with pytest.raises(ValueError):
             build_model(3, theta=-1e-3)
+        with pytest.raises(ValueError):
+            build_model(3, theta=float("nan"))
 
     def test_zero_shrink_fails_disjointness(self):
         with pytest.raises(ModelBuildError) as exc:

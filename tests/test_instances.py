@@ -80,6 +80,13 @@ class TestParse:
             parse_instance(center_payload(constraint="scaled-ball", scale=0.0))
         assert exc.value.field == "scale"
 
+    @pytest.mark.parametrize("key", ["gamma", "theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_renorm_parameter_rejected(self, key, value):
+        with pytest.raises(InstanceError) as exc:
+            parse_instance({"schema": 1, "kind": "renorm", "name": "r", "n": 3, key: value})
+        assert exc.value.field == key
+
     def test_not_an_object(self):
         with pytest.raises(InstanceError):
             parse_instance([1, 2, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import supcenter as sc
 from supcenter import lp
 from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
@@ -104,3 +105,95 @@ def test_distance_to_empty_polytope_raises():
     empty = Polytope(a_ub=np.array([[1.0], [-1.0]]), b_ub=np.array([-1.0, -1.0]))
     with pytest.raises(InfeasiblePolytopeError):
         lp.distance_to_polytope(np.zeros(1), empty)
+
+
+def _negative_rhs_program(rng, n, m):
+    # rhs built around a point away from the origin, so many rows read b < 0
+    x0 = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    a_ub = rng.uniform(-1, 1, (m, n))
+    return x0, a_ub, a_ub @ x0 + rng.uniform(0.1, 1.0, m)
+
+
+def _capped(a_ub, b_ub, n):
+    eye = np.eye(n)
+    return np.vstack([a_ub, eye, -eye]), np.concatenate([b_ub, np.full(2 * n, 5.0)])
+
+
+def _infeasible(rng, n, m):
+    # a.x <= -s and -a.x <= -s cannot both hold
+    _, a_ub, b_ub = _negative_rhs_program(rng, n, m)
+    a, s = rng.uniform(-1, 1, n), rng.uniform(0.1, 1.0)
+    a_ub, b_ub = _capped(np.vstack([a_ub, a, -a]), np.concatenate([b_ub, [-s, -s]]), n)
+    return lp.LinearProgram(c=rng.uniform(-1, 1, n), a_ub=a_ub, b_ub=b_ub)
+
+
+def _unbounded(rng, n, m):
+    # every row is nonincreasing along d, and the objective falls along it
+    x0, a_ub, _ = _negative_rhs_program(rng, n, m)
+    d = rng.normal(size=n)
+    a_ub -= np.outer(np.maximum(a_ub @ d, 0.0) / (d @ d) + 0.1, d)
+    b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, m)
+    return lp.LinearProgram(c=-d, a_ub=a_ub, b_ub=b_ub)
+
+
+def _negative_rhs_equalities(rng, n, m):
+    x0, a_ub, b_ub = _negative_rhs_program(rng, n, m)
+    a_eq = rng.uniform(-1, 1, (2, n))
+    a_eq *= -np.sign(a_eq @ x0)[:, None]  # both rows read b_eq < 0
+    a_ub, b_ub = _capped(a_ub, b_ub, n)
+    return lp.LinearProgram(c=rng.uniform(-1, 1, n), a_ub=a_ub, b_ub=b_ub,
+                            a_eq=a_eq, b_eq=a_eq @ x0)
+
+
+def _duplicate_equality(rng, n, m):
+    x0, a_ub, b_ub = _negative_rhs_program(rng, n, m)
+    a_eq = rng.uniform(-1, 1, (1, n))
+    a_eq = np.vstack([a_eq, a_eq])
+    a_ub, b_ub = _capped(a_ub, b_ub, n)
+    return lp.LinearProgram(c=rng.uniform(-1, 1, n), a_ub=a_ub, b_ub=b_ub,
+                            a_eq=a_eq, b_eq=a_eq @ x0)
+
+
+def _nonnegative_rhs(rng, n, m):
+    a_ub, b_ub = _capped(rng.uniform(-1, 1, (m, n)), rng.uniform(0.0, 1.0, m), n)
+    return lp.LinearProgram(c=rng.uniform(-1, 1, n), a_ub=a_ub, b_ub=b_ub)
+
+
+@pytest.mark.parametrize("build, status", [
+    (_infeasible, lp.INFEASIBLE),
+    (_unbounded, lp.UNBOUNDED),
+    (_negative_rhs_equalities, lp.OPTIMAL),
+    (_duplicate_equality, lp.OPTIMAL),
+    (_nonnegative_rhs, lp.OPTIMAL),
+], ids=["infeasible", "unbounded", "negative-rhs-equalities", "duplicate-equality",
+        "nonnegative-rhs"])
+def test_phase_one_paths_match_highs(build, status):
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        prob = build(rng, n, int(rng.integers(2, 9)))
+        ours = lp.solve(prob)
+        theirs, value, _ = scipy_solve(prob)
+        assert ours.status == theirs == status, f"trial {trial}"
+        if status == lp.OPTIMAL:
+            assert ours.value == pytest.approx(value, abs=1e-7), f"trial {trial}"
+
+
+def test_kernel_ball_radius_lp_pivots(monkeypatch):
+    # 20 rows with a negative rhs and 2 equality rows: with an artificial
+    # per row, phase 1 needs at least 22 pivots to drive them all out
+    inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
+    seen = []
+    real = lp.solve
+
+    def solve(prob, *args, **kwargs):
+        sol = real(prob, *args, **kwargs)
+        seen.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", solve)
+    sc.restricted_radius(inst.problem())
+    (prob, sol), = seen
+    assert np.sum(prob.b_ub < 0) == 20 and prob.a_eq.shape[0] == 2
+    assert sol.iterations < 22
+    assert sol.value == pytest.approx(scipy_solve(prob)[1], abs=1e-7)

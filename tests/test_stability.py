@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
 import supcenter as sc
+from supcenter import lp
 from supcenter.sampling import random_ball_problem
+from supcenter.tolerances import DEFAULT_TOL
 from supcenter.stability import (
+    _farthest_vertex,
     p1_modulus,
     rcp_check,
     sequence_criterion_check,
@@ -74,6 +78,34 @@ class TestModulus:
             p1_modulus(problem, eps=0.0, delta_max=0.1)
         with pytest.raises(ValueError):
             p1_modulus(problem, eps=0.1, delta_max=0.0)
+
+
+@pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["ulp-up", "ulp-down"])
+def test_p1_modulus_off_the_rounding_edge(monkeypatch, toward):
+    # on the worked instance worst(0.05) equals 0.05 up to rounding, so one
+    # ulp of noise in the distances must not send the first probe to bisection
+    inst = next(i for i in sc.load_corpus("center") if i.name == "01-worked-instance")
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    real = lp.distance_to_polytope
+
+    def noisy(x, poly, tol=DEFAULT_TOL):
+        dist, point = real(x, poly, tol)
+        return float(np.nextafter(dist, toward)), point
+
+    monkeypatch.setattr(lp, "distance_to_polytope", noisy)
+    report = p1_modulus(problem, eps=0.05, delta_max=0.05, center=center)
+    assert report.delta_star == 0.05
+    assert len(report.probes) == 1
+
+
+def test_farthest_vertex_ties_go_to_the_first_vertex():
+    # the second vertex is one ulp farther from the box than the first
+    verts = np.array([[2.0, 0.0], [0.0, np.nextafter(2.0, 3.0)]])
+    box = sc.Polytope.box(2, 1.0)
+    worst, witness = _farthest_vertex(verts, box, DEFAULT_TOL)
+    assert worst == lp.distance_to_polytope(verts[1], box)[0] > 1.0
+    assert np.array_equal(witness, verts[0])
 
 
 def test_p1_modulus_solves_no_radius_again(worked, solve_counts):
