@@ -21,7 +21,6 @@ from .centers import (
     near_center_set,
     perturbation_slack_bound,
     perturb_toward_center,
-    radius_lower_bound_check,
     restricted_radius,
     subspace_problem,
 )
@@ -31,7 +30,6 @@ from .constraints import (
     Subspace,
     ball_polytope,
     enumerate_vertices,
-    subspace_membership,
 )
 from .construct import (
     RepairInput,
@@ -69,9 +67,7 @@ from .instances import CenterInstance, RenormInstance, load_corpus, load_instanc
 from .space import (
     FunctionFamily,
     farthest_radius,
-    global_center,
     hausdorff,
-    in_slab,
     sup_norm,
 )
 from .stability import (

@@ -18,7 +18,7 @@ import numpy as np
 from . import lp
 from .constraints import Polytope, Subspace, ball_polytope
 from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
-from .space import FunctionFamily, _hausdorff_points, as_vector, farthest_radius, global_center
+from .space import FunctionFamily, _hausdorff_points, as_vector, farthest_radius
 from .tolerances import BOX_FACTOR, DEFAULT_TOL
 
 
@@ -55,31 +55,20 @@ def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> Cente
 
 
 def subspace_problem(family: FunctionFamily, y: Subspace,
-                     box_factor: float = BOX_FACTOR, tol: float = DEFAULT_TOL) -> CenterProblem:
+                     tol: float = DEFAULT_TOL) -> CenterProblem:
     """Problem with V = the whole kernel subspace.
 
-    The subspace is unbounded, so a large box (box_factor times the data
-    magnitude) makes the LPs well posed.  The box is certified non-binding by
-    re-solving with a box twice as large and comparing radii.
+    The subspace is unbounded, so the kernel ball of side BOX_FACTOR times
+    the data magnitude makes the LPs well posed.  The box is certified
+    non-binding by re-solving with a box twice as large and comparing radii.
     """
-    if family.dim != y.dim:
-        raise DimensionMismatchError(f"family dim {family.dim} != subspace dim {y.dim}")
-    magnitude = max(1.0, float(np.max(np.abs(family.values))))
-    rows = y.rows()
-
-    def build(scale):
-        box = Polytope.box(y.dim, box_factor * scale * magnitude)
-        if rows.shape[0] == 0:
-            return CenterProblem(family=family, feasible=box)
-        return CenterProblem(family=family, feasible=Polytope(
-            a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0])))
-
-    problem = build(1.0)
+    side = BOX_FACTOR * max(1.0, float(np.max(np.abs(family.values))))
+    problem = ball_problem(family, y, side)
     r1 = restricted_radius(problem, tol=tol)
-    r2 = restricted_radius(build(2.0), tol=tol)
+    r2 = restricted_radius(ball_problem(family, y, 2.0 * side), tol=tol)
     if abs(r1 - r2) > 1e-7 * (1.0 + abs(r1)):
         raise LPNumericalError(
-            f"bounding box binds the subspace problem (radius {r1} vs {r2}); enlarge box_factor")
+            f"bounding box binds the subspace problem (radius {r1} vs {r2}); enlarge BOX_FACTOR")
     return problem
 
 
@@ -279,9 +268,3 @@ def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope
         raise LPNumericalError(f"perturbation moved {move}, expected strictly below {eps}")
     return blended
 
-
-def radius_lower_bound_check(problem: CenterProblem, tol: float = DEFAULT_TOL) -> bool:
-    """Restricted radius can never beat the unrestricted one."""
-    r_restricted = restricted_radius(problem, tol=tol)
-    r_global = global_center(problem.family)[0]
-    return r_restricted >= r_global - tol

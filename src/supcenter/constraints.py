@@ -57,10 +57,6 @@ class Functional:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def tv_norm(self) -> float:
-        return sum(abs(w) for w in self.weights)
-
     def __call__(self, v) -> float:
         v = as_vector(v)
         if max(self.support) >= v.size:
@@ -98,12 +94,6 @@ class Subspace:
     def residuals(self, v) -> np.ndarray:
         v = as_vector(v, self.dim)
         return np.array([mu(v) for mu in self.functionals])
-
-
-def subspace_membership(y: Subspace, v, tol: float = DEFAULT_TOL) -> bool:
-    """Whether every defining functional vanishes on v (within tol)."""
-    res = y.residuals(v)
-    return bool(res.size == 0 or np.max(np.abs(res)) <= tol)
 
 
 class Polytope:

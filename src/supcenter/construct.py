@@ -2,11 +2,12 @@
 
 The constraint set is the unit ball of Y = (joint kernel of finitely many
 finitely-supported functionals).  Restricting attention to the support points
-turns the problem into a small compact one: a box with one balance equality
-per functional, plus tie rows where supports overlap.  The reduced optimum
-alpha never exceeds the full radius R, its minimizer eta extends to an
-explicit center by clamping, and a near-center g can be repaired into an
-exact center at sup-distance <= eps by re-solving only the reduced problem.
+turns the problem into a small compact one: the kernel ball restricted to
+the support columns, a unit box with one balance equality per functional and
+one coordinate per support point.  It is solved once.  The reduced optimum
+alpha never exceeds the full radius R, its minimizer extends to an explicit
+center by clamping, and a near-center g can be repaired into an exact center
+at sup-distance <= eps by projecting onto the reduced center set.
 """
 
 from __future__ import annotations
@@ -37,20 +38,20 @@ GAP = "gap"           # R > alpha: slack beta = R - alpha left off support
 
 @dataclass(frozen=True)
 class SupportReduction:
-    """Restriction of the problem to the functional supports.
+    """The kernel-ball problem restricted to the support columns.
 
-    slots[i] is the ambient index of reduced coordinate i (supports are
-    concatenated functional by functional, so an ambient point shared by two
-    functionals occupies two tied slots).  radius is the full kernel-ball
-    radius R, solved once here and read by every step that needs it.
+    slots[i] is the ambient index of reduced coordinate i: each support point
+    once, in order of first appearance.  problem is the reduced CenterProblem
+    (unit box on the slots, one balance equality per functional) and center
+    its solved CenterReport, both None when there are no functionals; alpha
+    is the reduced optimum.  radius is the full kernel-ball radius R.  Both
+    radii are solved once here and read by every step that needs them.
     """
 
     slots: tuple[int, ...]
-    polytope: Polytope | None          # None when there are no functionals
-    reduced_family: FunctionFamily | None
+    problem: CenterProblem | None
+    center: CenterReport | None
     alpha: float
-    eta: np.ndarray
-    ties: tuple[tuple[int, int], ...]  # (earlier slot, later slot) pairs
     radius: float
 
     @property
@@ -69,65 +70,23 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
     """
     if family.dim != y.dim:
         raise DimensionMismatchError(f"family dim {family.dim} != subspace dim {y.dim}")
-    slots: list[int] = []
-    balance_rows: list[np.ndarray] = []
-    offset = 0
-    for mu in y.functionals:
-        slots.extend(mu.support)
-        balance_rows.append((offset, mu.weights))
-        offset += len(mu.support)
-    m = len(slots)
+    slots = list(dict.fromkeys(k for mu in y.functionals for k in mu.support))
     radius = restricted_radius(ball_problem(family, y), tol=tol)
-    if m == 0:
-        return SupportReduction(slots=(), polytope=None, reduced_family=None,
-                                alpha=0.0, eta=np.zeros(0), ties=(), radius=radius)
+    if not slots:
+        return SupportReduction(slots=(), problem=None, center=None, alpha=0.0, radius=radius)
 
-    a_eq = np.zeros((len(balance_rows), m))
-    for row, (off, weights) in enumerate(balance_rows):
-        a_eq[row, off : off + len(weights)] = weights
-    ties: list[tuple[int, int]] = []
-    first_slot: dict[int, int] = {}
-    for i, ambient in enumerate(slots):
-        if ambient in first_slot:
-            ties.append((first_slot[ambient], i))
-        else:
-            first_slot[ambient] = i
-    tie_rows = np.zeros((len(ties), m))
-    for row, (a, b) in enumerate(ties):
-        tie_rows[row, a] = 1.0
-        tie_rows[row, b] = -1.0
-    box = Polytope.box(m, 1.0)
-    poly = Polytope(a_ub=box.a_ub, b_ub=box.b_ub,
-                    a_eq=np.vstack([a_eq, tie_rows]),
-                    b_eq=np.zeros(a_eq.shape[0] + len(ties)))
-
-    reduced_family = FunctionFamily(family.values[:, slots])
-    reduced = center_set(CenterProblem(family=reduced_family, feasible=poly), tol=tol)
-    alpha = max(reduced.radius, 0.0)
+    box = Polytope.box(len(slots), 1.0)
+    rows = y.rows()[:, slots]
+    problem = CenterProblem(
+        family=FunctionFamily(family.values[:, slots]),
+        feasible=Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0])))
+    center = center_set(problem, tol=tol)
+    alpha = max(center.radius, 0.0)
     if alpha > radius + tol * 100.0:
         raise ConstructionError(
             f"reduced optimum {alpha} exceeds the full restricted radius {radius}")
-    return SupportReduction(slots=tuple(slots), polytope=poly, reduced_family=reduced_family,
-                            alpha=alpha, eta=reduced.representative, ties=tuple(ties),
+    return SupportReduction(slots=tuple(slots), problem=problem, center=center, alpha=alpha,
                             radius=radius)
-
-
-def _embed_slots(reduction: SupportReduction, values: np.ndarray, dim: int,
-                 tol: float) -> np.ndarray:
-    """Place reduced slot values at their ambient indices (zero elsewhere)."""
-    out = np.zeros(dim)
-    written: dict[int, float] = {}
-    for slot, ambient in enumerate(reduction.slots):
-        val = float(values[slot])
-        if ambient in written:
-            if abs(written[ambient] - val) > 1e-7:
-                raise ConstructionError(
-                    f"tied slots disagree at point {ambient}: {written[ambient]} vs {val}",
-                    point_index=ambient)
-            continue
-        written[ambient] = val
-        out[ambient] = val
-    return out
 
 
 def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: float,
@@ -158,14 +117,17 @@ def constructive_center(family: FunctionFamily, y: Subspace,
                         tol: float = DEFAULT_TOL) -> np.ndarray:
     """Explicit point of cent_{B_Y}(B) built from the reduced minimizer.
 
-    Interpolate eta on the support points (zero elsewhere), clamp from above
-    by min_f f + R and from below by max_f f - R.  The clamps never move the
-    support values, so membership in the kernel ball survives.
+    Interpolate the reduced minimizer on the support points (zero elsewhere),
+    clamp from above by min_f f + R and from below by max_f f - R.  The
+    clamps never move the support values, so membership in the kernel ball
+    survives.
     """
     if reduction is None:
         reduction = finite_reduction(family, y, tol=tol)
     radius = reduction.radius
-    g = _embed_slots(reduction, reduction.eta, family.dim, tol)
+    g = np.zeros(family.dim)
+    if reduction.size:
+        g[list(reduction.slots)] = reduction.center.representative
     upper = family.values.min(axis=0) + radius
     lower = family.values.max(axis=0) - radius
     h0 = np.minimum(g, upper)
@@ -203,10 +165,6 @@ class SlackChoice:
     radius: float
 
 
-def _reduced_problem(reduction: SupportReduction) -> CenterProblem:
-    return CenterProblem(family=reduction.reduced_family, feasible=reduction.polytope)
-
-
 def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
                      reduction: SupportReduction | None = None,
                      tol: float = DEFAULT_TOL) -> SlackChoice:
@@ -237,8 +195,8 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
                            alpha=alpha, beta=beta, radius=radius)
     else:
         base_slack, origin = beta, "relaxed-modulus"
-    report = p1_modulus(_reduced_problem(reduction), eps, delta_max=eps, tol=tol,
-                        base_slack=base_slack)
+    report = p1_modulus(reduction.problem, eps, delta_max=eps, center=reduction.center,
+                        tol=tol, base_slack=base_slack)
     if report.degenerate:
         raise ConstructionError(
             f"reduced stability modulus degenerate at eps={eps}; cannot pick a slack")
@@ -273,18 +231,17 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
         raise PreconditionError(
             f"g not admissible: r(g, B) = {r_g} > R + delta = {radius + inp.delta}")
 
+    g_prime = np.zeros(family.dim)
     if reduction.size:
         target_slack = 0.0 if reduction.regime == MATCHED else radius - reduction.alpha
-        target = near_center_set(_reduced_problem(reduction), target_slack, tol=tol,
+        target = near_center_set(reduction.problem, target_slack, tol=tol,
                                  radius=reduction.alpha)
-        x_g = g[list(reduction.slots)]
-        dist, z = lp.distance_to_polytope(x_g, target, tol=tol)
+        slots = list(reduction.slots)
+        dist, z = lp.distance_to_polytope(g[slots], target, tol=tol)
         if dist > inp.eps + slack:
             raise ConstructionError(
                 f"support projection moved {dist} > eps = {inp.eps}; slack delta too large")
-        g_prime = _embed_slots(reduction, z, family.dim, tol)
-    else:
-        g_prime = np.zeros(family.dim)
+        g_prime[slots] = z
 
     lower_band = family.values.max(axis=0) - radius
     upper_band = family.values.min(axis=0) + radius

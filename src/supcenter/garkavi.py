@@ -55,13 +55,14 @@ class GarkaviModel:
 
 
 def _extreme_values(poly: Polytope, direction: np.ndarray, tol: float) -> float:
+    """max of direction.x over poly, as minus the minimum of -direction.x."""
     sol = lp.solve(lp.LinearProgram(
-        c=direction, sense="max", a_ub=poly.a_ub, b_ub=poly.b_ub,
+        c=-direction, a_ub=poly.a_ub, b_ub=poly.b_ub,
         a_eq=poly.a_eq if poly.a_eq.size else None,
         b_eq=poly.b_eq if poly.b_eq.size else None), tol=tol)
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"extreme-value LP ended with status {sol.status}")
-    return float(sol.value)
+    return -float(sol.value)
 
 
 def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float = 1e-3,
@@ -317,13 +318,14 @@ def _gauge_distance_to_hull(model: GarkaviModel, x, verts: np.ndarray,
     s = model.section_facets
     k = verts.shape[0]
     sp = s @ verts.T
-    a_ub = np.hstack([-sp, -np.ones((s.shape[0], 1))])
-    b_ub = -(s @ x)
+    # gauge rows, then nonnegativity of every variable
+    a_ub = np.vstack([np.hstack([-sp, -np.ones((s.shape[0], 1))]), -np.eye(k + 1)])
+    b_ub = np.concatenate([-(s @ x), np.zeros(k + 1)])
     a_eq = np.hstack([np.ones((1, k)), np.zeros((1, 1))])
     c = np.zeros(k + 1)
     c[k] = 1.0
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1),
-                                    bounds=[(0.0, None)] * (k + 1)), tol=tol)
+    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1)),
+                   tol=tol)
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"gauge distance LP ended with status {sol.status}")
     return max(float(sol.value), 0.0)

@@ -2,9 +2,10 @@
 
 Desk-scale instances only (tens of variables and constraints), so a plain
 tableau with Bland's anti-cycling rule is enough: deterministic pivoting,
-guaranteed termination, no sparse machinery.  Free variables are split into
-positive parts and bounds become ordinary rows, which keeps the standard-form
-conversion tiny at the cost of a slightly wider tableau.
+guaranteed termination, no sparse machinery.  Every variable is free and is
+split into positive parts, and a caller writes any bound as an ordinary row,
+which keeps the standard-form conversion tiny at the cost of a slightly wider
+tableau.
 
 Phase 1 is the auxiliary problem with a single artificial (Chvatal, Linear
 Programming, 1983, ch. 3): every inequality slack starts basic, and the rows
@@ -39,19 +40,13 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """min (or max) c.x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds."""
+    """min c.x over free x subject to A_ub x <= b_ub and A_eq x = b_eq."""
 
     c: np.ndarray
-    sense: str = "min"
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    bounds: list[tuple[float | None, float | None]] | None = None
-
-    def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
 
 
 @dataclass
@@ -124,24 +119,6 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     a_ub, b_ub = _as_matrix(lp.a_ub, lp.b_ub, n)
     a_eq, b_eq = _as_matrix(lp.a_eq, lp.b_eq, n)
 
-    if lp.bounds is not None:
-        extra_a, extra_b = [], []
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None:
-                row = np.zeros(n)
-                row[j] = -1.0
-                extra_a.append(row)
-                extra_b.append(-lo)
-            if hi is not None:
-                row = np.zeros(n)
-                row[j] = 1.0
-                extra_a.append(row)
-                extra_b.append(hi)
-        if extra_a:
-            a_ub = np.vstack([a_ub, np.array(extra_a)])
-            b_ub = np.concatenate([b_ub, np.array(extra_b)])
-
-    obj = c if lp.sense == "min" else -c
     mi, me = a_ub.shape[0], a_eq.shape[0]
     m = mi + me
 
@@ -161,7 +138,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     tab[:mi, total - 1] = np.where(neg, -1.0, 0.0)
     tab[:m, -1] = np.concatenate([b_ub, np.abs(b_eq)])
     basis = np.arange(nsplit, nsplit + m)
-    c_std = np.concatenate([obj, -obj, np.zeros(mi)])
+    c_std = np.concatenate([c, -c, np.zeros(mi)])
 
     scale_b = 1.0 + float(np.max(np.abs(tab[:m, -1]), initial=0.0))
     feas_tol = tol * scale_b * 10.0

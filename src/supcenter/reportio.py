@@ -45,8 +45,3 @@ def jsonable(obj):
 def dump_report(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def write_report(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_report(obj))

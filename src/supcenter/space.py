@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyFamilyError
-from .tolerances import DEFAULT_TOL
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -74,13 +73,6 @@ def farthest_radius(x, family: FunctionFamily) -> float:
     return float(np.max(np.abs(family.values - x)))
 
 
-def in_slab(x, family: FunctionFamily, lam: float, tol: float = DEFAULT_TOL) -> bool:
-    """Whether x is within lam of every member, i.e. x in S_lam(B)."""
-    if lam < 0:
-        raise ValueError(f"slab width must be nonnegative, got {lam}")
-    return farthest_radius(x, family) <= lam + tol
-
-
 def _hausdorff_points(p: np.ndarray, q: np.ndarray) -> float:
     # max-min formula for finite sets under the sup norm
     if p.shape[0] == 0 and q.shape[0] == 0:
@@ -96,16 +88,3 @@ def hausdorff(f1: FunctionFamily, f2: FunctionFamily) -> float:
     if f1.dim != f2.dim:
         raise DimensionMismatchError(f"families live in dimensions {f1.dim} and {f2.dim}")
     return _hausdorff_points(f1.values, f2.values)
-
-
-def global_center(family: FunctionFamily) -> tuple[float, np.ndarray]:
-    """Unrestricted Chebyshev radius and one center over the whole space.
-
-    Coordinate-wise midpoint of the family envelope; the radius is half the
-    widest coordinate spread.
-    """
-    hi = family.values.max(axis=0)
-    lo = family.values.min(axis=0)
-    center = (hi + lo) / 2.0
-    radius = float(np.max(hi - lo) / 2.0)
-    return radius, center

@@ -92,18 +92,54 @@ def scipy_radius(values, rows, lam=1.0, box=None, a_extra=None, b_extra=None):
     return float(res.fun), res.x[:n]
 
 
+def global_center(values):
+    """Unrestricted Chebyshev radius and one center over the whole space.
+
+    Coordinate-wise midpoint of the family envelope; the radius is half the
+    widest coordinate spread.
+    """
+    values = np.asarray(values, dtype=float)
+    hi = values.max(axis=0)
+    lo = values.min(axis=0)
+    return float(np.max(hi - lo) / 2.0), (hi + lo) / 2.0
+
+
+def tied_slot_alpha(values, functionals):
+    """Optimum of the support reduction in the tied-slot layout, via HiGHS.
+
+    The supports are concatenated functional by functional, so a point shared
+    by two functionals occupies two slots, and a tie row holds each repeat
+    equal to the slot of the point's first appearance.
+    """
+    slots = [k for mu in functionals for k in mu.support]
+    m = len(slots)
+    rows = []
+    offset = 0
+    for mu in functionals:
+        row = np.zeros(m)
+        row[offset:offset + len(mu.support)] = mu.weights
+        rows.append(row)
+        offset += len(mu.support)
+    first = {}
+    for i, k in enumerate(slots):
+        if k in first:
+            row = np.zeros(m)
+            row[first[k]], row[i] = 1.0, -1.0
+            rows.append(row)
+        else:
+            first[k] = i
+    return scipy_radius(np.asarray(values, dtype=float)[:, slots], np.array(rows))[0]
+
+
 def scipy_solve(lp_problem):
-    """Drive scipy on the package's own LinearProgram statement."""
+    """Drive scipy on the package's own LinearProgram statement (every
+    variable free)."""
     c = np.asarray(lp_problem.c, dtype=float)
-    sign = 1.0 if lp_problem.sense == "min" else -1.0
-    res = linprog(sign * c,
-                  A_ub=lp_problem.a_ub, b_ub=lp_problem.b_ub,
+    res = linprog(c, A_ub=lp_problem.a_ub, b_ub=lp_problem.b_ub,
                   A_eq=lp_problem.a_eq, b_eq=lp_problem.b_eq,
-                  bounds=lp_problem.bounds if lp_problem.bounds is not None
-                  else [(None, None)] * c.size,
-                  method="highs")
+                  bounds=[(None, None)] * c.size, method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
-    value = sign * res.fun if res.status == 0 else None
+    value = res.fun if res.status == 0 else None
     return status, value, res.x if res.status == 0 else None
 
 

@@ -10,7 +10,7 @@ from supcenter.errors import (
 
 from supcenter.tolerances import DEDUP_TOL
 
-from oracles import min_row_gap, scipy_radius
+from oracles import global_center, min_row_gap, scipy_radius
 
 
 class TestWorkedInstance:
@@ -102,8 +102,9 @@ def test_restricted_radius_never_beats_global(rng):
     from supcenter.sampling import random_ball_problem
 
     for _ in range(15):
-        _, _, problem = random_ball_problem(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
-        assert sc.radius_lower_bound_check(problem)
+        family, _, problem = random_ball_problem(rng, int(rng.integers(2, 5)),
+                                                 int(rng.integers(1, 4)))
+        assert sc.restricted_radius(problem) >= global_center(family.values)[0] - 1e-9
 
 
 class TestScalingIdentity:

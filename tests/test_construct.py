@@ -16,7 +16,7 @@ from supcenter.construct import (
 from supcenter.errors import DimensionMismatchError, PreconditionError
 from supcenter.sampling import near_center_point, random_ball_problem
 
-from oracles import highs_distance
+from oracles import highs_distance, tied_slot_alpha
 
 
 def gap_instance():
@@ -42,9 +42,8 @@ class TestFiniteReduction:
         family, y, _ = worked
         red = finite_reduction(family, y)
         assert red.slots == (0, 1)
-        assert red.ties == ()
         assert red.alpha == pytest.approx(0.5, abs=1e-9)
-        assert red.eta == pytest.approx([0.5, 0.5], abs=1e-9)
+        assert red.center.representative == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_alpha_never_exceeds_radius(self, rng):
         for _ in range(15):
@@ -54,16 +53,38 @@ class TestFiniteReduction:
             red = finite_reduction(family, y)
             assert red.alpha <= sc.restricted_radius(problem) + 1e-7
 
-    def test_tie_rows_for_shared_support(self):
+    def test_shared_support_point_takes_one_slot(self):
         mu1 = sc.Functional(support=(0, 1), weights=(1.0, -1.0), normalize=True)
         mu2 = sc.Functional(support=(1, 2), weights=(1.0, -1.0), normalize=True)
         y = sc.Subspace(dim=4, functionals=(mu1, mu2))
         family = sc.FunctionFamily([[1.0, 0.0, 0.5, 0.0]])
         red = finite_reduction(family, y)
-        assert red.slots == (0, 1, 1, 2)
-        assert red.ties == ((1, 2),)
-        # tied slots carry equal values in the minimizer
-        assert red.eta[1] == pytest.approx(red.eta[2], abs=1e-9)
+        assert red.slots == (0, 1, 2)
+        # one balance equality per functional, on the slot columns
+        feasible = red.problem.feasible
+        assert np.array_equal(feasible.a_eq, y.rows()[:, [0, 1, 2]])
+        assert feasible.contains(red.center.representative)
+
+    def test_shared_supports_match_the_tied_slot_layout(self):
+        # two functionals sharing support points: one slot per point gives
+        # the optimum of the layout that ties repeated slots by equality rows
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            dim = int(rng.integers(4, 7))
+            points = [int(k) for k in rng.permutation(dim)]
+            first = points[:int(rng.integers(2, 4))]
+            shared = first[:int(rng.integers(1, len(first)))]
+            rest = [k for k in points if k not in first]
+            second = shared + rest[:int(rng.integers(1, len(rest) + 1))]
+            mus = tuple(sc.Functional(support=tuple(s), weights=tuple(
+                rng.uniform(0.1, 1.0, len(s)) * rng.choice([-1.0, 1.0], len(s))),
+                normalize=True) for s in (first, second))
+            y = sc.Subspace(dim=dim, functionals=mus)
+            family = sc.FunctionFamily(rng.uniform(-1.5, 1.5, (int(rng.integers(1, 4)), dim)))
+            red = finite_reduction(family, y)
+            assert red.slots == tuple(dict.fromkeys(first + second))
+            assert red.problem.feasible.a_eq.shape == (2, len(red.slots))
+            assert red.alpha == pytest.approx(tied_slot_alpha(family.values, mus), abs=1e-9)
 
     def test_no_functionals(self):
         y = sc.Subspace(dim=3, functionals=())
@@ -162,9 +183,8 @@ class TestAdmissibleSlack:
         eps = 0.1
         red = finite_reduction(family, y)
         choice = admissible_slack(family, y, eps, reduction=red)
-        problem = sc.CenterProblem(family=red.reduced_family, feasible=red.polytope)
-        base = sc.near_center_set(problem, choice.beta)
-        verts = sc.near_center_set(problem, choice.beta + choice.value).vertices()
+        base = sc.near_center_set(red.problem, choice.beta)
+        verts = sc.near_center_set(red.problem, choice.beta + choice.value).vertices()
         assert verts.shape[0] > 0
         assert max(highs_distance(v, base) for v in verts) <= eps + 1e-9
 
@@ -246,6 +266,19 @@ class TestSolveCounts:
         repair_near_center(RepairInput(g=[0.6, 0.6, 0.1], eps=0.2, delta=0.2),
                            family, y, reduction=red)
         assert solve_counts["solves"] <= 1
+        assert solve_counts["other"] == 0
+
+    @pytest.mark.parametrize("name, origin", [("01-worked-instance", "modulus"),
+                                              ("07-gap-zero-alpha", "relaxed-modulus")])
+    def test_admissible_slack_reuses_the_reduced_center(self, name, origin, solve_counts):
+        # the modulus probes solve only distances and vertex enumerations;
+        # the reduced radius comes from the reduction
+        inst = next(i for i in sc.load_corpus("center") if i.name == name)
+        red = finite_reduction(inst.family, inst.subspace)
+        solve_counts.clear()
+        choice = admissible_slack(inst.family, inst.subspace, 0.1, reduction=red)
+        assert choice.origin == origin
+        assert solve_counts["calls:enumerate"] > 0
         assert solve_counts["other"] == 0
 
 

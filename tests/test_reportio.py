@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from supcenter.reportio import dump_report, jsonable, write_report
+from supcenter.reportio import dump_report, jsonable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,9 +79,3 @@ def test_float_repr_shortest_roundtrip():
     value = 0.1 + 0.2
     text = dump_report({"x": value})
     assert json.loads(text)["x"] == value
-
-
-def test_write_report(tmp_path):
-    path = tmp_path / "report.json"
-    write_report(path, sample())
-    assert path.read_text(encoding="utf-8") == dump_report(sample())
