@@ -62,14 +62,22 @@ def subspace_problem(family: FunctionFamily, y: Subspace,
     the data magnitude makes the LPs well posed.  The box is certified
     non-binding by re-solving with a box twice as large and comparing radii.
     """
+    return _subspace_centers(family, y, tol)[0]
+
+
+def _subspace_centers(family: FunctionFamily, y: Subspace,
+                      tol: float) -> tuple[CenterProblem, CenterReport]:
+    """subspace_problem together with the center report its box certificate
+    solved, for callers that need the centers too."""
     side = BOX_FACTOR * max(1.0, float(np.max(np.abs(family.values))))
     problem = ball_problem(family, y, side)
-    r1 = restricted_radius(problem, tol=tol)
+    report = center_set(problem, tol=tol)
+    r1 = report.radius
     r2 = restricted_radius(ball_problem(family, y, 2.0 * side), tol=tol)
     if abs(r1 - r2) > 1e-7 * (1.0 + abs(r1)):
         raise LPNumericalError(
             f"bounding box binds the subspace problem (radius {r1} vs {r2}); enlarge BOX_FACTOR")
-    return problem
+    return problem, report
 
 
 def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
@@ -181,8 +189,7 @@ def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | N
     The equality direction is only asserted for lam > tau by a clear margin;
     at lam = tau the identity is too fragile in floating point.
     """
-    free = subspace_problem(family, y, tol=tol)
-    free_centers = center_set(free, tol=tol)
+    _, free_centers = _subspace_centers(family, y, tol)
     tau = float(np.max(np.abs(family.values))) + free_centers.radius
     if lam is None:
         lam = tau + 1.0
@@ -220,19 +227,21 @@ def perturbation_slack_bound(radius: float, gamma: float, eps: float) -> float:
 
 def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope,
                           gamma: float, delta: float, eps: float | None = None,
-                          tol: float = DEFAULT_TOL) -> np.ndarray:
+                          tol: float = DEFAULT_TOL, radius: float | None = None) -> np.ndarray:
     """Blend a (gamma+delta)-near-center toward a (gamma/2)-near-center.
 
     Returns v~ = (1 - lam) v + lam v' with lam = 2 delta / (2 delta + gamma);
     certifies r(v~, B) <= rad + gamma and that the move stays below
     lam (3 rad + 2 gamma) (< eps whenever delta respects the slack bound).
+    radius is rad = rad_V(B) when the caller has already solved it;
+    otherwise it is solved here.
     """
     v = as_vector(v, family.dim)
     v_prime = as_vector(v_prime, family.dim)
     if gamma <= 0 or delta <= 0:
         raise PreconditionError(f"gamma and delta must be positive, got {gamma}, {delta}")
-    problem = CenterProblem(family=family, feasible=feasible)
-    radius = restricted_radius(problem, tol=tol)
+    if radius is None:
+        radius = restricted_radius(CenterProblem(family=family, feasible=feasible), tol=tol)
     if delta >= radius:
         raise PreconditionError(f"slack bound violated: delta = {delta} >= rad = {radius}")
     if eps is not None:

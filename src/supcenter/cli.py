@@ -2,7 +2,9 @@
 
 Exit codes: 0 all good, 1 a certified check or construction failed, 2 bad
 input (file, schema, precondition, a NaN or infinite number), 3 numerical
-trouble (LP iteration cap, enumeration failure).  --json switches any command to canonical JSON on
+trouble (LP iteration cap, enumeration failure, a failed Qhull or numpy
+linear-algebra call), 4 any other unexpected failure (one ``error:`` line on
+stderr, no traceback).  --json switches any command to canonical JSON on
 stdout; the corpus summary is byte-identical between runs by construction.
 """
 
@@ -41,7 +43,7 @@ from .space import hausdorff
 from .stability import p1_modulus
 from .tolerances import DEFAULT_TOL
 
-OK, CHECK_FAILED, BAD_INPUT, NUMERICAL = 0, 1, 2, 3
+OK, CHECK_FAILED, BAD_INPUT, NUMERICAL, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit(args, payload, lines):
@@ -205,10 +207,12 @@ def cmd_check_lemmas(args) -> int:
             eps = args.eps
             delta = 0.5 * perturbation_slack_bound(radius, gamma, eps)
             try:
-                v = sampling.near_center_point(rng, problem, gamma + delta, tol=args.tol)
-                v_prime = sampling.near_center_point(rng, problem, gamma / 2.0, tol=args.tol)
+                v = sampling.near_center_point(rng, problem, gamma + delta, tol=args.tol,
+                                               radius=radius)
+                v_prime = sampling.near_center_point(rng, problem, gamma / 2.0, tol=args.tol,
+                                                     radius=radius)
                 perturb_toward_center(v, v_prime, family, problem.feasible,
-                                      gamma, delta, eps=eps, tol=args.tol)
+                                      gamma, delta, eps=eps, tol=args.tol, radius=radius)
             except SupCenterError as exc:
                 perturb_ok = False
                 failures.append(f"perturbation trial {trial}: {exc}")
@@ -396,6 +400,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as exc:  # a failure no documented code covers
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

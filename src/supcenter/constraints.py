@@ -175,13 +175,23 @@ def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int, tol: float):
     """Particular solution and orthonormal null-space basis of the equalities."""
     if a_eq.shape[0] == 0:
         return np.zeros(dim), np.eye(dim)
-    v0, _, _, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    if np.max(np.abs(a_eq @ v0 - b_eq)) > 1e-7 * (1.0 + float(np.max(np.abs(b_eq)))):
-        raise InfeasiblePolytopeError("equality system is inconsistent")
-    u, s, vh = np.linalg.svd(a_eq)
+    try:
+        v0, _, _, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+        if np.max(np.abs(a_eq @ v0 - b_eq)) > 1e-7 * (1.0 + float(np.max(np.abs(b_eq)))):
+            raise InfeasiblePolytopeError("equality system is inconsistent")
+        u, s, vh = np.linalg.svd(a_eq)
+    except np.linalg.LinAlgError as exc:
+        raise EnumerationError(f"affine hull of the equalities: {exc}") from exc
     rank = int(np.sum(s > max(tol, 1e-12) * (s[0] if s.size else 1.0)))
     basis = vh[rank:].T  # (dim, d)
     return v0, basis
+
+
+def _rank(a: np.ndarray) -> int:
+    try:
+        return int(np.linalg.matrix_rank(a))
+    except np.linalg.LinAlgError as exc:
+        raise EnumerationError(f"rank of the inequality rows: {exc}") from exc
 
 
 def _interval_enum(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -197,7 +207,7 @@ def _interval_enum(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: int) -> np.ndarray:
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     # inscribed sup-ball LP locates a deep interior point
@@ -243,7 +253,10 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
 
     shifted_b = b - a @ z0
     polar_pts = a / shifted_b[:, None]
-    hull = ConvexHull(polar_pts)
+    try:
+        hull = ConvexHull(polar_pts)
+    except QhullError as exc:
+        raise EnumerationError(f"convex hull of the polar dual: {exc}") from exc
     eqs = hull.equations  # rows [normal | offset]: normal.p + offset <= 0
     reach = float(np.max(np.abs(polar_pts)))
     verts = []
@@ -274,7 +287,7 @@ def _enumerate_reduced(poly: Polytope, tol: float, depth: int) -> np.ndarray:
     a, b = a[live], b[live]
     if d == 1:
         pts = _interval_enum(a, b, tol)
-    elif np.linalg.matrix_rank(a) < d:
+    elif _rank(a) < d:
         # the rows leave a line free: unbounded, unless the system is empty
         if a.shape[0] and lp.solve(lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b),
                                    tol=tol).status == lp.INFEASIBLE:

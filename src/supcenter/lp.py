@@ -14,6 +14,20 @@ one pivot at the most negative row and so makes every right-hand side
 nonnegative.  Equality rows, flipped to a nonnegative right-hand side, keep an
 artificial each.  Phase 1 minimizes the sum of the artificials.
 
+Bland's rule is taken with whole-array numpy steps, not per-column or per-row
+Python loops, and it chooses exactly the pivots of the plain scalar scan.  The
+entering column is the first with reduced cost below -tol (an argmax on the
+mask).  The leaving row comes from the ratios max(rhs, 0) / col over the rows
+with col > PIVOT_EPS, computed at once.  When exactly one ratio lies within
+TIE_WINDOW (2 PIVOT_EPS) of the minimum, every other ratio exceeds it by more
+than PIVOT_EPS after rounding, so the scalar scan would take that row too.
+Otherwise the scan itself runs on Python floats over the eligible rows: a
+ratio more than PIVOT_EPS below the running best replaces it, one within
+PIVOT_EPS replaces it when its basis index is smaller.  Ties chained across
+several rows thus resolve as they always have.  The pivot update and the
+phase-2 objective row are computed in the same order, so every tableau holds
+the same bits and every report the same bytes.
+
 The restricted radius, the sup-norm distance to a polytope and the gauge
 distances of the renormed-ball model share one program shape, built in one
 place by epigraph_lp: min t over v in a polytope with g.(v - target) <= t for
@@ -28,7 +42,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InfeasiblePolytopeError, LPNumericalError
-from .tolerances import DEFAULT_TOL, LP_MAX_ITER, PIVOT_EPS
+from .tolerances import (
+    CERTIFY_FLOOR,
+    DEFAULT_TOL,
+    DRIVE_OUT_EPS,
+    FEAS_FACTOR,
+    LP_MAX_ITER,
+    PIVOT_EPS,
+    TIE_WINDOW,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .constraints import Polytope
@@ -71,37 +93,51 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     # kill residual round-off in the pivot column
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 
 
+def _sequential_leave(ratios: list, rows: list, keys: list) -> int:
+    """Bland's leaving rule as a scan in row order: a ratio more than
+    PIVOT_EPS below the running best replaces it, and one within PIVOT_EPS
+    of it replaces it when its basis index is smaller."""
+    best_ratio = np.inf
+    leave = best_key = -1
+    for ratio, row, key in zip(ratios, rows, keys):
+        if ratio < best_ratio - PIVOT_EPS or (
+            abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or key < best_key)
+        ):
+            best_ratio, leave, best_key = ratio, row, key
+    return leave
+
+
 def _bland_loop(tab, basis, ncols, tol, max_iter):
     """Run simplex pivots on tableau (obj row last). Returns iterations."""
     m = tab.shape[0] - 1
+    obj = tab[-1, :ncols]  # views: _pivot updates tab in place
+    rhs = tab[:m, -1]
     for it in range(max_iter):
-        obj = tab[-1, :ncols]
-        entering = -1
-        for j in range(ncols):  # Bland: smallest eligible index
-            if obj[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        below = obj < -tol
+        entering = int(below.argmax())  # Bland: smallest eligible index
+        if not below[entering]:
             return it
         col = tab[:m, entering]
-        best_ratio = np.inf
-        leave = -1
-        for i in range(m):
-            if col[i] > PIVOT_EPS:
-                ratio = max(tab[i, -1], 0.0) / col[i]
-                if ratio < best_ratio - PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        rows = (col > PIVOT_EPS).nonzero()[0]
+        if rows.size == 0:
             return -(it + 1)  # unbounded marker
+        ratios = np.maximum(rhs[rows], 0.0) / col[rows]
+        best = ratios.min()
+        near = ratios <= best + TIE_WINDOW
+        if best < np.inf and np.count_nonzero(near) == 1:
+            # every other ratio exceeds this one by more than PIVOT_EPS, so
+            # the scan takes its row on reaching it and keeps it to the end
+            leave = int(rows[near.argmax()])
+        else:
+            leave = _sequential_leave(ratios.tolist(), rows.tolist(), basis[rows].tolist())
+            if leave < 0:
+                return -(it + 1)
         _pivot(tab, leave, entering)
         basis[leave] = entering
     raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
@@ -129,19 +165,20 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     ncore = nsplit + mi
     total = ncore + me + 1
     neg = b_ub < 0
-    flip = np.where(b_eq < 0, -1.0, 1.0)
     tab = np.zeros((m + 1, total + 1))
     tab[:mi, :n] = a_ub
-    tab[mi:m, :n] = a_eq * flip[:, None]
+    tab[mi:m, :n] = a_eq * np.where(b_eq < 0, -1.0, 1.0)[:, None]
+    tab[mi:m, -1] = np.abs(b_eq)
     tab[:m, n:nsplit] = -tab[:m, :n]
-    tab[:m, nsplit:total - 1] = np.eye(m)
-    tab[:mi, total - 1] = np.where(neg, -1.0, 0.0)
-    tab[:m, -1] = np.concatenate([b_ub, np.abs(b_eq)])
     basis = np.arange(nsplit, nsplit + m)
-    c_std = np.concatenate([c, -c, np.zeros(mi)])
+    tab[np.arange(m), basis] = 1.0
+    tab[:mi, total - 1][neg] = -1.0
+    tab[:mi, -1] = b_ub
+    # phase-2 cost of each core column, and a zero under the rhs column
+    cost = np.concatenate([c, -c, np.zeros(mi + 1)])
 
-    scale_b = 1.0 + float(np.max(np.abs(tab[:m, -1]), initial=0.0))
-    feas_tol = tol * scale_b * 10.0
+    scale_b = 1.0 + float(np.abs(tab[:m, -1]).max(initial=0.0))
+    feas_tol = tol * scale_b * FEAS_FACTOR
 
     # phase 1: minimize the sum of the artificials.  The shared one enters at
     # the most negative row, which leaves every rhs nonnegative.
@@ -161,33 +198,31 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
         phase1 = -tab[-1, -1]
         if phase1 > feas_tol:
             return LPSolution(status=INFEASIBLE, iterations=iterations)
-        # drive surviving artificials out of the basis or drop their rows
+        # drive surviving artificials out of the basis on their first usable
+        # core column, or drop their rows as redundant
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= ncore:
-                pivot_col = -1
-                for j in range(ncore):
-                    if abs(tab[i, j]) > 1e-8:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tab, i, pivot_col)
-                    basis[i] = pivot_col
-                else:
-                    keep[i] = False  # redundant row
+        for i in np.flatnonzero(basis >= ncore).tolist():
+            usable = np.flatnonzero(np.abs(tab[i, :ncore]) > DRIVE_OUT_EPS)
+            if usable.size:
+                _pivot(tab, i, int(usable[0]))
+                basis[i] = usable[0]
+            else:
+                keep[i] = False
         if not keep.all():
             rows = np.concatenate([np.flatnonzero(keep), [m]])
             tab = tab[rows]
             basis = basis[keep]
             m = basis.size
 
-    # phase 2
+    # phase 2.  The objective row is the cost row less each basic row times
+    # its cost, subtracted in row order: an ordered reduce holds the same
+    # bits as a loop of row updates, where a matrix product would not
     tab = np.hstack([tab[:, :ncore], tab[:, -1:]])
-    tab[-1, :] = 0.0
-    tab[-1, :ncore] = c_std
-    for i in range(m):
-        tab[-1] -= c_std[basis[i]] * tab[i]
-    it = _bland_loop(tab, basis, ncore, tol * (1.0 + float(np.max(np.abs(c_std), initial=0.0))), max_iter)
+    terms = np.empty_like(tab)
+    terms[0] = cost
+    np.multiply(cost[basis, None], tab[:m], out=terms[1:])
+    tab[-1] = np.subtract.reduce(terms)
+    it = _bland_loop(tab, basis, ncore, tol * (1.0 + float(np.abs(cost).max())), max_iter)
     if it < 0:
         iterations += -it
         return LPSolution(status=UNBOUNDED, iterations=iterations)
@@ -198,9 +233,10 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     x = x_std[:n] - x_std[n:nsplit]
 
     # certify feasibility of the reported point
-    if mi and np.max(a_ub @ x - b_ub) > max(feas_tol, 1e-7 * scale_b):
+    certify_tol = max(feas_tol, CERTIFY_FLOOR * scale_b)
+    if mi and (a_ub @ x - b_ub).max() > certify_tol:
         raise LPNumericalError("simplex returned an infeasible point (inequalities)")
-    if me and np.max(np.abs(a_eq @ x - b_eq)) > max(feas_tol, 1e-7 * scale_b):
+    if me and np.abs(a_eq @ x - b_eq).max() > certify_tol:
         raise LPNumericalError("simplex returned an infeasible point (equalities)")
 
     value = float(c @ x)

@@ -54,9 +54,12 @@ def vertex_mixture(rng: np.random.Generator, vertices: np.ndarray) -> np.ndarray
 
 
 def near_center_point(rng: np.random.Generator, problem: CenterProblem, delta: float,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Random point of cent_V(B, delta), as a mixture of its vertices."""
-    verts = near_center_set(problem, delta, tol=tol).vertices(tol)
+                      tol: float = DEFAULT_TOL, radius: float | None = None) -> np.ndarray:
+    """Random point of cent_V(B, delta), as a mixture of its vertices.
+
+    radius is rad_V(B) when the caller has already solved it (see
+    near_center_set)."""
+    verts = near_center_set(problem, delta, tol=tol, radius=radius).vertices(tol)
     return vertex_mixture(rng, verts)
 
 

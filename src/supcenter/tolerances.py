@@ -15,9 +15,26 @@ DEDUP_TOL = 1e-7
 # support optimum alpha is matched (R == alpha), farther above it is a gap.
 REGIME_TOL = 1e-9
 
-# Simplex pivot guards.
+# Simplex pivot guards.  PIVOT_EPS (absolute) is the smallest pivot-column
+# entry a ratio test accepts, and the window within which two ratios tie.
 PIVOT_EPS = 1e-10
 LP_MAX_ITER = 50_000
+
+# Absolute: a leaving-row ratio test takes its fast path when exactly one
+# ratio lies within this of the minimum (see lp._bland_loop).
+TIE_WINDOW = 2.0 * PIVOT_EPS
+
+# Absolute: a basic artificial left after phase 1 leaves on the first core
+# column whose entry in its row exceeds this in magnitude.
+DRIVE_OUT_EPS = 1e-8
+
+# Relative to the LP's rhs scale 1 + max|b|: phase 1 reports infeasible
+# above tol * scale * FEAS_FACTOR.
+FEAS_FACTOR = 10.0
+
+# Relative to the LP's rhs scale: the returned point may violate a row by at
+# most max(tol * scale * FEAS_FACTOR, CERTIFY_FLOOR * scale).
+CERTIFY_FLOOR = 1e-7
 
 # Side of the bounding box used when optimizing over an unbounded affine
 # subspace, as a multiple of the data magnitude.

@@ -5,13 +5,18 @@ the package's LP; scipy's HiGHS solver provides a second, independent LP
 route.  Between them every radius has two derivations that share no code
 with the implementation under test.  Vertex lists are checked against an
 exhaustive active-set search, which shares no code with the package's
-polar-dual enumeration.
+polar-dual enumeration.  The simplex pivot rule has a scalar reference,
+reference_bland_loop, that the package's vectorized rule must match pivot for
+pivot.
 """
 
 import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from supcenter.errors import LPNumericalError
+from supcenter.tolerances import PIVOT_EPS
 
 GRID_STEP = 0.01
 # mesh covering radius (half-diagonal, d <= 3) plus the boundary shrink;
@@ -195,3 +200,50 @@ def min_row_gap(rows):
         return float("inf")
     gaps = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2)
     return float(np.min(gaps[np.triu_indices(rows.shape[0], k=1)]))
+
+
+def _reference_pivot(tab, row, col):
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+
+
+def reference_bland_loop(tab, basis, ncols, tol, max_iter):
+    """Bland's rule as a scalar scan, a drop-in for lp._bland_loop.
+
+    The entering column is the first with reduced cost below -tol, found
+    column by column.  The leaving row comes from a scan in row order over
+    the rows with a pivot-column entry above PIVOT_EPS: a ratio more than
+    PIVOT_EPS below the running best replaces it, and a ratio within
+    PIVOT_EPS of it replaces it when its basis index is smaller.  Returns the
+    iteration count, or -(iterations + 1) when the program is unbounded.
+    """
+    m = tab.shape[0] - 1
+    for it in range(max_iter):
+        obj = tab[-1, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if obj[j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            return it
+        col = tab[:m, entering]
+        best_ratio = np.inf
+        leave = -1
+        for i in range(m):
+            if col[i] > PIVOT_EPS:
+                ratio = max(tab[i, -1], 0.0) / col[i]
+                if ratio < best_ratio - PIVOT_EPS or (
+                    abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return -(it + 1)
+        _reference_pivot(tab, leave, entering)
+        basis[leave] = entering
+    raise LPNumericalError(f"simplex exceeded {max_iter} iterations")

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from supcenter.cli import BAD_INPUT, CHECK_FAILED, OK, main
+from scipy.spatial import QhullError
+
+from supcenter import centers, cli, sampling
+from supcenter.cli import BAD_INPUT, CHECK_FAILED, INTERNAL, NUMERICAL, OK, main
 
 
 def worked_payload():
@@ -186,3 +189,59 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "supcenter" in capsys.readouterr().out
+
+
+def test_check_lemmas_reuses_solved_radii(solve_counts, monkeypatch, capsys):
+    code, reused = run_json(capsys, ["check-lemmas", "--trials", "5"])
+    assert code == OK
+    solves = solve_counts["solves"]
+
+    # the same trials with each radius solved again where it is used: the
+    # two near-center draws and the perturbation step of every trial, and
+    # the free problem's centers in every threshold check
+    def dropping_radius(fn):
+        def run(*args, radius=None, **kwargs):
+            return fn(*args, **kwargs)
+        return run
+
+    real_subspace_centers = centers._subspace_centers
+
+    def resolving_centers(family, y, tol):
+        problem, _ = real_subspace_centers(family, y, tol)
+        return problem, centers.center_set(problem, tol=tol)
+
+    monkeypatch.setattr(sampling, "near_center_point", dropping_radius(sampling.near_center_point))
+    monkeypatch.setattr(cli, "perturb_toward_center", dropping_radius(cli.perturb_toward_center))
+    monkeypatch.setattr(centers, "_subspace_centers", resolving_centers)
+    solve_counts.clear()
+    code, resolved = run_json(capsys, ["check-lemmas", "--trials", "5"])
+    assert code == OK
+    assert resolved == reused
+    assert solve_counts["solves"] - solves == 20
+
+
+@pytest.mark.parametrize("target, error", [
+    ("scipy.spatial.ConvexHull", QhullError("QH6154 simulated initial simplex is flat")),
+    ("numpy.linalg.lstsq", np.linalg.LinAlgError("SVD did not converge")),
+    ("numpy.linalg.matrix_rank", np.linalg.LinAlgError("SVD did not converge")),
+], ids=["qhull", "lstsq", "matrix-rank"])
+def test_enumeration_library_failure_is_numerical(worked_file, capsys, monkeypatch,
+                                                  target, error):
+    # a failed Qhull or numpy call inside vertex enumeration is numerical
+    # trouble (3), not bad input (2) or an escaping traceback (1)
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, fail)
+    assert main(["near-center", worked_file, "--delta", "0.1"]) == NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_unexpected_exception_has_its_own_exit_code(worked_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise KeyError("simulated fault")
+
+    monkeypatch.setattr(cli, "restricted_radius", fail)
+    assert main(["radius", worked_file]) == INTERNAL
+    assert capsys.readouterr().err == "error: internal failure: KeyError: 'simulated fault'\n"

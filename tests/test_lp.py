@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import supcenter as sc
-from supcenter import lp
+from supcenter import cli, lp
 from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
 
-from oracles import scipy_solve
+from oracles import reference_bland_loop, scipy_solve
 
 
 def random_feasible_lp(rng, n, m, with_eq=False, with_bounds=False):
@@ -189,3 +189,85 @@ def test_kernel_ball_radius_lp_pivots(monkeypatch):
     assert np.sum(prob.b_ub < 0) == 20 and prob.a_eq.shape[0] == 2
     assert sol.iterations < 22
     assert sol.value == pytest.approx(scipy_solve(prob)[1], abs=1e-7)
+
+
+def _degenerate(rng, n, m):
+    # small-integer rows, most through the origin: ratio tests tie exactly
+    # (at 0 and at repeated ratios), and rows nudged by less than PIVOT_EPS
+    # tie inexactly, so the scan's chained ties are exercised too
+    a_ub = rng.integers(-2, 3, (m, n)).astype(float)
+    b_ub = np.where(rng.random(m) < 0.7, 0.0, rng.integers(1, 3, m).astype(float))
+    b_ub += np.where(rng.random(m) < 0.2, 3e-11, 0.0)
+    a_ub, b_ub = _capped(a_ub, b_ub, n)
+    a_eq = b_eq = None
+    if rng.random() < 0.3:
+        a_eq = rng.integers(-2, 3, (1, n)).astype(float)
+        b_eq = np.zeros(1)
+    return lp.LinearProgram(c=rng.integers(-3, 4, n).astype(float), a_ub=a_ub, b_ub=b_ub,
+                            a_eq=a_eq, b_eq=b_eq)
+
+
+def _test_lp_programs():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 8))
+        yield random_feasible_lp(rng, n, m, with_eq=trial % 3 == 0,
+                                 with_bounds=trial % 2 == 0), {}
+    for build in (_infeasible, _unbounded, _negative_rhs_equalities, _duplicate_equality,
+                  _nonnegative_rhs):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            yield build(rng, n, int(rng.integers(2, 9))), {}
+
+
+def _degenerate_programs():
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        yield _degenerate(rng, int(rng.integers(2, 6)), int(rng.integers(4, 12))), {}
+
+
+def _corpus_programs(monkeypatch, capsys):
+    issued = []
+    real = lp.solve
+
+    def solve(prob, tol=lp.DEFAULT_TOL, max_iter=lp.LP_MAX_ITER):
+        issued.append((prob, {"tol": tol, "max_iter": max_iter}))
+        return real(prob, tol, max_iter)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "solve", solve)
+        assert cli.main(["corpus", "--json"]) == cli.OK
+    capsys.readouterr()
+    return issued
+
+
+@pytest.mark.parametrize("family", ["test-lp", "degenerate", "corpus"])
+def test_vectorized_pivot_rule_matches_scalar_reference(family, monkeypatch, capsys):
+    # the vectorized rule must choose every pivot the scalar scan chooses, so
+    # iteration counts agree and x agrees bit for bit
+    programs = {"test-lp": _test_lp_programs, "degenerate": _degenerate_programs,
+                "corpus": lambda: _corpus_programs(monkeypatch, capsys)}[family]()
+    scans = []
+    real_scan = lp._sequential_leave
+
+    def scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(lp, "_sequential_leave", scan)
+    solved = 0
+    for k, (prob, options) in enumerate(programs):
+        ours = lp.solve(prob, **options)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_bland_loop", reference_bland_loop)
+            ref = lp.solve(prob, **options)
+        assert (ours.status, ours.iterations, ours.value) == (ref.status, ref.iterations,
+                                                              ref.value), f"program {k}"
+        assert (ours.x is None) == (ref.x is None), f"program {k}"
+        if ours.x is not None:
+            assert ours.x.tobytes() == ref.x.tobytes(), f"program {k}"
+        solved += 1
+    assert solved >= 100
+    assert scans, "no ratio test fell back to the tie scan"
