@@ -225,7 +225,7 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
     if rho < -1e-7 * scale:
         raise InfeasiblePolytopeError("polytope is empty: its inscribed radius is negative")
     if rho <= 1e-7 * scale:
-        # flat polytope: promote implicitly tight rows to equalities and recurse
+        # possibly flat: promote implicitly tight rows to equalities and recurse
         # (each promotion drops the affine dimension, so d bounds the depth)
         if depth > d:
             raise EnumerationError("implicit-equality recursion did not terminate")
@@ -244,12 +244,14 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
                 raise EnumerationError(f"tightness LP ended with status {s.status}")
             if b[i] - s.value <= 1e-8 * scale:  # even min a_i.z == b_i: tight everywhere
                 tight.append(i)
-        if not tight:
+        if tight:
+            mask = np.ones(a.shape[0], dtype=bool)
+            mask[tight] = False
+            sub = Polytope(a_ub=a[mask], b_ub=b[mask], a_eq=a[tight], b_eq=b[tight], dim=d)
+            return _enumerate_reduced(sub, tol, depth + 1)
+        if rho <= 0.0:
             raise EnumerationError("flat polytope without implicit equalities")
-        mask = np.ones(a.shape[0], dtype=bool)
-        mask[tight] = False
-        sub = Polytope(a_ub=a[mask], b_ub=b[mask], a_eq=a[tight], b_eq=b[tight], dim=d)
-        return _enumerate_reduced(sub, tol, depth + 1)
+        # thin but full-dimensional: no row is tight, so the hull route applies
 
     shifted_b = b - a @ z0
     polar_pts = a / shifted_b[:, None]

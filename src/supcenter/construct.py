@@ -172,8 +172,9 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
 
     Matched regime (R == alpha): the stability modulus of the reduced compact
     problem.  Gap regime (R > alpha): the explicit perturbation bound
-    min{alpha, eps*beta/(6 alpha + 4 beta)} when alpha > 0, otherwise a
-    bisection on the relaxed inclusion (the bound degenerates with alpha).
+    min{alpha, eps*beta/(6 alpha + 4 beta)} when alpha > 0, otherwise the
+    modulus of the relaxed inclusion, cent(beta + delta) against cent(beta),
+    found by the same secant search (the bound degenerates with alpha).
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")

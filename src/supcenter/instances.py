@@ -67,6 +67,15 @@ def _need(data: dict, key: str, kind, where: str):
     return value
 
 
+def _number(data: dict, key: str, default, kind, where: str):
+    """Optional numeric field, converted by kind (int or float)."""
+    try:
+        return kind(data.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"{where}: field '{key}' should be a number ({exc})",
+                            field=key) from exc
+
+
 def parse_instance(data: dict, where: str = "instance"):
     """Dict (already JSON-decoded) -> CenterInstance | RenormInstance."""
     if not isinstance(data, dict):
@@ -82,12 +91,12 @@ def parse_instance(data: dict, where: str = "instance"):
 
     if kind == "renorm":
         n = _need(data, "n", int, where)
-        gamma = float(data.get("gamma", 1.0 / 16.0))
-        theta = float(data.get("theta", 1e-3))
+        gamma = _number(data, "gamma", 1.0 / 16.0, float, where)
+        theta = _number(data, "theta", 1e-3, float, where)
         for key, value in (("gamma", gamma), ("theta", theta)):
             if not np.isfinite(value):
                 raise InstanceError(f"{where}: {key} must be finite, got {value}", field=key)
-        return RenormInstance(name=name, n=n, seed=int(data.get("seed", 0)),
+        return RenormInstance(name=name, n=n, seed=_number(data, "seed", 0, int, where),
                               gamma=gamma, theta=theta, expected=expected)
     if kind != "center":
         raise InstanceError(f"{where}: unknown kind '{kind}'", field="kind")
@@ -99,15 +108,18 @@ def parse_instance(data: dict, where: str = "instance"):
     except (ValueError, TypeError) as exc:
         raise InstanceError(f"{where}: bad family rows ({exc})", field="family") from exc
 
+    items = data.get("functionals", [])
+    if not isinstance(items, list):
+        raise InstanceError(f"{where}: 'functionals' must be a list", field="functionals")
     functionals = []
-    for i, item in enumerate(data.get("functionals", [])):
+    for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise InstanceError(f"{where}: functionals[{i}] must be an object",
                                 field="functionals")
         try:
             functionals.append(Functional(support=tuple(item["support"]),
                                           weights=tuple(item["weights"])))
-        except (KeyError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InstanceError(f"{where}: functionals[{i}] invalid ({exc})",
                                 field="functionals") from exc
     try:
@@ -119,7 +131,7 @@ def parse_instance(data: dict, where: str = "instance"):
     if constraint not in CONSTRAINT_MODES:
         raise InstanceError(f"{where}: constraint must be one of {CONSTRAINT_MODES}, "
                             f"got '{constraint}'", field="constraint")
-    scale = float(data.get("scale", 1.0))
+    scale = _number(data, "scale", 1.0, float, where)
     if not np.isfinite(scale) or (constraint == "scaled-ball" and scale <= 0):
         raise InstanceError(f"{where}: scale must be finite and positive, got {scale}",
                             field="scale")

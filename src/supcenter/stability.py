@@ -20,7 +20,12 @@ from .centers import CenterProblem, CenterReport, center_set, near_center_set
 from .constraints import Polytope
 from .errors import LPNumericalError
 from .space import FunctionFamily, farthest_radius
-from .tolerances import DEFAULT_TOL
+from .tolerances import (
+    DEFAULT_TOL,
+    MODULUS_CONFIRM_STEP,
+    MODULUS_MAX_STEPS,
+    SEQUENCE_TOL_FACTOR,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,12 +76,20 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
                resolution: float = 1e-4, base_slack: float = 0.0) -> ModulusReport:
     """Largest slack delta in (0, delta_max] with worst distance <= eps.
 
-    The worst distance is measured from cent_V(B, base_slack + delta) to
-    cent_V(B, base_slack), which for the default base_slack = 0 is the center
-    set itself.  Bisection on the monotone map delta -> worst distance,
-    resolved to resolution * delta_max.  A zero modulus is reported with the
-    degenerate flag set: in finite dimension the modulus must be positive, so
-    a zero is a diagnostic, not an answer.
+    The worst distance w(delta) is measured from cent_V(B, base_slack + delta)
+    to cent_V(B, base_slack), which for the default base_slack = 0 is the
+    center set itself.  w is continuous, nondecreasing and piecewise linear in
+    delta, since the near-center set is a polytope whose right-hand side is
+    affine in delta.  After a probe at delta_max (accepted outright when it
+    passes) and a degeneracy probe at resolution * delta_max, regula falsi
+    with the Illinois change solves w(delta) = eps + tol on that bracket; a
+    secant step between two probes on one linear piece lands on the root.
+    Each step stays MODULUS_CONFIRM_STEP * delta_max (h) inside the bracket,
+    and the search ends when the failing end is within h of the passing one,
+    so the result is confirmed by a failed probe at most h above it.  After
+    MODULUS_MAX_STEPS steps without that, LPNumericalError is raised.  A zero
+    modulus is reported with the degenerate flag set: in finite dimension the
+    modulus must be positive, so a zero is a diagnostic, not an answer.
     """
     if eps <= 0 or delta_max <= 0:
         raise ValueError("eps and delta_max must be positive")
@@ -84,34 +97,51 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
         center = center_set(problem, tol=tol)
     base = near_center_set(problem, base_slack, tol=tol, radius=center.radius)
     probes: list[ModulusProbe] = []
+    # worst(delta) often equals eps up to rounding (at delta = eps in
+    # particular), so each comparison allows tol
+    target = eps + tol
 
-    def probe(delta: float) -> float:
+    def excess(delta: float) -> float:
         near = near_center_set(problem, base_slack + delta, tol=tol, radius=center.radius)
         worst, witness = _farthest_vertex(near.vertices(tol), base, tol)
         probes.append(ModulusProbe(delta=delta, worst=worst,
                                    witness=None if witness is None else tuple(witness)))
-        return worst
+        return worst - target
 
-    step = resolution * delta_max
-    # worst(delta) often equals eps up to rounding (at delta = eps in
-    # particular), so each comparison allows tol
-    if probe(delta_max) <= eps + tol:
-        return ModulusReport(eps=eps, delta_max=delta_max, delta_star=delta_max,
-                             probes=tuple(probes), degenerate=False)
-    lo = step
-    if probe(lo) > eps + tol:
-        logger.warning("stability modulus degenerate at eps=%g: even delta=%g fails", eps, lo)
-        return ModulusReport(eps=eps, delta_max=delta_max, delta_star=0.0,
-                             probes=tuple(probes), degenerate=True)
+    def report(delta_star: float, degenerate: bool = False) -> ModulusReport:
+        return ModulusReport(eps=eps, delta_max=delta_max, delta_star=delta_star,
+                             probes=tuple(probes), degenerate=degenerate)
+
     hi = delta_max
-    while hi - lo > step:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) <= eps + tol:
-            lo = mid
+    f_hi = excess(hi)
+    if f_hi <= 0.0:
+        return report(delta_max)
+    lo = resolution * delta_max
+    f_lo = excess(lo)
+    if f_lo > 0.0:
+        logger.warning("stability modulus degenerate at eps=%g: even delta=%g fails", eps, lo)
+        return report(0.0, degenerate=True)
+    h = MODULUS_CONFIRM_STEP * delta_max
+    kept = 0  # +1 after lo was kept by the last step, -1 after hi was
+    for _ in range(MODULUS_MAX_STEPS):
+        # both tests: one of lo + h, hi - h may round back onto the other end
+        if lo + h >= hi or hi - h <= lo:
+            return report(lo)
+        delta = min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo + h), hi - h)
+        f = excess(delta)
+        if f <= 0.0:
+            lo, f_lo = delta, f
+            if kept < 0:
+                f_hi *= 0.5  # Illinois: hi kept twice in a row
+            kept = -1
         else:
-            hi = mid
-    return ModulusReport(eps=eps, delta_max=delta_max, delta_star=lo,
-                         probes=tuple(probes), degenerate=False)
+            hi, f_hi = delta, f
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+    raise LPNumericalError(
+        f"stability modulus at eps={eps:g} not confirmed within {MODULUS_MAX_STEPS} "
+        f"secant steps (bracket [{lo!r}, {hi!r}])")
 
 
 @dataclass(frozen=True)
@@ -163,8 +193,9 @@ def sequence_criterion_check(problem: CenterProblem, trials: int, seed: int,
                                   radius_at_point=farthest_radius(point, problem.family),
                                   distance=dist, bound=bound))
     bounds = [s.bound for s in steps]
-    nonincreasing = all(b1 >= b2 - tol * 100.0 for b1, b2 in zip(bounds, bounds[1:]))
-    within = all(s.distance <= s.bound + tol * 100.0 for s in steps)
+    slack = tol * SEQUENCE_TOL_FACTOR
+    nonincreasing = all(b1 >= b2 - slack for b1, b2 in zip(bounds, bounds[1:]))
+    within = all(s.distance <= s.bound + slack for s in steps)
     return SequenceReport(steps=tuple(steps), bounds_nonincreasing=nonincreasing,
                           all_within_bound=within)
 

@@ -39,3 +39,17 @@ CERTIFY_FLOOR = 1e-7
 # Side of the bounding box used when optimizing over an unbounded affine
 # subspace, as a multiple of the data magnitude.
 BOX_FACTOR = 10.0
+
+# Relative to delta_max: stability.p1_modulus accepts a slack delta once a
+# probe at delta + MODULUS_CONFIRM_STEP * delta_max has failed, and keeps
+# every secant point at least this far inside its bracket.
+MODULUS_CONFIRM_STEP = 1e-7
+
+# Absolute count: secant steps p1_modulus may take after its two bracket
+# probes before it gives up with LPNumericalError.
+MODULUS_MAX_STEPS = 64
+
+# Relative to tol: in stability.sequence_criterion_check a vertex bound may
+# rise from one step to the next, and a distance may exceed its bound, by at
+# most tol * SEQUENCE_TOL_FACTOR.
+SEQUENCE_TOL_FACTOR = 100.0

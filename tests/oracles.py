@@ -7,7 +7,9 @@ with the implementation under test.  Vertex lists are checked against an
 exhaustive active-set search, which shares no code with the package's
 polar-dual enumeration.  The simplex pivot rule has a scalar reference,
 reference_bland_loop, that the package's vectorized rule must match pivot for
-pivot.
+pivot.  The stability modulus has a bisection reference,
+reference_bisection_modulus, whose final bracket the package's secant search
+must land in.
 """
 
 import itertools
@@ -15,8 +17,10 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from supcenter.centers import near_center_set
 from supcenter.errors import LPNumericalError
-from supcenter.tolerances import PIVOT_EPS
+from supcenter.stability import _farthest_vertex
+from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
 
 GRID_STEP = 0.01
 # mesh covering radius (half-diagonal, d <= 3) plus the boundary shrink;
@@ -247,3 +251,33 @@ def reference_bland_loop(tab, basis, ncols, tol, max_iter):
         _reference_pivot(tab, leave, entering)
         basis[leave] = entering
     raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
+
+
+def reference_bisection_modulus(problem, eps, delta_max, center, tol=DEFAULT_TOL,
+                                resolution=1e-4):
+    """Bracket (lo, hi) of the stability modulus from plain bisection on the
+    worst near-center distance, resolved to hi - lo <= resolution * delta_max.
+
+    lo passes (worst distance <= eps + tol) and hi fails, except that
+    (delta_max, delta_max) means delta_max itself passes and (0, lo) that
+    even the first probe lo = resolution * delta_max fails.
+    """
+    base = near_center_set(problem, 0.0, tol=tol, radius=center.radius)
+
+    def passes(delta):
+        verts = near_center_set(problem, delta, tol=tol, radius=center.radius).vertices(tol)
+        return _farthest_vertex(verts, base, tol)[0] <= eps + tol
+
+    step = resolution * delta_max
+    if passes(delta_max):
+        return delta_max, delta_max
+    lo, hi = step, delta_max
+    if not passes(lo):
+        return 0.0, lo
+    while hi - lo > step:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

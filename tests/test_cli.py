@@ -1,4 +1,5 @@
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def test_p1_modulus_json(worked_file, capsys):
     assert code == OK
     assert data["report"]["delta_star"] > 0.0
     assert not data["report"]["degenerate"]
+
+
+def test_p1_modulus_on_a_thin_near_center_set(capsys):
+    # the degeneracy probe's near-center set is thin but full-dimensional;
+    # it used to be refused as "flat polytope without implicit equalities"
+    path = str(files("supcenter") / "corpus" / "13-random-d3m2.json")
+    code, data = run_json(capsys, ["p1-modulus", path, "--eps", "0.001"])
+    assert code == OK
+    assert data["report"]["delta_star"] == pytest.approx(0.000604171348366, abs=1e-10)
 
 
 def test_check_lemmas(capsys):

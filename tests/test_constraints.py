@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import supcenter as sc
 import supcenter.constraints as con
 from supcenter.errors import (
     InfeasiblePolytopeError,
@@ -8,7 +9,7 @@ from supcenter.errors import (
 )
 from supcenter.tolerances import DEDUP_TOL
 
-from oracles import active_set_vertices, min_row_gap
+from oracles import active_set_vertices, kernel_basis, min_row_gap
 
 
 class TestFunctional:
@@ -142,6 +143,21 @@ class TestVertexEnumeration:
             assert exhaustive.shape == polar.shape
             gap = max(np.min(np.max(np.abs(polar - v), axis=1)) for v in exhaustive)
             assert gap < 1e-7
+
+    def test_thin_polytope_takes_the_hull_route(self):
+        # the degeneracy probe of p1-modulus 13-random-d3m2 --eps 0.001: the
+        # near-center set at slack 1e-7 is 2.7e-7 wide, so its inscribed
+        # radius sits under the flatness bar, yet no row is implicitly tight
+        inst = next(i for i in sc.load_corpus("center") if i.name == "13-random-d3m2")
+        near = sc.near_center_set(inst.problem(), 1e-7)
+        assert not np.any(near.b_eq)
+        q = kernel_basis(near.a_eq, near.dim)
+        exhaustive = active_set_vertices(near.a_ub @ q, near.b_ub) @ q.T
+        verts = near.vertices()
+        assert exhaustive.shape == verts.shape == (4, 3)
+        assert np.ptp(verts[:, 0]) < 1e-6
+        gap = max(np.min(np.max(np.abs(verts - v), axis=1)) for v in exhaustive)
+        assert gap < 1e-12
 
     def test_vertices_are_sorted_cached_and_readonly(self):
         poly = con.Polytope.box(2, 1.0)

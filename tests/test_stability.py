@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import supcenter as sc
-from supcenter import lp
+from supcenter import construct, lp
+from supcenter.errors import LPNumericalError
 from supcenter.sampling import random_ball_problem
-from supcenter.tolerances import DEFAULT_TOL
+from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
 from supcenter.stability import (
     _farthest_vertex,
     p1_modulus,
@@ -13,7 +14,27 @@ from supcenter.stability import (
     worst_near_center_distance,
 )
 
-from oracles import highs_distance
+from oracles import highs_distance, reference_bisection_modulus
+
+EPS_GRID = (0.2, 0.1, 0.05)
+
+
+@pytest.fixture(scope="module")
+def corpus_moduli():
+    """p1_modulus(eps, delta_max=eps) on every center instance, for V the
+    kernel ball and V the whole kernel: (pair id, problem, center, report)."""
+    out = []
+    for inst in sc.load_corpus("center"):
+        for label, problem in (("ball", sc.ball_problem(inst.family, inst.subspace)),
+                               ("subspace", sc.subspace_problem(inst.family, inst.subspace))):
+            if inst.interpretation == "simplex-vertices":
+                center = construct.simplex_mode(inst.family.dim, problem)
+            else:
+                center = sc.center_set(problem)
+            for eps in EPS_GRID:
+                report = p1_modulus(problem, eps, delta_max=eps, center=center)
+                out.append((f"{inst.name}/{label}@{eps}", problem, center, report))
+    return out
 
 
 def test_worst_distance_zero_at_zero_slack(worked):
@@ -97,6 +118,71 @@ def test_p1_modulus_off_the_rounding_edge(monkeypatch, toward):
     report = p1_modulus(problem, eps=0.05, delta_max=0.05, center=center)
     assert report.delta_star == 0.05
     assert len(report.probes) == 1
+
+
+def test_modulus_lies_in_the_bisection_bracket(corpus_moduli):
+    # the bisection this search replaced resolves the same map to
+    # resolution * delta_max; the secant search must land inside its bracket
+    searched = 0
+    for pair, problem, center, report in corpus_moduli:
+        lo, hi = reference_bisection_modulus(problem, report.eps, report.delta_max, center)
+        assert not report.degenerate and lo > 0.0, pair
+        assert lo <= report.delta_star <= hi, (pair, lo, report.delta_star, hi)
+        if lo < hi:
+            searched += 1
+            assert len(report.probes) <= 7, pair
+    assert len(corpus_moduli) == 102 and searched == 36
+
+
+def test_modulus_confirmed_by_highs(corpus_moduli):
+    # w(delta*) <= eps + tol, and w(delta* + h) > eps + tol unless delta* is
+    # the cap, with each vertex distance measured by HiGHS.  A secant step
+    # lands on w = eps + tol itself, where the two solvers may disagree in
+    # the last bits, so both sides allow `rounding`, far below the slope * h
+    # that separates a passing slack from its confirming probe.
+    rounding = 1e-12
+
+    def worst(problem, center, delta):
+        base = sc.near_center_set(problem, 0.0, radius=center.radius)
+        verts = sc.near_center_set(problem, delta, radius=center.radius).vertices()
+        return max(highs_distance(v, base) for v in verts)
+
+    for pair, problem, center, report in corpus_moduli:
+        target = report.eps + DEFAULT_TOL
+        assert worst(problem, center, report.delta_star) <= target + rounding, pair
+        if report.delta_star < report.delta_max:
+            h = MODULUS_CONFIRM_STEP * report.delta_max
+            assert worst(problem, center, report.delta_star + h) > target - rounding, pair
+            # the search's own confirming probe: failed, at most h above
+            assert any(report.delta_star < p.delta <= report.delta_star + h * (1 + 1e-6)
+                       and p.worst > target for p in report.probes), pair
+
+
+@pytest.mark.parametrize("eps, exact", [(0.1, 1.0 / 30.0), (0.05, 1.0 / 60.0)])
+def test_modulus_exact_on_three_point_functional(corpus_moduli, eps, exact):
+    # the worst distance is 3 delta near the root, so delta* = eps / 3;
+    # bisection stopped short at 0.0333319 and 0.0166659
+    report = next(r for pair, _, _, r in corpus_moduli
+                  if pair == f"08-three-point-functional/ball@{eps}")
+    assert report.delta_star == pytest.approx(exact, abs=MODULUS_CONFIRM_STEP * eps)
+
+
+def test_modulus_step_cap_raises(worked, monkeypatch):
+    # below delta_max every worst distance sits exactly on eps + tol, so each
+    # secant step lands on the passing end and moves it by only h: the
+    # search runs out of steps and must not return the unconfirmed slack
+    _, _, problem = worked
+    eps, delta_max = 0.05, 0.3
+    center = sc.center_set(problem)
+    real = lp.distance_to_polytope
+
+    def plateau(x, poly, tol=DEFAULT_TOL):
+        dist, point = real(x, poly, tol)
+        return (1.0 if dist >= delta_max - 1e-12 else eps + tol), point
+
+    monkeypatch.setattr(lp, "distance_to_polytope", plateau)
+    with pytest.raises(LPNumericalError, match="not confirmed"):
+        p1_modulus(problem, eps, delta_max=delta_max, center=center)
 
 
 def test_farthest_vertex_ties_go_to_the_first_vertex():
