@@ -74,7 +74,6 @@ from .stability import (
     ModulusReport,
     SequenceReport,
     p1_modulus,
-    rcp_check,
     sequence_criterion_check,
     worst_near_center_distance,
 )

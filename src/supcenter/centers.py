@@ -18,8 +18,8 @@ import numpy as np
 from . import lp
 from .constraints import Polytope, Subspace, ball_polytope
 from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
-from .space import FunctionFamily, _hausdorff_points, as_vector, farthest_radius
-from .tolerances import BOX_FACTOR, DEFAULT_TOL
+from .space import FunctionFamily, _hausdorff_points, as_vector, band, farthest_radius
+from .tolerances import BOX_FACTOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,10 @@ def _subspace_centers(family: FunctionFamily, y: Subspace,
 
 
 def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
-    """V intersected with {v : |v - f|_inf <= width for every member f}."""
-    values = problem.family.values
-    m, n = values.shape
-    eye = np.eye(n)
-    a = np.tile(np.vstack([eye, -eye]), (m, 1))
-    b = np.concatenate([np.concatenate([f + width, width - f]) for f in values])
-    return problem.feasible.with_rows(a, b)
+    """V intersected with {v : r(v, B) <= width}, the band of that width."""
+    lower, upper = band(problem.family, width)
+    eye = np.eye(problem.dim)
+    return problem.feasible.with_rows(np.vstack([eye, -eye]), np.concatenate([upper, -lower]))
 
 
 def center_set(problem: CenterProblem, tol: float = DEFAULT_TOL) -> CenterReport:
@@ -100,7 +97,7 @@ def center_set(problem: CenterProblem, tol: float = DEFAULT_TOL) -> CenterReport
     radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
                                  problem.feasible, tol)
     poly = _slab_polytope(problem, radius)
-    if poly.violation(rep) > tol * 100.0 + 1e-12:
+    if poly.violation(rep) > tol * CERTIFY_SLACK_FACTOR + 1e-12:
         raise LPNumericalError("radius minimizer violates its own center polytope")
     return CenterReport(radius=radius, representative=rep, center_polytope=poly)
 
@@ -249,28 +246,28 @@ def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope
         if delta >= bound:
             raise PreconditionError(
                 f"slack bound violated: delta = {delta} >= min(rad, eps*gamma/(6 rad + 4 gamma)) = {bound}")
-    if not feasible.contains(v, tol * 100.0):
+    if not feasible.contains(v, tol * CERTIFY_SLACK_FACTOR):
         raise PreconditionError("v must lie in the constraint set V")
-    if not feasible.contains(v_prime, tol * 100.0):
+    if not feasible.contains(v_prime, tol * CERTIFY_SLACK_FACTOR):
         raise PreconditionError("v' must lie in the constraint set V")
     rv = farthest_radius(v, family)
-    if rv > radius + gamma + delta + tol * 100.0:
+    if rv > radius + gamma + delta + tol * CERTIFY_SLACK_FACTOR:
         raise PreconditionError(
             f"v not admissible: r(v, B) = {rv} > rad + gamma + delta = {radius + gamma + delta}")
     rvp = farthest_radius(v_prime, family)
-    if rvp > radius + gamma / 2.0 + tol * 100.0:
+    if rvp > radius + gamma / 2.0 + tol * CERTIFY_SLACK_FACTOR:
         raise PreconditionError(
             f"v' not admissible: r(v', B) = {rvp} > rad + gamma/2 = {radius + gamma / 2.0}")
 
     lam = 2.0 * delta / (2.0 * delta + gamma)
     blended = (1.0 - lam) * v + lam * v_prime
     achieved = farthest_radius(blended, family)
-    if achieved > radius + gamma + tol * 100.0:
+    if achieved > radius + gamma + tol * CERTIFY_SLACK_FACTOR:
         raise LPNumericalError(
             f"perturbation certificate failed: r(v~, B) = {achieved} > rad + gamma")
     move = float(np.max(np.abs(v - blended)))
     move_bound = lam * (3.0 * radius + 2.0 * gamma)
-    if move > move_bound + tol * 100.0:
+    if move > move_bound + tol * CERTIFY_SLACK_FACTOR:
         raise LPNumericalError(
             f"perturbation certificate failed: |v - v~| = {move} > {move_bound}")
     if eps is not None and move >= eps:

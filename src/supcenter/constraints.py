@@ -20,7 +20,7 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .space import as_vector
-from .tolerances import DEDUP_TOL, DEFAULT_TOL
+from .tolerances import CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,9 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
         if depth > d:
             raise EnumerationError("implicit-equality recursion did not terminate")
         tight = []
-        solved: dict[bytes, lp.LPSolution] = {}  # equal rows pose the same LP
+        # equal rows pose the same LP: V's own box rows repeat the band's
+        # +-e_i rows of a center or near-center set
+        solved: dict[bytes, lp.LPSolution] = {}
         for i in range(a.shape[0]):
             key = a[i].tobytes()
             if key not in solved:
@@ -276,7 +278,7 @@ def _enumerate_reduced(poly: Polytope, tol: float, depth: int) -> np.ndarray:
     v0, basis = _affine_hull(poly.a_eq, poly.b_eq, d0, tol)
     d = basis.shape[1]
     if d == 0:
-        if poly.contains(v0, max(tol * 100.0, 1e-7)):
+        if poly.contains(v0, max(tol * CERTIFY_SLACK_FACTOR, 1e-7)):
             return v0.reshape(1, -1)
         raise InfeasiblePolytopeError("equality system pins an infeasible point")
     a = poly.a_ub @ basis
@@ -330,7 +332,8 @@ def enumerate_vertices(poly: Polytope, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     raw = _enumerate_reduced(poly, tol, depth=0)
     scale = 1.0 + float(np.max(np.abs(raw)))
-    keep = [v for v in raw if poly.violation(v) <= max(1e-7 * scale, tol * 100.0)]
+    bar = max(1e-7 * scale, tol * CERTIFY_SLACK_FACTOR)
+    keep = [v for v in raw if poly.violation(v) <= bar]
     if not keep:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
     verts = merge_rows(np.array(keep))

@@ -27,9 +27,9 @@ from .centers import (
 )
 from .constraints import Polytope, Subspace
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
-from .space import FunctionFamily, as_vector, farthest_radius, sup_norm
+from .space import FunctionFamily, as_vector, band, farthest_radius, sup_norm
 from .stability import p1_modulus
-from .tolerances import DEFAULT_TOL, REGIME_TOL
+from .tolerances import CERTIFY_SLACK_FACTOR, DEFAULT_TOL, REGIME_TOL
 
 # regimes of the reduced problem relative to the full radius
 MATCHED = "matched"   # R == alpha: the support already forces the radius
@@ -82,7 +82,7 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
         feasible=Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0])))
     center = center_set(problem, tol=tol)
     alpha = max(center.radius, 0.0)
-    if alpha > radius + tol * 100.0:
+    if alpha > radius + tol * CERTIFY_SLACK_FACTOR:
         raise ConstructionError(
             f"reduced optimum {alpha} exceeds the full restricted radius {radius}")
     return SupportReduction(slots=tuple(slots), problem=problem, center=center, alpha=alpha,
@@ -91,12 +91,11 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
 
 def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: float,
                     tol: float) -> None:
-    slack = tol * 100.0
+    slack = tol * CERTIFY_SLACK_FACTOR
     for i, hi in enumerate(h):
         if abs(hi) > 1.0 + slack:
             raise ConstructionError(f"|h[{i}]| = {abs(hi)} > 1", point_index=i)
-    lower = family.values.max(axis=0) - radius
-    upper = family.values.min(axis=0) + radius
+    lower, upper = band(family, radius)
     for i in range(h.size):
         if h[i] < lower[i] - slack:
             raise ConstructionError(
@@ -128,8 +127,7 @@ def constructive_center(family: FunctionFamily, y: Subspace,
     g = np.zeros(family.dim)
     if reduction.size:
         g[list(reduction.slots)] = reduction.center.representative
-    upper = family.values.min(axis=0) + radius
-    lower = family.values.max(axis=0) - radius
+    lower, upper = band(family, radius)
     h0 = np.minimum(g, upper)
     h = np.maximum(h0, lower)
     _certify_center(h, family, y, radius, tol)
@@ -217,7 +215,7 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     and [-1, 1].
     """
     g = as_vector(inp.g, family.dim)
-    slack = tol * 100.0
+    slack = tol * CERTIFY_SLACK_FACTOR
     if reduction is None:
         reduction = finite_reduction(family, y, tol=tol)
     radius = reduction.radius
@@ -244,8 +242,7 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
                 f"support projection moved {dist} > eps = {inp.eps}; slack delta too large")
         g_prime[slots] = z
 
-    lower_band = family.values.max(axis=0) - radius
-    upper_band = family.values.min(axis=0) + radius
+    lower_band, upper_band = band(family, radius)
     f1 = np.maximum.reduce([lower_band, g - inp.eps, np.full(family.dim, -1.0)])
     f2 = np.minimum.reduce([upper_band, g + inp.eps, np.full(family.dim, 1.0)])
     if np.any(f1 > f2 + slack):

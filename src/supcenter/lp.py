@@ -31,7 +31,9 @@ the same bits and every report the same bytes.
 The restricted radius, the sup-norm distance to a polytope and the gauge
 distances of the renormed-ball model share one program shape, built in one
 place by epigraph_lp: min t over v in a polytope with g.(v - target) <= t for
-every row g of a fixed matrix and every target.
+every row g of a fixed matrix and every target.  The targets fold into one
+row per g, g.v - t <= min over targets of g.target, so the program has as
+many epigraph rows as the matrix has, however many targets there are.
 """
 
 from __future__ import annotations
@@ -247,23 +249,21 @@ def epigraph_lp(rows, targets, poly: "Polytope", tol: float = DEFAULT_TOL) -> tu
     """min t subject to v in poly and g.(v - target) <= t for every row g of
     rows and every target, as (t, v).
 
-    With rows [I; -I], t is the sup-norm distance from v to the farthest
-    target.  Raises InfeasiblePolytopeError when poly is empty and
-    LPNumericalError when the LP ends in any other way without an optimum.
+    The targets fold into one row per g: g.v - t <= min_j g.target_j.  With
+    rows [I; -I] these rows are the band between the targets' envelopes, and
+    t is the sup-norm distance from v to the farthest target.  Raises
+    InfeasiblePolytopeError when poly is empty and LPNumericalError when the
+    LP ends in any other way without an optimum.
     """
     rows = np.asarray(rows, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    k, n = rows.shape
+    n = rows.shape[1]
     mi = poly.a_ub.shape[0]
-    a_ub = np.zeros((mi + targets.shape[0] * k, n + 1))
-    b_ub = np.zeros(a_ub.shape[0])
+    a_ub = np.zeros((mi + rows.shape[0], n + 1))
     a_ub[:mi, :n] = poly.a_ub
-    b_ub[:mi] = poly.b_ub
-    for j, target in enumerate(targets):
-        lo = mi + j * k
-        a_ub[lo : lo + k, :n] = rows
-        a_ub[lo : lo + k, n] = -1.0
-        b_ub[lo : lo + k] = rows @ target
+    a_ub[mi:, :n] = rows
+    a_ub[mi:, n] = -1.0
+    b_ub = np.concatenate([poly.b_ub, (rows @ targets.T).min(axis=1)])
     a_eq = b_eq = None
     if poly.a_eq.shape[0]:
         a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])

@@ -3,7 +3,8 @@
 Vectors are real functions on a finite labeled point set, normed by the
 largest absolute coordinate.  Approximation targets are finite families of
 such vectors; the farthest-point radius r(x, B) = max_b ||x - b||_inf is the
-quantity everything else in the package minimizes.
+quantity everything else in the package minimizes.  A bound r(x, B) <= w is
+the coordinate band between the family's envelopes, band(B, w).
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ class FunctionFamily:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def member(self, i: int) -> np.ndarray:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
     def __repr__(self):
         return f"FunctionFamily({self.members} members, dim {self.dim})"
 
@@ -71,6 +66,12 @@ def farthest_radius(x, family: FunctionFamily) -> float:
     """r(x, B): sup-norm distance from x to the farthest member of B."""
     x = as_vector(x, family.dim)
     return float(np.max(np.abs(family.values - x)))
+
+
+def band(family: FunctionFamily, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The order interval (max_f f - width, min_f f + width) between the
+    family's envelopes: r(x, B) <= width iff lower <= x <= upper."""
+    return family.values.max(axis=0) - width, family.values.min(axis=0) + width
 
 
 def _hausdorff_points(p: np.ndarray, q: np.ndarray) -> float:

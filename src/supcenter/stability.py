@@ -19,7 +19,7 @@ from . import lp
 from .centers import CenterProblem, CenterReport, center_set, near_center_set
 from .constraints import Polytope
 from .errors import LPNumericalError
-from .space import FunctionFamily, farthest_radius
+from .space import farthest_radius
 from .tolerances import (
     DEFAULT_TOL,
     MODULUS_CONFIRM_STEP,
@@ -199,17 +199,3 @@ def sequence_criterion_check(problem: CenterProblem, trials: int, seed: int,
     return SequenceReport(steps=tuple(steps), bounds_nonincreasing=nonincreasing,
                           all_within_bound=within)
 
-
-def rcp_check(feasible: Polytope, families: list[FunctionFamily], tol: float = DEFAULT_TOL) -> bool:
-    """Restricted center property over a list of families: every center set
-    along V must be certifiably nonempty.  LP failures name the family."""
-    for idx, family in enumerate(families):
-        try:
-            problem = CenterProblem(family=family, feasible=feasible)
-            report = center_set(problem, tol=tol)
-        except LPNumericalError as exc:
-            raise LPNumericalError(f"family {idx}: {exc}") from exc
-        if not report.center_polytope.contains(report.representative, tol * 100.0):
-            return False
-        logger.info("family %d: restricted radius %.12g", idx, report.radius)
-    return True

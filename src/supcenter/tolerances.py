@@ -36,6 +36,12 @@ FEAS_FACTOR = 10.0
 # most max(tol * scale * FEAS_FACTOR, CERTIFY_FLOOR * scale).
 CERTIFY_FLOOR = 1e-7
 
+# Relative to tol: a certificate (a center polytope holding its own LP
+# minimizer, a perturbed or repaired point inside V and within its radius
+# bound, a vertex candidate inside its polytope) accepts a residual of up to
+# tol * CERTIFY_SLACK_FACTOR.
+CERTIFY_SLACK_FACTOR = 100.0
+
 # Side of the bounding box used when optimizing over an unbounded affine
 # subspace, as a multiple of the data magnitude.
 BOX_FACTOR = 10.0

@@ -175,25 +175,30 @@ def active_set_vertices(a, b, tol=1e-9, merge_tol=1e-7):
     """Vertices of the full-dimensional {z : a z <= b}, by solving every square
     subsystem of d rows and keeping the feasible solutions.
 
-    Exponential in the number of rows: desk-scale systems only.  Solutions
-    within merge_tol (sup distance) of one already found are dropped.
+    Exponential in the number of rows: desk-scale systems only.  The
+    subsystems are taken in itertools.combinations order, in batches,
+    and a solution within merge_tol (sup distance) of one already found is
+    dropped.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, d = a.shape
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     row_norms = np.linalg.norm(a, axis=1)
+    subsets = itertools.combinations(range(m), d)
     pts = []
-    for subset in itertools.combinations(range(m), d):
-        sub = a[list(subset)]
-        det = np.linalg.det(sub)
-        gate = np.prod(row_norms[list(subset)]) + 1e-30
-        if abs(det) <= 1e-10 * gate:
-            continue
-        z = np.linalg.solve(sub, b[list(subset)])
-        if np.max(a @ z - b) <= tol * scale * 10.0 and all(
-                np.max(np.abs(z - p)) > merge_tol for p in pts):
-            pts.append(z)
+    while True:
+        idx = np.array(list(itertools.islice(subsets, 20000)), dtype=np.intp).reshape(-1, d)
+        if idx.shape[0] == 0:
+            break
+        sub = a[idx]
+        gate = np.prod(row_norms[idx], axis=1) + 1e-30
+        solvable = np.abs(np.linalg.det(sub)) > 1e-10 * gate
+        z = np.linalg.solve(sub[solvable], b[idx[solvable]][..., None])[..., 0]
+        feasible = np.max(z @ a.T - b, axis=1, initial=-np.inf) <= tol * scale * 10.0
+        for point in z[feasible]:
+            if all(np.max(np.abs(point - p)) > merge_tol for p in pts):
+                pts.append(point)
     return np.array(pts) if pts else np.zeros((0, d))
 
 

@@ -1,5 +1,7 @@
 """The benchmark's span recorder names functions of the package by module and
-name; each of them must still exist, or ``bench/run.py --trace 1`` breaks."""
+name; each of them must still exist, or ``bench/run.py --trace 1`` breaks.
+Its counters read the programs lp.solve is given, so their shape is pinned
+here too, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
@@ -8,17 +10,46 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def load_traced():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
 
 
 def test_every_traced_name_resolves():
-    traced = load_traced()
+    traced = load_spans().TRACED
     assert traced
     for module_name, functions in traced.items():
         module = importlib.import_module(f"supcenter.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"supcenter.{module_name}.{name}"
+
+
+def test_recorder_counts_a_center_round():
+    # the counters read lp.solve's program, so a change to its shape shows here
+    import supcenter as sc
+    from supcenter import centers, stability
+
+    inst = next(i for i in sc.load_corpus("center") if i.name == "01-worked-instance")
+    problem = inst.problem()
+    rec = load_spans().Recorder()
+    rec.install()
+    try:
+        rec.phase = "center"
+        center = centers.center_set(problem)
+        rec.phase = "modulus"
+        stability.p1_modulus(problem, 0.1, delta_max=0.1, center=center)
+    finally:
+        rec.uninstall()
+    assert centers.center_set is sc.center_set
+
+    feasible, n = problem.feasible, problem.dim
+    # the radius LP: V's rows and one band row per coordinate bound
+    radius_rows = feasible.a_ub.shape[0] + 2 * n + feasible.a_eq.shape[0]
+    assert rec.counts[("center", "lp.solve.pivots")] > 0
+    assert rec.counts[("center", "lp.solve.rows_max")] == radius_rows
+    # the largest program of the modulus is a distance LP to the center set
+    assert rec.counts[("modulus", "lp.solve.pivots")] > 0
+    assert rec.counts[("modulus", "stability.p1_modulus.probes")] > 0
+    assert rec.counts[("modulus", "lp.solve.rows_max")] == radius_rows + 2 * n

@@ -10,7 +10,13 @@ from supcenter.errors import (
 
 from supcenter.tolerances import DEDUP_TOL
 
-from oracles import global_center, min_row_gap, scipy_radius
+from oracles import (
+    active_set_vertices,
+    global_center,
+    kernel_basis,
+    min_row_gap,
+    scipy_radius,
+)
 
 
 class TestWorkedInstance:
@@ -208,3 +214,27 @@ def test_corpus_vertex_lists_have_no_duplicates(inst):
     polys += [sc.near_center_set(problem, delta) for delta in (0.2, 0.1, 0.05)]
     for poly in polys:
         assert min_row_gap(poly.vertices()) > DEDUP_TOL
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_near_center_band_matches_per_member_slab(inst):
+    # the slab is the band: 2n rows on top of V, with the vertices of the
+    # per-member layout, which writes one [I; -I] block per family member
+    problem = inst.problem()
+    values, feasible = problem.family.values, problem.feasible
+    assert not np.any(feasible.b_eq)
+    eye = np.eye(problem.dim)
+    q = kernel_basis(feasible.a_eq, problem.dim)
+    radius = sc.center_set(problem).radius
+    for slack in (0.0, 0.05, 0.2):
+        near = sc.near_center_set(problem, slack, radius=radius)
+        assert near.a_ub.shape[0] == feasible.a_ub.shape[0] + 2 * problem.dim
+        width = radius + slack
+        a = np.vstack([feasible.a_ub, np.tile(np.vstack([eye, -eye]), (len(values), 1))])
+        b = np.concatenate([feasible.b_ub,
+                            *(np.concatenate([f + width, width - f]) for f in values)])
+        exhaustive = active_set_vertices(a @ q, b) @ q.T
+        verts = near.vertices()
+        assert exhaustive.shape == verts.shape, f"slack {slack}"
+        gaps = np.max(np.abs(verts[:, None, :] - exhaustive[None, :, :]), axis=2)
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= DEDUP_TOL, f"slack {slack}"

@@ -99,6 +99,31 @@ def test_distance_to_empty_polytope_raises():
         lp.distance_to_polytope(np.zeros(1), empty)
 
 
+def test_epigraph_lp_matches_per_target_layout():
+    # the folded rows, one per g, against HiGHS on one block of rows per target
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n, k, j = int(rng.integers(2, 6)), int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        rows = rng.uniform(-1, 1, (k, n))
+        targets = rng.uniform(-2, 2, (j, n))
+        poly = Polytope.box(n, float(rng.uniform(0.5, 2.0)))
+        if trial % 2:
+            row = rng.uniform(-1, 1, (1, n))
+            poly = Polytope(a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=row, b_eq=np.zeros(1))
+        value, v = lp.epigraph_lp(rows, targets, poly)
+        epigraph = np.hstack([rows, -np.ones((k, 1))])
+        per_target = lp.LinearProgram(
+            c=np.eye(n + 1)[n],
+            a_ub=np.vstack([np.hstack([poly.a_ub, np.zeros((2 * n, 1))]), *[epigraph] * j]),
+            b_ub=np.concatenate([poly.b_ub, *(rows @ t for t in targets)]),
+            a_eq=None if trial % 2 == 0 else np.hstack([poly.a_eq, np.zeros((1, 1))]),
+            b_eq=None if trial % 2 == 0 else poly.b_eq)
+        status, ref, _ = scipy_solve(per_target)
+        assert status == lp.OPTIMAL, f"trial {trial}"
+        assert value == pytest.approx(ref, abs=1e-9), f"trial {trial}"
+        assert np.max(rows @ v - (rows @ targets.T).min(axis=1)) <= value + 1e-9
+
+
 def _negative_rhs_program(rng, n, m):
     # rhs built around a point away from the origin, so many rows read b < 0
     x0 = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
@@ -172,23 +197,40 @@ def test_phase_one_paths_match_highs(build, status):
 
 
 def test_kernel_ball_radius_lp_pivots(monkeypatch):
-    # 20 rows with a negative rhs and 2 equality rows: with an artificial
-    # per row, phase 1 needs at least 22 pivots to drive them all out
+    # the radius LP in its per-member layout, one [I; -I] block per member:
+    # 20 rows with a negative rhs and 2 equality rows, so with an artificial
+    # per row phase 1 would need at least 22 pivots to drive them all out
     inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
+    problem = inst.problem()
+    values, poly = problem.family.values, problem.feasible
+    m, n = values.shape
+    eye = np.eye(n)
+    block = np.hstack([np.vstack([eye, -eye]), -np.ones((2 * n, 1))])
+    prob = lp.LinearProgram(
+        c=np.eye(n + 1)[n],
+        a_ub=np.vstack([np.hstack([poly.a_ub, np.zeros((poly.a_ub.shape[0], 1))]),
+                        np.tile(block, (m, 1))]),
+        b_ub=np.concatenate([poly.b_ub, *(np.concatenate([f, -f]) for f in values)]),
+        a_eq=np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))]), b_eq=poly.b_eq)
+    assert prob.a_ub.shape[0] == 50 and np.sum(prob.b_ub < 0) == 20
+    assert prob.a_eq.shape[0] == 2
+    sol = lp.solve(prob)
+    assert sol.iterations < 22
+    assert sol.value == pytest.approx(scipy_solve(prob)[1], abs=1e-7)
+
+    # the program restricted_radius solves folds the members into the band
     seen = []
     real = lp.solve
 
-    def solve(prob, *args, **kwargs):
-        sol = real(prob, *args, **kwargs)
-        seen.append((prob, sol))
-        return sol
+    def solve(folded, *args, **kwargs):
+        seen.append(folded)
+        return real(folded, *args, **kwargs)
 
     monkeypatch.setattr(lp, "solve", solve)
-    sc.restricted_radius(inst.problem())
-    (prob, sol), = seen
-    assert np.sum(prob.b_ub < 0) == 20 and prob.a_eq.shape[0] == 2
-    assert sol.iterations < 22
-    assert sol.value == pytest.approx(scipy_solve(prob)[1], abs=1e-7)
+    radius = sc.restricted_radius(problem)
+    folded, = seen
+    assert folded.a_ub.shape[0] == 4 * n and np.sum(folded.b_ub < 0) == 10
+    assert abs(radius - sol.value) <= 1e-12
 
 
 def _degenerate(rng, n, m):

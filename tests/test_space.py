@@ -21,10 +21,9 @@ def test_family_requires_members():
         sp.FunctionFamily(np.zeros((0, 3)))
 
 
-def test_family_is_readonly_and_iterable():
+def test_family_is_readonly():
     fam = sp.FunctionFamily([[1.0, 2.0], [3.0, 4.0]])
     assert fam.members == 2 and fam.dim == 2
-    assert [tuple(f) for f in fam] == [(1.0, 2.0), (3.0, 4.0)]
     with pytest.raises(ValueError):
         fam.values[0, 0] = 9.0
 
@@ -68,3 +67,16 @@ def test_global_center_attains_radius():
         fam = sp.FunctionFamily(rng.uniform(-2, 2, (int(rng.integers(1, 6)), 3)))
         radius, center = global_center(fam.values)
         assert sp.farthest_radius(center, fam) == pytest.approx(radius, abs=1e-12)
+
+
+def test_band_bounds_the_farthest_radius():
+    # r(x, F) <= w exactly when x lies in band(F, w)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        fam = sp.FunctionFamily(rng.uniform(-2, 2, (int(rng.integers(1, 5)), 3)))
+        width = float(rng.uniform(0.0, 3.0))
+        lower, upper = sp.band(fam, width)
+        x = rng.uniform(-3, 3, 3)
+        inside = bool(np.all(lower <= x) and np.all(x <= upper))
+        assert inside == (sp.farthest_radius(x, fam) <= width)
+        assert np.allclose(upper - lower, 2 * width - np.ptp(fam.values, axis=0), atol=1e-12)

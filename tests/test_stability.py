@@ -9,7 +9,6 @@ from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
 from supcenter.stability import (
     _farthest_vertex,
     p1_modulus,
-    rcp_check,
     sequence_criterion_check,
     worst_near_center_distance,
 )
@@ -247,13 +246,6 @@ class TestSequenceCriterion:
             sequence_criterion_check(problem, trials=0, seed=1)
         with pytest.raises(ValueError):
             sequence_criterion_check(problem, trials=1, seed=1, mode="nope")
-
-
-def test_rcp_check_over_random_families(rng, worked):
-    _, y, problem = worked
-    families = [sc.FunctionFamily(rng.uniform(-1, 1, (int(rng.integers(1, 4)), 3)))
-                for _ in range(5)]
-    assert rcp_check(problem.feasible, families)
 
 
 def test_hausdorff_lipschitz_empirical(rng):
