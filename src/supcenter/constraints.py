@@ -133,8 +133,8 @@ class Polytope:
         return Polytope(
             a_ub=np.vstack([self.a_ub, a_extra]),
             b_ub=np.concatenate([self.b_ub, b_extra]),
-            a_eq=self.a_eq if self.a_eq.size else None,
-            b_eq=self.b_eq if self.b_eq.size else None,
+            a_eq=self.a_eq,
+            b_eq=self.b_eq,
             dim=self.dim,
         )
 

@@ -14,6 +14,13 @@ alpha = min(Phi over the certificate ball): the infimum is attained, so the
 verbatim threshold would touch the ball.  The builder therefore shrinks the
 slab to alpha - theta and certifies disjointness by an infeasibility LP;
 theta = 0 reproduces the failure on purpose.
+
+The model's programs are the package's own.  The gauge LP splits x over the
+homogenized rows of the slab and cube polytopes that build_model holds; the
+distance to Y and the half-ball forward gap are epigraph LPs (lp.epigraph_lp)
+over the ball facets and the section facets; and the replay crossing of a
+ray with a gauge level set is read off the facets in closed form.  Each
+distance to Y is solved once and the projections are built from it.
 """
 
 from __future__ import annotations
@@ -56,10 +63,8 @@ class GarkaviModel:
 
 def _extreme_values(poly: Polytope, direction: np.ndarray, tol: float) -> float:
     """max of direction.x over poly, as minus the minimum of -direction.x."""
-    sol = lp.solve(lp.LinearProgram(
-        c=-direction, a_ub=poly.a_ub, b_ub=poly.b_ub,
-        a_eq=poly.a_eq if poly.a_eq.size else None,
-        b_eq=poly.b_eq if poly.b_eq.size else None), tol=tol)
+    sol = lp.solve(lp.LinearProgram(c=-direction, a_ub=poly.a_ub, b_ub=poly.b_ub,
+                                    a_eq=poly.a_eq, b_eq=poly.b_eq), tol=tol)
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"extreme-value LP ended with status {sol.status}")
     return -float(sol.value)
@@ -94,9 +99,8 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
 
     # ball around y0 inside Y
     eye = np.eye(n)
-    box_rows = np.vstack([eye[1:], -eye[1:]])
-    ball_y0 = Polytope(a_ub=box_rows, b_ub=np.concatenate([y0[1:] + gamma, gamma - y0[1:]]),
-                       a_eq=eye[:1], b_eq=np.zeros(1))
+    box_rows = np.stack([eye[1:], -eye[1:]], axis=1).reshape(-1, n)  # e_1, -e_1, e_2, ...
+    ball_y0 = Polytope(a_ub=box_rows, b_ub=gamma + box_rows @ y0, a_eq=eye[:1], b_eq=np.zeros(1))
 
     # certificate: the ball stays strictly inside the unit ball of Y
     max_norm = 0.0
@@ -132,7 +136,7 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
             certificate="gamma-slab")
 
     # certificate: the shrunk slab misses the ball around y0 (infeasibility LP)
-    slab_rows = np.vstack([np.vstack([eye[1:], -eye[1:]]), phi_row, -phi_row])
+    slab_rows = np.vstack([box_rows, phi_row, -phi_row])
     slab_rhs = np.concatenate([np.ones(2 * (n - 1)), [shrink, shrink]])
     meet = Polytope(
         a_ub=np.vstack([slab_rows, ball_y0.a_ub]),
@@ -208,76 +212,48 @@ def _gauge_facets(model: GarkaviModel, x) -> float:
 
 
 def gauge_norm(model: GarkaviModel, x, tol: float = DEFAULT_TOL) -> float:
-    """Minkowski gauge of the renormed ball, by the scaled-decomposition LP.
-
-    x is split as u + v' - v'' with u in p*slab, v' in q*cube, v'' in r*cube
-    and p+q+r minimal; the facet description provides an independent check.
-    """
+    """Minkowski gauge of the renormed ball, by the scaled-decomposition LP of
+    gauge_decomposition; _gauge_facets is the independent facet route."""
     value, _ = gauge_decomposition(model, x, tol=tol)
     return value
 
 
 def gauge_decomposition(model: GarkaviModel, x, tol: float = DEFAULT_TOL):
-    """Gauge value plus the witness decomposition (u, v_plus, v_minus, p, q, r)."""
+    """Gauge value plus the witness decomposition (u, v_plus, v_minus, p, q, r).
+
+    x = u + v_plus - v_minus with u in p*slab, v_plus in q*cube and v_minus
+    in r*cube, and p + q + r minimal.  Each part takes its polytope's own
+    rows, inequalities and equalities, homogenized as [A | -b * scale].
+    """
     x = as_vector(x, model.n)
     n = model.n
     nv = 3 * n + 3  # u, v_plus, v_minus, p, q, r
-    iu, ivp, ivm = 0, n, 2 * n
-    ip, iq, ir = 3 * n, 3 * n + 1, 3 * n + 2
-
-    a_eq = np.zeros((n + 3, nv))
-    b_eq = np.zeros(n + 3)
-    a_eq[:n, iu:iu + n] = np.eye(n)
-    a_eq[:n, ivp:ivp + n] = np.eye(n)
-    a_eq[:n, ivm:ivm + n] = -np.eye(n)
+    eye = np.eye(n)
+    ub = []
+    eq = [np.hstack([eye, eye, -eye, np.zeros((n, 3))])]  # u + v' - v'' = x
+    for k, poly in enumerate((model.slab, model.cube, model.cube)):
+        for a, b, blocks in ((poly.a_ub, poly.b_ub, ub), (poly.a_eq, poly.b_eq, eq)):
+            block = np.zeros((a.shape[0], nv))
+            block[:, k * n:(k + 1) * n] = a
+            block[:, 3 * n + k] = -b
+            blocks.append(block)
+    # p, q, r >= 0, explicitly: the homogenized rows imply it only up to the
+    # pivot tolerance, and a tiny gamma then lets the LP run unbounded
+    ub.append(np.hstack([np.zeros((3, 3 * n)), -np.eye(3)]))
+    a_eq = np.vstack(eq)
+    b_eq = np.zeros(a_eq.shape[0])
     b_eq[:n] = x
-    a_eq[n, iu] = 1.0                      # u_0 = 0
-    a_eq[n + 1, ivp] = 1.0                 # v'_0 = q
-    a_eq[n + 1, iq] = -1.0
-    a_eq[n + 2, ivm] = 1.0                 # v''_0 = r
-    a_eq[n + 2, ir] = -1.0
-
-    rows = []
-    rhs = []
-    phi_row = model.phi.dense(n)
-    shrink = model.alpha - model.theta
-    for j in range(1, n):
-        for sign in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[iu + j] = sign
-            row[ip] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-    for sign in (1.0, -1.0):
-        row = np.zeros(nv)
-        row[iu:iu + n] = sign * phi_row
-        row[ip] = -shrink
-        rows.append(row)
-        rhs.append(0.0)
-    for base, scale_idx in ((ivp, iq), (ivm, ir)):
-        for j in range(1, n):
-            for sign in (1.0, -1.0):
-                row = np.zeros(nv)
-                row[base + j] = sign
-                row[scale_idx] = -model.gamma
-                rows.append(row)
-                rhs.append(0.0)
-    for idx in (ip, iq, ir):
-        row = np.zeros(nv)
-        row[idx] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-
+    a_ub = np.vstack(ub)
     c = np.zeros(nv)
-    c[[ip, iq, ir]] = 1.0
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=np.array(rows), b_ub=np.array(rhs),
+    c[3 * n:] = 1.0
+    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
                                     a_eq=a_eq, b_eq=b_eq), tol=tol)
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"gauge LP ended with status {sol.status}")
     value = max(float(sol.value), 0.0)
-    parts = (sol.x[iu:iu + n], sol.x[ivp:ivp + n], sol.x[ivm:ivm + n],
-             float(sol.x[ip]), float(sol.x[iq]), float(sol.x[ir]))
-    return value, parts
+    u, vp, vm = sol.x[:n], sol.x[n:2 * n], sol.x[2 * n:3 * n]
+    p, q, r = (float(w) for w in sol.x[3 * n:])
+    return value, (u, vp, vm, p, q, r)
 
 
 def _subspace_polytope(n: int) -> Polytope:
@@ -293,42 +269,22 @@ def subspace_gauge_distance(model: GarkaviModel, x, tol: float = DEFAULT_TOL) ->
     return max(dist, 0.0), y
 
 
+def _projection(model: GarkaviModel, x: np.ndarray, level: float) -> Polytope:
+    """{y in Y : gauge(x - y) <= level}, one row a.(x - y) <= level per facet."""
+    facets = model.ball_facets
+    return Polytope(a_ub=-facets, b_ub=level - facets @ x,
+                    a_eq=np.eye(model.n)[:1], b_eq=np.zeros(1))
+
+
 def metric_projection(model: GarkaviModel, x, eps: float = 0.0,
                       tol: float = DEFAULT_TOL) -> Polytope:
-    """P_Y(x, eps): the y in Y with gauge(x - y) <= d(x, Y) + eps."""
+    """P_Y(x, eps): the y in Y with gauge(x - y) <= d(x, Y) + eps, from one
+    solve of d(x, Y)."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     x = as_vector(x, model.n)
     dist, _ = subspace_gauge_distance(model, x, tol=tol)
-    facets = model.ball_facets
-    eye = np.eye(model.n)
-    return Polytope(a_ub=-facets, b_ub=dist + eps - facets @ x,
-                    a_eq=eye[:1], b_eq=np.zeros(1))
-
-
-def _gauge_distance_to_hull(model: GarkaviModel, x, verts: np.ndarray,
-                            tol: float = DEFAULT_TOL) -> float:
-    """min over p in conv(verts) of gauge(x - p), for x and verts inside Y.
-
-    Differences stay in Y, where the gauge is the max over the few section
-    facets; the hull point is a convex combination, so the LP has one
-    variable per vertex instead of one row per ball facet.
-    """
-    x = as_vector(x, model.n)
-    s = model.section_facets
-    k = verts.shape[0]
-    sp = s @ verts.T
-    # gauge rows, then nonnegativity of every variable
-    a_ub = np.vstack([np.hstack([-sp, -np.ones((s.shape[0], 1))]), -np.eye(k + 1)])
-    b_ub = np.concatenate([-(s @ x), np.zeros(k + 1)])
-    a_eq = np.hstack([np.ones((1, k)), np.zeros((1, 1))])
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1)),
-                   tol=tol)
-    if sol.status != lp.OPTIMAL:
-        raise LPNumericalError(f"gauge distance LP ended with status {sol.status}")
-    return max(float(sol.value), 0.0)
+    return _projection(model, x, dist + eps)
 
 
 @dataclass(frozen=True)
@@ -360,10 +316,16 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
     """Certify the half-ball identity P_Y(x, eps) = {y : d(y, P_Y(x)) <= eps}
     on sampled points, the translation/scale covariance of projections, and
     the decomposition bound d(y, B_gamma) <= gauge(y - x0) - 1.
+
+    d(x, Y) is solved once per sample and d(x0, Y) once per call; the exact,
+    near and covariance projections are all built from these.  The forward
+    gap of a near vertex v is min over p in P_Y(x) of gauge(v - p), an
+    epigraph LP over the section facets, since v - p stays in Y.
     """
     rng = np.random.default_rng(seed)
     n = model.n
     section_verts = model.section_vertices
+    dist_x0, _ = subspace_gauge_distance(model, model.x0)
     rows = []
     for _ in range(samples):
         y_part = np.zeros(n)
@@ -371,12 +333,11 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
         lam = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
         x = y_part + lam * model.x0
         dist, _ = subspace_gauge_distance(model, x)
-        exact = metric_projection(model, x, 0.0)
+        exact = _projection(model, x, dist)
         exact_verts = exact.vertices(DEFAULT_TOL)
         for eps in eps_values:
-            near = metric_projection(model, x, float(eps))
-            near_verts = near.vertices(DEFAULT_TOL)
-            forward = max((_gauge_distance_to_hull(model, v, exact_verts) - eps
+            near_verts = _projection(model, x, dist + eps).vertices(DEFAULT_TOL)
+            forward = max((lp.epigraph_lp(-model.section_facets, v, exact)[0] - eps
                            for v in near_verts), default=0.0)
             backward = 0.0
             for p in exact_verts:
@@ -384,7 +345,7 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
                     cand = p + eps * b
                     backward = max(backward, _gauge_facets(model, x - cand) - dist - eps)
             # covariance: P_Y(y + lam x0, eps) = y + lam P_Y(x0, eps/|lam|)
-            base = metric_projection(model, model.x0, float(eps) / abs(lam))
+            base = _projection(model, model.x0, dist_x0 + float(eps) / abs(lam))
             mapped = y_part + lam * base.vertices(DEFAULT_TOL)
             covariance_gap = _hausdorff_points(near_verts, mapped)
             rows.append(HalfBallSample(x=tuple(x), eps=float(eps), distance=dist,
@@ -404,25 +365,23 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
     return HalfBallReport(samples=tuple(rows), replay_rows=tuple(replay_rows), tol=tol)
 
 
+def _replay_crossing(model: GarkaviModel, direction: np.ndarray, eta: float) -> float:
+    """First t >= 0 with gauge(t * direction - x0) = eta, for eta > 1.
+
+    gauge(t d - x0) = max_a (t a.d - a.x0) is convex in t and equals
+    gauge(x0) = 1 at t = 0, so a facet reaches eta at (eta + a.x0) / (a.d)
+    when a.d > 0 and never otherwise; the first crossing is the least of these.
+    """
+    slopes = model.ball_facets @ direction
+    rising = slopes > 0.0
+    return float(np.min((eta + model.ball_facets[rising] @ model.x0) / slopes[rising]))
+
+
 def _decomposition_replay(model: GarkaviModel, direction: np.ndarray,
                           eta_target: float) -> tuple[float, float, float]:
     """Walk out of B_gamma along a ray until gauge(y - x0) = eta, then recover
     a point of B_gamma within eta - 1 from the gauge decomposition."""
-    def value(t: float) -> float:
-        return _gauge_facets(model, t * direction - model.x0)
-
-    hi = 1.0
-    while value(hi) < eta_target and hi < 1e6:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if value(mid) < eta_target:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    y = t * direction
+    y = _replay_crossing(model, direction, eta_target) * direction
     eta, (_, _, vm, _, _, r) = gauge_decomposition(model, y - model.x0)
     # the x*-coordinate forces r = q + 1 >= 1, so the division is safe
     if r <= 0.5:

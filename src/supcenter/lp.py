@@ -264,13 +264,10 @@ def epigraph_lp(rows, targets, poly: "Polytope", tol: float = DEFAULT_TOL) -> tu
     a_ub[mi:, :n] = rows
     a_ub[mi:, n] = -1.0
     b_ub = np.concatenate([poly.b_ub, (rows @ targets.T).min(axis=1)])
-    a_eq = b_eq = None
-    if poly.a_eq.shape[0]:
-        a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
-        b_eq = poly.b_eq
+    a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
     c = np.zeros(n + 1)
     c[n] = 1.0
-    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq), tol=tol)
+    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq), tol=tol)
     if sol.status == INFEASIBLE:
         raise InfeasiblePolytopeError("the polytope of the epigraph LP is empty")
     if sol.status != OPTIMAL:

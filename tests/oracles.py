@@ -9,7 +9,9 @@ polar-dual enumeration.  The simplex pivot rule has a scalar reference,
 reference_bland_loop, that the package's vectorized rule must match pivot for
 pivot.  The stability modulus has a bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
-must land in.
+must land in.  The renormed-ball model's forward gap has a convex-weights
+route, hull_gauge_distance, and its closed-form replay crossing a bisection
+reference, reference_replay_crossing.
 """
 
 import itertools
@@ -60,7 +62,16 @@ def grid_radius(values, rows, step=GRID_STEP):
     else:
         tail = np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1)
         tail = tail.reshape(-1, d - 1)
-        chunks = (np.hstack([np.full((tail.shape[0], 1), s0), tail]) for s0 in axis)
+        tail_sq = np.sum(tail * tail, axis=1)
+
+        def slices():
+            # q is orthonormal, so |s|_2 = |v|_2 <= sqrt(n) on the ball: a mesh
+            # point with |s|^2 > n + step would fail the mask below anyway
+            for s0 in axis:
+                inside = tail[tail_sq <= n - s0 * s0 + step]
+                yield np.hstack([np.full((inside.shape[0], 1), s0), inside])
+
+        chunks = slices()
     for s in chunks:
         v = s @ q.T
         mask = np.max(np.abs(v), axis=1) <= 1.0
@@ -286,3 +297,36 @@ def reference_bisection_modulus(problem, eps, delta_max, center, tol=DEFAULT_TOL
         else:
             hi = mid
     return lo, hi
+
+
+def hull_gauge_distance(model, x, verts):
+    """min over p in conv(verts) of gauge(x - p), for x and verts inside Y, via
+    HiGHS: one convex weight per vertex, and the gauge of the difference as
+    the max over the section facets."""
+    s = model.section_facets
+    k = verts.shape[0]
+    a_ub = np.hstack([-(s @ verts.T), -np.ones((s.shape[0], 1))])
+    a_eq = np.append(np.ones(k), 0.0)[None, :]
+    res = linprog(np.append(np.zeros(k), 1.0), A_ub=a_ub, b_ub=-(s @ x), A_eq=a_eq,
+                  b_eq=np.ones(1), bounds=[(0, None)] * k + [(None, None)], method="highs")
+    assert res.status == 0, f"oracle LP failed: {res.message}"
+    return float(res.fun)
+
+
+def reference_replay_crossing(model, direction, eta):
+    """First t with gauge(t * direction - x0) = eta, by doubling an upper
+    bracket and bisecting it 200 times on the facet gauge."""
+    def value(t):
+        return max(float(np.max(model.ball_facets @ (t * direction - model.x0))), 0.0)
+
+    hi = 1.0
+    while value(hi) < eta:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if value(mid) < eta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supcenter import garkavi, lp
 from supcenter.errors import ModelBuildError
 from supcenter.instances import load_corpus
 from supcenter.garkavi import (
@@ -14,11 +15,13 @@ from supcenter.garkavi import (
     metric_projection,
     subspace_gauge_distance,
     _gauge_facets,
+    _projection,
+    _replay_crossing,
 )
 from supcenter.space import _hausdorff_points
 from supcenter.tolerances import DEDUP_TOL
 
-from oracles import min_row_gap
+from oracles import hull_gauge_distance, min_row_gap, reference_replay_crossing
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,15 @@ def test_corpus_model_facets_are_distinct_and_hold_the_hull(inst):
     assert min_row_gap(model.ball_facets) > DEDUP_TOL
     assert min_row_gap(model.section_facets) > DEDUP_TOL
     assert np.all(model.hull_points @ model.ball_facets.T <= 1.0 + 1e-9)
+
+
+def test_tiny_cube_builds_and_its_gauge_matches_the_facets():
+    # p, q, r >= 0 are kept as rows of the gauge LP: the homogenized cube rows
+    # imply them only up to the pivot tolerance, which gamma = 1e-11 undercuts
+    model = build_model(3, gamma=1e-11)
+    rng = np.random.default_rng(19)
+    for x in [model.x0, *rng.uniform(-2, 2, (10, 3))]:
+        assert gauge_norm(model, x) == pytest.approx(_gauge_facets(model, x), abs=1e-7)
 
 
 class TestGauge:
@@ -165,6 +177,50 @@ class TestHalfBall:
     def test_dimension_four(self, model4):
         report = half_ball_check(model4, samples=2, eps_values=(0.2,), seed=4)
         assert report.passed
+
+
+def test_half_ball_check_solves_each_distance_once(model4, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return subspace_gauge_distance(*args, **kwargs)
+
+    monkeypatch.setattr(garkavi, "subspace_gauge_distance", counted)
+    report = half_ball_check(model4, samples=2, eps_values=(0.2, 0.1))
+    # d(x0, Y) once, and d(x, Y) once per sample
+    assert len(calls) == 3
+    assert report.passed
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_forward_gap_matches_the_convex_weights_route(inst):
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    report = half_ball_check(model, samples=4, eps_values=(0.2, 0.1))
+    for sample in report.samples:
+        x = np.array(sample.x)
+        exact = _projection(model, x, sample.distance)
+        near = _projection(model, x, sample.distance + sample.eps)
+        worst = 0.0
+        for v in near.vertices():
+            reference = hull_gauge_distance(model, v, exact.vertices())
+            epigraph, _ = lp.epigraph_lp(-model.section_facets, v, exact)
+            assert epigraph == pytest.approx(reference, abs=1e-9)
+            worst = max(worst, reference - sample.eps)
+        assert sample.forward_gap == pytest.approx(worst, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_replay_crossing_matches_bisection(n):
+    model = build_model(n, seed=0)
+    rng = np.random.default_rng(23 + n)
+    for _ in range(20):
+        direction = np.zeros(n)
+        direction[1:] = rng.uniform(-1.0, 1.0, n - 1)
+        eta = 1.0 + float(rng.uniform(0.02, 0.2))
+        t = _replay_crossing(model, direction, eta)
+        assert t == pytest.approx(reference_replay_crossing(model, direction, eta), rel=1e-12)
+        assert _gauge_facets(model, t * direction - model.x0) == pytest.approx(eta, abs=1e-12)
 
 
 def test_center_trend_rows():
