@@ -54,26 +54,24 @@ def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> Cente
     return CenterProblem(family=family, feasible=ball_polytope(y, lam))
 
 
-def subspace_problem(family: FunctionFamily, y: Subspace,
-                     tol: float = DEFAULT_TOL) -> CenterProblem:
+def subspace_problem(family: FunctionFamily, y: Subspace) -> CenterProblem:
     """Problem with V = the whole kernel subspace.
 
     The subspace is unbounded, so the kernel ball of side BOX_FACTOR times
     the data magnitude makes the LPs well posed.  The box is certified
     non-binding by re-solving with a box twice as large and comparing radii.
     """
-    return _subspace_centers(family, y, tol)[0]
+    return _subspace_centers(family, y)[0]
 
 
-def _subspace_centers(family: FunctionFamily, y: Subspace,
-                      tol: float) -> tuple[CenterProblem, CenterReport]:
+def _subspace_centers(family: FunctionFamily, y: Subspace) -> tuple[CenterProblem, CenterReport]:
     """subspace_problem together with the center report its box certificate
     solved, for callers that need the centers too."""
     side = BOX_FACTOR * max(1.0, float(np.max(np.abs(family.values))))
     problem = ball_problem(family, y, side)
-    report = center_set(problem, tol=tol)
+    report = center_set(problem)
     r1 = report.radius
-    r2 = restricted_radius(ball_problem(family, y, 2.0 * side), tol=tol)
+    r2 = restricted_radius(ball_problem(family, y, 2.0 * side))
     if abs(r1 - r2) > 1e-7 * (1.0 + abs(r1)):
         raise LPNumericalError(
             f"bounding box binds the subspace problem (radius {r1} vs {r2}); enlarge BOX_FACTOR")
@@ -87,7 +85,7 @@ def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
     return problem.feasible.with_rows(np.vstack([eye, -eye]), np.concatenate([upper, -lower]))
 
 
-def center_set(problem: CenterProblem, tol: float = DEFAULT_TOL) -> CenterReport:
+def center_set(problem: CenterProblem) -> CenterReport:
     """Restricted center set as a polytope, with the LP minimizer attached.
 
     The representative is whichever optimum the deterministic pivot rule
@@ -95,20 +93,19 @@ def center_set(problem: CenterProblem, tol: float = DEFAULT_TOL) -> CenterReport
     """
     eye = np.eye(problem.dim)
     radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
-                                 problem.feasible, tol)
+                                 problem.feasible)
     poly = _slab_polytope(problem, radius)
-    if poly.violation(rep) > tol * CERTIFY_SLACK_FACTOR + 1e-12:
+    if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + 1e-12:
         raise LPNumericalError("radius minimizer violates its own center polytope")
     return CenterReport(radius=radius, representative=rep, center_polytope=poly)
 
 
-def restricted_radius(problem: CenterProblem, tol: float = DEFAULT_TOL) -> float:
+def restricted_radius(problem: CenterProblem) -> float:
     """rad_V(B) as the optimal value of a single LP."""
-    return center_set(problem, tol=tol).radius
+    return center_set(problem).radius
 
 
-def near_center_set(problem: CenterProblem, delta: float, tol: float = DEFAULT_TOL,
-                    radius: float | None = None) -> Polytope:
+def near_center_set(problem: CenterProblem, delta: float, radius: float | None = None) -> Polytope:
     """cent_V(B, delta): all v in V with r(v, B) <= rad_V(B) + delta.
 
     radius is rad_V(B) when the caller has already solved it; otherwise it is
@@ -117,7 +114,7 @@ def near_center_set(problem: CenterProblem, delta: float, tol: float = DEFAULT_T
     if delta < 0:
         raise ValueError(f"slack must be nonnegative, got {delta}")
     if radius is None:
-        radius = restricted_radius(problem, tol=tol)
+        radius = restricted_radius(problem)
     return _slab_polytope(problem, radius + delta)
 
 
@@ -135,28 +132,26 @@ class ScalingIdentityReport:
 
 
 def check_scaling_identity(y: Subspace, family: FunctionFamily, lam: float,
-                           delta: float | None = None, tol: float = DEFAULT_TOL,
+                           delta: float | None = None,
                            set_tol: float = 1e-6) -> ScalingIdentityReport:
     """Certify cent_{lam B_Y}(B) = lam cent_{B_Y}(B / lam), and the
     delta-version for near-center sets."""
     if lam <= 0:
         raise ValueError(f"scale must be positive, got {lam}")
-    direct = CenterProblem(family=family, feasible=ball_polytope(y, lam))
-    shrunk = CenterProblem(family=FunctionFamily(family.values / lam),
-                           feasible=ball_polytope(y, 1.0))
-    c_direct = center_set(direct, tol=tol)
-    c_shrunk = center_set(shrunk, tol=tol)
+    direct = ball_problem(family, y, lam)
+    shrunk = ball_problem(FunctionFamily(family.values / lam), y)
+    c_direct = center_set(direct)
+    c_shrunk = center_set(shrunk)
     radius_gap = abs(c_direct.radius - lam * c_shrunk.radius)
 
-    left = c_direct.center_polytope.vertices(tol)
-    right = lam * c_shrunk.center_polytope.vertices(tol)
+    left = c_direct.center_polytope.vertices()
+    right = lam * c_shrunk.center_polytope.vertices()
     center_gap = _hausdorff_points(left, right)
 
     if delta is None:
-        delta = 0.25 * max(c_direct.radius, tol)
-    near_left = near_center_set(direct, delta, tol=tol, radius=c_direct.radius).vertices(tol)
-    near_right = lam * near_center_set(shrunk, delta / lam, tol=tol,
-                                       radius=c_shrunk.radius).vertices(tol)
+        delta = 0.25 * max(c_direct.radius, DEFAULT_TOL)
+    near_left = near_center_set(direct, delta, radius=c_direct.radius).vertices()
+    near_right = lam * near_center_set(shrunk, delta / lam, radius=c_shrunk.radius).vertices()
     near_gap = _hausdorff_points(near_left, near_right)
 
     passed = radius_gap <= set_tol and center_gap <= set_tol and near_gap <= set_tol
@@ -179,32 +174,31 @@ class ThresholdReport:
 
 
 def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | None = None,
-                             tol: float = DEFAULT_TOL, set_tol: float = 1e-6) -> ThresholdReport:
+                             set_tol: float = 1e-6) -> ThresholdReport:
     """Certify cent_Y(B) subset of cent_{lam B_Y}(B) for lam >= tau and equality
     strictly above tau, where tau = max_b |b|_inf + rad_Y(B).
 
     The equality direction is only asserted for lam > tau by a clear margin;
     at lam = tau the identity is too fragile in floating point.
     """
-    _, free_centers = _subspace_centers(family, y, tol)
+    _, free_centers = _subspace_centers(family, y)
     tau = float(np.max(np.abs(family.values))) + free_centers.radius
     if lam is None:
         lam = tau + 1.0
-    if lam < tau - tol:
+    if lam < tau - DEFAULT_TOL:
         raise PreconditionError(f"scale {lam} below threshold {tau}: inclusion not guaranteed")
 
-    scaled = CenterProblem(family=family, feasible=ball_polytope(y, lam))
-    scaled_centers = center_set(scaled, tol=tol)
+    scaled_centers = center_set(ball_problem(family, y, lam))
 
     inclusion_gap = max(
-        (scaled_centers.center_polytope.violation(v) for v in free_centers.center_polytope.vertices(tol)),
+        (scaled_centers.center_polytope.violation(v) for v in free_centers.center_polytope.vertices()),
         default=0.0,
     )
     equality_checked = lam > tau + 1e-6
     equality_gap = None
     if equality_checked:
         equality_gap = max(
-            (free_centers.center_polytope.violation(v) for v in scaled_centers.center_polytope.vertices(tol)),
+            (free_centers.center_polytope.violation(v) for v in scaled_centers.center_polytope.vertices()),
             default=0.0,
         )
     passed = inclusion_gap <= set_tol and (not equality_checked or equality_gap <= set_tol)
@@ -224,7 +218,7 @@ def perturbation_slack_bound(radius: float, gamma: float, eps: float) -> float:
 
 def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope,
                           gamma: float, delta: float, eps: float | None = None,
-                          tol: float = DEFAULT_TOL, radius: float | None = None) -> np.ndarray:
+                          radius: float | None = None) -> np.ndarray:
     """Blend a (gamma+delta)-near-center toward a (gamma/2)-near-center.
 
     Returns v~ = (1 - lam) v + lam v' with lam = 2 delta / (2 delta + gamma);
@@ -238,7 +232,7 @@ def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope
     if gamma <= 0 or delta <= 0:
         raise PreconditionError(f"gamma and delta must be positive, got {gamma}, {delta}")
     if radius is None:
-        radius = restricted_radius(CenterProblem(family=family, feasible=feasible), tol=tol)
+        radius = restricted_radius(CenterProblem(family=family, feasible=feasible))
     if delta >= radius:
         raise PreconditionError(f"slack bound violated: delta = {delta} >= rad = {radius}")
     if eps is not None:
@@ -246,28 +240,28 @@ def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope
         if delta >= bound:
             raise PreconditionError(
                 f"slack bound violated: delta = {delta} >= min(rad, eps*gamma/(6 rad + 4 gamma)) = {bound}")
-    if not feasible.contains(v, tol * CERTIFY_SLACK_FACTOR):
+    if not feasible.contains(v, DEFAULT_TOL * CERTIFY_SLACK_FACTOR):
         raise PreconditionError("v must lie in the constraint set V")
-    if not feasible.contains(v_prime, tol * CERTIFY_SLACK_FACTOR):
+    if not feasible.contains(v_prime, DEFAULT_TOL * CERTIFY_SLACK_FACTOR):
         raise PreconditionError("v' must lie in the constraint set V")
     rv = farthest_radius(v, family)
-    if rv > radius + gamma + delta + tol * CERTIFY_SLACK_FACTOR:
+    if rv > radius + gamma + delta + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
         raise PreconditionError(
             f"v not admissible: r(v, B) = {rv} > rad + gamma + delta = {radius + gamma + delta}")
     rvp = farthest_radius(v_prime, family)
-    if rvp > radius + gamma / 2.0 + tol * CERTIFY_SLACK_FACTOR:
+    if rvp > radius + gamma / 2.0 + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
         raise PreconditionError(
             f"v' not admissible: r(v', B) = {rvp} > rad + gamma/2 = {radius + gamma / 2.0}")
 
     lam = 2.0 * delta / (2.0 * delta + gamma)
     blended = (1.0 - lam) * v + lam * v_prime
     achieved = farthest_radius(blended, family)
-    if achieved > radius + gamma + tol * CERTIFY_SLACK_FACTOR:
+    if achieved > radius + gamma + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
         raise LPNumericalError(
             f"perturbation certificate failed: r(v~, B) = {achieved} > rad + gamma")
     move = float(np.max(np.abs(v - blended)))
     move_bound = lam * (3.0 * radius + 2.0 * gamma)
-    if move > move_bound + tol * CERTIFY_SLACK_FACTOR:
+    if move > move_bound + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
         raise LPNumericalError(
             f"perturbation certificate failed: |v - v~| = {move} > {move_bound}")
     if eps is not None and move >= eps:

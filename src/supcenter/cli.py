@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end; every command runs at tolerances.DEFAULT_TOL.
 
 Exit codes: 0 all good, 1 a certified check or construction failed, 2 bad
 input (file, schema, precondition, a NaN or infinite number), 3 numerical
@@ -41,7 +41,6 @@ from .instances import CenterInstance, RenormInstance, load_corpus, load_instanc
 from .reportio import dump_report
 from .space import hausdorff
 from .stability import p1_modulus
-from .tolerances import DEFAULT_TOL
 
 OK, CHECK_FAILED, BAD_INPUT, NUMERICAL, INTERNAL = 0, 1, 2, 3, 4
 
@@ -69,16 +68,16 @@ def _center_instance(path) -> CenterInstance:
     return inst
 
 
-def _report_for(inst: CenterInstance, tol: float):
+def _report_for(inst: CenterInstance):
     problem = inst.problem()
     if inst.interpretation == "simplex-vertices":
-        return problem, construct.simplex_mode(inst.family.dim, problem, tol=tol)
-    return problem, center_set(problem, tol=tol)
+        return problem, construct.simplex_mode(inst.family.dim, problem)
+    return problem, center_set(problem)
 
 
 def cmd_radius(args) -> int:
     inst = _center_instance(args.instance)
-    radius = restricted_radius(inst.problem(), tol=args.tol)
+    radius = restricted_radius(inst.problem())
     _emit(args, {"instance": inst.name, "radius": radius},
           [f"{inst.name}: restricted radius = {radius:.12g}"])
     return OK
@@ -86,8 +85,8 @@ def cmd_radius(args) -> int:
 
 def cmd_center(args) -> int:
     inst = _center_instance(args.instance)
-    _, report = _report_for(inst, args.tol)
-    verts = report.center_polytope.vertices(args.tol)
+    _, report = _report_for(inst)
+    verts = report.center_polytope.vertices()
     payload = {"instance": inst.name, "mode": report.mode, "radius": report.radius,
                "representative": report.representative, "vertices": verts}
     lines = [f"{inst.name}: radius = {report.radius:.12g} ({report.mode})",
@@ -100,9 +99,7 @@ def cmd_center(args) -> int:
 
 def cmd_near_center(args) -> int:
     inst = _center_instance(args.instance)
-    problem = inst.problem()
-    poly = near_center_set(problem, args.delta, tol=args.tol)
-    verts = poly.vertices(args.tol)
+    verts = near_center_set(inst.problem(), args.delta).vertices()
     payload = {"instance": inst.name, "delta": args.delta, "vertices": verts}
     lines = [f"{inst.name}: near-center set at slack {args.delta:g} "
              f"has {verts.shape[0]} vertices:"]
@@ -113,17 +110,15 @@ def cmd_near_center(args) -> int:
 
 def cmd_construct(args) -> int:
     inst = _center_instance(args.instance)
-    reduction = construct.finite_reduction(inst.family, inst.subspace, tol=args.tol)
+    reduction = construct.finite_reduction(inst.family, inst.subspace)
     radius = reduction.radius
-    h = construct.constructive_center(inst.family, inst.subspace, reduction=reduction,
-                                      tol=args.tol)
+    h = construct.constructive_center(inst.family, inst.subspace, reduction=reduction)
     payload = {"instance": inst.name, "radius": radius, "alpha": reduction.alpha,
                "regime": reduction.regime, "center": h}
     lines = [f"{inst.name}: R = {radius:.12g}, support optimum alpha = {reduction.alpha:.12g}",
              f"constructive center: {np.array2string(h, precision=10)}"]
     if args.eps is not None:
-        choice = construct.admissible_slack(inst.family, inst.subspace, args.eps,
-                                            reduction=reduction, tol=args.tol)
+        choice = construct.admissible_slack(inst.family, inst.subspace, args.eps, reduction=reduction)
         payload["slack"] = choice
         lines.append(f"admissible slack for eps={args.eps:g}: {choice.value:.12g} "
                      f"({choice.regime}, via {choice.origin})")
@@ -136,14 +131,14 @@ def cmd_repair(args) -> int:
     g = np.array([float(tok) for tok in args.point.split(",")])
     if not np.all(np.isfinite(g)):
         raise PreconditionError(f"--point must be finite, got {args.point}")
-    reduction = construct.finite_reduction(inst.family, inst.subspace, tol=args.tol)
+    reduction = construct.finite_reduction(inst.family, inst.subspace)
     delta = args.delta
     if delta is None:
         delta = construct.admissible_slack(inst.family, inst.subspace, args.eps,
-                                           reduction=reduction, tol=args.tol).value
+                                           reduction=reduction).value
     repaired = construct.repair_near_center(
         construct.RepairInput(g=g, eps=args.eps, delta=delta),
-        inst.family, inst.subspace, reduction=reduction, tol=args.tol)
+        inst.family, inst.subspace, reduction=reduction)
     moved = float(np.max(np.abs(g - repaired)))
     payload = {"instance": inst.name, "eps": args.eps, "delta": delta,
                "input": g, "repaired": repaired, "moved": moved}
@@ -155,9 +150,9 @@ def cmd_repair(args) -> int:
 
 def cmd_p1_modulus(args) -> int:
     inst = _center_instance(args.instance)
-    problem, report = _report_for(inst, args.tol)
+    problem, report = _report_for(inst)
     delta_max = args.delta_max if args.delta_max is not None else args.eps
-    modulus = p1_modulus(problem, args.eps, delta_max, center=report, tol=args.tol)
+    modulus = p1_modulus(problem, args.eps, delta_max, center=report)
     payload = {"instance": inst.name, "mode": report.mode, "report": modulus}
     lines = [f"{inst.name}: stability modulus at eps={args.eps:g} is "
              f"{modulus.delta_star:.12g} (probed up to {modulus.delta_max:g})"]
@@ -185,17 +180,17 @@ def cmd_check_lemmas(args) -> int:
         family, y, problem = _lemma_draw(rng, dims)
 
         lam = float(rng.uniform(0.5, 4.0))
-        scaling = check_scaling_identity(y, family, lam, tol=args.tol)
+        scaling = check_scaling_identity(y, family, lam)
         if not scaling.passed:
             failures.append(f"scaling trial {trial}")
-        threshold = check_threshold_equality(y, family, tol=args.tol)
+        threshold = check_threshold_equality(y, family)
         if not threshold.passed:
             failures.append(f"threshold trial {trial}")
 
         other = sampling.perturbed_family(rng, family, float(rng.uniform(0.0, 0.5)))
-        radius = restricted_radius(problem, tol=args.tol)
-        gap = abs(radius - restricted_radius(CenterProblem(family=other, feasible=problem.feasible),
-                                             tol=args.tol))
+        radius = restricted_radius(problem)
+        other_radius = restricted_radius(CenterProblem(family=other, feasible=problem.feasible))
+        gap = abs(radius - other_radius)
         d_h = hausdorff(family, other)
         lipschitz_ok = gap <= d_h + 1e-9
         if not lipschitz_ok:
@@ -207,12 +202,10 @@ def cmd_check_lemmas(args) -> int:
             eps = args.eps
             delta = 0.5 * perturbation_slack_bound(radius, gamma, eps)
             try:
-                v = sampling.near_center_point(rng, problem, gamma + delta, tol=args.tol,
-                                               radius=radius)
-                v_prime = sampling.near_center_point(rng, problem, gamma / 2.0, tol=args.tol,
-                                                     radius=radius)
+                v = sampling.near_center_point(rng, problem, gamma + delta, radius=radius)
+                v_prime = sampling.near_center_point(rng, problem, gamma / 2.0, radius=radius)
                 perturb_toward_center(v, v_prime, family, problem.feasible,
-                                      gamma, delta, eps=eps, tol=args.tol, radius=radius)
+                                      gamma, delta, eps=eps, radius=radius)
             except SupCenterError as exc:
                 perturb_ok = False
                 failures.append(f"perturbation trial {trial}: {exc}")
@@ -233,8 +226,7 @@ def cmd_check_lemmas(args) -> int:
 
 
 def cmd_renorm(args) -> int:
-    model = garkavi.build_model(args.n, seed=args.seed, gamma=args.gamma, theta=args.theta,
-                                tol=args.tol)
+    model = garkavi.build_model(args.n, seed=args.seed, gamma=args.gamma, theta=args.theta)
     payload = {"n": model.n, "alpha": model.alpha, "certificates": model.certificates,
                "c_lower": model.c_lower, "c_upper": model.c_upper,
                "facets": int(model.ball_facets.shape[0])}
@@ -260,7 +252,7 @@ def cmd_renorm(args) -> int:
 
 def cmd_trend(args) -> int:
     dims = tuple(int(tok) for tok in args.dims.split(","))
-    rows = garkavi.center_trend(dims, seed=args.seed, tol=args.tol)
+    rows = garkavi.center_trend(dims, seed=args.seed)
     payload = {"rows": rows}
     lines = [f"n={r.n}: gauge radius = {r.radius:.10g}, level at center = {r.phi_at_center:.10g} "
              f"(slab level alpha = {r.alpha:.10g})" for r in rows]
@@ -275,8 +267,7 @@ def cmd_corpus(args) -> int:
         if isinstance(inst, RenormInstance):
             if args.kind not in (None, "renorm"):
                 continue
-            model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma,
-                                        theta=inst.theta, tol=args.tol)
+            model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
             summary[inst.name] = {
                 "kind": "renorm", "n": inst.n, "alpha": model.alpha,
                 "facets": int(model.ball_facets.shape[0]),
@@ -286,14 +277,14 @@ def cmd_corpus(args) -> int:
             continue
         if args.kind not in (None, "center"):
             continue
-        problem, report = _report_for(inst, args.tol)
+        _, report = _report_for(inst)
         entry = {"kind": "center", "mode": report.mode, "radius": report.radius,
-                 "vertices": report.center_polytope.vertices(args.tol)}
+                 "vertices": report.center_polytope.vertices()}
         if inst.constraint == "ball":
-            reduction = construct.finite_reduction(inst.family, inst.subspace, tol=args.tol)
+            reduction = construct.finite_reduction(inst.family, inst.subspace)
             entry["alpha"] = reduction.alpha
             entry["constructive_center"] = construct.constructive_center(
-                inst.family, inst.subspace, reduction=reduction, tol=args.tol)
+                inst.family, inst.subspace, reduction=reduction)
         summary[inst.name] = entry
     payload = {"instances": summary, "count": len(summary)}
     lines = [f"{name}: " + (f"radius = {entry['radius']:.12g} ({entry['mode']})"
@@ -316,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("instance", help="path to an instance JSON file")
-        p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="LP tolerance")
         p.add_argument("--json", action="store_true", help="canonical JSON on stdout")
 
     p = sub.add_parser("radius", help="restricted Chebyshev radius of an instance")

@@ -20,7 +20,9 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .space import as_vector
-from .tolerances import CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL
+from .tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL, EQ_CONSISTENT_TOL,
+                         INSCRIBED_TOL, NULL_ROW_TOL, POLAR_ORIGIN_TOL, TIGHT_ROW_TOL,
+                         VERTEX_FILTER_TOL)
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class Functional:
         tv = sum(abs(w) for w in weights)
         if normalize:
             weights = tuple(w / tv for w in weights)
-        elif abs(tv - 1.0) > 1e-9:
+        elif abs(tv - 1.0) > DEFAULT_TOL:
             raise ValueError(f"weights must have total variation 1, got {tv!r}")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
@@ -150,9 +152,9 @@ class Polytope:
     def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
         return self.violation(v) <= tol
 
-    def vertices(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def vertices(self) -> np.ndarray:
         if self._vertices is None:
-            self._vertices = enumerate_vertices(self, tol=tol)
+            self._vertices = enumerate_vertices(self)
         return self._vertices
 
     def __repr__(self):
@@ -171,18 +173,18 @@ def ball_polytope(y: Subspace, lam: float) -> Polytope:
     return Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0]))
 
 
-def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int, tol: float):
+def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int):
     """Particular solution and orthonormal null-space basis of the equalities."""
     if a_eq.shape[0] == 0:
         return np.zeros(dim), np.eye(dim)
     try:
         v0, _, _, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-        if np.max(np.abs(a_eq @ v0 - b_eq)) > 1e-7 * (1.0 + float(np.max(np.abs(b_eq)))):
+        if np.max(np.abs(a_eq @ v0 - b_eq)) > EQ_CONSISTENT_TOL * (1.0 + np.max(np.abs(b_eq))):
             raise InfeasiblePolytopeError("equality system is inconsistent")
         u, s, vh = np.linalg.svd(a_eq)
     except np.linalg.LinAlgError as exc:
         raise EnumerationError(f"affine hull of the equalities: {exc}") from exc
-    rank = int(np.sum(s > max(tol, 1e-12) * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > DEFAULT_TOL * (s[0] if s.size else 1.0)))
     basis = vh[rank:].T  # (dim, d)
     return v0, basis
 
@@ -194,19 +196,19 @@ def _rank(a: np.ndarray) -> int:
         raise EnumerationError(f"rank of the inequality rows: {exc}") from exc
 
 
-def _interval_enum(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _interval_enum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The two ends of the interval {z : a z <= b} in dimension 1."""
     ends = b / a[:, 0]
     upper, lower = ends[a[:, 0] > 0], ends[a[:, 0] < 0]
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    if upper.size and lower.size and lower.max() - upper.min() > tol * scale:
+    if upper.size and lower.size and lower.max() - upper.min() > DEFAULT_TOL * scale:
         raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
     if not (upper.size and lower.size):
         raise UnboundedPolytopeError("interval is unbounded on one side")
     return np.array([[lower.max()], [upper.min()]])
 
 
-def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: int) -> np.ndarray:
+def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.ndarray:
     from scipy.spatial import ConvexHull, QhullError
 
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
@@ -215,16 +217,16 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
     c = np.zeros(d + 1)
     c[d] = -1.0
     a_ext = np.hstack([a, l1[:, None]])
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ext, b_ub=b), tol=tol)
+    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ext, b_ub=b))
     if sol.status == lp.UNBOUNDED:
         raise UnboundedPolytopeError("polytope holds sup-balls of every radius")
     if sol.status != lp.OPTIMAL:
         raise EnumerationError(f"interior-point LP ended with status {sol.status}")
     rho = -sol.value
     z0 = sol.x[:d]
-    if rho < -1e-7 * scale:
+    if rho < -INSCRIBED_TOL * scale:
         raise InfeasiblePolytopeError("polytope is empty: its inscribed radius is negative")
-    if rho <= 1e-7 * scale:
+    if rho <= INSCRIBED_TOL * scale:
         # possibly flat: promote implicitly tight rows to equalities and recurse
         # (each promotion drops the affine dimension, so d bounds the depth)
         if depth > d:
@@ -236,7 +238,7 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
         for i in range(a.shape[0]):
             key = a[i].tobytes()
             if key not in solved:
-                solved[key] = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b), tol=tol)
+                solved[key] = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b))
             s = solved[key]
             if s.status == lp.INFEASIBLE:
                 raise InfeasiblePolytopeError("polytope is empty")
@@ -244,13 +246,13 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
                 continue
             if s.status != lp.OPTIMAL:
                 raise EnumerationError(f"tightness LP ended with status {s.status}")
-            if b[i] - s.value <= 1e-8 * scale:  # even min a_i.z == b_i: tight everywhere
+            if b[i] - s.value <= TIGHT_ROW_TOL * scale:  # even min a_i.z == b_i: tight everywhere
                 tight.append(i)
         if tight:
             mask = np.ones(a.shape[0], dtype=bool)
             mask[tight] = False
             sub = Polytope(a_ub=a[mask], b_ub=b[mask], a_eq=a[tight], b_eq=b[tight], dim=d)
-            return _enumerate_reduced(sub, tol, depth + 1)
+            return _enumerate_reduced(sub, depth + 1)
         if rho <= 0.0:
             raise EnumerationError("flat polytope without implicit equalities")
         # thin but full-dimensional: no row is tight, so the hull route applies
@@ -266,39 +268,39 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, tol: float, depth: in
     verts = []
     for row in eqs:
         normal, off = row[:d], row[d]
-        if -off <= 1e-9 * reach:
+        if -off <= POLAR_ORIGIN_TOL * reach:
             raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
         verts.append(z0 + normal / (-off))
     return np.array(verts)
 
 
-def _enumerate_reduced(poly: Polytope, tol: float, depth: int) -> np.ndarray:
+def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
     """Vertices of a polytope whose equalities may still need reduction."""
     d0 = poly.dim
-    v0, basis = _affine_hull(poly.a_eq, poly.b_eq, d0, tol)
+    v0, basis = _affine_hull(poly.a_eq, poly.b_eq, d0)
     d = basis.shape[1]
     if d == 0:
-        if poly.contains(v0, max(tol * CERTIFY_SLACK_FACTOR, 1e-7)):
+        if poly.contains(v0, DEFAULT_TOL * CERTIFY_SLACK_FACTOR):
             return v0.reshape(1, -1)
         raise InfeasiblePolytopeError("equality system pins an infeasible point")
     a = poly.a_ub @ basis
     b = poly.b_ub - poly.a_ub @ v0
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    live = np.linalg.norm(a, axis=1) > 1e-12
+    live = np.linalg.norm(a, axis=1) > NULL_ROW_TOL
     dead = ~live
-    if np.any(b[dead] < -tol * scale):
+    if np.any(b[dead] < -DEFAULT_TOL * scale):
         raise InfeasiblePolytopeError("a constraint excludes the whole affine hull")
     a, b = a[live], b[live]
     if d == 1:
-        pts = _interval_enum(a, b, tol)
+        pts = _interval_enum(a, b)
     elif _rank(a) < d:
         # the rows leave a line free: unbounded, unless the system is empty
-        if a.shape[0] and lp.solve(lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b),
-                                   tol=tol).status == lp.INFEASIBLE:
+        feasibility = lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b)
+        if a.shape[0] and lp.solve(feasibility).status == lp.INFEASIBLE:
             raise InfeasiblePolytopeError("polytope is empty")
         raise UnboundedPolytopeError("inequality rows do not span the free dimensions")
     else:
-        pts = _polar_dual_enum(a, b, d, tol, depth)
+        pts = _polar_dual_enum(a, b, d, depth)
     return v0 + pts @ basis.T
 
 
@@ -324,15 +326,15 @@ def merge_rows(rows: np.ndarray) -> np.ndarray:
     return np.array(kept)
 
 
-def enumerate_vertices(poly: Polytope, tol: float = DEFAULT_TOL) -> np.ndarray:
+def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """All vertices of a bounded polytope, merged by merge_rows and sorted.
 
     Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
     unbounded systems.
     """
-    raw = _enumerate_reduced(poly, tol, depth=0)
+    raw = _enumerate_reduced(poly, depth=0)
     scale = 1.0 + float(np.max(np.abs(raw)))
-    bar = max(1e-7 * scale, tol * CERTIFY_SLACK_FACTOR)
+    bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
     keep = [v for v in raw if poly.violation(v) <= bar]
     if not keep:
         raise EnumerationError("all candidate vertices failed the feasibility filter")

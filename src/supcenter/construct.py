@@ -29,7 +29,7 @@ from .constraints import Polytope, Subspace
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .space import FunctionFamily, as_vector, band, farthest_radius, sup_norm
 from .stability import p1_modulus
-from .tolerances import CERTIFY_SLACK_FACTOR, DEFAULT_TOL, REGIME_TOL
+from .tolerances import CERTIFY_SLACK_FACTOR, DEFAULT_TOL, GAP_FORMULA_FLOOR, REGIME_TOL
 
 # regimes of the reduced problem relative to the full radius
 MATCHED = "matched"   # R == alpha: the support already forces the radius
@@ -63,7 +63,7 @@ class SupportReduction:
         return MATCHED if self.radius - self.alpha <= REGIME_TOL else GAP
 
 
-def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_TOL) -> SupportReduction:
+def finite_reduction(family: FunctionFamily, y: Subspace) -> SupportReduction:
     """Build the reduced compact problem on the support points.
 
     Asserts alpha <= restricted radius of the full kernel-ball problem.
@@ -71,7 +71,7 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
     if family.dim != y.dim:
         raise DimensionMismatchError(f"family dim {family.dim} != subspace dim {y.dim}")
     slots = list(dict.fromkeys(k for mu in y.functionals for k in mu.support))
-    radius = restricted_radius(ball_problem(family, y), tol=tol)
+    radius = restricted_radius(ball_problem(family, y))
     if not slots:
         return SupportReduction(slots=(), problem=None, center=None, alpha=0.0, radius=radius)
 
@@ -80,18 +80,17 @@ def finite_reduction(family: FunctionFamily, y: Subspace, tol: float = DEFAULT_T
     problem = CenterProblem(
         family=FunctionFamily(family.values[:, slots]),
         feasible=Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0])))
-    center = center_set(problem, tol=tol)
+    center = center_set(problem)
     alpha = max(center.radius, 0.0)
-    if alpha > radius + tol * CERTIFY_SLACK_FACTOR:
+    if alpha > radius + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
         raise ConstructionError(
             f"reduced optimum {alpha} exceeds the full restricted radius {radius}")
     return SupportReduction(slots=tuple(slots), problem=problem, center=center, alpha=alpha,
                             radius=radius)
 
 
-def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: float,
-                    tol: float) -> None:
-    slack = tol * CERTIFY_SLACK_FACTOR
+def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: float) -> None:
+    slack = DEFAULT_TOL * CERTIFY_SLACK_FACTOR
     for i, hi in enumerate(h):
         if abs(hi) > 1.0 + slack:
             raise ConstructionError(f"|h[{i}]| = {abs(hi)} > 1", point_index=i)
@@ -104,16 +103,15 @@ def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: 
             raise ConstructionError(
                 f"h[{i}] = {h[i]} > min_f f + R = {upper[i]}", point_index=i)
     res = y.residuals(h)
-    if res.size and np.max(np.abs(res)) > tol:
-        raise ConstructionError(f"functional residuals {res} exceed {tol}")
+    if res.size and np.max(np.abs(res)) > DEFAULT_TOL:
+        raise ConstructionError(f"functional residuals {res} exceed {DEFAULT_TOL}")
     r_h = farthest_radius(h, family)
     if r_h > radius + slack:
         raise ConstructionError(f"r(h, B) = {r_h} > R = {radius}")
 
 
 def constructive_center(family: FunctionFamily, y: Subspace,
-                        reduction: SupportReduction | None = None,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+                        reduction: SupportReduction | None = None) -> np.ndarray:
     """Explicit point of cent_{B_Y}(B) built from the reduced minimizer.
 
     Interpolate the reduced minimizer on the support points (zero elsewhere),
@@ -122,7 +120,7 @@ def constructive_center(family: FunctionFamily, y: Subspace,
     survives.
     """
     if reduction is None:
-        reduction = finite_reduction(family, y, tol=tol)
+        reduction = finite_reduction(family, y)
     radius = reduction.radius
     g = np.zeros(family.dim)
     if reduction.size:
@@ -130,7 +128,7 @@ def constructive_center(family: FunctionFamily, y: Subspace,
     lower, upper = band(family, radius)
     h0 = np.minimum(g, upper)
     h = np.maximum(h0, lower)
-    _certify_center(h, family, y, radius, tol)
+    _certify_center(h, family, y, radius)
     return h
 
 
@@ -164,8 +162,7 @@ class SlackChoice:
 
 
 def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
-                     reduction: SupportReduction | None = None,
-                     tol: float = DEFAULT_TOL) -> SlackChoice:
+                     reduction: SupportReduction | None = None) -> SlackChoice:
     """Slack delta such that any g in cent_{B_Y}(B, delta) repairs within eps.
 
     Matched regime (R == alpha): the stability modulus of the reduced compact
@@ -177,7 +174,7 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     if reduction is None:
-        reduction = finite_reduction(family, y, tol=tol)
+        reduction = finite_reduction(family, y)
     alpha, radius, regime = reduction.alpha, reduction.radius, reduction.regime
     beta = radius - alpha
 
@@ -188,14 +185,14 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
 
     if regime == MATCHED:
         base_slack, origin = 0.0, "modulus"
-    elif alpha > tol * 10.0:
+    elif alpha > GAP_FORMULA_FLOOR:
         bound = min(alpha, eps * beta / (6.0 * alpha + 4.0 * beta))
         return SlackChoice(value=min(0.5 * bound, eps), regime=GAP, origin="formula",
                            alpha=alpha, beta=beta, radius=radius)
     else:
         base_slack, origin = beta, "relaxed-modulus"
     report = p1_modulus(reduction.problem, eps, delta_max=eps, center=reduction.center,
-                        tol=tol, base_slack=base_slack)
+                        base_slack=base_slack)
     if report.degenerate:
         raise ConstructionError(
             f"reduced stability modulus degenerate at eps={eps}; cannot pick a slack")
@@ -204,8 +201,7 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
 
 
 def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
-                       reduction: SupportReduction | None = None,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
+                       reduction: SupportReduction | None = None) -> np.ndarray:
     """Move a delta-near-center g onto cent_{B_Y}(B) without traveling more
     than eps in sup norm.
 
@@ -215,9 +211,9 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     and [-1, 1].
     """
     g = as_vector(inp.g, family.dim)
-    slack = tol * CERTIFY_SLACK_FACTOR
+    slack = DEFAULT_TOL * CERTIFY_SLACK_FACTOR
     if reduction is None:
-        reduction = finite_reduction(family, y, tol=tol)
+        reduction = finite_reduction(family, y)
     radius = reduction.radius
 
     if sup_norm(g) > 1.0 + slack:
@@ -233,10 +229,9 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     g_prime = np.zeros(family.dim)
     if reduction.size:
         target_slack = 0.0 if reduction.regime == MATCHED else radius - reduction.alpha
-        target = near_center_set(reduction.problem, target_slack, tol=tol,
-                                 radius=reduction.alpha)
+        target = near_center_set(reduction.problem, target_slack, radius=reduction.alpha)
         slots = list(reduction.slots)
-        dist, z = lp.distance_to_polytope(g[slots], target, tol=tol)
+        dist, z = lp.distance_to_polytope(g[slots], target)
         if dist > inp.eps + slack:
             raise ConstructionError(
                 f"support projection moved {dist} > eps = {inp.eps}; slack delta too large")
@@ -252,14 +247,14 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     h1 = np.maximum(f1, g_prime)
     h2 = np.minimum(h1, f2)
 
-    _certify_center(h2, family, y, radius, tol)
+    _certify_center(h2, family, y, radius)
     moved = float(np.max(np.abs(g - h2)))
     if moved > inp.eps + slack:
         raise ConstructionError(f"repair moved {moved} > eps = {inp.eps}")
     return h2
 
 
-def simplex_mode(vertex_count: int, problem: CenterProblem, tol: float = DEFAULT_TOL) -> CenterReport:
+def simplex_mode(vertex_count: int, problem: CenterProblem) -> CenterReport:
     """Affine functions on a simplex, identified with their vertex values.
 
     With finitely many extreme points the sup norm over the simplex equals
@@ -268,5 +263,5 @@ def simplex_mode(vertex_count: int, problem: CenterProblem, tol: float = DEFAULT
     if vertex_count != problem.dim:
         raise DimensionMismatchError(
             f"vertex count {vertex_count} != problem dimension {problem.dim}")
-    report = center_set(problem, tol=tol)
+    report = center_set(problem)
     return replace(report, mode="simplex-vertices")

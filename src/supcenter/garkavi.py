@@ -33,9 +33,7 @@ from . import lp
 from .constraints import Functional, Polytope, Subspace, merge_rows
 from .errors import LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
-from .tolerances import DEFAULT_TOL
-
-SET_TOL = 1e-7  # default tolerance for gauge and set comparisons
+from .tolerances import SET_TOL
 
 
 @dataclass(eq=False)
@@ -61,17 +59,17 @@ class GarkaviModel:
     c_upper: float           # gauge(x) <= c_upper * |x|_inf
 
 
-def _extreme_values(poly: Polytope, direction: np.ndarray, tol: float) -> float:
+def _extreme_values(poly: Polytope, direction: np.ndarray) -> float:
     """max of direction.x over poly, as minus the minimum of -direction.x."""
     sol = lp.solve(lp.LinearProgram(c=-direction, a_ub=poly.a_ub, b_ub=poly.b_ub,
-                                    a_eq=poly.a_eq, b_eq=poly.b_eq), tol=tol)
+                                    a_eq=poly.a_eq, b_eq=poly.b_eq))
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"extreme-value LP ended with status {sol.status}")
     return -float(sol.value)
 
 
-def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float = 1e-3,
-                tol: float = DEFAULT_TOL) -> GarkaviModel:
+def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0,
+                theta: float = 1e-3) -> GarkaviModel:
     """Construct and certify the renormed-ball model in dimension n >= 3.
 
     Every geometric prerequisite is certified by an LP; a failed certificate
@@ -105,8 +103,8 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
     # certificate: the ball stays strictly inside the unit ball of Y
     max_norm = 0.0
     for j in range(1, n):
-        max_norm = max(max_norm, _extreme_values(ball_y0, eye[j], tol),
-                       _extreme_values(ball_y0, -eye[j], tol))
+        max_norm = max(max_norm, _extreme_values(ball_y0, eye[j]),
+                       _extreme_values(ball_y0, -eye[j]))
     certificates["interior-margin"] = 1.0 - max_norm
     if certificates["interior-margin"] <= 0:
         raise ModelBuildError(
@@ -115,7 +113,7 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
 
     # certificate: Phi stays strictly above 3/4 on the ball, and alpha < 1
     phi_row = phi.dense(n)
-    alpha = -_extreme_values(ball_y0, -phi_row, tol)  # min Phi over the ball
+    alpha = -_extreme_values(ball_y0, -phi_row)  # min Phi over the ball
     certificates["level-margin"] = alpha - 0.75
     certificates["alpha-below-one"] = 1.0 - alpha
     if certificates["level-margin"] <= 0:
@@ -143,7 +141,7 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
         b_ub=np.concatenate([slab_rhs, ball_y0.b_ub]),
         a_eq=eye[:1], b_eq=np.zeros(1))
     feas = lp.solve(lp.LinearProgram(c=np.zeros(n), a_ub=meet.a_ub, b_ub=meet.b_ub,
-                                     a_eq=meet.a_eq, b_eq=meet.b_eq), tol=tol)
+                                     a_eq=meet.a_eq, b_eq=meet.b_eq))
     certificates["disjoint"] = theta
     if feas.status != lp.INFEASIBLE:
         raise ModelBuildError(
@@ -157,32 +155,20 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
     small_ball = Polytope(a_ub=box_rows, b_ub=np.full(2 * (n - 1), gamma),
                           a_eq=eye[:1], b_eq=np.zeros(1))
 
-    from scipy.spatial import ConvexHull
-
-    cube_verts = cube.vertices(tol)
-    hull_points = np.vstack([slab.vertices(tol), cube_verts, -cube_verts])
-    hull = ConvexHull(hull_points)
-    offsets = -hull.equations[:, n]
-    certificates["ball-interior"] = float(np.min(offsets))
-    if certificates["ball-interior"] <= 1e-12:
-        raise ModelBuildError("origin is not interior to the renormed ball",
-                              certificate="ball-interior")
-    # Qhull splits facets into simplices: merge the rows of a shared hyperplane
-    ball_facets = merge_rows(hull.equations[:, :n] / offsets[:, None])
+    cube_verts = cube.vertices()
+    hull_points = np.vstack([slab.vertices(), cube_verts, -cube_verts])
+    ball_facets, certificates["ball-interior"] = _hull_facets(
+        hull_points, "ball-interior", "origin is not interior to the renormed ball")
     ball_facets.setflags(write=False)
 
     # facet description of the section B cap Y: gauge of differences inside Y
     # only needs these few rows instead of every facet of B
     section = Polytope(a_ub=ball_facets, b_ub=np.ones(ball_facets.shape[0]),
                        a_eq=eye[:1], b_eq=np.zeros(1))
-    section_vertices = section.vertices(tol)
-    section_hull = ConvexHull(section_vertices[:, 1:])
-    section_offsets = -section_hull.equations[:, n - 1]
-    certificates["section-interior"] = float(np.min(section_offsets))
-    if certificates["section-interior"] <= 1e-12:
-        raise ModelBuildError("origin is not interior to the ball section in Y",
-                              certificate="section-interior")
-    in_y = merge_rows(section_hull.equations[:, : n - 1] / section_offsets[:, None])
+    section_vertices = section.vertices()
+    in_y, certificates["section-interior"] = _hull_facets(
+        section_vertices[:, 1:], "section-interior",
+        "origin is not interior to the ball section in Y")
     section_facets = np.hstack([np.zeros((in_y.shape[0], 1)), in_y])
     section_facets.setflags(write=False)
 
@@ -205,20 +191,33 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0, theta: float =
     return model
 
 
+def _hull_facets(points: np.ndarray, certificate: str, message: str) -> tuple[np.ndarray, float]:
+    """Rows a with conv(points) = {z : a.z <= 1}, and the origin's interior
+    margin (least facet offset); at most 1e-12 raises ModelBuildError."""
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(points)
+    offsets = -hull.equations[:, -1]
+    margin = float(np.min(offsets))
+    if margin <= 1e-12:
+        raise ModelBuildError(message, certificate=certificate)
+    # Qhull splits facets into simplices: merge the rows of a shared hyperplane
+    return merge_rows(hull.equations[:, :-1] / offsets[:, None]), margin
+
+
 def _gauge_facets(model: GarkaviModel, x) -> float:
     """Gauge via the facet description: max over facets of a.x."""
     x = as_vector(x, model.n)
     return max(float(np.max(model.ball_facets @ x)), 0.0)
 
 
-def gauge_norm(model: GarkaviModel, x, tol: float = DEFAULT_TOL) -> float:
+def gauge_norm(model: GarkaviModel, x) -> float:
     """Minkowski gauge of the renormed ball, by the scaled-decomposition LP of
     gauge_decomposition; _gauge_facets is the independent facet route."""
-    value, _ = gauge_decomposition(model, x, tol=tol)
-    return value
+    return gauge_decomposition(model, x)[0]
 
 
-def gauge_decomposition(model: GarkaviModel, x, tol: float = DEFAULT_TOL):
+def gauge_decomposition(model: GarkaviModel, x):
     """Gauge value plus the witness decomposition (u, v_plus, v_minus, p, q, r).
 
     x = u + v_plus - v_minus with u in p*slab, v_plus in q*cube and v_minus
@@ -247,7 +246,7 @@ def gauge_decomposition(model: GarkaviModel, x, tol: float = DEFAULT_TOL):
     c = np.zeros(nv)
     c[3 * n:] = 1.0
     sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
-                                    a_eq=a_eq, b_eq=b_eq), tol=tol)
+                                    a_eq=a_eq, b_eq=b_eq))
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"gauge LP ended with status {sol.status}")
     value = max(float(sol.value), 0.0)
@@ -261,11 +260,11 @@ def _subspace_polytope(n: int) -> Polytope:
     return Polytope(a_eq=np.eye(n)[:1], b_eq=np.zeros(1))
 
 
-def subspace_gauge_distance(model: GarkaviModel, x, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def subspace_gauge_distance(model: GarkaviModel, x) -> tuple[float, np.ndarray]:
     """min over y in Y of gauge(x - y), with a nearest point."""
     x = as_vector(x, model.n)
     # gauge(x - y) = max_a a.(x - y) = max_a (-a).(y - x)
-    dist, y = lp.epigraph_lp(-model.ball_facets, x, _subspace_polytope(model.n), tol)
+    dist, y = lp.epigraph_lp(-model.ball_facets, x, _subspace_polytope(model.n))
     return max(dist, 0.0), y
 
 
@@ -276,14 +275,13 @@ def _projection(model: GarkaviModel, x: np.ndarray, level: float) -> Polytope:
                     a_eq=np.eye(model.n)[:1], b_eq=np.zeros(1))
 
 
-def metric_projection(model: GarkaviModel, x, eps: float = 0.0,
-                      tol: float = DEFAULT_TOL) -> Polytope:
+def metric_projection(model: GarkaviModel, x, eps: float = 0.0) -> Polytope:
     """P_Y(x, eps): the y in Y with gauge(x - y) <= d(x, Y) + eps, from one
     solve of d(x, Y)."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     x = as_vector(x, model.n)
-    dist, _ = subspace_gauge_distance(model, x, tol=tol)
+    dist, _ = subspace_gauge_distance(model, x)
     return _projection(model, x, dist + eps)
 
 
@@ -312,7 +310,7 @@ class HalfBallReport:
 
 
 def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, ...] = (0.2, 0.1),
-                    seed: int = 0, tol: float = SET_TOL) -> HalfBallReport:
+                    seed: int = 0) -> HalfBallReport:
     """Certify the half-ball identity P_Y(x, eps) = {y : d(y, P_Y(x)) <= eps}
     on sampled points, the translation/scale covariance of projections, and
     the decomposition bound d(y, B_gamma) <= gauge(y - x0) - 1.
@@ -334,9 +332,9 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
         x = y_part + lam * model.x0
         dist, _ = subspace_gauge_distance(model, x)
         exact = _projection(model, x, dist)
-        exact_verts = exact.vertices(DEFAULT_TOL)
+        exact_verts = exact.vertices()
         for eps in eps_values:
-            near_verts = _projection(model, x, dist + eps).vertices(DEFAULT_TOL)
+            near_verts = _projection(model, x, dist + eps).vertices()
             forward = max((lp.epigraph_lp(-model.section_facets, v, exact)[0] - eps
                            for v in near_verts), default=0.0)
             backward = 0.0
@@ -346,7 +344,7 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
                     backward = max(backward, _gauge_facets(model, x - cand) - dist - eps)
             # covariance: P_Y(y + lam x0, eps) = y + lam P_Y(x0, eps/|lam|)
             base = _projection(model, model.x0, dist_x0 + float(eps) / abs(lam))
-            mapped = y_part + lam * base.vertices(DEFAULT_TOL)
+            mapped = y_part + lam * base.vertices()
             covariance_gap = _hausdorff_points(near_verts, mapped)
             rows.append(HalfBallSample(x=tuple(x), eps=float(eps), distance=dist,
                                        forward_gap=max(forward, 0.0),
@@ -362,7 +360,7 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
             if np.max(np.abs(direction)) < 1e-12:
                 direction[1] = 1.0
             replay_rows.append(_decomposition_replay(model, direction, eta_target))
-    return HalfBallReport(samples=tuple(rows), replay_rows=tuple(replay_rows), tol=tol)
+    return HalfBallReport(samples=tuple(rows), replay_rows=tuple(replay_rows), tol=SET_TOL)
 
 
 def _replay_crossing(model: GarkaviModel, direction: np.ndarray, eta: float) -> float:
@@ -402,15 +400,15 @@ class TrendRow:
 
 
 def center_trend(n_values: tuple[int, ...], seed: int = 0, gamma: float = 1.0 / 16.0,
-                 theta: float = 1e-3, tol: float = DEFAULT_TOL) -> tuple[TrendRow, ...]:
+                 theta: float = 1e-3) -> tuple[TrendRow, ...]:
     """Gauge-norm Chebyshev data for the two-point family {0, x0 + y0} over Y
     across dimensions.  Reported as a trend only: the interesting failure is
     infinite-dimensional, so no pass/fail is attached."""
     rows = []
     for n in n_values:
-        model = build_model(n, seed=seed, gamma=gamma, theta=theta, tol=tol)
+        model = build_model(n, seed=seed, gamma=gamma, theta=theta)
         targets = np.vstack([np.zeros(n), model.x0 + model.y0])
-        radius, center = lp.epigraph_lp(model.ball_facets, targets, _subspace_polytope(n), tol)
+        radius, center = lp.epigraph_lp(model.ball_facets, targets, _subspace_polytope(n))
         rows.append(TrendRow(n=n, radius=radius,
                              phi_at_center=model.phi(center), alpha=model.alpha))
     return tuple(rows)

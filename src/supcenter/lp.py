@@ -16,17 +16,17 @@ artificial each.  Phase 1 minimizes the sum of the artificials.
 
 Bland's rule is taken with whole-array numpy steps, not per-column or per-row
 Python loops, and it chooses exactly the pivots of the plain scalar scan.  The
-entering column is the first with reduced cost below -tol (an argmax on the
-mask).  The leaving row comes from the ratios max(rhs, 0) / col over the rows
-with col > PIVOT_EPS, computed at once.  When exactly one ratio lies within
-TIE_WINDOW (2 PIVOT_EPS) of the minimum, every other ratio exceeds it by more
-than PIVOT_EPS after rounding, so the scalar scan would take that row too.
-Otherwise the scan itself runs on Python floats over the eligible rows: a
-ratio more than PIVOT_EPS below the running best replaces it, one within
-PIVOT_EPS replaces it when its basis index is smaller.  Ties chained across
-several rows thus resolve as they always have.  The pivot update and the
-phase-2 objective row are computed in the same order, so every tableau holds
-the same bits and every report the same bytes.
+entering column is the first with reduced cost below -DEFAULT_TOL (times
+1 + max|c| in phase 2), an argmax on the mask.  The leaving row comes from the
+ratios max(rhs, 0) / col over the rows with col > PIVOT_EPS, computed at once.
+When exactly one ratio lies within TIE_WINDOW (2 PIVOT_EPS) of the minimum,
+every other ratio exceeds it by more than PIVOT_EPS after rounding, so the
+scalar scan would take that row too.  Otherwise the scan itself runs on Python
+floats over the eligible rows: a ratio more than PIVOT_EPS below the running
+best replaces it, one within PIVOT_EPS replaces it when its basis index is
+smaller.  Ties chained across several rows thus resolve as they always have.
+The pivot update and the phase-2 objective row are computed in the same order,
+so every tableau holds the same bits and every report the same bytes.
 
 The restricted radius, the sup-norm distance to a polytope and the gauge
 distances of the renormed-ball model share one program shape, built in one
@@ -145,7 +145,7 @@ def _bland_loop(tab, basis, ncols, tol, max_iter):
     raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
 
 
-def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_ITER) -> LPSolution:
+def solve(lp: LinearProgram, max_iter: int = LP_MAX_ITER) -> LPSolution:
     """Solve the program; status is 'optimal', 'infeasible' or 'unbounded'.
 
     Identical inputs pivot identically, so outputs are reproducible bit for
@@ -180,7 +180,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     cost = np.concatenate([c, -c, np.zeros(mi + 1)])
 
     scale_b = 1.0 + float(np.abs(tab[:m, -1]).max(initial=0.0))
-    feas_tol = tol * scale_b * FEAS_FACTOR
+    feas_tol = DEFAULT_TOL * scale_b * FEAS_FACTOR
 
     # phase 1: minimize the sum of the artificials.  The shared one enters at
     # the most negative row, which leaves every rhs nonnegative.
@@ -193,7 +193,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
             _pivot(tab, row, total - 1)
             basis[row] = total - 1
             iterations = 1
-        it = _bland_loop(tab, basis, total, tol, max_iter)
+        it = _bland_loop(tab, basis, total, DEFAULT_TOL, max_iter)
         if it < 0:
             raise LPNumericalError("phase-1 objective unbounded; inconsistent tableau")
         iterations += it
@@ -224,7 +224,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     terms[0] = cost
     np.multiply(cost[basis, None], tab[:m], out=terms[1:])
     tab[-1] = np.subtract.reduce(terms)
-    it = _bland_loop(tab, basis, ncore, tol * (1.0 + float(np.abs(cost).max())), max_iter)
+    it = _bland_loop(tab, basis, ncore, DEFAULT_TOL * (1.0 + float(np.abs(cost).max())), max_iter)
     if it < 0:
         iterations += -it
         return LPSolution(status=UNBOUNDED, iterations=iterations)
@@ -245,7 +245,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL, max_iter: int = LP_MAX_IT
     return LPSolution(status=OPTIMAL, value=value, x=x, iterations=iterations)
 
 
-def epigraph_lp(rows, targets, poly: "Polytope", tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def epigraph_lp(rows, targets, poly: "Polytope") -> tuple[float, np.ndarray]:
     """min t subject to v in poly and g.(v - target) <= t for every row g of
     rows and every target, as (t, v).
 
@@ -267,7 +267,7 @@ def epigraph_lp(rows, targets, poly: "Polytope", tol: float = DEFAULT_TOL) -> tu
     a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
     c = np.zeros(n + 1)
     c[n] = 1.0
-    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq), tol=tol)
+    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq))
     if sol.status == INFEASIBLE:
         raise InfeasiblePolytopeError("the polytope of the epigraph LP is empty")
     if sol.status != OPTIMAL:
@@ -275,7 +275,7 @@ def epigraph_lp(rows, targets, poly: "Polytope", tol: float = DEFAULT_TOL) -> tu
     return float(sol.value), sol.x[:n]
 
 
-def distance_to_polytope(x, poly: "Polytope", tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def distance_to_polytope(x, poly: "Polytope") -> tuple[float, np.ndarray]:
     """Sup-norm distance from x to a polytope, with a nearest point.
 
     Zero (and x itself) when x already satisfies the constraints; raises
@@ -285,8 +285,8 @@ def distance_to_polytope(x, poly: "Polytope", tol: float = DEFAULT_TOL) -> tuple
     n = x.size
     if poly.dim != n:
         raise ValueError(f"point dim {n} does not match polytope dim {poly.dim}")
-    if poly.contains(x, tol):
+    if poly.contains(x, DEFAULT_TOL):
         return 0.0, x.copy()
     eye = np.eye(n)
-    dist, v = epigraph_lp(np.vstack([eye, -eye]), x, poly, tol)
+    dist, v = epigraph_lp(np.vstack([eye, -eye]), x, poly)
     return max(dist, 0.0), v

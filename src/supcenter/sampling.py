@@ -12,7 +12,6 @@ import numpy as np
 from .centers import CenterProblem, ball_problem, near_center_set
 from .constraints import Functional, Subspace
 from .space import FunctionFamily
-from .tolerances import DEFAULT_TOL
 
 
 def random_family(rng: np.random.Generator, dim: int, members: int,
@@ -54,12 +53,12 @@ def vertex_mixture(rng: np.random.Generator, vertices: np.ndarray) -> np.ndarray
 
 
 def near_center_point(rng: np.random.Generator, problem: CenterProblem, delta: float,
-                      tol: float = DEFAULT_TOL, radius: float | None = None) -> np.ndarray:
+                      radius: float | None = None) -> np.ndarray:
     """Random point of cent_V(B, delta), as a mixture of its vertices.
 
     radius is rad_V(B) when the caller has already solved it (see
     near_center_set)."""
-    verts = near_center_set(problem, delta, tol=tol, radius=radius).vertices(tol)
+    verts = near_center_set(problem, delta, radius=radius).vertices()
     return vertex_mixture(rng, verts)
 
 

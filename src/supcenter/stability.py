@@ -30,29 +30,27 @@ from .tolerances import (
 logger = logging.getLogger(__name__)
 
 
-def _farthest_vertex(verts: np.ndarray, target: Polytope,
-                     tol: float) -> tuple[float, np.ndarray | None]:
-    """Largest distance from a vertex to target, with the first vertex that
-    comes within tol of it, so rounding cannot choose among tied vertices."""
-    dists = [lp.distance_to_polytope(v, target, tol=tol)[0] for v in verts]
+def _farthest_vertex(verts: np.ndarray, target: Polytope) -> tuple[float, np.ndarray | None]:
+    """Largest distance from a vertex to target, with the first vertex within
+    DEFAULT_TOL of it, so rounding cannot choose among tied vertices."""
+    dists = [lp.distance_to_polytope(v, target)[0] for v in verts]
     worst = max(dists, default=0.0)
     if worst <= 0.0:
         return 0.0, None
-    return worst, next(v for v, dist in zip(verts, dists) if dist >= worst - tol)
+    return worst, next(v for v, dist in zip(verts, dists) if dist >= worst - DEFAULT_TOL)
 
 
 def worst_near_center_distance(problem: CenterProblem, delta: float,
-                               center: CenterReport | None = None,
-                               tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray | None]:
+                               center: CenterReport | None = None) -> tuple[float, np.ndarray | None]:
     """Largest distance from cent_V(B, delta) to cent_V(B), with a witness.
 
     Exact over the vertices of the near-center polytope; the maximum of a
     convex function over a polytope is attained at one of them.
     """
     if center is None:
-        center = center_set(problem, tol=tol)
-    verts = near_center_set(problem, delta, tol=tol, radius=center.radius).vertices(tol)
-    return _farthest_vertex(verts, center.center_polytope, tol)
+        center = center_set(problem)
+    verts = near_center_set(problem, delta, radius=center.radius).vertices()
+    return _farthest_vertex(verts, center.center_polytope)
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class ModulusReport:
 
 
 def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
-               center: CenterReport | None = None, tol: float = DEFAULT_TOL,
+               center: CenterReport | None = None,
                resolution: float = 1e-4, base_slack: float = 0.0) -> ModulusReport:
     """Largest slack delta in (0, delta_max] with worst distance <= eps.
 
@@ -82,28 +80,29 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
     delta, since the near-center set is a polytope whose right-hand side is
     affine in delta.  After a probe at delta_max (accepted outright when it
     passes) and a degeneracy probe at resolution * delta_max, regula falsi
-    with the Illinois change solves w(delta) = eps + tol on that bracket; a
-    secant step between two probes on one linear piece lands on the root.
-    Each step stays MODULUS_CONFIRM_STEP * delta_max (h) inside the bracket,
-    and the search ends when the failing end is within h of the passing one,
-    so the result is confirmed by a failed probe at most h above it.  After
-    MODULUS_MAX_STEPS steps without that, LPNumericalError is raised.  A zero
-    modulus is reported with the degenerate flag set: in finite dimension the
-    modulus must be positive, so a zero is a diagnostic, not an answer.
+    with the Illinois change solves w(delta) = eps + DEFAULT_TOL on that
+    bracket; a secant step between two probes on one linear piece lands on
+    the root.  Each step stays MODULUS_CONFIRM_STEP * delta_max (h) inside
+    the bracket, and the search ends when the failing end is within h of the
+    passing one, so the result is confirmed by a failed probe at most h above
+    it.  After MODULUS_MAX_STEPS steps without that, LPNumericalError is
+    raised.  A zero modulus is reported with the degenerate flag set: in
+    finite dimension the modulus must be positive, so a zero is a diagnostic,
+    not an answer.
     """
     if eps <= 0 or delta_max <= 0:
         raise ValueError("eps and delta_max must be positive")
     if center is None:
-        center = center_set(problem, tol=tol)
-    base = near_center_set(problem, base_slack, tol=tol, radius=center.radius)
+        center = center_set(problem)
+    base = near_center_set(problem, base_slack, radius=center.radius)
     probes: list[ModulusProbe] = []
     # worst(delta) often equals eps up to rounding (at delta = eps in
-    # particular), so each comparison allows tol
-    target = eps + tol
+    # particular), so each comparison allows DEFAULT_TOL
+    target = eps + DEFAULT_TOL
 
     def excess(delta: float) -> float:
-        near = near_center_set(problem, base_slack + delta, tol=tol, radius=center.radius)
-        worst, witness = _farthest_vertex(near.vertices(tol), base, tol)
+        near = near_center_set(problem, base_slack + delta, radius=center.radius)
+        worst, witness = _farthest_vertex(near.vertices(), base)
         probes.append(ModulusProbe(delta=delta, worst=worst,
                                    witness=None if witness is None else tuple(witness)))
         return worst - target
@@ -165,7 +164,7 @@ class SequenceReport:
 
 
 def sequence_criterion_check(problem: CenterProblem, trials: int, seed: int,
-                             mode: str = "random", tol: float = DEFAULT_TOL) -> SequenceReport:
+                             mode: str = "random") -> SequenceReport:
     """Minimizing sequences converge to the center set.
 
     Draws v_n with r(v_n, B) <= rad + 1/n (a random point, or the worst
@@ -177,23 +176,23 @@ def sequence_criterion_check(problem: CenterProblem, trials: int, seed: int,
     if mode not in ("random", "witness"):
         raise ValueError(f"mode must be 'random' or 'witness', got {mode!r}")
     rng = np.random.default_rng(seed)
-    center = center_set(problem, tol=tol)
+    center = center_set(problem)
     steps = []
     for n in range(1, trials + 1):
         slack = 1.0 / n
-        verts = near_center_set(problem, slack, tol=tol, radius=center.radius).vertices(tol)
-        bound, witness = _farthest_vertex(verts, center.center_polytope, tol)
+        verts = near_center_set(problem, slack, radius=center.radius).vertices()
+        bound, witness = _farthest_vertex(verts, center.center_polytope)
         if mode == "witness" and witness is not None:
             point = witness
         else:
             weights = rng.dirichlet(np.ones(verts.shape[0]))
             point = weights @ verts
-        dist, _ = lp.distance_to_polytope(point, center.center_polytope, tol=tol)
+        dist, _ = lp.distance_to_polytope(point, center.center_polytope)
         steps.append(SequenceStep(n=n, slack=slack,
                                   radius_at_point=farthest_radius(point, problem.family),
                                   distance=dist, bound=bound))
     bounds = [s.bound for s in steps]
-    slack = tol * SEQUENCE_TOL_FACTOR
+    slack = DEFAULT_TOL * SEQUENCE_TOL_FACTOR
     nonincreasing = all(b1 >= b2 - slack for b1, b2 in zip(bounds, bounds[1:]))
     within = all(s.distance <= s.bound + slack for s in steps)
     return SequenceReport(steps=tuple(steps), bounds_nonincreasing=nonincreasing,

@@ -1,11 +1,14 @@
-"""Shared numeric tolerances and desk-scale limits.
+"""Numeric tolerances and desk-scale limits, named in one place.
 
-Every comparison in the package funnels through a single absolute tolerance
-so that callers can tighten or relax the whole stack coherently.
+There is one tolerance, DEFAULT_TOL, read where each comparison is made, never
+passed as a parameter.  Each threshold names its scale, or says absolute.
 """
 
 # Absolute tolerance for feasibility, optimality and set-membership checks.
 DEFAULT_TOL = 1e-9
+
+# Absolute: the gaps garkavi.half_ball_check reports pass at or below this.
+SET_TOL = 1e-7
 
 # Merge radius of constraints.merge_rows: a vertex, or a convex-hull facet
 # equation, within this sup distance of one already kept is the same row.
@@ -14,6 +17,8 @@ DEDUP_TOL = 1e-7
 # Regime test of the support reduction: a full radius R within this of the
 # support optimum alpha is matched (R == alpha), farther above it is a gap.
 REGIME_TOL = 1e-9
+# Absolute: construct.admissible_slack uses the gap formula for alpha above this.
+GAP_FORMULA_FLOOR = 10.0 * DEFAULT_TOL
 
 # Simplex pivot guards.  PIVOT_EPS (absolute) is the smallest pivot-column
 # entry a ratio test accepts, and the window within which two ratios tie.
@@ -29,18 +34,34 @@ TIE_WINDOW = 2.0 * PIVOT_EPS
 DRIVE_OUT_EPS = 1e-8
 
 # Relative to the LP's rhs scale 1 + max|b|: phase 1 reports infeasible
-# above tol * scale * FEAS_FACTOR.
+# above DEFAULT_TOL * scale * FEAS_FACTOR.
 FEAS_FACTOR = 10.0
 
 # Relative to the LP's rhs scale: the returned point may violate a row by at
-# most max(tol * scale * FEAS_FACTOR, CERTIFY_FLOOR * scale).
+# most max(DEFAULT_TOL * scale * FEAS_FACTOR, CERTIFY_FLOOR * scale).
 CERTIFY_FLOOR = 1e-7
 
-# Relative to tol: a certificate (a center polytope holding its own LP
-# minimizer, a perturbed or repaired point inside V and within its radius
+# Relative to DEFAULT_TOL: a certificate (a center polytope holding its own
+# LP minimizer, a perturbed or repaired point inside V and within its radius
 # bound, a vertex candidate inside its polytope) accepts a residual of up to
-# tol * CERTIFY_SLACK_FACTOR.
+# DEFAULT_TOL * CERTIFY_SLACK_FACTOR.
 CERTIFY_SLACK_FACTOR = 100.0
+
+# Vertex enumeration, relative to the rhs scale 1 + max|b| of the system: the
+# equalities' least-squares solution may miss them by EQ_CONSISTENT_TOL; an
+# inscribed sup-ball radius below -INSCRIBED_TOL is empty, within it of zero
+# possibly flat; a row whose minimum is within TIGHT_ROW_TOL of its rhs is tight.
+EQ_CONSISTENT_TOL = 1e-7
+INSCRIBED_TOL = 1e-7
+TIGHT_ROW_TOL = 1e-8
+# Absolute: a row restricted to the equalities' hull is zero below this norm.
+NULL_ROW_TOL = 1e-12
+# Relative to the largest coordinate of a polar-dual point: a polar facet
+# whose offset is within this of zero passes through the origin (unbounded).
+POLAR_ORIGIN_TOL = 1e-9
+# Relative to 1 + max|vertex|: a vertex candidate may violate its polytope by
+# this, and always by DEFAULT_TOL * CERTIFY_SLACK_FACTOR.
+VERTEX_FILTER_TOL = 1e-7
 
 # Side of the bounding box used when optimizing over an unbounded affine
 # subspace, as a multiple of the data magnitude.
@@ -55,7 +76,7 @@ MODULUS_CONFIRM_STEP = 1e-7
 # probes before it gives up with LPNumericalError.
 MODULUS_MAX_STEPS = 64
 
-# Relative to tol: in stability.sequence_criterion_check a vertex bound may
-# rise from one step to the next, and a distance may exceed its bound, by at
-# most tol * SEQUENCE_TOL_FACTOR.
+# Relative to DEFAULT_TOL: in stability.sequence_criterion_check a vertex
+# bound may rise from one step to the next, and a distance may exceed its
+# bound, by at most DEFAULT_TOL * SEQUENCE_TOL_FACTOR.
 SEQUENCE_TOL_FACTOR = 100.0

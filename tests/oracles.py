@@ -269,20 +269,19 @@ def reference_bland_loop(tab, basis, ncols, tol, max_iter):
     raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
 
 
-def reference_bisection_modulus(problem, eps, delta_max, center, tol=DEFAULT_TOL,
-                                resolution=1e-4):
+def reference_bisection_modulus(problem, eps, delta_max, center, resolution=1e-4):
     """Bracket (lo, hi) of the stability modulus from plain bisection on the
     worst near-center distance, resolved to hi - lo <= resolution * delta_max.
 
-    lo passes (worst distance <= eps + tol) and hi fails, except that
+    lo passes (worst distance <= eps + DEFAULT_TOL) and hi fails, except that
     (delta_max, delta_max) means delta_max itself passes and (0, lo) that
     even the first probe lo = resolution * delta_max fails.
     """
-    base = near_center_set(problem, 0.0, tol=tol, radius=center.radius)
+    base = near_center_set(problem, 0.0, radius=center.radius)
 
     def passes(delta):
-        verts = near_center_set(problem, delta, tol=tol, radius=center.radius).vertices(tol)
-        return _farthest_vertex(verts, base, tol)[0] <= eps + tol
+        verts = near_center_set(problem, delta, radius=center.radius).vertices()
+        return _farthest_vertex(verts, base)[0] <= eps + DEFAULT_TOL
 
     step = resolution * delta_max
     if passes(delta_max):

@@ -188,6 +188,19 @@ def test_non_finite_option_is_bad_input(worked_file, capsys, flag):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["radius", "WORKED", "--tol", "1e-6"], ["corpus", "--tol=0"]],
+                         ids=["radius", "corpus"])
+def test_tol_option_is_rejected(worked_file, capsys, argv):
+    # the tolerance is DEFAULT_TOL, read where it is used: no subcommand
+    # takes --tol, so argparse refuses it before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main([worked_file if arg == "WORKED" else arg for arg in argv])
+    assert exc.value.code == BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: supcenter ")
+    assert "unrecognized arguments: --tol" in err and "Traceback" not in err
+
+
 def test_repair_rejects_far_point(worked_file, capsys):
     code = main(["repair", worked_file, "--point=-1,-1,0", "--eps", "0.1"])
     assert code == BAD_INPUT
@@ -216,9 +229,9 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, monkeypatch, capsys):
 
     real_subspace_centers = centers._subspace_centers
 
-    def resolving_centers(family, y, tol):
-        problem, _ = real_subspace_centers(family, y, tol)
-        return problem, centers.center_set(problem, tol=tol)
+    def resolving_centers(family, y):
+        problem, _ = real_subspace_centers(family, y)
+        return problem, centers.center_set(problem)
 
     monkeypatch.setattr(sampling, "near_center_point", dropping_radius(sampling.near_center_point))
     monkeypatch.setattr(cli, "perturb_toward_center", dropping_radius(cli.perturb_toward_center))

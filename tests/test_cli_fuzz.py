@@ -120,7 +120,7 @@ def test_malformed_options_get_a_documented_exit_code(data):
         (["construct", worked], ["--eps"]),
         (["p1-modulus", worked], ["--eps", "--delta-max"]),
         (["repair", worked], ["--point", "--eps", "--delta"]),
-        (["check-lemmas", "--trials", "1"], ["--eps", "--dims", "--tol"]),
+        (["check-lemmas", "--trials", "1"], ["--eps", "--dims"]),
         (["renorm", "--samples", "0"], ["--n", "--gamma", "--theta"]),
         (["trend"], ["--dims"]),
     ]))

@@ -274,9 +274,9 @@ def _corpus_programs(monkeypatch, capsys):
     issued = []
     real = lp.solve
 
-    def solve(prob, tol=lp.DEFAULT_TOL, max_iter=lp.LP_MAX_ITER):
-        issued.append((prob, {"tol": tol, "max_iter": max_iter}))
-        return real(prob, tol, max_iter)
+    def solve(prob, max_iter=lp.LP_MAX_ITER):
+        issued.append((prob, {"max_iter": max_iter}))
+        return real(prob, max_iter)
 
     with monkeypatch.context() as mp:
         mp.setattr(lp, "solve", solve)

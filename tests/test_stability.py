@@ -109,8 +109,8 @@ def test_p1_modulus_off_the_rounding_edge(monkeypatch, toward):
     center = sc.center_set(problem)
     real = lp.distance_to_polytope
 
-    def noisy(x, poly, tol=DEFAULT_TOL):
-        dist, point = real(x, poly, tol)
+    def noisy(x, poly):
+        dist, point = real(x, poly)
         return float(np.nextafter(dist, toward)), point
 
     monkeypatch.setattr(lp, "distance_to_polytope", noisy)
@@ -175,9 +175,9 @@ def test_modulus_step_cap_raises(worked, monkeypatch):
     center = sc.center_set(problem)
     real = lp.distance_to_polytope
 
-    def plateau(x, poly, tol=DEFAULT_TOL):
-        dist, point = real(x, poly, tol)
-        return (1.0 if dist >= delta_max - 1e-12 else eps + tol), point
+    def plateau(x, poly):
+        dist, point = real(x, poly)
+        return (1.0 if dist >= delta_max - 1e-12 else eps + DEFAULT_TOL), point
 
     monkeypatch.setattr(lp, "distance_to_polytope", plateau)
     with pytest.raises(LPNumericalError, match="not confirmed"):
@@ -188,7 +188,7 @@ def test_farthest_vertex_ties_go_to_the_first_vertex():
     # the second vertex is one ulp farther from the box than the first
     verts = np.array([[2.0, 0.0], [0.0, np.nextafter(2.0, 3.0)]])
     box = sc.Polytope.box(2, 1.0)
-    worst, witness = _farthest_vertex(verts, box, DEFAULT_TOL)
+    worst, witness = _farthest_vertex(verts, box)
     assert worst == lp.distance_to_polytope(verts[1], box)[0] > 1.0
     assert np.array_equal(witness, verts[0])
 
