@@ -72,9 +72,7 @@ from .space import (
 )
 from .stability import (
     ModulusReport,
-    SequenceReport,
     p1_modulus,
-    sequence_criterion_check,
     worst_near_center_distance,
 )
 

@@ -15,18 +15,13 @@ nonnegative.  Equality rows, flipped to a nonnegative right-hand side, keep an
 artificial each.  Phase 1 minimizes the sum of the artificials.
 
 Bland's rule is taken with whole-array numpy steps, not per-column or per-row
-Python loops, and it chooses exactly the pivots of the plain scalar scan.  The
-entering column is the first with reduced cost below -DEFAULT_TOL (times
-1 + max|c| in phase 2), an argmax on the mask.  The leaving row comes from the
-ratios max(rhs, 0) / col over the rows with col > PIVOT_EPS, computed at once.
-When exactly one ratio lies within TIE_WINDOW (2 PIVOT_EPS) of the minimum,
-every other ratio exceeds it by more than PIVOT_EPS after rounding, so the
-scalar scan would take that row too.  Otherwise the scan itself runs on Python
-floats over the eligible rows: a ratio more than PIVOT_EPS below the running
-best replaces it, one within PIVOT_EPS replaces it when its basis index is
-smaller.  Ties chained across several rows thus resolve as they always have.
-The pivot update and the phase-2 objective row are computed in the same order,
-so every tableau holds the same bits and every report the same bytes.
+Python loops.  The entering column is the first with reduced cost below
+-DEFAULT_TOL (times 1 + max|c| in phase 2), an argmax on the mask.  The
+leaving row is, among the rows with col > PIVOT_EPS whose ratio
+max(rhs, 0) / col is within PIVOT_EPS of the least, the one whose basic
+variable has the smallest index (Bland, Math. Oper. Res. 1977).  The pivot
+update and the phase-2 objective row are computed in a fixed order, so every
+tableau holds the same bits and every report the same bytes.
 
 The restricted radius, the sup-norm distance to a polytope and the gauge
 distances of the renormed-ball model share one program shape, built in one
@@ -51,7 +46,6 @@ from .tolerances import (
     FEAS_FACTOR,
     LP_MAX_ITER,
     PIVOT_EPS,
-    TIE_WINDOW,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,20 +95,6 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row, col] = 1.0
 
 
-def _sequential_leave(ratios: list, rows: list, keys: list) -> int:
-    """Bland's leaving rule as a scan in row order: a ratio more than
-    PIVOT_EPS below the running best replaces it, and one within PIVOT_EPS
-    of it replaces it when its basis index is smaller."""
-    best_ratio = np.inf
-    leave = best_key = -1
-    for ratio, row, key in zip(ratios, rows, keys):
-        if ratio < best_ratio - PIVOT_EPS or (
-            abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or key < best_key)
-        ):
-            best_ratio, leave, best_key = ratio, row, key
-    return leave
-
-
 def _bland_loop(tab, basis, ncols, tol, max_iter):
     """Run simplex pivots on tableau (obj row last). Returns iterations."""
     m = tab.shape[0] - 1
@@ -127,19 +107,11 @@ def _bland_loop(tab, basis, ncols, tol, max_iter):
             return it
         col = tab[:m, entering]
         rows = (col > PIVOT_EPS).nonzero()[0]
-        if rows.size == 0:
-            return -(it + 1)  # unbounded marker
         ratios = np.maximum(rhs[rows], 0.0) / col[rows]
-        best = ratios.min()
-        near = ratios <= best + TIE_WINDOW
-        if best < np.inf and np.count_nonzero(near) == 1:
-            # every other ratio exceeds this one by more than PIVOT_EPS, so
-            # the scan takes its row on reaching it and keeps it to the end
-            leave = int(rows[near.argmax()])
-        else:
-            leave = _sequential_leave(ratios.tolist(), rows.tolist(), basis[rows].tolist())
-            if leave < 0:
-                return -(it + 1)
+        tied = rows[ratios <= ratios.min(initial=np.inf) + PIVOT_EPS]
+        if tied.size == 0:
+            return -(it + 1)  # unbounded marker
+        leave = int(tied[basis[tied].argmin()])
         _pivot(tab, leave, entering)
         basis[leave] = entering
     raise LPNumericalError(f"simplex exceeded {max_iter} iterations")

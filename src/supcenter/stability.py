@@ -19,13 +19,7 @@ from . import lp
 from .centers import CenterProblem, CenterReport, center_set, near_center_set
 from .constraints import Polytope
 from .errors import LPNumericalError
-from .space import farthest_radius
-from .tolerances import (
-    DEFAULT_TOL,
-    MODULUS_CONFIRM_STEP,
-    MODULUS_MAX_STEPS,
-    SEQUENCE_TOL_FACTOR,
-)
+from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS
 
 logger = logging.getLogger(__name__)
 
@@ -141,60 +135,3 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
     raise LPNumericalError(
         f"stability modulus at eps={eps:g} not confirmed within {MODULUS_MAX_STEPS} "
         f"secant steps (bracket [{lo!r}, {hi!r}])")
-
-
-@dataclass(frozen=True)
-class SequenceStep:
-    n: int
-    slack: float
-    radius_at_point: float
-    distance: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class SequenceReport:
-    steps: tuple[SequenceStep, ...]
-    bounds_nonincreasing: bool
-    all_within_bound: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.bounds_nonincreasing and self.all_within_bound
-
-
-def sequence_criterion_check(problem: CenterProblem, trials: int, seed: int,
-                             mode: str = "random") -> SequenceReport:
-    """Minimizing sequences converge to the center set.
-
-    Draws v_n with r(v_n, B) <= rad + 1/n (a random point, or the worst
-    vertex in 'witness' mode) and certifies d(v_n, cent) against the vertex
-    bound for slack 1/n, which must itself be nonincreasing in n.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if mode not in ("random", "witness"):
-        raise ValueError(f"mode must be 'random' or 'witness', got {mode!r}")
-    rng = np.random.default_rng(seed)
-    center = center_set(problem)
-    steps = []
-    for n in range(1, trials + 1):
-        slack = 1.0 / n
-        verts = near_center_set(problem, slack, radius=center.radius).vertices()
-        bound, witness = _farthest_vertex(verts, center.center_polytope)
-        if mode == "witness" and witness is not None:
-            point = witness
-        else:
-            weights = rng.dirichlet(np.ones(verts.shape[0]))
-            point = weights @ verts
-        dist, _ = lp.distance_to_polytope(point, center.center_polytope)
-        steps.append(SequenceStep(n=n, slack=slack,
-                                  radius_at_point=farthest_radius(point, problem.family),
-                                  distance=dist, bound=bound))
-    bounds = [s.bound for s in steps]
-    slack = DEFAULT_TOL * SEQUENCE_TOL_FACTOR
-    nonincreasing = all(b1 >= b2 - slack for b1, b2 in zip(bounds, bounds[1:]))
-    within = all(s.distance <= s.bound + slack for s in steps)
-    return SequenceReport(steps=tuple(steps), bounds_nonincreasing=nonincreasing,
-                          all_within_bound=within)
-

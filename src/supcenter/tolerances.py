@@ -21,13 +21,10 @@ REGIME_TOL = 1e-9
 GAP_FORMULA_FLOOR = 10.0 * DEFAULT_TOL
 
 # Simplex pivot guards.  PIVOT_EPS (absolute) is the smallest pivot-column
-# entry a ratio test accepts, and the window within which two ratios tie.
+# entry a ratio test accepts, and the tie window of Bland's leaving rule: the
+# rows whose ratio is within PIVOT_EPS of the least tie.
 PIVOT_EPS = 1e-10
 LP_MAX_ITER = 50_000
-
-# Absolute: a leaving-row ratio test takes its fast path when exactly one
-# ratio lies within this of the minimum (see lp._bland_loop).
-TIE_WINDOW = 2.0 * PIVOT_EPS
 
 # Absolute: a basic artificial left after phase 1 leaves on the first core
 # column whose entry in its row exceeds this in magnitude.
@@ -75,8 +72,3 @@ MODULUS_CONFIRM_STEP = 1e-7
 # Absolute count: secant steps p1_modulus may take after its two bracket
 # probes before it gives up with LPNumericalError.
 MODULUS_MAX_STEPS = 64
-
-# Relative to DEFAULT_TOL: in stability.sequence_criterion_check a vertex
-# bound may rise from one step to the next, and a distance may exceed its
-# bound, by at most DEFAULT_TOL * SEQUENCE_TOL_FACTOR.
-SEQUENCE_TOL_FACTOR = 100.0

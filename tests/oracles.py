@@ -231,15 +231,17 @@ def _reference_pivot(tab, row, col):
     tab[row, col] = 1.0
 
 
-def reference_bland_loop(tab, basis, ncols, tol, max_iter):
-    """Bland's rule as a scalar scan, a drop-in for lp._bland_loop.
+def reference_bland_loop(tab, basis, ncols, tol, max_iter, windows=None):
+    """Bland's rule as scalar loops, a drop-in for lp._bland_loop.
 
     The entering column is the first with reduced cost below -tol, found
-    column by column.  The leaving row comes from a scan in row order over
-    the rows with a pivot-column entry above PIVOT_EPS: a ratio more than
-    PIVOT_EPS below the running best replaces it, and a ratio within
-    PIVOT_EPS of it replaces it when its basis index is smaller.  Returns the
-    iteration count, or -(iterations + 1) when the program is unbounded.
+    column by column.  Over the rows with a pivot-column entry above
+    PIVOT_EPS, the least ratio max(rhs, 0) / col is found first; the leaving
+    row is then, among the rows whose ratio is within PIVOT_EPS of it, the
+    one whose basic variable has the smallest index.  Returns the iteration
+    count, or -(iterations + 1) when the program is unbounded.  When windows
+    is a list, the ratios within PIVOT_EPS of the least are appended to it,
+    one list per ratio test.
     """
     m = tab.shape[0] - 1
     for it in range(max_iter):
@@ -252,16 +254,20 @@ def reference_bland_loop(tab, basis, ncols, tol, max_iter):
         if entering < 0:
             return it
         col = tab[:m, entering]
-        best_ratio = np.inf
+        ratios = {i: max(tab[i, -1], 0.0) / col[i] for i in range(m) if col[i] > PIVOT_EPS}
+        best = np.inf
+        for ratio in ratios.values():
+            if ratio < best:
+                best = ratio
         leave = -1
-        for i in range(m):
-            if col[i] > PIVOT_EPS:
-                ratio = max(tab[i, -1], 0.0) / col[i]
-                if ratio < best_ratio - PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+        window = []
+        for i, ratio in ratios.items():
+            if ratio <= best + PIVOT_EPS:
+                window.append(ratio)
+                if leave < 0 or basis[i] < basis[leave]:
                     leave = i
+        if windows is not None:
+            windows.append(window)
         if leave < 0:
             return -(it + 1)
         _reference_pivot(tab, leave, entering)

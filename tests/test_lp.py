@@ -5,6 +5,7 @@ import supcenter as sc
 from supcenter import cli, lp
 from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
+from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
 
 from oracles import reference_bland_loop, scipy_solve
 
@@ -287,23 +288,17 @@ def _corpus_programs(monkeypatch, capsys):
 
 @pytest.mark.parametrize("family", ["test-lp", "degenerate", "corpus"])
 def test_vectorized_pivot_rule_matches_scalar_reference(family, monkeypatch, capsys):
-    # the vectorized rule must choose every pivot the scalar scan chooses, so
+    # the vectorized rule must choose every pivot the scalar rule chooses, so
     # iteration counts agree and x agrees bit for bit
     programs = {"test-lp": _test_lp_programs, "degenerate": _degenerate_programs,
                 "corpus": lambda: _corpus_programs(monkeypatch, capsys)}[family]()
-    scans = []
-    real_scan = lp._sequential_leave
-
-    def scan(*args):
-        scans.append(args)
-        return real_scan(*args)
-
-    monkeypatch.setattr(lp, "_sequential_leave", scan)
+    windows = []
     solved = 0
     for k, (prob, options) in enumerate(programs):
         ours = lp.solve(prob, **options)
         with monkeypatch.context() as mp:
-            mp.setattr(lp, "_bland_loop", reference_bland_loop)
+            mp.setattr(lp, "_bland_loop",
+                       lambda *args: reference_bland_loop(*args, windows=windows))
             ref = lp.solve(prob, **options)
         assert (ours.status, ours.iterations, ours.value) == (ref.status, ref.iterations,
                                                               ref.value), f"program {k}"
@@ -312,4 +307,32 @@ def test_vectorized_pivot_rule_matches_scalar_reference(family, monkeypatch, cap
             assert ours.x.tobytes() == ref.x.tobytes(), f"program {k}"
         solved += 1
     assert solved >= 100
-    assert scans, "no ratio test fell back to the tie scan"
+    if family == "degenerate":
+        assert any(len(set(window)) > 1 for window in windows), "no inexact tie"
+
+
+def _one_pivot_tableau(rhs, basis):
+    """Tableau whose column 0 enters (reduced cost -1) with entry 1 in every
+    row, so each row's ratio is its rhs; the basic columns hold the identity."""
+    m = len(rhs)
+    tab = np.zeros((m + 1, m + 2))
+    tab[:m, 0] = 1.0
+    tab[np.arange(m), basis] = 1.0
+    tab[:m, -1] = rhs
+    tab[-1, 0] = -1.0
+    return tab, np.array(basis), m + 1
+
+
+@pytest.mark.parametrize("loop", [lp._bland_loop, reference_bland_loop])
+def test_leaving_row_ties_with_the_least_ratio_only(loop):
+    # rows 0 and 1 are within PIVOT_EPS of the least ratio and row 2 only of
+    # row 1's; of the tied rows, row 1 has the smaller basic index
+    tab, basis, ncols = _one_pivot_tableau([0.0, 0.8 * PIVOT_EPS, 1.6 * PIVOT_EPS], [3, 2, 1])
+    assert loop(tab, basis, ncols, DEFAULT_TOL, 10) == 1
+    assert basis.tolist() == [3, 0, 1]
+
+
+@pytest.mark.parametrize("loop", [lp._bland_loop, reference_bland_loop])
+def test_nan_rhs_gives_the_unbounded_marker(loop):
+    tab, basis, ncols = _one_pivot_tableau([np.nan], [1])
+    assert loop(tab, basis, ncols, DEFAULT_TOL, 10) < 0

@@ -9,7 +9,6 @@ from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
 from supcenter.stability import (
     _farthest_vertex,
     p1_modulus,
-    sequence_criterion_check,
     worst_near_center_distance,
 )
 
@@ -216,36 +215,6 @@ def test_p1_modulus_base_slack_against_highs(worked):
         verts = sc.near_center_set(problem, base_slack + p.delta).vertices()
         assert p.worst == pytest.approx(max(highs_distance(v, base) for v in verts), abs=1e-7)
 
-
-class TestSequenceCriterion:
-    def test_one_enumeration_per_step(self, worked, solve_counts):
-        _, _, problem = worked
-        sequence_criterion_check(problem, trials=3, seed=7)
-        assert solve_counts["calls:enumerate"] == 3
-        assert solve_counts["other"] == 1  # the center set, solved once
-
-    def test_random_mode(self, worked):
-        _, _, problem = worked
-        report = sequence_criterion_check(problem, trials=6, seed=7)
-        assert report.passed
-        assert [s.n for s in report.steps] == [1, 2, 3, 4, 5, 6]
-        radius = sc.restricted_radius(problem)
-        for step in report.steps:
-            assert step.radius_at_point <= radius + step.slack + 1e-9
-
-    def test_witness_mode_saturates_bound(self, worked):
-        _, _, problem = worked
-        report = sequence_criterion_check(problem, trials=4, seed=7, mode="witness")
-        assert report.passed
-        for step in report.steps:
-            assert step.distance == pytest.approx(step.bound, abs=1e-8)
-
-    def test_bad_arguments(self, worked):
-        _, _, problem = worked
-        with pytest.raises(ValueError):
-            sequence_criterion_check(problem, trials=0, seed=1)
-        with pytest.raises(ValueError):
-            sequence_criterion_check(problem, trials=1, seed=1, mode="nope")
 
 
 def test_hausdorff_lipschitz_empirical(rng):

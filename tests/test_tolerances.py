@@ -1,5 +1,6 @@
 """One tolerance, named in tolerances.py and read where it is used."""
 
+import ast
 import importlib
 import inspect
 import io
@@ -50,3 +51,55 @@ def test_thresholds_are_named_not_written_inline(name):
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
               if tok.type == tokenize.NUMBER and re.search(r"\d(\.\d*)?e-\d+", tok.string)]
     assert inline == []
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def test_every_named_threshold_is_read():
+    # imported by another module, where test_no_unused_imports sees it used
+    tolerances = importlib.import_module("supcenter.tolerances")
+    defined = {target.id for node in _tree(tolerances).body if isinstance(node, ast.Assign)
+               for target in node.targets}
+    read = set()
+    for module in MODULES:
+        if module is not tolerances:
+            read |= {alias.name for node in ast.walk(_tree(module))
+                     if isinstance(node, ast.ImportFrom) and node.module == "tolerances"
+                     for alias in node.names}
+    assert defined and defined <= read, sorted(defined - read)
+
+
+def _used_names(tree):
+    """Names a module loads, including those in string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {name.id for name in ast.walk(ast.parse(node.value, mode="eval"))
+                         if isinstance(name, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_unused_imports(module):
+    # MODULES holds the submodules, not __init__, which imports to export
+    tree = _tree(module)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    assert sorted(imported - _used_names(tree)) == []
