@@ -19,7 +19,8 @@ from . import lp
 from .constraints import Polytope, Subspace, ball_polytope
 from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
 from .space import FunctionFamily, _hausdorff_points, as_vector, band, farthest_radius
-from .tolerances import BOX_FACTOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL
+from .tolerances import (BOX_CERTIFY_TOL, BOX_FACTOR, CENTER_FLOOR, CERTIFY_SLACK_FACTOR,
+                         DEFAULT_TOL, IDENTITY_SET_TOL, THRESHOLD_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _subspace_centers(family: FunctionFamily, y: Subspace) -> tuple[CenterProble
     report = center_set(problem)
     r1 = report.radius
     r2 = restricted_radius(ball_problem(family, y, 2.0 * side))
-    if abs(r1 - r2) > 1e-7 * (1.0 + abs(r1)):
+    if abs(r1 - r2) > BOX_CERTIFY_TOL * (1.0 + abs(r1)):
         raise LPNumericalError(
             f"bounding box binds the subspace problem (radius {r1} vs {r2}); enlarge BOX_FACTOR")
     return problem, report
@@ -95,7 +96,7 @@ def center_set(problem: CenterProblem) -> CenterReport:
     radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
                                  problem.feasible)
     poly = _slab_polytope(problem, radius)
-    if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + 1e-12:
+    if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
         raise LPNumericalError("radius minimizer violates its own center polytope")
     return CenterReport(radius=radius, representative=rep, center_polytope=poly)
 
@@ -133,7 +134,7 @@ class ScalingIdentityReport:
 
 def check_scaling_identity(y: Subspace, family: FunctionFamily, lam: float,
                            delta: float | None = None,
-                           set_tol: float = 1e-6) -> ScalingIdentityReport:
+                           set_tol: float = IDENTITY_SET_TOL) -> ScalingIdentityReport:
     """Certify cent_{lam B_Y}(B) = lam cent_{B_Y}(B / lam), and the
     delta-version for near-center sets."""
     if lam <= 0:
@@ -174,7 +175,7 @@ class ThresholdReport:
 
 
 def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | None = None,
-                             set_tol: float = 1e-6) -> ThresholdReport:
+                             set_tol: float = IDENTITY_SET_TOL) -> ThresholdReport:
     """Certify cent_Y(B) subset of cent_{lam B_Y}(B) for lam >= tau and equality
     strictly above tau, where tau = max_b |b|_inf + rad_Y(B).
 
@@ -194,7 +195,7 @@ def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | N
         (scaled_centers.center_polytope.violation(v) for v in free_centers.center_polytope.vertices()),
         default=0.0,
     )
-    equality_checked = lam > tau + 1e-6
+    equality_checked = lam > tau + THRESHOLD_MARGIN
     equality_gap = None
     if equality_checked:
         equality_gap = max(

@@ -4,10 +4,11 @@ The constraint set is the unit ball of Y = (joint kernel of finitely many
 finitely-supported functionals).  Restricting attention to the support points
 turns the problem into a small compact one: the kernel ball restricted to
 the support columns, a unit box with one balance equality per functional and
-one coordinate per support point.  It is solved once.  The reduced optimum
-alpha never exceeds the full radius R, its minimizer extends to an explicit
-center by clamping, and a near-center g can be repaired into an exact center
-at sup-distance <= eps by projecting onto the reduced center set.
+one coordinate per support point.  It is solved once for its optimum alpha,
+and the full radius R = max(alpha, off-support term) follows in closed form,
+so alpha <= R by construction.  The minimizer extends to an explicit center
+by clamping, and a near-center g can be repaired into an exact center at
+sup-distance <= eps by projecting onto the reduced center set.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp
-from .centers import (
-    CenterProblem,
-    CenterReport,
-    ball_problem,
-    center_set,
-    near_center_set,
-    restricted_radius,
-)
+from .centers import CenterProblem, CenterReport, center_set, near_center_set
 from .constraints import Polytope, Subspace
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .space import FunctionFamily, as_vector, band, farthest_radius, sup_norm
@@ -44,8 +38,8 @@ class SupportReduction:
     once, in order of first appearance.  problem is the reduced CenterProblem
     (unit box on the slots, one balance equality per functional) and center
     its solved CenterReport, both None when there are no functionals; alpha
-    is the reduced optimum.  radius is the full kernel-ball radius R.  Both
-    radii are solved once here and read by every step that needs them.
+    is the reduced optimum and radius the full kernel-ball radius R, read off
+    in closed form; both are computed once here and read wherever needed.
     """
 
     slots: tuple[int, ...]
@@ -64,16 +58,19 @@ class SupportReduction:
 
 
 def finite_reduction(family: FunctionFamily, y: Subspace) -> SupportReduction:
-    """Build the reduced compact problem on the support points.
-
-    Asserts alpha <= restricted radius of the full kernel-ball problem.
-    """
+    """Solve the reduced problem for alpha and read R off in closed form:
+    r(v, B) is a max over coordinates and each off-support i is free in
+    [-1, 1], so R = max(alpha, max_i r_i) with r_i = max(hi_i - t_i, t_i - lo_i),
+    lo_i, hi_i = min_f f_i, max_f f_i and t_i = clip((lo_i + hi_i)/2, -1, 1)."""
     if family.dim != y.dim:
         raise DimensionMismatchError(f"family dim {family.dim} != subspace dim {y.dim}")
     slots = list(dict.fromkeys(k for mu in y.functionals for k in mu.support))
-    radius = restricted_radius(ball_problem(family, y))
+    off = np.delete(family.values, slots, axis=1)
+    lo, hi = off.min(axis=0), off.max(axis=0)
+    mid = np.clip(0.5 * (lo + hi), -1.0, 1.0)
+    off_radius = float(np.max(np.maximum(hi - mid, mid - lo), initial=0.0))
     if not slots:
-        return SupportReduction(slots=(), problem=None, center=None, alpha=0.0, radius=radius)
+        return SupportReduction(slots=(), problem=None, center=None, alpha=0.0, radius=off_radius)
 
     box = Polytope.box(len(slots), 1.0)
     rows = y.rows()[:, slots]
@@ -82,26 +79,25 @@ def finite_reduction(family: FunctionFamily, y: Subspace) -> SupportReduction:
         feasible=Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0])))
     center = center_set(problem)
     alpha = max(center.radius, 0.0)
-    if alpha > radius + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
-        raise ConstructionError(
-            f"reduced optimum {alpha} exceeds the full restricted radius {radius}")
     return SupportReduction(slots=tuple(slots), problem=problem, center=center, alpha=alpha,
-                            radius=radius)
+                            radius=max(alpha, off_radius))
 
 
-def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: float) -> None:
+def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: float,
+                    lower: np.ndarray, upper: np.ndarray) -> None:
     slack = DEFAULT_TOL * CERTIFY_SLACK_FACTOR
-    for i, hi in enumerate(h):
-        if abs(hi) > 1.0 + slack:
-            raise ConstructionError(f"|h[{i}]| = {abs(hi)} > 1", point_index=i)
-    lower, upper = band(family, radius)
-    for i in range(h.size):
-        if h[i] < lower[i] - slack:
+    outside = np.abs(h) > 1.0 + slack
+    if outside.any():
+        i = int(outside.argmax())
+        raise ConstructionError(f"|h[{i}]| = {abs(h[i])} > 1", point_index=i)
+    below, above = h < lower - slack, h > upper + slack
+    if (below | above).any():
+        i = int((below | above).argmax())
+        if below[i]:
             raise ConstructionError(
                 f"h[{i}] = {h[i]} < max_f f - R = {lower[i]}", point_index=i)
-        if h[i] > upper[i] + slack:
-            raise ConstructionError(
-                f"h[{i}] = {h[i]} > min_f f + R = {upper[i]}", point_index=i)
+        raise ConstructionError(
+            f"h[{i}] = {h[i]} > min_f f + R = {upper[i]}", point_index=i)
     res = y.residuals(h)
     if res.size and np.max(np.abs(res)) > DEFAULT_TOL:
         raise ConstructionError(f"functional residuals {res} exceed {DEFAULT_TOL}")
@@ -128,7 +124,7 @@ def constructive_center(family: FunctionFamily, y: Subspace,
     lower, upper = band(family, radius)
     h0 = np.minimum(g, upper)
     h = np.maximum(h0, lower)
-    _certify_center(h, family, y, radius)
+    _certify_center(h, family, y, radius, lower, upper)
     return h
 
 
@@ -247,7 +243,7 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     h1 = np.maximum(f1, g_prime)
     h2 = np.minimum(h1, f2)
 
-    _certify_center(h2, family, y, radius)
+    _certify_center(h2, family, y, radius, lower_band, upper_band)
     moved = float(np.max(np.abs(g - h2)))
     if moved > inp.eps + slack:
         raise ConstructionError(f"repair moved {moved} > eps = {inp.eps}")

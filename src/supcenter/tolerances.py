@@ -63,6 +63,15 @@ VERTEX_FILTER_TOL = 1e-7
 # Side of the bounding box used when optimizing over an unbounded affine
 # subspace, as a multiple of the data magnitude.
 BOX_FACTOR = 10.0
+# Relative to 1 + |r1|: the box of subspace_problem is non-binding when its
+# radius r1 and the radius at twice its side agree within this.
+BOX_CERTIFY_TOL = 1e-7
+# Absolute: added to the certificate slack of a center_set minimizer.
+CENTER_FLOOR = 1e-12
+# Absolute: the default set_tol of the scaling and threshold identity checks,
+# and the margin above tau past which the threshold equality is asserted.
+IDENTITY_SET_TOL = 1e-6
+THRESHOLD_MARGIN = 1e-6
 
 # Relative to delta_max: stability.p1_modulus accepts a slack delta once a
 # probe at delta + MODULUS_CONFIRM_STEP * delta_max has failed, and keeps

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import supcenter as sc
 import supcenter.lp as lp
@@ -7,16 +9,18 @@ from supcenter.construct import (
     GAP,
     MATCHED,
     RepairInput,
+    _certify_center,
     admissible_slack,
     constructive_center,
     finite_reduction,
     repair_near_center,
     simplex_mode,
 )
-from supcenter.errors import DimensionMismatchError, PreconditionError
+from supcenter.errors import ConstructionError, DimensionMismatchError, PreconditionError
 from supcenter.sampling import near_center_point, random_ball_problem
+from supcenter.space import band
 
-from oracles import highs_distance, tied_slot_alpha
+from oracles import highs_distance, scipy_radius, tied_slot_alpha
 
 
 def gap_instance():
@@ -103,6 +107,52 @@ class TestFiniteReduction:
         red = finite_reduction(family, y)
         assert red.alpha <= 1e-9
         assert sc.restricted_radius(sc.ball_problem(family, y)) == pytest.approx(2.0, abs=1e-9)
+
+
+@st.composite
+def kernel_ball_draws(draw):
+    """Member values in [-3, 3], so the clip of an off-support midpoint to
+    [-1, 1] can bind, and zero to two functionals with random supports."""
+    dim = draw(st.integers(1, 6))
+    coordinate = st.floats(-3.0, 3.0, allow_subnormal=False)
+    values = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                           min_size=1, max_size=3))
+    functionals = []
+    for _ in range(draw(st.integers(0, 2))):
+        support = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+        weights = draw(st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1),
+                                min_size=len(support), max_size=len(support)))
+        functionals.append((support, weights))
+    return values, functionals
+
+
+class TestClosedFormRadius:
+    """finite_reduction reads R off in closed form; the kernel-ball LP and
+    HiGHS are its oracles."""
+
+    @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+    def test_equals_the_lp_radius_on_the_corpus(self, inst):
+        radius = sc.restricted_radius(sc.ball_problem(inst.family, inst.subspace))
+        assert finite_reduction(inst.family, inst.subspace).radius == radius
+
+    # no functionals; every coordinate on a support; one off-support coordinate
+    # whose midpoint 2.5 clips to 1; an off-support midpoint clipped to -1
+    @example(draw=([[2.0, -3.0], [3.0, 1.0]], []))
+    @example(draw=([[1.0, 0.0, 3.0], [0.0, 1.0, -2.0]], [((0, 1), (0.5, -0.5)),
+                                                         ((1, 2), (0.3, 0.7))]))
+    @example(draw=([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]], [((0, 1), (0.5, -0.5))]))
+    @example(draw=([[0.5, -2.0, -3.0], [0.0, -2.5, 0.5]], [((0,), (1.0,))]))
+    @given(draw=kernel_ball_draws())
+    def test_agrees_with_the_lp_and_highs(self, draw):
+        values, functionals = draw
+        family = sc.FunctionFamily(values)
+        y = sc.Subspace(dim=family.dim, functionals=tuple(
+            sc.Functional(support=tuple(s), weights=tuple(w), normalize=True)
+            for s, w in functionals))
+        radius = finite_reduction(family, y).radius
+        lp_radius = sc.restricted_radius(sc.ball_problem(family, y))
+        assert abs(radius - lp_radius) <= 1e-15 * (1.0 + radius)
+        assert radius == pytest.approx(scipy_radius(family.values, y.rows())[0], abs=1e-7)
 
 
 class TestConstructiveCenter:
@@ -247,13 +297,33 @@ class TestRepair:
                                family, y)
 
 
+class TestCertifyCenter:
+    """Each coordinate failure names its first offending index."""
+
+    @pytest.mark.parametrize("h, index, message", [
+        # |h_i| > 1 is checked before the band, even at a later index
+        ([0.4, 0.5, 1.5], 2, "|h[2]| = 1.5 > 1"),
+        # the band names the first index outside it, on whichever side
+        ([0.5, 0.3, 0.7], 1, "h[1] = 0.3 < max_f f - R = 0.5"),
+        ([0.6, 0.5, -0.7], 0, "h[0] = 0.6 > min_f f + R = 0.5"),
+    ])
+    def test_coordinate_failures(self, worked, h, index, message):
+        family, y, _ = worked
+        lower, upper = band(family, 0.5)
+        with pytest.raises(ConstructionError) as exc:
+            _certify_center(np.array(h), family, y, 0.5, lower, upper)
+        assert exc.value.point_index == index
+        assert str(exc.value) == message
+
+
 class TestSolveCounts:
-    """The full radius is solved once, in finite_reduction, and handed on."""
+    """The full radius is computed once, in finite_reduction, and handed on."""
 
     def test_finite_reduction(self, worked, solve_counts):
         family, y, _ = worked
         red = finite_reduction(family, y)
-        assert solve_counts["solves"] == 2
+        # one LP, the reduced radius; the full radius is read off in closed form
+        assert solve_counts == {"solves": 1, "other": 1}
         assert red.radius == pytest.approx(0.5, abs=1e-9)
         assert red.regime == MATCHED
 
