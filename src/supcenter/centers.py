@@ -3,10 +3,11 @@
 For a constraint set V and a finite family B, the restricted radius is
 rad_V(B) = inf_{v in V} r(v, B); the center set is the slab S_rad(B)
 intersected with V, and the near-center set relaxes the slab by a slack
-delta.  All three reduce to linear programs over H-polytopes here.  The
-radius is solved once, by one epigraph LP in center_set, and then handed on:
-near_center_set, the stability modulus and the repair take an already-solved
-radius instead of solving it again.
+delta.  All three reduce to linear programs over H-polytopes here; V is a
+kernel ball lam * B_Y or the unbounded kernel Y, and the slab, a box, bounds
+every set.  The radius is solved once, by one epigraph LP in center_set, and
+then handed on: near_center_set, the stability modulus and the repair take an
+already-solved radius instead of solving it again.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from . import lp
 from .constraints import Polytope, Subspace, ball_polytope
 from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
 from .space import FunctionFamily, _hausdorff_points, as_vector, band, farthest_radius
-from .tolerances import (BOX_CERTIFY_TOL, BOX_FACTOR, CENTER_FLOOR, CERTIFY_SLACK_FACTOR,
-                         DEFAULT_TOL, IDENTITY_SET_TOL, THRESHOLD_MARGIN)
+from .tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL, IDENTITY_SET_TOL,
+                         THRESHOLD_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -50,33 +51,17 @@ class CenterReport:
 
 def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> CenterProblem:
     """Problem with V = lam * (unit ball of the kernel subspace)."""
-    if family.dim != y.dim:
-        raise DimensionMismatchError(f"family dim {family.dim} != subspace dim {y.dim}")
     return CenterProblem(family=family, feasible=ball_polytope(y, lam))
 
 
 def subspace_problem(family: FunctionFamily, y: Subspace) -> CenterProblem:
-    """Problem with V = the whole kernel subspace.
-
-    The subspace is unbounded, so the kernel ball of side BOX_FACTOR times
-    the data magnitude makes the LPs well posed.  The box is certified
-    non-binding by re-solving with a box twice as large and comparing radii.
-    """
-    return _subspace_centers(family, y)[0]
-
-
-def _subspace_centers(family: FunctionFamily, y: Subspace) -> tuple[CenterProblem, CenterReport]:
-    """subspace_problem together with the center report its box certificate
-    solved, for callers that need the centers too."""
-    side = BOX_FACTOR * max(1.0, float(np.max(np.abs(family.values))))
-    problem = ball_problem(family, y, side)
-    report = center_set(problem)
-    r1 = report.radius
-    r2 = restricted_radius(ball_problem(family, y, 2.0 * side))
-    if abs(r1 - r2) > BOX_CERTIFY_TOL * (1.0 + abs(r1)):
-        raise LPNumericalError(
-            f"bounding box binds the subspace problem (radius {r1} vs {r2}); enlarge BOX_FACTOR")
-    return problem, report
+    """Problem with V = the whole kernel subspace: Y's equalities, no
+    inequality rows.  V is unbounded, yet every program over it is well posed:
+    the band rows bound the epigraph variable below, t >= (max_f f_i - min_f
+    f_i) / 2 >= 0, and the band is a box, so every center set, near-center set
+    and modulus target over Y is a bounded polytope."""
+    feasible = Polytope(a_eq=y.rows(), b_eq=np.zeros(len(y.functionals)), dim=y.dim)
+    return CenterProblem(family=family, feasible=feasible)
 
 
 def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
@@ -182,7 +167,7 @@ def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | N
     The equality direction is only asserted for lam > tau by a clear margin;
     at lam = tau the identity is too fragile in floating point.
     """
-    _, free_centers = _subspace_centers(family, y)
+    free_centers = center_set(subspace_problem(family, y))
     tau = float(np.max(np.abs(family.values))) + free_centers.radius
     if lam is None:
         lam = tau + 1.0

@@ -167,10 +167,7 @@ def ball_polytope(y: Subspace, lam: float) -> Polytope:
     if lam <= 0:
         raise ValueError(f"ball scale must be positive, got {lam}")
     box = Polytope.box(y.dim, lam)
-    rows = y.rows()
-    if rows.shape[0] == 0:
-        return box
-    return Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0]))
+    return Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=y.rows(), b_eq=np.zeros(len(y.functionals)))
 
 
 def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int):

@@ -60,12 +60,6 @@ POLAR_ORIGIN_TOL = 1e-9
 # this, and always by DEFAULT_TOL * CERTIFY_SLACK_FACTOR.
 VERTEX_FILTER_TOL = 1e-7
 
-# Side of the bounding box used when optimizing over an unbounded affine
-# subspace, as a multiple of the data magnitude.
-BOX_FACTOR = 10.0
-# Relative to 1 + |r1|: the box of subspace_problem is non-binding when its
-# radius r1 and the radius at twice its side agree within this.
-BOX_CERTIFY_TOL = 1e-7
 # Absolute: added to the certificate slack of a center_set minimizer.
 CENTER_FLOOR = 1e-12
 # Absolute: the default set_tol of the scaling and threshold identity checks,

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import supcenter as sc
+from supcenter import lp
 from supcenter.errors import (
     DimensionMismatchError,
     InfeasiblePolytopeError,
@@ -79,14 +82,16 @@ class TestAgainstScipy:
     def test_subspace_mode(self, rng):
         from supcenter.sampling import random_family, random_subspace
 
-        for _ in range(10):
-            dim = int(rng.integers(2, 5))
-            family = random_family(rng, dim, int(rng.integers(1, 4)))
-            y = random_subspace(rng, dim)
-            problem = sc.subspace_problem(family, y)
-            ours = sc.restricted_radius(problem)
-            ref, _ = scipy_radius(family.values, y.rows(), box=100.0)
-            assert ours == pytest.approx(ref, abs=1e-7)
+        # HiGHS over the unbounded kernel, at unit and at large data scale
+        for scale in (1.0, 1e3):
+            for _ in range(10):
+                dim = int(rng.integers(2, 5))
+                family = random_family(rng, dim, int(rng.integers(1, 4)), scale)
+                y = random_subspace(rng, dim)
+                problem = sc.subspace_problem(family, y)
+                ours = sc.restricted_radius(problem)
+                ref, _ = scipy_radius(family.values, y.rows(), box=np.inf)
+                assert ours == pytest.approx(ref, abs=1e-7 * scale)
 
 
 def test_ball_problem_dimension_mismatch():
@@ -194,12 +199,33 @@ class TestPerturbation:
                                      family, problem.feasible, 0.3, 0.9)
 
 
-def test_subspace_problem_box_certified(worked):
+def test_subspace_problem_is_the_kernel(worked):
     family, y, _ = worked
     problem = sc.subspace_problem(family, y)
     # the kernel is 2-dim; without the ball cap the radius drops to the
     # unrestricted optimum over Y
     assert sc.restricted_radius(problem) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_threshold_check_solves_the_free_radius_once(monkeypatch):
+    # V = Y is Y's equalities alone, built without an LP, and the threshold
+    # check solves one radius over Y and one over lam B_Y
+    inst = next(i for i in sc.load_corpus("center") if i.name == "01-worked-instance")
+    counts = Counter()
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
+    monkeypatch.setattr(lp, "epigraph_lp", counted("epigraph_lp", lp.epigraph_lp))
+    problem = sc.subspace_problem(inst.family, inst.subspace)
+    assert counts["solve"] == 0
+    assert problem.feasible.a_ub.shape[0] == 0
+    assert sc.check_threshold_equality(inst.subspace, inst.family).passed
+    assert counts["epigraph_lp"] == 2
 
 
 def test_center_report_mode_label(worked):

@@ -6,7 +6,7 @@ import pytest
 
 from scipy.spatial import QhullError
 
-from supcenter import centers, cli, sampling
+from supcenter import cli, sampling
 from supcenter.cli import BAD_INPUT, CHECK_FAILED, INTERNAL, NUMERICAL, OK, main
 
 
@@ -220,27 +220,19 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, monkeypatch, capsys):
     solves = solve_counts["solves"]
 
     # the same trials with each radius solved again where it is used: the
-    # two near-center draws and the perturbation step of every trial, and
-    # the free problem's centers in every threshold check
+    # two near-center draws and the perturbation step of every trial
     def dropping_radius(fn):
         def run(*args, radius=None, **kwargs):
             return fn(*args, **kwargs)
         return run
 
-    real_subspace_centers = centers._subspace_centers
-
-    def resolving_centers(family, y):
-        problem, _ = real_subspace_centers(family, y)
-        return problem, centers.center_set(problem)
-
     monkeypatch.setattr(sampling, "near_center_point", dropping_radius(sampling.near_center_point))
     monkeypatch.setattr(cli, "perturb_toward_center", dropping_radius(cli.perturb_toward_center))
-    monkeypatch.setattr(centers, "_subspace_centers", resolving_centers)
     solve_counts.clear()
     code, resolved = run_json(capsys, ["check-lemmas", "--trials", "5"])
     assert code == OK
     assert resolved == reused
-    assert solve_counts["solves"] - solves == 20
+    assert solve_counts["solves"] - solves == 15
 
 
 @pytest.mark.parametrize("target, error", [
