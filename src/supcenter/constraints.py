@@ -125,9 +125,12 @@ class Polytope:
         return self.a_ub.shape[1]
 
     @classmethod
-    def box(cls, dim: int, radius: float) -> "Polytope":
+    def box(cls, dim: int, radius: float, a_eq=None) -> "Polytope":
+        """The cube [-radius, radius]^dim, cut by a_eq v = 0 when rows are given."""
         eye = np.eye(dim)
-        return cls(a_ub=np.vstack([eye, -eye]), b_ub=np.full(2 * dim, float(radius)))
+        b_eq = None if a_eq is None else np.zeros(len(a_eq))
+        return cls(a_ub=np.vstack([eye, -eye]), b_ub=np.full(2 * dim, float(radius)),
+                   a_eq=a_eq, b_eq=b_eq, dim=dim)
 
     def with_rows(self, a_ub, b_ub) -> "Polytope":
         """New polytope with extra inequality rows appended."""
@@ -166,8 +169,7 @@ def ball_polytope(y: Subspace, lam: float) -> Polytope:
     """lam * (unit ball of the kernel subspace), as an H-polytope."""
     if lam <= 0:
         raise ValueError(f"ball scale must be positive, got {lam}")
-    box = Polytope.box(y.dim, lam)
-    return Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=y.rows(), b_eq=np.zeros(len(y.functionals)))
+    return Polytope.box(y.dim, lam, y.rows())
 
 
 def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int):
@@ -262,13 +264,17 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.nda
         raise EnumerationError(f"convex hull of the polar dual: {exc}") from exc
     eqs = hull.equations  # rows [normal | offset]: normal.p + offset <= 0
     reach = float(np.max(np.abs(polar_pts)))
-    verts = []
-    for row in eqs:
-        normal, off = row[:d], row[d]
-        if -off <= POLAR_ORIGIN_TOL * reach:
-            raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
-        verts.append(z0 + normal / (-off))
-    return np.array(verts)
+    if np.any(-eqs[:, d] <= POLAR_ORIGIN_TOL * reach):
+        raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
+    return z0 + eqs[:, :d] / -eqs[:, d:]
+
+
+def _violations(poly: Polytope, points: np.ndarray) -> np.ndarray:
+    """Polytope.violation of each row of points, from one product with the
+    inequality rows and one with the equality rows.  The scores only decide
+    which points are kept; none of them is reported."""
+    return np.maximum(np.max(points @ poly.a_ub.T - poly.b_ub, axis=1, initial=0.0),
+                      np.max(np.abs(points @ poly.a_eq.T - poly.b_eq), axis=1, initial=0.0))
 
 
 def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
@@ -277,7 +283,7 @@ def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
     v0, basis = _affine_hull(poly.a_eq, poly.b_eq, d0)
     d = basis.shape[1]
     if d == 0:
-        if poly.contains(v0, DEFAULT_TOL * CERTIFY_SLACK_FACTOR):
+        if _violations(poly, v0[None])[0] <= DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
             return v0.reshape(1, -1)
         raise InfeasiblePolytopeError("equality system pins an infeasible point")
     a = poly.a_ub @ basis
@@ -301,30 +307,51 @@ def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
     return v0 + pts @ basis.T
 
 
-def _tolerant_ranks(column: np.ndarray) -> np.ndarray:
-    # values chained by gaps of at most DEDUP_TOL share a rank, so last-ulp
-    # noise cannot reorder rows that agree in this column
-    order = np.argsort(column, kind="stable")
-    ranks = np.empty(column.size, dtype=np.int64)
-    ranks[order] = np.concatenate([[0], np.cumsum(np.diff(column[order]) > DEDUP_TOL)])
+def _tolerant_ranks(rows: np.ndarray) -> np.ndarray:
+    # per column, values chained by gaps of at most DEDUP_TOL share a rank, so
+    # last-ulp noise cannot reorder rows that agree in that column
+    order = np.argsort(rows, axis=0, kind="stable")
+    cols = np.arange(rows.shape[1])
+    steps = np.diff(rows[order, cols], axis=0) > DEDUP_TOL
+    ranks = np.zeros(rows.shape, dtype=np.int64)
+    ranks[order[1:], cols] = np.cumsum(steps, axis=0)
     return ranks
 
 
 def merge_rows(rows: np.ndarray) -> np.ndarray:
     """Rows in lexicographic order, each dropped when it lies within DEDUP_TOL
     (sup distance) of a row already kept.  Used for vertex lists and for the
-    facet equations of a convex hull."""
+    facet equations of a convex hull.
+
+    Two rows within DEDUP_TOL share every tolerant rank: in each column the
+    sorted values between them step by gaps no larger than their difference.
+    So after the lexsort on the ranks, rows that can merge sit in one run of
+    equal keys, a row alone in its run is kept, and the greedy scan runs only
+    inside runs of two or more rows.  The ranks only decide order and runs;
+    every returned row is an input row, unchanged.
+    """
     rows = np.asarray(rows, dtype=float)
-    keys = [_tolerant_ranks(col) for col in rows.T]
-    kept: list[np.ndarray] = []
-    for row in rows[np.lexsort(keys[::-1])]:
-        if not kept or np.min(np.max(np.abs(np.array(kept) - row), axis=1)) > DEDUP_TOL:
-            kept.append(row)
-    return np.array(kept)
+    ranks = _tolerant_ranks(rows)
+    order = np.lexsort(ranks.T[::-1])
+    rows, ranks = rows[order], ranks[order]
+    bounds = np.flatnonzero(np.concatenate([[True], np.diff(ranks, axis=0).any(axis=1), [True]]))
+    keep = np.ones(len(rows), dtype=bool)
+    for run in np.flatnonzero(np.diff(bounds) > 1):
+        lo, hi = bounds[run], bounds[run + 1]
+        kept = [lo]
+        for i in range(lo + 1, hi):
+            if np.min(np.max(np.abs(rows[kept] - rows[i]), axis=1)) > DEDUP_TOL:
+                kept.append(i)
+            else:
+                keep[i] = False
+    return rows[keep]
 
 
 def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """All vertices of a bounded polytope, merged by merge_rows and sorted.
+
+    The feasibility filter scores all candidates at once with _violations;
+    the kept rows are the raw candidates themselves.
 
     Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
     unbounded systems.
@@ -332,9 +359,9 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     raw = _enumerate_reduced(poly, depth=0)
     scale = 1.0 + float(np.max(np.abs(raw)))
     bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
-    keep = [v for v in raw if poly.violation(v) <= bar]
-    if not keep:
+    keep = raw[_violations(poly, raw) <= bar]
+    if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
-    verts = merge_rows(np.array(keep))
+    verts = merge_rows(keep)
     verts.setflags(write=False)
     return verts

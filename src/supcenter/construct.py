@@ -72,11 +72,8 @@ def finite_reduction(family: FunctionFamily, y: Subspace) -> SupportReduction:
     if not slots:
         return SupportReduction(slots=(), problem=None, center=None, alpha=0.0, radius=off_radius)
 
-    box = Polytope.box(len(slots), 1.0)
-    rows = y.rows()[:, slots]
-    problem = CenterProblem(
-        family=FunctionFamily(family.values[:, slots]),
-        feasible=Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=rows, b_eq=np.zeros(rows.shape[0])))
+    problem = CenterProblem(family=FunctionFamily(family.values[:, slots]),
+                            feasible=Polytope.box(len(slots), 1.0, y.rows()[:, slots]))
     center = center_set(problem)
     alpha = max(center.radius, 0.0)
     return SupportReduction(slots=tuple(slots), problem=problem, center=center, alpha=alpha,

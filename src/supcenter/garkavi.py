@@ -337,11 +337,13 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
             near_verts = _projection(model, x, dist + eps).vertices()
             forward = max((lp.epigraph_lp(-model.section_facets, v, exact)[0] - eps
                            for v in near_verts), default=0.0)
-            backward = 0.0
-            for p in exact_verts:
-                for b in section_verts:
-                    cand = p + eps * b
-                    backward = max(backward, _gauge_facets(model, x - cand) - dist - eps)
+            # every candidate p + eps*b at once, but one ball_facets @ d product
+            # per candidate: one matrix product over all of them rounds the last
+            # bit differently from the per-vector product on about a quarter of
+            # the entries, and the reported gaps would move
+            diffs = (x - (exact_verts[:, None, :] + eps * section_verts)).reshape(-1, n)
+            gauges = np.maximum([np.max(model.ball_facets @ d) for d in diffs], 0.0)
+            backward = max(0.0, float(np.max(gauges - dist - eps)))
             # covariance: P_Y(y + lam x0, eps) = y + lam P_Y(x0, eps/|lam|)
             base = _projection(model, model.x0, dist_x0 + float(eps) / abs(lam))
             mapped = y_part + lam * base.vertices()

@@ -11,7 +11,10 @@ pivot.  The stability modulus has a bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
 must land in.  The renormed-ball model's forward gap has a convex-weights
 route, hull_gauge_distance, and its closed-form replay crossing a bisection
-reference, reference_replay_crossing.
+reference, reference_replay_crossing.  Vertex post-processing has a scalar
+reference: reference_merge_rows, the greedy scan over every kept row, and
+per_candidate_vertices, the feasibility filter one candidate at a time; the
+package's whole-array versions must match them bit for bit.
 """
 
 import itertools
@@ -20,9 +23,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from supcenter.centers import near_center_set
+from supcenter.constraints import _enumerate_reduced
 from supcenter.errors import LPNumericalError
 from supcenter.stability import _farthest_vertex
-from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
+from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL, PIVOT_EPS,
+                                  VERTEX_FILTER_TOL)
 
 GRID_STEP = 0.01
 # mesh covering radius (half-diagonal, d <= 3) plus the boundary shrink;
@@ -220,6 +225,38 @@ def min_row_gap(rows):
         return float("inf")
     gaps = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2)
     return float(np.min(gaps[np.triu_indices(rows.shape[0], k=1)]))
+
+
+def _reference_tolerant_ranks(column):
+    # values chained by gaps of at most DEDUP_TOL share a rank, so last-ulp
+    # noise cannot reorder rows that agree in this column
+    order = np.argsort(column, kind="stable")
+    ranks = np.empty(column.size, dtype=np.int64)
+    ranks[order] = np.concatenate([[0], np.cumsum(np.diff(column[order]) > DEDUP_TOL)])
+    return ranks
+
+
+def reference_merge_rows(rows):
+    """constraints.merge_rows as a greedy scan over all rows: each row in
+    lexicographic order of the tolerant ranks is compared with every row kept
+    so far, and dropped when one lies within DEDUP_TOL (sup distance)."""
+    rows = np.asarray(rows, dtype=float)
+    keys = [_reference_tolerant_ranks(col) for col in rows.T]
+    kept = []
+    for row in rows[np.lexsort(keys[::-1])]:
+        if not kept or np.min(np.max(np.abs(np.array(kept) - row), axis=1)) > DEDUP_TOL:
+            kept.append(row)
+    return np.array(kept)
+
+
+def per_candidate_vertices(poly):
+    """constraints.enumerate_vertices with the feasibility filter run one
+    candidate at a time through Polytope.violation, merged by
+    reference_merge_rows."""
+    raw = _enumerate_reduced(poly, depth=0)
+    scale = 1.0 + float(np.max(np.abs(raw)))
+    bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
+    return reference_merge_rows(np.array([v for v in raw if poly.violation(v) <= bar]))
 
 
 def _reference_pivot(tab, row, col):

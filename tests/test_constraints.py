@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supcenter as sc
 import supcenter.constraints as con
+from supcenter import garkavi
 from supcenter.errors import (
     InfeasiblePolytopeError,
     UnboundedPolytopeError,
 )
 from supcenter.tolerances import DEDUP_TOL
 
-from oracles import active_set_vertices, kernel_basis, min_row_gap
+from oracles import (active_set_vertices, kernel_basis, min_row_gap, per_candidate_vertices,
+                     reference_merge_rows)
 
 
 class TestFunctional:
@@ -174,6 +178,108 @@ def test_merge_rows_merges_and_orders_through_noise():
     assert merged.shape == (2, 2)
     assert merged[:, 1] == pytest.approx([0.0, 1.0])
     assert min_row_gap(merged) > DEDUP_TOL
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# steps of a planted cluster, in units of DEDUP_TOL: last-ulp noise, chain
+# links (a ~ b and b ~ c with a !~ c), and offsets just under and over the bar
+_STEPS = st.sampled_from([0.0, 1e-9, -1e-9, 0.4, -0.4, 0.6, 0.7, -0.9,
+                          1.0 - 1e-6, -(1.0 - 1e-6), 1.0 + 1e-6, -(1.0 + 1e-6), 1.2])
+_NOISE = st.sampled_from([0.0, 1e-16, -1e-16])
+
+
+@st.composite
+def planted_clusters(draw):
+    dim = draw(st.integers(1, 3))
+    corner = st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=dim, max_size=dim)
+    centers = draw(st.lists(corner, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = np.array(draw(st.sampled_from(centers)))
+        for _ in range(draw(st.integers(0, 3))):
+            row = row + DEDUP_TOL * np.array(draw(st.lists(_STEPS, min_size=dim, max_size=dim)))
+        rows.append(row + np.array(draw(st.lists(_NOISE, min_size=dim, max_size=dim))))
+    return np.array(rows)
+
+
+@settings(max_examples=300)
+@given(rows=planted_clusters())
+def test_merge_rows_matches_the_greedy_scan(rows):
+    assert_same_bytes(con.merge_rows(rows), reference_merge_rows(rows))
+
+
+def test_merge_rows_keeps_both_ends_of_a_chain():
+    # c ~ b and b ~ a, but c !~ a: one run of equal keys, in input order, of
+    # which the scan keeps c and a and drops b
+    rows = np.array([[1.2e-7 + 1e-16, 5.0], [0.0, 5.0], [0.6e-7, 5.0 - 1e-16], [2.0, 0.0]])
+    merged = con.merge_rows(rows)
+    assert_same_bytes(merged, reference_merge_rows(rows))
+    assert_same_bytes(merged, rows[[0, 1, 3]])
+
+
+def test_merge_rows_matches_the_greedy_scan_on_corpus_and_hull_facets(monkeypatch):
+    seen = []
+    real = con.merge_rows
+
+    def recording(rows):
+        seen.append(np.array(rows, dtype=float))
+        return real(rows)
+
+    monkeypatch.setattr(con, "merge_rows", recording)
+    monkeypatch.setattr(garkavi, "merge_rows", recording)
+    for inst in sc.load_corpus("center"):
+        problem = inst.problem()
+        sc.center_set(problem).center_polytope.vertices()
+        for delta in (0.2, 0.1, 0.05):
+            sc.near_center_set(problem, delta).vertices()
+    vertex_lists = len(seen)
+    for inst in sc.load_corpus("renorm"):
+        garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    assert vertex_lists >= 4 * len(sc.load_corpus("center")) and len(seen) > vertex_lists
+    for rows in seen:
+        assert_same_bytes(real(rows), reference_merge_rows(rows))
+
+
+def _filter_cases():
+    polys = []
+    for inst in sc.load_corpus("center"):
+        problem = inst.problem()
+        polys += [sc.center_set(problem).center_polytope, sc.near_center_set(problem, 0.1)]
+    rng = np.random.default_rng(7)
+    for inst in sc.load_corpus("renorm"):
+        model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+        for x in (model.x0, *rng.uniform(-1.0, 1.0, (2, model.n))):
+            polys += [garkavi.metric_projection(model, x, eps) for eps in (0.0, 0.1)]
+    # uncached copies, so that enumerate_vertices runs on each
+    return [con.Polytope(a_ub=p.a_ub, b_ub=p.b_ub, a_eq=p.a_eq, b_eq=p.b_eq, dim=p.dim)
+            for p in polys]
+
+
+def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
+    polys = _filter_cases()
+    expected = [per_candidate_vertices(p) for p in polys]
+    calls = []
+    real = con.Polytope.violation
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(con.Polytope, "violation", counted)
+    got = [con.enumerate_vertices(p) for p in polys]
+    assert not calls
+    for verts, want in zip(got, expected):
+        assert_same_bytes(verts, want)
+    # the batched scores are the per-point ones, also off the polytope
+    rng = np.random.default_rng(11)
+    for poly, verts in zip(polys, got):
+        points = np.vstack([verts, verts + rng.uniform(-1e-3, 1e-3, verts.shape)])
+        scores = [real(poly, v) for v in points]
+        assert con._violations(poly, points) == pytest.approx(scores, rel=1e-12, abs=1e-15)
+        assert max(scores) > 0.0
 
 
 def test_ball_polytope_rejects_nonpositive_scale():

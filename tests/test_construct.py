@@ -90,6 +90,21 @@ class TestFiniteReduction:
             assert red.problem.feasible.a_eq.shape == (2, len(red.slots))
             assert red.alpha == pytest.approx(tied_slot_alpha(family.values, mus), abs=1e-9)
 
+    @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+    def test_rows_are_the_box_and_the_slot_columns_of_y(self, inst):
+        # the kernel ball on the slots, from the builder ball_polytope uses:
+        # bit for bit the unit box on the slots with Y's rows on the slot columns
+        red = finite_reduction(inst.family, inst.subspace)
+        if not red.slots:
+            return
+        feasible = red.problem.feasible
+        eye = np.eye(red.size)
+        rows = inst.subspace.rows()[:, list(red.slots)]
+        for got, want in ((feasible.a_ub, np.vstack([eye, -eye])),
+                          (feasible.b_ub, np.ones(2 * red.size)),
+                          (feasible.a_eq, rows), (feasible.b_eq, np.zeros(rows.shape[0]))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_no_functionals(self):
         y = sc.Subspace(dim=3, functionals=())
         family = sc.FunctionFamily([[1.0, 0.0, 0.0]])

@@ -210,6 +210,22 @@ def test_forward_gap_matches_the_convex_weights_route(inst):
         assert sample.forward_gap == pytest.approx(worst, abs=1e-9)
 
 
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_backward_gap_matches_the_per_pair_scan(inst):
+    # the candidates are built in one broadcast, each gauge still one
+    # _gauge_facets product: the reported gap is the pair-by-pair one, bit for bit
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    report = half_ball_check(model, samples=3, eps_values=(0.2, 0.1))
+    for sample in report.samples:
+        x = np.array(sample.x)
+        backward = 0.0
+        for p in _projection(model, x, sample.distance).vertices():
+            for b in model.section_vertices:
+                gauge = _gauge_facets(model, x - (p + sample.eps * b))
+                backward = max(backward, gauge - sample.distance - sample.eps)
+        assert sample.backward_gap == max(backward, 0.0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_replay_crossing_matches_bisection(n):
     model = build_model(n, seed=0)
