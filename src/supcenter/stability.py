@@ -6,6 +6,11 @@ convex function and the near-center set is a polytope, the worst case sits at
 a vertex, so the certificate is exact at desk scale.  The stability modulus
 delta*(eps) is the largest slack whose worst distance stays below eps
 (property (P1) of the pair (V, B), quantified).
+
+Each vertex distance is a sup-norm distance LP against one fixed polytope.
+A point of that polytope bounds the distance of every vertex, so the search
+keeps the points it has and solves only the vertices whose bound can still
+decide the worst distance or its witness (see _farthest_vertex).
 """
 
 from __future__ import annotations
@@ -19,19 +24,43 @@ from . import lp
 from .centers import CenterProblem, CenterReport, center_set, near_center_set
 from .constraints import Polytope
 from .errors import LPNumericalError
-from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS
+from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
 
 logger = logging.getLogger(__name__)
 
 
-def _farthest_vertex(verts: np.ndarray, target: Polytope) -> tuple[float, np.ndarray | None]:
+def _farthest_vertex(verts: np.ndarray, target: Polytope,
+                     known: list[np.ndarray]) -> tuple[float, np.ndarray | None]:
     """Largest distance from a vertex to target, with the first vertex within
-    DEFAULT_TOL of it, so rounding cannot choose among tied vertices."""
-    dists = [lp.distance_to_polytope(v, target)[0] for v in verts]
-    worst = max(dists, default=0.0)
+    DEFAULT_TOL of it, so rounding cannot choose among tied vertices.
+
+    known is a nonempty list of points of target.  Each bounds the distance of
+    every vertex, d(v, target) <= |v - p|_inf, and UB(v) is the least of these
+    bounds, taken for all vertices in one broadcast.  The distance LPs run in
+    decreasing UB order (a stable sort), and each nearest point at a positive
+    distance joins known, where it bounds every later search against the same
+    target.  The search stops at the first vertex whose UB is below the best
+    distance solved so far minus 2 * DEFAULT_TOL.  Every vertex left then lies
+    more than DEFAULT_TOL below the maximum, with DEFAULT_TOL to spare for the
+    rounding of the LP distances and of the points in known, so none of them
+    can be the maximum or the first vertex within DEFAULT_TOL of it.  Each LP
+    solved is the one a scan of every vertex solves for that vertex, so
+    (worst, witness) are the scan's, bit for bit.
+    """
+    bound = np.abs(verts[:, None, :] - np.array(known)[None, :, :]).max(axis=2).min(axis=1)
+    dists = np.full(len(verts), -np.inf)
+    worst = 0.0
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] < worst - 2.0 * DEFAULT_TOL:
+            break
+        dist, point = lp.distance_to_polytope(verts[i], target)
+        dists[i] = dist
+        if dist > 0.0:
+            known.append(point)
+        worst = max(worst, dist)
     if worst <= 0.0:
         return 0.0, None
-    return worst, next(v for v, dist in zip(verts, dists) if dist >= worst - DEFAULT_TOL)
+    return worst, verts[np.argmax(dists >= worst - DEFAULT_TOL)]
 
 
 def worst_near_center_distance(problem: CenterProblem, delta: float,
@@ -44,7 +73,7 @@ def worst_near_center_distance(problem: CenterProblem, delta: float,
     if center is None:
         center = center_set(problem)
     verts = near_center_set(problem, delta, radius=center.radius).vertices()
-    return _farthest_vertex(verts, center.center_polytope)
+    return _farthest_vertex(verts, center.center_polytope, [center.representative])
 
 
 @dataclass(frozen=True)
@@ -65,7 +94,7 @@ class ModulusReport:
 
 def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
                center: CenterReport | None = None,
-               resolution: float = 1e-4, base_slack: float = 0.0) -> ModulusReport:
+               resolution: float = MODULUS_RESOLUTION, base_slack: float = 0.0) -> ModulusReport:
     """Largest slack delta in (0, delta_max] with worst distance <= eps.
 
     The worst distance w(delta) is measured from cent_V(B, base_slack + delta)
@@ -89,6 +118,9 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
     if center is None:
         center = center_set(problem)
     base = near_center_set(problem, base_slack, radius=center.radius)
+    # the representative lies in the center set, so in base for any base_slack;
+    # the nearest points the probes find join it
+    known = [center.representative]
     probes: list[ModulusProbe] = []
     # worst(delta) often equals eps up to rounding (at delta = eps in
     # particular), so each comparison allows DEFAULT_TOL
@@ -96,7 +128,7 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
 
     def excess(delta: float) -> float:
         near = near_center_set(problem, base_slack + delta, radius=center.radius)
-        worst, witness = _farthest_vertex(near.vertices(), base)
+        worst, witness = _farthest_vertex(near.vertices(), base, known)
         probes.append(ModulusProbe(delta=delta, worst=worst,
                                    witness=None if witness is None else tuple(witness)))
         return worst - target

@@ -67,6 +67,10 @@ CENTER_FLOOR = 1e-12
 IDENTITY_SET_TOL = 1e-6
 THRESHOLD_MARGIN = 1e-6
 
+# Relative to delta_max: the default slack of stability.p1_modulus's
+# degeneracy probe, the least slack it tries before reporting a zero modulus.
+MODULUS_RESOLUTION = 1e-4
+
 # Relative to delta_max: stability.p1_modulus accepts a slack delta once a
 # probe at delta + MODULUS_CONFIRM_STEP * delta_max has failed, and keeps
 # every secant point at least this far inside its bracket.

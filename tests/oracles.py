@@ -9,7 +9,9 @@ polar-dual enumeration.  The simplex pivot rule has a scalar reference,
 reference_bland_loop, that the package's vectorized rule must match pivot for
 pivot.  The stability modulus has a bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
-must land in.  The renormed-ball model's forward gap has a convex-weights
+must land in; it measures each probe with reference_farthest_vertex, one
+distance LP per vertex, which the package's bound-ordered search must match
+bit for bit.  The renormed-ball model's forward gap has a convex-weights
 route, hull_gauge_distance, and its closed-form replay crossing a bisection
 reference, reference_replay_crossing.  Vertex post-processing has a scalar
 reference: reference_merge_rows, the greedy scan over every kept row, and
@@ -22,12 +24,12 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from supcenter import lp
 from supcenter.centers import near_center_set
 from supcenter.constraints import _enumerate_reduced
 from supcenter.errors import LPNumericalError
-from supcenter.stability import _farthest_vertex
-from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL, PIVOT_EPS,
-                                  VERTEX_FILTER_TOL)
+from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
+                                  MODULUS_RESOLUTION, PIVOT_EPS, VERTEX_FILTER_TOL)
 
 GRID_STEP = 0.01
 # mesh covering radius (half-diagonal, d <= 3) plus the boundary shrink;
@@ -312,7 +314,17 @@ def reference_bland_loop(tab, basis, ncols, tol, max_iter, windows=None):
     raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
 
 
-def reference_bisection_modulus(problem, eps, delta_max, center, resolution=1e-4):
+def reference_farthest_vertex(verts, target):
+    """Largest distance from a vertex to target, with the first vertex within
+    DEFAULT_TOL of it, so rounding cannot choose among tied vertices."""
+    dists = [lp.distance_to_polytope(v, target)[0] for v in verts]
+    worst = max(dists, default=0.0)
+    if worst <= 0.0:
+        return 0.0, None
+    return worst, next(v for v, dist in zip(verts, dists) if dist >= worst - DEFAULT_TOL)
+
+
+def reference_bisection_modulus(problem, eps, delta_max, center, resolution=MODULUS_RESOLUTION):
     """Bracket (lo, hi) of the stability modulus from plain bisection on the
     worst near-center distance, resolved to hi - lo <= resolution * delta_max.
 
@@ -324,7 +336,7 @@ def reference_bisection_modulus(problem, eps, delta_max, center, resolution=1e-4
 
     def passes(delta):
         verts = near_center_set(problem, delta, radius=center.radius).vertices()
-        return _farthest_vertex(verts, base)[0] <= eps + DEFAULT_TOL
+        return reference_farthest_vertex(verts, base)[0] <= eps + DEFAULT_TOL
 
     step = resolution * delta_max
     if passes(delta_max):

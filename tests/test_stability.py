@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import supcenter as sc
-from supcenter import construct, lp
+from supcenter import construct, lp, stability
 from supcenter.errors import LPNumericalError
 from supcenter.sampling import random_ball_problem
 from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
@@ -12,16 +14,14 @@ from supcenter.stability import (
     worst_near_center_distance,
 )
 
-from oracles import highs_distance, reference_bisection_modulus
+from oracles import highs_distance, reference_bisection_modulus, reference_farthest_vertex
 
 EPS_GRID = (0.2, 0.1, 0.05)
 
 
-@pytest.fixture(scope="module")
-def corpus_moduli():
-    """p1_modulus(eps, delta_max=eps) on every center instance, for V the
-    kernel ball and V the whole kernel: (pair id, problem, center, report)."""
-    out = []
+def _corpus_centers():
+    """(instance/mode, problem, center) for every center instance, for V the
+    kernel ball and V the whole kernel."""
     for inst in sc.load_corpus("center"):
         for label, problem in (("ball", sc.ball_problem(inst.family, inst.subspace)),
                                ("subspace", sc.subspace_problem(inst.family, inst.subspace))):
@@ -29,10 +29,16 @@ def corpus_moduli():
                 center = construct.simplex_mode(inst.family.dim, problem)
             else:
                 center = sc.center_set(problem)
-            for eps in EPS_GRID:
-                report = p1_modulus(problem, eps, delta_max=eps, center=center)
-                out.append((f"{inst.name}/{label}@{eps}", problem, center, report))
-    return out
+            yield f"{inst.name}/{label}", problem, center
+
+
+@pytest.fixture(scope="module")
+def corpus_moduli():
+    """p1_modulus(eps, delta_max=eps) on every center instance, for V the
+    kernel ball and V the whole kernel: (pair id, problem, center, report)."""
+    return [(f"{name}@{eps}", problem, center,
+             p1_modulus(problem, eps, delta_max=eps, center=center))
+            for name, problem, center in _corpus_centers() for eps in EPS_GRID]
 
 
 def test_worst_distance_zero_at_zero_slack(worked):
@@ -183,13 +189,89 @@ def test_modulus_step_cap_raises(worked, monkeypatch):
         p1_modulus(problem, eps, delta_max=delta_max, center=center)
 
 
-def test_farthest_vertex_ties_go_to_the_first_vertex():
-    # the second vertex is one ulp farther from the box than the first
+def _bits(result):
+    worst, witness = result
+    return float(worst).hex(), None if witness is None else witness.tobytes()
+
+
+def test_farthest_vertex_ties_go_to_the_first_vertex(solve_counts):
+    # the second vertex is one ulp farther from the box than the first, and
+    # the known point (1, -1) bounds it by 3 against 1, so it is solved first
     verts = np.array([[2.0, 0.0], [0.0, np.nextafter(2.0, 3.0)]])
     box = sc.Polytope.box(2, 1.0)
-    worst, witness = _farthest_vertex(verts, box)
+    worst, witness = _farthest_vertex(verts, box, [np.array([1.0, -1.0])])
     assert worst == lp.distance_to_polytope(verts[1], box)[0] > 1.0
     assert np.array_equal(witness, verts[0])
+    # a third vertex, bounded by 0.1 through the known point, cannot come
+    # within DEFAULT_TOL of the worst: it is skipped, one LP fewer than the scan
+    verts = np.vstack([verts, [0.9, -0.9]])
+    solve_counts.clear()
+    worst, witness = _farthest_vertex(verts, box, [np.array([1.0, -1.0])])
+    assert solve_counts["calls:distance"] == 2
+    solve_counts.clear()
+    assert _bits((worst, witness)) == _bits(reference_farthest_vertex(verts, box))
+    assert solve_counts["calls:distance"] == 3
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Wraps stability._farthest_vertex so that each search is compared with
+    the one-LP-per-vertex scan on the same vertices; returns the list of the
+    searches' vertex counts."""
+    real = stability._farthest_vertex
+    searches = []
+
+    def checked(verts, target, known):
+        result = real(verts, target, known)
+        assert _bits(result) == _bits(reference_farthest_vertex(verts, target))
+        searches.append(len(verts))
+        return result
+
+    monkeypatch.setattr(stability, "_farthest_vertex", checked)
+    return searches
+
+
+def test_bound_ordered_search_matches_the_scan_on_the_corpus(checked_searches):
+    # every probe of every corpus modulus, and the relaxed-modulus search of
+    # the gap regime, gives the scan's (worst, witness) bit for bit
+    for _, problem, center in _corpus_centers():
+        for eps in EPS_GRID:
+            p1_modulus(problem, eps, delta_max=eps, center=center)
+    assert len(checked_searches) == 234
+    inst = next(i for i in sc.load_corpus("center") if i.name == "07-gap-zero-alpha")
+    for eps in EPS_GRID:
+        choice = construct.admissible_slack(inst.family, inst.subspace, eps)
+        assert choice.origin == "relaxed-modulus"
+    assert len(checked_searches) > 234
+
+
+@example(seed=0, dim=3, members=2, deltas=[0.1], keep=0)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), members=st.integers(1, 4),
+       deltas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4), keep=st.integers(0, 40))
+def test_bound_ordered_search_matches_the_scan_on_random_problems(seed, dim, members,
+                                                                   deltas, keep):
+    # one known list across the probes, as p1_modulus keeps it; keep cuts
+    # each vertex list short, down to no vertex at all
+    rng = np.random.default_rng(seed)
+    _, _, problem = random_ball_problem(rng, dim, members, count=int(rng.integers(1, dim)))
+    center = sc.center_set(problem)
+    known = [center.representative]
+    for delta in deltas:
+        verts = sc.near_center_set(problem, delta, radius=center.radius).vertices()[:keep]
+        result = _farthest_vertex(verts, center.center_polytope, known)
+        assert _bits(result) == _bits(reference_farthest_vertex(verts, center.center_polytope))
+
+
+@pytest.mark.parametrize("name, eps, solves", [("15-random-d5m4", 0.05, 14),
+                                               ("08-three-point-functional", 0.2, 34)])
+def test_p1_modulus_distance_solves(name, eps, solves, solve_counts):
+    # the scan of every vertex solved 32 and 82 distance LPs here
+    inst = next(i for i in sc.load_corpus("center") if i.name == name)
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    solve_counts.clear()
+    p1_modulus(problem, eps, delta_max=eps, center=center)
+    assert solve_counts["distance"] == solves
 
 
 def test_p1_modulus_solves_no_radius_again(worked, solve_counts):

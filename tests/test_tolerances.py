@@ -42,11 +42,11 @@ def test_only_two_functions_take_a_tolerance():
             if "tol" in inspect.signature(fn).parameters} == TAKES_TOL
 
 
-@pytest.mark.parametrize("name", ["lp", "constraints", "centers", "construct"])
+@pytest.mark.parametrize("name", ["lp", "constraints", "centers", "construct", "stability"])
 def test_thresholds_are_named_not_written_inline(name):
-    # every threshold of the solver, of vertex enumeration, of the center sets
-    # and of the construction lives in tolerances.py, where its comment gives
-    # its scale
+    # every threshold of the solver, of vertex enumeration, of the center sets,
+    # of the construction and of the stability modulus lives in tolerances.py,
+    # where its comment gives its scale
     source = Path(importlib.import_module(f"supcenter.{name}").__file__).read_text()
     inline = [(tok.start[0], tok.string)
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
