@@ -28,7 +28,6 @@ from .constraints import (
     Functional,
     Polytope,
     Subspace,
-    ball_polytope,
     enumerate_vertices,
 )
 from .construct import (

@@ -6,8 +6,8 @@ intersected with V, and the near-center set relaxes the slab by a slack
 delta.  All three reduce to linear programs over H-polytopes here; V is a
 kernel ball lam * B_Y or the unbounded kernel Y, and the slab, a box, bounds
 every set.  The radius is solved once, by one epigraph LP in center_set, and
-then handed on: near_center_set, the stability modulus and the repair take an
-already-solved radius instead of solving it again.
+then handed on: near_center_set, the perturbation step, the stability modulus
+and the repair require the solved radius and never solve it again.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .constraints import Polytope, Subspace, ball_polytope
+from .constraints import Polytope, Subspace
 from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
 from .space import FunctionFamily, _hausdorff_points, as_vector, band, farthest_radius
 from .tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL, IDENTITY_SET_TOL,
@@ -51,7 +51,9 @@ class CenterReport:
 
 def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> CenterProblem:
     """Problem with V = lam * (unit ball of the kernel subspace)."""
-    return CenterProblem(family=family, feasible=ball_polytope(y, lam))
+    if lam <= 0:
+        raise ValueError(f"ball scale must be positive, got {lam}")
+    return CenterProblem(family=family, feasible=Polytope.box(y.dim, lam, y.rows()))
 
 
 def subspace_problem(family: FunctionFamily, y: Subspace) -> CenterProblem:
@@ -91,16 +93,11 @@ def restricted_radius(problem: CenterProblem) -> float:
     return center_set(problem).radius
 
 
-def near_center_set(problem: CenterProblem, delta: float, radius: float | None = None) -> Polytope:
-    """cent_V(B, delta): all v in V with r(v, B) <= rad_V(B) + delta.
-
-    radius is rad_V(B) when the caller has already solved it; otherwise it is
-    solved here.
-    """
+def near_center_set(problem: CenterProblem, delta: float, radius: float) -> Polytope:
+    """cent_V(B, delta): all v in V with r(v, B) <= radius + delta, where
+    radius is the solved rad_V(B)."""
     if delta < 0:
         raise ValueError(f"slack must be nonnegative, got {delta}")
-    if radius is None:
-        radius = restricted_radius(problem)
     return _slab_polytope(problem, radius + delta)
 
 
@@ -118,10 +115,9 @@ class ScalingIdentityReport:
 
 
 def check_scaling_identity(y: Subspace, family: FunctionFamily, lam: float,
-                           delta: float | None = None,
-                           set_tol: float = IDENTITY_SET_TOL) -> ScalingIdentityReport:
+                           delta: float | None = None) -> ScalingIdentityReport:
     """Certify cent_{lam B_Y}(B) = lam cent_{B_Y}(B / lam), and the
-    delta-version for near-center sets."""
+    delta-version for near-center sets, each gap within IDENTITY_SET_TOL."""
     if lam <= 0:
         raise ValueError(f"scale must be positive, got {lam}")
     direct = ball_problem(family, y, lam)
@@ -140,10 +136,10 @@ def check_scaling_identity(y: Subspace, family: FunctionFamily, lam: float,
     near_right = lam * near_center_set(shrunk, delta / lam, radius=c_shrunk.radius).vertices()
     near_gap = _hausdorff_points(near_left, near_right)
 
-    passed = radius_gap <= set_tol and center_gap <= set_tol and near_gap <= set_tol
+    passed = all(gap <= IDENTITY_SET_TOL for gap in (radius_gap, center_gap, near_gap))
     return ScalingIdentityReport(lam=lam, delta=float(delta), radius_gap=radius_gap,
                                  center_gap=center_gap, near_gap=near_gap,
-                                 tol=set_tol, passed=passed)
+                                 tol=IDENTITY_SET_TOL, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,11 @@ class ThresholdReport:
     passed: bool
 
 
-def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | None = None,
-                             set_tol: float = IDENTITY_SET_TOL) -> ThresholdReport:
+def check_threshold_equality(y: Subspace, family: FunctionFamily,
+                             lam: float | None = None) -> ThresholdReport:
     """Certify cent_Y(B) subset of cent_{lam B_Y}(B) for lam >= tau and equality
-    strictly above tau, where tau = max_b |b|_inf + rad_Y(B).
+    strictly above tau, where tau = max_b |b|_inf + rad_Y(B), each gap within
+    IDENTITY_SET_TOL.
 
     The equality direction is only asserted for lam > tau by a clear margin;
     at lam = tau the identity is too fragile in floating point.
@@ -187,11 +184,12 @@ def check_threshold_equality(y: Subspace, family: FunctionFamily, lam: float | N
             (free_centers.center_polytope.violation(v) for v in scaled_centers.center_polytope.vertices()),
             default=0.0,
         )
-    passed = inclusion_gap <= set_tol and (not equality_checked or equality_gap <= set_tol)
+    passed = inclusion_gap <= IDENTITY_SET_TOL and (
+        not equality_checked or equality_gap <= IDENTITY_SET_TOL)
     return ThresholdReport(tau=tau, lam=float(lam), inclusion_gap=float(inclusion_gap),
                            equality_checked=equality_checked,
                            equality_gap=None if equality_gap is None else float(equality_gap),
-                           tol=set_tol, passed=passed)
+                           tol=IDENTITY_SET_TOL, passed=passed)
 
 
 def perturbation_slack_bound(radius: float, gamma: float, eps: float) -> float:
@@ -203,22 +201,19 @@ def perturbation_slack_bound(radius: float, gamma: float, eps: float) -> float:
 
 
 def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope,
-                          gamma: float, delta: float, eps: float | None = None,
-                          radius: float | None = None) -> np.ndarray:
+                          gamma: float, delta: float, radius: float,
+                          eps: float | None = None) -> np.ndarray:
     """Blend a (gamma+delta)-near-center toward a (gamma/2)-near-center.
 
     Returns v~ = (1 - lam) v + lam v' with lam = 2 delta / (2 delta + gamma);
     certifies r(v~, B) <= rad + gamma and that the move stays below
     lam (3 rad + 2 gamma) (< eps whenever delta respects the slack bound).
-    radius is rad = rad_V(B) when the caller has already solved it;
-    otherwise it is solved here.
+    radius is the solved rad = rad_V(B).
     """
     v = as_vector(v, family.dim)
     v_prime = as_vector(v_prime, family.dim)
     if gamma <= 0 or delta <= 0:
         raise PreconditionError(f"gamma and delta must be positive, got {gamma}, {delta}")
-    if radius is None:
-        radius = restricted_radius(CenterProblem(family=family, feasible=feasible))
     if delta >= radius:
         raise PreconditionError(f"slack bound violated: delta = {delta} >= rad = {radius}")
     if eps is not None:

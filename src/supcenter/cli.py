@@ -41,6 +41,7 @@ from .instances import CenterInstance, RenormInstance, load_corpus, load_instanc
 from .reportio import dump_report
 from .space import hausdorff
 from .stability import p1_modulus
+from .tolerances import DEFAULT_THETA, DEFAULT_TOL, PERTURB_RADIUS_FLOOR
 
 OK, CHECK_FAILED, BAD_INPUT, NUMERICAL, INTERNAL = 0, 1, 2, 3, 4
 
@@ -99,7 +100,8 @@ def cmd_center(args) -> int:
 
 def cmd_near_center(args) -> int:
     inst = _center_instance(args.instance)
-    verts = near_center_set(inst.problem(), args.delta).vertices()
+    problem = inst.problem()
+    verts = near_center_set(problem, args.delta, restricted_radius(problem)).vertices()
     payload = {"instance": inst.name, "delta": args.delta, "vertices": verts}
     lines = [f"{inst.name}: near-center set at slack {args.delta:g} "
              f"has {verts.shape[0]} vertices:"]
@@ -192,12 +194,12 @@ def cmd_check_lemmas(args) -> int:
         other_radius = restricted_radius(CenterProblem(family=other, feasible=problem.feasible))
         gap = abs(radius - other_radius)
         d_h = hausdorff(family, other)
-        lipschitz_ok = gap <= d_h + 1e-9
+        lipschitz_ok = gap <= d_h + DEFAULT_TOL
         if not lipschitz_ok:
             failures.append(f"lipschitz trial {trial}")
 
         perturb_ok = True
-        if radius > 1e-6:
+        if radius > PERTURB_RADIUS_FLOOR:
             gamma = 0.4 * radius
             eps = args.eps
             delta = 0.5 * perturbation_slack_bound(radius, gamma, eps)
@@ -205,7 +207,7 @@ def cmd_check_lemmas(args) -> int:
                 v = sampling.near_center_point(rng, problem, gamma + delta, radius=radius)
                 v_prime = sampling.near_center_point(rng, problem, gamma / 2.0, radius=radius)
                 perturb_toward_center(v, v_prime, family, problem.feasible,
-                                      gamma, delta, eps=eps, radius=radius)
+                                      gamma, delta, radius, eps=eps)
             except SupCenterError as exc:
                 perturb_ok = False
                 failures.append(f"perturbation trial {trial}: {exc}")
@@ -354,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, instance=False)
     p.add_argument("--n", type=int, required=True, help="ambient dimension (>= 3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=_finite_float, default=1.0 / 16.0)
-    p.add_argument("--theta", type=_finite_float, default=1e-3,
+    p.add_argument("--gamma", type=_finite_float, default=garkavi.DEFAULT_GAMMA)
+    p.add_argument("--theta", type=_finite_float, default=DEFAULT_THETA,
                    help="slab shrink; 0 reproduces the attained-infimum failure")
     p.add_argument("--samples", type=int, default=3, help="sampled x per eps (0 = build only)")
     p.set_defaults(func=cmd_renorm)

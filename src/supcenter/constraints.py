@@ -99,12 +99,9 @@ class Subspace:
 
 
 class Polytope:
-    """H-polytope {v : a_ub v <= b_ub, a_eq v = b_eq} with a vertex cache.
+    """H-polytope {v : a_ub v <= b_ub, a_eq v = b_eq}."""
 
-    The vertex cache is filled once and then only read.
-    """
-
-    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices")
+    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq")
 
     def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None):
         if dim is None:
@@ -118,7 +115,6 @@ class Polytope:
         self.a_eq, self.b_eq = lp._as_matrix(a_eq, b_eq, dim)
         for arr in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
             arr.setflags(write=False)
-        self._vertices = None
 
     @property
     def dim(self) -> int:
@@ -144,32 +140,17 @@ class Polytope:
         )
 
     def violation(self, v) -> float:
-        v = as_vector(v, self.dim)
-        worst = 0.0
-        if self.a_ub.shape[0]:
-            worst = max(worst, float(np.max(self.a_ub @ v - self.b_ub)))
-        if self.a_eq.shape[0]:
-            worst = max(worst, float(np.max(np.abs(self.a_eq @ v - self.b_eq))))
-        return worst
+        return float(_violations(self, as_vector(v, self.dim)[None])[0])
 
     def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
         return self.violation(v) <= tol
 
     def vertices(self) -> np.ndarray:
-        if self._vertices is None:
-            self._vertices = enumerate_vertices(self)
-        return self._vertices
+        return enumerate_vertices(self)
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, ineqs={self.a_ub.shape[0]}, "
                 f"eqs={self.a_eq.shape[0]})")
-
-
-def ball_polytope(y: Subspace, lam: float) -> Polytope:
-    """lam * (unit ball of the kernel subspace), as an H-polytope."""
-    if lam <= 0:
-        raise ValueError(f"ball scale must be positive, got {lam}")
-    return Polytope.box(y.dim, lam, y.rows())
 
 
 def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int):
@@ -270,11 +251,12 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.nda
 
 
 def _violations(poly: Polytope, points: np.ndarray) -> np.ndarray:
-    """Polytope.violation of each row of points, from one product with the
-    inequality rows and one with the equality rows.  The scores only decide
-    which points are kept; none of them is reported."""
-    return np.maximum(np.max(points @ poly.a_ub.T - poly.b_ub, axis=1, initial=0.0),
-                      np.max(np.abs(points @ poly.a_eq.T - poly.b_eq), axis=1, initial=0.0))
+    """Largest violation of poly by each row of points (0 inside it), from one
+    product with the inequality rows and one with the equality rows, reduced
+    by np.maximum.reduce: np.max without its Python wrapper, for single points."""
+    return np.maximum(
+        np.maximum.reduce(points @ poly.a_ub.T - poly.b_ub, axis=1, initial=0.0),
+        np.maximum.reduce(np.abs(points @ poly.a_eq.T - poly.b_eq), axis=1, initial=0.0))
 
 
 def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:

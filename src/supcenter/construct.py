@@ -104,16 +104,15 @@ def _certify_center(h: np.ndarray, family: FunctionFamily, y: Subspace, radius: 
 
 
 def constructive_center(family: FunctionFamily, y: Subspace,
-                        reduction: SupportReduction | None = None) -> np.ndarray:
-    """Explicit point of cent_{B_Y}(B) built from the reduced minimizer.
+                        reduction: SupportReduction) -> np.ndarray:
+    """Explicit point of cent_{B_Y}(B) built from the reduced minimizer, where
+    reduction is finite_reduction(family, y).
 
     Interpolate the reduced minimizer on the support points (zero elsewhere),
     clamp from above by min_f f + R and from below by max_f f - R.  The
     clamps never move the support values, so membership in the kernel ball
     survives.
     """
-    if reduction is None:
-        reduction = finite_reduction(family, y)
     radius = reduction.radius
     g = np.zeros(family.dim)
     if reduction.size:
@@ -154,6 +153,9 @@ class SlackChoice:
     radius: float
 
 
+# admissible_slack and repair_near_center alone still solve finite_reduction
+# when no reduction is given: the benchmark's slack table and its stability
+# and repair workloads call them that way
 def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
                      reduction: SupportReduction | None = None) -> SlackChoice:
     """Slack delta such that any g in cent_{B_Y}(B, delta) repairs within eps.

@@ -33,7 +33,11 @@ from . import lp
 from .constraints import Functional, Polytope, Subspace, merge_rows
 from .errors import LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
-from .tolerances import SET_TOL
+from .tolerances import (DEFAULT_THETA, GAUGE_CERTIFY_TOL, HULL_MARGIN_FLOOR, NULL_DIRECTION_TOL,
+                         SET_TOL)
+
+# default radius of the cube V = x0 + B_gamma, inside the allowed (0, 1/12)
+DEFAULT_GAMMA = 1.0 / 16.0
 
 
 @dataclass(eq=False)
@@ -68,8 +72,8 @@ def _extreme_values(poly: Polytope, direction: np.ndarray) -> float:
     return -float(sol.value)
 
 
-def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0,
-                theta: float = 1e-3) -> GarkaviModel:
+def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
+                theta: float = DEFAULT_THETA) -> GarkaviModel:
     """Construct and certify the renormed-ball model in dimension n >= 3.
 
     Every geometric prerequisite is certified by an LP; a failed certificate
@@ -185,7 +189,7 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0,
     model.c_upper = float(sum(gauge_norm(model, eye[j]) for j in range(n)))
     g_x0 = gauge_norm(model, x0)
     certificates["x0-gauge-gap"] = abs(g_x0 - 1.0)
-    if certificates["x0-gauge-gap"] > 1e-7:
+    if certificates["x0-gauge-gap"] > GAUGE_CERTIFY_TOL:
         raise ModelBuildError(f"gauge of x0 is {g_x0}, expected 1", certificate="x0-gauge")
     model.certificates = certificates
     return model
@@ -193,13 +197,14 @@ def build_model(n: int, seed: int = 0, gamma: float = 1.0 / 16.0,
 
 def _hull_facets(points: np.ndarray, certificate: str, message: str) -> tuple[np.ndarray, float]:
     """Rows a with conv(points) = {z : a.z <= 1}, and the origin's interior
-    margin (least facet offset); at most 1e-12 raises ModelBuildError."""
+    margin (least facet offset); at most HULL_MARGIN_FLOOR raises
+    ModelBuildError."""
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(points)
     offsets = -hull.equations[:, -1]
     margin = float(np.min(offsets))
-    if margin <= 1e-12:
+    if margin <= HULL_MARGIN_FLOOR:
         raise ModelBuildError(message, certificate=certificate)
     # Qhull splits facets into simplices: merge the rows of a shared hyperplane
     return merge_rows(hull.equations[:, :-1] / offsets[:, None]), margin
@@ -359,7 +364,7 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
             eta_target = 1.0 + float(rng.uniform(0.2, 1.0)) * eps
             direction = np.zeros(n)
             direction[1:] = rng.uniform(-1.0, 1.0, n - 1)
-            if np.max(np.abs(direction)) < 1e-12:
+            if np.max(np.abs(direction)) < NULL_DIRECTION_TOL:
                 direction[1] = 1.0
             replay_rows.append(_decomposition_replay(model, direction, eta_target))
     return HalfBallReport(samples=tuple(rows), replay_rows=tuple(replay_rows), tol=SET_TOL)
@@ -388,7 +393,7 @@ def _decomposition_replay(model: GarkaviModel, direction: np.ndarray,
         raise LPNumericalError("decomposition lost the mandatory reflected-cube part")
     y_near = model.x0 - vm / r
     achieved = _gauge_facets(model, y - y_near)
-    if model.small_ball.violation(y_near) > 1e-7:
+    if model.small_ball.violation(y_near) > GAUGE_CERTIFY_TOL:
         raise LPNumericalError("recovered point left B_gamma")
     return (eta, eta - 1.0, achieved)
 
@@ -401,14 +406,14 @@ class TrendRow:
     alpha: float
 
 
-def center_trend(n_values: tuple[int, ...], seed: int = 0, gamma: float = 1.0 / 16.0,
-                 theta: float = 1e-3) -> tuple[TrendRow, ...]:
+def center_trend(n_values: tuple[int, ...], seed: int = 0) -> tuple[TrendRow, ...]:
     """Gauge-norm Chebyshev data for the two-point family {0, x0 + y0} over Y
-    across dimensions.  Reported as a trend only: the interesting failure is
+    across dimensions, each model built at the default gamma and theta.
+    Reported as a trend only: the interesting failure is
     infinite-dimensional, so no pass/fail is attached."""
     rows = []
     for n in n_values:
-        model = build_model(n, seed=seed, gamma=gamma, theta=theta)
+        model = build_model(n, seed=seed)
         targets = np.vstack([np.zeros(n), model.x0 + model.y0])
         radius, center = lp.epigraph_lp(model.ball_facets, targets, _subspace_polytope(n))
         rows.append(TrendRow(n=n, radius=radius,

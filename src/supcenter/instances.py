@@ -19,7 +19,9 @@ import numpy as np
 from .centers import CenterProblem, ball_problem, subspace_problem
 from .constraints import Functional, Subspace
 from .errors import InstanceError
+from .garkavi import DEFAULT_GAMMA
 from .space import FunctionFamily
+from .tolerances import DEFAULT_THETA
 
 SCHEMA_VERSION = 1
 
@@ -49,8 +51,8 @@ class RenormInstance:
     name: str
     n: int
     seed: int = 0
-    gamma: float = 1.0 / 16.0
-    theta: float = 1e-3
+    gamma: float = DEFAULT_GAMMA
+    theta: float = DEFAULT_THETA
     expected: dict = field(default_factory=dict)
 
 
@@ -91,8 +93,8 @@ def parse_instance(data: dict, where: str = "instance"):
 
     if kind == "renorm":
         n = _need(data, "n", int, where)
-        gamma = _number(data, "gamma", 1.0 / 16.0, float, where)
-        theta = _number(data, "theta", 1e-3, float, where)
+        gamma = _number(data, "gamma", DEFAULT_GAMMA, float, where)
+        theta = _number(data, "theta", DEFAULT_THETA, float, where)
         for key, value in (("gamma", gamma), ("theta", theta)):
             if not np.isfinite(value):
                 raise InstanceError(f"{where}: {key} must be finite, got {value}", field=key)

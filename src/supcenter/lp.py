@@ -95,12 +95,13 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row, col] = 1.0
 
 
-def _bland_loop(tab, basis, ncols, tol, max_iter):
-    """Run simplex pivots on tableau (obj row last). Returns iterations."""
+def _bland_loop(tab, basis, ncols, tol):
+    """Run simplex pivots on tableau (obj row last), at most LP_MAX_ITER.
+    Returns iterations."""
     m = tab.shape[0] - 1
     obj = tab[-1, :ncols]  # views: _pivot updates tab in place
     rhs = tab[:m, -1]
-    for it in range(max_iter):
+    for it in range(LP_MAX_ITER):
         below = obj < -tol
         entering = int(below.argmax())  # Bland: smallest eligible index
         if not below[entering]:
@@ -114,10 +115,10 @@ def _bland_loop(tab, basis, ncols, tol, max_iter):
         leave = int(tied[basis[tied].argmin()])
         _pivot(tab, leave, entering)
         basis[leave] = entering
-    raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
+    raise LPNumericalError(f"simplex exceeded {LP_MAX_ITER} iterations")
 
 
-def solve(lp: LinearProgram, max_iter: int = LP_MAX_ITER) -> LPSolution:
+def solve(lp: LinearProgram) -> LPSolution:
     """Solve the program; status is 'optimal', 'infeasible' or 'unbounded'.
 
     Identical inputs pivot identically, so outputs are reproducible bit for
@@ -165,7 +166,7 @@ def solve(lp: LinearProgram, max_iter: int = LP_MAX_ITER) -> LPSolution:
             _pivot(tab, row, total - 1)
             basis[row] = total - 1
             iterations = 1
-        it = _bland_loop(tab, basis, total, DEFAULT_TOL, max_iter)
+        it = _bland_loop(tab, basis, total, DEFAULT_TOL)
         if it < 0:
             raise LPNumericalError("phase-1 objective unbounded; inconsistent tableau")
         iterations += it
@@ -196,7 +197,7 @@ def solve(lp: LinearProgram, max_iter: int = LP_MAX_ITER) -> LPSolution:
     terms[0] = cost
     np.multiply(cost[basis, None], tab[:m], out=terms[1:])
     tab[-1] = np.subtract.reduce(terms)
-    it = _bland_loop(tab, basis, ncore, DEFAULT_TOL * (1.0 + float(np.abs(cost).max())), max_iter)
+    it = _bland_loop(tab, basis, ncore, DEFAULT_TOL * (1.0 + float(np.abs(cost).max())))
     if it < 0:
         iterations += -it
         return LPSolution(status=UNBOUNDED, iterations=iterations)

@@ -53,11 +53,9 @@ def vertex_mixture(rng: np.random.Generator, vertices: np.ndarray) -> np.ndarray
 
 
 def near_center_point(rng: np.random.Generator, problem: CenterProblem, delta: float,
-                      radius: float | None = None) -> np.ndarray:
-    """Random point of cent_V(B, delta), as a mixture of its vertices.
-
-    radius is rad_V(B) when the caller has already solved it (see
-    near_center_set)."""
+                      radius: float) -> np.ndarray:
+    """Random point of cent_V(B, delta), as a mixture of its vertices;
+    radius is the solved rad_V(B) (see near_center_set)."""
     verts = near_center_set(problem, delta, radius=radius).vertices()
     return vertex_mixture(rng, verts)
 

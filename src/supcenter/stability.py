@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .centers import CenterProblem, CenterReport, center_set, near_center_set
+from .centers import CenterProblem, CenterReport, near_center_set
 from .constraints import Polytope
 from .errors import LPNumericalError
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
@@ -64,14 +64,13 @@ def _farthest_vertex(verts: np.ndarray, target: Polytope,
 
 
 def worst_near_center_distance(problem: CenterProblem, delta: float,
-                               center: CenterReport | None = None) -> tuple[float, np.ndarray | None]:
-    """Largest distance from cent_V(B, delta) to cent_V(B), with a witness.
+                               center: CenterReport) -> tuple[float, np.ndarray | None]:
+    """Largest distance from cent_V(B, delta) to cent_V(B), with a witness;
+    center is the problem's solved center_set.
 
     Exact over the vertices of the near-center polytope; the maximum of a
     convex function over a polytope is attained at one of them.
     """
-    if center is None:
-        center = center_set(problem)
     verts = near_center_set(problem, delta, radius=center.radius).vertices()
     return _farthest_vertex(verts, center.center_polytope, [center.representative])
 
@@ -92,10 +91,10 @@ class ModulusReport:
     degenerate: bool  # no probed slack worked, which finite compactness forbids
 
 
-def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
-               center: CenterReport | None = None,
+def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: CenterReport,
                resolution: float = MODULUS_RESOLUTION, base_slack: float = 0.0) -> ModulusReport:
-    """Largest slack delta in (0, delta_max] with worst distance <= eps.
+    """Largest slack delta in (0, delta_max] with worst distance <= eps;
+    center is the problem's solved center_set.
 
     The worst distance w(delta) is measured from cent_V(B, base_slack + delta)
     to cent_V(B, base_slack), which for the default base_slack = 0 is the
@@ -115,8 +114,6 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float,
     """
     if eps <= 0 or delta_max <= 0:
         raise ValueError("eps and delta_max must be positive")
-    if center is None:
-        center = center_set(problem)
     base = near_center_set(problem, base_slack, radius=center.radius)
     # the representative lies in the center set, so in base for any base_slack;
     # the nearest points the probes find join it

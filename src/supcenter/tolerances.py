@@ -62,8 +62,9 @@ VERTEX_FILTER_TOL = 1e-7
 
 # Absolute: added to the certificate slack of a center_set minimizer.
 CENTER_FLOOR = 1e-12
-# Absolute: the default set_tol of the scaling and threshold identity checks,
-# and the margin above tau past which the threshold equality is asserted.
+# Absolute: the gaps of the scaling and threshold identity checks pass at or
+# below IDENTITY_SET_TOL, and THRESHOLD_MARGIN is the margin above tau past
+# which the threshold equality is asserted.
 IDENTITY_SET_TOL = 1e-6
 THRESHOLD_MARGIN = 1e-6
 
@@ -79,3 +80,18 @@ MODULUS_CONFIRM_STEP = 1e-7
 # Absolute count: secant steps p1_modulus may take after its two bracket
 # probes before it gives up with LPNumericalError.
 MODULUS_MAX_STEPS = 64
+
+# Absolute: check-lemmas runs its perturbation step only on draws whose
+# radius exceeds this.
+PERTURB_RADIUS_FLOOR = 1e-6
+
+# Renormed-ball model (garkavi), all absolute.  DEFAULT_THETA is the default
+# slab shrink theta, the margin the slab keeps below the critical level alpha.
+# GAUGE_CERTIFY_TOL bounds the gauge certificates: gauge(x0) may miss 1, and a
+# point recovered from the gauge decomposition may leave B_gamma, by this.  A
+# hull holds the origin inside only when its least facet offset exceeds
+# HULL_MARGIN_FLOOR, and a replay direction is null below NULL_DIRECTION_TOL.
+DEFAULT_THETA = 1e-3
+GAUGE_CERTIFY_TOL = 1e-7
+HULL_MARGIN_FLOOR = 1e-12
+NULL_DIRECTION_TOL = 1e-12

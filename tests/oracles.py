@@ -15,8 +15,9 @@ bit for bit.  The renormed-ball model's forward gap has a convex-weights
 route, hull_gauge_distance, and its closed-form replay crossing a bisection
 reference, reference_replay_crossing.  Vertex post-processing has a scalar
 reference: reference_merge_rows, the greedy scan over every kept row, and
-per_candidate_vertices, the feasibility filter one candidate at a time; the
-package's whole-array versions must match them bit for bit.
+per_candidate_vertices, the feasibility filter one candidate at a time, each
+scored by reference_violation; the package's whole-array versions must match
+them bit for bit.
 """
 
 import itertools
@@ -251,14 +252,25 @@ def reference_merge_rows(rows):
     return np.array(kept)
 
 
+def reference_violation(poly, v):
+    """Largest violation of poly by the point v, from one matrix-vector
+    product per row block."""
+    worst = 0.0
+    if poly.a_ub.shape[0]:
+        worst = max(worst, float(np.max(poly.a_ub @ v - poly.b_ub)))
+    if poly.a_eq.shape[0]:
+        worst = max(worst, float(np.max(np.abs(poly.a_eq @ v - poly.b_eq))))
+    return worst
+
+
 def per_candidate_vertices(poly):
     """constraints.enumerate_vertices with the feasibility filter run one
-    candidate at a time through Polytope.violation, merged by
+    candidate at a time through reference_violation, merged by
     reference_merge_rows."""
     raw = _enumerate_reduced(poly, depth=0)
     scale = 1.0 + float(np.max(np.abs(raw)))
     bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
-    return reference_merge_rows(np.array([v for v in raw if poly.violation(v) <= bar]))
+    return reference_merge_rows(np.array([v for v in raw if reference_violation(poly, v) <= bar]))
 
 
 def _reference_pivot(tab, row, col):
@@ -270,7 +282,7 @@ def _reference_pivot(tab, row, col):
     tab[row, col] = 1.0
 
 
-def reference_bland_loop(tab, basis, ncols, tol, max_iter, windows=None):
+def reference_bland_loop(tab, basis, ncols, tol, windows=None):
     """Bland's rule as scalar loops, a drop-in for lp._bland_loop.
 
     The entering column is the first with reduced cost below -tol, found
@@ -278,12 +290,13 @@ def reference_bland_loop(tab, basis, ncols, tol, max_iter, windows=None):
     PIVOT_EPS, the least ratio max(rhs, 0) / col is found first; the leaving
     row is then, among the rows whose ratio is within PIVOT_EPS of it, the
     one whose basic variable has the smallest index.  Returns the iteration
-    count, or -(iterations + 1) when the program is unbounded.  When windows
+    count, or -(iterations + 1) when the program is unbounded, and raises
+    after lp.LP_MAX_ITER pivots.  When windows
     is a list, the ratios within PIVOT_EPS of the least are appended to it,
     one list per ratio test.
     """
     m = tab.shape[0] - 1
-    for it in range(max_iter):
+    for it in range(lp.LP_MAX_ITER):
         obj = tab[-1, :ncols]
         entering = -1
         for j in range(ncols):
@@ -311,7 +324,7 @@ def reference_bland_loop(tab, basis, ncols, tol, max_iter, windows=None):
             return -(it + 1)
         _reference_pivot(tab, leave, entering)
         basis[leave] = entering
-    raise LPNumericalError(f"simplex exceeded {max_iter} iterations")
+    raise LPNumericalError(f"simplex exceeded {lp.LP_MAX_ITER} iterations")
 
 
 def reference_farthest_vertex(verts, target):

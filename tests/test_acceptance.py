@@ -90,9 +90,11 @@ def test_criterion_2_scaling_and_threshold_identities():
             family, y, _ = random_ball_problem(rng, dim, int(rng.integers(1, 4)), count=count)
             lam = float(rng.uniform(0.4, 3.0))
             delta = float(rng.uniform(0.05, 0.5))
-            scaling = sc.check_scaling_identity(y, family, lam, delta=delta, set_tol=1e-6)
+            scaling = sc.check_scaling_identity(y, family, lam, delta=delta)
+            assert scaling.tol == 1e-6
             assert scaling.passed, (trial, scaling)
-            threshold = sc.check_threshold_equality(y, family, set_tol=1e-6)
+            threshold = sc.check_threshold_equality(y, family)
+            assert threshold.tol == 1e-6
             assert threshold.lam == pytest.approx(threshold.tau + 1.0)
             assert threshold.equality_checked
             assert threshold.passed, (trial, threshold)
@@ -114,17 +116,17 @@ def test_criterion_3_perturbation_bound():
             eps = next(eps_cycle)
             gamma = float(rng.uniform(0.05, 0.5))
             delta = 0.5 * sc.perturbation_slack_bound(radius, gamma, eps)
-            near = sc.near_center_set(problem, gamma + delta)
-            base = sc.near_center_set(problem, gamma)
+            near = sc.near_center_set(problem, gamma + delta, radius)
+            base = sc.near_center_set(problem, gamma, radius)
             near_verts = near.vertices()
             for v in near_verts:
                 dist, _ = lp.distance_to_polytope(v, base)
                 assert dist <= eps + 1e-6, (done, dist, eps)
 
             v = vertex_mixture(rng, near_verts)
-            v_prime = near_center_point(rng, problem, gamma / 2.0)
+            v_prime = near_center_point(rng, problem, gamma / 2.0, radius)
             blended = sc.perturb_toward_center(
-                v, v_prime, family, problem.feasible, gamma, delta, eps=eps)
+                v, v_prime, family, problem.feasible, gamma, delta, radius, eps=eps)
             assert sc.farthest_radius(blended, family) <= radius + gamma + 1e-9
             assert float(np.max(np.abs(v - blended))) <= eps
             done += 1
@@ -179,7 +181,9 @@ def test_criterion_5_constructive_center_corpus(corpus_center):
 
             if inst.constraint == "scaled-ball":  # scaling carries the construction over
                 shrunk = sc.FunctionFamily(inst.family.values / inst.scale)
-                h_scaled = inst.scale * construct.constructive_center(shrunk, inst.subspace)
+                h_scaled = inst.scale * construct.constructive_center(
+                    shrunk, inst.subspace,
+                    reduction=construct.finite_reduction(shrunk, inst.subspace))
                 scaled_radius = sc.restricted_radius(inst.problem())
                 assert sc.sup_norm(h_scaled) <= inst.scale * (1.0 + 1e-9), inst.name
                 assert sc.farthest_radius(h_scaled, inst.family) <= scaled_radius + 1e-8, inst.name
@@ -198,7 +202,7 @@ def test_criterion_6_repair_corpus(corpus_center):
             for eps in (0.2, 0.1, 0.05):
                 choice = construct.admissible_slack(family, y, eps, reduction=reduction)
                 assert 0.0 < choice.value <= eps, (inst.name, eps, choice)
-                verts = sc.near_center_set(problem, choice.value).vertices()
+                verts = sc.near_center_set(problem, choice.value, center.radius).vertices()
                 for _ in range(20):
                     g = vertex_mixture(rng, verts)
                     h2 = construct.repair_near_center(

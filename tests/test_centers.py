@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -44,8 +45,9 @@ class TestWorkedInstance:
 
     def test_near_center_widens(self, worked):
         _, _, problem = worked
-        tight = sc.near_center_set(problem, 0.0).vertices()
-        loose = sc.near_center_set(problem, 0.2)
+        radius = sc.restricted_radius(problem)
+        tight = sc.near_center_set(problem, 0.0, radius).vertices()
+        loose = sc.near_center_set(problem, 0.2, radius)
         for v in tight:
             assert loose.contains(v, 1e-9)
         # the loose set reaches strictly farther along the slab
@@ -55,7 +57,7 @@ class TestWorkedInstance:
     def test_negative_slack_rejected(self, worked):
         _, _, problem = worked
         with pytest.raises(ValueError):
-            sc.near_center_set(problem, -0.1)
+            sc.near_center_set(problem, -0.1, sc.restricted_radius(problem))
 
 
 class TestAgainstScipy:
@@ -99,6 +101,25 @@ def test_ball_problem_dimension_mismatch():
     y = sc.Subspace(dim=3, functionals=(sc.Functional(support=(0, 1), weights=(0.5, -0.5)),))
     with pytest.raises(DimensionMismatchError):
         sc.ball_problem(family, y)
+
+
+def test_ball_problem_rejects_nonpositive_scale():
+    family = sc.FunctionFamily([[0.0, 0.0]])
+    with pytest.raises(ValueError):
+        sc.ball_problem(family, sc.Subspace(dim=2), 0.0)
+
+
+def test_solved_quantities_are_required_arguments():
+    # each near-center object is built from a radius, center or reduction the
+    # caller has already solved; none of them solves it again
+    from supcenter.sampling import near_center_point
+
+    required = {sc.near_center_set: "radius", sc.perturb_toward_center: "radius",
+                near_center_point: "radius", sc.worst_near_center_distance: "center",
+                sc.p1_modulus: "center", sc.constructive_center: "reduction"}
+    for fn, name in required.items():
+        param = inspect.signature(fn).parameters[name]
+        assert param.default is inspect.Parameter.empty, fn.__name__
 
 
 def test_empty_constraint_set_raises():
@@ -179,10 +200,10 @@ class TestPerturbation:
         eps = 0.25
         gamma = 0.3
         delta = 0.5 * sc.perturbation_slack_bound(radius, gamma, eps)
-        v = near_center_point(rng, problem, gamma + delta)
-        v_prime = near_center_point(rng, problem, gamma / 2.0)
+        v = near_center_point(rng, problem, gamma + delta, radius)
+        v_prime = near_center_point(rng, problem, gamma / 2.0, radius)
         blended = sc.perturb_toward_center(
-            v, v_prime, family, problem.feasible, gamma, delta, eps=eps)
+            v, v_prime, family, problem.feasible, gamma, delta, radius, eps=eps)
         assert np.max(np.abs(blended - v)) < eps
         assert sc.farthest_radius(blended, family) <= radius + gamma + 1e-7
 
@@ -190,13 +211,15 @@ class TestPerturbation:
         family, _, problem = worked
         with pytest.raises(PreconditionError):
             sc.perturb_toward_center([5.0, 5.0, 5.0], [0.5, 0.5, 0.0],
-                                     family, problem.feasible, 0.3, 0.01)
+                                     family, problem.feasible, 0.3, 0.01,
+                                     sc.restricted_radius(problem))
 
     def test_rejects_oversized_slack(self, worked):
         family, _, problem = worked
         with pytest.raises(PreconditionError):
             sc.perturb_toward_center([0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
-                                     family, problem.feasible, 0.3, 0.9)
+                                     family, problem.feasible, 0.3, 0.9,
+                                     sc.restricted_radius(problem))
 
 
 def test_subspace_problem_is_the_kernel(worked):
@@ -236,8 +259,9 @@ def test_center_report_mode_label(worked):
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
 def test_corpus_vertex_lists_have_no_duplicates(inst):
     problem = inst.problem()
-    polys = [sc.center_set(problem).center_polytope]
-    polys += [sc.near_center_set(problem, delta) for delta in (0.2, 0.1, 0.05)]
+    center = sc.center_set(problem)
+    polys = [center.center_polytope]
+    polys += [sc.near_center_set(problem, delta, center.radius) for delta in (0.2, 0.1, 0.05)]
     for poly in polys:
         assert min_row_gap(poly.vertices()) > DEDUP_TOL
 

@@ -214,25 +214,19 @@ def test_version_flag(capsys):
     assert "supcenter" in capsys.readouterr().out
 
 
-def test_check_lemmas_reuses_solved_radii(solve_counts, monkeypatch, capsys):
-    code, reused = run_json(capsys, ["check-lemmas", "--trials", "5"])
+def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
+    # each trial solves its radius once and hands it to the two near-center
+    # draws and the perturbation step, which have no way to solve it again
+    code, _ = run_json(capsys, ["check-lemmas", "--trials", "5"])
     assert code == OK
-    solves = solve_counts["solves"]
+    assert solve_counts["solves"] == 218
 
-    # the same trials with each radius solved again where it is used: the
-    # two near-center draws and the perturbation step of every trial
-    def dropping_radius(fn):
-        def run(*args, radius=None, **kwargs):
-            return fn(*args, **kwargs)
-        return run
-
-    monkeypatch.setattr(sampling, "near_center_point", dropping_radius(sampling.near_center_point))
-    monkeypatch.setattr(cli, "perturb_toward_center", dropping_radius(cli.perturb_toward_center))
-    solve_counts.clear()
-    code, resolved = run_json(capsys, ["check-lemmas", "--trials", "5"])
-    assert code == OK
-    assert resolved == reused
-    assert solve_counts["solves"] - solves == 15
+    family, _, problem = worked
+    with pytest.raises(TypeError):
+        sampling.near_center_point(np.random.default_rng(0), problem, 0.1)
+    with pytest.raises(TypeError):
+        cli.perturb_toward_center([0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                  family, problem.feasible, 0.3, 0.01)
 
 
 @pytest.mark.parametrize("target, error", [

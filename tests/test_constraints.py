@@ -13,7 +13,7 @@ from supcenter.errors import (
 from supcenter.tolerances import DEDUP_TOL
 
 from oracles import (active_set_vertices, kernel_basis, min_row_gap, per_candidate_vertices,
-                     reference_merge_rows)
+                     reference_merge_rows, reference_violation)
 
 
 class TestFunctional:
@@ -78,14 +78,14 @@ class TestVertexEnumeration:
     def test_kernel_ball_worked_instance(self):
         y = con.Subspace(dim=3, functionals=(
             con.Functional(support=(0, 1), weights=(0.5, -0.5)),))
-        verts = con.ball_polytope(y, 1.0).vertices()
+        verts = sc.ball_problem(sc.FunctionFamily(np.zeros((1, 3))), y).feasible.vertices()
         # square {t, t, s} with |t|, |s| <= 1
         expected = {(-1.0, -1.0, -1.0), (-1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 1.0, 1.0)}
         assert {tuple(v) for v in np.round(verts, 9)} == expected
 
     def test_scaled_ball(self):
         y = con.Subspace(dim=2)
-        verts = con.ball_polytope(y, 2.5).vertices()
+        verts = sc.ball_problem(sc.FunctionFamily(np.zeros((1, 2))), y, 2.5).feasible.vertices()
         assert np.max(np.abs(verts)) == pytest.approx(2.5)
 
     def test_segment_in_the_plane(self):
@@ -153,7 +153,8 @@ class TestVertexEnumeration:
         # near-center set at slack 1e-7 is 2.7e-7 wide, so its inscribed
         # radius sits under the flatness bar, yet no row is implicitly tight
         inst = next(i for i in sc.load_corpus("center") if i.name == "13-random-d3m2")
-        near = sc.near_center_set(inst.problem(), 1e-7)
+        problem = inst.problem()
+        near = sc.near_center_set(problem, 1e-7, sc.restricted_radius(problem))
         assert not np.any(near.b_eq)
         q = kernel_basis(near.a_eq, near.dim)
         exhaustive = active_set_vertices(near.a_ub @ q, near.b_ub) @ q.T
@@ -163,10 +164,10 @@ class TestVertexEnumeration:
         gap = max(np.min(np.max(np.abs(verts - v), axis=1)) for v in exhaustive)
         assert gap < 1e-12
 
-    def test_vertices_are_sorted_cached_and_readonly(self):
+    def test_vertices_are_sorted_and_readonly(self):
         poly = con.Polytope.box(2, 1.0)
         first = poly.vertices()
-        assert poly.vertices() is first
+        assert poly.vertices().tobytes() == first.tobytes()
         assert not first.flags.writeable
         assert sorted(map(tuple, first)) == list(map(tuple, first))
 
@@ -232,9 +233,10 @@ def test_merge_rows_matches_the_greedy_scan_on_corpus_and_hull_facets(monkeypatc
     monkeypatch.setattr(garkavi, "merge_rows", recording)
     for inst in sc.load_corpus("center"):
         problem = inst.problem()
-        sc.center_set(problem).center_polytope.vertices()
+        center = sc.center_set(problem)
+        center.center_polytope.vertices()
         for delta in (0.2, 0.1, 0.05):
-            sc.near_center_set(problem, delta).vertices()
+            sc.near_center_set(problem, delta, center.radius).vertices()
     vertex_lists = len(seen)
     for inst in sc.load_corpus("renorm"):
         garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
@@ -247,15 +249,14 @@ def _filter_cases():
     polys = []
     for inst in sc.load_corpus("center"):
         problem = inst.problem()
-        polys += [sc.center_set(problem).center_polytope, sc.near_center_set(problem, 0.1)]
+        center = sc.center_set(problem)
+        polys += [center.center_polytope, sc.near_center_set(problem, 0.1, center.radius)]
     rng = np.random.default_rng(7)
     for inst in sc.load_corpus("renorm"):
         model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
         for x in (model.x0, *rng.uniform(-1.0, 1.0, (2, model.n))):
             polys += [garkavi.metric_projection(model, x, eps) for eps in (0.0, 0.1)]
-    # uncached copies, so that enumerate_vertices runs on each
-    return [con.Polytope(a_ub=p.a_ub, b_ub=p.b_ub, a_eq=p.a_eq, b_eq=p.b_eq, dim=p.dim)
-            for p in polys]
+    return polys
 
 
 def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
@@ -277,14 +278,9 @@ def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
     rng = np.random.default_rng(11)
     for poly, verts in zip(polys, got):
         points = np.vstack([verts, verts + rng.uniform(-1e-3, 1e-3, verts.shape)])
-        scores = [real(poly, v) for v in points]
+        scores = [reference_violation(poly, v) for v in points]
         assert con._violations(poly, points) == pytest.approx(scores, rel=1e-12, abs=1e-15)
         assert max(scores) > 0.0
-
-
-def test_ball_polytope_rejects_nonpositive_scale():
-    with pytest.raises(ValueError):
-        con.ball_polytope(con.Subspace(dim=2), 0.0)
 
 
 def test_polytope_repr_mentions_shape():

@@ -92,7 +92,7 @@ class TestFiniteReduction:
 
     @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
     def test_rows_are_the_box_and_the_slot_columns_of_y(self, inst):
-        # the kernel ball on the slots, from the builder ball_polytope uses:
+        # the kernel ball on the slots, from the builder ball_problem uses:
         # bit for bit the unit box on the slots with Y's rows on the slot columns
         red = finite_reduction(inst.family, inst.subspace)
         if not red.slots:
@@ -173,7 +173,7 @@ class TestClosedFormRadius:
 class TestConstructiveCenter:
     def test_worked_instance(self, worked):
         family, y, _ = worked
-        h = constructive_center(family, y)
+        h = constructive_center(family, y, reduction=finite_reduction(family, y))
         assert h == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
 
     def test_certificates_on_random_draws(self, rng):
@@ -181,7 +181,7 @@ class TestConstructiveCenter:
             dim = int(rng.integers(3, 6))
             family, y, problem = random_ball_problem(rng, dim, int(rng.integers(1, 4)),
                                                      count=int(rng.integers(1, 3)))
-            h = constructive_center(family, y)
+            h = constructive_center(family, y, reduction=finite_reduction(family, y))
             radius = sc.restricted_radius(problem)
             assert sc.sup_norm(h) <= 1.0 + 1e-9
             res = y.residuals(h)
@@ -190,7 +190,7 @@ class TestConstructiveCenter:
 
     def test_gap_instance(self):
         family, y = gap_instance()
-        h = constructive_center(family, y)
+        h = constructive_center(family, y, reduction=finite_reduction(family, y))
         assert sc.farthest_radius(h, family) <= 1.0 + 1e-8
         # the clamp pulls the off-support coordinate up to f - R = 1
         assert h[0] == pytest.approx(1.0, abs=1e-9)
@@ -198,7 +198,7 @@ class TestConstructiveCenter:
     def test_no_functionals_gives_clamped_zero(self):
         y = sc.Subspace(dim=2, functionals=())
         family = sc.FunctionFamily([[0.4, -0.2], [0.0, 0.1]])
-        h = constructive_center(family, y)
+        h = constructive_center(family, y, reduction=finite_reduction(family, y))
         radius = sc.restricted_radius(sc.ball_problem(family, y))
         assert sc.farthest_radius(h, family) <= radius + 1e-8
 
@@ -248,8 +248,9 @@ class TestAdmissibleSlack:
         eps = 0.1
         red = finite_reduction(family, y)
         choice = admissible_slack(family, y, eps, reduction=red)
-        base = sc.near_center_set(red.problem, choice.beta)
-        verts = sc.near_center_set(red.problem, choice.beta + choice.value).vertices()
+        base = sc.near_center_set(red.problem, choice.beta, red.center.radius)
+        verts = sc.near_center_set(red.problem, choice.beta + choice.value,
+                                   red.center.radius).vertices()
         assert verts.shape[0] > 0
         assert max(highs_distance(v, base) for v in verts) <= eps + 1e-9
 
@@ -272,7 +273,7 @@ class TestRepair:
         choice = admissible_slack(family, y, eps, reduction=reduction)
         center = sc.center_set(problem)
         for _ in range(draws):
-            g = near_center_point(rng, problem, choice.value)
+            g = near_center_point(rng, problem, choice.value, center.radius)
             h2 = repair_near_center(RepairInput(g=g, eps=eps, delta=choice.value),
                                     family, y, reduction=reduction)
             moved = float(np.max(np.abs(g - h2)))

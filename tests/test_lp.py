@@ -77,11 +77,12 @@ def test_solution_is_bitwise_deterministic():
         assert np.array_equal(again.x, first.x)
 
 
-def test_iteration_cap_raises_instead_of_returning_garbage():
+def test_iteration_cap_raises_instead_of_returning_garbage(monkeypatch):
     rng = np.random.default_rng(5)
     prob = random_feasible_lp(rng, 5, 10)
+    monkeypatch.setattr(lp, "LP_MAX_ITER", 1)
     with pytest.raises(LPNumericalError):
-        lp.solve(prob, max_iter=1)
+        lp.solve(prob)
 
 
 def test_distance_to_polytope_inside_and_outside():
@@ -256,28 +257,28 @@ def _test_lp_programs():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(1, 8))
         yield random_feasible_lp(rng, n, m, with_eq=trial % 3 == 0,
-                                 with_bounds=trial % 2 == 0), {}
+                                 with_bounds=trial % 2 == 0)
     for build in (_infeasible, _unbounded, _negative_rhs_equalities, _duplicate_equality,
                   _nonnegative_rhs):
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = int(rng.integers(2, 6))
-            yield build(rng, n, int(rng.integers(2, 9))), {}
+            yield build(rng, n, int(rng.integers(2, 9)))
 
 
 def _degenerate_programs():
     rng = np.random.default_rng(3)
     for _ in range(150):
-        yield _degenerate(rng, int(rng.integers(2, 6)), int(rng.integers(4, 12))), {}
+        yield _degenerate(rng, int(rng.integers(2, 6)), int(rng.integers(4, 12)))
 
 
 def _corpus_programs(monkeypatch, capsys):
     issued = []
     real = lp.solve
 
-    def solve(prob, max_iter=lp.LP_MAX_ITER):
-        issued.append((prob, {"max_iter": max_iter}))
-        return real(prob, max_iter)
+    def solve(prob):
+        issued.append(prob)
+        return real(prob)
 
     with monkeypatch.context() as mp:
         mp.setattr(lp, "solve", solve)
@@ -294,12 +295,12 @@ def test_vectorized_pivot_rule_matches_scalar_reference(family, monkeypatch, cap
                 "corpus": lambda: _corpus_programs(monkeypatch, capsys)}[family]()
     windows = []
     solved = 0
-    for k, (prob, options) in enumerate(programs):
-        ours = lp.solve(prob, **options)
+    for k, prob in enumerate(programs):
+        ours = lp.solve(prob)
         with monkeypatch.context() as mp:
             mp.setattr(lp, "_bland_loop",
                        lambda *args: reference_bland_loop(*args, windows=windows))
-            ref = lp.solve(prob, **options)
+            ref = lp.solve(prob)
         assert (ours.status, ours.iterations, ours.value) == (ref.status, ref.iterations,
                                                               ref.value), f"program {k}"
         assert (ours.x is None) == (ref.x is None), f"program {k}"
@@ -328,11 +329,11 @@ def test_leaving_row_ties_with_the_least_ratio_only(loop):
     # rows 0 and 1 are within PIVOT_EPS of the least ratio and row 2 only of
     # row 1's; of the tied rows, row 1 has the smaller basic index
     tab, basis, ncols = _one_pivot_tableau([0.0, 0.8 * PIVOT_EPS, 1.6 * PIVOT_EPS], [3, 2, 1])
-    assert loop(tab, basis, ncols, DEFAULT_TOL, 10) == 1
+    assert loop(tab, basis, ncols, DEFAULT_TOL) == 1
     assert basis.tolist() == [3, 0, 1]
 
 
 @pytest.mark.parametrize("loop", [lp._bland_loop, reference_bland_loop])
 def test_nan_rhs_gives_the_unbounded_marker(loop):
     tab, basis, ncols = _one_pivot_tableau([np.nan], [1])
-    assert loop(tab, basis, ncols, DEFAULT_TOL, 10) < 0
+    assert loop(tab, basis, ncols, DEFAULT_TOL) < 0

@@ -43,7 +43,7 @@ def corpus_moduli():
 
 def test_worst_distance_zero_at_zero_slack(worked):
     _, _, problem = worked
-    worst, _ = worst_near_center_distance(problem, 0.0)
+    worst, _ = worst_near_center_distance(problem, 0.0, center=sc.center_set(problem))
     assert worst <= 1e-8
 
 
@@ -62,30 +62,31 @@ def test_worked_instance_worst_distance_known(worked):
     # widening the slab by delta lets the first two coordinates drift by
     # delta while the third stays covered, so the distance back is delta
     _, _, problem = worked
-    worst, _ = worst_near_center_distance(problem, 0.1)
+    worst, _ = worst_near_center_distance(problem, 0.1, center=sc.center_set(problem))
     assert worst == pytest.approx(0.1, abs=1e-8)
 
 
 class TestModulus:
     def test_positive_on_worked_instance(self, worked):
         _, _, problem = worked
+        center = sc.center_set(problem)
         for eps in (0.2, 0.1, 0.05):
-            report = p1_modulus(problem, eps, delta_max=eps)
+            report = p1_modulus(problem, eps, delta_max=eps, center=center)
             assert not report.degenerate
             assert report.delta_star > 0.0
             # certify: the returned slack really keeps the set within eps
-            worst, _ = worst_near_center_distance(problem, report.delta_star)
+            worst, _ = worst_near_center_distance(problem, report.delta_star, center=center)
             assert worst <= eps + 1e-9
 
     def test_fast_path_when_everything_fits(self, worked):
         _, _, problem = worked
-        report = p1_modulus(problem, eps=10.0, delta_max=0.05)
+        report = p1_modulus(problem, eps=10.0, delta_max=0.05, center=sc.center_set(problem))
         assert report.delta_star == 0.05
         assert len(report.probes) == 1
 
     def test_probes_recorded(self, worked):
         _, _, problem = worked
-        report = p1_modulus(problem, eps=0.05, delta_max=0.5)
+        report = p1_modulus(problem, eps=0.05, delta_max=0.5, center=sc.center_set(problem))
         assert len(report.probes) >= 2
         assert all(p.delta > 0 for p in report.probes)
 
@@ -93,16 +94,18 @@ class TestModulus:
         for _ in range(8):
             dim = int(rng.integers(2, 5))
             _, _, problem = random_ball_problem(rng, dim, int(rng.integers(1, 4)))
-            report = p1_modulus(problem, eps=0.1, delta_max=0.1, resolution=1e-2)
+            report = p1_modulus(problem, eps=0.1, delta_max=0.1, center=sc.center_set(problem),
+                                resolution=1e-2)
             assert not report.degenerate
             assert report.delta_star > 0.0
 
     def test_validates_arguments(self, worked):
         _, _, problem = worked
+        center = sc.center_set(problem)
         with pytest.raises(ValueError):
-            p1_modulus(problem, eps=0.0, delta_max=0.1)
+            p1_modulus(problem, eps=0.0, delta_max=0.1, center=center)
         with pytest.raises(ValueError):
-            p1_modulus(problem, eps=0.1, delta_max=0.0)
+            p1_modulus(problem, eps=0.1, delta_max=0.0, center=center)
 
 
 @pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["ulp-up", "ulp-down"])
@@ -290,11 +293,12 @@ def test_p1_modulus_base_slack_against_highs(worked):
     # each probe's worst distance runs from cent(base + delta) to cent(base)
     _, _, problem = worked
     base_slack = 0.1
-    report = p1_modulus(problem, eps=0.05, delta_max=0.3, base_slack=base_slack)
+    center = sc.center_set(problem)
+    report = p1_modulus(problem, eps=0.05, delta_max=0.3, center=center, base_slack=base_slack)
     assert len(report.probes) > 2 and 0.0 < report.delta_star < 0.3
-    base = sc.near_center_set(problem, base_slack)
+    base = sc.near_center_set(problem, base_slack, center.radius)
     for p in report.probes:
-        verts = sc.near_center_set(problem, base_slack + p.delta).vertices()
+        verts = sc.near_center_set(problem, base_slack + p.delta, center.radius).vertices()
         assert p.worst == pytest.approx(max(highs_distance(v, base) for v in verts), abs=1e-7)
 
 
