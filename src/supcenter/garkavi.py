@@ -17,10 +17,12 @@ theta = 0 reproduces the failure on purpose.
 
 The model's programs are the package's own.  The gauge LP splits x over the
 homogenized rows of the slab and cube polytopes that build_model holds; the
-distance to Y and the half-ball forward gap are epigraph LPs (lp.epigraph_lp)
-over the ball facets and the section facets; and the replay crossing of a
-ray with a gauge level set is read off the facets in closed form.  Each
-distance to Y is solved once and the projections are built from it.
+distance to Y is an epigraph LP (lp.epigraph_lp) over the ball facets; the
+half-ball forward gap is witnessed by the exact projection's vertices over
+the section facets, with the epigraph LP only for a vertex whose witness
+misses; and the replay crossing of a ray with a gauge level set is read off
+the facets in closed form.  Each distance to Y is solved once and the
+projections are built from it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import lp
 from .constraints import Functional, Polytope, Subspace, merge_rows
-from .errors import LPNumericalError, ModelBuildError
+from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import (DEFAULT_THETA, GAUGE_CERTIFY_TOL, HULL_MARGIN_FLOOR, NULL_DIRECTION_TOL,
                          SET_TOL)
@@ -322,8 +324,10 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
 
     d(x, Y) is solved once per sample and d(x0, Y) once per call; the exact,
     near and covariance projections are all built from these.  The forward
-    gap of a near vertex v is min over p in P_Y(x) of gauge(v - p), an
-    epigraph LP over the section facets, since v - p stays in Y.
+    gap of a near vertex v is min over p in P_Y(x) of gauge(v - p) - eps,
+    taken by _forward_gap from the exact vertices as witnesses and by the
+    epigraph LP only where no witness comes within eps.  Empty vertex lists
+    raise EnumerationError.
     """
     rng = np.random.default_rng(seed)
     n = model.n
@@ -340,8 +344,7 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
         exact_verts = exact.vertices()
         for eps in eps_values:
             near_verts = _projection(model, x, dist + eps).vertices()
-            forward = max((lp.epigraph_lp(-model.section_facets, v, exact)[0] - eps
-                           for v in near_verts), default=0.0)
+            forward = _forward_gap(model, near_verts, exact, exact_verts, eps) - eps
             # every candidate p + eps*b at once, but one ball_facets @ d product
             # per candidate: one matrix product over all of them rounds the last
             # bit differently from the per-vector product on about a quarter of
@@ -368,6 +371,26 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
                 direction[1] = 1.0
             replay_rows.append(_decomposition_replay(model, direction, eta_target))
     return HalfBallReport(samples=tuple(rows), replay_rows=tuple(replay_rows), tol=SET_TOL)
+
+
+def _forward_gap(model: GarkaviModel, near_verts: np.ndarray, exact: Polytope,
+                 exact_verts: np.ndarray, eps: float) -> float:
+    """max over near vertices v of min over p in exact of gauge(v - p).
+
+    v - p stays in Y, so its gauge is max over the section facets s of
+    s.(v - p).  Every exact vertex lies in the exact projection, so the least
+    gauge over exact_verts is an upper bound, reached when the half-ball
+    identity holds (v = p + eps * b for a vertex p and some b in the section
+    ball).  A v whose bound exceeds eps + SET_TOL gets the epigraph LP over
+    the whole exact projection instead.
+    """
+    if not len(near_verts) or not len(exact_verts):
+        raise EnumerationError("a projection of the half-ball check has no vertices")
+    diffs = near_verts[:, None, :] - exact_verts[None, :, :]
+    dists = np.min(np.max(diffs @ model.section_facets.T, axis=2), axis=1)
+    for i in np.flatnonzero(dists > eps + SET_TOL):
+        dists[i] = lp.epigraph_lp(-model.section_facets, near_verts[i], exact)[0]
+    return float(np.max(dists))
 
 
 def _replay_crossing(model: GarkaviModel, direction: np.ndarray, eta: float) -> float:

@@ -11,13 +11,15 @@ pivot.  The stability modulus has a bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
 must land in; it measures each probe with reference_farthest_vertex, one
 distance LP per vertex, which the package's bound-ordered search must match
-bit for bit.  The renormed-ball model's forward gap has a convex-weights
-route, hull_gauge_distance, and its closed-form replay crossing a bisection
-reference, reference_replay_crossing.  Vertex post-processing has a scalar
-reference: reference_merge_rows, the greedy scan over every kept row, and
-per_candidate_vertices, the feasibility filter one candidate at a time, each
-scored by reference_violation; the package's whole-array versions must match
-them bit for bit.
+bit for bit.  The renormed-ball model's forward gap, which the package
+takes from exact-vertex witnesses, has two LP routes: reference_forward_gap,
+one epigraph LP per near vertex over the whole exact projection, and the
+convex-weights route hull_gauge_distance.  Its closed-form replay crossing
+has a bisection reference, reference_replay_crossing.  Vertex
+post-processing has a scalar reference: reference_merge_rows, the greedy
+scan over every kept row, and per_candidate_vertices, the feasibility filter
+one candidate at a time, each scored by reference_violation; the package's
+whole-array versions must match them bit for bit.
 """
 
 import itertools
@@ -378,6 +380,12 @@ def hull_gauge_distance(model, x, verts):
                   b_eq=np.ones(1), bounds=[(0, None)] * k + [(None, None)], method="highs")
     assert res.status == 0, f"oracle LP failed: {res.message}"
     return float(res.fun)
+
+
+def reference_forward_gap(model, near_verts, exact):
+    """max over the near vertices v of min over p in the polytope exact of
+    gauge(v - p), one epigraph LP over the section facets per vertex."""
+    return max(lp.epigraph_lp(-model.section_facets, v, exact)[0] for v in near_verts)
 
 
 def reference_replay_crossing(model, direction, eta):

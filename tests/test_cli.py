@@ -6,7 +6,8 @@ import pytest
 
 from scipy.spatial import QhullError
 
-from supcenter import cli, sampling
+from supcenter import cli, garkavi, sampling
+from supcenter.constraints import Polytope
 from supcenter.cli import BAD_INPUT, CHECK_FAILED, INTERNAL, NUMERICAL, OK, main
 
 
@@ -111,6 +112,30 @@ def test_renorm_build_only(capsys):
 def test_renorm_zero_theta_fails(capsys):
     assert main(["renorm", "--n", "3", "--samples", "0", "--theta", "0"]) == CHECK_FAILED
     assert "check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty_call", [0, 1], ids=["exact", "near"])
+def test_renorm_empty_projection_vertices_are_numerical(monkeypatch, capsys, empty_call):
+    # after the model is built, the half-ball check enumerates the exact
+    # projection first and a near projection second: an empty list from either
+    # is a failed enumeration (3), not bad input (2) or a failed check (1)
+    real_build, real_vertices = garkavi.build_model, Polytope.vertices
+    calls = []
+
+    def vertices(self):
+        calls.append(self)
+        verts = real_vertices(self)
+        return verts[:0] if len(calls) == empty_call + 1 else verts
+
+    def build_then_patch(*args, **kwargs):
+        model = real_build(*args, **kwargs)
+        monkeypatch.setattr(Polytope, "vertices", vertices)
+        return model
+
+    monkeypatch.setattr(garkavi, "build_model", build_then_patch)
+    assert main(["renorm", "--n", "3", "--samples", "1"]) == NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "no vertices" in err
 
 
 def test_trend(capsys):

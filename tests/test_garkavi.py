@@ -14,14 +14,16 @@ from supcenter.garkavi import (
     half_ball_check,
     metric_projection,
     subspace_gauge_distance,
+    _forward_gap,
     _gauge_facets,
     _projection,
     _replay_crossing,
 )
 from supcenter.space import _hausdorff_points
-from supcenter.tolerances import DEDUP_TOL
+from supcenter.tolerances import DEDUP_TOL, SET_TOL
 
-from oracles import hull_gauge_distance, min_row_gap, reference_replay_crossing
+from oracles import (hull_gauge_distance, min_row_gap, reference_forward_gap,
+                     reference_replay_crossing)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,54 @@ def test_half_ball_check_solves_each_distance_once(model4, monkeypatch):
     # d(x0, Y) once, and d(x, Y) once per sample
     assert len(calls) == 3
     assert report.passed
+
+
+def test_half_ball_check_lp_solves(solve_counts):
+    # 3 distances, 10 enumerations of one LP each and 4 replay decompositions;
+    # every forward gap is witnessed, so no epigraph LP runs (65 solves with
+    # one per near vertex)
+    inst = next(inst for inst in load_corpus("renorm") if inst.name == "22-renorm-n4")
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    solve_counts.clear()
+    report = half_ball_check(model, samples=2, eps_values=(0.2, 0.1))
+    assert solve_counts["solves"] == 17
+    assert report.passed
+
+
+def _sampled_projections(model, samples, eps_values):
+    """(eps, exact projection, its vertices, near vertices) for the points
+    half_ball_check draws."""
+    report = half_ball_check(model, samples=samples, eps_values=eps_values)
+    for sample in report.samples:
+        x = np.array(sample.x)
+        exact = _projection(model, x, sample.distance)
+        near = _projection(model, x, sample.distance + sample.eps)
+        yield sample.eps, exact, exact.vertices(), near.vertices()
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_forward_gap_matches_the_epigraph_lp(inst):
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    for eps, exact, exact_verts, near_verts in _sampled_projections(model, 4, (0.2, 0.1)):
+        for v in near_verts:
+            value = _forward_gap(model, v[None], exact, exact_verts, eps)
+            reference = reference_forward_gap(model, v[None], exact)
+            tol = 1e-15 * (1.0 + abs(value))
+            assert value <= reference + tol
+            # never below the true distance, so a witness cannot hide an excess
+            assert value >= reference - tol
+
+
+def test_forward_gap_falls_back_to_the_lp_when_a_witness_misses(model4):
+    eps, exact, exact_verts, near_verts = next(_sampled_projections(model4, 1, (0.1,)))
+    v = near_verts[0]
+    witness = np.max((v - exact_verts) @ model4.section_facets.T, axis=1)
+    kept = exact_verts[witness > eps + SET_TOL]
+    assert 0 < len(kept) < len(exact_verts)
+    value = _forward_gap(model4, v[None], exact, kept, eps)
+    reference = reference_forward_gap(model4, v[None], exact)
+    assert reference <= eps + SET_TOL
+    assert abs(value - reference) <= 1e-15 * (1.0 + abs(value))
 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
