@@ -2,9 +2,17 @@
 
 A constraint subspace is the joint kernel of finitely many functionals of
 total-variation norm one.  Feasible regions are kept in H-representation
-(equalities plus <= inequalities).  Vertices are enumerated on the affine
-hull of the equalities: as the facets of the polar dual's convex hull (Qhull)
-from dimension 2 up, as the two ends of an interval in dimension 1.
+(equalities plus <= inequalities).
+
+A polytope whose rows fall into blocks on disjoint columns is the product of
+those blocks: one factor per connected component of the nonzeros of its rows
+(see factors).  Every functional here is finitely supported, so a center-type
+polytope is the coupled support block times one interval per off-support
+coordinate.  The vertices of a product are the tuples of factor vertices
+(Ziegler, Lectures on Polytopes, 1995), so enumerate_vertices enumerates each
+factor once and takes the product.  A factor's vertices are enumerated on the
+affine hull of its equalities: as the facets of the polar dual's convex hull
+(Qhull) from dimension 2 up, as the two ends of an interval in dimension 1.
 """
 
 from __future__ import annotations
@@ -188,6 +196,13 @@ def _interval_enum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([[lower.max()], [upper.min()]])
 
 
+def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The ends (l, u) of {z : a z <= b} in one coordinate, raising as vertex
+    enumeration does when it is empty or unbounded."""
+    (lower,), (upper,) = _interval_enum(a, b)
+    return float(lower), float(upper)
+
+
 def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.ndarray:
     from scipy.spatial import ConvexHull, QhullError
 
@@ -329,21 +344,130 @@ def merge_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def enumerate_vertices(poly: Polytope) -> np.ndarray:
-    """All vertices of a bounded polytope, merged by merge_rows and sorted.
+@dataclass(frozen=True)
+class Factor:
+    """One factor of a polytope: the columns cols of one connected component
+    of the nonzeros of its rows, and the indices of the inequality rows (ub)
+    and equality rows (eq) that touch them."""
 
-    The feasibility filter scores all candidates at once with _violations;
-    the kept rows are the raw candidates themselves.
+    cols: np.ndarray
+    ub: np.ndarray
+    eq: np.ndarray
 
-    Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
-    unbounded systems.
+    def of(self, poly: Polytope) -> Polytope:
+        """This factor of poly, or of any polytope with poly's rows and other
+        right-hand sides: its rows on its columns.  A factor that holds every
+        column is poly itself."""
+        if self.cols.size == poly.dim:
+            return poly
+        return Polytope(a_ub=poly.a_ub.take(self.ub, 0).take(self.cols, 1),
+                        b_ub=poly.b_ub[self.ub],
+                        a_eq=poly.a_eq.take(self.eq, 0).take(self.cols, 1),
+                        b_eq=poly.b_eq[self.eq], dim=self.cols.size)
+
+
+def _row_masks(a: np.ndarray) -> list[int]:
+    """Each row's nonzero columns as the bits of an int (bit j for column j)."""
+    packed = np.packbits(a != 0.0, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def factors(poly: Polytope) -> list[Factor]:
+    """poly as a product: one Factor per connected component of the columns,
+    two columns being joined when a row has nonzeros in both, in the order of
+    their least column.
+
+    A row with every entry nonzero joins all columns, so a polytope with one
+    is a single factor at once.  A single factor holds every row, zero rows
+    included, and its vertices take the route of an unsplit polytope.
+    Otherwise a row with no nonzero belongs to no factor and is checked here,
+    as the unsplit route checks it: an inequality row 0 <= b holds when
+    b >= -DEFAULT_TOL * (1 + max|b_ub|), an equality row 0 = b when
+    |b| <= EQ_CONSISTENT_TOL * (1 + max|b_eq|), and else
+    InfeasiblePolytopeError is raised.  A column that no row touches is a
+    factor with no rows, whose enumeration raises UnboundedPolytopeError.
+
+    The components are unions of row masks, ints with one bit per column, in
+    plain Python: the rows number in the tens, where each numpy call would
+    cost more than the whole search.
     """
+    n = poly.dim
+    ub, eq = _row_masks(poly.a_ub), _row_masks(poly.a_eq)
+    every = (1 << n) - 1
+    if every in ub or every in eq:
+        comps = [every]
+    else:
+        comps = []
+        for mask in ub + eq:
+            if mask:
+                rest = []
+                for c in comps:
+                    if c & mask:
+                        mask |= c
+                    else:
+                        rest.append(c)
+                comps = rest + [mask]
+        touched = sum(comps)  # the components are disjoint
+        comps += [1 << j for j in range(n) if not touched >> j & 1]
+    if len(comps) == 1:
+        return [Factor(cols=np.arange(n), ub=np.arange(len(ub)), eq=np.arange(len(eq)))]
+    zero_ub = [b for m, b in zip(ub, poly.b_ub.tolist()) if not m]
+    if zero_ub and min(zero_ub) < -DEFAULT_TOL * (1.0 + float(np.max(np.abs(poly.b_ub)))):
+        raise InfeasiblePolytopeError("a zero inequality row has a negative right-hand side")
+    zero_eq = [abs(b) for m, b in zip(eq, poly.b_eq.tolist()) if not m]
+    if zero_eq and max(zero_eq) > EQ_CONSISTENT_TOL * (1.0 + float(np.max(np.abs(poly.b_eq)))):
+        raise InfeasiblePolytopeError("equality system is inconsistent")
+    comps.sort(key=lambda c: c & -c)
+    return [Factor(cols=np.array([j for j in range(n) if c >> j & 1]),
+                   ub=np.array([i for i, m in enumerate(ub) if m & c], dtype=np.intp),
+                   eq=np.array([i for i, m in enumerate(eq) if m & c], dtype=np.intp))
+            for c in comps]
+
+
+def _factor_vertices(poly: Polytope) -> np.ndarray:
+    """Vertices of a polytope taken whole: the candidates of _enumerate_reduced
+    that pass the feasibility filter, merged by merge_rows.  The filter scores
+    all candidates at once with _violations; the kept rows are the raw
+    candidates themselves."""
     raw = _enumerate_reduced(poly, depth=0)
     scale = 1.0 + float(np.max(np.abs(raw)))
     bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
     keep = raw[_violations(poly, raw) <= bar]
     if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
-    verts = merge_rows(keep)
+    return merge_rows(keep)
+
+
+def enumerate_vertices(poly: Polytope) -> np.ndarray:
+    """All vertices of a bounded polytope, merged by merge_rows and sorted.
+
+    A polytope of one factor (see factors) is enumerated whole.  Otherwise
+    each factor is, and the product of the factor lists is scattered into the
+    columns and sorted by merge_rows; each factor list is already merged, so
+    no two tuples lie within DEDUP_TOL.  An empty factor makes the product
+    empty, so InfeasiblePolytopeError from any factor wins over
+    UnboundedPolytopeError from another.
+
+    Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
+    unbounded systems.
+    """
+    parts = factors(poly)
+    if len(parts) == 1:
+        verts = _factor_vertices(poly)
+    else:
+        lists, unbounded = [], None
+        for part in parts:
+            try:
+                lists.append(_factor_vertices(part.of(poly)))
+            except UnboundedPolytopeError as exc:
+                unbounded = unbounded or exc
+        if unbounded is not None:
+            raise unbounded
+        picks = np.indices([len(v) for v in lists]).reshape(len(lists), -1)
+        product = np.empty((picks.shape[1], poly.dim))
+        for part, factor_verts, pick in zip(parts, lists, picks):
+            product[:, part.cols] = factor_verts[pick]
+        verts = merge_rows(product)
     verts.setflags(write=False)
     return verts

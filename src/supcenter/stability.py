@@ -7,8 +7,15 @@ a vertex, so the certificate is exact at desk scale.  The stability modulus
 delta*(eps) is the largest slack whose worst distance stays below eps
 (property (P1) of the pair (V, B), quantified).
 
-Each vertex distance is a sup-norm distance LP against one fixed polytope.
-A point of that polytope bounds the distance of every vertex, so the search
+Every functional is finitely supported, so the near-center set and the set
+it is measured against are products of the same factors (see
+constraints.factors): the coupled support blocks and one interval per
+off-support coordinate.  The sup-norm distance to a product is the max of the
+factor distances and the vertices of a product are the tuples of factor
+vertices, so the worst distance is the max of the factor worst distances.
+An interval factor has it in closed form.  In every other factor, each
+vertex distance is a sup-norm distance LP against one fixed polytope.  A
+point of that polytope bounds the distance of every vertex, so the search
 keeps the points it has and solves only the vertices whose bound can still
 decide the worst distance or its witness (see _farthest_vertex).
 """
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import lp
 from .centers import CenterProblem, CenterReport, near_center_set
-from .constraints import Polytope
+from .constraints import Polytope, factors, interval
 from .errors import LPNumericalError
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
 
@@ -63,16 +70,70 @@ def _farthest_vertex(verts: np.ndarray, target: Polytope,
     return worst, verts[np.argmax(dists >= worst - DEFAULT_TOL)]
 
 
+def _product_search(base: Polytope, representative: np.ndarray):
+    """The search near -> (worst, witness) for polytopes near with the rows of
+    base: the largest distance from a vertex of near to base, with a witness.
+    representative is a point of base.  base is split once, and each near set
+    takes the same factors with its own right-hand sides.
+
+    The worst distance w is the max of the factor worst distances w_f:
+    - a one-column factor with no equality is an interval [l, u] of near
+      around [l0, u0] of base, and w_f = max(l0 - l, u - u0, 0) in closed
+      form, with no enumeration and no LP; its vertices are l, then u;
+    - every other factor runs _farthest_vertex on its own vertices, with its
+      own known list, seeded by representative[cols] and kept across calls.
+
+    The witness is a vertex of near, None when w is 0.  The deciding factor
+    is the first factor whose worst equals w, and it takes its own witness:
+    the first of its vertices within DEFAULT_TOL of w_f.  Every other factor
+    takes its first vertex.
+    """
+    parts = factors(base)
+    targets = [part.of(base) for part in parts]
+    # the base interval [l0, u0] of each one-column factor with no equality
+    ends = [interval(target.a_ub, target.b_ub) if part.cols.size == 1 and not part.eq.size
+            else None for part, target in zip(parts, targets)]
+    known = [[representative[part.cols]] for part in parts]
+
+    def search(near: Polytope) -> tuple[float, np.ndarray | None]:
+        worsts, owns, firsts = [], [], []
+        for part, target, base_ends, points in zip(parts, targets, ends, known):
+            if base_ends is not None:
+                lo, hi = interval(target.a_ub, near.b_ub[part.ub])
+                lo0, hi0 = base_ends
+                worst = max(lo0 - lo, hi - hi0, 0.0)
+                own = lo if max(lo0 - lo, lo - hi0) >= worst - DEFAULT_TOL else hi
+                first = lo
+            else:
+                verts = part.of(near).vertices()
+                worst, own = _farthest_vertex(verts, target, points)
+                first = verts[0]
+            worsts.append(worst)
+            owns.append(own)
+            firsts.append(first)
+        worst = max(worsts)
+        if worst <= 0.0:
+            return 0.0, None
+        deciding = worsts.index(worst)
+        witness = np.empty(base.dim)
+        for k, part in enumerate(parts):
+            witness[part.cols] = owns[k] if k == deciding else firsts[k]
+        return worst, witness
+
+    return search
+
+
 def worst_near_center_distance(problem: CenterProblem, delta: float,
                                center: CenterReport) -> tuple[float, np.ndarray | None]:
     """Largest distance from cent_V(B, delta) to cent_V(B), with a witness;
     center is the problem's solved center_set.
 
     Exact over the vertices of the near-center polytope; the maximum of a
-    convex function over a polytope is attained at one of them.
+    convex function over a polytope is attained at one of them.  The search
+    works factor by factor (see _product_search).
     """
-    verts = near_center_set(problem, delta, radius=center.radius).vertices()
-    return _farthest_vertex(verts, center.center_polytope, [center.representative])
+    near = near_center_set(problem, delta, radius=center.radius)
+    return _product_search(center.center_polytope, center.representative)(near)
 
 
 @dataclass(frozen=True)
@@ -116,8 +177,8 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: Cen
         raise ValueError("eps and delta_max must be positive")
     base = near_center_set(problem, base_slack, radius=center.radius)
     # the representative lies in the center set, so in base for any base_slack;
-    # the nearest points the probes find join it
-    known = [center.representative]
+    # the nearest points the probes find join it, factor by factor
+    search = _product_search(base, center.representative)
     probes: list[ModulusProbe] = []
     # worst(delta) often equals eps up to rounding (at delta = eps in
     # particular), so each comparison allows DEFAULT_TOL
@@ -125,7 +186,7 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: Cen
 
     def excess(delta: float) -> float:
         near = near_center_set(problem, base_slack + delta, radius=center.radius)
-        worst, witness = _farthest_vertex(near.vertices(), base, known)
+        worst, witness = search(near)
         probes.append(ModulusProbe(delta=delta, worst=worst,
                                    witness=None if witness is None else tuple(witness)))
         return worst - target

@@ -16,10 +16,15 @@ takes from exact-vertex witnesses, has two LP routes: reference_forward_gap,
 one epigraph LP per near vertex over the whole exact projection, and the
 convex-weights route hull_gauge_distance.  Its closed-form replay crossing
 has a bisection reference, reference_replay_crossing.  Vertex
-post-processing has a scalar reference: reference_merge_rows, the greedy
-scan over every kept row, and per_candidate_vertices, the feasibility filter
-one candidate at a time, each scored by reference_violation; the package's
-whole-array versions must match them bit for bit.
+enumeration has a reference that takes each polytope whole, with no split
+into factors: reference_enumerate_vertices, whose filter scores one candidate
+at a time by reference_violation and whose merge is reference_merge_rows, the
+greedy scan over every kept row.  On a polytope of one factor the package's
+whole-array route must match it bit for bit; on a product, the package's
+product of factor lists must match it in count and within 1e-12, and both
+must match HiGHS's support values (highs_support).  The stability modulus
+takes each probe's worst distance factor by factor, and must match the
+full-space scan reference_farthest_vertex over the reference vertices.
 """
 
 import itertools
@@ -192,6 +197,17 @@ def highs_distance(x, poly):
     return float(res.fun)
 
 
+def highs_support(poly, direction):
+    """max direction.v over the H-polytope poly via HiGHS."""
+    direction = np.asarray(direction, dtype=float)
+    a_eq = poly.a_eq if poly.a_eq.shape[0] else None
+    b_eq = poly.b_eq if poly.a_eq.shape[0] else None
+    res = linprog(-direction, A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * direction.size, method="highs")
+    assert res.status == 0, f"oracle LP failed: {res.message}"
+    return float(-res.fun)
+
+
 def active_set_vertices(a, b, tol=1e-9, merge_tol=1e-7):
     """Vertices of the full-dimensional {z : a z <= b}, by solving every square
     subsystem of d rows and keeping the feasible solutions.
@@ -265,10 +281,10 @@ def reference_violation(poly, v):
     return worst
 
 
-def per_candidate_vertices(poly):
-    """constraints.enumerate_vertices with the feasibility filter run one
-    candidate at a time through reference_violation, merged by
-    reference_merge_rows."""
+def reference_enumerate_vertices(poly):
+    """Vertices of poly taken whole, with no split into factors: the
+    candidates of the unsplit route, filtered one at a time through
+    reference_violation and merged by reference_merge_rows."""
     raw = _enumerate_reduced(poly, depth=0)
     scale = 1.0 + float(np.max(np.abs(raw)))
     bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)

@@ -29,7 +29,7 @@ def test_every_traced_name_resolves():
 def test_recorder_counts_a_center_round():
     # the counters read lp.solve's program, so a change to its shape shows here
     import supcenter as sc
-    from supcenter import centers, stability
+    from supcenter import centers, constraints, stability
 
     inst = next(i for i in sc.load_corpus("center") if i.name == "01-worked-instance")
     problem = inst.problem()
@@ -49,7 +49,12 @@ def test_recorder_counts_a_center_round():
     radius_rows = feasible.a_ub.shape[0] + 2 * n + feasible.a_eq.shape[0]
     assert rec.counts[("center", "lp.solve.pivots")] > 0
     assert rec.counts[("center", "lp.solve.rows_max")] == radius_rows
-    # the largest program of the modulus is a distance LP to the center set
+    # the largest program of the modulus is a distance LP to the support
+    # block {0, 1}, the one factor of the center set that is no interval:
+    # the block's rows and two epigraph rows per block coordinate
+    block = constraints.factors(center.center_polytope)[0]
+    assert block.cols.tolist() == [0, 1]
     assert rec.counts[("modulus", "lp.solve.pivots")] > 0
     assert rec.counts[("modulus", "stability.p1_modulus.probes")] > 0
-    assert rec.counts[("modulus", "lp.solve.rows_max")] == radius_rows + 2 * n
+    assert rec.counts[("modulus", "lp.solve.rows_max")] == (
+        block.ub.size + block.eq.size + 2 * block.cols.size)

@@ -244,7 +244,9 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
     # draws and the perturbation step, which have no way to solve it again
     code, _ = run_json(capsys, ["check-lemmas", "--trials", "5"])
     assert code == OK
-    assert solve_counts["solves"] == 218
+    # 218 before vertex enumeration split its polytopes into factors: a free
+    # coordinate is an interval factor, which takes no LP
+    assert solve_counts["solves"] == 166
 
     family, _, problem = worked
     with pytest.raises(TypeError):
@@ -259,17 +261,37 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
     ("numpy.linalg.lstsq", np.linalg.LinAlgError("SVD did not converge")),
     ("numpy.linalg.matrix_rank", np.linalg.LinAlgError("SVD did not converge")),
 ], ids=["qhull", "lstsq", "matrix-rank"])
-def test_enumeration_library_failure_is_numerical(worked_file, capsys, monkeypatch,
-                                                  target, error):
+def test_enumeration_library_failure_is_numerical(capsys, monkeypatch, target, error):
     # a failed Qhull or numpy call inside vertex enumeration is numerical
-    # trouble (3), not bad input (2) or an escaping traceback (1)
+    # trouble (3), not bad input (2) or an escaping traceback (1).  The
+    # supports of 14-random-d4m3 chain all four coordinates, so its
+    # near-center set is one factor of affine dimension 2: the hull route
+    path = str(files("supcenter") / "corpus" / "14-random-d4m3.json")
+
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(target, fail)
-    assert main(["near-center", worked_file, "--delta", "0.1"]) == NUMERICAL
+    assert main(["near-center", path, "--delta", "0.1"]) == NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a_ub, b_ub, message", [
+    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, -1.0],
+     "zero inequality row"),
+    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], [1.0] * 4,
+     "unbounded"),
+], ids=["zero-row", "untouched-column"])
+def test_split_polytope_errors_are_bad_input(worked_file, capsys, monkeypatch,
+                                             a_ub, b_ub, message):
+    # an empty or unbounded polytope found by the split into factors exits
+    # 2, as one found by the unsplit route does
+    monkeypatch.setattr(cli, "near_center_set",
+                        lambda *args, **kwargs: Polytope(a_ub=np.array(a_ub), b_ub=b_ub))
+    assert main(["near-center", worked_file, "--delta", "0.1"]) == BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_unexpected_exception_has_its_own_exit_code(worked_file, capsys, monkeypatch):

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 import supcenter as sc
 import supcenter.constraints as con
-from supcenter import garkavi
+from supcenter import garkavi, lp
 from supcenter.errors import (
     InfeasiblePolytopeError,
     UnboundedPolytopeError,
 )
-from supcenter.tolerances import DEDUP_TOL
+from supcenter.tolerances import DEDUP_TOL, DEFAULT_TOL
 
-from oracles import (active_set_vertices, kernel_basis, min_row_gap, per_candidate_vertices,
+from oracles import (active_set_vertices, highs_support, kernel_basis, min_row_gap,
+                     reference_enumerate_vertices, reference_farthest_vertex,
                      reference_merge_rows, reference_violation)
 
 
@@ -172,6 +173,163 @@ class TestVertexEnumeration:
         assert sorted(map(tuple, first)) == list(map(tuple, first))
 
 
+def _hausdorff(a, b):
+    gaps = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+
+
+def assert_matches_the_unsplit_route(poly, directions):
+    """Equal vertex counts and a Hausdorff gap of at most 1e-12 against the
+    route that takes poly whole, and HiGHS's support value in each direction."""
+    verts = con.enumerate_vertices(poly)
+    reference = reference_enumerate_vertices(poly)
+    assert verts.shape == reference.shape
+    assert _hausdorff(verts, reference) <= 1e-12
+    for c in directions:
+        ref = highs_support(poly, c)
+        assert abs(float(np.max(verts @ c)) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def _center_type_sets(problem):
+    center = sc.center_set(problem)
+    yield center.center_polytope
+    for eps in (0.2, 0.1, 0.05):
+        yield sc.near_center_set(problem, eps, center.radius)
+
+
+class TestProductSplit:
+    def test_center_sets_split_into_support_blocks_and_intervals(self):
+        # 03: two disjoint supports and one free coordinate; 17: one support
+        # block and three free coordinates
+        split = {}
+        for inst in sc.load_corpus("center"):
+            center = sc.center_set(inst.problem()).center_polytope
+            split[inst.name] = [part.cols.tolist() for part in con.factors(center)]
+        assert split["03-disjoint-supports"] == [[0, 1], [2, 3], [4]]
+        assert split["17-random-d5m4"] == [[0, 3], [1], [2], [4]]
+        assert split["12-no-constraints"] == [[0], [1], [2]]
+        assert sum(len(parts) > 1 for parts in split.values()) == 14
+
+    def test_factor_rows_and_restriction(self):
+        # a factor keeps exactly the rows that touch its columns
+        inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
+        poly = sc.center_set(inst.problem()).center_polytope
+        for part in con.factors(poly):
+            sub = part.of(poly)
+            outside = np.delete(np.arange(poly.dim), part.cols)
+            assert not np.any(poly.a_ub[np.ix_(part.ub, outside)])
+            assert np.array_equal(sub.a_ub, poly.a_ub[np.ix_(part.ub, part.cols)])
+            assert np.array_equal(sub.b_eq, poly.b_eq[part.eq])
+            rest = np.setdiff1d(np.arange(poly.a_ub.shape[0]), part.ub)
+            assert not np.any(poly.a_ub[np.ix_(rest, part.cols)])
+
+    def test_renorm_polytopes_and_coupled_centers_are_one_factor(self):
+        # a dense row, or supports that chain every coordinate, keep the
+        # unsplit route and its bytes
+        for inst in sc.load_corpus("center"):
+            if inst.name in ("14-random-d4m3", "15-random-d5m4"):
+                center = sc.center_set(inst.problem()).center_polytope
+                assert len(con.factors(center)) == 1
+        rng = np.random.default_rng(5)
+        for inst in sc.load_corpus("renorm"):
+            model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma,
+                                        theta=inst.theta)
+            e0 = np.eye(model.n)[:1]
+            polys = [con.Polytope(a_ub=model.ball_facets, b_ub=np.ones(len(model.ball_facets)),
+                                  a_eq=e0, b_eq=np.zeros(1))]
+            for x in (model.x0, *rng.uniform(-1.0, 1.0, (2, model.n))):
+                polys += [garkavi.metric_projection(model, x, eps) for eps in (0.0, 0.1)]
+            assert all(len(con.factors(poly)) == 1 for poly in polys)
+
+    def test_enumeration_matches_the_unsplit_route_on_the_corpus(self):
+        rng = np.random.default_rng(17)
+        for inst in sc.load_corpus("center"):
+            for problem in (inst.problem(), sc.subspace_problem(inst.family, inst.subspace)):
+                for poly in _center_type_sets(problem):
+                    assert_matches_the_unsplit_route(poly, rng.normal(size=(4, poly.dim)))
+
+    @pytest.mark.parametrize("rhs, empty", [(-1.5 * DEFAULT_TOL, False),
+                                            (-2.5 * DEFAULT_TOL, True)])
+    def test_zero_inequality_row(self, rhs, empty):
+        # the box splits into two intervals, so factors checks the zero row:
+        # 0 <= rhs holds down to -DEFAULT_TOL * (1 + max|b_ub|), here
+        # -2 * DEFAULT_TOL, in the split and in the unsplit route alike
+        poly = con.Polytope.box(2, 1.0).with_rows(np.zeros((1, 2)), [rhs])
+        assert len(con.factors(con.Polytope.box(2, 1.0))) == 2
+        for route in (con.enumerate_vertices, reference_enumerate_vertices):
+            if empty:
+                with pytest.raises(InfeasiblePolytopeError):
+                    route(poly)
+            else:
+                assert route(poly).shape == (4, 2)
+
+    @pytest.mark.parametrize("rhs, empty", [(5e-8, False), (1e-6, True)])
+    def test_zero_equality_row(self, rhs, empty):
+        box = con.Polytope.box(2, 1.0)
+        poly = con.Polytope(a_ub=box.a_ub, b_ub=box.b_ub, a_eq=np.zeros((1, 2)), b_eq=[rhs])
+        for route in (con.enumerate_vertices, reference_enumerate_vertices):
+            if empty:
+                with pytest.raises(InfeasiblePolytopeError):
+                    route(poly)
+            else:
+                assert route(poly).shape == (4, 2)
+
+    @pytest.mark.parametrize("a_ub, b_ub, error", [
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], UnboundedPolytopeError),    # column 1 free
+        ([[0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0], InfeasiblePolytopeError),  # column 1 empty
+    ], ids=["untouched-column", "empty-factor-wins"])
+    def test_untouched_column(self, a_ub, b_ub, error):
+        # a column no row touches is unbounded, unless another factor is
+        # empty, even one enumerated after it (column 0 is free in the second)
+        poly = con.Polytope(a_ub=np.array(a_ub), b_ub=np.array(b_ub))
+        assert len(con.factors(poly)) == 2
+        for route in (con.enumerate_vertices, reference_enumerate_vertices):
+            with pytest.raises(error):
+                route(poly)
+
+
+@st.composite
+def split_problems(draw):
+    """A kernel-ball or whole-kernel problem whose functionals have disjoint
+    supports of one to three points, with at least one coordinate off every
+    support, and a slack for its near-center set."""
+    dim = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(dim)))
+    supported = draw(st.integers(1, dim - 1))
+    supports, start = [], 0
+    while start < supported:
+        size = draw(st.integers(1, min(3, supported - start)))
+        supports.append(tuple(order[start:start + size]))
+        start += size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = con.Subspace(dim=dim, functionals=tuple(
+        con.Functional(support=s, weights=tuple(rng.uniform(0.2, 1.0, len(s))
+                                                * rng.choice([-1.0, 1.0], len(s))),
+                       normalize=True) for s in supports))
+    family = sc.FunctionFamily(rng.uniform(-1.0, 1.0, (draw(st.integers(1, 3)), dim)))
+    problem = sc.ball_problem(family, y) if draw(st.booleans()) else sc.subspace_problem(family, y)
+    return problem, draw(st.sampled_from([0.0, 0.05, 0.2])), rng
+
+
+@settings(max_examples=40)
+@given(case=split_problems())
+def test_split_matches_the_unsplit_route_on_random_products(case):
+    # the vertex list, and the worst distance back to the center set taken
+    # factor by factor, against the whole polytopes
+    problem, delta, rng = case
+    center = sc.center_set(problem)
+    poly = sc.near_center_set(problem, delta, center.radius)
+    assert len(con.factors(poly)) >= 2
+    assert_matches_the_unsplit_route(poly, rng.normal(size=(4, poly.dim)))
+    worst, witness = sc.worst_near_center_distance(problem, delta, center)
+    verts = reference_enumerate_vertices(poly)
+    scanned, _ = reference_farthest_vertex(verts, center.center_polytope)
+    assert abs(worst - scanned) <= 1e-15 * (1.0 + scanned)
+    if witness is not None:
+        assert np.min(np.max(np.abs(verts - witness), axis=1)) <= 1e-12
+        assert lp.distance_to_polytope(witness, center.center_polytope)[0] >= worst - DEFAULT_TOL
+
+
 def test_merge_rows_merges_and_orders_through_noise():
     noise = 1e-15
     rows = np.array([[0.5 + noise, 0.0], [0.5, 1.0], [0.5, 0.0], [0.5 - noise, 1.0 + noise]])
@@ -246,22 +404,26 @@ def test_merge_rows_matches_the_greedy_scan_on_corpus_and_hull_facets(monkeypatc
 
 
 def _filter_cases():
+    # polytopes that enumerate_vertices takes whole: the factors of each
+    # corpus center and near-center set, and the renorm projections
     polys = []
     for inst in sc.load_corpus("center"):
         problem = inst.problem()
         center = sc.center_set(problem)
-        polys += [center.center_polytope, sc.near_center_set(problem, 0.1, center.radius)]
+        for poly in (center.center_polytope, sc.near_center_set(problem, 0.1, center.radius)):
+            polys += [part.of(poly) for part in con.factors(poly)]
     rng = np.random.default_rng(7)
     for inst in sc.load_corpus("renorm"):
         model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
         for x in (model.x0, *rng.uniform(-1.0, 1.0, (2, model.n))):
             polys += [garkavi.metric_projection(model, x, eps) for eps in (0.0, 0.1)]
+    assert all(len(con.factors(poly)) == 1 for poly in polys)
     return polys
 
 
 def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
     polys = _filter_cases()
-    expected = [per_candidate_vertices(p) for p in polys]
+    expected = [reference_enumerate_vertices(p) for p in polys]
     calls = []
     real = con.Polytope.violation
 
@@ -274,10 +436,12 @@ def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
     assert not calls
     for verts, want in zip(got, expected):
         assert_same_bytes(verts, want)
-    # the batched scores are the per-point ones, also off the polytope
+    # the batched scores are the per-point ones, also off the polytope: a
+    # vertex is no midpoint, so v + d or v - d lies outside for each d != 0
     rng = np.random.default_rng(11)
     for poly, verts in zip(polys, got):
-        points = np.vstack([verts, verts + rng.uniform(-1e-3, 1e-3, verts.shape)])
+        step = rng.uniform(-1e-3, 1e-3, verts.shape)
+        points = np.vstack([verts, verts + step, verts - step])
         scores = [reference_violation(poly, v) for v in points]
         assert con._violations(poly, points) == pytest.approx(scores, rel=1e-12, abs=1e-15)
         assert max(scores) > 0.0

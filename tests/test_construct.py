@@ -358,13 +358,19 @@ class TestSolveCounts:
                                               ("07-gap-zero-alpha", "relaxed-modulus")])
     def test_admissible_slack_reuses_the_reduced_center(self, name, origin, solve_counts):
         # the modulus probes solve only distances and vertex enumerations;
-        # the reduced radius comes from the reduction
+        # the reduced radius comes from the reduction.  The reduced problem
+        # holds only the support columns, here one functional's support, so
+        # it is a single factor: one probe, one enumeration, two distances,
+        # of which 07's start inside the relaxed center set and take no LP
+        distance_solves = {"01-worked-instance": 2, "07-gap-zero-alpha": 0}[name]
         inst = next(i for i in sc.load_corpus("center") if i.name == name)
         red = finite_reduction(inst.family, inst.subspace)
         solve_counts.clear()
         choice = admissible_slack(inst.family, inst.subspace, 0.1, reduction=red)
         assert choice.origin == origin
-        assert solve_counts["calls:enumerate"] > 0
+        assert solve_counts["calls:enumerate"] == 1 and solve_counts["enumerate"] == 0
+        assert solve_counts["calls:distance"] == 2
+        assert solve_counts["distance"] == solve_counts["solves"] == distance_solves
         assert solve_counts["other"] == 0
 
 

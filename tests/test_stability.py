@@ -14,7 +14,8 @@ from supcenter.stability import (
     worst_near_center_distance,
 )
 
-from oracles import highs_distance, reference_bisection_modulus, reference_farthest_vertex
+from oracles import (highs_distance, reference_bisection_modulus, reference_enumerate_vertices,
+                     reference_farthest_vertex)
 
 EPS_GRID = (0.2, 0.1, 0.05)
 
@@ -64,6 +65,21 @@ def test_worked_instance_worst_distance_known(worked):
     _, _, problem = worked
     worst, _ = worst_near_center_distance(problem, 0.1, center=sc.center_set(problem))
     assert worst == pytest.approx(0.1, abs=1e-8)
+
+
+@pytest.mark.parametrize("value, witness", [(-1.0, -0.9), (1.0, 0.9)])
+def test_interval_factor_worst_distance_in_closed_form(value, witness, solve_counts):
+    # every member sits on one face of the box: the center set is that face
+    # and the near-center set grows inward only, so w = delta comes from the
+    # u - u0 term on the lower face and from l0 - l on the upper one, with
+    # no enumeration and no LP; the witness is the interval end that gives it
+    problem = sc.ball_problem(sc.FunctionFamily([[value]]), sc.Subspace(dim=1))
+    center = sc.center_set(problem)
+    solve_counts.clear()
+    worst, found = worst_near_center_distance(problem, 0.1, center=center)
+    assert not solve_counts
+    assert worst == pytest.approx(0.1, abs=1e-15)
+    assert found == pytest.approx([witness], abs=1e-15)
 
 
 class TestModulus:
@@ -165,6 +181,29 @@ def test_modulus_confirmed_by_highs(corpus_moduli):
                        and p.worst > target for p in report.probes), pair
 
 
+def test_probes_match_the_full_space_scan(corpus_moduli):
+    # each probe's worst distance, taken factor by factor, is the scan of
+    # every vertex of the whole near-center set, enumerated unsplit, against
+    # the whole base set; its witness is one of those vertices, at a
+    # full-space distance within DEFAULT_TOL of the worst
+    probes = 0
+    for pair, problem, center, report in corpus_moduli:
+        base = sc.near_center_set(problem, 0.0, radius=center.radius)
+        for p in report.probes:
+            verts = reference_enumerate_vertices(
+                sc.near_center_set(problem, p.delta, radius=center.radius))
+            worst, _ = reference_farthest_vertex(verts, base)
+            assert abs(p.worst - worst) <= 1e-15 * (1.0 + worst), pair
+            probes += 1
+            if p.witness is None:
+                assert worst <= 0.0, pair
+                continue
+            witness = np.array(p.witness)
+            assert np.min(np.max(np.abs(verts - witness), axis=1)) <= 1e-12, pair
+            assert lp.distance_to_polytope(witness, base)[0] >= p.worst - DEFAULT_TOL, pair
+    assert probes == 234
+
+
 @pytest.mark.parametrize("eps, exact", [(0.1, 1.0 / 30.0), (0.05, 1.0 / 60.0)])
 def test_modulus_exact_on_three_point_functional(corpus_moduli, eps, exact):
     # the worst distance is 3 delta near the root, so delta* = eps / 3;
@@ -235,12 +274,15 @@ def checked_searches(monkeypatch):
 
 
 def test_bound_ordered_search_matches_the_scan_on_the_corpus(checked_searches):
-    # every probe of every corpus modulus, and the relaxed-modulus search of
-    # the gap regime, gives the scan's (worst, witness) bit for bit
+    # every factor search of every corpus modulus, and the relaxed-modulus
+    # search of the gap regime, gives the scan's (worst, witness) bit for bit.
+    # Interval factors take no search: 12-no-constraints, all intervals, has
+    # none, and 03-disjoint-supports, two blocks, has two per probe, so the
+    # count stays at 234 while each search sees only its block's vertices
     for _, problem, center in _corpus_centers():
         for eps in EPS_GRID:
             p1_modulus(problem, eps, delta_max=eps, center=center)
-    assert len(checked_searches) == 234
+    assert len(checked_searches) == 234 and sum(checked_searches) == 822
     inst = next(i for i in sc.load_corpus("center") if i.name == "07-gap-zero-alpha")
     for eps in EPS_GRID:
         choice = construct.admissible_slack(inst.family, inst.subspace, eps)
@@ -266,9 +308,11 @@ def test_bound_ordered_search_matches_the_scan_on_random_problems(seed, dim, mem
 
 
 @pytest.mark.parametrize("name, eps, solves", [("15-random-d5m4", 0.05, 14),
-                                               ("08-three-point-functional", 0.2, 34)])
+                                               ("08-three-point-functional", 0.2, 14)])
 def test_p1_modulus_distance_solves(name, eps, solves, solve_counts):
-    # the scan of every vertex solved 32 and 82 distance LPs here
+    # the scan of every vertex solved 32 and 82 distance LPs here, and the
+    # bound-ordered search over the whole near-center set 14 and 34; 08's
+    # free coordinate is an interval factor, which takes no LP
     inst = next(i for i in sc.load_corpus("center") if i.name == name)
     problem = inst.problem()
     center = sc.center_set(problem)
