@@ -15,14 +15,19 @@ verbatim threshold would touch the ball.  The builder therefore shrinks the
 slab to alpha - theta and certifies disjointness by an infeasibility LP;
 theta = 0 reproduces the failure on purpose.
 
-The model's programs are the package's own.  The gauge LP splits x over the
-homogenized rows of the slab and cube polytopes that build_model holds; the
-distance to Y is an epigraph LP (lp.epigraph_lp) over the ball facets; the
-half-ball forward gap is witnessed by the exact projection's vertices over
-the section facets, with the epigraph LP only for a vertex whose witness
-misses; and the replay crossing of a ray with a gauge level set is read off
-the facets in closed form.  Each distance to Y is solved once and the
-projections are built from it.
+The model's programs are the package's own.  The gauge decomposition of x
+takes no LP: B is triangulated by the Qhull call that gives its facets
+(Barber, Dobkin and Huhdanpaa, ACM TOMS 1996), and x is gauge(x) times a
+convex combination of the points of the simplex its ray leaves B through,
+certified on every call against the homogenized rows of the slab and cube
+polytopes that build_model holds.  The distance to Y is an epigraph LP
+(lp.epigraph_lp) over the ball facets; the half-ball forward gap is
+witnessed by the exact projection's vertices over the section facets, with
+the epigraph LP only for a vertex whose witness misses; the backward gap
+takes the gauges of all its candidates in one broadcast; and the replay
+crossing of a ray with a gauge level set is read off the facets in closed
+form.  Each distance to Y is solved once and the projections are built from
+it.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from . import lp
 from .constraints import Functional, Polytope, Subspace, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
-from .tolerances import (DEFAULT_THETA, GAUGE_CERTIFY_TOL, HULL_MARGIN_FLOOR, NULL_DIRECTION_TOL,
-                         SET_TOL)
+from .tolerances import (DEFAULT_THETA, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL, HULL_MARGIN_FLOOR,
+                         NULL_DIRECTION_TOL, SET_TOL)
 
 # default radius of the cube V = x0 + B_gamma, inside the allowed (0, 1/12)
 DEFAULT_GAMMA = 1.0 / 16.0
@@ -59,7 +64,11 @@ class GarkaviModel:
     ball_facets: np.ndarray     # rows a with B = {z : a.z <= 1}
     section_facets: np.ndarray  # rows s with B cap Y = {y in Y : s.y <= 1}
     section_vertices: np.ndarray
-    hull_points: np.ndarray
+    hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
+    hull_part: np.ndarray       # one-hot rows: is each hull point slab, cube or reflected
+    simplices: np.ndarray       # Qhull's triangulation of B, rows of hull point indices
+    simplex_facets: np.ndarray  # row a per simplex, a.z = 1 on its points
+    split_cone: Polytope        # the gauge decompositions, see _split_cone
     certificates: dict[str, float]
     c_lower: float           # c_lower * |x|_inf <= gauge(x)
     c_upper: float           # gauge(x) <= c_upper * |x|_inf
@@ -78,9 +87,11 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                 theta: float = DEFAULT_THETA) -> GarkaviModel:
     """Construct and certify the renormed-ball model in dimension n >= 3.
 
-    Every geometric prerequisite is certified by an LP; a failed certificate
-    raises ModelBuildError naming it (build with theta = 0 to see the
-    attained-infimum failure).
+    The margins of the certificate ball and the disjointness of the slab are
+    certified by LPs, and the origin inside B and inside its section by the
+    hull facets; a failed certificate raises ModelBuildError naming it
+    (build with theta = 0 to see the attained-infimum failure).  The gauges
+    of c_upper and of x0 are certified decompositions (gauge_decomposition).
     """
     if n < 3:
         raise ValueError(f"the model needs dimension >= 3, got {n}")
@@ -161,20 +172,30 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     small_ball = Polytope(a_ub=box_rows, b_ub=np.full(2 * (n - 1), gamma),
                           a_eq=eye[:1], b_eq=np.zeros(1))
 
-    cube_verts = cube.vertices()
-    hull_points = np.vstack([slab.vertices(), cube_verts, -cube_verts])
-    ball_facets, certificates["ball-interior"] = _hull_facets(
+    slab_verts, cube_verts = slab.vertices(), cube.vertices()
+    hull_points = np.vstack([slab_verts, cube_verts, -cube_verts])
+    hull_part = np.repeat(np.eye(3), [len(slab_verts), len(cube_verts), len(cube_verts)], axis=0)
+    simplex_facets, simplices, certificates["ball-interior"] = _hull_facets(
         hull_points, "ball-interior", "origin is not interior to the renormed ball")
+    # Qhull splits facets into simplices: merge the rows of a shared hyperplane
+    ball_facets = merge_rows(simplex_facets)
     ball_facets.setflags(write=False)
+    # the triangulation holds flat simplices, whose barycentric systems (the
+    # matrices gauge_decomposition solves) are singular; each shares its row
+    # with a simplex of the same facet that is not flat, so the gauge keeps
+    # every row
+    solid = np.linalg.det(hull_points[simplices].transpose(0, 2, 1)) != 0.0
+    simplices, simplex_facets = simplices[solid], simplex_facets[solid]
 
     # facet description of the section B cap Y: gauge of differences inside Y
     # only needs these few rows instead of every facet of B
     section = Polytope(a_ub=ball_facets, b_ub=np.ones(ball_facets.shape[0]),
                        a_eq=eye[:1], b_eq=np.zeros(1))
     section_vertices = section.vertices()
-    in_y, certificates["section-interior"] = _hull_facets(
+    in_y, _, certificates["section-interior"] = _hull_facets(
         section_vertices[:, 1:], "section-interior",
         "origin is not interior to the ball section in Y")
+    in_y = merge_rows(in_y)
     section_facets = np.hstack([np.zeros((in_y.shape[0], 1)), in_y])
     section_facets.setflags(write=False)
 
@@ -182,7 +203,9 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                          alpha=alpha, subspace=subspace, slab=slab, cube=cube,
                          small_ball=small_ball, ball_facets=ball_facets,
                          section_facets=section_facets, section_vertices=section_vertices,
-                         hull_points=hull_points, certificates=certificates,
+                         hull_points=hull_points, hull_part=hull_part, simplices=simplices,
+                         simplex_facets=simplex_facets, split_cone=_split_cone(slab, cube),
+                         certificates=certificates,
                          c_lower=0.0, c_upper=0.0)
 
     # norm-equivalence constants and the unit certificate for x0
@@ -197,10 +220,12 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     return model
 
 
-def _hull_facets(points: np.ndarray, certificate: str, message: str) -> tuple[np.ndarray, float]:
-    """Rows a with conv(points) = {z : a.z <= 1}, and the origin's interior
-    margin (least facet offset); at most HULL_MARGIN_FLOOR raises
-    ModelBuildError."""
+def _hull_facets(points: np.ndarray, certificate: str,
+                 message: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Qhull's triangulation of conv(points): one row a per simplex, with
+    a.z <= 1 on the hull and a.z = 1 on the simplex, the simplices as rows of
+    point indices, and the origin's interior margin (least facet offset); at
+    most HULL_MARGIN_FLOOR raises ModelBuildError."""
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(points)
@@ -208,19 +233,19 @@ def _hull_facets(points: np.ndarray, certificate: str, message: str) -> tuple[np
     margin = float(np.min(offsets))
     if margin <= HULL_MARGIN_FLOOR:
         raise ModelBuildError(message, certificate=certificate)
-    # Qhull splits facets into simplices: merge the rows of a shared hyperplane
-    return merge_rows(hull.equations[:, :-1] / offsets[:, None]), margin
+    return hull.equations[:, :-1] / offsets[:, None], hull.simplices, margin
 
 
 def _gauge_facets(model: GarkaviModel, x) -> float:
-    """Gauge via the facet description: max over facets of a.x."""
+    """Gauge via the facet description: max over facets of a.x, each a.x an
+    elementwise sum, the same bits as the backward gap's broadcast."""
     x = as_vector(x, model.n)
-    return max(float(np.max(model.ball_facets @ x)), 0.0)
+    return max(float(np.max((model.ball_facets * x).sum(axis=1))), 0.0)
 
 
 def gauge_norm(model: GarkaviModel, x) -> float:
-    """Minkowski gauge of the renormed ball, by the scaled-decomposition LP of
-    gauge_decomposition; _gauge_facets is the independent facet route."""
+    """Minkowski gauge of the renormed ball, the certified value of
+    gauge_decomposition; _gauge_facets is the facet route."""
     return gauge_decomposition(model, x)[0]
 
 
@@ -228,38 +253,70 @@ def gauge_decomposition(model: GarkaviModel, x):
     """Gauge value plus the witness decomposition (u, v_plus, v_minus, p, q, r).
 
     x = u + v_plus - v_minus with u in p*slab, v_plus in q*cube and v_minus
-    in r*cube, and p + q + r minimal.  Each part takes its polytope's own
-    rows, inequalities and equalities, homogenized as [A | -b * scale].
+    in r*cube, and p + q + r = gauge(x) minimal.  The gauge is the largest
+    a.x over the simplex rows of the hull triangulation, and x is gauge(x)
+    times a convex combination of the n hull points of the simplex its ray
+    leaves B through, so no LP is needed.  The simplices within
+    GAUGE_SPLIT_TOL * |x|_inf of the largest value (build_model keeps no flat
+    one) are tried from the largest down, and the first whose weights solve
+    x = sum w_i h_i with w >= -GAUGE_SPLIT_TOL * |x|_inf is split by where its
+    points come from: slab vertices give (u, p), cube vertices (v_plus, q),
+    reflected cube vertices (v_minus, r).  _certify_decomposition checks the
+    split on every call.  x = 0 gives zeros.
     """
     x = as_vector(x, model.n)
-    n = model.n
-    nv = 3 * n + 3  # u, v_plus, v_minus, p, q, r
-    eye = np.eye(n)
-    ub = []
-    eq = [np.hstack([eye, eye, -eye, np.zeros((n, 3))])]  # u + v' - v'' = x
-    for k, poly in enumerate((model.slab, model.cube, model.cube)):
+    bar = GAUGE_SPLIT_TOL * float(np.abs(x).max())
+    if bar == 0.0:
+        return 0.0, (np.zeros(model.n), np.zeros(model.n), np.zeros(model.n), 0.0, 0.0, 0.0)
+    values = model.simplex_facets @ x
+    value = float(values.max())
+    tied = np.flatnonzero(values >= value - bar)
+    tied = tied[np.argsort(-values[tied], kind="stable")]
+    points = model.hull_points[model.simplices[tied]]
+    # one barycentric solve per tied simplex, all in one call
+    try:
+        weights = np.linalg.solve(points.transpose(0, 2, 1), x[:, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise LPNumericalError(f"barycentric solve of the gauge decomposition: {exc}") from exc
+    inside = np.flatnonzero(weights.min(axis=1) >= -bar)
+    if not inside.size:
+        raise LPNumericalError("no simplex of the hull triangulation holds the gauge ray")
+    k = inside[0]
+    weights, points = weights[k], points[k]
+    onehot = model.hull_part[model.simplices[tied[k]]]
+    p, q, r = (float(s) for s in weights @ onehot)
+    u, vp, minus_vm = (onehot * weights[:, None]).T @ points
+    parts = (u, vp, -minus_vm, p, q, r)
+    _certify_decomposition(model, x, value, parts, bar)
+    return value, parts
+
+
+def _split_cone(slab: Polytope, cube: Polytope) -> Polytope:
+    """The (u, v_plus, v_minus, p, q, r) with u in p*slab, v_plus in q*cube,
+    v_minus in r*cube and p, q, r >= 0: each polytope's own rows,
+    inequalities and equalities, homogenized as [A | -b * scale]."""
+    n = slab.dim
+    ub, eq = [np.hstack([np.zeros((3, 3 * n)), -np.eye(3)])], []
+    for k, poly in enumerate((slab, cube, cube)):
         for a, b, blocks in ((poly.a_ub, poly.b_ub, ub), (poly.a_eq, poly.b_eq, eq)):
-            block = np.zeros((a.shape[0], nv))
+            block = np.zeros((a.shape[0], 3 * n + 3))
             block[:, k * n:(k + 1) * n] = a
             block[:, 3 * n + k] = -b
             blocks.append(block)
-    # p, q, r >= 0, explicitly: the homogenized rows imply it only up to the
-    # pivot tolerance, and a tiny gamma then lets the LP run unbounded
-    ub.append(np.hstack([np.zeros((3, 3 * n)), -np.eye(3)]))
-    a_eq = np.vstack(eq)
-    b_eq = np.zeros(a_eq.shape[0])
-    b_eq[:n] = x
-    a_ub = np.vstack(ub)
-    c = np.zeros(nv)
-    c[3 * n:] = 1.0
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
-                                    a_eq=a_eq, b_eq=b_eq))
-    if sol.status != lp.OPTIMAL:
-        raise LPNumericalError(f"gauge LP ended with status {sol.status}")
-    value = max(float(sol.value), 0.0)
-    u, vp, vm = sol.x[:n], sol.x[n:2 * n], sol.x[2 * n:3 * n]
-    p, q, r = (float(w) for w in sol.x[3 * n:])
-    return value, (u, vp, vm, p, q, r)
+    a_ub, a_eq = np.vstack(ub), np.vstack(eq)
+    return Polytope(a_ub=a_ub, b_ub=np.zeros(len(a_ub)), a_eq=a_eq, b_eq=np.zeros(len(a_eq)))
+
+
+def _certify_decomposition(model: GarkaviModel, x: np.ndarray, value: float, parts,
+                           bar: float) -> None:
+    """Primal certificate of a gauge decomposition, against the facet value
+    as its dual one: x = u + v_plus - v_minus, the parts in model.split_cone,
+    and p + q + r = value, each within bar; a miss raises LPNumericalError."""
+    u, vp, vm, p, q, r = parts
+    miss = max(float(np.abs(u + vp - vm - x).max()), abs(p + q + r - value),
+               model.split_cone.violation(np.concatenate([u, vp, vm, (p, q, r)])))
+    if miss > bar:
+        raise LPNumericalError(f"gauge decomposition misses its certificate by {miss!r}")
 
 
 def _subspace_polytope(n: int) -> Polytope:
@@ -345,12 +402,11 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
         for eps in eps_values:
             near_verts = _projection(model, x, dist + eps).vertices()
             forward = _forward_gap(model, near_verts, exact, exact_verts, eps) - eps
-            # every candidate p + eps*b at once, but one ball_facets @ d product
-            # per candidate: one matrix product over all of them rounds the last
-            # bit differently from the per-vector product on about a quarter of
-            # the entries, and the reported gaps would move
+            # every candidate p + eps*b in one broadcast, each a.d an elementwise
+            # sum as in _gauge_facets, so each gauge is _gauge_facets' bit for bit
             diffs = (x - (exact_verts[:, None, :] + eps * section_verts)).reshape(-1, n)
-            gauges = np.maximum([np.max(model.ball_facets @ d) for d in diffs], 0.0)
+            facet_values = (model.ball_facets * diffs[:, None, :]).sum(axis=2)
+            gauges = np.maximum(np.max(facet_values, axis=1), 0.0)
             backward = max(0.0, float(np.max(gauges - dist - eps)))
             # covariance: P_Y(y + lam x0, eps) = y + lam P_Y(x0, eps/|lam|)
             base = _projection(model, model.x0, dist_x0 + float(eps) / abs(lam))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import lp
 from .centers import CenterProblem, CenterReport, near_center_set
-from .constraints import Polytope, factors, interval
+from .constraints import Polytope, _factor_vertices, factors, interval
 from .errors import LPNumericalError
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
 
@@ -82,6 +82,8 @@ def _product_search(base: Polytope, representative: np.ndarray):
       form, with no enumeration and no LP; its vertices are l, then u;
     - every other factor runs _farthest_vertex on its own vertices, with its
       own known list, seeded by representative[cols] and kept across calls.
+      Each such factor is one factor already, so its vertices take the
+      unsplit route of enumerate_vertices with no second split.
 
     The witness is a vertex of near, None when w is 0.  The deciding factor
     is the first factor whose worst equals w, and it takes its own witness:
@@ -105,7 +107,7 @@ def _product_search(base: Polytope, representative: np.ndarray):
                 own = lo if max(lo0 - lo, lo - hi0) >= worst - DEFAULT_TOL else hi
                 first = lo
             else:
-                verts = part.of(near).vertices()
+                verts = _factor_vertices(part.of(near))
                 worst, own = _farthest_vertex(verts, target, points)
                 first = verts[0]
             worsts.append(worst)

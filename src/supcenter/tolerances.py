@@ -95,3 +95,9 @@ DEFAULT_THETA = 1e-3
 GAUGE_CERTIFY_TOL = 1e-7
 HULL_MARGIN_FLOOR = 1e-12
 NULL_DIRECTION_TOL = 1e-12
+
+# Relative to |z|_inf: the gauge decomposition of z tries the hull simplices
+# whose row value is within this of the largest, accepts simplex weights down
+# to minus this, and passes its certificate (reassembly, polytope rows, facet
+# value) within it.
+GAUGE_SPLIT_TOL = 1e-9

@@ -15,7 +15,10 @@ bit for bit.  The renormed-ball model's forward gap, which the package
 takes from exact-vertex witnesses, has two LP routes: reference_forward_gap,
 one epigraph LP per near vertex over the whole exact projection, and the
 convex-weights route hull_gauge_distance.  Its closed-form replay crossing
-has a bisection reference, reference_replay_crossing.  Vertex
+has a bisection reference, reference_replay_crossing, and its gauge
+decomposition, which the package reads off the hull triangulation, has the
+LP reference_gauge_decomposition, one program over the homogenized slab and
+cube rows per point.  Vertex
 enumeration has a reference that takes each polytope whole, with no split
 into factors: reference_enumerate_vertices, whose filter scores one candidate
 at a time by reference_violation and whose merge is reference_merge_rows, the
@@ -36,6 +39,7 @@ from supcenter import lp
 from supcenter.centers import near_center_set
 from supcenter.constraints import _enumerate_reduced
 from supcenter.errors import LPNumericalError
+from supcenter.space import as_vector
 from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   MODULUS_RESOLUTION, PIVOT_EPS, VERTEX_FILTER_TOL)
 
@@ -421,3 +425,42 @@ def reference_replay_crossing(model, direction, eta):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_gauge_decomposition(model, x):
+    """Gauge value plus a witness decomposition (u, v_plus, v_minus, p, q, r)
+    by one LP.
+
+    x = u + v_plus - v_minus with u in p*slab, v_plus in q*cube and v_minus
+    in r*cube, and p + q + r minimal.  Each part takes its polytope's own
+    rows, inequalities and equalities, homogenized as [A | -b * scale].
+    """
+    x = as_vector(x, model.n)
+    n = model.n
+    nv = 3 * n + 3  # u, v_plus, v_minus, p, q, r
+    eye = np.eye(n)
+    ub = []
+    eq = [np.hstack([eye, eye, -eye, np.zeros((n, 3))])]  # u + v' - v'' = x
+    for k, poly in enumerate((model.slab, model.cube, model.cube)):
+        for a, b, blocks in ((poly.a_ub, poly.b_ub, ub), (poly.a_eq, poly.b_eq, eq)):
+            block = np.zeros((a.shape[0], nv))
+            block[:, k * n:(k + 1) * n] = a
+            block[:, 3 * n + k] = -b
+            blocks.append(block)
+    # p, q, r >= 0, explicitly: the homogenized rows imply it only up to the
+    # pivot tolerance, and a tiny gamma then lets the LP run unbounded
+    ub.append(np.hstack([np.zeros((3, 3 * n)), -np.eye(3)]))
+    a_eq = np.vstack(eq)
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[:n] = x
+    a_ub = np.vstack(ub)
+    c = np.zeros(nv)
+    c[3 * n:] = 1.0
+    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
+                                    a_eq=a_eq, b_eq=b_eq))
+    if sol.status != lp.OPTIMAL:
+        raise LPNumericalError(f"gauge LP ended with status {sol.status}")
+    value = max(float(sol.value), 0.0)
+    u, vp, vm = sol.x[:n], sol.x[n:2 * n], sol.x[2 * n:3 * n]
+    p, q, r = (float(w) for w in sol.x[3 * n:])
+    return value, (u, vp, vm, p, q, r)

@@ -109,6 +109,16 @@ def test_renorm_build_only(capsys):
     assert data["alpha"] == pytest.approx(0.8125, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, gamma, samples", [("3", "1e-5", "0"), ("4", "1e-7", "0"),
+                                               ("5", "1e-9", "0"), ("4", "1e-9", "2")])
+def test_renorm_builds_with_a_tiny_cube(capsys, n, gamma, samples):
+    # the build's gauges come from the hull triangulation, not from the gauge
+    # LP, whose tableau drifts when 1/gamma reaches 1e5
+    code, data = run_json(capsys, ["renorm", "--n", n, "--gamma", gamma, "--samples", samples])
+    assert code == OK
+    assert data["c_upper"] == pytest.approx(int(n), abs=1e-7)
+
+
 def test_renorm_zero_theta_fails(capsys):
     assert main(["renorm", "--n", "3", "--samples", "0", "--theta", "0"]) == CHECK_FAILED
     assert "check failed" in capsys.readouterr().err

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supcenter import garkavi, lp
-from supcenter.errors import ModelBuildError
+from supcenter import cli, garkavi, lp
+from supcenter.errors import LPNumericalError, ModelBuildError
 from supcenter.instances import load_corpus
 from supcenter.garkavi import (
     build_model,
@@ -23,7 +23,7 @@ from supcenter.space import _hausdorff_points
 from supcenter.tolerances import DEDUP_TOL, SET_TOL
 
 from oracles import (hull_gauge_distance, min_row_gap, reference_forward_gap,
-                     reference_replay_crossing)
+                     reference_gauge_decomposition, reference_replay_crossing)
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +86,14 @@ def test_corpus_model_facets_are_distinct_and_hold_the_hull(inst):
 
 
 def test_tiny_cube_builds_and_its_gauge_matches_the_facets():
-    # p, q, r >= 0 are kept as rows of the gauge LP: the homogenized cube rows
-    # imply them only up to the pivot tolerance, which gamma = 1e-11 undercuts
+    # a cube of side 2e-11 leaves thin simplices in the hull triangulation;
+    # the gauge still matches the facet route and the LP oracle
     model = build_model(3, gamma=1e-11)
     rng = np.random.default_rng(19)
     for x in [model.x0, *rng.uniform(-2, 2, (10, 3))]:
         assert gauge_norm(model, x) == pytest.approx(_gauge_facets(model, x), abs=1e-7)
+        assert gauge_norm(model, x) == pytest.approx(
+            reference_gauge_decomposition(model, x)[0], abs=1e-7)
 
 
 class TestGauge:
@@ -100,9 +102,9 @@ class TestGauge:
         for model in (model3, model4):
             for _ in range(15):
                 x = rng.uniform(-2, 2, model.n)
-                lp_route = gauge_norm(model, x)
-                facet_route = _gauge_facets(model, x)
-                assert lp_route == pytest.approx(facet_route, abs=1e-7)
+                hull_route = gauge_norm(model, x)
+                lp_route = reference_gauge_decomposition(model, x)[0]
+                assert hull_route == pytest.approx(lp_route, abs=1e-7)
 
     def test_homogeneity_and_zero(self, model3):
         x = np.array([0.3, -0.2, 0.7])
@@ -126,6 +128,74 @@ class TestGauge:
         assert np.allclose(u + vp - vm, x, atol=1e-9)
         assert value == pytest.approx(p + q + r, abs=1e-9)
         assert min(p, q, r) >= -1e-12
+
+
+# build_model arguments: the corpus models, and the default model for n = 3, 4, 5
+MODELS = {**{inst.name: {"n": inst.n, "seed": inst.seed, "gamma": inst.gamma, "theta": inst.theta}
+             for inst in load_corpus("renorm")},
+          **{f"n{n}": {"n": n} for n in (3, 4, 5)}}
+
+# measured worst |gauge - LP gauge| over these points: 6.1e-14, at gauges below 4
+GAUGE_ORACLE_GAP = 2e-13
+
+
+def _decomposition_points(model, rng):
+    """x0, +-e_j, rays of the decomposition replay and seeded random points."""
+    n = model.n
+    eye = np.eye(n)
+    points = [model.x0, *eye, *-eye, *rng.uniform(-2.0, 2.0, (20, n))]
+    for _ in range(10):
+        direction = np.zeros(n)
+        direction[1:] = rng.uniform(-1.0, 1.0, n - 1)
+        eta = 1.0 + float(rng.uniform(0.02, 0.2))
+        points.append(_replay_crossing(model, direction, eta) * direction - model.x0)
+    return points
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_hull_decomposition_matches_the_lp_oracle(name):
+    model = build_model(**MODELS[name])
+    for z in _decomposition_points(model, np.random.default_rng(29)):
+        value, (u, vp, vm, p, q, r) = gauge_decomposition(model, z)
+        assert abs(value - reference_gauge_decomposition(model, z)[0]) <= GAUGE_ORACLE_GAP
+        assert np.max(np.abs(u + vp - vm - z)) <= 1e-14 * (1.0 + np.max(np.abs(z)))
+        assert abs(p + q + r - value) <= 1e-14 * (1.0 + value)
+        assert min(p, q, r) >= -1e-15
+        for poly, w, scale in ((model.slab, u, p), (model.cube, vp, q), (model.cube, vm, r)):
+            assert np.max(poly.a_ub @ w - scale * poly.b_ub) <= 1e-14
+            assert np.max(np.abs(poly.a_eq @ w - scale * poly.b_eq)) <= 1e-14
+
+
+def test_zero_has_the_zero_decomposition(model3):
+    value, (u, vp, vm, p, q, r) = gauge_decomposition(model3, np.zeros(3))
+    assert value == 0.0 and (p, q, r) == (0.0, 0.0, 0.0)
+    assert not np.any(u) and not np.any(vp) and not np.any(vm)
+
+
+def test_a_moved_hull_point_fails_the_certificate():
+    # push a slab vertex outward after the build: its simplices still take it,
+    # and the slab part of the decomposition leaves the scaled slab
+    model = build_model(3)
+    vertex = model.hull_points[0].copy()
+    model.hull_points = model.hull_points.copy()
+    model.hull_points[0] *= 1.5
+    with pytest.raises(LPNumericalError, match="certificate"):
+        gauge_decomposition(model, vertex)
+
+
+def test_misindexed_simplices_fail_the_build_with_exit_three(monkeypatch, capsys):
+    # every simplex takes the hull points one index on from its own: the
+    # decompositions of the build's gauges then miss their facet values
+    real = garkavi._hull_facets
+
+    def misindexed(points, *args):
+        rows, simplices, margin = real(points, *args)
+        return rows, (simplices + 1) % len(points), margin
+
+    monkeypatch.setattr(garkavi, "_hull_facets", misindexed)
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "misses its certificate" in err
 
 
 class TestProjection:
@@ -196,14 +266,14 @@ def test_half_ball_check_solves_each_distance_once(model4, monkeypatch):
 
 
 def test_half_ball_check_lp_solves(solve_counts):
-    # 3 distances, 10 enumerations of one LP each and 4 replay decompositions;
-    # every forward gap is witnessed, so no epigraph LP runs (65 solves with
-    # one per near vertex)
+    # 3 distances and 10 enumerations of one LP each; every forward gap is
+    # witnessed, so no epigraph LP runs (61 solves with one per near vertex),
+    # and the 4 replay decompositions come from the hull triangulation
     inst = next(inst for inst in load_corpus("renorm") if inst.name == "22-renorm-n4")
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
     solve_counts.clear()
     report = half_ball_check(model, samples=2, eps_values=(0.2, 0.1))
-    assert solve_counts["solves"] == 17
+    assert solve_counts["solves"] == 13
     assert report.passed
 
 

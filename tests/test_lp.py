@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import supcenter as sc
-from supcenter import cli, lp
+from supcenter import cli, garkavi, lp
 from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
 from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
 
-from oracles import reference_bland_loop, scipy_solve
+from oracles import reference_bland_loop, reference_gauge_decomposition, scipy_solve
 
 
 def random_feasible_lp(rng, n, m, with_eq=False, with_bounds=False):
@@ -273,6 +273,8 @@ def _degenerate_programs():
 
 
 def _corpus_programs(monkeypatch, capsys):
+    # the corpus run, and the oracle's gauge-decomposition LPs (tall, with
+    # n + 3 equality rows) on the corpus renorm models at x0 and +-e_j
     issued = []
     real = lp.solve
 
@@ -283,6 +285,12 @@ def _corpus_programs(monkeypatch, capsys):
     with monkeypatch.context() as mp:
         mp.setattr(lp, "solve", solve)
         assert cli.main(["corpus", "--json"]) == cli.OK
+        for inst in sc.load_corpus("renorm"):
+            model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma,
+                                        theta=inst.theta)
+            eye = np.eye(inst.n)
+            for x in (model.x0, *eye, *-eye):
+                reference_gauge_decomposition(model, x)
     capsys.readouterr()
     return issued
 

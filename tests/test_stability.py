@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import supcenter as sc
-from supcenter import construct, lp, stability
+from supcenter import constraints, construct, lp, stability
 from supcenter.errors import LPNumericalError
 from supcenter.sampling import random_ball_problem
 from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
@@ -319,6 +319,25 @@ def test_p1_modulus_distance_solves(name, eps, solves, solve_counts):
     solve_counts.clear()
     p1_modulus(problem, eps, delta_max=eps, center=center)
     assert solve_counts["distance"] == solves
+
+
+def test_p1_modulus_splits_the_base_set_once(monkeypatch):
+    # the probes' block factors are enumerated whole, not split again
+    inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    calls = []
+    real = constraints.factors
+
+    def counted(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(constraints, "factors", counted)
+    monkeypatch.setattr(stability, "factors", counted)
+    report = p1_modulus(problem, 0.05, delta_max=0.05, center=center)
+    assert len(report.probes) > 2
+    assert len(calls) == 1
 
 
 def test_p1_modulus_solves_no_radius_again(worked, solve_counts):
