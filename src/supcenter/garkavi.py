@@ -15,19 +15,21 @@ verbatim threshold would touch the ball.  The builder therefore shrinks the
 slab to alpha - theta and certifies disjointness by an infeasibility LP;
 theta = 0 reproduces the failure on purpose.
 
-The model's programs are the package's own.  The gauge decomposition of x
-takes no LP: B is triangulated by the Qhull call that gives its facets
-(Barber, Dobkin and Huhdanpaa, ACM TOMS 1996), and x is gauge(x) times a
-convex combination of the points of the simplex its ray leaves B through,
-certified on every call against the homogenized rows of the slab and cube
-polytopes that build_model holds.  The distance to Y is an epigraph LP
-(lp.epigraph_lp) over the ball facets; the half-ball forward gap is
-witnessed by the exact projection's vertices over the section facets, with
-the epigraph LP only for a vertex whose witness misses; the backward gap
-takes the gauges of all its candidates in one broadcast; and the replay
-crossing of a ray with a gauge level set is read off the facets in closed
-form.  Each distance to Y is solved once and the projections are built from
-it.
+The model's programs are the package's own, and what the construction fixes
+is read off it.  The hull points of B sit at x0-levels -1, 0 and 1, so
+gauge(z) >= |z_0|, and gauge(x0) = 1 is certified: the distance to Y is |x_0|,
+attained at x - x_0 * x0 (Ascoli's formula for a hyperplane, Singer 1970),
+and the extremes of the certificate ball, a box in Y, sit at its corners.
+The gauge decomposition of x takes no LP either: B is triangulated by the
+Qhull call that gives its facets (Barber, Dobkin and Huhdanpaa, ACM TOMS
+1996), and x is gauge(x) times a convex combination of the points of the
+simplex its ray leaves B through, certified on every call against the
+homogenized rows of the slab and cube polytopes that build_model holds.  The
+half-ball forward gap is witnessed by the exact projection's vertices over
+the section facets, with the epigraph LP (lp.epigraph_lp) only for a vertex
+whose witness misses; the backward gap takes the gauges of all its
+candidates in one broadcast; and the replay crossing of a ray with a gauge
+level set is read off the facets in closed form.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .tolerances import (DEFAULT_THETA, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL, HULL
 
 # default radius of the cube V = x0 + B_gamma, inside the allowed (0, 1/12)
 DEFAULT_GAMMA = 1.0 / 16.0
+# the near-projection slacks eps of half_ball_check
+HALF_BALL_EPS = (0.2, 0.1)
 
 
 @dataclass(eq=False)
@@ -74,24 +78,18 @@ class GarkaviModel:
     c_upper: float           # gauge(x) <= c_upper * |x|_inf
 
 
-def _extreme_values(poly: Polytope, direction: np.ndarray) -> float:
-    """max of direction.x over poly, as minus the minimum of -direction.x."""
-    sol = lp.solve(lp.LinearProgram(c=-direction, a_ub=poly.a_ub, b_ub=poly.b_ub,
-                                    a_eq=poly.a_eq, b_eq=poly.b_eq))
-    if sol.status != lp.OPTIMAL:
-        raise LPNumericalError(f"extreme-value LP ended with status {sol.status}")
-    return -float(sol.value)
-
-
 def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                 theta: float = DEFAULT_THETA) -> GarkaviModel:
     """Construct and certify the renormed-ball model in dimension n >= 3.
 
-    The margins of the certificate ball and the disjointness of the slab are
-    certified by LPs, and the origin inside B and inside its section by the
+    The certificate ball y0 + [-gamma, gamma]^(n-1) in Y takes its margins
+    from its corners, the disjointness of the slab is certified by an
+    infeasibility LP, and the origin inside B and inside its section by the
     hull facets; a failed certificate raises ModelBuildError naming it
     (build with theta = 0 to see the attained-infimum failure).  The gauges
-    of c_upper and of x0 are certified decompositions (gauge_decomposition).
+    of c_upper and of x0 are certified decompositions (gauge_decomposition),
+    and every hull point sits at an x0-level |z_0| <= 1, so that with
+    gauge(x0) = 1 the distance to Y is |x_0| (subspace_gauge_distance).
     """
     if n < 3:
         raise ValueError(f"the model needs dimension >= 3, got {n}")
@@ -112,16 +110,13 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
 
     certificates: dict[str, float] = {}
 
-    # ball around y0 inside Y
+    # the certificate ball around y0 is the box y0 + [-gamma, gamma]^(n-1) in
+    # Y, so each linear extreme over it sits at a corner
     eye = np.eye(n)
     box_rows = np.stack([eye[1:], -eye[1:]], axis=1).reshape(-1, n)  # e_1, -e_1, e_2, ...
-    ball_y0 = Polytope(a_ub=box_rows, b_ub=gamma + box_rows @ y0, a_eq=eye[:1], b_eq=np.zeros(1))
 
     # certificate: the ball stays strictly inside the unit ball of Y
-    max_norm = 0.0
-    for j in range(1, n):
-        max_norm = max(max_norm, _extreme_values(ball_y0, eye[j]),
-                       _extreme_values(ball_y0, -eye[j]))
+    max_norm = float(np.max(np.abs(y0[1:])) + gamma)
     certificates["interior-margin"] = 1.0 - max_norm
     if certificates["interior-margin"] <= 0:
         raise ModelBuildError(
@@ -130,7 +125,7 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
 
     # certificate: Phi stays strictly above 3/4 on the ball, and alpha < 1
     phi_row = phi.dense(n)
-    alpha = -_extreme_values(ball_y0, -phi_row)  # min Phi over the ball
+    alpha = float(phi_row @ (y0 - gamma * np.sign(phi_row)))  # min Phi over the ball
     certificates["level-margin"] = alpha - 0.75
     certificates["alpha-below-one"] = 1.0 - alpha
     if certificates["level-margin"] <= 0:
@@ -151,12 +146,10 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
             certificate="gamma-slab")
 
     # certificate: the shrunk slab misses the ball around y0 (infeasibility LP)
-    slab_rows = np.vstack([box_rows, phi_row, -phi_row])
-    slab_rhs = np.concatenate([np.ones(2 * (n - 1)), [shrink, shrink]])
-    meet = Polytope(
-        a_ub=np.vstack([slab_rows, ball_y0.a_ub]),
-        b_ub=np.concatenate([slab_rhs, ball_y0.b_ub]),
-        a_eq=eye[:1], b_eq=np.zeros(1))
+    kernel = _subspace_polytope(n)
+    slab = kernel.with_rows(np.vstack([box_rows, phi_row, -phi_row]),
+                            np.concatenate([np.ones(2 * (n - 1)), [shrink, shrink]]))
+    meet = slab.with_rows(box_rows, gamma + box_rows @ y0)
     feas = lp.solve(lp.LinearProgram(c=np.zeros(n), a_ub=meet.a_ub, b_ub=meet.b_ub,
                                      a_eq=meet.a_eq, b_eq=meet.b_eq))
     certificates["disjoint"] = theta
@@ -166,14 +159,18 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
             "a positive shrink theta is required in finite dimension",
             certificate="disjoint")
 
-    slab = Polytope(a_ub=slab_rows, b_ub=slab_rhs, a_eq=eye[:1], b_eq=np.zeros(1))
     cube = Polytope(a_ub=box_rows, b_ub=np.full(2 * (n - 1), gamma),
                     a_eq=eye[:1], b_eq=np.ones(1))
-    small_ball = Polytope(a_ub=box_rows, b_ub=np.full(2 * (n - 1), gamma),
-                          a_eq=eye[:1], b_eq=np.zeros(1))
+    small_ball = kernel.with_rows(box_rows, np.full(2 * (n - 1), gamma))
 
     slab_verts, cube_verts = slab.vertices(), cube.vertices()
     hull_points = np.vstack([slab_verts, cube_verts, -cube_verts])
+    # B within the slab |z_0| <= 1 gives gauge(z) >= |z_0|: the lower half of
+    # the closed form d(x, Y) = |x_0|, whose upper half is gauge(x0) = 1
+    level = float(np.max(np.abs(hull_points[:, 0])))
+    if level > 1.0 + GAUGE_CERTIFY_TOL:
+        raise ModelBuildError(f"a hull point of B sits at x0-level {level}, past 1",
+                              certificate="hull-level")
     hull_part = np.repeat(np.eye(3), [len(slab_verts), len(cube_verts), len(cube_verts)], axis=0)
     simplex_facets, simplices, certificates["ball-interior"] = _hull_facets(
         hull_points, "ball-interior", "origin is not interior to the renormed ball")
@@ -189,8 +186,7 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
 
     # facet description of the section B cap Y: gauge of differences inside Y
     # only needs these few rows instead of every facet of B
-    section = Polytope(a_ub=ball_facets, b_ub=np.ones(ball_facets.shape[0]),
-                       a_eq=eye[:1], b_eq=np.zeros(1))
+    section = kernel.with_rows(ball_facets, np.ones(ball_facets.shape[0]))
     section_vertices = section.vertices()
     in_y, _, certificates["section-interior"] = _hull_facets(
         section_vertices[:, 1:], "section-interior",
@@ -216,7 +212,6 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     certificates["x0-gauge-gap"] = abs(g_x0 - 1.0)
     if certificates["x0-gauge-gap"] > GAUGE_CERTIFY_TOL:
         raise ModelBuildError(f"gauge of x0 is {g_x0}, expected 1", certificate="x0-gauge")
-    model.certificates = certificates
     return model
 
 
@@ -236,11 +231,12 @@ def _hull_facets(points: np.ndarray, certificate: str,
     return hull.equations[:, :-1] / offsets[:, None], hull.simplices, margin
 
 
-def _gauge_facets(model: GarkaviModel, x) -> float:
-    """Gauge via the facet description: max over facets of a.x, each a.x an
-    elementwise sum, the same bits as the backward gap's broadcast."""
-    x = as_vector(x, model.n)
-    return max(float(np.max((model.ball_facets * x).sum(axis=1))), 0.0)
+def _gauge_facets(model: GarkaviModel, x):
+    """Gauge of each point of an (..., n) array via the facet description: max
+    over facets of a.x, each a.x an elementwise sum, so a point's gauge has
+    the same bits alone or in a batch."""
+    x = np.asarray(x, dtype=float)
+    return np.maximum(np.max((model.ball_facets * x[..., None, :]).sum(axis=-1), axis=-1), 0.0)
 
 
 def gauge_norm(model: GarkaviModel, x) -> float:
@@ -325,25 +321,31 @@ def _subspace_polytope(n: int) -> Polytope:
 
 
 def subspace_gauge_distance(model: GarkaviModel, x) -> tuple[float, np.ndarray]:
-    """min over y in Y of gauge(x - y), with a nearest point."""
+    """min over y in Y of gauge(x - y), with a nearest point, in closed form.
+
+    Y = ker x* for x*(z) = z_0, which attains its norm at x0: build_model
+    certifies gauge(x0) = 1 and |z_0| <= 1 on B, so gauge(z) >= |z_0| with
+    equality at z = x_0 * x0.  Hence d(x, Y) = |x_0|, attained at
+    x - x_0 * x0 (Ascoli's formula).  A non-finite x raises ValueError.
+    """
     x = as_vector(x, model.n)
-    # gauge(x - y) = max_a a.(x - y) = max_a (-a).(y - x)
-    dist, y = lp.epigraph_lp(-model.ball_facets, x, _subspace_polytope(model.n))
-    return max(dist, 0.0), y
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the point must be finite, got {x}")
+    return abs(float(x[0])), np.concatenate(([0.0], x[1:]))
 
 
 def _projection(model: GarkaviModel, x: np.ndarray, level: float) -> Polytope:
     """{y in Y : gauge(x - y) <= level}, one row a.(x - y) <= level per facet."""
     facets = model.ball_facets
-    return Polytope(a_ub=-facets, b_ub=level - facets @ x,
-                    a_eq=np.eye(model.n)[:1], b_eq=np.zeros(1))
+    return _subspace_polytope(model.n).with_rows(-facets, level - facets @ x)
 
 
 def metric_projection(model: GarkaviModel, x, eps: float = 0.0) -> Polytope:
-    """P_Y(x, eps): the y in Y with gauge(x - y) <= d(x, Y) + eps, from one
-    solve of d(x, Y)."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    """P_Y(x, eps): the y in Y with gauge(x - y) <= d(x, Y) + eps, with
+    d(x, Y) = |x_0| from subspace_gauge_distance.  A non-finite x or eps, or
+    a negative eps, raises ValueError."""
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     x = as_vector(x, model.n)
     dist, _ = subspace_gauge_distance(model, x)
     return _projection(model, x, dist + eps)
@@ -373,22 +375,21 @@ class HalfBallReport:
         return ok_sets and ok_replay
 
 
-def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, ...] = (0.2, 0.1),
-                    seed: int = 0) -> HalfBallReport:
+def half_ball_check(model: GarkaviModel, samples: int, seed: int = 0) -> HalfBallReport:
     """Certify the half-ball identity P_Y(x, eps) = {y : d(y, P_Y(x)) <= eps}
-    on sampled points, the translation/scale covariance of projections, and
-    the decomposition bound d(y, B_gamma) <= gauge(y - x0) - 1.
+    on sampled points, for each eps in HALF_BALL_EPS, the translation/scale
+    covariance of projections, and the decomposition bound
+    d(y, B_gamma) <= gauge(y - x0) - 1.
 
-    d(x, Y) is solved once per sample and d(x0, Y) once per call; the exact,
-    near and covariance projections are all built from these.  The forward
-    gap of a near vertex v is min over p in P_Y(x) of gauge(v - p) - eps,
-    taken by _forward_gap from the exact vertices as witnesses and by the
-    epigraph LP only where no witness comes within eps.  Empty vertex lists
-    raise EnumerationError.
+    d(x, Y) is read off once per sample and d(x0, Y) once per call
+    (subspace_gauge_distance); the exact, near and covariance projections are
+    all built from these.  The forward gap of a near vertex v is min over p
+    in P_Y(x) of gauge(v - p) - eps, taken by _forward_gap from the exact
+    vertices as witnesses and by the epigraph LP only where no witness comes
+    within eps.  Empty vertex lists raise EnumerationError.
     """
     rng = np.random.default_rng(seed)
     n = model.n
-    section_verts = model.section_vertices
     dist_x0, _ = subspace_gauge_distance(model, model.x0)
     rows = []
     for _ in range(samples):
@@ -399,14 +400,12 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
         dist, _ = subspace_gauge_distance(model, x)
         exact = _projection(model, x, dist)
         exact_verts = exact.vertices()
-        for eps in eps_values:
+        for eps in HALF_BALL_EPS:
             near_verts = _projection(model, x, dist + eps).vertices()
             forward = _forward_gap(model, near_verts, exact, exact_verts, eps) - eps
-            # every candidate p + eps*b in one broadcast, each a.d an elementwise
-            # sum as in _gauge_facets, so each gauge is _gauge_facets' bit for bit
-            diffs = (x - (exact_verts[:, None, :] + eps * section_verts)).reshape(-1, n)
-            facet_values = (model.ball_facets * diffs[:, None, :]).sum(axis=2)
-            gauges = np.maximum(np.max(facet_values, axis=1), 0.0)
+            # every candidate p + eps*b in one batch
+            candidates = exact_verts[:, None, :] + eps * model.section_vertices
+            gauges = _gauge_facets(model, x - candidates)
             backward = max(0.0, float(np.max(gauges - dist - eps)))
             # covariance: P_Y(y + lam x0, eps) = y + lam P_Y(x0, eps/|lam|)
             base = _projection(model, model.x0, dist_x0 + float(eps) / abs(lam))
@@ -418,7 +417,7 @@ def half_ball_check(model: GarkaviModel, samples: int, eps_values: tuple[float, 
                                        covariance_gap=covariance_gap))
 
     replay_rows = []
-    for eps in eps_values:
+    for eps in HALF_BALL_EPS:
         for _ in range(max(2, samples // 2)):
             eta_target = 1.0 + float(rng.uniform(0.2, 1.0)) * eps
             direction = np.zeros(n)
@@ -471,7 +470,7 @@ def _decomposition_replay(model: GarkaviModel, direction: np.ndarray,
     if r <= 0.5:
         raise LPNumericalError("decomposition lost the mandatory reflected-cube part")
     y_near = model.x0 - vm / r
-    achieved = _gauge_facets(model, y - y_near)
+    achieved = float(_gauge_facets(model, y - y_near))
     if model.small_ball.violation(y_near) > GAUGE_CERTIFY_TOL:
         raise LPNumericalError("recovered point left B_gamma")
     return (eta, eta - 1.0, achieved)

@@ -18,7 +18,10 @@ convex-weights route hull_gauge_distance.  Its closed-form replay crossing
 has a bisection reference, reference_replay_crossing, and its gauge
 decomposition, which the package reads off the hull triangulation, has the
 LP reference_gauge_decomposition, one program over the homogenized slab and
-cube rows per point.  Vertex
+cube rows per point.  Its closed forms have LP references too: the distance
+to Y, |x_0|, has reference_subspace_gauge_distance, one epigraph LP over the
+ball facets, and the corners of the certificate ball have
+reference_extreme_values, one LP per direction.  Vertex
 enumeration has a reference that takes each polytope whole, with no split
 into factors: reference_enumerate_vertices, whose filter scores one candidate
 at a time by reference_violation and whose merge is reference_merge_rows, the
@@ -39,6 +42,7 @@ from supcenter import lp
 from supcenter.centers import near_center_set
 from supcenter.constraints import _enumerate_reduced
 from supcenter.errors import LPNumericalError
+from supcenter.garkavi import _subspace_polytope
 from supcenter.space import as_vector
 from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   MODULUS_RESOLUTION, PIVOT_EPS, VERTEX_FILTER_TOL)
@@ -464,3 +468,21 @@ def reference_gauge_decomposition(model, x):
     u, vp, vm = sol.x[:n], sol.x[n:2 * n], sol.x[2 * n:3 * n]
     p, q, r = (float(w) for w in sol.x[3 * n:])
     return value, (u, vp, vm, p, q, r)
+
+
+def reference_subspace_gauge_distance(model, x):
+    """min over y in Y of gauge(x - y), with a nearest point, by one epigraph
+    LP over the ball facets."""
+    x = as_vector(x, model.n)
+    # gauge(x - y) = max_a a.(x - y) = max_a (-a).(y - x)
+    dist, y = lp.epigraph_lp(-model.ball_facets, x, _subspace_polytope(model.n))
+    return max(dist, 0.0), y
+
+
+def reference_extreme_values(poly, direction):
+    """max of direction.x over poly, as minus the minimum of -direction.x."""
+    sol = lp.solve(lp.LinearProgram(c=-direction, a_ub=poly.a_ub, b_ub=poly.b_ub,
+                                    a_eq=poly.a_eq, b_eq=poly.b_eq))
+    if sol.status != lp.OPTIMAL:
+        raise LPNumericalError(f"extreme-value LP ended with status {sol.status}")
+    return -float(sol.value)

@@ -258,7 +258,7 @@ def test_criterion_8_renormed_ball_suite():
             gap = _hausdorff_points(proj.vertices(), model.small_ball.vertices())
             assert gap <= 1e-6, (n, gap)
 
-            report = garkavi.half_ball_check(model, samples, eps_values=(0.2, 0.1), seed=n)
+            report = garkavi.half_ball_check(model, samples, seed=n)
             assert report.passed, (n, report.samples)
             total_pairs += len(report.samples)
         assert total_pairs == 20

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supcenter import cli, garkavi, lp
+from supcenter import cli, constraints, garkavi, lp
+from supcenter.constraints import Polytope
 from supcenter.errors import LPNumericalError, ModelBuildError
 from supcenter.instances import load_corpus
 from supcenter.garkavi import (
@@ -22,8 +23,9 @@ from supcenter.garkavi import (
 from supcenter.space import _hausdorff_points
 from supcenter.tolerances import DEDUP_TOL, SET_TOL
 
-from oracles import (hull_gauge_distance, min_row_gap, reference_forward_gap,
-                     reference_gauge_decomposition, reference_replay_crossing)
+from oracles import (hull_gauge_distance, min_row_gap, reference_extreme_values,
+                     reference_forward_gap, reference_gauge_decomposition,
+                     reference_replay_crossing, reference_subspace_gauge_distance)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +202,8 @@ def test_misindexed_simplices_fail_the_build_with_exit_three(monkeypatch, capsys
 
 class TestProjection:
     def test_distance_to_x0_is_one(self, model3):
-        dist, nearest = subspace_gauge_distance(model3, model3.x0)
+        # the LP oracle, so that the closed form is not checked against itself
+        dist, nearest = reference_subspace_gauge_distance(model3, model3.x0)
         assert dist == pytest.approx(1.0, abs=1e-8)
         assert abs(nearest[0]) <= 1e-9
 
@@ -210,7 +213,7 @@ class TestProjection:
         # translation along Y and homogeneity give d(x, Y) = |x_0| d(x0, Y) = |x_0|
         model = model4 if use_four else model3
         x = np.array(coords[:model.n])
-        dist, nearest = subspace_gauge_distance(model, x)
+        dist, nearest = reference_subspace_gauge_distance(model, x)
         assert dist == pytest.approx(abs(x[0]), abs=1e-8 * (1.0 + np.max(np.abs(x))))
         assert abs(nearest[0]) <= 1e-9
 
@@ -234,20 +237,124 @@ class TestProjection:
             metric_projection(model3, model3.x0, -0.1)
 
 
+def _distance_matches_the_lp(model, x):
+    """The closed form against the epigraph LP, within 1e-8 (1 + |x|_inf): its
+    value, its nearest point inside Y, and the gauge of x minus that point."""
+    bound = 1e-8 * (1.0 + np.max(np.abs(x)))
+    dist, nearest = subspace_gauge_distance(model, x)
+    assert abs(dist - reference_subspace_gauge_distance(model, x)[0]) <= bound
+    assert dist == abs(x[0]) and nearest[0] == 0.0
+    assert abs(_gauge_facets(model, x - nearest) - abs(x[0])) <= bound
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_distance_to_y_matches_the_lp_on_corpus_models(inst):
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    rng = np.random.default_rng(31)
+    points = [model.x0, -model.x0, model.y0, *np.eye(model.n), *rng.uniform(-3, 3, (20, model.n))]
+    for x in points:
+        _distance_matches_the_lp(model, x)
+
+
+@given(coords=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       on_y=st.booleans(), use_four=st.booleans())
+def test_distance_to_y_matches_the_lp_on_draws(model3, model4, coords, on_y, use_four):
+    model = model4 if use_four else model3
+    x = np.array(coords[:model.n])
+    if on_y:
+        x[0] = 0.0
+    _distance_matches_the_lp(model, x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("coord", [0, 2])
+def test_non_finite_point_rejected(model3, value, coord):
+    x = np.array([0.5, -0.2, 0.3])
+    x[coord] = value
+    with pytest.raises(ValueError, match="finite"):
+        subspace_gauge_distance(model3, x)
+    with pytest.raises(ValueError, match="finite"):
+        metric_projection(model3, x, 0.1)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_eps_rejected(model3, eps):
+    with pytest.raises(ValueError, match="finite"):
+        metric_projection(model3, model3.x0, eps)
+
+
+def _certificate_ball_matches_the_lp(model):
+    """alpha and the interior margin are the LP extremes over the certificate
+    ball, bit for bit."""
+    n, eye = model.n, np.eye(model.n)
+    rows = np.vstack([eye[1:], -eye[1:]])
+    ball = Polytope(a_ub=rows, b_ub=model.gamma + rows @ model.y0,
+                    a_eq=eye[:1], b_eq=np.zeros(1))
+    max_norm = max(reference_extreme_values(ball, row) for row in rows)
+    assert model.certificates["interior-margin"] == 1.0 - max_norm
+    assert model.alpha == -reference_extreme_values(ball, -model.phi.dense(n))
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_certificate_ball_matches_the_lp_on_corpus_models(inst):
+    _certificate_ball_matches_the_lp(
+        build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta))
+
+
+@pytest.mark.parametrize("gamma", [1.0 / 16.0, 0.01])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certificate_ball_matches_the_lp(n, gamma):
+    for seed in range(20):
+        _certificate_ball_matches_the_lp(build_model(n, seed=seed, gamma=gamma))
+
+
+def test_a_hull_point_past_level_one_fails_the_build_with_exit_one(monkeypatch, capsys):
+    # the cube's vertices come back at x0-level 1.5: d(x, Y) = |x_0| would
+    # then no longer hold, and the build refuses the model
+    real = constraints.enumerate_vertices
+
+    def lifted(poly):
+        verts = real(poly).copy()
+        if np.array_equal(poly.b_eq, np.ones(1)):
+            verts[:, 0] *= 1.5
+        return verts
+
+    monkeypatch.setattr(constraints, "enumerate_vertices", lifted)
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and "x0-level 1.5" in err
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_build_model_lp_solves(inst, solve_counts):
+    # the disjointness LP and one LP each to enumerate the slab and the
+    # section (the cube splits into intervals and takes none); the
+    # certificate ball's extremes are its corners
+    build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    assert solve_counts["solves"] == 3
+
+
+def test_theta_zero_build_lp_solves(solve_counts):
+    # only the disjointness LP runs before the build stops
+    with pytest.raises(ModelBuildError):
+        build_model(4, seed=0, theta=0.0)
+    assert solve_counts["solves"] == 1
+
+
 class TestHalfBall:
     def test_passes_on_small_sample(self, model3):
-        report = half_ball_check(model3, samples=3, eps_values=(0.2, 0.1), seed=2)
+        report = half_ball_check(model3, samples=3, seed=2)
         assert report.passed
         assert len(report.samples) == 6
 
     def test_replay_bound_tight_enough(self, model3):
-        report = half_ball_check(model3, samples=2, eps_values=(0.15,), seed=3)
+        report = half_ball_check(model3, samples=2, seed=3)
         for eta, bound, achieved in report.replay_rows:
             assert bound == pytest.approx(eta - 1.0, abs=1e-12)
             assert achieved <= bound + report.tol
 
     def test_dimension_four(self, model4):
-        report = half_ball_check(model4, samples=2, eps_values=(0.2,), seed=4)
+        report = half_ball_check(model4, samples=2, seed=4)
         assert report.passed
 
 
@@ -259,28 +366,29 @@ def test_half_ball_check_solves_each_distance_once(model4, monkeypatch):
         return subspace_gauge_distance(*args, **kwargs)
 
     monkeypatch.setattr(garkavi, "subspace_gauge_distance", counted)
-    report = half_ball_check(model4, samples=2, eps_values=(0.2, 0.1))
+    report = half_ball_check(model4, samples=2)
     # d(x0, Y) once, and d(x, Y) once per sample
     assert len(calls) == 3
     assert report.passed
 
 
 def test_half_ball_check_lp_solves(solve_counts):
-    # 3 distances and 10 enumerations of one LP each; every forward gap is
-    # witnessed, so no epigraph LP runs (61 solves with one per near vertex),
-    # and the 4 replay decompositions come from the hull triangulation
+    # 10 enumerations of one LP each; the 3 distances are |x_0| in closed
+    # form, every forward gap is witnessed, so no epigraph LP runs (61 solves
+    # with one per near vertex), and the 4 replay decompositions come from the
+    # hull triangulation
     inst = next(inst for inst in load_corpus("renorm") if inst.name == "22-renorm-n4")
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
     solve_counts.clear()
-    report = half_ball_check(model, samples=2, eps_values=(0.2, 0.1))
-    assert solve_counts["solves"] == 13
+    report = half_ball_check(model, samples=2)
+    assert solve_counts["solves"] == 10
     assert report.passed
 
 
-def _sampled_projections(model, samples, eps_values):
+def _sampled_projections(model, samples):
     """(eps, exact projection, its vertices, near vertices) for the points
     half_ball_check draws."""
-    report = half_ball_check(model, samples=samples, eps_values=eps_values)
+    report = half_ball_check(model, samples=samples)
     for sample in report.samples:
         x = np.array(sample.x)
         exact = _projection(model, x, sample.distance)
@@ -291,7 +399,7 @@ def _sampled_projections(model, samples, eps_values):
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
 def test_forward_gap_matches_the_epigraph_lp(inst):
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    for eps, exact, exact_verts, near_verts in _sampled_projections(model, 4, (0.2, 0.1)):
+    for eps, exact, exact_verts, near_verts in _sampled_projections(model, 4):
         for v in near_verts:
             value = _forward_gap(model, v[None], exact, exact_verts, eps)
             reference = reference_forward_gap(model, v[None], exact)
@@ -302,7 +410,8 @@ def test_forward_gap_matches_the_epigraph_lp(inst):
 
 
 def test_forward_gap_falls_back_to_the_lp_when_a_witness_misses(model4):
-    eps, exact, exact_verts, near_verts = next(_sampled_projections(model4, 1, (0.1,)))
+    eps, exact, exact_verts, near_verts = next(
+        sample for sample in _sampled_projections(model4, 1) if sample[0] == 0.1)
     v = near_verts[0]
     witness = np.max((v - exact_verts) @ model4.section_facets.T, axis=1)
     kept = exact_verts[witness > eps + SET_TOL]
@@ -316,7 +425,7 @@ def test_forward_gap_falls_back_to_the_lp_when_a_witness_misses(model4):
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
 def test_forward_gap_matches_the_convex_weights_route(inst):
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    report = half_ball_check(model, samples=4, eps_values=(0.2, 0.1))
+    report = half_ball_check(model, samples=4)
     for sample in report.samples:
         x = np.array(sample.x)
         exact = _projection(model, x, sample.distance)
@@ -335,7 +444,7 @@ def test_backward_gap_matches_the_per_pair_scan(inst):
     # the candidates are built in one broadcast, each gauge still one
     # _gauge_facets product: the reported gap is the pair-by-pair one, bit for bit
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    report = half_ball_check(model, samples=3, eps_values=(0.2, 0.1))
+    report = half_ball_check(model, samples=3)
     for sample in report.samples:
         x = np.array(sample.x)
         backward = 0.0
