@@ -107,11 +107,21 @@ class Subspace:
 
 
 class Polytope:
-    """H-polytope {v : a_ub v <= b_ub, a_eq v = b_eq}."""
+    """H-polytope {v : a_ub v <= b_ub, a_eq v = b_eq}.
 
-    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq")
+    A caller that knows the vertices another way (the renormed-ball
+    projections read them off the model's edge graph) passes them as
+    vertices: each row is certified against the polytope's own rows by the
+    feasibility filter of vertex enumeration (_feasible), a miss or an empty
+    list raises EnumerationError, and the rows are merged by merge_rows into
+    a read-only array that vertices() returns instead of enumerating.  A
+    polytope built without them enumerates as before and costs no more.
+    """
 
-    def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None):
+    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices")
+
+    def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None,
+                 vertices=None):
         if dim is None:
             for a in (a_ub, a_eq):
                 if a is not None:
@@ -123,6 +133,13 @@ class Polytope:
         self.a_eq, self.b_eq = lp._as_matrix(a_eq, b_eq, dim)
         for arr in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
             arr.setflags(write=False)
+        self._vertices = None
+        if vertices is not None:
+            raw = np.asarray(vertices, dtype=float)
+            if not len(raw) or not np.all(_feasible(self, raw)):
+                raise EnumerationError("a given vertex fails the feasibility filter")
+            self._vertices = merge_rows(raw)
+            self._vertices.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -136,8 +153,9 @@ class Polytope:
         return cls(a_ub=np.vstack([eye, -eye]), b_ub=np.full(2 * dim, float(radius)),
                    a_eq=a_eq, b_eq=b_eq, dim=dim)
 
-    def with_rows(self, a_ub, b_ub) -> "Polytope":
-        """New polytope with extra inequality rows appended."""
+    def with_rows(self, a_ub, b_ub, vertices=None) -> "Polytope":
+        """New polytope with extra inequality rows appended, and the given
+        vertices, if any, certified against them."""
         a_extra, b_extra = lp._as_matrix(a_ub, b_ub, self.dim)
         return Polytope(
             a_ub=np.vstack([self.a_ub, a_extra]),
@@ -145,6 +163,7 @@ class Polytope:
             a_eq=self.a_eq,
             b_eq=self.b_eq,
             dim=self.dim,
+            vertices=vertices,
         )
 
     def violation(self, v) -> float:
@@ -154,7 +173,7 @@ class Polytope:
         return self.violation(v) <= tol
 
     def vertices(self) -> np.ndarray:
-        return enumerate_vertices(self)
+        return enumerate_vertices(self) if self._vertices is None else self._vertices
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, ineqs={self.a_ub.shape[0]}, "
@@ -272,6 +291,15 @@ def _violations(poly: Polytope, points: np.ndarray) -> np.ndarray:
     return np.maximum(
         np.maximum.reduce(points @ poly.a_ub.T - poly.b_ub, axis=1, initial=0.0),
         np.maximum.reduce(np.abs(points @ poly.a_eq.T - poly.b_eq), axis=1, initial=0.0))
+
+
+def _feasible(poly: Polytope, raw: np.ndarray) -> np.ndarray:
+    """Which vertex candidates pass the feasibility filter: a violation of
+    poly of at most VERTEX_FILTER_TOL * (1 + max|candidate|), and always of
+    DEFAULT_TOL * CERTIFY_SLACK_FACTOR, scored all at once by _violations."""
+    scale = 1.0 + float(np.max(np.abs(raw)))
+    bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
+    return _violations(poly, raw) <= bar
 
 
 def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
@@ -427,13 +455,10 @@ def factors(poly: Polytope) -> list[Factor]:
 
 def _factor_vertices(poly: Polytope) -> np.ndarray:
     """Vertices of a polytope taken whole: the candidates of _enumerate_reduced
-    that pass the feasibility filter, merged by merge_rows.  The filter scores
-    all candidates at once with _violations; the kept rows are the raw
-    candidates themselves."""
+    that pass the feasibility filter (_feasible), merged by merge_rows.  The
+    kept rows are the raw candidates themselves."""
     raw = _enumerate_reduced(poly, depth=0)
-    scale = 1.0 + float(np.max(np.abs(raw)))
-    bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
-    keep = raw[_violations(poly, raw) <= bar]
+    keep = raw[_feasible(poly, raw)]
     if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
     return merge_rows(keep)

@@ -30,6 +30,21 @@ the section facets, with the epigraph LP (lp.epigraph_lp) only for a vertex
 whose witness misses; the backward gap takes the gauges of all its
 candidates in one broadcast; and the replay crossing of a ray with a gauge
 level set is read off the facets in closed form.
+
+Every projection is a level section of B: for a level l >= |x_0|,
+P_Y(x, l) = {y in Y : x - y in l B} = x - l (B cap {z_0 = c}) with
+c = x_0 / l.  The vertices of a hyperplane section are the polytope's
+vertices on the hyperplane and the crossings of its edges with it (Ziegler,
+Lectures on Polytopes, 1995), so build_model finds the edges of B once, from
+the hull it already builds, and each projection carries its vertices from
+one broadcast over them, certified against its own facet rows; the level-0
+section is B cap Y itself.  Every vertex of B has at least n edges
+(Balinski, Pacific J. Math. 1961), which the build checks.  The sections
+also give the half-ball identity in closed form: for |c| <= 1,
+B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, and U and B_gamma are
+symmetric, so P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with
+x_Y = x - x_0 x0.  half_ball_check computes nothing from this identity: it
+measures the identity from the facet description, so that it stays a check.
 """
 
 from __future__ import annotations
@@ -42,8 +57,8 @@ from . import lp
 from .constraints import Functional, Polytope, Subspace, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
-from .tolerances import (DEFAULT_THETA, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL, HULL_MARGIN_FLOOR,
-                         NULL_DIRECTION_TOL, SET_TOL)
+from .tolerances import (DEFAULT_THETA, EDGE_INCIDENCE_TOL, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL,
+                         HULL_MARGIN_FLOOR, NULL_DIRECTION_TOL, SECTION_LEVEL_TOL, SET_TOL)
 
 # default radius of the cube V = x0 + B_gamma, inside the allowed (0, 1/12)
 DEFAULT_GAMMA = 1.0 / 16.0
@@ -70,6 +85,8 @@ class GarkaviModel:
     section_vertices: np.ndarray
     hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
     hull_part: np.ndarray       # one-hot rows: is each hull point slab, cube or reflected
+    vertices: np.ndarray        # Qhull's vertices of B, as hull point indices
+    edges: np.ndarray           # pairs of hull point indices spanning an edge of B
     simplices: np.ndarray       # Qhull's triangulation of B, rows of hull point indices
     simplex_facets: np.ndarray  # row a per simplex, a.z = 1 on its points
     split_cone: Polytope        # the gauge decompositions, see _split_cone
@@ -90,6 +107,9 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     of c_upper and of x0 are certified decompositions (gauge_decomposition),
     and every hull point sits at an x0-level |z_0| <= 1, so that with
     gauge(x0) = 1 the distance to Y is |x_0| (subspace_gauge_distance).
+    The edges of B come from the same Qhull call (_edges), and a vertex with
+    fewer than n of them fails the build (certificate "edges"); the section
+    B cap Y is read off them.  Neither check adds a key to certificates.
     """
     if n < 3:
         raise ValueError(f"the model needs dimension >= 3, got {n}")
@@ -174,6 +194,15 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     hull_part = np.repeat(np.eye(3), [len(slab_verts), len(cube_verts), len(cube_verts)], axis=0)
     simplex_facets, simplices, certificates["ball-interior"] = _hull_facets(
         hull_points, "ball-interior", "origin is not interior to the renormed ball")
+    # the points of Qhull's triangulation are its vertices of B; every vertex
+    # of a polytope has at least n edges (Balinski), a cheap guard against a
+    # missing one
+    vertices = np.unique(simplices)
+    edges = _edges(hull_points, vertices, simplex_facets)
+    degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))[vertices]))
+    if degree < n:
+        raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
+                              certificate="edges")
     # Qhull splits facets into simplices: merge the rows of a shared hyperplane
     ball_facets = merge_rows(simplex_facets)
     ball_facets.setflags(write=False)
@@ -185,8 +214,10 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     simplices, simplex_facets = simplices[solid], simplex_facets[solid]
 
     # facet description of the section B cap Y: gauge of differences inside Y
-    # only needs these few rows instead of every facet of B
-    section = kernel.with_rows(ball_facets, np.ones(ball_facets.shape[0]))
+    # only needs these few rows instead of every facet of B; its vertices are
+    # the level-0 section of the edge graph
+    section = kernel.with_rows(ball_facets, np.ones(ball_facets.shape[0]),
+                               vertices=_level_section(hull_points, vertices, edges, 0.0))
     section_vertices = section.vertices()
     in_y, _, certificates["section-interior"] = _hull_facets(
         section_vertices[:, 1:], "section-interior",
@@ -199,7 +230,8 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                          alpha=alpha, subspace=subspace, slab=slab, cube=cube,
                          small_ball=small_ball, ball_facets=ball_facets,
                          section_facets=section_facets, section_vertices=section_vertices,
-                         hull_points=hull_points, hull_part=hull_part, simplices=simplices,
+                         hull_points=hull_points, hull_part=hull_part, vertices=vertices,
+                         edges=edges, simplices=simplices,
                          simplex_facets=simplex_facets, split_cone=_split_cone(slab, cube),
                          certificates=certificates,
                          c_lower=0.0, c_upper=0.0)
@@ -229,6 +261,44 @@ def _hull_facets(points: np.ndarray, certificate: str,
     if margin <= HULL_MARGIN_FLOOR:
         raise ModelBuildError(message, certificate=certificate)
     return hull.equations[:, :-1] / offsets[:, None], hull.simplices, margin
+
+
+def _edges(points: np.ndarray, vertices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The edges of conv(points), as rows of two indices into points.
+
+    rows holds Qhull's hyperplanes a.z <= 1 of the hull, one per simplex of
+    its triangulation.  A vertex lies on a row when |a.v - 1| is within
+    EDGE_INCIDENCE_TOL * |a|_1, and the facets are the distinct columns of
+    that incidence.  Two vertices span an edge exactly when the facets that
+    hold both have rank n - 1: one product of the incidence counts the common
+    facets of every pair, and only the pairs with n - 1 or more take the
+    rank test, all in one stacked call.
+    """
+    n = points.shape[1]
+    incidence = (np.abs(points[vertices] @ rows.T - 1.0)
+                 <= EDGE_INCIDENCE_TOL * np.abs(rows).sum(axis=1))
+    columns = np.packbits(incidence, axis=0).T.copy()
+    _, first = np.unique(columns.view(np.dtype((np.void, columns.shape[1]))).ravel(),
+                         return_index=True)
+    incidence, rows = incidence[:, first], rows[first]
+    counts = incidence.astype(np.intp)
+    i, j = np.nonzero(np.triu(counts @ counts.T >= n - 1, 1))
+    common = incidence[i] & incidence[j]
+    edge = np.linalg.matrix_rank(rows * common[:, :, None]) == n - 1
+    return np.stack([vertices[i[edge]], vertices[j[edge]]], axis=1)
+
+
+def _level_section(points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,
+                   c: float) -> np.ndarray:
+    """Vertices of conv(points) cap {z_0 = c}, unmerged: the vertices within
+    SECTION_LEVEL_TOL of the level c and the crossings of the edges whose
+    ends lie past it on opposite sides (Ziegler, Lectures on Polytopes)."""
+    offset = points[:, 0] - c
+    side = np.where(np.abs(offset) <= SECTION_LEVEL_TOL, 0.0, np.sign(offset))
+    on = vertices[side[vertices] == 0.0]
+    lo, hi = edges[side[edges[:, 0]] * side[edges[:, 1]] < 0.0].T
+    t = offset[lo] / (offset[lo] - offset[hi])
+    return np.vstack([points[on], points[lo] + t[:, None] * (points[hi] - points[lo])])
 
 
 def _gauge_facets(model: GarkaviModel, x):
@@ -335,9 +405,20 @@ def subspace_gauge_distance(model: GarkaviModel, x) -> tuple[float, np.ndarray]:
 
 
 def _projection(model: GarkaviModel, x: np.ndarray, level: float) -> Polytope:
-    """{y in Y : gauge(x - y) <= level}, one row a.(x - y) <= level per facet."""
+    """{y in Y : gauge(x - y) <= level} for a level >= |x_0|, one row
+    a.(x - y) <= level per facet, carrying its vertices.  With c = x_0 / level
+    they are x - level * s for the vertices s of the section of B at x0-level
+    c (_level_section), with y_0 set to 0; level 0 is the single point x_Y.
+    The polytope certifies them against its rows (EnumerationError on a miss).
+    """
     facets = model.ball_facets
-    return _subspace_polytope(model.n).with_rows(-facets, level - facets @ x)
+    if level > 0.0:
+        verts = x - level * _level_section(model.hull_points, model.vertices, model.edges,
+                                           x[0] / level)
+        verts[:, 0] = 0.0
+    else:
+        verts = np.concatenate(([0.0], x[1:]))[None]
+    return _subspace_polytope(model.n).with_rows(-facets, level - facets @ x, vertices=verts)
 
 
 def metric_projection(model: GarkaviModel, x, eps: float = 0.0) -> Polytope:

@@ -101,3 +101,15 @@ NULL_DIRECTION_TOL = 1e-12
 # to minus this, and passes its certificate (reassembly, polytope rows, facet
 # value) within it.
 GAUGE_SPLIT_TOL = 1e-9
+
+# Edge graph of the renormed ball B (garkavi), whose hull points have
+# |z|_inf <= 1.  EDGE_INCIDENCE_TOL is relative to a facet row's 1-norm |a|_1,
+# the most a.z reaches on them: a hull point lies on the facet a.z <= 1 when
+# |a.z - 1| is within it (on-facet points miss by 1e-15 at most, off-facet
+# points by 1e-8 or more down to gamma = 6e-8).  SECTION_LEVEL_TOL is absolute,
+# in x0-levels, where B's vertices sit at -1, 0 and 1: a vertex within it of a
+# section's level c lies on the section, and an edge crosses c only when its
+# ends lie past it on opposite sides, so a section vertex moves by at most
+# 2 * SECTION_LEVEL_TOL (an edge rises at least 1 over a sup-length of at most 2).
+EDGE_INCIDENCE_TOL = 1e-10
+SECTION_LEVEL_TOL = 1e-14

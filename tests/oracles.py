@@ -21,7 +21,9 @@ LP reference_gauge_decomposition, one program over the homogenized slab and
 cube rows per point.  Its closed forms have LP references too: the distance
 to Y, |x_0|, has reference_subspace_gauge_distance, one epigraph LP over the
 ball facets, and the corners of the certificate ball have
-reference_extreme_values, one LP per direction.  Vertex
+reference_extreme_values, one LP per direction.  Its edge graph, which the
+package finds by a rank test on common facets, has the face-lattice
+reference reference_edges, pair by pair.  Vertex
 enumeration has a reference that takes each polytope whole, with no split
 into factors: reference_enumerate_vertices, whose filter scores one candidate
 at a time by reference_violation and whose merge is reference_merge_rows, the
@@ -486,3 +488,19 @@ def reference_extreme_values(poly, direction):
     if sol.status != lp.OPTIMAL:
         raise LPNumericalError(f"extreme-value LP ended with status {sol.status}")
     return -float(sol.value)
+
+
+def reference_edges(model):
+    """Edges of the renormed ball B, pair by pair over its vertices: the
+    facets of model.ball_facets tight at the midpoint of two vertices are the
+    facets holding both, the vertices on all of them span the least face
+    holding both, and the pair is an edge when that face has no third vertex."""
+    verts = model.vertices
+    points = model.hull_points[verts]
+    on = np.abs(points @ model.ball_facets.T - 1.0) <= 1e-9
+    edges = []
+    for a, b in itertools.combinations(range(len(verts)), 2):
+        tight = np.abs(model.ball_facets @ ((points[a] + points[b]) / 2.0) - 1.0) <= 1e-9
+        if tight.any() and np.count_nonzero(np.all(on[:, tight], axis=1)) == 2:
+            edges.append((verts[a], verts[b]))
+    return np.array(edges)

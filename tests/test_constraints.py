@@ -7,6 +7,7 @@ import supcenter as sc
 import supcenter.constraints as con
 from supcenter import garkavi, lp
 from supcenter.errors import (
+    EnumerationError,
     InfeasiblePolytopeError,
     UnboundedPolytopeError,
 )
@@ -445,6 +446,33 @@ def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
         scores = [reference_violation(poly, v) for v in points]
         assert con._violations(poly, points) == pytest.approx(scores, rel=1e-12, abs=1e-15)
         assert max(scores) > 0.0
+
+
+SQUARE = {"a_ub": np.vstack([np.eye(2), -np.eye(2)]), "b_ub": np.ones(4)}
+
+
+def test_given_vertices_are_certified_merged_and_returned(monkeypatch):
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [1.0, 1.0 - 1e-12]])
+    poly = con.Polytope(**SQUARE, vertices=corners)
+    monkeypatch.setattr(con, "enumerate_vertices", lambda p: pytest.fail("enumerated"))
+    verts = poly.vertices()
+    assert_same_bytes(verts, con.merge_rows(corners))
+    assert len(verts) == 4 and not verts.flags.writeable
+
+
+@pytest.mark.parametrize("given", [[[1.0, 1.0], [1.0 + 1e-6, 0.0]], np.zeros((0, 2))],
+                         ids=["outside", "empty"])
+def test_given_vertices_outside_or_none_are_refused(given):
+    with pytest.raises(EnumerationError, match="feasibility filter"):
+        con.Polytope(**SQUARE, vertices=given)
+
+
+def test_a_polytope_without_given_vertices_enumerates():
+    # with_rows carries no vertices over: new rows make a new polytope
+    poly = con.Polytope(**SQUARE, vertices=[[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    cut = poly.with_rows([[1.0, 1.0]], [1.0])
+    assert_same_bytes(cut.vertices(), con.enumerate_vertices(cut))
+    assert len(cut.vertices()) == 5  # the cut takes the corner (1, 1) off
 
 
 def test_polytope_repr_mentions_shape():

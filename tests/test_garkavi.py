@@ -23,7 +23,7 @@ from supcenter.garkavi import (
 from supcenter.space import _hausdorff_points
 from supcenter.tolerances import DEDUP_TOL, SET_TOL
 
-from oracles import (hull_gauge_distance, min_row_gap, reference_extreme_values,
+from oracles import (hull_gauge_distance, min_row_gap, reference_edges, reference_extreme_values,
                      reference_forward_gap, reference_gauge_decomposition,
                      reference_replay_crossing, reference_subspace_gauge_distance)
 
@@ -327,11 +327,11 @@ def test_a_hull_point_past_level_one_fails_the_build_with_exit_one(monkeypatch, 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
 def test_build_model_lp_solves(inst, solve_counts):
-    # the disjointness LP and one LP each to enumerate the slab and the
-    # section (the cube splits into intervals and takes none); the
-    # certificate ball's extremes are its corners
+    # the disjointness LP and one LP to enumerate the slab (the cube splits
+    # into intervals and takes none); the section is read off the edge graph
+    # and the certificate ball's extremes are its corners
     build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    assert solve_counts["solves"] == 3
+    assert solve_counts["solves"] == 2
 
 
 def test_theta_zero_build_lp_solves(solve_counts):
@@ -339,6 +339,123 @@ def test_theta_zero_build_lp_solves(solve_counts):
     with pytest.raises(ModelBuildError):
         build_model(4, seed=0, theta=0.0)
     assert solve_counts["solves"] == 1
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_edges_match_the_face_lattice(name):
+    model = build_model(**MODELS[name])
+    edges = {tuple(e) for e in model.edges.tolist()}
+    assert len(edges) == len(model.edges) == {3: 26, 4: 66, 5: 152}[model.n]
+    assert edges == {tuple(e) for e in reference_edges(model).tolist()}
+    degree = np.bincount(model.edges.ravel(), minlength=len(model.hull_points))
+    assert degree[model.vertices].min() >= model.n
+
+
+def test_a_missing_edge_fails_the_build_through_the_balinski_guard(monkeypatch, capsys):
+    # drop one edge at a vertex with exactly n edges: that vertex is left
+    # with n - 1, and the build refuses the model
+    real = garkavi._edges
+
+    def one_short(points, vertices, rows):
+        edges = real(points, vertices, rows)
+        degree = np.bincount(edges.ravel(), minlength=len(points))
+        return np.delete(edges, np.flatnonzero(np.any(degree[edges] == points.shape[1], axis=1))[0],
+                         axis=0)
+
+    monkeypatch.setattr(garkavi, "_edges", one_short)
+    with pytest.raises(ModelBuildError) as exc:
+        build_model(4)
+    assert exc.value.certificate == "edges"
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.CHECK_FAILED
+    assert "fewer than n = 4" in capsys.readouterr().err
+
+
+def test_a_section_vertex_outside_b_fails_with_exit_three(monkeypatch, capsys):
+    # section vertices pushed 1 % outward leave the section's facets: the
+    # certificate of the carried vertices refuses them
+    real = garkavi._level_section
+    monkeypatch.setattr(garkavi, "_level_section", lambda *args: 1.01 * real(*args))
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    assert "feasibility filter" in capsys.readouterr().err
+
+
+def _matches_the_enumeration(model, x, eps):
+    """The edge-route vertex list of P_Y(x, eps) against the polar-dual
+    enumeration of the same H-polytope: equal counts, Hausdorff gap <= 1e-12."""
+    poly = metric_projection(model, x, eps)
+    verts, reference = poly.vertices(), constraints.enumerate_vertices(poly)
+    assert len(verts) == len(reference)
+    assert _hausdorff_points(verts, reference) <= 1e-12
+
+
+def _query_points(model, rng, count):
+    """Seeded x = y + lambda x0 as the half-ball check draws them, then the
+    points on Y and near it."""
+    for k in range(count):
+        x = np.zeros(model.n)
+        x[1:] = rng.uniform(-0.5, 0.5, model.n - 1)
+        x[0] = (0.0, 1e-14, -1e-14, float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])))[k % 4]
+        yield x
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_projection_vertices_match_the_enumeration_on_corpus_models(inst):
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    for x in _query_points(model, np.random.default_rng(37), 24):
+        for eps in (0.0, 0.05, 0.1, 0.2):
+            _matches_the_enumeration(model, x, eps)
+
+
+@given(coords=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       level=st.sampled_from([0.0, 1e-14, -1e-14]) | st.floats(-2.5, 2.5),
+       eps=st.sampled_from([0.0, 0.05, 0.1, 0.2]) | st.floats(1e-3, 0.5),
+       use_four=st.booleans())
+def test_projection_vertices_match_the_enumeration_on_draws(model3, model4, coords, level, eps,
+                                                            use_four):
+    # eps = 0 is the section at c = +-1, x_0 = 0 with eps = 0 the single
+    # point x_Y, x_0 = 0 with eps > 0 the section at c = 0; a drawn |x_0| is
+    # kept above 1e-2 or set to 1e-14 next to eps, since a projection of
+    # diameter between 1e-12 and DEDUP_TOL is one merged point whose
+    # representative each route picks from its own cluster
+    model = model4 if use_four else model3
+    if 0.0 < abs(level) < 1e-2:
+        level = 1e-14 if level > 0 else -1e-14
+    _matches_the_enumeration(model, np.array([level, *coords[:model.n - 1]]), eps)
+
+
+def test_level_zero_is_the_single_point_x_y(model4):
+    x = np.array([0.0, 0.3, -0.1, 0.2])
+    assert np.array_equal(metric_projection(model4, x, 0.0).vertices(), x[None])
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_projection_is_the_closed_form_sum(name):
+    # P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U: the support functions of the
+    # edge-route lists match the right-hand side, with h_{B_gamma}(d) =
+    # gamma |d|_1 for d in Y and h_U the largest d.u over the slab vertices
+    model = build_model(**MODELS[name])
+    rng = np.random.default_rng(41)
+    slab = model.slab.vertices()
+    directions = rng.normal(size=(50, model.n))
+    directions[:, 0] = 0.0
+    directions /= np.abs(directions).sum(axis=1)[:, None]
+    for x in _query_points(model, rng, 12):
+        for eps in (0.0, 0.05, 0.1, 0.2, 0.5):
+            verts = metric_projection(model, x, eps).vertices()
+            x_y = np.concatenate(([0.0], x[1:]))
+            closed = (directions @ x_y + abs(x[0]) * model.gamma
+                      + eps * np.max(directions @ slab.T, axis=1))
+            assert np.max(np.abs(np.max(directions @ verts.T, axis=1) - closed)) <= 1e-12
+
+
+def test_projections_do_not_enumerate(model4, solve_counts):
+    solve_counts.clear()
+    rng = np.random.default_rng(43)
+    for x in _query_points(model4, rng, 8):
+        metric_projection(model4, x, 0.1).vertices()
+    report = half_ball_check(model4, samples=2)
+    assert report.passed
+    assert solve_counts["calls:enumerate"] == 0 and solve_counts["solves"] == 0
 
 
 class TestHalfBall:
@@ -373,7 +490,8 @@ def test_half_ball_check_solves_each_distance_once(model4, monkeypatch):
 
 
 def test_half_ball_check_lp_solves(solve_counts):
-    # 10 enumerations of one LP each; the 3 distances are |x_0| in closed
+    # the 10 projections carry their vertices from the edge graph (one LP
+    # each to enumerate them before), the 3 distances are |x_0| in closed
     # form, every forward gap is witnessed, so no epigraph LP runs (61 solves
     # with one per near vertex), and the 4 replay decompositions come from the
     # hull triangulation
@@ -381,7 +499,7 @@ def test_half_ball_check_lp_solves(solve_counts):
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
     solve_counts.clear()
     report = half_ball_check(model, samples=2)
-    assert solve_counts["solves"] == 10
+    assert solve_counts["solves"] == 0
     assert report.passed
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import supcenter as sc
-from supcenter import cli, garkavi, lp
+from supcenter import cli, constraints, garkavi, lp
 from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
 from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
@@ -273,8 +273,10 @@ def _degenerate_programs():
 
 
 def _corpus_programs(monkeypatch, capsys):
-    # the corpus run, and the oracle's gauge-decomposition LPs (tall, with
-    # n + 3 equality rows) on the corpus renorm models at x0 and +-e_j
+    # the corpus run, the oracle's gauge-decomposition LPs (tall, with n + 3
+    # equality rows) on the corpus renorm models at x0 and +-e_j, and the
+    # interior-point LPs of the polar-dual enumeration that is the oracle of
+    # the edge route, on the section B cap Y and on P_Y(x0, eps)
     issued = []
     real = lp.solve
 
@@ -291,6 +293,9 @@ def _corpus_programs(monkeypatch, capsys):
             eye = np.eye(inst.n)
             for x in (model.x0, *eye, *-eye):
                 reference_gauge_decomposition(model, x)
+            constraints.enumerate_vertices(garkavi._projection(model, np.zeros(inst.n), 1.0))
+            for eps in garkavi.HALF_BALL_EPS:
+                constraints.enumerate_vertices(garkavi.metric_projection(model, model.x0, eps))
     capsys.readouterr()
     return issued
 
