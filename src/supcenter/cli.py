@@ -62,6 +62,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(least: int):
+    """argparse type: an integer of at least least."""
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+        return int(text)
+    return count
+
+
 def _center_instance(path) -> CenterInstance:
     inst = load_instance(path)
     if not isinstance(inst, CenterInstance):
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemmas", help="randomized scaling/threshold/Lipschitz/perturbation checks")
     common(p, instance=False)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="3,4", help="comma-separated ambient dimensions")
     p.add_argument("--eps", type=_finite_float, default=0.2, help="perturbation move budget")
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_finite_float, default=garkavi.DEFAULT_GAMMA)
     p.add_argument("--theta", type=_finite_float, default=DEFAULT_THETA,
                    help="slab shrink; 0 reproduces the attained-infimum failure")
-    p.add_argument("--samples", type=int, default=3, help="sampled x per eps (0 = build only)")
+    p.add_argument("--samples", type=_count(0), default=3, help="sampled x per eps (0 = build only)")
     p.set_defaults(func=cmd_renorm)
 
     p = sub.add_parser("trend", help="gauge-norm center data across dimensions (report only)")

@@ -203,8 +203,9 @@ def _rank(a: np.ndarray) -> int:
         raise EnumerationError(f"rank of the inequality rows: {exc}") from exc
 
 
-def _interval_enum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The two ends of the interval {z : a z <= b} in dimension 1."""
+def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The ends (l, u) of {z : a z <= b} in one coordinate, raising as vertex
+    enumeration does when it is empty or unbounded."""
     ends = b / a[:, 0]
     upper, lower = ends[a[:, 0] > 0], ends[a[:, 0] < 0]
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
@@ -212,19 +213,21 @@ def _interval_enum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
     if not (upper.size and lower.size):
         raise UnboundedPolytopeError("interval is unbounded on one side")
-    return np.array([[lower.max()], [upper.min()]])
+    return float(lower.max()), float(upper.min())
 
 
-def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """The ends (l, u) of {z : a z <= b} in one coordinate, raising as vertex
-    enumeration does when it is empty or unbounded."""
-    (lower,), (upper,) = _interval_enum(a, b)
-    return float(lower), float(upper)
+def _convex_hull(points: np.ndarray, what: str):
+    """scipy's ConvexHull (Qhull) of points; a Qhull failure raises
+    EnumerationError with what and the first line of Qhull's report."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        return ConvexHull(points)
+    except QhullError as exc:
+        raise EnumerationError(f"convex hull of {what}: {str(exc).splitlines()[0]}") from exc
 
 
 def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.ndarray:
-    from scipy.spatial import ConvexHull, QhullError
-
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     # inscribed sup-ball LP locates a deep interior point
     l1 = np.abs(a).sum(axis=1)
@@ -273,11 +276,7 @@ def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.nda
 
     shifted_b = b - a @ z0
     polar_pts = a / shifted_b[:, None]
-    try:
-        hull = ConvexHull(polar_pts)
-    except QhullError as exc:
-        raise EnumerationError(f"convex hull of the polar dual: {exc}") from exc
-    eqs = hull.equations  # rows [normal | offset]: normal.p + offset <= 0
+    eqs = _convex_hull(polar_pts, "the polar dual").equations  # [normal | offset].p <= 0
     reach = float(np.max(np.abs(polar_pts)))
     if np.any(-eqs[:, d] <= POLAR_ORIGIN_TOL * reach):
         raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
@@ -320,7 +319,7 @@ def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
         raise InfeasiblePolytopeError("a constraint excludes the whole affine hull")
     a, b = a[live], b[live]
     if d == 1:
-        pts = _interval_enum(a, b)
+        pts = np.array(interval(a, b))[:, None]
     elif _rank(a) < d:
         # the rows leave a line free: unbounded, unless the system is empty
         feasibility = lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b)
@@ -345,8 +344,8 @@ def _tolerant_ranks(rows: np.ndarray) -> np.ndarray:
 
 def merge_rows(rows: np.ndarray) -> np.ndarray:
     """Rows in lexicographic order, each dropped when it lies within DEDUP_TOL
-    (sup distance) of a row already kept.  Used for vertex lists and for the
-    facet equations of a convex hull.
+    (sup distance) of a row already kept.  Used for vertex lists, and to
+    order the facet rows of the renormed ball, one per facet.
 
     Two rows within DEDUP_TOL share every tolerant rank: in each column the
     sorted values between them step by gaps no larger than their difference.

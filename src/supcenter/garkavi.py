@@ -35,16 +35,17 @@ Every projection is a level section of B: for a level l >= |x_0|,
 P_Y(x, l) = {y in Y : x - y in l B} = x - l (B cap {z_0 = c}) with
 c = x_0 / l.  The vertices of a hyperplane section are the polytope's
 vertices on the hyperplane and the crossings of its edges with it (Ziegler,
-Lectures on Polytopes, 1995), so build_model finds the edges of B once, from
-the hull it already builds, and each projection carries its vertices from
-one broadcast over them, certified against its own facet rows; the level-0
-section is B cap Y itself.  Every vertex of B has at least n edges
-(Balinski, Pacific J. Math. 1961), which the build checks.  The sections
-also give the half-ball identity in closed form: for |c| <= 1,
-B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, and U and B_gamma are
-symmetric, so P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with
-x_Y = x - x_0 x0.  half_ball_check computes nothing from this identity: it
-measures the identity from the facet description, so that it stays a check.
+Lectures on Polytopes, 1995).  build_model reads the facets and the edges of
+B off its one hull, as the distinct columns of the vertex-facet incidence
+and the vertex pairs whose common facets have rank n - 1, and each
+projection carries its vertices from one broadcast over the edges, certified
+against its own facet rows.  Every vertex of B has at least n edges
+(Balinski, Pacific J. Math. 1961), which the build checks.  For |c| <= 1,
+B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, so B cap Y is the slab
+U, whose rows and vertices the model takes.  U and B_gamma are symmetric, so
+P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with x_Y = x - x_0 x0.
+half_ball_check computes nothing from this identity: it measures the
+identity from the facet description, so that it stays a check.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .constraints import Functional, Polytope, Subspace, merge_rows
+from .constraints import Functional, Polytope, Subspace, _convex_hull, _feasible, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import (DEFAULT_THETA, EDGE_INCIDENCE_TOL, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL,
@@ -80,9 +81,9 @@ class GarkaviModel:
     slab: Polytope           # U
     cube: Polytope           # V = x0 + B_gamma
     small_ball: Polytope     # B_gamma
-    ball_facets: np.ndarray     # rows a with B = {z : a.z <= 1}
-    section_facets: np.ndarray  # rows s with B cap Y = {y in Y : s.y <= 1}
-    section_vertices: np.ndarray
+    ball_facets: np.ndarray     # rows a with B = {z : a.z <= 1}, one per facet
+    section_facets: np.ndarray  # rows s with B cap Y = U = {y in Y : s.y <= 1}
+    section_vertices: np.ndarray  # the vertices of U
     hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
     hull_part: np.ndarray       # one-hot rows: is each hull point slab, cube or reflected
     vertices: np.ndarray        # Qhull's vertices of B, as hull point indices
@@ -101,15 +102,16 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
 
     The certificate ball y0 + [-gamma, gamma]^(n-1) in Y takes its margins
     from its corners, the disjointness of the slab is certified by an
-    infeasibility LP, and the origin inside B and inside its section by the
-    hull facets; a failed certificate raises ModelBuildError naming it
-    (build with theta = 0 to see the attained-infimum failure).  The gauges
-    of c_upper and of x0 are certified decompositions (gauge_decomposition),
-    and every hull point sits at an x0-level |z_0| <= 1, so that with
-    gauge(x0) = 1 the distance to Y is |x_0| (subspace_gauge_distance).
-    The edges of B come from the same Qhull call (_edges), and a vertex with
-    fewer than n of them fails the build (certificate "edges"); the section
-    B cap Y is read off them.  Neither check adds a key to certificates.
+    infeasibility LP, the origin inside B by its hull facets and inside
+    B cap Y = U by the slab rows; a failed certificate raises ModelBuildError
+    naming it (build with theta = 0 to see the attained-infimum failure).
+    The gauges of c_upper and of x0 are certified decompositions
+    (gauge_decomposition), and every hull point sits at an x0-level
+    |z_0| <= 1, so that with gauge(x0) = 1 the distance to Y is |x_0|
+    (subspace_gauge_distance).  _edges reads B's facets and edges off its
+    hull; a vertex with fewer than n edges fails the build (certificate
+    "edges"), and a vertex of the level-0 section of the edges outside U
+    raises EnumerationError.  Neither check adds a key to certificates.
     """
     if n < 3:
         raise ValueError(f"the model needs dimension >= 3, got {n}")
@@ -192,19 +194,16 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
         raise ModelBuildError(f"a hull point of B sits at x0-level {level}, past 1",
                               certificate="hull-level")
     hull_part = np.repeat(np.eye(3), [len(slab_verts), len(cube_verts), len(cube_verts)], axis=0)
-    simplex_facets, simplices, certificates["ball-interior"] = _hull_facets(
-        hull_points, "ball-interior", "origin is not interior to the renormed ball")
+    simplex_facets, simplices, certificates["ball-interior"] = _hull_facets(hull_points)
     # the points of Qhull's triangulation are its vertices of B; every vertex
     # of a polytope has at least n edges (Balinski), a cheap guard against a
     # missing one
     vertices = np.unique(simplices)
-    edges = _edges(hull_points, vertices, simplex_facets)
+    edges, ball_facets = _edges(hull_points, vertices, simplex_facets)
     degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))[vertices]))
     if degree < n:
         raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
                               certificate="edges")
-    # Qhull splits facets into simplices: merge the rows of a shared hyperplane
-    ball_facets = merge_rows(simplex_facets)
     ball_facets.setflags(write=False)
     # the triangulation holds flat simplices, whose barycentric systems (the
     # matrices gauge_decomposition solves) are singular; each shares its row
@@ -213,23 +212,19 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     solid = np.linalg.det(hull_points[simplices].transpose(0, 2, 1)) != 0.0
     simplices, simplex_facets = simplices[solid], simplex_facets[solid]
 
-    # facet description of the section B cap Y: gauge of differences inside Y
-    # only needs these few rows instead of every facet of B; its vertices are
-    # the level-0 section of the edge graph
-    section = kernel.with_rows(ball_facets, np.ones(ball_facets.shape[0]),
-                               vertices=_level_section(hull_points, vertices, edges, 0.0))
-    section_vertices = section.vertices()
-    in_y, _, certificates["section-interior"] = _hull_facets(
-        section_vertices[:, 1:], "section-interior",
-        "origin is not interior to the ball section in Y")
-    in_y = merge_rows(in_y)
-    section_facets = np.hstack([np.zeros((in_y.shape[0], 1)), in_y])
+    # B cap Y holds U; its vertices, the level-0 section of the edges, lie in U
+    if not np.all(_feasible(slab, _level_section(hull_points, vertices, edges, 0.0))):
+        raise EnumerationError("a vertex of B cap Y fails the feasibility filter of the slab")
+    section_facets = slab.a_ub / slab.b_ub[:, None]
     section_facets.setflags(write=False)
+    certificates["section-interior"] = float(np.min(slab.b_ub / np.linalg.norm(slab.a_ub, axis=1)))
+    if certificates["section-interior"] <= HULL_MARGIN_FLOOR:
+        raise ModelBuildError("origin is not interior to B cap Y", certificate="section-interior")
 
     model = GarkaviModel(n=n, seed=seed, gamma=gamma, theta=theta, phi=phi, x0=x0, y0=y0,
                          alpha=alpha, subspace=subspace, slab=slab, cube=cube,
                          small_ball=small_ball, ball_facets=ball_facets,
-                         section_facets=section_facets, section_vertices=section_vertices,
+                         section_facets=section_facets, section_vertices=slab_verts,
                          hull_points=hull_points, hull_part=hull_part, vertices=vertices,
                          edges=edges, simplices=simplices,
                          simplex_facets=simplex_facets, split_cone=_split_cone(slab, cube),
@@ -247,32 +242,32 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     return model
 
 
-def _hull_facets(points: np.ndarray, certificate: str,
-                 message: str) -> tuple[np.ndarray, np.ndarray, float]:
+def _hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Qhull's triangulation of conv(points): one row a per simplex, with
     a.z <= 1 on the hull and a.z = 1 on the simplex, the simplices as rows of
     point indices, and the origin's interior margin (least facet offset); at
     most HULL_MARGIN_FLOOR raises ModelBuildError."""
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(points)
+    hull = _convex_hull(points, "the renormed ball")
     offsets = -hull.equations[:, -1]
     margin = float(np.min(offsets))
     if margin <= HULL_MARGIN_FLOOR:
-        raise ModelBuildError(message, certificate=certificate)
+        raise ModelBuildError("origin is not interior to the renormed ball",
+                              certificate="ball-interior")
     return hull.equations[:, :-1] / offsets[:, None], hull.simplices, margin
 
 
-def _edges(points: np.ndarray, vertices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The edges of conv(points), as rows of two indices into points.
+def _edges(points: np.ndarray, vertices: np.ndarray,
+           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of conv(points), as rows of two indices into points, and its
+    facets, one row each in the order of merge_rows.
 
     rows holds Qhull's hyperplanes a.z <= 1 of the hull, one per simplex of
     its triangulation.  A vertex lies on a row when |a.v - 1| is within
     EDGE_INCIDENCE_TOL * |a|_1, and the facets are the distinct columns of
-    that incidence.  Two vertices span an edge exactly when the facets that
-    hold both have rank n - 1: one product of the incidence counts the common
-    facets of every pair, and only the pairs with n - 1 or more take the
-    rank test, all in one stacked call.
+    that incidence, each the row of its first simplex.  Two vertices span an
+    edge exactly when the facets that hold both have rank n - 1: one product
+    of the incidence counts the common facets of every pair, and only the
+    pairs with n - 1 or more take the rank test, all in one stacked call.
     """
     n = points.shape[1]
     incidence = (np.abs(points[vertices] @ rows.T - 1.0)
@@ -285,7 +280,7 @@ def _edges(points: np.ndarray, vertices: np.ndarray, rows: np.ndarray) -> np.nda
     i, j = np.nonzero(np.triu(counts @ counts.T >= n - 1, 1))
     common = incidence[i] & incidence[j]
     edge = np.linalg.matrix_rank(rows * common[:, :, None]) == n - 1
-    return np.stack([vertices[i[edge]], vertices[j[edge]]], axis=1)
+    return np.stack([vertices[i[edge]], vertices[j[edge]]], axis=1), merge_rows(rows)
 
 
 def _level_section(points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,

@@ -14,32 +14,28 @@ from .constraints import Functional, Subspace
 from .space import FunctionFamily
 
 
-def random_family(rng: np.random.Generator, dim: int, members: int,
-                  scale: float = 1.0) -> FunctionFamily:
-    """members-many points of [-scale, scale]^dim."""
-    return FunctionFamily(rng.uniform(-scale, scale, (members, dim)))
+def random_family(rng: np.random.Generator, dim: int, members: int) -> FunctionFamily:
+    """members-many points of [-1, 1]^dim."""
+    return FunctionFamily(rng.uniform(-1.0, 1.0, (members, dim)))
 
 
-def random_functional(rng: np.random.Generator, dim: int, max_support: int = 4) -> Functional:
-    """Functional with 2..max_support support points and TV norm one."""
-    k = int(rng.integers(2, min(dim, max_support) + 1))
+def random_functional(rng: np.random.Generator, dim: int) -> Functional:
+    """Functional with 2..4 support points and TV norm one."""
+    k = int(rng.integers(2, min(dim, 4) + 1))
     support = sorted(int(i) for i in rng.choice(dim, size=k, replace=False))
     weights = rng.uniform(0.1, 1.0, k) * rng.choice([-1.0, 1.0], k)
     return Functional(support=tuple(support), weights=tuple(weights), normalize=True)
 
 
-def random_subspace(rng: np.random.Generator, dim: int, count: int = 1,
-                    max_support: int = 4) -> Subspace:
-    return Subspace(dim=dim, functionals=tuple(
-        random_functional(rng, dim, max_support) for _ in range(count)))
+def random_subspace(rng: np.random.Generator, dim: int, count: int = 1) -> Subspace:
+    return Subspace(dim=dim, functionals=tuple(random_functional(rng, dim) for _ in range(count)))
 
 
 def random_ball_problem(rng: np.random.Generator, dim: int, members: int,
-                        count: int = 1, lam: float = 1.0,
-                        scale: float = 1.0) -> tuple[FunctionFamily, Subspace, CenterProblem]:
-    family = random_family(rng, dim, members, scale)
+                        count: int = 1) -> tuple[FunctionFamily, Subspace, CenterProblem]:
+    family = random_family(rng, dim, members)
     y = random_subspace(rng, dim, count)
-    return family, y, ball_problem(family, y, lam)
+    return family, y, ball_problem(family, y)
 
 
 def vertex_mixture(rng: np.random.Generator, vertices: np.ndarray) -> np.ndarray:

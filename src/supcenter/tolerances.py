@@ -88,9 +88,9 @@ PERTURB_RADIUS_FLOOR = 1e-6
 # Renormed-ball model (garkavi), all absolute.  DEFAULT_THETA is the default
 # slab shrink theta, the margin the slab keeps below the critical level alpha.
 # GAUGE_CERTIFY_TOL bounds the gauge certificates: gauge(x0) may miss 1, and a
-# point recovered from the gauge decomposition may leave B_gamma, by this.  A
-# hull holds the origin inside only when its least facet offset exceeds
-# HULL_MARGIN_FLOOR, and a replay direction is null below NULL_DIRECTION_TOL.
+# point recovered from the gauge decomposition may leave B_gamma, by this.  B
+# and B cap Y hold the origin inside only when its least facet distance
+# exceeds HULL_MARGIN_FLOOR; a replay direction is null below NULL_DIRECTION_TOL.
 DEFAULT_THETA = 1e-3
 GAUGE_CERTIFY_TOL = 1e-7
 HULL_MARGIN_FLOOR = 1e-12

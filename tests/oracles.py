@@ -23,7 +23,11 @@ to Y, |x_0|, has reference_subspace_gauge_distance, one epigraph LP over the
 ball facets, and the corners of the certificate ball have
 reference_extreme_values, one LP per direction.  Its edge graph, which the
 package finds by a rank test on common facets, has the face-lattice
-reference reference_edges, pair by pair.  Vertex
+reference reference_edges, pair by pair.  Its facets, which the package
+takes from the distinct columns of the edge incidence, and its section
+B cap Y, which the package takes from the slab, keep their former routes as
+references: reference_ball_facets merges Qhull's per-simplex rows, and
+reference_section merges the Qhull facets of the level-0 section.  Vertex
 enumeration has a reference that takes each polytope whole, with no split
 into factors: reference_enumerate_vertices, whose filter scores one candidate
 at a time by reference_violation and whose merge is reference_merge_rows, the
@@ -39,12 +43,13 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from supcenter import lp
 from supcenter.centers import near_center_set
-from supcenter.constraints import _enumerate_reduced
+from supcenter.constraints import _enumerate_reduced, merge_rows
 from supcenter.errors import LPNumericalError
-from supcenter.garkavi import _subspace_polytope
+from supcenter.garkavi import _level_section, _subspace_polytope
 from supcenter.space import as_vector
 from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   MODULUS_RESOLUTION, PIVOT_EPS, VERTEX_FILTER_TOL)
@@ -504,3 +509,30 @@ def reference_edges(model):
         if tight.any() and np.count_nonzero(np.all(on[:, tight], axis=1)) == 2:
             edges.append((verts[a], verts[b]))
     return np.array(edges)
+
+
+def _qhull_rows(points):
+    """Qhull's rows a.z <= 1 of conv(points), one per simplex, and their
+    least offset."""
+    hull = ConvexHull(points)
+    offsets = -hull.equations[:, -1]
+    return hull.equations[:, :-1] / offsets[:, None], float(np.min(offsets))
+
+
+def reference_ball_facets(model):
+    """The facets of B as merge_rows over Qhull's per-simplex rows."""
+    return merge_rows(_qhull_rows(model.hull_points)[0])
+
+
+def reference_section(model):
+    """B cap Y as the level-0 section polytope of B, carrying the level-0
+    section of the edge graph as its vertices: those vertices, the merged
+    Qhull facets of their hull in Y (first coordinate 0), and the origin's
+    least distance to those facets."""
+    section = _subspace_polytope(model.n).with_rows(
+        model.ball_facets, np.ones(len(model.ball_facets)),
+        vertices=_level_section(model.hull_points, model.vertices, model.edges, 0.0))
+    verts = section.vertices()
+    rows, margin = _qhull_rows(verts[:, 1:])
+    in_y = merge_rows(rows)
+    return verts, np.hstack([np.zeros((len(in_y), 1)), in_y]), margin

@@ -76,7 +76,8 @@ class TestAgainstScipy:
         from supcenter.sampling import random_ball_problem
 
         for lam in (0.5, 2.0, 3.5):
-            family, y, problem = random_ball_problem(rng, 3, 2, lam=lam)
+            family, y, _ = random_ball_problem(rng, 3, 2)
+            problem = sc.ball_problem(family, y, lam)
             ours = sc.restricted_radius(problem)
             ref, _ = scipy_radius(family.values, y.rows(), lam=lam)
             assert ours == pytest.approx(ref, abs=1e-7)
@@ -88,7 +89,8 @@ class TestAgainstScipy:
         for scale in (1.0, 1e3):
             for _ in range(10):
                 dim = int(rng.integers(2, 5))
-                family = random_family(rng, dim, int(rng.integers(1, 4)), scale)
+                members = int(rng.integers(1, 4))
+                family = sc.FunctionFamily(scale * random_family(rng, dim, members).values)
                 y = random_subspace(rng, dim)
                 problem = sc.subspace_problem(family, y)
                 ours = sc.restricted_radius(problem)

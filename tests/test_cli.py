@@ -223,6 +223,22 @@ def test_non_finite_option_is_bad_input(worked_file, capsys, flag):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-lemmas", "--trials", "-3"],
+    ["check-lemmas", "--trials", "0"],
+    ["check-lemmas", "--trials", "1.5"],
+    ["renorm", "--n", "3", "--samples", "-2"],
+], ids=["trials-negative", "trials-zero", "trials-fraction", "samples-negative"])
+def test_malformed_count_is_bad_input(capsys, argv):
+    # a run of no trials would report "all lemma checks passed"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: supcenter ") and "Traceback" not in err
+    assert "must be at least" in err or "invalid count value" in err
+
+
 @pytest.mark.parametrize("argv", [["radius", "WORKED", "--tol", "1e-6"], ["corpus", "--tol=0"]],
                          ids=["radius", "corpus"])
 def test_tol_option_is_rejected(worked_file, capsys, argv):
@@ -268,9 +284,11 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
 
 @pytest.mark.parametrize("target, error", [
     ("scipy.spatial.ConvexHull", QhullError("QH6154 simulated initial simplex is flat")),
+    ("scipy.spatial.ConvexHull", QhullError("QH6154 simulated initial simplex is flat\n\n"
+                                            "While executing: | qhull i Qt")),
     ("numpy.linalg.lstsq", np.linalg.LinAlgError("SVD did not converge")),
     ("numpy.linalg.matrix_rank", np.linalg.LinAlgError("SVD did not converge")),
-], ids=["qhull", "lstsq", "matrix-rank"])
+], ids=["qhull", "qhull-report", "lstsq", "matrix-rank"])
 def test_enumeration_library_failure_is_numerical(capsys, monkeypatch, target, error):
     # a failed Qhull or numpy call inside vertex enumeration is numerical
     # trouble (3), not bad input (2) or an escaping traceback (1).  The

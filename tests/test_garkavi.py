@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 from supcenter import cli, constraints, garkavi, lp
 from supcenter.constraints import Polytope
-from supcenter.errors import LPNumericalError, ModelBuildError
+from supcenter.errors import EnumerationError, LPNumericalError, ModelBuildError
 from supcenter.instances import load_corpus
 from supcenter.garkavi import (
     build_model,
@@ -23,9 +25,10 @@ from supcenter.garkavi import (
 from supcenter.space import _hausdorff_points
 from supcenter.tolerances import DEDUP_TOL, SET_TOL
 
-from oracles import (hull_gauge_distance, min_row_gap, reference_edges, reference_extreme_values,
-                     reference_forward_gap, reference_gauge_decomposition,
-                     reference_replay_crossing, reference_subspace_gauge_distance)
+from oracles import (hull_gauge_distance, min_row_gap, reference_ball_facets, reference_edges,
+                     reference_extreme_values, reference_forward_gap,
+                     reference_gauge_decomposition, reference_replay_crossing, reference_section,
+                     reference_subspace_gauge_distance)
 
 
 @pytest.fixture(scope="module")
@@ -351,16 +354,94 @@ def test_edges_match_the_face_lattice(name):
     assert degree[model.vertices].min() >= model.n
 
 
+# build_model arguments (n, seed, gamma) beyond the corpus
+GRID = [(n, seed, gamma) for n in (3, 4, 5, 6) for seed in range(10)
+        for gamma in (1.0 / 16.0, 0.01, 1e-4, 1e-7)]
+# Qhull cannot hull B for these arguments ("wide merge"), on either route
+QHULL_FAILS = (5, 1, 1e-4)
+
+
+def _matches_the_former_routes(model):
+    """The facets of B bit for bit against the merge of Qhull's simplex rows;
+    the section's vertices bit for bit, its facets as a set within 1e-13 and
+    its interior margin within 1e-13 against the level-0 section's hull."""
+    ball_facets = reference_ball_facets(model)
+    assert model.ball_facets.shape == ball_facets.shape
+    assert model.ball_facets.tobytes() == ball_facets.tobytes()
+    verts, facets, margin = reference_section(model)
+    assert model.section_vertices.shape == verts.shape
+    assert model.section_vertices.tobytes() == verts.tobytes()
+    assert model.section_facets.shape == facets.shape
+    gaps = np.max(np.abs(model.section_facets[:, None, :] - facets[None]), axis=2)
+    assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-13
+    assert abs(model.certificates["section-interior"] - margin) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_facets_and_section_match_the_former_routes(name):
+    _matches_the_former_routes(build_model(**MODELS[name]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_facets_and_section_match_the_former_routes_on_the_grid(n):
+    for args in GRID:
+        if args[0] == n and args != QHULL_FAILS:
+            _matches_the_former_routes(build_model(args[0], seed=args[1], gamma=args[2]))
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_build_model_builds_two_hulls(inst, monkeypatch):
+    # B's hull and the polar dual that enumerates the slab; the section of B
+    # in Y is the slab and takes none
+    real, sizes = scipy.spatial.ConvexHull, []
+
+    def counting(points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    assert len(sizes) == 2 and sizes[1] == len(model.hull_points)
+
+
+def test_a_qhull_failure_of_b_exits_three(capsys):
+    n, seed, gamma = QHULL_FAILS
+    with pytest.raises(EnumerationError, match="convex hull of the renormed ball: QH6347"):
+        build_model(n, seed=seed, gamma=gamma)
+    argv = ["renorm", "--n", str(n), "--seed", str(seed), "--gamma", str(gamma), "--samples", "0"]
+    assert cli.main(argv) == cli.NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: convex hull of the renormed ball: QH6347")
+    assert err.count("\n") == 1
+
+
+def test_a_failed_hull_of_b_fails_the_build_with_exit_three(monkeypatch, capsys):
+    # the first hull enumerates the slab; the second, B's, raises Qhull's
+    # multi-line report, of which the CLI prints the first line
+    real, calls = scipy.spatial.ConvexHull, []
+
+    def second_fails(points, *args, **kwargs):
+        calls.append(len(points))
+        if len(calls) == 2:
+            raise QhullError("QH6154 simulated initial simplex is flat\n\nWhile executing: | qhull")
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", second_fails)
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: convex hull of the renormed ball: "
+                                       "QH6154 simulated initial simplex is flat\n")
+
+
 def test_a_missing_edge_fails_the_build_through_the_balinski_guard(monkeypatch, capsys):
     # drop one edge at a vertex with exactly n edges: that vertex is left
     # with n - 1, and the build refuses the model
     real = garkavi._edges
 
     def one_short(points, vertices, rows):
-        edges = real(points, vertices, rows)
+        edges, facets = real(points, vertices, rows)
         degree = np.bincount(edges.ravel(), minlength=len(points))
         return np.delete(edges, np.flatnonzero(np.any(degree[edges] == points.shape[1], axis=1))[0],
-                         axis=0)
+                         axis=0), facets
 
     monkeypatch.setattr(garkavi, "_edges", one_short)
     with pytest.raises(ModelBuildError) as exc:
