@@ -3,11 +3,14 @@
 For a constraint set V and a finite family B, the restricted radius is
 rad_V(B) = inf_{v in V} r(v, B); the center set is the slab S_rad(B)
 intersected with V, and the near-center set relaxes the slab by a slack
-delta.  All three reduce to linear programs over H-polytopes here; V is a
-kernel ball lam * B_Y or the unbounded kernel Y, and the slab, a box, bounds
-every set.  The radius is solved once, by one epigraph LP in center_set, and
-then handed on: near_center_set, the perturbation step, the stability modulus
-and the repair require the solved radius and never solve it again.
+delta.  All three are H-polytopes here; V is a kernel ball lam * B_Y or
+the unbounded kernel Y, and the slab, a box, bounds every set.  The radius
+is solved once, in center_set, and then handed on: near_center_set, the
+perturbation step, the stability modulus and the repair require the solved
+radius and never solve it again.  V is a product of factors (the support
+blocks and one interval per free coordinate), and the radius is the max of
+the factor radii: in closed form on a factor that is a line, by one epigraph
+LP on a wider one (constraints.sup_center).
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
-from .constraints import Polytope, Subspace
+from .constraints import Polytope, Subspace, sup_center
 from .errors import DimensionMismatchError, LPNumericalError, PreconditionError
 from .space import FunctionFamily, _hausdorff_points, as_vector, band, farthest_radius
 from .tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL, IDENTITY_SET_TOL,
@@ -74,14 +76,16 @@ def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
 
 
 def center_set(problem: CenterProblem) -> CenterReport:
-    """Restricted center set as a polytope, with the LP minimizer attached.
+    """Restricted center set as a polytope, with a minimizer attached.
 
-    The representative is whichever optimum the deterministic pivot rule
-    lands on; the polytope is the canonical answer.
+    The radius is the max of the factor radii of V (constraints.sup_center).
+    The representative takes each factor's own minimizer: on a factor that is
+    a line, the least t among the minimizers within DEFAULT_TOL, t being one
+    coordinate of the factor; on a wider factor, whichever optimum the
+    deterministic pivot rule of the epigraph LP lands on.  The polytope is
+    the canonical answer, and it must hold the representative.
     """
-    eye = np.eye(problem.dim)
-    radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
-                                 problem.feasible)
+    radius, rep = sup_center(problem.family.values, problem.feasible)
     poly = _slab_polytope(problem, radius)
     if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
         raise LPNumericalError("radius minimizer violates its own center polytope")
@@ -89,7 +93,7 @@ def center_set(problem: CenterProblem) -> CenterReport:
 
 
 def restricted_radius(problem: CenterProblem) -> float:
-    """rad_V(B) as the optimal value of a single LP."""
+    """rad_V(B), the radius of center_set."""
     return center_set(problem).radius
 
 

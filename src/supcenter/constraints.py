@@ -13,6 +13,9 @@ coordinate.  The vertices of a product are the tuples of factor vertices
 factor once and takes the product.  A factor's vertices are enumerated on the
 affine hull of its equalities: as the facets of the polar dual's convex hull
 (Qhull) from dimension 2 up, as the two ends of an interval in dimension 1.
+The restricted radius and the sup-norm distance, maxima over coordinates,
+split the same way (sup_center): a factor that is a line takes a 1-D
+minimax, a wider one the epigraph LP.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from . import lp
 from .errors import (
     EnumerationError,
     InfeasiblePolytopeError,
+    LPNumericalError,
     UnboundedPolytopeError,
 )
 from .space import as_vector
-from .tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL, EQ_CONSISTENT_TOL,
-                         INSCRIBED_TOL, NULL_ROW_TOL, POLAR_ORIGIN_TOL, TIGHT_ROW_TOL,
-                         VERTEX_FILTER_TOL)
+from .tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
+                         EQ_CONSISTENT_TOL, INSCRIBED_TOL, NULL_ROW_TOL, POLAR_ORIGIN_TOL,
+                         TIGHT_ROW_TOL, VERTEX_FILTER_TOL)
 
 
 @dataclass(frozen=True)
@@ -203,17 +207,33 @@ def _rank(a: np.ndarray) -> int:
         raise EnumerationError(f"rank of the inequality rows: {exc}") from exc
 
 
-def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """The ends (l, u) of {z : a z <= b} in one coordinate, raising as vertex
-    enumeration does when it is empty or unbounded."""
-    ends = b / a[:, 0]
-    upper, lower = ends[a[:, 0] > 0], ends[a[:, 0] < 0]
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    if upper.size and lower.size and lower.max() - upper.min() > DEFAULT_TOL * scale:
+def _ends(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The ends (l, u) of {z : a z <= b} for a column a, infinite on a side
+    no row bounds.  A row with a = 0 holds when 0 <= b within DEFAULT_TOL *
+    (1 + max|b|), as in factors; that row, or ends that cross by more, raise
+    InfeasiblePolytopeError."""
+    bar = DEFAULT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    lower, upper = -np.inf, np.inf
+    # plain floats: the rows number in the tens, where numpy calls cost more
+    for a_i, b_i in zip(a.tolist(), b.tolist()):
+        if a_i > 0.0:
+            upper = min(upper, b_i / a_i)
+        elif a_i < 0.0:
+            lower = max(lower, b_i / a_i)
+        elif b_i < -bar:
+            raise InfeasiblePolytopeError("a zero row has a negative right-hand side")
+    if lower - upper > bar:
         raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
-    if not (upper.size and lower.size):
+    return lower, upper
+
+
+def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The ends (l, u) of {z : a z <= b} in one coordinate (see _ends),
+    raising as vertex enumeration does when it is empty or unbounded."""
+    lower, upper = _ends(a[:, 0], b)
+    if not (np.isfinite(lower) and np.isfinite(upper)):
         raise UnboundedPolytopeError("interval is unbounded on one side")
-    return float(lower.max()), float(upper.min())
+    return lower, upper
 
 
 def _convex_hull(points: np.ndarray, what: str):
@@ -400,14 +420,34 @@ def _row_masks(a: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
+def _joined(comps: list[int], masks: list[int], every: int) -> list[int]:
+    """comps, disjoint column masks, with each row mask of masks joined in:
+    the row and every component it meets become one.  [every] as soon as one
+    component holds every column, since no later row can split it."""
+    for mask in masks:
+        if mask:
+            rest = []
+            for c in comps:
+                if c & mask:
+                    mask |= c
+                else:
+                    rest.append(c)
+            comps = rest + [mask]
+            if mask == every:
+                return comps
+    return comps
+
+
 def factors(poly: Polytope) -> list[Factor]:
     """poly as a product: one Factor per connected component of the columns,
     two columns being joined when a row has nonzeros in both, in the order of
     their least column.
 
-    A row with every entry nonzero joins all columns, so a polytope with one
-    is a single factor at once.  A single factor holds every row, zero rows
-    included, and its vertices take the route of an unsplit polytope.
+    The equality rows are joined first: they couple the support blocks, and
+    when they join every column, as a row with every entry nonzero does, the
+    polytope is a single factor and its inequality rows are not read.  A
+    single factor holds every row, zero rows included, and its vertices take
+    the route of an unsplit polytope.
     Otherwise a row with no nonzero belongs to no factor and is checked here,
     as the unsplit route checks it: an inequality row 0 <= b holds when
     b >= -DEFAULT_TOL * (1 + max|b_ub|), an equality row 0 = b when
@@ -420,25 +460,16 @@ def factors(poly: Polytope) -> list[Factor]:
     cost more than the whole search.
     """
     n = poly.dim
-    ub, eq = _row_masks(poly.a_ub), _row_masks(poly.a_eq)
     every = (1 << n) - 1
-    if every in ub or every in eq:
-        comps = [every]
-    else:
-        comps = []
-        for mask in ub + eq:
-            if mask:
-                rest = []
-                for c in comps:
-                    if c & mask:
-                        mask |= c
-                    else:
-                        rest.append(c)
-                comps = rest + [mask]
-        touched = sum(comps)  # the components are disjoint
-        comps += [1 << j for j in range(n) if not touched >> j & 1]
+    eq = _row_masks(poly.a_eq)
+    comps = _joined([], eq, every)
+    ub = [] if comps == [every] else _row_masks(poly.a_ub)
+    comps = _joined(comps, ub, every)
+    touched = sum(comps)  # the components are disjoint
+    comps += [1 << j for j in range(n) if not touched >> j & 1]
     if len(comps) == 1:
-        return [Factor(cols=np.arange(n), ub=np.arange(len(ub)), eq=np.arange(len(eq)))]
+        return [Factor(cols=np.arange(n), ub=np.arange(poly.a_ub.shape[0]),
+                       eq=np.arange(len(eq)))]
     zero_ub = [b for m, b in zip(ub, poly.b_ub.tolist()) if not m]
     if zero_ub and min(zero_ub) < -DEFAULT_TOL * (1.0 + float(np.max(np.abs(poly.b_ub)))):
         raise InfeasiblePolytopeError("a zero inequality row has a negative right-hand side")
@@ -450,6 +481,88 @@ def factors(poly: Polytope) -> list[Factor]:
                    ub=np.array([i for i, m in enumerate(ub) if m & c], dtype=np.intp),
                    eq=np.array([i for i, m in enumerate(eq) if m & c], dtype=np.intp))
             for c in comps]
+
+
+def _line(poly: Polytope):
+    """poly as the line v0 + t dv for t in [lower, upper], as
+    (v0, dv, lower, upper), or None when its equalities leave more or less
+    than a line.
+
+    The equalities, dim - 1 of them, leave a line when their cofactors
+    d_p = (-1)^p det(M_p), M_p being their matrix without column p, do not
+    all vanish; d spans their null space (Cramer's rule).  t is the
+    coordinate p of the first largest |d_p|, so dv = d / d_p has dv[p] = 1
+    exactly, and v0[p] = 0 with the other coordinates of v0 solved from M_p.
+    The test is |d_p| > DEFAULT_TOL times the product of the row norms, the
+    largest any |d_p| can be (Hadamard).  Each inequality row is then a bound
+    on t (see _ends), so an empty line raises InfeasiblePolytopeError.  A
+    line through exact data stays exact: with weights (1/2, -1/2),
+    v = (t, t).
+    """
+    k = poly.dim
+    a_eq = poly.a_eq
+    if a_eq.shape[0] != k - 1:
+        return None
+    # row p of minor_cols lists the columns other than p
+    minor_cols = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+    d = np.linalg.det(a_eq[:, minor_cols].transpose(1, 0, 2))
+    d[1::2] *= -1.0
+    p = int(np.abs(d).argmax())
+    if d[p] * d[p] <= DEFAULT_TOL * DEFAULT_TOL * (a_eq * a_eq).sum(axis=1).prod():
+        return None
+    dv = d / d[p]
+    v0 = np.zeros(k)
+    if poly.b_eq.any():
+        v0[minor_cols[p]] = np.linalg.solve(a_eq[:, minor_cols[p]], poly.b_eq)
+    lower, upper = _ends(poly.a_ub @ dv, poly.b_ub - poly.a_ub @ v0)
+    return v0, dv, lower, upper
+
+
+def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
+    """min over v in poly of max over the targets of |v - target|_inf, with a
+    minimizer: the restricted radius of a family of targets (centers.
+    center_set), and for one target the sup-norm distance to poly
+    (lp.distance_to_polytope).
+
+    With lo and hi the least and the largest target values in each
+    coordinate, the objective is max_j max(v_j - lo_j, hi_j - v_j), a max over
+    coordinates, so over a product (see factors) it is the max of the factor
+    values and each factor takes its own minimizer:
+    - a factor that is a line v0 + t dv (see _line; an interval is the line of
+      its one column) is the minimax of the lines dv_j t + v0_j - lo_j and
+      hi_j - v0_j - dv_j t, solved by lp.line_minimax.  Its minimizer is the
+      least t among the minimizers within DEFAULT_TOL, a vertex of the
+      factor's own center set, and its value is read off that point, so the
+      value is that point's sup gap exactly.  The point must lie in the
+      factor within DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR, the
+      bar of center_set's own certificate, or LPNumericalError is raised;
+    - every other factor takes lp.epigraph_lp with the rows [I; -I].  A
+      polytope of one such factor reaches it with the same arrays as a
+      polytope taken whole.
+    Raises InfeasiblePolytopeError when poly is empty.
+    """
+    targets = np.atleast_2d(targets)
+    value, point = -np.inf, np.empty(poly.dim)
+    for part in factors(poly):
+        sub = part.of(poly)
+        part_targets = targets if sub is poly else targets[:, part.cols]
+        line = _line(sub)
+        if line is None:
+            eye = np.eye(sub.dim)
+            part_value, point[part.cols] = lp.epigraph_lp(np.vstack([eye, -eye]), part_targets,
+                                                          sub)
+        else:
+            v0, dv, lower, upper = line
+            lo, hi = part_targets.min(axis=0), part_targets.max(axis=0)
+            t = lp.line_minimax(np.concatenate([dv, -dv]), np.concatenate([v0 - lo, hi - v0]),
+                                lower, upper)
+            v = v0 + t * dv
+            if _violations(sub, v[None])[0] > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
+                raise LPNumericalError("the closed-form minimizer leaves its polytope")
+            point[part.cols] = v
+            part_value = float(np.maximum(v - lo, hi - v).max())
+        value = max(value, part_value)
+    return value, point
 
 
 def _factor_vertices(poly: Polytope) -> np.ndarray:

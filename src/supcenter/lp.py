@@ -23,16 +23,21 @@ variable has the smallest index (Bland, Math. Oper. Res. 1977).  The pivot
 update and the phase-2 objective row are computed in a fixed order, so every
 tableau holds the same bits and every report the same bytes.
 
-The restricted radius, the sup-norm distance to a polytope and the gauge
-distances of the renormed-ball model share one program shape, built in one
-place by epigraph_lp: min t over v in a polytope with g.(v - target) <= t for
-every row g of a fixed matrix and every target.  The targets fold into one
-row per g, g.v - t <= min over targets of g.target, so the program has as
-many epigraph rows as the matrix has, however many targets there are.
+The gauge distances of the renormed-ball model, and the restricted radius
+and the sup-norm distance to a polytope on each factor of their polytope
+that is wider than a line (see constraints.sup_center), share one program
+shape, built in one place by epigraph_lp: min t over v in a polytope with
+g.(v - target) <= t for every row g of a fixed matrix and every target.  The
+targets fold into one row per g, g.v - t <= min over targets of g.target, so
+the program has as many epigraph rows as the matrix has, however many
+targets there are.  On a factor of affine dimension 1 the same program is
+min over t of max_k (a_k t + b_k), the d = 1 case that line_minimax solves
+with no simplex.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -248,18 +253,40 @@ def epigraph_lp(rows, targets, poly: "Polytope") -> tuple[float, np.ndarray]:
     return float(sol.value), sol.x[:n]
 
 
+def line_minimax(slopes, offsets, lower: float, upper: float) -> float:
+    """The least t in [lower, upper] at which max_k (slopes[k] t + offsets[k])
+    is within DEFAULT_TOL of its least value there: the d = 1 case of
+    fixed-dimension LP (Megiddo, J. ACM, 1984).
+
+    slopes and offsets are float arrays.  The max is convex and piecewise
+    linear, so the least t where it is least is a finite end or a crossing of
+    two lines of different slopes; a crossing outside [lower, upper] is
+    clipped onto the end it passes.  The candidates are scored in one
+    broadcast.  An infinite end needs a line that grows toward it.
+    """
+    rise = slopes[:, None] - slopes
+    steeper = rise > 0.0
+    cross = ((offsets - offsets[:, None])[steeper] / rise[steeper]).clip(lower, upper)
+    cands = np.concatenate([[end for end in (lower, upper) if math.isfinite(end)], cross])
+    values = (cands[:, None] * slopes + offsets).max(axis=1)
+    return float(cands[values <= values.min() + DEFAULT_TOL].min())
+
+
 def distance_to_polytope(x, poly: "Polytope") -> tuple[float, np.ndarray]:
-    """Sup-norm distance from x to a polytope, with a nearest point.
+    """Sup-norm distance from x to a polytope, with a nearest point, from
+    constraints.sup_center: in closed form on the factors of poly that are
+    lines, by epigraph_lp on the others.
 
     Zero (and x itself) when x already satisfies the constraints; raises
     InfeasiblePolytopeError when the polytope is empty.
     """
+    from .constraints import sup_center  # constraints imports this module
+
     x = np.asarray(x, dtype=float)
     n = x.size
     if poly.dim != n:
         raise ValueError(f"point dim {n} does not match polytope dim {poly.dim}")
     if poly.contains(x, DEFAULT_TOL):
         return 0.0, x.copy()
-    eye = np.eye(n)
-    dist, v = epigraph_lp(np.vstack([eye, -eye]), x, poly)
+    dist, v = sup_center(x, poly)
     return max(dist, 0.0), v

@@ -14,10 +14,12 @@ off-support coordinate.  The sup-norm distance to a product is the max of the
 factor distances and the vertices of a product are the tuples of factor
 vertices, so the worst distance is the max of the factor worst distances.
 An interval factor has it in closed form.  In every other factor, each
-vertex distance is a sup-norm distance LP against one fixed polytope.  A
-point of that polytope bounds the distance of every vertex, so the search
-keeps the points it has and solves only the vertices whose bound can still
-decide the worst distance or its witness (see _farthest_vertex).
+vertex distance is a sup-norm distance against one fixed polytope
+(lp.distance_to_polytope): in closed form when that polytope is a line, by
+an LP when it is wider.  A point of that polytope bounds the distance of
+every vertex, so the search keeps the points it has and measures only the
+vertices whose bound can still decide the worst distance or its witness (see
+_farthest_vertex).
 """
 
 from __future__ import annotations
@@ -43,15 +45,15 @@ def _farthest_vertex(verts: np.ndarray, target: Polytope,
 
     known is a nonempty list of points of target.  Each bounds the distance of
     every vertex, d(v, target) <= |v - p|_inf, and UB(v) is the least of these
-    bounds, taken for all vertices in one broadcast.  The distance LPs run in
-    decreasing UB order (a stable sort), and each nearest point at a positive
+    bounds, taken for all vertices in one broadcast.  The distances are taken
+    in decreasing UB order (a stable sort), and each nearest point at a positive
     distance joins known, where it bounds every later search against the same
     target.  The search stops at the first vertex whose UB is below the best
     distance solved so far minus 2 * DEFAULT_TOL.  Every vertex left then lies
     more than DEFAULT_TOL below the maximum, with DEFAULT_TOL to spare for the
-    rounding of the LP distances and of the points in known, so none of them
-    can be the maximum or the first vertex within DEFAULT_TOL of it.  Each LP
-    solved is the one a scan of every vertex solves for that vertex, so
+    rounding of the distances and of the points in known, so none of them
+    can be the maximum or the first vertex within DEFAULT_TOL of it.  Each
+    distance taken is the one a scan of every vertex takes for that vertex, so
     (worst, witness) are the scan's, bit for bit.
     """
     bound = np.abs(verts[:, None, :] - np.array(known)[None, :, :]).max(axis=2).min(axis=1)

@@ -3,15 +3,18 @@
 The grid oracle walks an explicit mesh on the constraint set and never calls
 the package's LP; scipy's HiGHS solver provides a second, independent LP
 route.  Between them every radius has two derivations that share no code
-with the implementation under test.  Vertex lists are checked against an
-exhaustive active-set search, which shares no code with the package's
-polar-dual enumeration.  The simplex pivot rule has a scalar reference,
-reference_bland_loop, that the package's vectorized rule must match pivot for
-pivot.  The stability modulus has a bisection reference,
+with the implementation under test.  The package takes the radius and the
+sup-norm distance factor by factor, in closed form on a line; its former
+route, one epigraph LP over the whole polytope, stays as
+reference_center_set and reference_distance_to_polytope.  Vertex lists are
+checked against an exhaustive active-set search, which shares no code with
+the package's polar-dual enumeration.  The simplex pivot rule has a scalar
+reference, reference_bland_loop, that the package's vectorized rule must
+match pivot for pivot.  The stability modulus has a bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
 must land in; it measures each probe with reference_farthest_vertex, one
-distance LP per vertex, which the package's bound-ordered search must match
-bit for bit.  The renormed-ball model's forward gap, which the package
+distance per vertex, which the package's bound-ordered search must match bit
+for bit.  The renormed-ball model's forward gap, which the package
 takes from exact-vertex witnesses, has two LP routes: reference_forward_gap,
 one epigraph LP per near vertex over the whole exact projection, and the
 convex-weights route hull_gauge_distance.  Its closed-form replay crossing
@@ -46,12 +49,12 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from supcenter import lp
-from supcenter.centers import near_center_set
+from supcenter.centers import CenterReport, _slab_polytope, near_center_set
 from supcenter.constraints import _enumerate_reduced, merge_rows
 from supcenter.errors import LPNumericalError
 from supcenter.garkavi import _level_section, _subspace_polytope
 from supcenter.space import as_vector
-from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
+from supcenter.tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   MODULUS_RESOLUTION, PIVOT_EPS, VERTEX_FILTER_TOL)
 
 GRID_STEP = 0.01
@@ -210,6 +213,33 @@ def highs_distance(x, poly):
                   bounds=[(None, None)] * n + [(0, None)], method="highs")
     assert res.status == 0, f"oracle LP failed: {res.message}"
     return float(res.fun)
+
+
+def reference_center_set(problem):
+    """Restricted center set by one epigraph LP over the whole of V, the
+    package's route before the radius took each factor of V on its own."""
+    eye = np.eye(problem.dim)
+    radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
+                                 problem.feasible)
+    poly = _slab_polytope(problem, radius)
+    if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
+        raise LPNumericalError("radius minimizer violates its own center polytope")
+    return CenterReport(radius=radius, representative=rep, center_polytope=poly)
+
+
+def reference_distance_to_polytope(x, poly):
+    """Sup-norm distance from x to a polytope, with a nearest point, by one
+    epigraph LP over the whole polytope, the package's route before the
+    distance took each factor on its own."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if poly.dim != n:
+        raise ValueError(f"point dim {n} does not match polytope dim {poly.dim}")
+    if poly.contains(x, DEFAULT_TOL):
+        return 0.0, x.copy()
+    eye = np.eye(n)
+    dist, v = lp.epigraph_lp(np.vstack([eye, -eye]), x, poly)
+    return max(dist, 0.0), v
 
 
 def highs_support(poly, direction):

@@ -27,11 +27,13 @@ def test_every_traced_name_resolves():
 
 
 def test_recorder_counts_a_center_round():
-    # the counters read lp.solve's program, so a change to its shape shows here
+    # the counters read lp.solve's program, so a change to its shape shows here.
+    # Only a factor wider than a line takes an LP: 08's support block {0, 1, 2}
+    # has dimension 2, and its free coordinate 3 is an interval
     import supcenter as sc
     from supcenter import centers, constraints, stability
 
-    inst = next(i for i in sc.load_corpus("center") if i.name == "01-worked-instance")
+    inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
     problem = inst.problem()
     rec = load_spans().Recorder()
     rec.install()
@@ -44,16 +46,19 @@ def test_recorder_counts_a_center_round():
         rec.uninstall()
     assert centers.center_set is sc.center_set
 
-    feasible, n = problem.feasible, problem.dim
-    # the radius LP: V's rows and one band row per coordinate bound
-    radius_rows = feasible.a_ub.shape[0] + 2 * n + feasible.a_eq.shape[0]
+    block = constraints.factors(problem.feasible)[0]
+    assert block.cols.tolist() == [0, 1, 2]
+    # the radius LP on the block: its rows of V and one band row per
+    # coordinate bound
+    assert rec.summarize("center", 1.0)["lp.solve.calls"] == 1
     assert rec.counts[("center", "lp.solve.pivots")] > 0
-    assert rec.counts[("center", "lp.solve.rows_max")] == radius_rows
-    # the largest program of the modulus is a distance LP to the support
-    # block {0, 1}, the one factor of the center set that is no interval:
-    # the block's rows and two epigraph rows per block coordinate
+    assert rec.counts[("center", "lp.solve.rows_max")] == (
+        block.ub.size + block.eq.size + 2 * block.cols.size)
+    # the largest program of the modulus is a distance LP to the same block
+    # of the center set: the block's rows and two epigraph rows per block
+    # coordinate
     block = constraints.factors(center.center_polytope)[0]
-    assert block.cols.tolist() == [0, 1]
+    assert block.cols.tolist() == [0, 1, 2]
     assert rec.counts[("modulus", "lp.solve.pivots")] > 0
     assert rec.counts[("modulus", "stability.p1_modulus.probes")] > 0
     assert rec.counts[("modulus", "lp.solve.rows_max")] == (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import supcenter as sc
-from supcenter import lp
+from supcenter import centers, lp
 from supcenter.errors import (
     DimensionMismatchError,
     InfeasiblePolytopeError,
@@ -245,12 +245,12 @@ def test_threshold_check_solves_the_free_radius_once(monkeypatch):
         return run
 
     monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
-    monkeypatch.setattr(lp, "epigraph_lp", counted("epigraph_lp", lp.epigraph_lp))
+    monkeypatch.setattr(centers, "sup_center", counted("sup_center", centers.sup_center))
     problem = sc.subspace_problem(inst.family, inst.subspace)
     assert counts["solve"] == 0
     assert problem.feasible.a_ub.shape[0] == 0
     assert sc.check_threshold_equality(inst.subspace, inst.family).passed
-    assert counts["epigraph_lp"] == 2
+    assert counts["sup_center"] == 2
 
 
 def test_center_report_mode_label(worked):

@@ -271,8 +271,9 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
     code, _ = run_json(capsys, ["check-lemmas", "--trials", "5"])
     assert code == OK
     # 218 before vertex enumeration split its polytopes into factors: a free
-    # coordinate is an interval factor, which takes no LP
-    assert solve_counts["solves"] == 166
+    # coordinate is an interval factor, which takes no LP.  166 before the
+    # radius and the distance took a factor that is a line in closed form
+    assert solve_counts["solves"] == 160
 
     family, _, problem = worked
     with pytest.raises(TypeError):

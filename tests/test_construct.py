@@ -338,8 +338,9 @@ class TestSolveCounts:
     def test_finite_reduction(self, worked, solve_counts):
         family, y, _ = worked
         red = finite_reduction(family, y)
-        # one LP, the reduced radius; the full radius is read off in closed form
-        assert solve_counts == {"solves": 1, "other": 1}
+        # no LP: the reduced problem is a line, whose radius is a 1-D minimax,
+        # and the full radius is read off in closed form
+        assert solve_counts["solves"] == 0
         assert red.radius == pytest.approx(0.5, abs=1e-9)
         assert red.regime == MATCHED
 
@@ -360,9 +361,9 @@ class TestSolveCounts:
         # the modulus probes solve only distances and vertex enumerations;
         # the reduced radius comes from the reduction.  The reduced problem
         # holds only the support columns, here one functional's support, so
-        # it is a single factor: one probe, one enumeration, two distances,
-        # of which 07's start inside the relaxed center set and take no LP
-        distance_solves = {"01-worked-instance": 2, "07-gap-zero-alpha": 0}[name]
+        # it is a single factor: one probe, one enumeration, two distances.
+        # The factor is a line, so its distances take no LP, and 07's start
+        # inside the relaxed center set
         inst = next(i for i in sc.load_corpus("center") if i.name == name)
         red = finite_reduction(inst.family, inst.subspace)
         solve_counts.clear()
@@ -370,8 +371,31 @@ class TestSolveCounts:
         assert choice.origin == origin
         assert solve_counts["calls:enumerate"] == 1 and solve_counts["enumerate"] == 0
         assert solve_counts["calls:distance"] == 2
-        assert solve_counts["distance"] == solve_counts["solves"] == distance_solves
-        assert solve_counts["other"] == 0
+        assert solve_counts["solves"] == 0
+
+
+# the support blocks of these instances are wider than a line: their
+# reduction and their support projection each solve one epigraph LP, as they
+# did when every block took one; every other instance takes none
+WIDER_THAN_A_LINE = {"08-three-point-functional", "14-random-d4m3", "15-random-d5m4"}
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_line_blocks_reduce_and_repair_without_an_lp(inst, solve_counts):
+    red = finite_reduction(inst.family, inst.subspace)
+    reduce_solves = solve_counts["solves"]
+    # a near-center g far from the center: the vertex of cent(delta)
+    # farthest from the constructive center
+    choice = admissible_slack(inst.family, inst.subspace, 0.1, reduction=red)
+    problem = sc.ball_problem(inst.family, inst.subspace)
+    verts = sc.near_center_set(problem, choice.value, red.radius).vertices()
+    h = constructive_center(inst.family, inst.subspace, reduction=red)
+    g = verts[np.argmax(np.abs(verts - h).max(axis=1))]
+    solve_counts.clear()
+    repair_near_center(RepairInput(g=g, eps=0.1, delta=choice.value), inst.family, inst.subspace,
+                       reduction=red)
+    expected = 1 if inst.name in WIDER_THAN_A_LINE else 0
+    assert (reduce_solves, solve_counts["solves"]) == (expected, expected)
 
 
 def test_simplex_mode_tags_report(worked):

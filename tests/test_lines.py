@@ -1,0 +1,285 @@
+"""The radius and the sup-norm distance on a factor that is a line, in closed
+form, against the whole-polytope epigraph LP they replaced
+(reference_center_set, reference_distance_to_polytope).
+
+Both routes round, and on a line whose data is far from exact their rounding
+grows with the block's conditioning: on a drawn grid line the two can differ
+by a few times 1e-15 while each is off the exact rational optimum by as much.
+So the routes are held to agree within 1e-15 (1 + |x|) where the data stays
+exact, on the corpus and on drawn lines whose equality weights are signed
+powers of two (every cofactor ratio, bound and grid target then stays a
+dyadic rational with few bits), and within DEFAULT_TOL (1 + |x|), the LP's
+own optimality tolerance, on drawn lines with any grid weights.  The tie rule
+of the closed form, the least t within DEFAULT_TOL of the least value, is
+tested on its own.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import supcenter as sc
+from supcenter import constraints as con
+from supcenter import lp
+from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
+from supcenter.tolerances import CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL
+
+from oracles import reference_center_set, reference_distance_to_polytope
+
+BAR = DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR
+EXACT = 1e-15
+EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8.0)
+POWERS_OF_TWO = st.sampled_from([1.0, 0.5, 0.25, 0.125, -1.0, -0.5, -0.25, -0.125])
+
+
+def agree(closed, reference, scale, tol):
+    """Within tol (1 + |x|), |x| being the largest magnitude among the data
+    (targets and right-hand sides) and the two values."""
+    assert abs(closed - reference) <= tol * (1.0 + max(scale, abs(closed), abs(reference))), (
+        closed, reference)
+
+
+def data_scale(targets, poly):
+    return float(max(np.max(np.abs(targets)), np.max(np.abs(poly.b_ub), initial=0.0),
+                     np.max(np.abs(poly.b_eq), initial=0.0)))
+
+
+def check_center(problem, tol=EXACT):
+    """center_set against the reference LP: the radius, and the
+    representative inside V and inside its own center polytope, where it
+    attains the radius."""
+    ours, ref = sc.center_set(problem), reference_center_set(problem)
+    scale = data_scale(problem.family.values, problem.feasible)
+    agree(ours.radius, ref.radius, scale, tol)
+    assert problem.feasible.violation(ours.representative) <= BAR
+    assert ours.center_polytope.violation(ours.representative) <= BAR
+    agree(sc.farthest_radius(ours.representative, problem.family), ours.radius, scale, EXACT)
+    return ours
+
+
+def check_distance(x, poly, tol=EXACT):
+    """distance_to_polytope against the reference LP: the distance, and the
+    nearest point inside poly at a sup gap equal to the distance."""
+    dist, point = lp.distance_to_polytope(x, poly)
+    ref, _ = reference_distance_to_polytope(x, poly)
+    scale = data_scale(x, poly)
+    agree(dist, ref, scale, tol)
+    assert poly.violation(point) <= BAR
+    agree(float(np.max(np.abs(x - point))), dist, scale, EXACT)
+    return dist, point
+
+
+def box_line(draw, a_eq):
+    """The line a_eq v = a_eq p in the box [-s, s]^k, for a grid point p that
+    lies in the box or, half the time, anywhere in [-2, 2]^k, so that the
+    line may miss the box; None when a_eq leaves no line or splits."""
+    k = a_eq.shape[1]
+    side = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    reach = side if draw(st.booleans()) else 2.0
+    through = np.array(draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k))) / 8.0 * reach
+    eye = np.eye(k)
+    poly = sc.Polytope(a_ub=np.vstack([eye, -eye]), b_ub=np.full(2 * k, side), a_eq=a_eq,
+                       b_eq=a_eq @ through, dim=k)
+    assume(k == 1 or np.linalg.matrix_rank(a_eq) == k - 1)
+    assume(len(con.factors(poly)) == 1)
+    return poly
+
+
+@st.composite
+def grid_lines(draw):
+    """A line of k = 1 to 3 columns whose k - 1 equality rows have any weights
+    on the grid of multiples of 1/8, zeros included."""
+    k = draw(st.sampled_from([2, 3, 1]))
+    rows = st.lists(st.lists(EIGHTHS, min_size=k, max_size=k), min_size=k - 1, max_size=k - 1)
+    return box_line(draw, np.array(draw(rows), dtype=float).reshape(k - 1, k))
+
+
+@st.composite
+def exact_lines(draw):
+    """A line of the package's shapes with weights that are signed powers of
+    two: one functional on two columns, or a chain of two functionals on
+    three columns that share the middle one."""
+    w = [draw(POWERS_OF_TWO) for _ in range(4)]
+    if draw(st.booleans()):
+        a_eq = np.array([[w[0], w[1]]])
+    else:
+        a_eq = np.array([[w[0], w[1], 0.0], [0.0, w[2], w[3]]])
+    return box_line(draw, a_eq)
+
+
+def check_line(poly, data, tol):
+    k = poly.dim
+    values = np.array(data.draw(st.lists(st.lists(EIGHTHS, min_size=k, max_size=k),
+                                         min_size=1, max_size=3)), dtype=float)
+    x = np.array(data.draw(st.lists(EIGHTHS, min_size=k, max_size=k)), dtype=float)
+    problem = sc.CenterProblem(family=sc.FunctionFamily(values), feasible=poly)
+    try:
+        reference_center_set(problem)
+    except InfeasiblePolytopeError:
+        for route in (lambda: sc.center_set(problem), lambda: lp.distance_to_polytope(x, poly)):
+            with pytest.raises(InfeasiblePolytopeError):
+                route()
+        return
+    assert con._line(poly) is not None
+    center = check_center(problem, tol)
+    # on a line the value is read off the point: the representative attains
+    # the radius and the nearest point the distance exactly
+    assert sc.farthest_radius(center.representative, problem.family) == center.radius
+    dist, point = check_distance(x, poly, tol)
+    assert float(np.max(np.abs(x - point))) == dist
+
+
+@settings(max_examples=150)
+@given(poly=exact_lines(), data=st.data())
+def test_exact_lines_match_the_lp_to_rounding(poly, data):
+    check_line(poly, data, EXACT)
+
+
+@settings(max_examples=150)
+@given(poly=grid_lines(), data=st.data())
+def test_grid_lines_match_the_lp_within_its_tolerance(poly, data):
+    check_line(poly, data, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("inst", [i for i in sc.load_corpus("center") if i.subspace.functionals],
+                         ids=lambda inst: inst.name)
+def test_corpus_radius_and_support_projection_match_the_lp(inst):
+    # the kernel-ball problem, its support reduction, and the support
+    # projection of repair from a point outside the reduced center set
+    check_center(inst.problem())
+    reduction = sc.finite_reduction(inst.family, inst.subspace)
+    center = check_center(reduction.problem)
+    target = sc.near_center_set(reduction.problem, 0.0, radius=center.radius)
+    for x in (np.full(reduction.size, 0.9), np.linspace(-1.0, 1.0, reduction.size)):
+        check_distance(x, target)
+
+
+def test_two_line_blocks_of_disjoint_supports():
+    # 03's support reduction is the product of two lines, each solved on its
+    # own; the representative is each block's least minimizer
+    inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
+    reduction = sc.finite_reduction(inst.family, inst.subspace)
+    feasible = reduction.problem.feasible
+    assert [part.cols.tolist() for part in con.factors(feasible)] == [[0, 1], [2, 3]]
+    assert all(con._line(part.of(feasible)) is not None for part in con.factors(feasible))
+    center = check_center(reduction.problem)
+    target = sc.near_center_set(reduction.problem, 0.0, radius=center.radius)
+    dist, point = check_distance(np.array([0.9, -0.9, 0.9, -0.9]), target)
+    assert dist > 0.0
+
+
+@pytest.mark.parametrize("b0", [0.5, 1.5])
+def test_direction_with_a_zero_entry(b0):
+    # v0 + v1 + v2 = b0 and v1 + v2 = 0 fix v0 = b0: the line's direction is
+    # (0, 1, -1), and the box rows on column 0 are zero rows in t, which
+    # hold for b0 = 0.5 and exclude every t for b0 = 1.5
+    eye = np.eye(3)
+    poly = sc.Polytope(a_ub=np.vstack([eye, -eye]), b_ub=np.ones(6),
+                       a_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], b_eq=[b0, 0.0])
+    x = np.array([0.0, 1.0, 1.0])
+    if b0 > 1.0:
+        for route in (lambda: con._line(poly), lambda: lp.distance_to_polytope(x, poly)):
+            with pytest.raises(InfeasiblePolytopeError):
+                route()
+        return
+    v0, dv, lower, upper = con._line(poly)
+    assert dv.tolist() == [0.0, 1.0, -1.0]
+    assert (v0[0], lower, upper) == (0.5, -1.0, 1.0)
+    family = sc.FunctionFamily([[0.0, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    check_center(sc.CenterProblem(family=family, feasible=poly))
+    check_distance(x, poly)
+
+
+def test_line_of_one_point():
+    # v0 + v1 = 2 inside [-1, 1]^2 leaves t_lo = t_hi = 1
+    poly = sc.Polytope(a_ub=np.vstack([np.eye(2), -np.eye(2)]), b_ub=np.ones(4),
+                       a_eq=[[0.5, 0.5]], b_eq=[1.0])
+    _, _, lower, upper = con._line(poly)
+    assert lower == upper == 1.0
+    problem = sc.CenterProblem(family=sc.FunctionFamily([[0.0, 0.0], [0.5, -0.5]]), feasible=poly)
+    center = check_center(problem)
+    assert center.radius == 1.5 and center.representative.tolist() == [1.0, 1.0]
+    dist, point = check_distance(np.array([0.0, 0.0]), poly)
+    assert dist == 1.0 and point.tolist() == [1.0, 1.0]
+
+
+def test_minimax_takes_the_least_minimizer():
+    # max(t, -t, 1) is least, 1, on [-1, 1]: the least t is -1, a crossing of
+    # a flat line with a falling one, where rising meets falling at 0
+    assert lp.line_minimax(np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                           -5.0, 5.0) == -1.0
+    # max(1, 0.5 DEFAULT_TOL - t) is least just right of -1, and the end -1,
+    # within DEFAULT_TOL of that, is the least minimizer
+    assert lp.line_minimax(np.array([0.0, -1.0]), np.array([1.0, 0.5 * DEFAULT_TOL]),
+                           -1.0, 1.0) == -1.0
+    # on [2, 3] the crossing at 0 is outside, so the nearer end is the answer
+    assert lp.line_minimax(np.array([1.0, -1.0]), np.zeros(2), 2.0, 3.0) == 2.0
+    # infinite ends are no candidates; the crossing is
+    assert lp.line_minimax(np.array([1.0, -1.0]), np.array([0.0, 3.0]),
+                           -np.inf, np.inf) == 1.5
+
+
+def test_minimax_of_flat_lines_is_the_lower_end():
+    assert lp.line_minimax(np.zeros(3), np.array([1.0, 3.0, 2.0]), -2.0, 5.0) == -2.0
+    assert lp.line_minimax(np.zeros(1), np.zeros(1), 0.25, 0.25) == 0.25
+
+
+def test_empty_line_raises_as_the_lp_does():
+    # v0 = v1 on the box [-1, 1]^2 with v0 >= 1.5: no t is left
+    poly = sc.Polytope(a_ub=np.vstack([np.eye(2), -np.eye(2), [[-1.0, 0.0]]]),
+                       b_ub=[1.0, 1.0, 1.0, 1.0, -1.5], a_eq=[[0.5, -0.5]], b_eq=[0.0])
+    problem = sc.CenterProblem(family=sc.FunctionFamily([[0.0, 0.0]]), feasible=poly)
+    for route in (lambda: sc.center_set(problem), lambda: reference_center_set(problem),
+                  lambda: lp.distance_to_polytope(np.zeros(2), poly),
+                  lambda: reference_distance_to_polytope(np.zeros(2), poly)):
+        with pytest.raises(InfeasiblePolytopeError):
+            route()
+
+
+def test_wider_block_reaches_the_lp_with_the_same_arrays(monkeypatch):
+    # 08's support block has dimension 2: a polytope of that one factor is
+    # handed to the epigraph LP whole, so its pivots and bits are the
+    # reference route's
+    inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
+    problem = sc.finite_reduction(inst.family, inst.subspace).problem
+    assert con._line(problem.feasible) is None
+    seen = []
+    real = lp.solve
+
+    def solve(prob):
+        sol = real(prob)
+        seen.append((prob.a_ub.tobytes(), prob.b_ub.tobytes(), prob.a_eq.tobytes(),
+                     sol.iterations, sol.x.tobytes()))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", solve)
+    ours, ref = sc.center_set(problem), reference_center_set(problem)
+    assert seen[0] == seen[1]
+    assert ours.radius == ref.radius
+    assert ours.representative.tobytes() == ref.representative.tobytes()
+
+
+def test_closed_form_point_is_certified(monkeypatch):
+    # a minimizer off its polytope is refused, not returned
+    monkeypatch.setattr(lp, "line_minimax", lambda *args: 10.0)
+    poly = sc.Polytope.box(2, 1.0, [[0.5, -0.5]])
+    with pytest.raises(LPNumericalError):
+        lp.distance_to_polytope(np.array([2.0, 2.0]), poly)
+
+
+@pytest.mark.parametrize("rhs, empty", [(-1.0, True), (-1.5 * DEFAULT_TOL, False), (0.0, False)])
+def test_interval_checks_zero_rows(rhs, empty):
+    # a zero row holds when 0 <= rhs within DEFAULT_TOL * (1 + max|b|), here
+    # 2 * DEFAULT_TOL, as in factors, and is never divided by
+    a = np.array([[0.0], [1.0], [-1.0]])
+    b = np.array([rhs, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if empty:
+            with pytest.raises(InfeasiblePolytopeError):
+                con.interval(a, b)
+        else:
+            assert con.interval(a, b) == (-1.0, 1.0)
