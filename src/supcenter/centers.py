@@ -68,13 +68,6 @@ def subspace_problem(family: FunctionFamily, y: Subspace) -> CenterProblem:
     return CenterProblem(family=family, feasible=feasible)
 
 
-def _slab_polytope(problem: CenterProblem, width: float) -> Polytope:
-    """V intersected with {v : r(v, B) <= width}, the band of that width."""
-    lower, upper = band(problem.family, width)
-    eye = np.eye(problem.dim)
-    return problem.feasible.with_rows(np.vstack([eye, -eye]), np.concatenate([upper, -lower]))
-
-
 def center_set(problem: CenterProblem) -> CenterReport:
     """Restricted center set as a polytope, with a minimizer attached.
 
@@ -86,7 +79,7 @@ def center_set(problem: CenterProblem) -> CenterReport:
     the canonical answer, and it must hold the representative.
     """
     radius, rep = sup_center(problem.family.values, problem.feasible)
-    poly = _slab_polytope(problem, radius)
+    poly = near_center_set(problem, 0.0, radius)
     if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
         raise LPNumericalError("radius minimizer violates its own center polytope")
     return CenterReport(radius=radius, representative=rep, center_polytope=poly)
@@ -99,10 +92,14 @@ def restricted_radius(problem: CenterProblem) -> float:
 
 def near_center_set(problem: CenterProblem, delta: float, radius: float) -> Polytope:
     """cent_V(B, delta): all v in V with r(v, B) <= radius + delta, where
-    radius is the solved rad_V(B)."""
+    radius is the solved rad_V(B): the one builder of V cut by a band.
+    center_set builds its center polytope here at delta = 0, so a caller
+    holding the CenterReport reads center_polytope instead."""
     if delta < 0:
         raise ValueError(f"slack must be nonnegative, got {delta}")
-    return _slab_polytope(problem, radius + delta)
+    lower, upper = band(problem.family, radius + delta)
+    eye = np.eye(problem.dim)
+    return problem.feasible.with_rows(np.vstack([eye, -eye]), np.concatenate([upper, -lower]))
 
 
 @dataclass(frozen=True)
@@ -198,21 +195,22 @@ def check_threshold_equality(y: Subspace, family: FunctionFamily,
 
 def perturbation_slack_bound(radius: float, gamma: float, eps: float) -> float:
     """Largest admissible slack min{R, eps*gamma / (6R + 4*gamma)} for the
-    near-center perturbation step."""
+    near-center perturbation step; construct.admissible_slack takes its gap
+    formula from here, with R = alpha and gamma = beta."""
     if radius <= 0 or gamma <= 0 or eps <= 0:
         raise ValueError("radius, gamma and eps must all be positive")
     return min(radius, eps * gamma / (6.0 * radius + 4.0 * gamma))
 
 
 def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope,
-                          gamma: float, delta: float, radius: float,
-                          eps: float | None = None) -> np.ndarray:
+                          gamma: float, delta: float, radius: float, eps: float) -> np.ndarray:
     """Blend a (gamma+delta)-near-center toward a (gamma/2)-near-center.
 
     Returns v~ = (1 - lam) v + lam v' with lam = 2 delta / (2 delta + gamma);
     certifies r(v~, B) <= rad + gamma and that the move stays below
     lam (3 rad + 2 gamma) (< eps whenever delta respects the slack bound).
-    radius is the solved rad = rad_V(B).
+    radius is the solved rad = rad_V(B) and eps the move budget: delta must
+    lie below perturbation_slack_bound(radius, gamma, eps).
     """
     v = as_vector(v, family.dim)
     v_prime = as_vector(v_prime, family.dim)
@@ -220,11 +218,10 @@ def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope
         raise PreconditionError(f"gamma and delta must be positive, got {gamma}, {delta}")
     if delta >= radius:
         raise PreconditionError(f"slack bound violated: delta = {delta} >= rad = {radius}")
-    if eps is not None:
-        bound = perturbation_slack_bound(radius, gamma, eps)
-        if delta >= bound:
-            raise PreconditionError(
-                f"slack bound violated: delta = {delta} >= min(rad, eps*gamma/(6 rad + 4 gamma)) = {bound}")
+    bound = perturbation_slack_bound(radius, gamma, eps)
+    if delta >= bound:
+        raise PreconditionError(
+            f"slack bound violated: delta = {delta} >= min(rad, eps*gamma/(6 rad + 4 gamma)) = {bound}")
     if not feasible.contains(v, DEFAULT_TOL * CERTIFY_SLACK_FACTOR):
         raise PreconditionError("v must lie in the constraint set V")
     if not feasible.contains(v_prime, DEFAULT_TOL * CERTIFY_SLACK_FACTOR):
@@ -249,7 +246,7 @@ def perturb_toward_center(v, v_prime, family: FunctionFamily, feasible: Polytope
     if move > move_bound + DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
         raise LPNumericalError(
             f"perturbation certificate failed: |v - v~| = {move} > {move_bound}")
-    if eps is not None and move >= eps:
+    if move >= eps:
         raise LPNumericalError(f"perturbation moved {move}, expected strictly below {eps}")
     return blended
 

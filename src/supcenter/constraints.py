@@ -20,7 +20,7 @@ minimax, a wider one the epigraph LP.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -87,10 +87,12 @@ class Functional:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Joint kernel of finitely many functionals inside dimension ``dim``."""
+    """Joint kernel of finitely many functionals inside dimension ``dim``.
+    Its dense rows are formed once, read-only; residuals(v) is rows() @ v."""
 
     dim: int
     functionals: tuple[Functional, ...] = ()
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -99,15 +101,15 @@ class Subspace:
         for mu in self.functionals:
             if max(mu.support) >= self.dim:
                 raise IndexError(f"functional support {mu.support} exceeds dimension {self.dim}")
+        rows = np.array([mu.dense(self.dim) for mu in self.functionals]).reshape(-1, self.dim)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
 
     def rows(self) -> np.ndarray:
-        if not self.functionals:
-            return np.zeros((0, self.dim))
-        return np.vstack([mu.dense(self.dim) for mu in self.functionals])
+        return self._rows
 
     def residuals(self, v) -> np.ndarray:
-        v = as_vector(v, self.dim)
-        return np.array([mu(v) for mu in self.functionals])
+        return self._rows @ as_vector(v, self.dim)
 
 
 class Polytope:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp
-from .centers import CenterProblem, CenterReport, center_set, near_center_set
+from .centers import (CenterProblem, CenterReport, center_set, near_center_set,
+                      perturbation_slack_bound)
 from .constraints import Polytope, Subspace
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .space import FunctionFamily, as_vector, band, farthest_radius, sup_norm
@@ -161,10 +162,11 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
     """Slack delta such that any g in cent_{B_Y}(B, delta) repairs within eps.
 
     Matched regime (R == alpha): the stability modulus of the reduced compact
-    problem.  Gap regime (R > alpha): the explicit perturbation bound
-    min{alpha, eps*beta/(6 alpha + 4 beta)} when alpha > 0, otherwise the
-    modulus of the relaxed inclusion, cent(beta + delta) against cent(beta),
-    found by the same secant search (the bound degenerates with alpha).
+    problem.  Gap regime (R > alpha): half the explicit perturbation bound
+    min{alpha, eps*beta/(6 alpha + 4 beta)} (perturbation_slack_bound) when
+    alpha > GAP_FORMULA_FLOOR, otherwise the modulus of the relaxed
+    inclusion, cent(beta + delta) against cent(beta), found by the same
+    secant search (the bound degenerates with alpha).
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
@@ -181,7 +183,7 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
     if regime == MATCHED:
         base_slack, origin = 0.0, "modulus"
     elif alpha > GAP_FORMULA_FLOOR:
-        bound = min(alpha, eps * beta / (6.0 * alpha + 4.0 * beta))
+        bound = perturbation_slack_bound(alpha, beta, eps)
         return SlackChoice(value=min(0.5 * bound, eps), regime=GAP, origin="formula",
                            alpha=alpha, beta=beta, radius=radius)
     else:
@@ -203,7 +205,9 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
     Project the support values of g onto the reduced center set (matched
     regime) or its beta-relaxation (gap regime), re-embed, and clamp inside
     the band [max_f f - R, min_f f + R] intersected with [g - eps, g + eps]
-    and [-1, 1].
+    and [-1, 1].  The reduced center set is the center_polytope the
+    reduction already holds; only the gap regime builds its relaxation
+    (near_center_set).
     """
     g = as_vector(inp.g, family.dim)
     slack = DEFAULT_TOL * CERTIFY_SLACK_FACTOR
@@ -223,8 +227,8 @@ def repair_near_center(inp: RepairInput, family: FunctionFamily, y: Subspace,
 
     g_prime = np.zeros(family.dim)
     if reduction.size:
-        target_slack = 0.0 if reduction.regime == MATCHED else radius - reduction.alpha
-        target = near_center_set(reduction.problem, target_slack, radius=reduction.alpha)
+        target = (reduction.center.center_polytope if reduction.regime == MATCHED else
+                  near_center_set(reduction.problem, radius - reduction.alpha, reduction.alpha))
         slots = list(reduction.slots)
         dist, z = lp.distance_to_polytope(g[slots], target)
         if dist > inp.eps + slack:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .constraints import Functional, Polytope, Subspace, _convex_hull, _feasible, merge_rows
+from .constraints import Functional, Polytope, _convex_hull, _feasible, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import (DEFAULT_THETA, EDGE_INCIDENCE_TOL, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL,
@@ -77,7 +77,6 @@ class GarkaviModel:
     x0: np.ndarray
     y0: np.ndarray
     alpha: float
-    subspace: Subspace
     slab: Polytope           # U
     cube: Polytope           # V = x0 + B_gamma
     small_ball: Polytope     # B_gamma
@@ -123,7 +122,6 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     raw = rng.uniform(0.3, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
     weights = raw / np.sum(np.abs(raw))
     phi = Functional(support=tuple(range(1, n)), weights=tuple(weights))
-    subspace = Subspace(dim=n, functionals=(Functional(support=(0,), weights=(1.0,)),))
 
     x0 = np.zeros(n)
     x0[0] = 1.0
@@ -222,10 +220,10 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
         raise ModelBuildError("origin is not interior to B cap Y", certificate="section-interior")
 
     model = GarkaviModel(n=n, seed=seed, gamma=gamma, theta=theta, phi=phi, x0=x0, y0=y0,
-                         alpha=alpha, subspace=subspace, slab=slab, cube=cube,
-                         small_ball=small_ball, ball_facets=ball_facets,
-                         section_facets=section_facets, section_vertices=slab_verts,
-                         hull_points=hull_points, hull_part=hull_part, vertices=vertices,
+                         alpha=alpha, slab=slab, cube=cube, small_ball=small_ball,
+                         ball_facets=ball_facets, section_facets=section_facets,
+                         section_vertices=slab_verts, hull_points=hull_points,
+                         hull_part=hull_part, vertices=vertices,
                          edges=edges, simplices=simplices,
                          simplex_facets=simplex_facets, split_cone=_split_cone(slab, cube),
                          certificates=certificates,

@@ -163,23 +163,25 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: Cen
 
     The worst distance w(delta) is measured from cent_V(B, base_slack + delta)
     to cent_V(B, base_slack), which for the default base_slack = 0 is the
-    center set itself.  w is continuous, nondecreasing and piecewise linear in
-    delta, since the near-center set is a polytope whose right-hand side is
-    affine in delta.  After a probe at delta_max (accepted outright when it
-    passes) and a degeneracy probe at resolution * delta_max, regula falsi
-    with the Illinois change solves w(delta) = eps + DEFAULT_TOL on that
-    bracket; a secant step between two probes on one linear piece lands on
-    the root.  Each step stays MODULUS_CONFIRM_STEP * delta_max (h) inside
-    the bracket, and the search ends when the failing end is within h of the
-    passing one, so the result is confirmed by a failed probe at most h above
-    it.  After MODULUS_MAX_STEPS steps without that, LPNumericalError is
-    raised.  A zero modulus is reported with the degenerate flag set: in
-    finite dimension the modulus must be positive, so a zero is a diagnostic,
-    not an answer.
+    center set itself, read as center.center_polytope; only a positive
+    base_slack builds its base (near_center_set).  w is continuous,
+    nondecreasing and piecewise linear in delta, since the near-center set is
+    a polytope whose right-hand side is affine in delta.  After a probe at
+    delta_max (accepted outright when it passes) and a degeneracy probe at
+    resolution * delta_max, regula falsi with the Illinois change solves
+    w(delta) = eps + DEFAULT_TOL on that bracket; a secant step between two
+    probes on one linear piece lands on the root.  Each step stays
+    MODULUS_CONFIRM_STEP * delta_max (h) inside the bracket, and the search
+    ends when the failing end is within h of the passing one, so the result
+    is confirmed by a failed probe at most h above it.  After
+    MODULUS_MAX_STEPS steps without that, LPNumericalError is raised.  A zero
+    modulus is reported with the degenerate flag set: in finite dimension the
+    modulus must be positive, so a zero is a diagnostic, not an answer.
     """
     if eps <= 0 or delta_max <= 0:
         raise ValueError("eps and delta_max must be positive")
-    base = near_center_set(problem, base_slack, radius=center.radius)
+    base = (center.center_polytope if base_slack == 0.0
+            else near_center_set(problem, base_slack, radius=center.radius))
     # the representative lies in the center set, so in base for any base_slack;
     # the nearest points the probes find join it, factor by factor
     search = _product_search(base, center.representative)

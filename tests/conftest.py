@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import supcenter as sc
-from supcenter import constraints, lp, stability
+from supcenter import centers, constraints, construct, lp, stability
 
 settings.register_profile(
     "ci",
@@ -65,3 +65,19 @@ def worked():
     y = sc.Subspace(dim=3, functionals=(mu,))
     family = sc.FunctionFamily([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     return family, y, sc.ball_problem(family, y)
+
+
+@pytest.fixture
+def near_center_builds(monkeypatch):
+    """The slack of each near_center_set call that centers, construct or
+    stability makes, in call order."""
+    slacks = []
+    real = centers.near_center_set
+
+    def counted(problem, delta, radius):
+        slacks.append(delta)
+        return real(problem, delta, radius)
+
+    for module in (centers, construct, stability):
+        monkeypatch.setattr(module, "near_center_set", counted)
+    return slacks

@@ -49,7 +49,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from supcenter import lp
-from supcenter.centers import CenterReport, _slab_polytope, near_center_set
+from supcenter.centers import CenterReport, near_center_set
 from supcenter.constraints import _enumerate_reduced, merge_rows
 from supcenter.errors import LPNumericalError
 from supcenter.garkavi import _level_section, _subspace_polytope
@@ -221,7 +221,7 @@ def reference_center_set(problem):
     eye = np.eye(problem.dim)
     radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
                                  problem.feasible)
-    poly = _slab_polytope(problem, radius)
+    poly = near_center_set(problem, 0.0, radius)
     if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
         raise LPNumericalError("radius minimizer violates its own center polytope")
     return CenterReport(radius=radius, representative=rep, center_polytope=poly)

@@ -209,19 +209,26 @@ class TestPerturbation:
         assert np.max(np.abs(blended - v)) < eps
         assert sc.farthest_radius(blended, family) <= radius + gamma + 1e-7
 
+    def test_budget_is_required(self):
+        param = inspect.signature(sc.perturb_toward_center).parameters["eps"]
+        assert param.default is inspect.Parameter.empty
+
     def test_rejects_outside_point(self, worked):
+        # R = 1/2: with eps = 1 the slack bound is 0.3 / 4.2 > delta = 0.01,
+        # so membership in V is the first precondition to fail
         family, _, problem = worked
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="constraint set V"):
             sc.perturb_toward_center([5.0, 5.0, 5.0], [0.5, 0.5, 0.0],
                                      family, problem.feasible, 0.3, 0.01,
-                                     sc.restricted_radius(problem))
+                                     sc.restricted_radius(problem), eps=1.0)
 
     def test_rejects_oversized_slack(self, worked):
+        # delta = 0.9 >= R = 1/2 fails before the eps bound is read
         family, _, problem = worked
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=">= rad = 0.5"):
             sc.perturb_toward_center([0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
                                      family, problem.feasible, 0.3, 0.9,
-                                     sc.restricted_radius(problem))
+                                     sc.restricted_radius(problem), eps=1.0)
 
 
 def test_subspace_problem_is_the_kernel(worked):

@@ -70,6 +70,54 @@ class TestSubspace:
         assert y.rows().shape == (0, 4)
         assert y.residuals(np.ones(4)).size == 0
 
+    def test_rows_are_one_read_only_array(self):
+        for y in (con.Subspace(dim=4), con.Subspace(dim=3, functionals=(
+                con.Functional(support=(0, 1), weights=(0.5, -0.5)),))):
+            rows = y.rows()
+            assert y.rows() is rows and not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[..., 0] = 1.0
+
+
+def assert_residuals_match_the_functionals(y, v):
+    # residuals is the one product rows @ v; each entry is the functional's
+    # own sum, up to the rounding of a few products
+    res = y.residuals(v)
+    expected = np.array([mu(v) for mu in y.functionals])
+    assert res.shape == expected.shape
+    assert np.all(np.abs(res - expected) <= 1e-15 * (1.0 + np.max(np.abs(v))))
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_residuals_match_the_functionals_on_the_corpus(inst, rng):
+    dim = inst.subspace.dim
+    points = [*inst.family.values, *rng.uniform(-1.0, 1.0, (5, dim)),
+              *rng.uniform(-1e3, 1e3, (5, dim))]
+    for v in points:
+        assert_residuals_match_the_functionals(inst.subspace, v)
+
+
+@st.composite
+def subspaces_with_points(draw):
+    """A kernel of up to four functionals of up to four support points each,
+    with a point of magnitude up to 1e6."""
+    dim = draw(st.integers(1, 8))
+    functionals = []
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=min(4, dim),
+                                unique=True))
+        weights = draw(st.lists(st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+                                min_size=len(support), max_size=len(support)))
+        functionals.append(con.Functional(support=tuple(support), weights=tuple(weights),
+                                          normalize=True))
+    v = draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim))
+    return con.Subspace(dim=dim, functionals=tuple(functionals)), np.array(v)
+
+
+@given(case=subspaces_with_points())
+def test_residuals_match_the_functionals_on_random_draws(case):
+    assert_residuals_match_the_functionals(*case)
+
 
 class TestVertexEnumeration:
     def test_unit_box(self):

@@ -266,6 +266,47 @@ class TestAdmissibleSlack:
             admissible_slack(family, y, eps=0.0)
 
 
+@pytest.mark.parametrize("name", ["06-gap-positive-alpha", "17-random-d5m4", "gap_instance"])
+def test_gap_formula_is_half_the_perturbation_bound(name):
+    # the gap formula reads perturbation_slack_bound: the same bits
+    if name == "gap_instance":
+        family, y = gap_instance()
+    else:
+        inst = next(i for i in sc.load_corpus("center") if i.name == name)
+        family, y = inst.family, inst.subspace
+    reduction = finite_reduction(family, y)
+    for eps in (0.05, 0.1, 0.2):
+        choice = admissible_slack(family, y, eps, reduction=reduction)
+        assert choice.origin == "formula"
+        assert choice.value == 0.5 * sc.perturbation_slack_bound(choice.alpha, choice.beta, eps)
+
+
+class TestHeldPolytopes:
+    """The matched-regime repair projects onto the center polytope that the
+    reduction holds; only the gap regime builds a near-center set."""
+
+    def repair_once(self, family, y, eps, rng, near_center_builds):
+        reduction = finite_reduction(family, y)
+        choice = admissible_slack(family, y, eps, reduction=reduction)
+        g = near_center_point(rng, sc.ball_problem(family, y), choice.value, reduction.radius)
+        near_center_builds.clear()
+        repair_near_center(RepairInput(g=g, eps=eps, delta=choice.value), family, y,
+                           reduction=reduction)
+        return reduction
+
+    def test_matched_repair_builds_none(self, worked, rng, near_center_builds):
+        family, y, _ = worked
+        reduction = self.repair_once(family, y, 0.2, rng, near_center_builds)
+        assert reduction.regime == MATCHED
+        assert near_center_builds == []
+
+    def test_gap_repair_builds_its_relaxation(self, rng, near_center_builds):
+        family, y = gap_instance()
+        reduction = self.repair_once(family, y, 0.1, rng, near_center_builds)
+        assert reduction.regime == GAP
+        assert near_center_builds == [reduction.radius - reduction.alpha]
+
+
 class TestRepair:
     def run_repairs(self, family, y, eps, draws, rng):
         problem = sc.ball_problem(family, y)

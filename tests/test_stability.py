@@ -357,6 +357,25 @@ def test_p1_modulus_solves_no_radius_again(solve_counts):
     assert solve_counts["other"] == 0
 
 
+def test_p1_modulus_reads_the_held_center_polytope(worked, near_center_builds):
+    # with zero base slack the base is center.center_polytope: one
+    # near-center set is built per probe and none for the base.  A positive
+    # base slack builds its base once, first
+    inst = next(i for i in sc.load_corpus("center") if i.name == "14-random-d4m3")
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    near_center_builds.clear()
+    report = p1_modulus(problem, 0.1, delta_max=0.1, center=center)
+    assert len(report.probes) > 2
+    assert near_center_builds == [p.delta for p in report.probes]
+
+    _, _, problem = worked
+    center = sc.center_set(problem)
+    near_center_builds.clear()
+    report = p1_modulus(problem, eps=0.05, delta_max=0.3, center=center, base_slack=0.1)
+    assert near_center_builds == [0.1] + [0.1 + p.delta for p in report.probes]
+
+
 def test_p1_modulus_base_slack_against_highs(worked):
     # each probe's worst distance runs from cent(base + delta) to cent(base)
     _, _, problem = worked

@@ -16,8 +16,10 @@ import supcenter
 MODULES = [importlib.import_module(f"supcenter.{info.name}")
            for info in pkgutil.iter_modules(supcenter.__path__)]
 
-# callers pass Polytope.contains four different thresholds, and phase 1 and
-# phase 2 of the simplex run _bland_loop at different ones
+# callers pass Polytope.contains two different thresholds (DEFAULT_TOL in
+# lp.distance_to_polytope, DEFAULT_TOL * CERTIFY_SLACK_FACTOR in
+# perturb_toward_center), and phase 1 and phase 2 of the simplex run
+# _bland_loop at different ones
 TAKES_TOL = {"supcenter.constraints.Polytope.contains", "supcenter.lp._bland_loop"}
 
 
