@@ -40,9 +40,15 @@ product of factor lists must match it in count and within 1e-12, and both
 must match HiGHS's support values (highs_support).  The stability modulus
 takes each probe's worst distance factor by factor, and must match the
 full-space scan reference_farthest_vertex over the reference vertices.
+The report writer, which walks a report once, keeps its former route as
+reference_dump_report: a plain-value copy of the report (reference_jsonable)
+handed to json.dumps, whose text it must match byte for byte.
 """
 
+import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -566,3 +572,37 @@ def reference_section(model):
     rows, margin = _qhull_rows(verts[:, 1:])
     in_y = merge_rows(rows)
     return verts, np.hstack([np.zeros((len(in_y), 1)), in_y]), margin
+
+
+def reference_jsonable(obj):
+    """Recursively convert reports (dataclasses, numpy, containers) to plain
+    JSON-ready python values."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj!r} cannot enter a report")
+        return obj
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return reference_jsonable(obj.item())
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(x) for x in obj.tolist()]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {f.name: reference_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        # surface computed pass/fail properties alongside the stored fields
+        if hasattr(type(obj), "passed") and isinstance(getattr(type(obj), "passed"), property):
+            out["passed"] = bool(obj.passed)
+        return out
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [reference_jsonable(x) for x in seq]
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def reference_dump_report(obj):
+    """Canonical JSON text by json.dumps over a plain-value copy of the
+    report.  A 0-d array cannot enter this route (its .tolist() is a scalar,
+    which the copy tries to iterate)."""
+    return json.dumps(reference_jsonable(obj), sort_keys=True, indent=2) + "\n"
