@@ -2,10 +2,11 @@
 
 Exit codes: 0 all good, 1 a certified check or construction failed, 2 bad
 input (file, schema, precondition, a NaN or infinite number), 3 numerical
-trouble (LP iteration cap, enumeration failure, a failed Qhull or numpy
-linear-algebra call), 4 any other unexpected failure (one ``error:`` line on
-stderr, no traceback).  --json switches any command to canonical JSON on
-stdout; the corpus summary is byte-identical between runs by construction.
+trouble (LP iteration cap, enumeration failure, a failed numpy linear-algebra
+call, a failed Qhull call in the renormed-ball build), 4 any other failure
+(one ``error:`` line on stderr, no traceback).  --json switches any command
+to canonical JSON on stdout; the corpus summary is byte-identical between
+runs by construction.
 """
 
 from __future__ import annotations

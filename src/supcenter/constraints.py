@@ -11,8 +11,8 @@ polytope is the coupled support block times one interval per off-support
 coordinate.  The vertices of a product are the tuples of factor vertices
 (Ziegler, Lectures on Polytopes, 1995), so enumerate_vertices enumerates each
 factor once and takes the product.  A factor's vertices are enumerated on the
-affine hull of its equalities: as the facets of the polar dual's convex hull
-(Qhull) from dimension 2 up, as the two ends of an interval in dimension 1.
+affine hull of its equalities: by double description from dimension 2 up
+(_double_description), as the two ends of an interval in dimension 1.
 The restricted radius and the sup-norm distance, maxima over coordinates,
 split the same way (sup_center): a factor that is a line takes a 1-D
 minimax, a wider one the epigraph LP.
@@ -33,8 +33,7 @@ from .errors import (
 )
 from .space import as_vector
 from .tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
-                         EQ_CONSISTENT_TOL, INSCRIBED_TOL, NULL_ROW_TOL, POLAR_ORIGIN_TOL,
-                         TIGHT_ROW_TOL, VERTEX_FILTER_TOL)
+                         EQ_CONSISTENT_TOL, NULL_ROW_TOL, RAY_ZERO_TOL, VERTEX_FILTER_TOL)
 
 
 @dataclass(frozen=True)
@@ -202,13 +201,6 @@ def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int):
     return v0, basis
 
 
-def _rank(a: np.ndarray) -> int:
-    try:
-        return int(np.linalg.matrix_rank(a))
-    except np.linalg.LinAlgError as exc:
-        raise EnumerationError(f"rank of the inequality rows: {exc}") from exc
-
-
 def _ends(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """The ends (l, u) of {z : a z <= b} for a column a, infinite on a side
     no row bounds.  A row with a = 0 holds when 0 <= b within DEFAULT_TOL *
@@ -238,71 +230,66 @@ def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return lower, upper
 
 
-def _convex_hull(points: np.ndarray, what: str):
-    """scipy's ConvexHull (Qhull) of points; a Qhull failure raises
-    EnumerationError with what and the first line of Qhull's report."""
-    from scipy.spatial import ConvexHull, QhullError
-
+def _double_description(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertices of the bounded {z : a z <= b} in d >= 2 columns by double
+    description (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and
+    Prodon, 1996).  Of the rows with bitwise equal a only the least b is
+    kept; the polytope is the t = 1 slice of the cone {(t, z) : b t - a z >= 0,
+    t >= 0}, whose rows are scaled to unit norm.  The first d + 1 independent
+    rows bound a simplicial cone whose rays are the columns of their inverse;
+    each other row cuts it in turn: the rays on its positive side or on it
+    stay, and each adjacent pair of a positive and a negative ray adds the
+    ray where their segment crosses it.  Two rays are adjacent when no third ray is
+    tight on every row both are (one product of the tight-row incidence).
+    RAY_ZERO_TOL is the one zero test.  The vertices are z / t over the rays
+    with t > 0; none raises InfeasiblePolytopeError, a ray at t = 0 or rows of
+    rank below d UnboundedPolytopeError (unless one LP finds them empty)."""
+    d, least = a.shape[1], {}
+    for k, (key, rhs) in enumerate(zip(map(bytes, a), b.tolist())):
+        least[key] = min(least.get(key, (rhs, k)), (rhs, k))
+    keep = [k for _, k in least.values()]
+    h = np.hstack([b[keep, None], -a[keep]])
+    h = np.vstack([h / np.sqrt(np.square(h).sum(axis=1))[:, None], np.eye(1, d + 1)])
+    picked, span = [], np.zeros((d + 1, d + 1))
+    for i, row in enumerate(h):
+        rest = row - (span @ row) @ span
+        size = float(np.sqrt(rest @ rest))
+        if size > RAY_ZERO_TOL:
+            span[len(picked)] = rest / size
+            picked.append(i)
+            if len(picked) > d:
+                break
+    else:  # the rows leave a line free
+        feasibility = lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b)
+        if a.shape[0] and lp.solve(feasibility).status == lp.INFEASIBLE:
+            raise InfeasiblePolytopeError("polytope is empty")
+        raise UnboundedPolytopeError("inequality rows do not span the free dimensions")
     try:
-        return ConvexHull(points)
-    except QhullError as exc:
-        raise EnumerationError(f"convex hull of {what}: {str(exc).splitlines()[0]}") from exc
-
-
-def _polar_dual_enum(a: np.ndarray, b: np.ndarray, d: int, depth: int) -> np.ndarray:
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    # inscribed sup-ball LP locates a deep interior point
-    l1 = np.abs(a).sum(axis=1)
-    c = np.zeros(d + 1)
-    c[d] = -1.0
-    a_ext = np.hstack([a, l1[:, None]])
-    sol = lp.solve(lp.LinearProgram(c=c, a_ub=a_ext, b_ub=b))
-    if sol.status == lp.UNBOUNDED:
-        raise UnboundedPolytopeError("polytope holds sup-balls of every radius")
-    if sol.status != lp.OPTIMAL:
-        raise EnumerationError(f"interior-point LP ended with status {sol.status}")
-    rho = -sol.value
-    z0 = sol.x[:d]
-    if rho < -INSCRIBED_TOL * scale:
-        raise InfeasiblePolytopeError("polytope is empty: its inscribed radius is negative")
-    if rho <= INSCRIBED_TOL * scale:
-        # possibly flat: promote implicitly tight rows to equalities and recurse
-        # (each promotion drops the affine dimension, so d bounds the depth)
-        if depth > d:
-            raise EnumerationError("implicit-equality recursion did not terminate")
-        tight = []
-        # equal rows pose the same LP: V's own box rows repeat the band's
-        # +-e_i rows of a center or near-center set
-        solved: dict[bytes, lp.LPSolution] = {}
-        for i in range(a.shape[0]):
-            key = a[i].tobytes()
-            if key not in solved:
-                solved[key] = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b))
-            s = solved[key]
-            if s.status == lp.INFEASIBLE:
-                raise InfeasiblePolytopeError("polytope is empty")
-            if s.status == lp.UNBOUNDED:  # a_i.z has no lower bound: not tight
-                continue
-            if s.status != lp.OPTIMAL:
-                raise EnumerationError(f"tightness LP ended with status {s.status}")
-            if b[i] - s.value <= TIGHT_ROW_TOL * scale:  # even min a_i.z == b_i: tight everywhere
-                tight.append(i)
-        if tight:
-            mask = np.ones(a.shape[0], dtype=bool)
-            mask[tight] = False
-            sub = Polytope(a_ub=a[mask], b_ub=b[mask], a_eq=a[tight], b_eq=b[tight], dim=d)
-            return _enumerate_reduced(sub, depth + 1)
-        if rho <= 0.0:
-            raise EnumerationError("flat polytope without implicit equalities")
-        # thin but full-dimensional: no row is tight, so the hull route applies
-
-    shifted_b = b - a @ z0
-    polar_pts = a / shifted_b[:, None]
-    eqs = _convex_hull(polar_pts, "the polar dual").equations  # [normal | offset].p <= 0
-    reach = float(np.max(np.abs(polar_pts)))
-    if np.any(-eqs[:, d] <= POLAR_ORIGIN_TOL * reach):
-        raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
-    return z0 + eqs[:, :d] / -eqs[:, d:]
+        rays = np.linalg.inv(h[picked]).T  # ray j is tight on every picked row but row j
+    except np.linalg.LinAlgError as exc:
+        raise EnumerationError(f"initial cone of the double description: {exc}") from exc
+    rays /= np.sqrt(np.square(rays).sum(axis=1))[:, None]
+    tight = np.zeros((d + 1, len(h)))  # 1.0 where a ray is tight on a row cut so far
+    tight[:, picked] = 1.0 - np.eye(d + 1)
+    for i in sorted(set(range(len(h))) - set(picked)):
+        s = rays @ h[i]
+        stay = s >= -RAY_ZERO_TOL
+        tight[:, i] = np.abs(s) <= RAY_ZERO_TOL
+        if stay.all():
+            continue
+        p, q = np.nonzero((s > RAY_ZERO_TOL)[:, None] & ~stay)
+        common = tight[p] * tight[q]
+        adjacent = (common @ tight.T == common.sum(axis=1)[:, None]).sum(axis=1) == 2
+        p, q, common = p[adjacent], q[adjacent], common[adjacent]
+        new = s[p, None] * rays[q] - s[q, None] * rays[p]
+        rays = np.vstack([rays[stay], new / np.sqrt(np.square(new).sum(axis=1))[:, None]])
+        common[:, i] = 1.0
+        tight = np.vstack([tight[stay], common])
+    if not np.any(rays[:, 0] > RAY_ZERO_TOL):
+        raise InfeasiblePolytopeError("polytope is empty: no ray of its cone has t > 0")
+    if np.any(rays[:, 0] <= RAY_ZERO_TOL):
+        raise UnboundedPolytopeError("a ray of the cone at t = 0: unbounded direction")
+    return rays[:, 1:] / rays[:, :1]
 
 
 def _violations(poly: Polytope, points: np.ndarray) -> np.ndarray:
@@ -323,10 +310,9 @@ def _feasible(poly: Polytope, raw: np.ndarray) -> np.ndarray:
     return _violations(poly, raw) <= bar
 
 
-def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
+def _enumerate_reduced(poly: Polytope) -> np.ndarray:
     """Vertices of a polytope whose equalities may still need reduction."""
-    d0 = poly.dim
-    v0, basis = _affine_hull(poly.a_eq, poly.b_eq, d0)
+    v0, basis = _affine_hull(poly.a_eq, poly.b_eq, poly.dim)
     d = basis.shape[1]
     if d == 0:
         if _violations(poly, v0[None])[0] <= DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
@@ -336,20 +322,10 @@ def _enumerate_reduced(poly: Polytope, depth: int) -> np.ndarray:
     b = poly.b_ub - poly.a_ub @ v0
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     live = np.linalg.norm(a, axis=1) > NULL_ROW_TOL
-    dead = ~live
-    if np.any(b[dead] < -DEFAULT_TOL * scale):
+    if np.any(b[~live] < -DEFAULT_TOL * scale):
         raise InfeasiblePolytopeError("a constraint excludes the whole affine hull")
     a, b = a[live], b[live]
-    if d == 1:
-        pts = np.array(interval(a, b))[:, None]
-    elif _rank(a) < d:
-        # the rows leave a line free: unbounded, unless the system is empty
-        feasibility = lp.LinearProgram(c=np.zeros(d), a_ub=a, b_ub=b)
-        if a.shape[0] and lp.solve(feasibility).status == lp.INFEASIBLE:
-            raise InfeasiblePolytopeError("polytope is empty")
-        raise UnboundedPolytopeError("inequality rows do not span the free dimensions")
-    else:
-        pts = _polar_dual_enum(a, b, d, depth)
+    pts = np.array(interval(a, b))[:, None] if d == 1 else _double_description(a, b)
     return v0 + pts @ basis.T
 
 
@@ -571,7 +547,7 @@ def _factor_vertices(poly: Polytope) -> np.ndarray:
     """Vertices of a polytope taken whole: the candidates of _enumerate_reduced
     that pass the feasibility filter (_feasible), merged by merge_rows.  The
     kept rows are the raw candidates themselves."""
-    raw = _enumerate_reduced(poly, depth=0)
+    raw = _enumerate_reduced(poly)
     keep = raw[_feasible(poly, raw)]
     if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .constraints import Functional, Polytope, _convex_hull, _feasible, merge_rows
+from .constraints import Functional, Polytope, _feasible, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import (DEFAULT_THETA, EDGE_INCIDENCE_TOL, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL,
@@ -108,9 +108,10 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     (gauge_decomposition), and every hull point sits at an x0-level
     |z_0| <= 1, so that with gauge(x0) = 1 the distance to Y is |x_0|
     (subspace_gauge_distance).  _edges reads B's facets and edges off its
-    hull; a vertex with fewer than n edges fails the build (certificate
-    "edges"), and a vertex of the level-0 section of the edges outside U
-    raises EnumerationError.  Neither check adds a key to certificates.
+    hull and _certify_facets checks the facets (certificate "facets"); a
+    vertex with fewer than n edges fails the build (certificate "edges"), and
+    a vertex of the level-0 section of the edges outside U raises
+    EnumerationError.  None of these checks adds a key to certificates.
     """
     if n < 3:
         raise ValueError(f"the model needs dimension >= 3, got {n}")
@@ -198,6 +199,7 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     # missing one
     vertices = np.unique(simplices)
     edges, ball_facets = _edges(hull_points, vertices, simplex_facets)
+    _certify_facets(hull_points, ball_facets)
     degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))[vertices]))
     if degree < n:
         raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
@@ -244,8 +246,15 @@ def _hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Qhull's triangulation of conv(points): one row a per simplex, with
     a.z <= 1 on the hull and a.z = 1 on the simplex, the simplices as rows of
     point indices, and the origin's interior margin (least facet offset); at
-    most HULL_MARGIN_FLOOR raises ModelBuildError."""
-    hull = _convex_hull(points, "the renormed ball")
+    most HULL_MARGIN_FLOOR raises ModelBuildError, and a Qhull failure
+    EnumerationError with the first line of Qhull's report."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(points)
+    except QhullError as exc:
+        raise EnumerationError("convex hull of the renormed ball: "
+                               + str(exc).splitlines()[0]) from exc
     offsets = -hull.equations[:, -1]
     margin = float(np.min(offsets))
     if margin <= HULL_MARGIN_FLOOR:
@@ -279,6 +288,22 @@ def _edges(points: np.ndarray, vertices: np.ndarray,
     common = incidence[i] & incidence[j]
     edge = np.linalg.matrix_rank(rows * common[:, :, None]) == n - 1
     return np.stack([vertices[i[edge]], vertices[j[edge]]], axis=1), merge_rows(rows)
+
+
+def _certify_facets(points: np.ndarray, facets: np.ndarray) -> None:
+    """B's facet rows a.z <= 1 against its hull points, within
+    EDGE_INCIDENCE_TOL * |a|_1 as in _edges: no point past a row, and each row
+    tight on n affinely independent points, which on a.z = 1 (off the origin)
+    is rank n.  A miss raises ModelBuildError (certificate "facets")."""
+    gap = points @ facets.T - 1.0
+    bar = EDGE_INCIDENCE_TOL * np.abs(facets).sum(axis=1)
+    if np.any(gap > bar):
+        raise ModelBuildError(f"a hull point lies past a facet row of B by {gap.max()!r}",
+                              certificate="facets")
+    rank = np.linalg.matrix_rank(points * (np.abs(gap) <= bar).T[:, :, None])
+    if np.any(rank < points.shape[1]):
+        raise ModelBuildError(f"a facet row of B is tight on hull points of rank {rank.min()}, "
+                              f"fewer than n = {points.shape[1]}", certificate="facets")
 
 
 def _level_section(points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,

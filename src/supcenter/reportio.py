@@ -26,7 +26,8 @@ read as plain JSON values, followed by a newline:
 
 A NaN or an infinity anywhere in a report raises ``ValueError``: a non-finite
 value inside a report is always a bug upstream.  A value of any other type
-raises ``TypeError``.
+raises ``TypeError``, a numpy long double wider than a double among them
+(its ``.item()`` is a long double again).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _write(obj, out: list, nl: str) -> None:
         if not math.isfinite(obj):
             _refuse(obj)
         out.append(float.__repr__(obj))
-    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+    elif isinstance(obj, (np.floating, np.integer, np.bool_)) and obj.itemsize <= 8:
         _write(obj.item(), out, nl)
     elif isinstance(obj, np.ndarray):
         _write_array(obj, out, nl)

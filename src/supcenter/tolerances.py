@@ -45,17 +45,14 @@ CERTIFY_FLOOR = 1e-7
 CERTIFY_SLACK_FACTOR = 100.0
 
 # Vertex enumeration, relative to the rhs scale 1 + max|b| of the system: the
-# equalities' least-squares solution may miss them by EQ_CONSISTENT_TOL; an
-# inscribed sup-ball radius below -INSCRIBED_TOL is empty, within it of zero
-# possibly flat; a row whose minimum is within TIGHT_ROW_TOL of its rhs is tight.
+# equalities' least-squares solution may miss them by EQ_CONSISTENT_TOL.
 EQ_CONSISTENT_TOL = 1e-7
-INSCRIBED_TOL = 1e-7
-TIGHT_ROW_TOL = 1e-8
 # Absolute: a row restricted to the equalities' hull is zero below this norm.
 NULL_ROW_TOL = 1e-12
-# Relative to the largest coordinate of a polar-dual point: a polar facet
-# whose offset is within this of zero passes through the origin (unbounded).
-POLAR_ORIGIN_TOL = 1e-9
+# Absolute, the one zero test of the double description on its unit-norm
+# rows and rays: a ray is tight on a row when their product is within it, a
+# vertex when its t exceeds it, and a row adds rank when its residual does.
+RAY_ZERO_TOL = 1e-10
 # Relative to 1 + max|vertex|: a vertex candidate may violate its polytope by
 # this, and always by DEFAULT_TOL * CERTIFY_SLACK_FACTOR.
 VERTEX_FILTER_TOL = 1e-7

@@ -8,7 +8,7 @@ sup-norm distance factor by factor, in closed form on a line; its former
 route, one epigraph LP over the whole polytope, stays as
 reference_center_set and reference_distance_to_polytope.  Vertex lists are
 checked against an exhaustive active-set search, which shares no code with
-the package's polar-dual enumeration.  The simplex pivot rule has a scalar
+the package's double description.  The simplex pivot rule has a scalar
 reference, reference_bland_loop, that the package's vectorized rule must
 match pivot for pivot.  The stability modulus has a bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
@@ -32,12 +32,14 @@ B cap Y, which the package takes from the slab, keep their former routes as
 references: reference_ball_facets merges Qhull's per-simplex rows, and
 reference_section merges the Qhull facets of the level-0 section.  Vertex
 enumeration has a reference that takes each polytope whole, with no split
-into factors: reference_enumerate_vertices, whose filter scores one candidate
-at a time by reference_violation and whose merge is reference_merge_rows, the
-greedy scan over every kept row.  On a polytope of one factor the package's
-whole-array route must match it bit for bit; on a product, the package's
-product of factor lists must match it in count and within 1e-12, and both
-must match HiGHS's support values (highs_support).  The stability modulus
+into factors: reference_enumerate_vertices, whose candidates come from the
+package's former route, an interior-point LP and Qhull's hull of the polar
+dual (_polar_dual_candidates), whose filter scores one candidate at a time by
+reference_violation and whose merge is reference_merge_rows, the greedy scan
+over every kept row.  Handed the package's own candidates of a polytope of
+one factor, it must match the package's whole-array filter and merge bit for
+bit; with its own, the package's lists must match it in count and within
+1e-12, and both must match HiGHS's support values (highs_support).  The stability modulus
 takes each probe's worst distance factor by factor, and must match the
 full-space scan reference_farthest_vertex over the reference vertices.
 The report writer, which walks a report once, keeps its former route as
@@ -56,12 +58,14 @@ from scipy.spatial import ConvexHull
 
 from supcenter import lp
 from supcenter.centers import CenterReport, near_center_set
-from supcenter.constraints import _enumerate_reduced, merge_rows
-from supcenter.errors import LPNumericalError
+from supcenter.constraints import merge_rows
+from supcenter.errors import (InfeasiblePolytopeError, LPNumericalError,
+                             UnboundedPolytopeError)
 from supcenter.garkavi import _level_section, _subspace_polytope
 from supcenter.space import as_vector
 from supcenter.tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
-                                  MODULUS_RESOLUTION, PIVOT_EPS, VERTEX_FILTER_TOL)
+                                  EQ_CONSISTENT_TOL, MODULUS_RESOLUTION, NULL_ROW_TOL, PIVOT_EPS,
+                                  VERTEX_FILTER_TOL)
 
 GRID_STEP = 0.01
 # mesh covering radius (half-diagonal, d <= 3) plus the boundary shrink;
@@ -332,11 +336,95 @@ def reference_violation(poly, v):
     return worst
 
 
-def reference_enumerate_vertices(poly):
+# thresholds of the polar-dual route, relative to the rhs scale 1 + max|b|:
+# an inscribed sup-ball radius below -INSCRIBED_TOL is empty, within it of
+# zero possibly flat, and a row whose minimum is within TIGHT_ROW_TOL of its
+# rhs is tight; relative to the largest polar point, a polar facet whose
+# offset is within POLAR_ORIGIN_TOL of zero passes through the origin
+INSCRIBED_TOL = 1e-7
+TIGHT_ROW_TOL = 1e-8
+POLAR_ORIGIN_TOL = 1e-9
+
+
+def _polar_dual_candidates(a_ub, b_ub, a_eq, b_eq, depth=0):
+    """Vertex candidates of {v : a_ub v <= b_ub, a_eq v = b_eq}, the
+    package's route before the double description: on the affine hull of the
+    equalities, the two ends of an interval in dimension 1, and from
+    dimension 2 up an inscribed sup-ball LP for an interior point and Qhull's
+    hull of the polar points a_i / (b_i - a_i z0), whose facets are the
+    vertices.  A polytope whose inscribed radius is near zero has its rows
+    that stay tight (one LP each) promoted to equalities, and is enumerated
+    again; with none tight it is only thin and takes the hull."""
+    dim = a_ub.shape[1]
+    if a_eq.shape[0]:
+        v0 = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+        if np.max(np.abs(a_eq @ v0 - b_eq)) > EQ_CONSISTENT_TOL * (1.0 + np.max(np.abs(b_eq))):
+            raise InfeasiblePolytopeError("equality system is inconsistent")
+        _, sv, vh = np.linalg.svd(a_eq)
+        basis = vh[int(np.sum(sv > DEFAULT_TOL * sv[0])):].T
+    else:
+        v0, basis = np.zeros(dim), np.eye(dim)
+    d = basis.shape[1]
+    if d == 0:
+        return v0[None]
+    a, b = a_ub @ basis, b_ub - a_ub @ v0
+    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    live = np.linalg.norm(a, axis=1) > NULL_ROW_TOL
+    if np.any(b[~live] < -DEFAULT_TOL * scale):
+        raise InfeasiblePolytopeError("a constraint excludes the whole affine hull")
+    a, b = a[live], b[live]
+    if d == 1:
+        col = a[:, 0]
+        upper = min((bi / ai for ai, bi in zip(col, b) if ai > 0), default=np.inf)
+        lower = max((bi / ai for ai, bi in zip(col, b) if ai < 0), default=-np.inf)
+        if lower - upper > DEFAULT_TOL * scale:
+            raise InfeasiblePolytopeError("interval bounds cross")
+        if not (np.isfinite(lower) and np.isfinite(upper)):
+            raise UnboundedPolytopeError("interval is unbounded on one side")
+        return v0 + np.array([[lower], [upper]]) @ basis.T
+    if np.linalg.matrix_rank(a) < d:
+        if a.shape[0] and lp.solve(lp.LinearProgram(c=np.zeros(d), a_ub=a,
+                                                    b_ub=b)).status == lp.INFEASIBLE:
+            raise InfeasiblePolytopeError("polytope is empty")
+        raise UnboundedPolytopeError("inequality rows do not span the free dimensions")
+    c = np.zeros(d + 1)
+    c[d] = -1.0
+    sol = lp.solve(lp.LinearProgram(c=c, a_ub=np.hstack([a, np.abs(a).sum(axis=1)[:, None]]),
+                                    b_ub=b))
+    if sol.status == lp.UNBOUNDED:
+        raise UnboundedPolytopeError("polytope holds sup-balls of every radius")
+    assert sol.status == lp.OPTIMAL, f"interior-point LP ended with status {sol.status}"
+    rho, z0 = -sol.value, sol.x[:d]
+    if rho < -INSCRIBED_TOL * scale:
+        raise InfeasiblePolytopeError("polytope is empty: its inscribed radius is negative")
+    if rho <= INSCRIBED_TOL * scale:
+        tight = []
+        for i in range(a.shape[0]):
+            s = lp.solve(lp.LinearProgram(c=a[i], a_ub=a, b_ub=b))
+            if s.status == lp.INFEASIBLE:
+                raise InfeasiblePolytopeError("polytope is empty")
+            if s.status == lp.OPTIMAL and b[i] - s.value <= TIGHT_ROW_TOL * scale:
+                tight.append(i)
+        if tight:
+            assert depth <= d, "implicit-equality recursion did not terminate"
+            loose = np.setdiff1d(np.arange(a.shape[0]), tight)
+            pts = _polar_dual_candidates(a[loose], b[loose], a[tight], b[tight], depth + 1)
+            return v0 + pts @ basis.T
+        assert rho > 0.0, "flat polytope without implicit equalities"
+    polar = a / (b - a @ z0)[:, None]
+    eqs = ConvexHull(polar).equations  # [normal | offset].p <= 0
+    if np.any(-eqs[:, d] <= POLAR_ORIGIN_TOL * float(np.max(np.abs(polar)))):
+        raise UnboundedPolytopeError("polar facet through the origin: unbounded direction")
+    return v0 + (z0 + eqs[:, :d] / -eqs[:, d:]) @ basis.T
+
+
+def reference_enumerate_vertices(poly, raw=None):
     """Vertices of poly taken whole, with no split into factors: the
-    candidates of the unsplit route, filtered one at a time through
+    candidates raw, by default those of the polar-dual route
+    (_polar_dual_candidates), filtered one at a time through
     reference_violation and merged by reference_merge_rows."""
-    raw = _enumerate_reduced(poly, depth=0)
+    if raw is None:
+        raw = _polar_dual_candidates(poly.a_ub, poly.b_ub, poly.a_eq, poly.b_eq)
     scale = 1.0 + float(np.max(np.abs(raw)))
     bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
     return reference_merge_rows(np.array([v for v in raw if reference_violation(poly, v) <= bar]))

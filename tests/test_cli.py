@@ -1,10 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
-
-from scipy.spatial import QhullError
 
 from supcenter import cli, garkavi, sampling
 from supcenter.constraints import Polytope
@@ -272,8 +274,10 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
     assert code == OK
     # 218 before vertex enumeration split its polytopes into factors: a free
     # coordinate is an interval factor, which takes no LP.  166 before the
-    # radius and the distance took a factor that is a line in closed form
-    assert solve_counts["solves"] == 160
+    # radius and the distance took a factor that is a line in closed form,
+    # 160 before vertex enumeration took no LP (double description)
+    assert solve_counts["solves"] == 24
+    assert solve_counts["enumerate"] == 0
 
     family, _, problem = worked
     with pytest.raises(TypeError):
@@ -284,17 +288,15 @@ def test_check_lemmas_reuses_solved_radii(solve_counts, worked, capsys):
 
 
 @pytest.mark.parametrize("target, error", [
-    ("scipy.spatial.ConvexHull", QhullError("QH6154 simulated initial simplex is flat")),
-    ("scipy.spatial.ConvexHull", QhullError("QH6154 simulated initial simplex is flat\n\n"
-                                            "While executing: | qhull i Qt")),
     ("numpy.linalg.lstsq", np.linalg.LinAlgError("SVD did not converge")),
-    ("numpy.linalg.matrix_rank", np.linalg.LinAlgError("SVD did not converge")),
-], ids=["qhull", "qhull-report", "lstsq", "matrix-rank"])
+    ("numpy.linalg.inv", np.linalg.LinAlgError("Singular matrix")),
+], ids=["lstsq", "inv"])
 def test_enumeration_library_failure_is_numerical(capsys, monkeypatch, target, error):
-    # a failed Qhull or numpy call inside vertex enumeration is numerical
-    # trouble (3), not bad input (2) or an escaping traceback (1).  The
-    # supports of 14-random-d4m3 chain all four coordinates, so its
-    # near-center set is one factor of affine dimension 2: the hull route
+    # a failed numpy call inside vertex enumeration, the affine hull's
+    # least squares or the inverse that starts the double description, is
+    # numerical trouble (3), not bad input (2) or an escaping traceback (1).
+    # The supports of 14-random-d4m3 chain all four coordinates, so its
+    # near-center set is one factor of affine dimension 2, which takes both
     path = str(files("supcenter") / "corpus" / "14-random-d4m3.json")
 
     def fail(*args, **kwargs):
@@ -330,3 +332,39 @@ def test_unexpected_exception_has_its_own_exit_code(worked_file, capsys, monkeyp
     monkeypatch.setattr(cli, "restricted_radius", fail)
     assert main(["radius", worked_file]) == INTERNAL
     assert capsys.readouterr().err == "error: internal failure: KeyError: 'simulated fault'\n"
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from importlib.resources import files
+from supcenter import cli
+from supcenter.instances import CenterInstance, corpus_names, load_instance
+runs = []
+for name in corpus_names():
+    path = str(files("supcenter") / "corpus" / name)
+    if not isinstance(load_instance(path), CenterInstance):
+        continue
+    for argv in (["center", path], ["near-center", path, "--delta", "0.1"],
+                 ["p1-modulus", path, "--eps", "0.05"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--json"])
+        runs.append([name, argv[0], code, "scipy" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_center_type_commands_do_not_import_scipy():
+    # vertex enumeration is the package's own double description, so no
+    # center-type command loads scipy, whatever the affine dimension of its
+    # polytopes; one fresh interpreter runs all of them and notes after each
+    # whether scipy has been imported
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], capture_output=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 3 * 17
+    assert all(code in (OK, CHECK_FAILED) for _, _, code, _ in runs), runs
+    assert not any(loaded for *_, loaded in runs), runs

@@ -193,15 +193,16 @@ class TestVertexEnumeration:
             rows = np.vstack([a, np.eye(d), -np.eye(d)])
             rhs = np.concatenate([b, np.full(2 * d, 2.0)])
             exhaustive = active_set_vertices(rows, rhs)
-            polar = con.Polytope(a_ub=rows, b_ub=rhs).vertices()
-            assert exhaustive.shape == polar.shape
-            gap = max(np.min(np.max(np.abs(polar - v), axis=1)) for v in exhaustive)
+            verts = con.Polytope(a_ub=rows, b_ub=rhs).vertices()
+            assert exhaustive.shape == verts.shape
+            gap = max(np.min(np.max(np.abs(verts - v), axis=1)) for v in exhaustive)
             assert gap < 1e-7
 
     def test_thin_polytope_takes_the_hull_route(self):
         # the degeneracy probe of p1-modulus 13-random-d3m2 --eps 0.001: the
-        # near-center set at slack 1e-7 is 2.7e-7 wide, so its inscribed
-        # radius sits under the flatness bar, yet no row is implicitly tight
+        # near-center set at slack 1e-7 is 2.7e-7 wide, thin but not flat (no
+        # row is implicitly tight), and its vertices on both near faces are
+        # kept apart
         inst = next(i for i in sc.load_corpus("center") if i.name == "13-random-d3m2")
         problem = inst.problem()
         near = sc.near_center_set(problem, 1e-7, sc.restricted_radius(problem))
@@ -237,6 +238,70 @@ def assert_matches_the_unsplit_route(poly, directions):
     for c in directions:
         ref = highs_support(poly, c)
         assert abs(float(np.max(verts @ c)) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+@st.composite
+def h_systems(draw):
+    """{z : a z <= b} in 2 to 4 columns: the box [-1, 1]^d and one to six
+    random unit rows, with any of: repeated rows with right-hand sides up to
+    0.1 lower or 0.2 higher, which still hold the box [-0.05, 0.05]^d; a
+    hidden equality c z = beta through that box (rows c and -c); rows
+    through a box corner (degenerate vertices, exact in binary); a row that
+    empties the box; and an open side: with the row -e_0 dropped and every
+    row's entry 0 made nonnegative, -e_0 is a recession direction.  Returns
+    a, b and the error enumeration must raise, if any."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat, repeated, degenerate, empty, unbounded = (draw(st.booleans()) for _ in range(5))
+    eye = np.eye(d)
+    rows = rng.normal(size=(draw(st.integers(1, 6)), d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    a, b = np.vstack([eye, -eye, rows]), np.concatenate([np.ones(2 * d),
+                                                        rng.uniform(0.3, 1.5, len(rows))])
+    if repeated:
+        pick = rng.integers(0, len(a), draw(st.integers(1, 4)))
+        a, b = np.vstack([a, a[pick]]), np.concatenate([b, b[pick] + rng.uniform(-0.1, 0.2,
+                                                                                   len(pick))])
+    if flat:
+        c = rng.normal(size=d)
+        c[0] *= not unbounded
+        c /= np.linalg.norm(c)
+        beta = float(c @ rng.uniform(-0.05, 0.05, d))
+        a, b = np.vstack([a, c, -c]), np.concatenate([b, [beta, -beta]])
+    if degenerate:
+        sign = rng.choice([-1.0, 1.0], d)
+        sign[0] = 1.0
+        weights = rng.integers(0, 2, (draw(st.integers(1, 4)), d)).astype(float)
+        weights[:, :2] = 1.0
+        a, b = np.vstack([a, weights * sign]), np.concatenate([b, weights.sum(axis=1)])
+    if empty:
+        a, b = np.vstack([a, eye[1]]), np.concatenate([b, [-2.0]])
+    if unbounded:
+        keep = np.ones(len(a), dtype=bool)
+        keep[d] = False
+        a, b = a[keep], b[keep]
+        a[:, 0] = np.abs(a[:, 0])
+    error = (InfeasiblePolytopeError if empty else UnboundedPolytopeError if unbounded
+             else None)
+    return a, b, error
+
+
+@settings(max_examples=400)
+@given(case=h_systems())
+def test_double_description_matches_the_exhaustive_and_polar_dual_routes(case):
+    # equal counts and sets within 1e-12 against every square subsystem and
+    # against Qhull's polar dual; empty and unbounded systems raise as there
+    a, b, error = case
+    poly = con.Polytope(a_ub=a, b_ub=b)
+    if error is not None:
+        for route in (con.enumerate_vertices, reference_enumerate_vertices):
+            with pytest.raises(error):
+                route(poly)
+        return
+    verts = con.enumerate_vertices(poly)
+    for reference in (active_set_vertices(a, b), reference_enumerate_vertices(poly)):
+        assert verts.shape == reference.shape
+        assert _hausdorff(verts, reference) <= 1e-12
 
 
 def _center_type_sets(problem):
@@ -472,7 +537,7 @@ def _filter_cases():
 
 def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
     polys = _filter_cases()
-    expected = [reference_enumerate_vertices(p) for p in polys]
+    expected = [reference_enumerate_vertices(p, con._enumerate_reduced(p)) for p in polys]
     calls = []
     real = con.Polytope.violation
 

@@ -7,7 +7,7 @@ from scipy.spatial import QhullError
 
 from supcenter import cli, constraints, garkavi, lp
 from supcenter.constraints import Polytope
-from supcenter.errors import EnumerationError, LPNumericalError, ModelBuildError
+from supcenter.errors import LPNumericalError, ModelBuildError
 from supcenter.instances import load_corpus
 from supcenter.garkavi import (
     build_model,
@@ -330,11 +330,11 @@ def test_a_hull_point_past_level_one_fails_the_build_with_exit_one(monkeypatch, 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
 def test_build_model_lp_solves(inst, solve_counts):
-    # the disjointness LP and one LP to enumerate the slab (the cube splits
-    # into intervals and takes none); the section is read off the edge graph
-    # and the certificate ball's extremes are its corners
+    # only the disjointness LP: the slab's vertices take none (double
+    # description) and the cube splits into intervals; the section is read
+    # off the edge graph and the certificate ball's extremes are its corners
     build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    assert solve_counts["solves"] == 2
+    assert solve_counts["solves"] == 1
 
 
 def test_theta_zero_build_lp_solves(solve_counts):
@@ -357,8 +357,10 @@ def test_edges_match_the_face_lattice(name):
 # build_model arguments (n, seed, gamma) beyond the corpus
 GRID = [(n, seed, gamma) for n in (3, 4, 5, 6) for seed in range(10)
         for gamma in (1.0 / 16.0, 0.01, 1e-4, 1e-7)]
-# Qhull cannot hull B for these arguments ("wide merge"), on either route
-QHULL_FAILS = (5, 1, 1e-4)
+# Qhull refused B for these arguments (QH6347, QH6271, QH7088) while the
+# slab's vertices, its input, came from Qhull's polar dual; with them from
+# the double description they build, with these facet counts
+FORMER_QHULL_FAILS = {(5, 1, 1e-4): 22, (5, 11, 1e-3): 22, (6, 10, 1e-4): 26}
 
 
 def _matches_the_former_routes(model):
@@ -385,14 +387,14 @@ def test_facets_and_section_match_the_former_routes(name):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_facets_and_section_match_the_former_routes_on_the_grid(n):
     for args in GRID:
-        if args[0] == n and args != QHULL_FAILS:
+        if args[0] == n:
             _matches_the_former_routes(build_model(args[0], seed=args[1], gamma=args[2]))
 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
-def test_build_model_builds_two_hulls(inst, monkeypatch):
-    # B's hull and the polar dual that enumerates the slab; the section of B
-    # in Y is the slab and takes none
+def test_build_model_builds_one_hull(inst, monkeypatch):
+    # B's hull only: the slab's vertices come from the double description,
+    # and the section of B in Y is the slab
     real, sizes = scipy.spatial.ConvexHull, []
 
     def counting(points, *args, **kwargs):
@@ -401,33 +403,61 @@ def test_build_model_builds_two_hulls(inst, monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
     model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    assert len(sizes) == 2 and sizes[1] == len(model.hull_points)
+    assert sizes == [len(model.hull_points)]
 
 
-def test_a_qhull_failure_of_b_exits_three(capsys):
-    n, seed, gamma = QHULL_FAILS
-    with pytest.raises(EnumerationError, match="convex hull of the renormed ball: QH6347"):
-        build_model(n, seed=seed, gamma=gamma)
+@pytest.mark.parametrize("args", list(FORMER_QHULL_FAILS),
+                         ids=lambda args: "n{}-seed{}-gamma{:g}".format(*args))
+def test_the_former_qhull_failures_of_b_pass_the_facet_certificate(args, capsys):
+    # each facet row holds every hull point and is tight on n affinely
+    # independent ones, checked here as in the build
+    n, seed, gamma = args
+    model = build_model(n, seed=seed, gamma=gamma)
+    assert len(model.ball_facets) == FORMER_QHULL_FAILS[args]
+    gap = model.hull_points @ model.ball_facets.T - 1.0
+    assert gap.max() <= 1e-14
+    for tight in (np.abs(gap) <= 1e-14).T:
+        assert np.linalg.matrix_rank(model.hull_points[tight]) == n
     argv = ["renorm", "--n", str(n), "--seed", str(seed), "--gamma", str(gamma), "--samples", "0"]
-    assert cli.main(argv) == cli.NUMERICAL
+    assert cli.main(argv) == cli.OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scale, message", [(1.01, "past a facet row"),
+                                            (0.99, "fewer than n = 4")],
+                         ids=["point-past-a-row", "row-tight-on-none"])
+def test_a_facet_row_off_the_hull_fails_the_certificate(monkeypatch, capsys, scale, message):
+    # one facet row scaled: at 1.01 the points it was tight on lie past it,
+    # at 0.99 it is tight on no hull point
+    real = garkavi._edges
+
+    def scaled(points, vertices, rows):
+        edges, facets = real(points, vertices, rows)
+        facets = facets.copy()
+        facets[0] *= scale
+        return edges, facets
+
+    monkeypatch.setattr(garkavi, "_edges", scaled)
+    with pytest.raises(ModelBuildError, match=message) as exc:
+        build_model(4)
+    assert exc.value.certificate == "facets"
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.CHECK_FAILED
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: convex hull of the renormed ball: QH6347")
-    assert err.count("\n") == 1
+    assert err.startswith("check failed:") and message in err
 
 
 def test_a_failed_hull_of_b_fails_the_build_with_exit_three(monkeypatch, capsys):
-    # the first hull enumerates the slab; the second, B's, raises Qhull's
-    # multi-line report, of which the CLI prints the first line
-    real, calls = scipy.spatial.ConvexHull, []
+    # B's hull, the build's one Qhull call, raises Qhull's multi-line report,
+    # of which the CLI prints the first line
+    calls = []
 
-    def second_fails(points, *args, **kwargs):
+    def fails(points, *args, **kwargs):
         calls.append(len(points))
-        if len(calls) == 2:
-            raise QhullError("QH6154 simulated initial simplex is flat\n\nWhile executing: | qhull")
-        return real(points, *args, **kwargs)
+        raise QhullError("QH6154 simulated initial simplex is flat\n\nWhile executing: | qhull")
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", second_fails)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", fails)
     assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    assert calls == [28]  # 12 slab vertices and the 8 of each cube
     assert capsys.readouterr().err == ("numerical failure: convex hull of the renormed ball: "
                                        "QH6154 simulated initial simplex is flat\n")
 
@@ -461,8 +491,8 @@ def test_a_section_vertex_outside_b_fails_with_exit_three(monkeypatch, capsys):
 
 
 def _matches_the_enumeration(model, x, eps):
-    """The edge-route vertex list of P_Y(x, eps) against the polar-dual
-    enumeration of the same H-polytope: equal counts, Hausdorff gap <= 1e-12."""
+    """The edge-route vertex list of P_Y(x, eps) against the double
+    description of the same H-polytope: equal counts, Hausdorff gap <= 1e-12."""
     poly = metric_projection(model, x, eps)
     verts, reference = poly.vertices(), constraints.enumerate_vertices(poly)
     assert len(verts) == len(reference)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import supcenter as sc
-from supcenter import cli, constraints, garkavi, lp
+from supcenter import cli, garkavi, lp
 from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
 from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
 
-from oracles import (reference_bland_loop, reference_center_set, reference_gauge_decomposition,
-                     scipy_solve)
+from oracles import (reference_bland_loop, reference_center_set, reference_enumerate_vertices,
+                     reference_gauge_decomposition, scipy_solve)
 
 
 def random_feasible_lp(rng, n, m, with_eq=False, with_bounds=False):
@@ -276,11 +276,12 @@ def _degenerate_programs():
 def _corpus_programs(monkeypatch, capsys):
     # the corpus run, the oracle's gauge-decomposition LPs (tall, with n + 3
     # equality rows) on the corpus renorm models at x0 and +-e_j, the
-    # interior-point LPs of the polar-dual enumeration that is the oracle of
-    # the edge route, on the section B cap Y and on P_Y(x0, eps), and the
-    # whole-polytope radius LPs of the reference route on every center
-    # problem and its support reduction, most of which the package now
-    # solves in closed form
+    # interior-point and tightness LPs of the polar-dual enumeration, the
+    # oracle of the edge route and of the double description, on the
+    # section B cap Y, on P_Y(x0, eps) and on every center and near-center
+    # set of the center corpus, and the whole-polytope radius LPs of the
+    # reference route on every center problem and its support reduction,
+    # most of which the package now solves in closed form
     issued = []
     real = lp.solve
 
@@ -297,11 +298,15 @@ def _corpus_programs(monkeypatch, capsys):
             eye = np.eye(inst.n)
             for x in (model.x0, *eye, *-eye):
                 reference_gauge_decomposition(model, x)
-            constraints.enumerate_vertices(garkavi._projection(model, np.zeros(inst.n), 1.0))
+            reference_enumerate_vertices(garkavi._projection(model, np.zeros(inst.n), 1.0))
             for eps in garkavi.HALF_BALL_EPS:
-                constraints.enumerate_vertices(garkavi.metric_projection(model, model.x0, eps))
+                reference_enumerate_vertices(garkavi.metric_projection(model, model.x0, eps))
         for inst in sc.load_corpus("center"):
-            reference_center_set(inst.problem())
+            center = reference_center_set(inst.problem())
+            reference_enumerate_vertices(center.center_polytope)
+            for delta in (0.05, 0.2):
+                reference_enumerate_vertices(sc.near_center_set(inst.problem(), delta,
+                                                                center.radius))
             reduction = sc.finite_reduction(inst.family, inst.subspace)
             if reduction.problem is not None:
                 reference_center_set(reduction.problem)

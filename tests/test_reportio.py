@@ -68,6 +68,18 @@ def test_unknown_type_refused():
         dump_report(object())
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="a long double is a double on this platform")
+@pytest.mark.parametrize("value", [np.longdouble(1.0), np.array(np.longdouble(2.0)),
+                                   np.array([np.longdouble(3.0)]), {"x": np.longdouble(4.0)}],
+                         ids=["scalar", "0-d", "1-d", "nested"])
+def test_long_double_refused(value):
+    # a long double wider than a double has no python scalar: its .item()
+    # is a long double again
+    with pytest.raises(TypeError):
+        dump_report(value)
+
+
 def test_zero_d_array_is_its_scalar():
     assert dump_report(np.array(1.5)) == "1.5\n"
     assert dump_report(np.array(1.5, dtype=np.float32)) == "1.5\n"
