@@ -20,14 +20,9 @@ is read off it.  The hull points of B sit at x0-levels -1, 0 and 1, so
 gauge(z) >= |z_0|, and gauge(x0) = 1 is certified: the distance to Y is |x_0|,
 attained at x - x_0 * x0 (Ascoli's formula for a hyperplane, Singer 1970),
 and the extremes of the certificate ball, a box in Y, sit at its corners.
-The gauge decomposition of x takes no LP either: B is triangulated by the
-Qhull call that gives its facets (Barber, Dobkin and Huhdanpaa, ACM TOMS
-1996), and x is gauge(x) times a convex combination of the points of the
-simplex its ray leaves B through, certified on every call against the
-homogenized rows of the slab and cube polytopes that build_model holds.  The
-half-ball forward gap is witnessed by the exact projection's vertices over
-the section facets, with the epigraph LP (lp.epigraph_lp) only for a vertex
-whose witness misses; the backward gap takes the gauges of all its
+The half-ball forward gap is witnessed by the exact projection's vertices
+over the section facets, with the epigraph LP (lp.epigraph_lp) only for a
+vertex whose witness misses; the backward gap takes the gauges of all its
 candidates in one broadcast; and the replay crossing of a ray with a gauge
 level set is read off the facets in closed form.
 
@@ -36,16 +31,19 @@ P_Y(x, l) = {y in Y : x - y in l B} = x - l (B cap {z_0 = c}) with
 c = x_0 / l.  The vertices of a hyperplane section are the polytope's
 vertices on the hyperplane and the crossings of its edges with it (Ziegler,
 Lectures on Polytopes, 1995).  build_model reads the facets and the edges of
-B off its one hull, as the distinct columns of the vertex-facet incidence
-and the vertex pairs whose common facets have rank n - 1, and each
-projection carries its vertices from one broadcast over the edges, certified
-against its own facet rows.  Every vertex of B has at least n edges
-(Balinski, Pacific J. Math. 1961), which the build checks.  For |c| <= 1,
+B off its one Qhull hull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996), as
+the distinct columns of the vertex-facet incidence and the vertex pairs
+whose common facets have rank n - 1, and each projection carries its
+vertices from one broadcast over the edges, certified against its own facet
+rows.  Every vertex of B has at least n edges (Balinski, Pacific J. Math.
+1961), which the build checks.  For |c| <= 1,
 B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, so B cap Y is the slab
 U, whose rows and vertices the model takes.  U and B_gamma are symmetric, so
-P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with x_Y = x - x_0 x0.
-half_ball_check computes nothing from this identity: it measures the
-identity from the facet description, so that it stays a check.
+P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with x_Y = x - x_0 x0, and the
+gauge decomposition splits x / gauge(x) by the identity at its level, with
+no LP, certified against the slab and cube rows.  The set gaps of
+half_ball_check compute nothing from the identity: they measure it from the
+facets, so that they stay a check (the replay measures a certified split).
 """
 
 from __future__ import annotations
@@ -84,11 +82,8 @@ class GarkaviModel:
     section_facets: np.ndarray  # rows s with B cap Y = U = {y in Y : s.y <= 1}
     section_vertices: np.ndarray  # the vertices of U
     hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
-    hull_part: np.ndarray       # one-hot rows: is each hull point slab, cube or reflected
     vertices: np.ndarray        # Qhull's vertices of B, as hull point indices
     edges: np.ndarray           # pairs of hull point indices spanning an edge of B
-    simplices: np.ndarray       # Qhull's triangulation of B, rows of hull point indices
-    simplex_facets: np.ndarray  # row a per simplex, a.z = 1 on its points
     split_cone: Polytope        # the gauge decompositions, see _split_cone
     certificates: dict[str, float]
     c_lower: float           # c_lower * |x|_inf <= gauge(x)
@@ -110,8 +105,8 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     (subspace_gauge_distance).  _edges reads B's facets and edges off its
     hull and _certify_facets checks the facets (certificate "facets"); a
     vertex with fewer than n edges fails the build (certificate "edges"), and
-    a vertex of the level-0 section of the edges outside U raises
-    EnumerationError.  None of these checks adds a key to certificates.
+    a failed rank test or a vertex of the level-0 section of the edges
+    outside U raises EnumerationError.  None of these checks adds a key to certificates.
     """
     if n < 3:
         raise ValueError(f"the model needs dimension >= 3, got {n}")
@@ -192,25 +187,19 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     if level > 1.0 + GAUGE_CERTIFY_TOL:
         raise ModelBuildError(f"a hull point of B sits at x0-level {level}, past 1",
                               certificate="hull-level")
-    hull_part = np.repeat(np.eye(3), [len(slab_verts), len(cube_verts), len(cube_verts)], axis=0)
-    simplex_facets, simplices, certificates["ball-interior"] = _hull_facets(hull_points)
-    # the points of Qhull's triangulation are its vertices of B; every vertex
-    # of a polytope has at least n edges (Balinski), a cheap guard against a
-    # missing one
-    vertices = np.unique(simplices)
-    edges, ball_facets = _edges(hull_points, vertices, simplex_facets)
-    _certify_facets(hull_points, ball_facets)
+    hull_rows, vertices, certificates["ball-interior"] = _hull_facets(hull_points)
+    try:
+        edges, ball_facets = _edges(hull_points, vertices, hull_rows)
+        _certify_facets(hull_points, ball_facets)
+    except np.linalg.LinAlgError as exc:
+        raise EnumerationError(f"rank test of the renormed ball: {exc}") from exc
+    # every vertex of a polytope has at least n edges (Balinski), a cheap
+    # guard against a missing one
     degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))[vertices]))
     if degree < n:
         raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
                               certificate="edges")
     ball_facets.setflags(write=False)
-    # the triangulation holds flat simplices, whose barycentric systems (the
-    # matrices gauge_decomposition solves) are singular; each shares its row
-    # with a simplex of the same facet that is not flat, so the gauge keeps
-    # every row
-    solid = np.linalg.det(hull_points[simplices].transpose(0, 2, 1)) != 0.0
-    simplices, simplex_facets = simplices[solid], simplex_facets[solid]
 
     # B cap Y holds U; its vertices, the level-0 section of the edges, lie in U
     if not np.all(_feasible(slab, _level_section(hull_points, vertices, edges, 0.0))):
@@ -225,9 +214,7 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                          alpha=alpha, slab=slab, cube=cube, small_ball=small_ball,
                          ball_facets=ball_facets, section_facets=section_facets,
                          section_vertices=slab_verts, hull_points=hull_points,
-                         hull_part=hull_part, vertices=vertices,
-                         edges=edges, simplices=simplices,
-                         simplex_facets=simplex_facets, split_cone=_split_cone(slab, cube),
+                         vertices=vertices, edges=edges, split_cone=_split_cone(slab, cube),
                          certificates=certificates,
                          c_lower=0.0, c_upper=0.0)
 
@@ -243,10 +230,10 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
 
 
 def _hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Qhull's triangulation of conv(points): one row a per simplex, with
-    a.z <= 1 on the hull and a.z = 1 on the simplex, the simplices as rows of
-    point indices, and the origin's interior margin (least facet offset); at
-    most HULL_MARGIN_FLOOR raises ModelBuildError, and a Qhull failure
+    """Qhull's hull of conv(points): its rows a.z <= 1, one per simplex of
+    its triangulation, the indices of the points that are its vertices, and
+    the origin's interior margin (least row offset); a margin of at most
+    HULL_MARGIN_FLOOR raises ModelBuildError, and a Qhull failure
     EnumerationError with the first line of Qhull's report."""
     from scipy.spatial import ConvexHull, QhullError
 
@@ -260,7 +247,7 @@ def _hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if margin <= HULL_MARGIN_FLOOR:
         raise ModelBuildError("origin is not interior to the renormed ball",
                               certificate="ball-interior")
-    return hull.equations[:, :-1] / offsets[:, None], hull.simplices, margin
+    return hull.equations[:, :-1] / offsets[:, None], np.unique(hull.simplices), margin
 
 
 def _edges(points: np.ndarray, vertices: np.ndarray,
@@ -337,42 +324,49 @@ def gauge_decomposition(model: GarkaviModel, x):
     """Gauge value plus the witness decomposition (u, v_plus, v_minus, p, q, r).
 
     x = u + v_plus - v_minus with u in p*slab, v_plus in q*cube and v_minus
-    in r*cube, and p + q + r = gauge(x) minimal.  The gauge is the largest
-    a.x over the simplex rows of the hull triangulation, and x is gauge(x)
-    times a convex combination of the n hull points of the simplex its ray
-    leaves B through, so no LP is needed.  The simplices within
-    GAUGE_SPLIT_TOL * |x|_inf of the largest value (build_model keeps no flat
-    one) are tried from the largest down, and the first whose weights solve
-    x = sum w_i h_i with w >= -GAUGE_SPLIT_TOL * |x|_inf is split by where its
-    points come from: slab vertices give (u, p), cube vertices (v_plus, q),
-    reflected cube vertices (v_minus, r).  _certify_decomposition checks the
-    split on every call.  x = 0 gives zeros.
+    in r*cube, and p + q + r = gauge(x) minimal.  With g = _gauge_facets(x),
+    z = x / g lies on B at level c = clip(z_0, -1, 1), and _level_split puts
+    z - c x0 in (1 - |c|) U + |c| B_gamma: so p = g (1 - |c|), and the cube
+    part goes whole to v_plus (q = g |c|) when c >= 0, else to v_minus
+    (r = g |c|).  _certify_decomposition checks the split within
+    GAUGE_SPLIT_TOL * |x|_inf.  x = 0 gives zeros; a non-finite x raises
+    ValueError.
     """
     x = as_vector(x, model.n)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the point must be finite, got {x}")
     bar = GAUGE_SPLIT_TOL * float(np.abs(x).max())
+    zero = np.zeros(model.n)
     if bar == 0.0:
-        return 0.0, (np.zeros(model.n), np.zeros(model.n), np.zeros(model.n), 0.0, 0.0, 0.0)
-    values = model.simplex_facets @ x
-    value = float(values.max())
-    tied = np.flatnonzero(values >= value - bar)
-    tied = tied[np.argsort(-values[tied], kind="stable")]
-    points = model.hull_points[model.simplices[tied]]
-    # one barycentric solve per tied simplex, all in one call
-    try:
-        weights = np.linalg.solve(points.transpose(0, 2, 1), x[:, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise LPNumericalError(f"barycentric solve of the gauge decomposition: {exc}") from exc
-    inside = np.flatnonzero(weights.min(axis=1) >= -bar)
-    if not inside.size:
-        raise LPNumericalError("no simplex of the hull triangulation holds the gauge ray")
-    k = inside[0]
-    weights, points = weights[k], points[k]
-    onehot = model.hull_part[model.simplices[tied[k]]]
-    p, q, r = (float(s) for s in weights @ onehot)
-    u, vp, minus_vm = (onehot * weights[:, None]).T @ points
-    parts = (u, vp, -minus_vm, p, q, r)
+        return 0.0, (zero, zero, zero, 0.0, 0.0, 0.0)
+    value = float(_gauge_facets(model, x))
+    z = x / value
+    c = min(max(float(z[0]), -1.0), 1.0)
+    u, w = _level_split(model, z, c)
+    cube, scale = value * (c * model.x0 + w), value * abs(c)
+    if c >= 0.0:
+        parts = (value * u, cube, zero, value * (1.0 - abs(c)), scale, 0.0)
+    else:
+        parts = (value * u, zero, -cube, value * (1.0 - abs(c)), 0.0, scale)
     _certify_decomposition(model, x, value, parts, bar)
     return value, parts
+
+
+def _level_split(model: GarkaviModel, z: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """z - z_0 x0 as u + w with u in (1 - |c|) U and w in |c| B_gamma.  Each
+    w_j lies in a box (|w_j| <= |c| gamma, |z_j - w_j| <= 1 - |c|) and only
+    U's Phi row couples them, so w is taken between the box corners that
+    minimize and maximize Phi.w, where Phi.w comes nearest Phi.z."""
+    z_y = np.concatenate(([0.0], z[1:]))
+    a, b = 1.0 - abs(c), abs(c) * model.gamma
+    lo, hi = np.maximum(z_y - a, -b), np.minimum(z_y + a, b)
+    lo[0] = hi[0] = 0.0
+    phi = model.phi.dense(model.n)
+    w_min, w_max = np.where(phi > 0.0, lo, hi), np.where(phi > 0.0, hi, lo)
+    low, high = float(phi @ w_min), float(phi @ w_max)
+    t = (min(max(float(phi @ z_y), low), high) - low) / (high - low) if high > low else 0.0
+    w = w_min + t * (w_max - w_min)
+    return z_y - w, w
 
 
 def _split_cone(slab: Polytope, cube: Polytope) -> Polytope:
@@ -395,11 +389,12 @@ def _certify_decomposition(model: GarkaviModel, x: np.ndarray, value: float, par
                            bar: float) -> None:
     """Primal certificate of a gauge decomposition, against the facet value
     as its dual one: x = u + v_plus - v_minus, the parts in model.split_cone,
-    and p + q + r = value, each within bar; a miss raises LPNumericalError."""
+    and p + q + r = value, each within bar; a miss, or a NaN, raises
+    LPNumericalError."""
     u, vp, vm, p, q, r = parts
-    miss = max(float(np.abs(u + vp - vm - x).max()), abs(p + q + r - value),
-               model.split_cone.violation(np.concatenate([u, vp, vm, (p, q, r)])))
-    if miss > bar:
+    miss = float(np.max([np.abs(u + vp - vm - x).max(), abs(p + q + r - value),
+                         model.split_cone.violation(np.concatenate([u, vp, vm, (p, q, r)]))]))
+    if not miss <= bar:
         raise LPNumericalError(f"gauge decomposition misses its certificate by {miss!r}")
 
 
@@ -565,7 +560,8 @@ def _decomposition_replay(model: GarkaviModel, direction: np.ndarray,
     a point of B_gamma within eta - 1 from the gauge decomposition."""
     y = _replay_crossing(model, direction, eta_target) * direction
     eta, (_, _, vm, _, _, r) = gauge_decomposition(model, y - model.x0)
-    # the x*-coordinate forces r = q + 1 >= 1, so the division is safe
+    # y - x0 sits at x0-level -1, so its cube part goes whole to v_minus:
+    # q = 0 and r = 1 up to rounding, and the division is safe
     if r <= 0.5:
         raise LPNumericalError("decomposition lost the mandatory reflected-cube part")
     y_near = model.x0 - vm / r

@@ -93,10 +93,9 @@ GAUGE_CERTIFY_TOL = 1e-7
 HULL_MARGIN_FLOOR = 1e-12
 NULL_DIRECTION_TOL = 1e-12
 
-# Relative to |z|_inf: the gauge decomposition of z tries the hull simplices
-# whose row value is within this of the largest, accepts simplex weights down
-# to minus this, and passes its certificate (reassembly, polytope rows, facet
-# value) within it.
+# Relative to |z|_inf: the certificate bar of a gauge decomposition of z,
+# which must reassemble z, hold its parts in their scaled polytopes and sum
+# its weights to the facet value, each within this.
 GAUGE_SPLIT_TOL = 1e-9
 
 # Edge graph of the renormed ball B (garkavi), whose hull points have

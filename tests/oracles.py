@@ -19,9 +19,11 @@ takes from exact-vertex witnesses, has two LP routes: reference_forward_gap,
 one epigraph LP per near vertex over the whole exact projection, and the
 convex-weights route hull_gauge_distance.  Its closed-form replay crossing
 has a bisection reference, reference_replay_crossing, and its gauge
-decomposition, which the package reads off the hull triangulation, has the
-LP reference_gauge_decomposition, one program over the homogenized slab and
-cube rows per point.  Its closed forms have LP references too: the distance
+decomposition, which the package splits at the point's level in closed form,
+has two references: the LP reference_gauge_decomposition, one program over
+the homogenized slab and cube rows per point, and the package's former route,
+reference_triangulation_decomposition, barycentric weights in the simplex of
+Qhull's triangulation of B that the point's ray leaves through.  Its closed forms have LP references too: the distance
 to Y, |x_0|, has reference_subspace_gauge_distance, one epigraph LP over the
 ball facets, and the corners of the certificate ball have
 reference_extreme_values, one LP per direction.  Its edge graph, which the
@@ -599,6 +601,51 @@ def reference_gauge_decomposition(model, x):
     u, vp, vm = sol.x[:n], sol.x[n:2 * n], sol.x[2 * n:3 * n]
     p, q, r = (float(w) for w in sol.x[3 * n:])
     return value, (u, vp, vm, p, q, r)
+
+
+def reference_triangulation_decomposition(model, points):
+    """Gauge value and decomposition (u, v_plus, v_minus, p, q, r) of each
+    point from Qhull's triangulation of B, one hull for all of them.
+
+    The triangulation's flat simplices are dropped (each shares its row with
+    one of the same facet that is not).  A point's value is the largest
+    simplex row value; the simplices within 1e-9 |x|_inf of it are tried from
+    the largest down, and the first whose barycentric weights are all at
+    least -1e-9 |x|_inf is split by where its points come from: slab vertices
+    give (u, p), cube vertices (v_plus, q), reflected cube vertices
+    (v_minus, r).  x = 0 gives zeros.
+    """
+    hull = ConvexHull(model.hull_points)
+    rows = hull.equations[:, :-1] / -hull.equations[:, -1:]
+    simplices = hull.simplices
+    solid = np.linalg.det(model.hull_points[simplices].transpose(0, 2, 1)) != 0.0
+    rows, simplices = rows[solid], simplices[solid]
+    n_slab = len(model.section_vertices)
+    n_cube = (len(model.hull_points) - n_slab) // 2
+    part = np.repeat(np.eye(3), [n_slab, n_cube, n_cube], axis=0)
+    out = []
+    for x in points:
+        x = as_vector(x, model.n)
+        bar = 1e-9 * float(np.abs(x).max())
+        if bar == 0.0:
+            out.append((0.0, (np.zeros(model.n), np.zeros(model.n), np.zeros(model.n),
+                              0.0, 0.0, 0.0)))
+            continue
+        values = rows @ x
+        value = float(values.max())
+        tied = np.flatnonzero(values >= value - bar)
+        tied = tied[np.argsort(-values[tied], kind="stable")]
+        corners = model.hull_points[simplices[tied]]
+        weights = np.linalg.solve(corners.transpose(0, 2, 1), x[:, None])[:, :, 0]
+        inside = np.flatnonzero(weights.min(axis=1) >= -bar)
+        if not inside.size:
+            raise LPNumericalError("no simplex of the hull triangulation holds the gauge ray")
+        k = inside[0]
+        onehot = part[simplices[tied[k]]]
+        p, q, r = (float(s) for s in weights[k] @ onehot)
+        u, vp, minus_vm = (onehot * weights[k][:, None]).T @ corners[k]
+        out.append((value, (u, vp, -minus_vm, p, q, r)))
+    return out
 
 
 def reference_subspace_gauge_distance(model, x):

@@ -183,7 +183,7 @@ class TestVertexEnumeration:
         assert verts.shape == (1, 2)
         assert verts[0] == pytest.approx([0.3, -0.7])
 
-    def test_polar_dual_agrees_with_exhaustive(self, rng):
+    def test_double_description_agrees_with_exhaustive(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 4))
             m = int(rng.integers(d + 2, 10))
@@ -198,7 +198,7 @@ class TestVertexEnumeration:
             gap = max(np.min(np.max(np.abs(verts - v), axis=1)) for v in exhaustive)
             assert gap < 1e-7
 
-    def test_thin_polytope_takes_the_hull_route(self):
+    def test_double_description_keeps_thin_faces_apart(self):
         # the degeneracy probe of p1-modulus 13-random-d3m2 --eps 0.001: the
         # near-center set at slack 1e-7 is 2.7e-7 wide, thin but not flat (no
         # row is implicitly tight), and its vertices on both near faces are

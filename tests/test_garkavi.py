@@ -28,7 +28,7 @@ from supcenter.tolerances import DEDUP_TOL, SET_TOL
 from oracles import (hull_gauge_distance, min_row_gap, reference_ball_facets, reference_edges,
                      reference_extreme_values, reference_forward_gap,
                      reference_gauge_decomposition, reference_replay_crossing, reference_section,
-                     reference_subspace_gauge_distance)
+                     reference_subspace_gauge_distance, reference_triangulation_decomposition)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +91,8 @@ def test_corpus_model_facets_are_distinct_and_hold_the_hull(inst):
 
 
 def test_tiny_cube_builds_and_its_gauge_matches_the_facets():
-    # a cube of side 2e-11 leaves thin simplices in the hull triangulation;
-    # the gauge still matches the facet route and the LP oracle
+    # a cube of side 2e-11 puts B's facets through nearly coincident hull
+    # points; the level split still matches the LP oracle
     model = build_model(3, gamma=1e-11)
     rng = np.random.default_rng(19)
     for x in [model.x0, *rng.uniform(-2, 2, (10, 3))]:
@@ -177,28 +177,36 @@ def test_zero_has_the_zero_decomposition(model3):
     assert not np.any(u) and not np.any(vp) and not np.any(vm)
 
 
-def test_a_moved_hull_point_fails_the_certificate():
-    # push a slab vertex outward after the build: its simplices still take it,
-    # and the slab part of the decomposition leaves the scaled slab
-    model = build_model(3)
-    vertex = model.hull_points[0].copy()
-    model.hull_points = model.hull_points.copy()
-    model.hull_points[0] *= 1.5
+def test_a_part_outside_its_scaled_polytope_fails_the_certificate(model3, monkeypatch):
+    # a cube vertex sits at level 1, so its slab part has weight p = 0; the
+    # split handed its cube share to the slab part still sums to the vertex,
+    # but that part leaves 0 * slab
+    vertex = model3.cube.vertices()[0]
+    gauge_decomposition(model3, vertex)
+    real = garkavi._level_split
+
+    def merged(*args):
+        u, w = real(*args)
+        return u + w, np.zeros_like(w)
+
+    monkeypatch.setattr(garkavi, "_level_split", merged)
     with pytest.raises(LPNumericalError, match="certificate"):
-        gauge_decomposition(model, vertex)
+        gauge_decomposition(model3, vertex)
 
 
-def test_misindexed_simplices_fail_the_build_with_exit_three(monkeypatch, capsys):
-    # every simplex takes the hull points one index on from its own: the
-    # decompositions of the build's gauges then miss their facet values
-    real = garkavi._hull_facets
+def test_a_misindexed_split_exits_three(monkeypatch, capsys):
+    # the cube share comes back with its coordinates in Y reversed: it stays
+    # in its cube and the slab share in the slab, but the parts no longer sum
+    # to the point.  The build's gauges split e_j and x0 with no cube share in
+    # Y, so the build passes and the half-ball check's replay is refused
+    real = garkavi._level_split
 
-    def misindexed(points, *args):
-        rows, simplices, margin = real(points, *args)
-        return rows, (simplices + 1) % len(points), margin
+    def misindexed(*args):
+        u, w = real(*args)
+        return u, np.concatenate(([w[0]], w[:0:-1]))
 
-    monkeypatch.setattr(garkavi, "_hull_facets", misindexed)
-    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    monkeypatch.setattr(garkavi, "_level_split", misindexed)
+    assert cli.main(["renorm", "--n", "4", "--samples", "1"]) == cli.NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "misses its certificate" in err
 
@@ -274,10 +282,22 @@ def test_distance_to_y_matches_the_lp_on_draws(model3, model4, coords, on_y, use
 def test_non_finite_point_rejected(model3, value, coord):
     x = np.array([0.5, -0.2, 0.3])
     x[coord] = value
-    with pytest.raises(ValueError, match="finite"):
-        subspace_gauge_distance(model3, x)
+    for query in (subspace_gauge_distance, gauge_decomposition, gauge_norm):
+        with pytest.raises(ValueError, match="finite"):
+            query(model3, x)
     with pytest.raises(ValueError, match="finite"):
         metric_projection(model3, x, 0.1)
+
+
+def test_a_nan_in_a_decomposition_fails_its_certificate(model3):
+    # a NaN compares false with the bar, and the certificate refuses it
+    x = np.array([0.5, -0.2, 0.3])
+    value, (u, vp, vm, p, q, r) = gauge_decomposition(model3, x)
+    for parts in ((u, vp, vm, p, np.nan, r), (np.full(3, np.nan), vp, vm, p, q, r)):
+        with pytest.raises(LPNumericalError, match="certificate"):
+            garkavi._certify_decomposition(model3, x, value, parts, 1.0)
+    with pytest.raises(LPNumericalError, match="certificate"):
+        garkavi._certify_decomposition(model3, x, np.nan, (u, vp, vm, p, q, r), 1.0)
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
@@ -379,6 +399,16 @@ def _matches_the_former_routes(model):
     assert abs(model.certificates["section-interior"] - margin) <= 1e-13
 
 
+def _decompositions_match_the_triangulation(model):
+    """Every _decomposition_points split passes its certificate (checked on
+    every call of gauge_decomposition), and its value agrees with the former
+    triangulation route within 1e-15 (1 + g)."""
+    points = _decomposition_points(model, np.random.default_rng(29))
+    for z, (reference, _) in zip(points, reference_triangulation_decomposition(model, points)):
+        value, _ = gauge_decomposition(model, z)
+        assert abs(value - reference) <= 1e-15 * (1.0 + value)
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 def test_facets_and_section_match_the_former_routes(name):
     _matches_the_former_routes(build_model(**MODELS[name]))
@@ -388,7 +418,9 @@ def test_facets_and_section_match_the_former_routes(name):
 def test_facets_and_section_match_the_former_routes_on_the_grid(n):
     for args in GRID:
         if args[0] == n:
-            _matches_the_former_routes(build_model(args[0], seed=args[1], gamma=args[2]))
+            model = build_model(args[0], seed=args[1], gamma=args[2])
+            _matches_the_former_routes(model)
+            _decompositions_match_the_triangulation(model)
 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
@@ -418,6 +450,7 @@ def test_the_former_qhull_failures_of_b_pass_the_facet_certificate(args, capsys)
     assert gap.max() <= 1e-14
     for tight in (np.abs(gap) <= 1e-14).T:
         assert np.linalg.matrix_rank(model.hull_points[tight]) == n
+    _decompositions_match_the_triangulation(model)
     argv = ["renorm", "--n", str(n), "--seed", str(seed), "--gamma", str(gamma), "--samples", "0"]
     assert cli.main(argv) == cli.OK
     capsys.readouterr()
@@ -460,6 +493,24 @@ def test_a_failed_hull_of_b_fails_the_build_with_exit_three(monkeypatch, capsys)
     assert calls == [28]  # 12 slab vertices and the 8 of each cube
     assert capsys.readouterr().err == ("numerical failure: convex hull of the renormed ball: "
                                        "QH6154 simulated initial simplex is flat\n")
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["edges", "facets"])
+def test_a_failed_rank_test_fails_the_build_with_exit_three(monkeypatch, capsys, call):
+    # numpy's SVD fails in the build's first (edge test) or second (facet
+    # certificate) rank call: a numerical failure, not bad input
+    real, calls = np.linalg.matrix_rank, []
+
+    def fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", fails)
+    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: rank test of the renormed ball: "
+                                       "SVD did not converge\n")
 
 
 def test_a_missing_edge_fails_the_build_through_the_balinski_guard(monkeypatch, capsys):
