@@ -121,9 +121,15 @@ class Polytope:
     list raises EnumerationError, and the rows are merged by merge_rows into
     a read-only array that vertices() returns instead of enumerating.  A
     polytope built without them enumerates as before and costs no more.
+
+    The rows are read-only, so what is derived from them alone is formed on
+    first use and held for the life of the object: split() holds the factors
+    and their sub-polytopes, line() the line parametrization (_line).  A call
+    that raises holds nothing, so an empty polytope raises on every call.
+    with_rows makes a new polytope, which forms its own on first use.
     """
 
-    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices")
+    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices", "_parts", "_held_line")
 
     def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None,
                  vertices=None):
@@ -138,7 +144,8 @@ class Polytope:
         self.a_eq, self.b_eq = lp._as_matrix(a_eq, b_eq, dim)
         for arr in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
             arr.setflags(write=False)
-        self._vertices = None
+        self._vertices = self._parts = None
+        self._held_line = ()  # () until line() has run: _line may return None
         if vertices is not None:
             raw = np.asarray(vertices, dtype=float)
             if not len(raw) or not np.all(_feasible(self, raw)):
@@ -179,6 +186,22 @@ class Polytope:
 
     def vertices(self) -> np.ndarray:
         return enumerate_vertices(self) if self._vertices is None else self._vertices
+
+    def split(self) -> list[tuple["Factor", "Polytope"]]:
+        """Each factor (see factors) with its sub-polytope (Factor.of): the
+        polytope itself when it is one factor.  Formed on the first call and
+        held; the sub-polytopes hold their own lines."""
+        if self._parts is None:
+            parts = factors(self)
+            # a lone factor is self, and is not held, so the object holds no cycle
+            self._parts = [(part, None if len(parts) == 1 else part.of(self)) for part in parts]
+        return [(part, sub or self) for part, sub in self._parts]
+
+    def line(self):
+        """_line(self), formed on the first call and held."""
+        if self._held_line == ():
+            self._held_line = _line(self)
+        return self._held_line
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, ineqs={self.a_ub.shape[0]}, "
@@ -310,9 +333,11 @@ def _feasible(poly: Polytope, raw: np.ndarray) -> np.ndarray:
     return _violations(poly, raw) <= bar
 
 
-def _enumerate_reduced(poly: Polytope) -> np.ndarray:
-    """Vertices of a polytope whose equalities may still need reduction."""
-    v0, basis = _affine_hull(poly.a_eq, poly.b_eq, poly.dim)
+def _enumerate_reduced(poly: Polytope, hull=None) -> np.ndarray:
+    """Vertices of a polytope whose equalities may still need reduction.
+    hull, when given, is _affine_hull of poly's equalities, held by a caller
+    that enumerates many polytopes with the same ones."""
+    v0, basis = hull or _affine_hull(poly.a_eq, poly.b_eq, poly.dim)
     d = basis.shape[1]
     if d == 0:
         if _violations(poly, v0[None])[0] <= DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
@@ -517,14 +542,16 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
     - every other factor takes lp.epigraph_lp with the rows [I; -I].  A
       polytope of one such factor reaches it with the same arrays as a
       polytope taken whole.
-    Raises InfeasiblePolytopeError when poly is empty.
+    The split and each factor's line are poly's held ones (Polytope.split,
+    Polytope.line), formed by the first call on poly, so a polytope measured
+    against again and again, as the stability search does, is split once.
+    Raises InfeasiblePolytopeError when poly is empty, on every call.
     """
     targets = np.atleast_2d(targets)
     value, point = -np.inf, np.empty(poly.dim)
-    for part in factors(poly):
-        sub = part.of(poly)
+    for part, sub in poly.split():
         part_targets = targets if sub is poly else targets[:, part.cols]
-        line = _line(sub)
+        line = sub.line()
         if line is None:
             eye = np.eye(sub.dim)
             part_value, point[part.cols] = lp.epigraph_lp(np.vstack([eye, -eye]), part_targets,
@@ -543,11 +570,11 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
     return value, point
 
 
-def _factor_vertices(poly: Polytope) -> np.ndarray:
+def _factor_vertices(poly: Polytope, hull=None) -> np.ndarray:
     """Vertices of a polytope taken whole: the candidates of _enumerate_reduced
-    that pass the feasibility filter (_feasible), merged by merge_rows.  The
-    kept rows are the raw candidates themselves."""
-    raw = _enumerate_reduced(poly)
+    (on hull, when given) that pass the feasibility filter (_feasible), merged
+    by merge_rows.  The kept rows are the raw candidates themselves."""
+    raw = _enumerate_reduced(poly, hull)
     keep = raw[_feasible(poly, raw)]
     if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
@@ -557,31 +584,31 @@ def _factor_vertices(poly: Polytope) -> np.ndarray:
 def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """All vertices of a bounded polytope, merged by merge_rows and sorted.
 
-    A polytope of one factor (see factors) is enumerated whole.  Otherwise
-    each factor is, and the product of the factor lists is scattered into the
-    columns and sorted by merge_rows; each factor list is already merged, so
-    no two tuples lie within DEDUP_TOL.  An empty factor makes the product
-    empty, so InfeasiblePolytopeError from any factor wins over
-    UnboundedPolytopeError from another.
+    The split is poly's held one (Polytope.split).  A polytope of one factor
+    is enumerated whole.  Otherwise each factor is, and the product of the
+    factor lists is scattered into the columns and sorted by merge_rows; each
+    factor list is already merged, so no two tuples lie within DEDUP_TOL.  An
+    empty factor makes the product empty, so InfeasiblePolytopeError from any
+    factor wins over UnboundedPolytopeError from another.
 
     Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
     unbounded systems.
     """
-    parts = factors(poly)
+    parts = poly.split()
     if len(parts) == 1:
         verts = _factor_vertices(poly)
     else:
         lists, unbounded = [], None
-        for part in parts:
+        for _, sub in parts:
             try:
-                lists.append(_factor_vertices(part.of(poly)))
+                lists.append(_factor_vertices(sub))
             except UnboundedPolytopeError as exc:
                 unbounded = unbounded or exc
         if unbounded is not None:
             raise unbounded
         picks = np.indices([len(v) for v in lists]).reshape(len(lists), -1)
         product = np.empty((picks.shape[1], poly.dim))
-        for part, factor_verts, pick in zip(parts, lists, picks):
+        for (part, _), factor_verts, pick in zip(parts, lists, picks):
             product[:, part.cols] = factor_verts[pick]
         verts = merge_rows(product)
     verts.setflags(write=False)

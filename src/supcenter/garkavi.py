@@ -48,6 +48,7 @@ facets, so that they stay a check (the replay measures a certified split).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,15 +331,21 @@ def gauge_decomposition(model: GarkaviModel, x):
     part goes whole to v_plus (q = g |c|) when c >= 0, else to v_minus
     (r = g |c|).  _certify_decomposition checks the split within
     GAUGE_SPLIT_TOL * |x|_inf.  x = 0 gives zeros; a non-finite x raises
-    ValueError.
+    ValueError.  When that bar falls below the least normal float, x / |x|_inf
+    is split instead and its parts and gauge are scaled back by |x|_inf, the
+    gauge being positively homogeneous; B lies in the unit cube, so the
+    gauge is at least |x|_inf and a nonzero x never has gauge 0.
     """
     x = as_vector(x, model.n)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"the point must be finite, got {x}")
-    bar = GAUGE_SPLIT_TOL * float(np.abs(x).max())
+    size = float(np.abs(x).max())
     zero = np.zeros(model.n)
-    if bar == 0.0:
+    if size == 0.0:
         return 0.0, (zero, zero, zero, 0.0, 0.0, 0.0)
+    if GAUGE_SPLIT_TOL * size < sys.float_info.min:
+        value, parts = gauge_decomposition(model, x / size)
+        return size * value, tuple(size * part for part in parts)
     value = float(_gauge_facets(model, x))
     z = x / value
     c = min(max(float(z[0]), -1.0), 1.0)
@@ -348,7 +355,7 @@ def gauge_decomposition(model: GarkaviModel, x):
         parts = (value * u, cube, zero, value * (1.0 - abs(c)), scale, 0.0)
     else:
         parts = (value * u, zero, -cube, value * (1.0 - abs(c)), 0.0, scale)
-    _certify_decomposition(model, x, value, parts, bar)
+    _certify_decomposition(model, x, value, parts, GAUGE_SPLIT_TOL * size)
     return value, parts
 
 

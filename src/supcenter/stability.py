@@ -31,7 +31,7 @@ import numpy as np
 
 from . import lp
 from .centers import CenterProblem, CenterReport, near_center_set
-from .constraints import Polytope, _factor_vertices, factors, interval
+from .constraints import Polytope, _affine_hull, _factor_vertices, interval
 from .errors import LPNumericalError
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
 
@@ -74,9 +74,12 @@ def _farthest_vertex(verts: np.ndarray, target: Polytope,
 
 def _product_search(base: Polytope, representative: np.ndarray):
     """The search near -> (worst, witness) for polytopes near with the rows of
-    base: the largest distance from a vertex of near to base, with a witness.
-    representative is a point of base.  base is split once, and each near set
-    takes the same factors with its own right-hand sides.
+    base and its equalities, right-hand sides included: the largest distance
+    from a vertex of near to base, with a witness.  representative is a point
+    of base.  The search reads base's held split (Polytope.split), and each
+    near set takes the same factors with its own inequality right-hand sides.
+    Each factor of base is the fixed target of every distance taken in it, so
+    its own split and line, held on first use, serve every probe.
 
     The worst distance w is the max of the factor worst distances w_f:
     - a one-column factor with no equality is an interval [l, u] of near
@@ -85,23 +88,25 @@ def _product_search(base: Polytope, representative: np.ndarray):
     - every other factor runs _farthest_vertex on its own vertices, with its
       own known list, seeded by representative[cols] and kept across calls.
       Each such factor is one factor already, so its vertices take the
-      unsplit route of enumerate_vertices with no second split.
+      unsplit route of enumerate_vertices with no second split, on the
+      affine hull of base's equalities on it, solved at its first
+      enumeration and kept across calls.
 
     The witness is a vertex of near, None when w is 0.  The deciding factor
     is the first factor whose worst equals w, and it takes its own witness:
     the first of its vertices within DEFAULT_TOL of w_f.  Every other factor
     takes its first vertex.
     """
-    parts = factors(base)
-    targets = [part.of(base) for part in parts]
+    parts = base.split()
     # the base interval [l0, u0] of each one-column factor with no equality
     ends = [interval(target.a_ub, target.b_ub) if part.cols.size == 1 and not part.eq.size
-            else None for part, target in zip(parts, targets)]
-    known = [[representative[part.cols]] for part in parts]
+            else None for part, target in parts]
+    known = [[representative[part.cols]] for part, _ in parts]
+    hulls = [None] * len(parts)
 
     def search(near: Polytope) -> tuple[float, np.ndarray | None]:
         worsts, owns, firsts = [], [], []
-        for part, target, base_ends, points in zip(parts, targets, ends, known):
+        for k, ((part, target), base_ends, points) in enumerate(zip(parts, ends, known)):
             if base_ends is not None:
                 lo, hi = interval(target.a_ub, near.b_ub[part.ub])
                 lo0, hi0 = base_ends
@@ -109,7 +114,8 @@ def _product_search(base: Polytope, representative: np.ndarray):
                 own = lo if max(lo0 - lo, lo - hi0) >= worst - DEFAULT_TOL else hi
                 first = lo
             else:
-                verts = _factor_vertices(part.of(near))
+                hulls[k] = hulls[k] or _affine_hull(target.a_eq, target.b_eq, target.dim)
+                verts = _factor_vertices(part.of(near), hulls[k])
                 worst, own = _farthest_vertex(verts, target, points)
                 first = verts[0]
             worsts.append(worst)
@@ -120,7 +126,7 @@ def _product_search(base: Polytope, representative: np.ndarray):
             return 0.0, None
         deciding = worsts.index(worst)
         witness = np.empty(base.dim)
-        for k, part in enumerate(parts):
+        for k, (part, _) in enumerate(parts):
             witness[part.cols] = owns[k] if k == deciding else firsts[k]
         return worst, witness
 

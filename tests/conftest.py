@@ -59,6 +59,29 @@ def solve_counts(monkeypatch):
 
 
 @pytest.fixture
+def split_counts(monkeypatch):
+    """Counter of the split work: calls of constraints.factors, _line and
+    _affine_hull under their names.  Each call of factors or _line is also
+    counted under (name, polytope), a key that keeps its polytope alive, so
+    no later polytope takes over its id.  The stability search's own
+    reference to _affine_hull is counted with the rest."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            counts[name] += 1
+            if isinstance(args[0], constraints.Polytope):
+                counts[name, args[0]] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("factors", "_line", "_affine_hull"):
+        monkeypatch.setattr(constraints, name, counted(name, getattr(constraints, name)))
+    monkeypatch.setattr(stability, "_affine_hull", constraints._affine_hull)
+    return counts
+
+
+@pytest.fixture
 def worked():
     """The hand-checked reference instance: R = 1/2, centers (1/2, 1/2, s)."""
     mu = sc.Functional(support=(0, 1), weights=(0.5, -0.5))

@@ -591,3 +591,55 @@ def test_a_polytope_without_given_vertices_enumerates():
 def test_polytope_repr_mentions_shape():
     text = repr(con.Polytope.box(3, 1.0))
     assert "dim=3" in text and "ineqs=6" in text
+
+
+def _fresh(poly):
+    """A new Polytope on poly's arrays, with nothing held yet."""
+    return con.Polytope(a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq,
+                        dim=poly.dim)
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_a_held_split_measures_the_same_bits_as_a_fresh_one(inst):
+    # every distance after the first reads the split and lines held by the
+    # first; a fresh polytope on the same arrays forms its own each time
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    polys = [center.center_polytope] + [sc.near_center_set(problem, delta, center.radius)
+                                        for delta in (0.2, 0.1, 0.05)]
+    rng = np.random.default_rng(97)
+    values = problem.family.values
+    points = [*values, *rng.uniform(values.min() - 1.0, values.max() + 1.0, (6, problem.dim))]
+    for poly in polys:
+        for x in points:
+            held_dist, held_point = lp.distance_to_polytope(x, poly)
+            fresh_dist, fresh_point = lp.distance_to_polytope(x, _fresh(poly))
+            assert np.float64(held_dist).tobytes() == np.float64(fresh_dist).tobytes()
+            assert_same_bytes(held_point, fresh_point)
+        assert poly._parts is not None
+
+
+def test_a_held_split_is_formed_once(split_counts):
+    # three factors: the coupled block {0, 1} and two free coordinates
+    poly = con.Polytope.box(4, 1.0, a_eq=[[0.5, -0.5, 0.0, 0.0]])
+    for x in ([2.0, 0.0, 0.0, 0.0], [0.0, 3.0, -2.0, 0.5]):
+        lp.distance_to_polytope(x, poly)
+    poly.vertices()
+    assert split_counts["factors"] == 1 and split_counts["_line"] == 3
+
+
+@pytest.mark.parametrize("poly, raiser", [
+    # a zero inequality row with a negative right-hand side: factors raises
+    (con.Polytope(a_ub=np.vstack([np.zeros(2), np.eye(2), -np.eye(2)]),
+                  b_ub=[-1.0, 1.0, 1.0, 1.0, 1.0]), "factors"),
+    # x <= -1 and x >= 1: the split holds, the line of its one column raises
+    (con.Polytope(a_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0]), "_line"),
+], ids=["zero-row", "crossed-ends"])
+def test_a_failed_split_is_not_held(poly, raiser, split_counts):
+    for calls in (1, 2, 3):
+        with pytest.raises(InfeasiblePolytopeError):
+            lp.distance_to_polytope(np.full(poly.dim, 5.0), poly)
+        assert split_counts[raiser, poly] == calls
+    for _ in range(2):
+        with pytest.raises(InfeasiblePolytopeError):
+            poly.vertices()

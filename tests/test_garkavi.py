@@ -158,7 +158,7 @@ def _decomposition_points(model, rng):
 
 
 @pytest.mark.parametrize("name", list(MODELS))
-def test_hull_decomposition_matches_the_lp_oracle(name):
+def test_level_split_matches_the_lp_oracle(name):
     model = build_model(**MODELS[name])
     for z in _decomposition_points(model, np.random.default_rng(29)):
         value, (u, vp, vm, p, q, r) = gauge_decomposition(model, z)
@@ -175,6 +175,22 @@ def test_zero_has_the_zero_decomposition(model3):
     value, (u, vp, vm, p, q, r) = gauge_decomposition(model3, np.zeros(3))
     assert value == 0.0 and (p, q, r) == (0.0, 0.0, 0.0)
     assert not np.any(u) and not np.any(vp) and not np.any(vm)
+
+
+@pytest.mark.parametrize("x", [(1e-320, 0.0, 0.0, 0.0), (0.0, -3e-310, 1e-320, 0.0),
+                               (-5e-324, 0.0, 0.0, 0.0), (1e-300, 2e-300, 0.0, -1e-301)])
+def test_a_tiny_point_keeps_its_positive_gauge(x):
+    # GAUGE_SPLIT_TOL * |x|_inf is subnormal or 0 here: the point is split at
+    # |x|_inf = 1 and scaled back, never taken for 0
+    model = build_model(4)
+    x = np.array(x)
+    size = float(np.abs(x).max())
+    value, parts = gauge_decomposition(model, x)
+    unit_value, unit_parts = gauge_decomposition(model, x / size)
+    assert value > 0.0 and value == size * unit_value >= size
+    for part, unit_part in zip(parts, unit_parts):
+        assert np.array_equal(part, size * unit_part)
+    assert gauge_norm(model, x) == value
 
 
 def test_a_part_outside_its_scaled_polytope_fails_the_certificate(model3, monkeypatch):

@@ -324,8 +324,8 @@ def test_p1_modulus_distance_solves(name, eps, solves, solve_counts):
 def test_p1_modulus_splits_the_base_set_once(monkeypatch):
     # the probes' block factors are enumerated whole, not split again.  15's
     # kernel ball is one factor, so the base set is its own target: the
-    # search splits it once, each distance splits its target, and no probe's
-    # near-center set is split
+    # search splits it once, every distance reads that held split, and no
+    # probe's near-center set is split
     inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
     problem = inst.problem()
     center = sc.center_set(problem)
@@ -337,10 +337,28 @@ def test_p1_modulus_splits_the_base_set_once(monkeypatch):
         return real(poly)
 
     monkeypatch.setattr(constraints, "factors", counted)
-    monkeypatch.setattr(stability, "factors", counted)
     report = p1_modulus(problem, 0.05, delta_max=0.05, center=center)
     assert len(report.probes) > 2
-    assert len(calls) > 1 and all(poly is calls[0] for poly in calls)
+    assert len(calls) == 1 and calls[0] is center.center_polytope
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_p1_modulus_splits_each_polytope_at_most_once(inst, split_counts):
+    # the base set and each of its factors are split once, and the affine
+    # hull of each factor that is not a free interval is solved once for all
+    # the probes, since every near set has the base set's equalities
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    blocks = sum(1 for part in constraints.factors(center.center_polytope)
+                 if part.cols.size > 1 or part.eq.size)
+    split_counts.clear()
+    report = p1_modulus(problem, 0.1, delta_max=0.1, center=center)
+    assert report.probes
+    for name in ("factors", "_line"):
+        per_object = [n for key, n in split_counts.items()
+                      if isinstance(key, tuple) and key[0] == name]
+        assert set(per_object) <= {1}
+    assert split_counts["_affine_hull"] == blocks
 
 
 def test_p1_modulus_solves_no_radius_again(solve_counts):
