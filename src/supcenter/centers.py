@@ -94,12 +94,17 @@ def near_center_set(problem: CenterProblem, delta: float, radius: float) -> Poly
     """cent_V(B, delta): all v in V with r(v, B) <= radius + delta, where
     radius is the solved rad_V(B): the one builder of V cut by a band.
     center_set builds its center polytope here at delta = 0, so a caller
-    holding the CenterReport reads center_polytope instead."""
+    holding the CenterReport reads center_polytope instead.
+
+    The set is V.with_band(lower, upper): it keeps a reference to V and,
+    when first split, takes V's factors if V holds its split (as center_set
+    leaves it), and each line factor takes (v0, dv) from V's held line and
+    finds only its own ends.  Nothing is formed when the set is built, so a
+    set that is never split, as the stability probes' are, pays nothing."""
     if delta < 0:
         raise ValueError(f"slack must be nonnegative, got {delta}")
     lower, upper = band(problem.family, radius + delta)
-    eye = np.eye(problem.dim)
-    return problem.feasible.with_rows(np.vstack([eye, -eye]), np.concatenate([upper, -lower]))
+    return problem.feasible.with_band(lower, upper)
 
 
 @dataclass(frozen=True)

@@ -126,10 +126,20 @@ class Polytope:
     first use and held for the life of the object: split() holds the factors
     and their sub-polytopes, line() the line parametrization (_line).  A call
     that raises holds nothing, so an empty polytope raises on every call.
-    with_rows makes a new polytope, which forms its own on first use.
+    with_rows makes a new polytope, which forms its own on first use.  A band
+    cut (with_band) keeps a reference to the polytope it cuts, V, and
+    inherits from it: its first split() takes V's factors when V holds its
+    split, and each of its line factors takes (v0, dv) from V's factor when
+    that factor holds its line.  Otherwise it forms its own, and V's stay as
+    they are.
+
+    The polytopes that with_rows, with_band and Factor.of derive from
+    checked arrays are built by _checked, which skips the _as_matrix pass of
+    the constructor.
     """
 
-    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices", "_parts", "_held_line")
+    __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices", "_parts", "_held_line",
+                 "_band_of")
 
     def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None,
                  vertices=None):
@@ -140,18 +150,31 @@ class Polytope:
                     break
         if dim is None:
             raise ValueError("cannot infer ambient dimension")
-        self.a_ub, self.b_ub = lp._as_matrix(a_ub, b_ub, dim)
-        self.a_eq, self.b_eq = lp._as_matrix(a_eq, b_eq, dim)
-        for arr in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
+        self._init(*lp._as_matrix(a_ub, b_ub, dim), *lp._as_matrix(a_eq, b_eq, dim), vertices)
+
+    def _init(self, a_ub, b_ub, a_eq, b_eq, vertices=None, band_of=None):
+        """Set every slot from float arrays of matching shapes; the one place
+        that does."""
+        for arr in (a_ub, b_ub, a_eq, b_eq):
             arr.setflags(write=False)
+        self.a_ub, self.b_ub, self.a_eq, self.b_eq = a_ub, b_ub, a_eq, b_eq
         self._vertices = self._parts = None
         self._held_line = ()  # () until line() has run: _line may return None
+        self._band_of = band_of
         if vertices is not None:
             raw = np.asarray(vertices, dtype=float)
             if not len(raw) or not np.all(_feasible(self, raw)):
                 raise EnumerationError("a given vertex fails the feasibility filter")
             self._vertices = merge_rows(raw)
             self._vertices.setflags(write=False)
+
+    @classmethod
+    def _checked(cls, a_ub, b_ub, a_eq, b_eq, vertices=None, band_of=None) -> "Polytope":
+        """A polytope on arrays that _as_matrix has already checked, or that
+        are derived from checked ones, with no second pass (see _init)."""
+        poly = cls.__new__(cls)
+        poly._init(a_ub, b_ub, a_eq, b_eq, vertices, band_of)
+        return poly
 
     @property
     def dim(self) -> int:
@@ -169,14 +192,18 @@ class Polytope:
         """New polytope with extra inequality rows appended, and the given
         vertices, if any, certified against them."""
         a_extra, b_extra = lp._as_matrix(a_ub, b_ub, self.dim)
-        return Polytope(
-            a_ub=np.vstack([self.a_ub, a_extra]),
-            b_ub=np.concatenate([self.b_ub, b_extra]),
-            a_eq=self.a_eq,
-            b_eq=self.b_eq,
-            dim=self.dim,
-            vertices=vertices,
-        )
+        return Polytope._checked(np.vstack([self.a_ub, a_extra]),
+                                 np.concatenate([self.b_ub, b_extra]),
+                                 self.a_eq, self.b_eq, vertices)
+
+    def with_band(self, lower, upper) -> "Polytope":
+        """This polytope cut by the band lower <= v <= upper: the rows of
+        with_rows([I; -I], [upper; -lower]), which inherits this polytope's
+        held split and lines on first use (see the class docstring)."""
+        eye = np.eye(self.dim)
+        b_ub = np.concatenate([self.b_ub, as_vector(upper, self.dim), -as_vector(lower, self.dim)])
+        return Polytope._checked(np.vstack([self.a_ub, eye, -eye]), b_ub, self.a_eq, self.b_eq,
+                                 band_of=self)
 
     def violation(self, v) -> float:
         return float(_violations(self, as_vector(v, self.dim)[None])[0])
@@ -190,17 +217,31 @@ class Polytope:
     def split(self) -> list[tuple["Factor", "Polytope"]]:
         """Each factor (see factors) with its sub-polytope (Factor.of): the
         polytope itself when it is one factor.  Formed on the first call and
-        held; the sub-polytopes hold their own lines."""
+        held; each sub-polytope holds its lone Factor and its own line.  A
+        band cut takes its factors from the held split of the polytope it
+        cuts (_band_factors), and each of its sub-polytopes is a band cut of
+        that polytope's matching sub-polytope."""
         if self._parts is None:
-            parts = factors(self)
-            # a lone factor is self, and is not held, so the object holds no cycle
-            self._parts = [(part, None if len(parts) == 1 else part.of(self)) for part in parts]
+            base = self._band_of
+            if base is None or base._parts is None:
+                parts, bases = factors(self), None
+            else:
+                parts, bases = _band_factors(base), [sub for _, sub in base._parts]
+            if len(parts) == 1:
+                # a lone factor is self, and is not held, so the object holds no cycle
+                self._parts = [(parts[0], None)]
+            else:
+                self._parts = [(part, part._sub(self, bases and bases[k]))
+                               for k, part in enumerate(parts)]
         return [(part, sub or self) for part, sub in self._parts]
 
     def line(self):
-        """_line(self), formed on the first call and held."""
+        """_line(self), formed on the first call and held.  A band cut of a
+        polytope that holds its line takes that line's (v0, dv), which depend
+        on the equalities alone, and finds only its own ends (_line_ends)."""
         if self._held_line == ():
-            self._held_line = _line(self)
+            held = () if self._band_of is None else self._band_of._held_line
+            self._held_line = _line(self) if held == () else held and _line_ends(self, *held[:2])
         return self._held_line
 
     def __repr__(self):
@@ -407,13 +448,29 @@ class Factor:
     def of(self, poly: Polytope) -> Polytope:
         """This factor of poly, or of any polytope with poly's rows and other
         right-hand sides: its rows on its columns.  A factor that holds every
-        column is poly itself."""
+        column is poly itself.  The polytope made here holds nothing yet.
+        The sub-polytopes that Polytope.split forms (_sub) hold their lone
+        Factor, and those of a band cut of V are band cuts of V's matching
+        sub-polytopes, whose held lines they inherit (Polytope.line)."""
         if self.cols.size == poly.dim:
             return poly
-        return Polytope(a_ub=poly.a_ub.take(self.ub, 0).take(self.cols, 1),
-                        b_ub=poly.b_ub[self.ub],
-                        a_eq=poly.a_eq.take(self.eq, 0).take(self.cols, 1),
-                        b_eq=poly.b_eq[self.eq], dim=self.cols.size)
+        return self._rows_of(poly)
+
+    def _sub(self, poly: Polytope, band_of: Polytope | None = None) -> Polytope:
+        """of(poly) as Polytope.split forms it, a band cut of band_of when
+        given, holding its lone Factor: it is one factor by construction, and
+        that Factor is the one factors would return for it."""
+        sub = self._rows_of(poly, band_of)
+        sub._parts = [(Factor(cols=np.arange(self.cols.size), ub=np.arange(self.ub.size),
+                              eq=np.arange(self.eq.size)), None)]
+        return sub
+
+    def _rows_of(self, poly: Polytope, band_of: Polytope | None = None) -> Polytope:
+        # poly's arrays are checked already, so _checked takes the slices as they are
+        return Polytope._checked(poly.a_ub.take(self.ub, 0).take(self.cols, 1),
+                                 poly.b_ub[self.ub],
+                                 poly.a_eq.take(self.eq, 0).take(self.cols, 1),
+                                 poly.b_eq[self.eq], band_of=band_of)
 
 
 def _row_masks(a: np.ndarray) -> list[int]:
@@ -486,6 +543,20 @@ def factors(poly: Polytope) -> list[Factor]:
             for c in comps]
 
 
+def _band_factors(base: Polytope) -> list[Factor]:
+    """The factors of base.with_band(lower, upper), read off base's held
+    split.  The band rows [I; -I] follow base's mi inequality rows and touch
+    one column each, so they join no two components: each factor keeps its
+    columns and equality rows, and its inequality rows are its own, then
+    mi + cols and mi + dim + cols, in the order factors gives them.  The zero
+    rows that factors checks are base's, which passed that check against a
+    bar no larger than the band cut's."""
+    mi, n = base.a_ub.shape[0], base.dim
+    return [Factor(cols=part.cols, ub=np.concatenate([part.ub, mi + part.cols, mi + n + part.cols]),
+                   eq=part.eq)
+            for part, _ in base._parts]
+
+
 def _line(poly: Polytope):
     """poly as the line v0 + t dv for t in [lower, upper], as
     (v0, dv, lower, upper), or None when its equalities leave more or less
@@ -498,7 +569,7 @@ def _line(poly: Polytope):
     exactly, and v0[p] = 0 with the other coordinates of v0 solved from M_p.
     The test is |d_p| > DEFAULT_TOL times the product of the row norms, the
     largest any |d_p| can be (Hadamard).  Each inequality row is then a bound
-    on t (see _ends), so an empty line raises InfeasiblePolytopeError.  A
+    on t (_line_ends), so an empty line raises InfeasiblePolytopeError.  A
     line through exact data stays exact: with weights (1/2, -1/2),
     v = (t, t).
     """
@@ -517,6 +588,14 @@ def _line(poly: Polytope):
     v0 = np.zeros(k)
     if poly.b_eq.any():
         v0[minor_cols[p]] = np.linalg.solve(a_eq[:, minor_cols[p]], poly.b_eq)
+    return _line_ends(poly, v0, dv)
+
+
+def _line_ends(poly: Polytope, v0: np.ndarray, dv: np.ndarray):
+    """(v0, dv, lower, upper): the line v0 + t dv of poly's equalities, with
+    the ends of its inequality rows on it (_ends).  A band cut takes v0 and dv
+    from the held line of the polytope it cuts, whose equalities are its own
+    arrays, and finds only its ends here (Polytope.line)."""
     lower, upper = _ends(poly.a_ub @ dv, poly.b_ub - poly.a_ub @ v0)
     return v0, dv, lower, upper
 

@@ -61,10 +61,12 @@ def solve_counts(monkeypatch):
 @pytest.fixture
 def split_counts(monkeypatch):
     """Counter of the split work: calls of constraints.factors, _line and
-    _affine_hull under their names.  Each call of factors or _line is also
-    counted under (name, polytope), a key that keeps its polytope alive, so
-    no later polytope takes over its id.  The stability search's own
-    reference to _affine_hull is counted with the rest."""
+    _affine_hull under their names, and under "_band_factors" the splits a
+    band cut reads off the held split of the polytope it cuts.  Each call of
+    factors, _line or _band_factors is also counted under (name, polytope),
+    the polytope being the one cut for _band_factors: a key that keeps its
+    polytope alive, so no later polytope takes over its id.  The stability
+    search's own reference to _affine_hull is counted with the rest."""
     counts = Counter()
 
     def counted(name, fn):
@@ -75,7 +77,7 @@ def split_counts(monkeypatch):
             return fn(*args, **kwargs)
         return run
 
-    for name in ("factors", "_line", "_affine_hull"):
+    for name in ("factors", "_line", "_affine_hull", "_band_factors"):
         monkeypatch.setattr(constraints, name, counted(name, getattr(constraints, name)))
     monkeypatch.setattr(stability, "_affine_hull", constraints._affine_hull)
     return counts

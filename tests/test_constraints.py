@@ -643,3 +643,123 @@ def test_a_failed_split_is_not_held(poly, raiser, split_counts):
     for _ in range(2):
         with pytest.raises(InfeasiblePolytopeError):
             poly.vertices()
+
+
+def _same_floats(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def assert_same_line(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        for a, b in zip(got[:2], want[:2]):
+            assert_same_bytes(a, b)
+        assert _same_floats(got[2], want[2]) and _same_floats(got[3], want[3])
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_a_band_cut_inherits_the_split_and_lines_of_a_fresh_one(inst, split_counts):
+    # center_set splits V and forms each factor's line; every band cut of V
+    # then reads its factors off V's and its lines' (v0, dv) off V's factors,
+    # and must hold what a fresh polytope on its arrays would form itself
+    for problem in (inst.problem(), sc.ball_problem(inst.family, inst.subspace)):
+        center = sc.center_set(problem)
+        held = problem.feasible.split()
+        cuts = [center.center_polytope] + [sc.near_center_set(problem, slack, center.radius)
+                                           for slack in (0.2, 0.1, 0.05)]
+        for cut in cuts:
+            split_counts.clear()
+            derived = cut.split()
+            lines = [sub.line() for _, sub in derived]
+            assert split_counts["factors"] == split_counts["_line"] == 0
+            assert split_counts["_band_factors", problem.feasible] == 1
+            fresh = _fresh(cut)
+            want = con.factors(fresh)
+            assert len(derived) == len(want)
+            for (part, sub), line, factor in zip(derived, lines, want):
+                for name in ("cols", "ub", "eq"):
+                    got, expected = getattr(part, name), getattr(factor, name)
+                    assert got.dtype == expected.dtype
+                    assert_same_bytes(got, expected)
+                fresh_sub = factor.of(fresh)
+                for name in ("a_ub", "b_ub", "a_eq", "b_eq"):
+                    assert_same_bytes(getattr(sub, name), getattr(fresh_sub, name))
+                assert_same_line(line, con._line(fresh_sub))
+        assert problem.feasible.split() == held
+
+
+def test_a_crossed_band_raises_on_every_call_and_holds_nothing(split_counts):
+    # a band at half the true radius leaves some factor empty: its line's
+    # ends cross, so every distance and every enumeration raises, and the
+    # factor that raises holds no line; V's own split and lines stay as
+    # center_set left them
+    inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    held = [(part, sub, sub.line()) for part, sub in problem.feasible.split()]
+    crossed = sc.near_center_set(problem, 0.0, 0.5 * center.radius)
+    split_counts.clear()
+    for _ in range(3):
+        with pytest.raises(InfeasiblePolytopeError):
+            lp.distance_to_polytope(np.full(problem.dim, 5.0), crossed)
+        with pytest.raises(InfeasiblePolytopeError):
+            crossed.vertices()
+    assert crossed._vertices is None
+    raised = 0
+    for _, sub in crossed.split():
+        try:
+            sub.line()
+        except InfeasiblePolytopeError:
+            raised += 1
+            assert sub._held_line == ()
+    assert raised
+    assert split_counts["factors"] == split_counts["_line"] == 0
+    assert split_counts["_band_factors"] == 1
+    assert [(part, sub, sub.line()) for part, sub in problem.feasible.split()] == held
+
+
+def test_a_band_cut_of_an_unsplit_polytope_forms_its_own_split(split_counts):
+    # V holds no split: the band cut runs factors and _line on itself and
+    # leaves V unsplit.  A V that holds its split but not its lines gives the
+    # split, and each line is formed by the cut's own factor
+    inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
+    radius = sc.center_set(inst.problem()).radius
+    x = np.full(inst.family.dim, 0.9)
+    problem = inst.problem()
+    cut = sc.near_center_set(problem, 0.1, radius)
+    split_counts.clear()
+    dist, point = lp.distance_to_polytope(x, cut)
+    assert split_counts["factors"] == split_counts["factors", cut] == 1
+    assert split_counts["_line"] == len(cut.split()) and split_counts["_band_factors"] == 0
+    assert problem.feasible._parts is None and problem.feasible._held_line == ()
+
+    problem = inst.problem()
+    problem.feasible.vertices()  # splits V, forms no line
+    assert all(sub._held_line == () for _, sub in problem.feasible.split())
+    cut = sc.near_center_set(problem, 0.1, radius)
+    split_counts.clear()
+    assert _same_floats(lp.distance_to_polytope(x, cut)[0], dist)
+    assert_same_bytes(lp.distance_to_polytope(x, cut)[1], point)
+    assert split_counts["factors"] == 0 and split_counts["_band_factors"] == 1
+    assert split_counts["_line"] == len(cut.split())
+    assert all(split_counts["_line", sub] == 1 for _, sub in cut.split())
+    assert all(sub._held_line == () for _, sub in problem.feasible.split())
+
+
+def test_a_split_gives_each_sub_polytope_its_lone_factor(split_counts):
+    # three factors: each sub-polytope split() forms holds the Factor that
+    # factors would return for it, so measuring against it splits nothing
+    poly = con.Polytope.box(4, 1.0, a_eq=[[0.5, -0.5, 0.0, 0.0]])
+    subs = [sub for _, sub in poly.split()]
+    assert len(subs) == 3
+    for sub in subs:
+        ((lone, same),) = sub.split()
+        assert same is sub
+        (want,) = con.factors(_fresh(sub))
+        for name in ("cols", "ub", "eq"):
+            assert getattr(lone, name).dtype == getattr(want, name).dtype
+            assert_same_bytes(getattr(lone, name), getattr(want, name))
+    split_counts.clear()
+    for sub in subs:
+        lp.distance_to_polytope(np.full(sub.dim, 3.0), sub)
+    assert split_counts["factors"] == 0 and split_counts["_line"] == 3

@@ -321,25 +321,21 @@ def test_p1_modulus_distance_solves(name, eps, solves, solve_counts):
     assert solve_counts["distance"] == solves
 
 
-def test_p1_modulus_splits_the_base_set_once(monkeypatch):
+def test_p1_modulus_splits_the_base_set_once(split_counts):
     # the probes' block factors are enumerated whole, not split again.  15's
-    # kernel ball is one factor, so the base set is its own target: the
-    # search splits it once, every distance reads that held split, and no
-    # probe's near-center set is split
+    # kernel ball is one factor, so the base set is its own target: its split
+    # is read once off the kernel ball's, which center_set holds, so the
+    # search runs factors on nothing, every distance reads that held split,
+    # and no probe's near-center set is split
     inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
     problem = inst.problem()
     center = sc.center_set(problem)
-    calls = []
-    real = constraints.factors
-
-    def counted(poly):
-        calls.append(poly)
-        return real(poly)
-
-    monkeypatch.setattr(constraints, "factors", counted)
+    split_counts.clear()
     report = p1_modulus(problem, 0.05, delta_max=0.05, center=center)
     assert len(report.probes) > 2
-    assert len(calls) == 1 and calls[0] is center.center_polytope
+    assert split_counts["factors"] == 0
+    assert split_counts["_band_factors"] == 1
+    assert split_counts["_band_factors", problem.feasible] == 1
 
 
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
