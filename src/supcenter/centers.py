@@ -90,21 +90,25 @@ def restricted_radius(problem: CenterProblem) -> float:
     return center_set(problem).radius
 
 
+def _check_slack(delta: float) -> None:
+    """Refuse a slack that is not a finite number >= 0 (nan included)."""
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"slack must be finite and nonnegative, got {delta}")
+
+
 def near_center_set(problem: CenterProblem, delta: float, radius: float) -> Polytope:
     """cent_V(B, delta): all v in V with r(v, B) <= radius + delta, where
-    radius is the solved rad_V(B): the one builder of V cut by a band.
-    center_set builds its center polytope here at delta = 0, so a caller
-    holding the CenterReport reads center_polytope instead.
+    radius is the solved rad_V(B) and delta a finite slack >= 0.  center_set
+    builds its center polytope here at delta = 0, so a caller holding the
+    CenterReport reads center_polytope instead.
 
-    The set is V.with_band(lower, upper): it keeps a reference to V and,
-    when first split, takes V's factors if V holds its split (as center_set
-    leaves it), and each line factor takes (v0, dv) from V's held line and
-    finds only its own ends.  Nothing is formed when the set is built, so a
-    set that is never split, as the stability probes' are, pays nothing."""
-    if delta < 0:
-        raise ValueError(f"slack must be nonnegative, got {delta}")
-    lower, upper = band(problem.family, radius + delta)
-    return problem.feasible.with_band(lower, upper)
+    The set is V plus a band, V.with_band(lower, upper): its split, its lines
+    and its affine hull are V's, formed once by V and held (see Polytope),
+    each factor cut by its slice of the band.  Nothing is formed when the set
+    is built.  The stability search takes its probes as bands of V and builds
+    no near-center set per probe (stability._product_search)."""
+    _check_slack(delta)
+    return problem.feasible.with_band(*band(problem.family, radius + delta))
 
 
 @dataclass(frozen=True)

@@ -122,24 +122,26 @@ class Polytope:
     a read-only array that vertices() returns instead of enumerating.  A
     polytope built without them enumerates as before and costs no more.
 
-    The rows are read-only, so what is derived from them alone is formed on
-    first use and held for the life of the object: split() holds the factors
-    and their sub-polytopes, line() the line parametrization (_line).  A call
-    that raises holds nothing, so an empty polytope raises on every call.
-    with_rows makes a new polytope, which forms its own on first use.  A band
-    cut (with_band) keeps a reference to the polytope it cuts, V, and
-    inherits from it: its first split() takes V's factors when V holds its
-    split, and each of its line factors takes (v0, dv) from V's factor when
-    that factor holds its line.  Otherwise it forms its own, and V's stay as
-    they are.
+    The constructor copies the arrays it is given and makes them read-only,
+    so what is derived from them alone is formed on first use and held for
+    the life of the object: split() holds the factors and their
+    sub-polytopes, line() the line parametrization (_line), hull() the
+    affine hull of the equalities (_affine_hull).  A call that raises holds
+    nothing, so an empty polytope raises on every call.  with_rows makes a
+    new polytope, which forms its own on first use.
 
-    The polytopes that with_rows, with_band and Factor.of derive from
-    checked arrays are built by _checked, which skips the _as_matrix pass of
-    the constructor.
+    A band cut, V.with_band(lower, upper), is V plus a band: it keeps
+    (V, lower, upper) and takes what V's equalities decide from V, by one
+    route.  Its split is V's, each sub-polytope cut by its slice of the band,
+    its line V's (v0, dv) with its own ends, and its hull V's, each formed
+    once by V on first use and held.
+
+    Polytopes derived from checked arrays (with_rows, with_band, split) are
+    built by _checked, which neither checks nor copies them.
     """
 
     __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices", "_parts", "_held_line",
-                 "_band_of")
+                 "_held_hull", "_band")
 
     def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None,
                  vertices=None):
@@ -150,17 +152,19 @@ class Polytope:
                     break
         if dim is None:
             raise ValueError("cannot infer ambient dimension")
-        self._init(*lp._as_matrix(a_ub, b_ub, dim), *lp._as_matrix(a_eq, b_eq, dim), vertices)
+        # copies: _init makes its arrays read-only, and the caller's stay theirs
+        arrays = (*lp._as_matrix(a_ub, b_ub, dim), *lp._as_matrix(a_eq, b_eq, dim))
+        self._init(*(arr.copy() for arr in arrays), vertices)
 
-    def _init(self, a_ub, b_ub, a_eq, b_eq, vertices=None, band_of=None):
+    def _init(self, a_ub, b_ub, a_eq, b_eq, vertices=None, band=None):
         """Set every slot from float arrays of matching shapes; the one place
         that does."""
         for arr in (a_ub, b_ub, a_eq, b_eq):
             arr.setflags(write=False)
         self.a_ub, self.b_ub, self.a_eq, self.b_eq = a_ub, b_ub, a_eq, b_eq
-        self._vertices = self._parts = None
+        self._vertices = self._parts = self._held_hull = None
         self._held_line = ()  # () until line() has run: _line may return None
-        self._band_of = band_of
+        self._band = band  # (V, lower, upper) for a band cut of V (with_band)
         if vertices is not None:
             raw = np.asarray(vertices, dtype=float)
             if not len(raw) or not np.all(_feasible(self, raw)):
@@ -169,11 +173,11 @@ class Polytope:
             self._vertices.setflags(write=False)
 
     @classmethod
-    def _checked(cls, a_ub, b_ub, a_eq, b_eq, vertices=None, band_of=None) -> "Polytope":
+    def _checked(cls, a_ub, b_ub, a_eq, b_eq, vertices=None, band=None) -> "Polytope":
         """A polytope on arrays that _as_matrix has already checked, or that
         are derived from checked ones, with no second pass (see _init)."""
         poly = cls.__new__(cls)
-        poly._init(a_ub, b_ub, a_eq, b_eq, vertices, band_of)
+        poly._init(a_ub, b_ub, a_eq, b_eq, vertices, band)
         return poly
 
     @property
@@ -198,12 +202,14 @@ class Polytope:
 
     def with_band(self, lower, upper) -> "Polytope":
         """This polytope cut by the band lower <= v <= upper: the rows of
-        with_rows([I; -I], [upper; -lower]), which inherits this polytope's
-        held split and lines on first use (see the class docstring)."""
-        eye = np.eye(self.dim)
-        b_ub = np.concatenate([self.b_ub, as_vector(upper, self.dim), -as_vector(lower, self.dim)])
+        with_rows([I; -I], [upper; -lower]).  The cut holds the band as it
+        reads off those rows, so the caller's arrays stay theirs (see the
+        class docstring)."""
+        mi, n = self.a_ub.shape[0], self.dim
+        eye = np.eye(n)
+        b_ub = np.concatenate([self.b_ub, as_vector(upper, n), -as_vector(lower, n)])
         return Polytope._checked(np.vstack([self.a_ub, eye, -eye]), b_ub, self.a_eq, self.b_eq,
-                                 band_of=self)
+                                 band=(self, -b_ub[mi + n:], b_ub[mi:mi + n]))
 
     def violation(self, v) -> float:
         return float(_violations(self, as_vector(v, self.dim)[None])[0])
@@ -214,45 +220,52 @@ class Polytope:
     def vertices(self) -> np.ndarray:
         return enumerate_vertices(self) if self._vertices is None else self._vertices
 
-    def split(self) -> list[tuple["Factor", "Polytope"]]:
-        """Each factor (see factors) with its sub-polytope (Factor.of): the
+    def split(self) -> list[tuple[np.ndarray, "Polytope"]]:
+        """Each factor's columns (see factors) with its sub-polytope, the
         polytope itself when it is one factor.  Formed on the first call and
-        held; each sub-polytope holds its lone Factor and its own line.  A
-        band cut takes its factors from the held split of the polytope it
-        cuts (_band_factors), and each of its sub-polytopes is a band cut of
-        that polytope's matching sub-polytope."""
+        held; each sub-polytope holds its own one-factor split.  A band cut
+        takes V's split and cuts each sub-polytope by its slice of the band."""
         if self._parts is None:
-            base = self._band_of
-            if base is None or base._parts is None:
-                parts, bases = factors(self), None
+            # a lone factor is self, and is not held, so the object holds no cycle
+            if self._band is None:
+                parts = factors(self)
+                self._parts = ([(parts[0].cols, None)] if len(parts) == 1 else
+                               [(part.cols, _factor_polytope(self, part)) for part in parts])
             else:
-                parts, bases = _band_factors(base), [sub for _, sub in base._parts]
-            if len(parts) == 1:
-                # a lone factor is self, and is not held, so the object holds no cycle
-                self._parts = [(parts[0], None)]
-            else:
-                self._parts = [(part, part._sub(self, bases and bases[k]))
-                               for k, part in enumerate(parts)]
-        return [(part, sub or self) for part, sub in self._parts]
+                base, lower, upper = self._band
+                self._parts = [(cols, None if sub is base else
+                                sub.with_band(lower[cols], upper[cols]))
+                               for cols, sub in base.split()]
+        return [(cols, sub or self) for cols, sub in self._parts]
 
     def line(self):
-        """_line(self), formed on the first call and held.  A band cut of a
-        polytope that holds its line takes that line's (v0, dv), which depend
-        on the equalities alone, and finds only its own ends (_line_ends)."""
+        """_line(self), formed on the first call and held.  A band cut takes
+        (v0, dv), which depend on the equalities alone, from V's line and
+        finds only its own ends (_line_ends)."""
         if self._held_line == ():
-            held = () if self._band_of is None else self._band_of._held_line
-            self._held_line = _line(self) if held == () else held and _line_ends(self, *held[:2])
+            held = self._band and self._band[0].line()
+            self._held_line = (_line(self) if self._band is None else
+                               held and _line_ends(self, *held[:2]))
         return self._held_line
+
+    def hull(self):
+        """_affine_hull(self), formed on the first call and held: a band
+        cut's is V's."""
+        if self._held_hull is None:
+            self._held_hull = _affine_hull(self) if self._band is None else self._band[0].hull()
+        return self._held_hull
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, ineqs={self.a_ub.shape[0]}, "
                 f"eqs={self.a_eq.shape[0]})")
 
 
-def _affine_hull(a_eq: np.ndarray, b_eq: np.ndarray, dim: int):
-    """Particular solution and orthonormal null-space basis of the equalities."""
+def _affine_hull(poly: Polytope):
+    """Particular solution and orthonormal null-space basis of poly's
+    equalities (Polytope.hull holds them)."""
+    a_eq, b_eq = poly.a_eq, poly.b_eq
     if a_eq.shape[0] == 0:
-        return np.zeros(dim), np.eye(dim)
+        return np.zeros(poly.dim), np.eye(poly.dim)
     try:
         v0, _, _, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
         if np.max(np.abs(a_eq @ v0 - b_eq)) > EQ_CONSISTENT_TOL * (1.0 + np.max(np.abs(b_eq))):
@@ -374,11 +387,10 @@ def _feasible(poly: Polytope, raw: np.ndarray) -> np.ndarray:
     return _violations(poly, raw) <= bar
 
 
-def _enumerate_reduced(poly: Polytope, hull=None) -> np.ndarray:
-    """Vertices of a polytope whose equalities may still need reduction.
-    hull, when given, is _affine_hull of poly's equalities, held by a caller
-    that enumerates many polytopes with the same ones."""
-    v0, basis = hull or _affine_hull(poly.a_eq, poly.b_eq, poly.dim)
+def _enumerate_reduced(poly: Polytope) -> np.ndarray:
+    """Vertex candidates of a polytope on the affine hull of its equalities
+    (Polytope.hull)."""
+    v0, basis = poly.hull()
     d = basis.shape[1]
     if d == 0:
         if _violations(poly, v0[None])[0] <= DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
@@ -445,32 +457,15 @@ class Factor:
     ub: np.ndarray
     eq: np.ndarray
 
-    def of(self, poly: Polytope) -> Polytope:
-        """This factor of poly, or of any polytope with poly's rows and other
-        right-hand sides: its rows on its columns.  A factor that holds every
-        column is poly itself.  The polytope made here holds nothing yet.
-        The sub-polytopes that Polytope.split forms (_sub) hold their lone
-        Factor, and those of a band cut of V are band cuts of V's matching
-        sub-polytopes, whose held lines they inherit (Polytope.line)."""
-        if self.cols.size == poly.dim:
-            return poly
-        return self._rows_of(poly)
 
-    def _sub(self, poly: Polytope, band_of: Polytope | None = None) -> Polytope:
-        """of(poly) as Polytope.split forms it, a band cut of band_of when
-        given, holding its lone Factor: it is one factor by construction, and
-        that Factor is the one factors would return for it."""
-        sub = self._rows_of(poly, band_of)
-        sub._parts = [(Factor(cols=np.arange(self.cols.size), ub=np.arange(self.ub.size),
-                              eq=np.arange(self.eq.size)), None)]
-        return sub
-
-    def _rows_of(self, poly: Polytope, band_of: Polytope | None = None) -> Polytope:
-        # poly's arrays are checked already, so _checked takes the slices as they are
-        return Polytope._checked(poly.a_ub.take(self.ub, 0).take(self.cols, 1),
-                                 poly.b_ub[self.ub],
-                                 poly.a_eq.take(self.eq, 0).take(self.cols, 1),
-                                 poly.b_eq[self.eq], band_of=band_of)
+def _factor_polytope(poly: Polytope, part: Factor) -> Polytope:
+    """The factor part of poly, which has no band: its rows on its columns,
+    holding its own one-factor split, which factors would return for it."""
+    # poly's arrays are checked already, so _checked takes the slices as they are
+    sub = Polytope._checked(poly.a_ub.take(part.ub, 0).take(part.cols, 1), poly.b_ub[part.ub],
+                            poly.a_eq.take(part.eq, 0).take(part.cols, 1), poly.b_eq[part.eq])
+    sub._parts = [(np.arange(part.cols.size), None)]
+    return sub
 
 
 def _row_masks(a: np.ndarray) -> list[int]:
@@ -543,20 +538,6 @@ def factors(poly: Polytope) -> list[Factor]:
             for c in comps]
 
 
-def _band_factors(base: Polytope) -> list[Factor]:
-    """The factors of base.with_band(lower, upper), read off base's held
-    split.  The band rows [I; -I] follow base's mi inequality rows and touch
-    one column each, so they join no two components: each factor keeps its
-    columns and equality rows, and its inequality rows are its own, then
-    mi + cols and mi + dim + cols, in the order factors gives them.  The zero
-    rows that factors checks are base's, which passed that check against a
-    bar no larger than the band cut's."""
-    mi, n = base.a_ub.shape[0], base.dim
-    return [Factor(cols=part.cols, ub=np.concatenate([part.ub, mi + part.cols, mi + n + part.cols]),
-                   eq=part.eq)
-            for part, _ in base._parts]
-
-
 def _line(poly: Polytope):
     """poly as the line v0 + t dv for t in [lower, upper], as
     (v0, dv, lower, upper), or None when its equalities leave more or less
@@ -594,8 +575,8 @@ def _line(poly: Polytope):
 def _line_ends(poly: Polytope, v0: np.ndarray, dv: np.ndarray):
     """(v0, dv, lower, upper): the line v0 + t dv of poly's equalities, with
     the ends of its inequality rows on it (_ends).  A band cut takes v0 and dv
-    from the held line of the polytope it cuts, whose equalities are its own
-    arrays, and finds only its ends here (Polytope.line)."""
+    from V's line, since V's equalities are its own arrays, and finds only its
+    ends here (Polytope.line)."""
     lower, upper = _ends(poly.a_ub @ dv, poly.b_ub - poly.a_ub @ v0)
     return v0, dv, lower, upper
 
@@ -628,12 +609,12 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
     """
     targets = np.atleast_2d(targets)
     value, point = -np.inf, np.empty(poly.dim)
-    for part, sub in poly.split():
-        part_targets = targets if sub is poly else targets[:, part.cols]
+    for cols, sub in poly.split():
+        part_targets = targets if sub is poly else targets[:, cols]
         line = sub.line()
         if line is None:
             eye = np.eye(sub.dim)
-            part_value, point[part.cols] = lp.epigraph_lp(np.vstack([eye, -eye]), part_targets,
+            part_value, point[cols] = lp.epigraph_lp(np.vstack([eye, -eye]), part_targets,
                                                           sub)
         else:
             v0, dv, lower, upper = line
@@ -643,17 +624,17 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
             v = v0 + t * dv
             if _violations(sub, v[None])[0] > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
                 raise LPNumericalError("the closed-form minimizer leaves its polytope")
-            point[part.cols] = v
+            point[cols] = v
             part_value = float(np.maximum(v - lo, hi - v).max())
         value = max(value, part_value)
     return value, point
 
 
-def _factor_vertices(poly: Polytope, hull=None) -> np.ndarray:
+def _factor_vertices(poly: Polytope) -> np.ndarray:
     """Vertices of a polytope taken whole: the candidates of _enumerate_reduced
-    (on hull, when given) that pass the feasibility filter (_feasible), merged
-    by merge_rows.  The kept rows are the raw candidates themselves."""
-    raw = _enumerate_reduced(poly, hull)
+    that pass the feasibility filter (_feasible), merged by merge_rows.  The
+    kept rows are the raw candidates themselves."""
+    raw = _enumerate_reduced(poly)
     keep = raw[_feasible(poly, raw)]
     if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
@@ -687,8 +668,8 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
             raise unbounded
         picks = np.indices([len(v) for v in lists]).reshape(len(lists), -1)
         product = np.empty((picks.shape[1], poly.dim))
-        for (part, _), factor_verts, pick in zip(parts, lists, picks):
-            product[:, part.cols] = factor_verts[pick]
+        for (cols, _), factor_verts, pick in zip(parts, lists, picks):
+            product[:, cols] = factor_verts[pick]
         verts = merge_rows(product)
     verts.setflags(write=False)
     return verts

@@ -7,12 +7,13 @@ a vertex, so the certificate is exact at desk scale.  The stability modulus
 delta*(eps) is the largest slack whose worst distance stays below eps
 (property (P1) of the pair (V, B), quantified).
 
-Every functional is finitely supported, so the near-center set and the set
-it is measured against are products of the same factors (see
+Every functional is finitely supported, so V is a product of factors (see
 constraints.factors): the coupled support blocks and one interval per
-off-support coordinate.  The sup-norm distance to a product is the max of the
-factor distances and the vertices of a product are the tuples of factor
-vertices, so the worst distance is the max of the factor worst distances.
+off-support coordinate.  A near-center set is V plus a band, the product of
+V's factors each cut by its slice of the band; so is the set it is measured
+against.  The sup-norm distance to a product is the max of the factor
+distances and the vertices of a product are the tuples of factor vertices,
+so the worst distance is the max of the factor worst distances.
 An interval factor has it in closed form.  In every other factor, each
 vertex distance is a sup-norm distance against one fixed polytope
 (lp.distance_to_polytope): in closed form when that polytope is a line, by
@@ -30,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .centers import CenterProblem, CenterReport, near_center_set
-from .constraints import Polytope, _affine_hull, _factor_vertices, interval
-from .errors import LPNumericalError
+from .centers import CenterProblem, CenterReport, _check_slack, near_center_set
+from .constraints import Polytope, _ends, _factor_vertices, interval
+from .errors import InfeasiblePolytopeError, LPNumericalError
+from .space import band
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
 
 logger = logging.getLogger(__name__)
@@ -72,50 +74,57 @@ def _farthest_vertex(verts: np.ndarray, target: Polytope,
     return worst, verts[np.argmax(dists >= worst - DEFAULT_TOL)]
 
 
-def _product_search(base: Polytope, representative: np.ndarray):
-    """The search near -> (worst, witness) for polytopes near with the rows of
-    base and its equalities, right-hand sides included: the largest distance
-    from a vertex of near to base, with a witness.  representative is a point
-    of base.  The search reads base's held split (Polytope.split), and each
-    near set takes the same factors with its own inequality right-hand sides.
-    Each factor of base is the fixed target of every distance taken in it, so
-    its own split and line, held on first use, serve every probe.
+def _product_search(feasible: Polytope, base: Polytope, representative: np.ndarray):
+    """The search (lower, upper) -> (worst, witness): the largest distance
+    from a vertex of the near set feasible.with_band(lower, upper) to base, a
+    band cut of feasible (V), with a witness.  representative is a point of
+    base.  The search reads the held splits of V and base (Polytope.split);
+    each factor of base is the fixed target of every distance taken in it,
+    so its own split and line, held on first use, serve every probe.  No
+    probe builds its near set whole.
 
     The worst distance w is the max of the factor worst distances w_f:
-    - a one-column factor with no equality is an interval [l, u] of near
-      around [l0, u0] of base, and w_f = max(l0 - l, u - u0, 0) in closed
-      form, with no enumeration and no LP; its vertices are l, then u;
-    - every other factor runs _farthest_vertex on its own vertices, with its
-      own known list, seeded by representative[cols] and kept across calls.
-      Each such factor is one factor already, so its vertices take the
-      unsplit route of enumerate_vertices with no second split, on the
-      affine hull of base's equalities on it, solved at its first
-      enumeration and kept across calls.
+    - a one-column factor of V with no equality is V's interval [lv, uv], and
+      the near set's is [lo, hi] = [max(lv, l), min(uv, u)] for the band's
+      [l, u] on that column: band rows are +-1, so these are the ends, and
+      the refusal of crossed ends, of interval() on the near set's rows, bit
+      for bit.  Around base's [l0, u0], w_f = max(l0 - lo, hi - u0, 0), with
+      no enumeration and no LP; its vertices are lo, then hi;
+    - every other factor is V's sub-polytope cut by its slice of the band,
+      and runs _farthest_vertex on its vertices, with its own known list,
+      seeded by representative[cols] and kept across calls.  Its vertices
+      take the unsplit route of enumerate_vertices, on the affine hull that
+      V's sub-polytope holds (Polytope.hull).
 
-    The witness is a vertex of near, None when w is 0.  The deciding factor
-    is the first factor whose worst equals w, and it takes its own witness:
-    the first of its vertices within DEFAULT_TOL of w_f.  Every other factor
-    takes its first vertex.
+    The witness is a vertex of the near set, None when w is 0.  The deciding
+    factor is the first factor whose worst equals w, and it takes its own
+    witness: the first of its vertices within DEFAULT_TOL of w_f.  Every
+    other factor takes its first vertex.
     """
-    parts = base.split()
-    # the base interval [l0, u0] of each one-column factor with no equality
-    ends = [interval(target.a_ub, target.b_ub) if part.cols.size == 1 and not part.eq.size
-            else None for part, target in parts]
-    known = [[representative[part.cols]] for part, _ in parts]
-    hulls = [None] * len(parts)
+    parts = feasible.split()
+    targets = [target for _, target in base.split()]
+    # V's interval ends of each one-column factor with no equality, with the
+    # largest |b| of its rows, and base's interval [l0, u0] of that factor
+    ends = [(*_ends(sub.a_ub[:, 0], sub.b_ub), float(np.max(np.abs(sub.b_ub), initial=0.0)),
+             *interval(target.a_ub, target.b_ub))
+            if cols.size == 1 and not sub.a_eq.size else None
+            for (cols, sub), target in zip(parts, targets)]
+    known = [[representative[cols]] for cols, _ in parts]
 
-    def search(near: Polytope) -> tuple[float, np.ndarray | None]:
+    def search(lower: np.ndarray, upper: np.ndarray) -> tuple[float, np.ndarray | None]:
         worsts, owns, firsts = [], [], []
-        for k, ((part, target), base_ends, points) in enumerate(zip(parts, ends, known)):
-            if base_ends is not None:
-                lo, hi = interval(target.a_ub, near.b_ub[part.ub])
-                lo0, hi0 = base_ends
+        for (cols, sub), target, factor_ends, points in zip(parts, targets, ends, known):
+            if factor_ends is not None:
+                lv, uv, scale, lo0, hi0 = factor_ends
+                l, u = float(lower[cols[0]]), float(upper[cols[0]])
+                lo, hi = max(lv, l), min(uv, u)
+                if lo - hi > DEFAULT_TOL * (1.0 + max(scale, abs(l), abs(u))):
+                    raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
                 worst = max(lo0 - lo, hi - hi0, 0.0)
                 own = lo if max(lo0 - lo, lo - hi0) >= worst - DEFAULT_TOL else hi
                 first = lo
             else:
-                hulls[k] = hulls[k] or _affine_hull(target.a_eq, target.b_eq, target.dim)
-                verts = _factor_vertices(part.of(near), hulls[k])
+                verts = _factor_vertices(sub.with_band(lower[cols], upper[cols]))
                 worst, own = _farthest_vertex(verts, target, points)
                 first = verts[0]
             worsts.append(worst)
@@ -126,8 +135,8 @@ def _product_search(base: Polytope, representative: np.ndarray):
             return 0.0, None
         deciding = worsts.index(worst)
         witness = np.empty(base.dim)
-        for k, (part, _) in enumerate(parts):
-            witness[part.cols] = owns[k] if k == deciding else firsts[k]
+        for k, (cols, _) in enumerate(parts):
+            witness[cols] = owns[k] if k == deciding else firsts[k]
         return worst, witness
 
     return search
@@ -136,14 +145,16 @@ def _product_search(base: Polytope, representative: np.ndarray):
 def worst_near_center_distance(problem: CenterProblem, delta: float,
                                center: CenterReport) -> tuple[float, np.ndarray | None]:
     """Largest distance from cent_V(B, delta) to cent_V(B), with a witness;
-    center is the problem's solved center_set.
+    center is the problem's solved center_set, and delta a finite slack >= 0.
 
     Exact over the vertices of the near-center polytope; the maximum of a
     convex function over a polytope is attained at one of them.  The search
-    works factor by factor (see _product_search).
+    works factor by factor on V cut by the near-center band (see
+    _product_search).
     """
-    near = near_center_set(problem, delta, radius=center.radius)
-    return _product_search(center.center_polytope, center.representative)(near)
+    _check_slack(delta)
+    search = _product_search(problem.feasible, center.center_polytope, center.representative)
+    return search(*band(problem.family, center.radius + delta))
 
 
 @dataclass(frozen=True)
@@ -170,7 +181,8 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: Cen
     The worst distance w(delta) is measured from cent_V(B, base_slack + delta)
     to cent_V(B, base_slack), which for the default base_slack = 0 is the
     center set itself, read as center.center_polytope; only a positive
-    base_slack builds its base (near_center_set).  w is continuous,
+    base_slack builds its base (near_center_set).  Each probe is a band of V,
+    searched factor by factor (_product_search).  w is continuous,
     nondecreasing and piecewise linear in delta, since the near-center set is
     a polytope whose right-hand side is affine in delta.  After a probe at
     delta_max (accepted outright when it passes) and a degeneracy probe at
@@ -184,21 +196,21 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: Cen
     modulus is reported with the degenerate flag set: in finite dimension the
     modulus must be positive, so a zero is a diagnostic, not an answer.
     """
-    if eps <= 0 or delta_max <= 0:
-        raise ValueError("eps and delta_max must be positive")
+    if not (0.0 < eps < np.inf and 0.0 < delta_max < np.inf):
+        raise ValueError(f"eps and delta_max must be positive and finite, got {eps}, {delta_max}")
     base = (center.center_polytope if base_slack == 0.0
             else near_center_set(problem, base_slack, radius=center.radius))
     # the representative lies in the center set, so in base for any base_slack;
     # the nearest points the probes find join it, factor by factor
-    search = _product_search(base, center.representative)
+    search = _product_search(problem.feasible, base, center.representative)
     probes: list[ModulusProbe] = []
     # worst(delta) often equals eps up to rounding (at delta = eps in
     # particular), so each comparison allows DEFAULT_TOL
     target = eps + DEFAULT_TOL
 
     def excess(delta: float) -> float:
-        near = near_center_set(problem, base_slack + delta, radius=center.radius)
-        worst, witness = search(near)
+        # the band of near_center_set(problem, base_slack + delta, center.radius)
+        worst, witness = search(*band(problem.family, center.radius + (base_slack + delta)))
         probes.append(ModulusProbe(delta=delta, worst=worst,
                                    witness=None if witness is None else tuple(witness)))
         return worst - target

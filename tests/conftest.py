@@ -61,25 +61,20 @@ def solve_counts(monkeypatch):
 @pytest.fixture
 def split_counts(monkeypatch):
     """Counter of the split work: calls of constraints.factors, _line and
-    _affine_hull under their names, and under "_band_factors" the splits a
-    band cut reads off the held split of the polytope it cuts.  Each call of
-    factors, _line or _band_factors is also counted under (name, polytope),
-    the polytope being the one cut for _band_factors: a key that keeps its
-    polytope alive, so no later polytope takes over its id.  The stability
-    search's own reference to _affine_hull is counted with the rest."""
+    _affine_hull under their names, and each call also under (name,
+    polytope): a key that keeps its polytope alive, so no later polytope
+    takes over its id."""
     counts = Counter()
 
     def counted(name, fn):
-        def run(*args, **kwargs):
+        def run(poly, *args, **kwargs):
             counts[name] += 1
-            if isinstance(args[0], constraints.Polytope):
-                counts[name, args[0]] += 1
-            return fn(*args, **kwargs)
+            counts[name, poly] += 1
+            return fn(poly, *args, **kwargs)
         return run
 
-    for name in ("factors", "_line", "_affine_hull", "_band_factors"):
+    for name in ("factors", "_line", "_affine_hull"):
         monkeypatch.setattr(constraints, name, counted(name, getattr(constraints, name)))
-    monkeypatch.setattr(stability, "_affine_hull", constraints._affine_hull)
     return counts
 
 

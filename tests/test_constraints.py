@@ -328,8 +328,8 @@ class TestProductSplit:
         # a factor keeps exactly the rows that touch its columns
         inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
         poly = sc.center_set(inst.problem()).center_polytope
-        for part in con.factors(poly):
-            sub = part.of(poly)
+        for part, (cols, sub) in zip(con.factors(poly), poly.split(), strict=True):
+            assert_same_bytes(cols, part.cols)
             outside = np.delete(np.arange(poly.dim), part.cols)
             assert not np.any(poly.a_ub[np.ix_(part.ub, outside)])
             assert np.array_equal(sub.a_ub, poly.a_ub[np.ix_(part.ub, part.cols)])
@@ -525,7 +525,7 @@ def _filter_cases():
         problem = inst.problem()
         center = sc.center_set(problem)
         for poly in (center.center_polytope, sc.near_center_set(problem, 0.1, center.radius)):
-            polys += [part.of(poly) for part in con.factors(poly)]
+            polys += [sub for _, sub in poly.split()]
     rng = np.random.default_rng(7)
     for inst in sc.load_corpus("renorm"):
         model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
@@ -586,6 +586,21 @@ def test_a_polytope_without_given_vertices_enumerates():
     cut = poly.with_rows([[1.0, 1.0]], [1.0])
     assert_same_bytes(cut.vertices(), con.enumerate_vertices(cut))
     assert len(cut.vertices()) == 5  # the cut takes the corner (1, 1) off
+
+
+def test_the_constructor_copies_the_callers_arrays():
+    # the polytope's rows are read-only copies: the caller's arrays stay
+    # writable, and writing to them leaves the polytope as it was built
+    a_ub, b_ub = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    a_eq, b_eq = np.array([[0.5, -0.5]]), np.zeros(1)
+    poly = con.Polytope(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    a_ub[0, 0], b_ub[1], a_eq[0, 1], b_eq[0] = 2.0, 5.0, 0.5, 1.0
+    assert_same_bytes(poly.a_ub, np.vstack([np.eye(2), -np.eye(2)]))
+    assert_same_bytes(poly.b_ub, np.ones(4))
+    assert_same_bytes(poly.a_eq, np.array([[0.5, -0.5]]))
+    assert_same_bytes(poly.b_eq, np.zeros(1))
+    assert not any(arr.flags.writeable for arr in (poly.a_ub, poly.b_ub, poly.a_eq, poly.b_eq))
+    assert poly.vertices() == pytest.approx(np.array([[-1.0, -1.0], [1.0, 1.0]]), abs=1e-15)
 
 
 def test_polytope_repr_mentions_shape():
@@ -660,8 +675,10 @@ def assert_same_line(got, want):
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
 def test_a_band_cut_inherits_the_split_and_lines_of_a_fresh_one(inst, split_counts):
     # center_set splits V and forms each factor's line; every band cut of V
-    # then reads its factors off V's and its lines' (v0, dv) off V's factors,
-    # and must hold what a fresh polytope on its arrays would form itself
+    # then takes V's split, each sub-polytope cut by its slice of the band,
+    # its lines' (v0, dv) off V's factors and its affine hulls from V's, runs
+    # factors on nothing, and must hold what a fresh polytope on its arrays
+    # would form itself
     for problem in (inst.problem(), sc.ball_problem(inst.family, inst.subspace)):
         center = sc.center_set(problem)
         held = problem.feasible.split()
@@ -671,20 +688,20 @@ def test_a_band_cut_inherits_the_split_and_lines_of_a_fresh_one(inst, split_coun
             split_counts.clear()
             derived = cut.split()
             lines = [sub.line() for _, sub in derived]
+            hulls = [sub.hull() for _, sub in derived]
             assert split_counts["factors"] == split_counts["_line"] == 0
-            assert split_counts["_band_factors", problem.feasible] == 1
-            fresh = _fresh(cut)
-            want = con.factors(fresh)
+            assert not any(split_counts["_affine_hull", sub] for _, sub in derived)
+            want = _fresh(cut).split()
             assert len(derived) == len(want)
-            for (part, sub), line, factor in zip(derived, lines, want):
-                for name in ("cols", "ub", "eq"):
-                    got, expected = getattr(part, name), getattr(factor, name)
-                    assert got.dtype == expected.dtype
-                    assert_same_bytes(got, expected)
-                fresh_sub = factor.of(fresh)
+            for (cols, sub), line, hull, (fresh_cols, fresh_sub) in zip(derived, lines, hulls,
+                                                                        want):
+                assert cols.dtype == fresh_cols.dtype
+                assert_same_bytes(cols, fresh_cols)
                 for name in ("a_ub", "b_ub", "a_eq", "b_eq"):
                     assert_same_bytes(getattr(sub, name), getattr(fresh_sub, name))
                 assert_same_line(line, con._line(fresh_sub))
+                for got, expected in zip(hull, con._affine_hull(fresh_sub)):
+                    assert_same_bytes(got, expected)
         assert problem.feasible.split() == held
 
 
@@ -696,7 +713,7 @@ def test_a_crossed_band_raises_on_every_call_and_holds_nothing(split_counts):
     inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
     problem = inst.problem()
     center = sc.center_set(problem)
-    held = [(part, sub, sub.line()) for part, sub in problem.feasible.split()]
+    held = [(cols, sub, sub.line()) for cols, sub in problem.feasible.split()]
     crossed = sc.near_center_set(problem, 0.0, 0.5 * center.radius)
     split_counts.clear()
     for _ in range(3):
@@ -714,14 +731,15 @@ def test_a_crossed_band_raises_on_every_call_and_holds_nothing(split_counts):
             assert sub._held_line == ()
     assert raised
     assert split_counts["factors"] == split_counts["_line"] == 0
-    assert split_counts["_band_factors"] == 1
-    assert [(part, sub, sub.line()) for part, sub in problem.feasible.split()] == held
+    assert [sub._band[0] for _, sub in crossed.split()] == [sub for _, sub, _ in held]
+    assert [(cols, sub, sub.line()) for cols, sub in problem.feasible.split()] == held
 
 
-def test_a_band_cut_of_an_unsplit_polytope_forms_its_own_split(split_counts):
-    # V holds no split: the band cut runs factors and _line on itself and
-    # leaves V unsplit.  A V that holds its split but not its lines gives the
-    # split, and each line is formed by the cut's own factor
+def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
+    # V holds no split: the band cut splits V, which holds the split and the
+    # lines of its factors, so a second cut of V forms nothing.  A V that
+    # holds its split but not its lines gives the split, and the cut's first
+    # line on each factor forms and holds the line of V's factor
     inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
     radius = sc.center_set(inst.problem()).radius
     x = np.full(inst.family.dim, 0.9)
@@ -729,9 +747,14 @@ def test_a_band_cut_of_an_unsplit_polytope_forms_its_own_split(split_counts):
     cut = sc.near_center_set(problem, 0.1, radius)
     split_counts.clear()
     dist, point = lp.distance_to_polytope(x, cut)
-    assert split_counts["factors"] == split_counts["factors", cut] == 1
-    assert split_counts["_line"] == len(cut.split()) and split_counts["_band_factors"] == 0
-    assert problem.feasible._parts is None and problem.feasible._held_line == ()
+    assert split_counts["factors"] == split_counts["factors", problem.feasible] == 1
+    assert split_counts["_line"] == len(cut.split())
+    assert all(split_counts["_line", sub] == 1 for _, sub in problem.feasible.split())
+    assert problem.feasible._parts is not None
+    split_counts.clear()
+    again = sc.near_center_set(problem, 0.1, radius)
+    assert _same_floats(lp.distance_to_polytope(x, again)[0], dist)
+    assert split_counts["factors"] == split_counts["_line"] == 0
 
     problem = inst.problem()
     problem.feasible.vertices()  # splits V, forms no line
@@ -740,15 +763,15 @@ def test_a_band_cut_of_an_unsplit_polytope_forms_its_own_split(split_counts):
     split_counts.clear()
     assert _same_floats(lp.distance_to_polytope(x, cut)[0], dist)
     assert_same_bytes(lp.distance_to_polytope(x, cut)[1], point)
-    assert split_counts["factors"] == 0 and split_counts["_band_factors"] == 1
+    assert split_counts["factors"] == 0
     assert split_counts["_line"] == len(cut.split())
-    assert all(split_counts["_line", sub] == 1 for _, sub in cut.split())
-    assert all(sub._held_line == () for _, sub in problem.feasible.split())
+    assert all(split_counts["_line", sub] == 1 for _, sub in problem.feasible.split())
+    assert all(sub._held_line != () for _, sub in problem.feasible.split())
 
 
 def test_a_split_gives_each_sub_polytope_its_lone_factor(split_counts):
-    # three factors: each sub-polytope split() forms holds the Factor that
-    # factors would return for it, so measuring against it splits nothing
+    # three factors: each sub-polytope split() forms holds the one-factor
+    # split that factors would give it, so measuring against it splits nothing
     poly = con.Polytope.box(4, 1.0, a_eq=[[0.5, -0.5, 0.0, 0.0]])
     subs = [sub for _, sub in poly.split()]
     assert len(subs) == 3
@@ -756,9 +779,8 @@ def test_a_split_gives_each_sub_polytope_its_lone_factor(split_counts):
         ((lone, same),) = sub.split()
         assert same is sub
         (want,) = con.factors(_fresh(sub))
-        for name in ("cols", "ub", "eq"):
-            assert getattr(lone, name).dtype == getattr(want, name).dtype
-            assert_same_bytes(getattr(lone, name), getattr(want, name))
+        assert lone.dtype == want.cols.dtype
+        assert_same_bytes(lone, want.cols)
     split_counts.clear()
     for sub in subs:
         lp.distance_to_polytope(np.full(sub.dim, 3.0), sub)

@@ -445,9 +445,10 @@ def test_a_repair_splits_once_and_forms_each_line_once(inst, split_counts):
     # the reduction's center_set splits the reduced box V and forms the line
     # of each of its factors (None on a block wider than a line); the support
     # projection's target, the center set (matched) or its beta-relaxation
-    # (gap), is V cut by a band and reads both off V.  03 has two line
-    # factors; 06 and 17 are in the gap regime, and 07's g already lies in
-    # its relaxed target, which is then never split
+    # (gap), is V cut by a band and reads both off V, so the one factors
+    # call is on V.  03 has two line factors; 06 and 17 are in the gap
+    # regime, and 07's g already lies in its relaxed target, which is then
+    # never split
     red = finite_reduction(inst.family, inst.subspace)
     choice = admissible_slack(inst.family, inst.subspace, 0.1, reduction=red)
     verts = sc.near_center_set(sc.ball_problem(inst.family, inst.subspace), choice.value,
@@ -458,8 +459,8 @@ def test_a_repair_splits_once_and_forms_each_line_once(inst, split_counts):
     split_counts.clear()
     repair_near_center(RepairInput(g=g, eps=0.1, delta=choice.value), inst.family, inst.subspace)
     assert split_counts["factors"] == 1
+    assert all(key[1]._band is None for key in split_counts if key[0] == "factors")
     assert split_counts["_line"] == factors
-    assert split_counts["_band_factors"] == (inst.name != "07-gap-zero-alpha")
     if inst.name == "03-disjoint-supports":
         assert factors == 2
 

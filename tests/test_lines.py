@@ -164,7 +164,7 @@ def test_two_line_blocks_of_disjoint_supports():
     reduction = sc.finite_reduction(inst.family, inst.subspace)
     feasible = reduction.problem.feasible
     assert [part.cols.tolist() for part in con.factors(feasible)] == [[0, 1], [2, 3]]
-    assert all(con._line(part.of(feasible)) is not None for part in con.factors(feasible))
+    assert all(con._line(sub) is not None for _, sub in feasible.split())
     center = check_center(reduction.problem)
     target = sc.near_center_set(reduction.problem, 0.0, radius=center.radius)
     dist, point = check_distance(np.array([0.9, -0.9, 0.9, -0.9]), target)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import supcenter as sc
 from supcenter import constraints, construct, lp, stability
-from supcenter.errors import LPNumericalError
+from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
+from supcenter.space import band
 from supcenter.sampling import random_ball_problem
 from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
 from supcenter.stability import (
@@ -116,12 +117,20 @@ class TestModulus:
             assert report.delta_star > 0.0
 
     def test_validates_arguments(self, worked):
+        # eps and delta_max must be positive and finite, a slack finite and
+        # nonnegative: nan and inf are refused as bad input, never searched
         _, _, problem = worked
         center = sc.center_set(problem)
-        with pytest.raises(ValueError):
-            p1_modulus(problem, eps=0.0, delta_max=0.1, center=center)
-        with pytest.raises(ValueError):
-            p1_modulus(problem, eps=0.1, delta_max=0.0, center=center)
+        for bad in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                p1_modulus(problem, eps=bad, delta_max=0.1, center=center)
+            with pytest.raises(ValueError):
+                p1_modulus(problem, eps=0.1, delta_max=bad, center=center)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sc.near_center_set(problem, bad, center.radius)
+            with pytest.raises(ValueError):
+                worst_near_center_distance(problem, bad, center=center)
 
 
 @pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["ulp-up", "ulp-down"])
@@ -202,6 +211,55 @@ def test_probes_match_the_full_space_scan(corpus_moduli):
             assert np.min(np.max(np.abs(verts - witness), axis=1)) <= 1e-12, pair
             assert lp.distance_to_polytope(witness, base)[0] >= p.worst - DEFAULT_TOL, pair
     assert probes == 234
+
+
+def test_interval_factors_take_the_ends_of_their_rows(corpus_moduli):
+    # an interval factor of a probe is V's interval cut by the band, in
+    # closed form: its ends are those interval() takes on the near set's
+    # rows, bit for bit, and so is each interval coordinate of the witness
+    factors = 0
+    for pair, problem, center, report in corpus_moduli:
+        for p in report.probes:
+            lower, upper = band(problem.family, center.radius + p.delta)
+            near = sc.near_center_set(problem, p.delta, center.radius)
+            for (cols, sub), (_, near_sub) in zip(problem.feasible.split(), near.split()):
+                if cols.size > 1 or sub.a_eq.size:
+                    continue
+                lv, uv = constraints._ends(sub.a_ub[:, 0], sub.b_ub)
+                ends = max(lv, lower[cols[0]]), min(uv, upper[cols[0]])
+                want = constraints.interval(near_sub.a_ub, near_sub.b_ub)
+                assert _same_floats(ends, want), pair
+                if p.witness is not None:
+                    assert any(_same_floats(p.witness[cols[0]], end) for end in want), pair
+                factors += 1
+    assert factors > 100
+
+
+def test_a_crossed_interval_factor_is_refused():
+    # a band whose interval factor crosses is refused as an empty near set,
+    # as interval() refuses the near set's rows
+    inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    search = stability._product_search(problem.feasible, center.center_polytope,
+                                       center.representative)
+    lower, upper = band(problem.family, center.radius + 0.1)
+    ((k, col),) = [(k, cols[0]) for k, (cols, sub) in enumerate(problem.feasible.split())
+                   if cols.size == 1 and not sub.a_eq.size]
+    lower[col], upper[col] = 0.5, 0.5 - 1e-6
+    _, near_sub = problem.feasible.with_band(lower, upper).split()[k]
+    with pytest.raises(InfeasiblePolytopeError):
+        constraints.interval(near_sub.a_ub, near_sub.b_ub)
+    with pytest.raises(InfeasiblePolytopeError):
+        search(lower, upper)
+    upper[col] = 0.5 - 1e-12  # crossed by less than the bar, so not empty
+    _, near_sub = problem.feasible.with_band(lower, upper).split()[k]
+    constraints.interval(near_sub.a_ub, near_sub.b_ub)
+    assert search(lower, upper)[0] > 0.0
+
+
+def _same_floats(got, want):
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("eps, exact", [(0.1, 1.0 / 30.0), (0.05, 1.0 / 60.0)])
@@ -324,9 +382,9 @@ def test_p1_modulus_distance_solves(name, eps, solves, solve_counts):
 def test_p1_modulus_splits_the_base_set_once(split_counts):
     # the probes' block factors are enumerated whole, not split again.  15's
     # kernel ball is one factor, so the base set is its own target: its split
-    # is read once off the kernel ball's, which center_set holds, so the
-    # search runs factors on nothing, every distance reads that held split,
-    # and no probe's near-center set is split
+    # is the kernel ball's, which center_set holds, so the search runs
+    # factors on nothing, every distance reads that held split, and every
+    # probe's enumeration reads the affine hull the kernel ball holds
     inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
     problem = inst.problem()
     center = sc.center_set(problem)
@@ -334,8 +392,7 @@ def test_p1_modulus_splits_the_base_set_once(split_counts):
     report = p1_modulus(problem, 0.05, delta_max=0.05, center=center)
     assert len(report.probes) > 2
     assert split_counts["factors"] == 0
-    assert split_counts["_band_factors"] == 1
-    assert split_counts["_band_factors", problem.feasible] == 1
+    assert split_counts["_affine_hull"] == split_counts["_affine_hull", problem.feasible] == 1
 
 
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
@@ -355,6 +412,11 @@ def test_p1_modulus_splits_each_polytope_at_most_once(inst, split_counts):
                       if isinstance(key, tuple) and key[0] == name]
         assert set(per_object) <= {1}
     assert split_counts["_affine_hull"] == blocks
+    # V's factors hold their hulls, so a second search on the same solved
+    # center solves none, and splits and lines nothing
+    split_counts.clear()
+    assert p1_modulus(problem, 0.05, delta_max=0.05, center=center).probes
+    assert not split_counts
 
 
 def test_p1_modulus_solves_no_radius_again(solve_counts):
@@ -372,22 +434,22 @@ def test_p1_modulus_solves_no_radius_again(solve_counts):
 
 
 def test_p1_modulus_reads_the_held_center_polytope(worked, near_center_builds):
-    # with zero base slack the base is center.center_polytope: one
-    # near-center set is built per probe and none for the base.  A positive
-    # base slack builds its base once, first
+    # with zero base slack the base is center.center_polytope and each probe
+    # is a band, so no near-center set is built.  A positive base slack
+    # builds its base once
     inst = next(i for i in sc.load_corpus("center") if i.name == "14-random-d4m3")
     problem = inst.problem()
     center = sc.center_set(problem)
     near_center_builds.clear()
     report = p1_modulus(problem, 0.1, delta_max=0.1, center=center)
     assert len(report.probes) > 2
-    assert near_center_builds == [p.delta for p in report.probes]
+    assert near_center_builds == []
 
     _, _, problem = worked
     center = sc.center_set(problem)
     near_center_builds.clear()
     report = p1_modulus(problem, eps=0.05, delta_max=0.3, center=center, base_slack=0.1)
-    assert near_center_builds == [0.1] + [0.1 + p.delta for p in report.probes]
+    assert near_center_builds == [0.1]
 
 
 def test_p1_modulus_base_slack_against_highs(worked):
