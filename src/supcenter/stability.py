@@ -14,13 +14,13 @@ V's factors each cut by its slice of the band; so is the set it is measured
 against.  The sup-norm distance to a product is the max of the factor
 distances and the vertices of a product are the tuples of factor vertices,
 so the worst distance is the max of the factor worst distances.
-An interval factor has it in closed form.  In every other factor, each
-vertex distance is a sup-norm distance against one fixed polytope
-(lp.distance_to_polytope): in closed form when that polytope is a line, by
-an LP when it is wider.  A point of that polytope bounds the distance of
-every vertex, so the search keeps the points it has and measures only the
-vertices whose bound can still decide the worst distance or its witness (see
-_farthest_vertex).
+A factor that is a line (an interval is the line of its one column) has it
+in closed form, from the ends of the near set and of the base on that line.
+In every wider factor, each vertex distance is a sup-norm distance against
+one fixed polytope, by an LP (lp.distance_to_polytope).  A point of that
+polytope bounds the distance of every vertex, so the search keeps the points
+it has and measures only the vertices whose bound can still decide the
+worst distance or its witness (see _farthest_vertex).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import lp
 from .centers import CenterProblem, CenterReport, _check_slack, near_center_set
-from .constraints import Polytope, _ends, _factor_vertices, interval
-from .errors import InfeasiblePolytopeError, LPNumericalError
+from .constraints import Polytope, _factor_vertices
+from .errors import LPNumericalError
 from .space import band
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
 
@@ -83,18 +83,21 @@ def _product_search(feasible: Polytope, base: Polytope, representative: np.ndarr
     so its own split and line, held on first use, serve every probe.  No
     probe builds its near set whole.
 
-    The worst distance w is the max of the factor worst distances w_f:
-    - a one-column factor of V with no equality is V's interval [lv, uv], and
-      the near set's is [lo, hi] = [max(lv, l), min(uv, u)] for the band's
-      [l, u] on that column: band rows are +-1, so these are the ends, and
-      the refusal of crossed ends, of interval() on the near set's rows, bit
-      for bit.  Around base's [l0, u0], w_f = max(l0 - lo, hi - u0, 0), with
-      no enumeration and no LP; its vertices are lo, then hi;
-    - every other factor is V's sub-polytope cut by its slice of the band,
-      and runs _farthest_vertex on its vertices, with its own known list,
-      seeded by representative[cols] and kept across calls.  Its vertices
-      take the unsplit route of enumerate_vertices, on the affine hull that
-      V's sub-polytope holds (Polytope.hull).
+    The worst distance w is the max of the factor worst distances w_f, each
+    taken on V's factor cut by its slice of the band, near:
+    - a factor that is a line (Polytope.line; an interval is the line of its
+      one column) is the segment v0 + t dv, t in [lo, hi], of near.line():
+      V's held (v0, dv) with the ends of near's rows, which refuses crossed
+      ends.  base's factor has V's equalities, so it lies on the same line,
+      over its own [l0, u0], read once.  _line makes |dv|_inf = 1, so the
+      distance of v0 + t dv to base's factor is the distance of t to
+      [l0, u0], and w_f = max(l0 - lo, hi - u0, 0), with no enumeration and
+      no LP; its vertices are the ends, lo first;
+    - every factor wider than a line runs _farthest_vertex on the vertices
+      of near, with its own known list, seeded by representative[cols] and
+      kept across calls.  Its vertices take the unsplit route of
+      enumerate_vertices, on the affine hull that V's sub-polytope holds
+      (Polytope.hull).
 
     The witness is a vertex of the near set, None when w is 0.  The deciding
     factor is the first factor whose worst equals w, and it takes its own
@@ -103,28 +106,22 @@ def _product_search(feasible: Polytope, base: Polytope, representative: np.ndarr
     """
     parts = feasible.split()
     targets = [target for _, target in base.split()]
-    # V's interval ends of each one-column factor with no equality, with the
-    # largest |b| of its rows, and base's interval [l0, u0] of that factor
-    ends = [(*_ends(sub.a_ub[:, 0], sub.b_ub), float(np.max(np.abs(sub.b_ub), initial=0.0)),
-             *interval(target.a_ub, target.b_ub))
-            if cols.size == 1 and not sub.a_eq.size else None
-            for (cols, sub), target in zip(parts, targets)]
+    # base's ends [l0, u0] on each line factor of V, None on a wider factor
+    ends = [sub.line() and target.line()[2:] for (_, sub), target in zip(parts, targets)]
     known = [[representative[cols]] for cols, _ in parts]
 
     def search(lower: np.ndarray, upper: np.ndarray) -> tuple[float, np.ndarray | None]:
         worsts, owns, firsts = [], [], []
-        for (cols, sub), target, factor_ends, points in zip(parts, targets, ends, known):
-            if factor_ends is not None:
-                lv, uv, scale, lo0, hi0 = factor_ends
-                l, u = float(lower[cols[0]]), float(upper[cols[0]])
-                lo, hi = max(lv, l), min(uv, u)
-                if lo - hi > DEFAULT_TOL * (1.0 + max(scale, abs(l), abs(u))):
-                    raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
-                worst = max(lo0 - lo, hi - hi0, 0.0)
-                own = lo if max(lo0 - lo, lo - hi0) >= worst - DEFAULT_TOL else hi
-                first = lo
+        for (cols, sub), target, base_ends, points in zip(parts, targets, ends, known):
+            near = sub.with_band(lower[cols], upper[cols])
+            if base_ends is not None:
+                v0, dv, lo, hi = near.line()
+                l0, u0 = base_ends
+                worst = max(l0 - lo, hi - u0, 0.0)
+                t = lo if max(l0 - lo, lo - u0) >= worst - DEFAULT_TOL else hi
+                own, first = v0 + t * dv, v0 + lo * dv
             else:
-                verts = _factor_vertices(sub.with_band(lower[cols], upper[cols]))
+                verts = _factor_vertices(near)
                 worst, own = _farthest_vertex(verts, target, points)
                 first = verts[0]
             worsts.append(worst)

@@ -8,7 +8,7 @@ from supcenter import constraints, construct, lp, stability
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
 from supcenter.space import band
 from supcenter.sampling import random_ball_problem
-from supcenter.tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP
+from supcenter.tolerances import DEDUP_TOL, DEFAULT_TOL, MODULUS_CONFIRM_STEP
 from supcenter.stability import (
     _farthest_vertex,
     p1_modulus,
@@ -83,6 +83,19 @@ def test_interval_factor_worst_distance_in_closed_form(value, witness, solve_cou
     assert found == pytest.approx([witness], abs=1e-15)
 
 
+def test_line_factor_worst_distance_in_closed_form(worked, solve_counts):
+    # the support block (0, 1) of weights (0.5, -0.5) is the line v = (t, t):
+    # its worst distance, like the interval's of coordinate 2, comes from its
+    # ends on the line, with no enumeration and no distance
+    _, _, problem = worked
+    center = sc.center_set(problem)
+    solve_counts.clear()
+    worst, found = worst_near_center_distance(problem, 0.1, center=center)
+    assert not solve_counts  # no enumeration, no distance, no LP
+    assert worst == pytest.approx(0.1, abs=1e-15)
+    assert found[0] == found[1]
+
+
 class TestModulus:
     def test_positive_on_worked_instance(self, worked):
         _, _, problem = worked
@@ -133,20 +146,31 @@ class TestModulus:
                 worst_near_center_distance(problem, bad, center=center)
 
 
+def _worsts_through(monkeypatch, change):
+    """Makes each search that p1_modulus runs (_product_search) report
+    change(worst) in place of its worst distance."""
+    real = stability._product_search
+
+    def product_search(*args):
+        search = real(*args)
+
+        def changed(lower, upper):
+            worst, witness = search(lower, upper)
+            return change(worst), witness
+        return changed
+
+    monkeypatch.setattr(stability, "_product_search", product_search)
+
+
 @pytest.mark.parametrize("toward", [np.inf, -np.inf], ids=["ulp-up", "ulp-down"])
 def test_p1_modulus_off_the_rounding_edge(monkeypatch, toward):
     # on the worked instance worst(0.05) equals 0.05 up to rounding, so one
-    # ulp of noise in the distances must not send the first probe to bisection
+    # ulp of noise in the worst distance must not send the first probe to
+    # bisection
     inst = next(i for i in sc.load_corpus("center") if i.name == "01-worked-instance")
     problem = inst.problem()
     center = sc.center_set(problem)
-    real = lp.distance_to_polytope
-
-    def noisy(x, poly):
-        dist, point = real(x, poly)
-        return float(np.nextafter(dist, toward)), point
-
-    monkeypatch.setattr(lp, "distance_to_polytope", noisy)
+    _worsts_through(monkeypatch, lambda worst: float(np.nextafter(worst, toward)))
     report = p1_modulus(problem, eps=0.05, delta_max=0.05, center=center)
     assert report.delta_star == 0.05
     assert len(report.probes) == 1
@@ -213,26 +237,29 @@ def test_probes_match_the_full_space_scan(corpus_moduli):
     assert probes == 234
 
 
-def test_interval_factors_take_the_ends_of_their_rows(corpus_moduli):
-    # an interval factor of a probe is V's interval cut by the band, in
-    # closed form: its ends are those interval() takes on the near set's
-    # rows, bit for bit, and so is each interval coordinate of the witness
+def test_line_factors_take_the_ends_of_their_rows(corpus_moduli):
+    # a line factor of a probe (an interval is the line of its one column)
+    # is V's line cut by the band, in closed form: its ends are those that
+    # the line of the unsplit near set's sub-polytope takes on its rows
+    # (_line_ends), bit for bit, and so are the witness's coordinates in
+    # that factor, v0 + t dv at one of the ends
     factors = 0
     for pair, problem, center, report in corpus_moduli:
         for p in report.probes:
             lower, upper = band(problem.family, center.radius + p.delta)
             near = sc.near_center_set(problem, p.delta, center.radius)
-            for (cols, sub), (_, near_sub) in zip(problem.feasible.split(), near.split()):
-                if cols.size > 1 or sub.a_eq.size:
+            unsplit = sc.Polytope(near.a_ub, near.b_ub, near.a_eq, near.b_eq)
+            for (cols, sub), (_, near_sub) in zip(problem.feasible.split(), unsplit.split()):
+                if sub.line() is None:
                     continue
-                lv, uv = constraints._ends(sub.a_ub[:, 0], sub.b_ub)
-                ends = max(lv, lower[cols[0]]), min(uv, upper[cols[0]])
-                want = constraints.interval(near_sub.a_ub, near_sub.b_ub)
-                assert _same_floats(ends, want), pair
+                v0, dv, lo, hi = sub.with_band(lower[cols], upper[cols]).line()
+                want = near_sub.line()
+                assert all(_same_floats(got, w) for got, w in zip((v0, dv, lo, hi), want)), pair
                 if p.witness is not None:
-                    assert any(_same_floats(p.witness[cols[0]], end) for end in want), pair
+                    coords = np.array(p.witness)[cols]
+                    assert any(_same_floats(coords, v0 + t * dv) for t in want[2:]), pair
                 factors += 1
-    assert factors > 100
+    assert factors == 362
 
 
 def test_a_crossed_interval_factor_is_refused():
@@ -278,13 +305,8 @@ def test_modulus_step_cap_raises(worked, monkeypatch):
     _, _, problem = worked
     eps, delta_max = 0.05, 0.3
     center = sc.center_set(problem)
-    real = lp.distance_to_polytope
-
-    def plateau(x, poly):
-        dist, point = real(x, poly)
-        return (1.0 if dist >= delta_max - 1e-12 else eps + DEFAULT_TOL), point
-
-    monkeypatch.setattr(lp, "distance_to_polytope", plateau)
+    _worsts_through(monkeypatch, lambda worst: 1.0 if worst >= delta_max - 1e-12
+                    else eps + DEFAULT_TOL)
     with pytest.raises(LPNumericalError, match="not confirmed"):
         p1_modulus(problem, eps, delta_max=delta_max, center=center)
 
@@ -332,20 +354,27 @@ def checked_searches(monkeypatch):
 
 
 def test_bound_ordered_search_matches_the_scan_on_the_corpus(checked_searches):
-    # every factor search of every corpus modulus, and the relaxed-modulus
-    # search of the gap regime, gives the scan's (worst, witness) bit for bit.
-    # Interval factors take no search: 12-no-constraints, all intervals, has
-    # none, and 03-disjoint-supports, two blocks, has two per probe, so the
-    # count stays at 234 while each search sees only its block's vertices
+    # every factor search of every corpus modulus, and of a modulus around a
+    # relaxed base, gives the scan's (worst, witness) bit for bit.  Line
+    # factors take no search: only the blocks wider than a line do, those of
+    # 08, 14 and 15, one per probe, so 96 of the 234 probes search, each only
+    # its block's vertices.  The relaxed modulus of the gap regime is taken
+    # on 07's reduced problem, a line, and takes none; 08's block takes one
+    # per probe around a relaxed base
     for _, problem, center in _corpus_centers():
         for eps in EPS_GRID:
             p1_modulus(problem, eps, delta_max=eps, center=center)
-    assert len(checked_searches) == 234 and sum(checked_searches) == 822
+    assert len(checked_searches) == 96 and sum(checked_searches) == 546
     inst = next(i for i in sc.load_corpus("center") if i.name == "07-gap-zero-alpha")
     for eps in EPS_GRID:
         choice = construct.admissible_slack(inst.family, inst.subspace, eps)
         assert choice.origin == "relaxed-modulus"
-    assert len(checked_searches) > 234
+    assert len(checked_searches) == 96
+    inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
+    problem = inst.problem()
+    report = p1_modulus(problem, 0.1, delta_max=0.1, center=sc.center_set(problem),
+                        base_slack=0.05)
+    assert len(checked_searches) == 96 + len(report.probes)
 
 
 @example(seed=0, dim=3, members=2, deltas=[0.1], keep=0)
@@ -363,6 +392,72 @@ def test_bound_ordered_search_matches_the_scan_on_random_problems(seed, dim, mem
         verts = sc.near_center_set(problem, delta, radius=center.radius).vertices()[:keep]
         result = _farthest_vertex(verts, center.center_polytope, known)
         assert _bits(result) == _bits(reference_farthest_vertex(verts, center.center_polytope))
+
+
+def _line_block(seed, k, members):
+    """A random line block: the unit box of k columns cut by k - 1
+    functionals on all of them, with members points of [-1, 1]^k."""
+    rng = np.random.default_rng(seed)
+    functionals = tuple(sc.Functional(support=tuple(range(k)),
+                                      weights=tuple(rng.uniform(0.1, 1.0, k)
+                                                    * rng.choice([-1.0, 1.0], k)),
+                                      normalize=True)
+                        for _ in range(k - 1))
+    family = sc.FunctionFamily(rng.uniform(-1.0, 1.0, (members, k)))
+    return sc.ball_problem(family, sc.Subspace(dim=k, functionals=functionals))
+
+
+# a block whose line runs against its first coordinate, dv[0] < 0, and whose
+# center set is a point, so that the near ends at slack 0 and 1e-9 lie within
+# DEDUP_TOL of each other (test_line_block_example_covers_its_edge_cases)
+LINE_BLOCK_EXAMPLE = dict(seed=57, k=4, members=2, deltas=[0.0, 1e-9, 0.5])
+
+
+@example(**LINE_BLOCK_EXAMPLE)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), members=st.integers(1, 4),
+       deltas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4))
+def test_line_block_search_matches_the_unsplit_scan(seed, k, members, deltas):
+    # the closed form on a line block agrees with the scan of the vertices of
+    # the near set, enumerated unsplit, against the base set, and its witness
+    # is one of those vertices.  The scan holds to DEFAULT_TOL: its vertices
+    # come through an orthonormal basis, and a drawn line's rounding grows
+    # with its conditioning (see tests/test_lines.py).  It also cannot see
+    # an end within DEDUP_TOL of the other one (a merged list keeps one), or
+    # within DEFAULT_TOL of the base's rows (distance_to_polytope takes it as
+    # inside, though on a steep line its sup distance is larger), so the
+    # closed form may exceed it by the distance of such an end
+    problem = _line_block(seed, k, members)
+    center = sc.center_set(problem)
+    base = center.center_polytope
+    search = stability._product_search(problem.feasible, base, center.representative)
+    _, _, l0, u0 = base.line()
+    for delta in deltas:
+        lower, upper = band(problem.family, center.radius + delta)
+        worst, witness = search(lower, upper)
+        v0, dv, lo, hi = problem.feasible.with_band(lower, upper).line()
+        merged = hi - lo <= DEDUP_TOL
+        unseen = max([max(l0 - t, t - u0, 0.0) for t in (lo, hi)
+                      if merged or base.violation(v0 + t * dv) <= DEFAULT_TOL], default=0.0)
+        verts = reference_enumerate_vertices(sc.near_center_set(problem, delta, center.radius))
+        want, _ = reference_farthest_vertex(verts, base)
+        bar = DEFAULT_TOL * (1.0 + want)
+        assert want - bar <= worst <= want + bar + unseen
+        if witness is not None:
+            gap = np.min(np.max(np.abs(verts - witness), axis=1))
+            assert gap <= 1e-12 + (hi - lo if merged else 0.0)
+
+
+def test_line_block_example_covers_its_edge_cases():
+    # the example drawn above has dv[0] < 0, so its first end in t is not its
+    # lexicographically first vertex, and near ends within DEDUP_TOL
+    problem = _line_block(*(LINE_BLOCK_EXAMPLE[key] for key in ("seed", "k", "members")))
+    _, dv, _, _ = problem.feasible.line()
+    assert dv[0] < 0.0
+    center = sc.center_set(problem)
+    for delta in LINE_BLOCK_EXAMPLE["deltas"][:2]:
+        lower, upper = band(problem.family, center.radius + delta)
+        _, _, lo, hi = problem.feasible.with_band(lower, upper).line()
+        assert hi - lo <= DEDUP_TOL
 
 
 @pytest.mark.parametrize("name, eps, solves", [("15-random-d5m4", 0.05, 14),
@@ -398,12 +493,12 @@ def test_p1_modulus_splits_the_base_set_once(split_counts):
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
 def test_p1_modulus_splits_each_polytope_at_most_once(inst, split_counts):
     # the base set and each of its factors are split once, and the affine
-    # hull of each factor that is not a free interval is solved once for all
-    # the probes, since every near set has the base set's equalities
+    # hull of each factor wider than a line is solved once for all the
+    # probes, since every near set has the base set's equalities; a line
+    # factor reads its ends off its held line, and solves no hull
     problem = inst.problem()
     center = sc.center_set(problem)
-    blocks = sum(1 for part in constraints.factors(center.center_polytope)
-                 if part.cols.size > 1 or part.eq.size)
+    wider = sum(1 for _, sub in inst.problem().feasible.split() if sub.line() is None)
     split_counts.clear()
     report = p1_modulus(problem, 0.1, delta_max=0.1, center=center)
     assert report.probes
@@ -411,7 +506,7 @@ def test_p1_modulus_splits_each_polytope_at_most_once(inst, split_counts):
         per_object = [n for key, n in split_counts.items()
                       if isinstance(key, tuple) and key[0] == name]
         assert set(per_object) <= {1}
-    assert split_counts["_affine_hull"] == blocks
+    assert split_counts["_affine_hull"] == wider
     # V's factors hold their hulls, so a second search on the same solved
     # center solves none, and splits and lines nothing
     split_counts.clear()
