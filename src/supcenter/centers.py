@@ -52,20 +52,23 @@ class CenterReport:
 
 
 def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> CenterProblem:
-    """Problem with V = lam * (unit ball of the kernel subspace)."""
+    """Problem with V = lam * (unit ball of the kernel subspace).  At lam = 1
+    V is the ball y holds (Subspace.ball), whose split, lines and hulls serve
+    every problem on y; any other lam builds its box afresh."""
     if lam <= 0:
         raise ValueError(f"ball scale must be positive, got {lam}")
-    return CenterProblem(family=family, feasible=Polytope.box(y.dim, lam, y.rows()))
+    feasible = y.ball() if lam == 1.0 else Polytope.box(y.dim, lam, y.rows())
+    return CenterProblem(family=family, feasible=feasible)
 
 
 def subspace_problem(family: FunctionFamily, y: Subspace) -> CenterProblem:
     """Problem with V = the whole kernel subspace: Y's equalities, no
-    inequality rows.  V is unbounded, yet every program over it is well posed:
-    the band rows bound the epigraph variable below, t >= (max_f f_i - min_f
-    f_i) / 2 >= 0, and the band is a box, so every center set, near-center set
-    and modulus target over Y is a bounded polytope."""
-    feasible = Polytope(a_eq=y.rows(), b_eq=np.zeros(len(y.functionals)), dim=y.dim)
-    return CenterProblem(family=family, feasible=feasible)
+    inequality rows, as y holds it (Subspace.kernel).  V is unbounded, yet
+    every program over it is well posed: the band rows bound the epigraph
+    variable below, t >= (max_f f_i - min_f f_i) / 2 >= 0, and the band is a
+    box, so every center set, near-center set and modulus target over Y is a
+    bounded polytope."""
+    return CenterProblem(family=family, feasible=y.kernel())
 
 
 def center_set(problem: CenterProblem) -> CenterReport:
@@ -206,8 +209,8 @@ def perturbation_slack_bound(radius: float, gamma: float, eps: float) -> float:
     """Largest admissible slack min{R, eps*gamma / (6R + 4*gamma)} for the
     near-center perturbation step; construct.admissible_slack takes its gap
     formula from here, with R = alpha and gamma = beta."""
-    if radius <= 0 or gamma <= 0 or eps <= 0:
-        raise ValueError("radius, gamma and eps must all be positive")
+    if not (0 < radius < np.inf and 0 < gamma < np.inf and 0 < eps < np.inf):
+        raise ValueError("radius, gamma and eps must all be positive and finite")
     return min(radius, eps * gamma / (6.0 * radius + 4.0 * gamma))
 
 

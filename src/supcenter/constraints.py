@@ -85,13 +85,33 @@ class Functional:
 
 
 @dataclass(frozen=True)
+class Support:
+    """The columns a subspace's functionals touch: slots, each support point
+    once in order of first appearance; off, the other columns in order; and
+    box, the unit box on the slots cut by the functionals' rows there."""
+
+    slots: tuple[int, ...]
+    off: np.ndarray
+    box: Polytope
+
+
+@dataclass(frozen=True)
 class Subspace:
     """Joint kernel of finitely many functionals inside dimension ``dim``.
-    Its dense rows are formed once, read-only; residuals(v) is rows() @ v."""
+    Its dense rows are formed once, read-only; residuals(v) is rows() @ v.
+
+    The polytopes that the functionals alone decide are formed on first use
+    and held, as a Polytope holds its split: support() the reduced unit box
+    on the support columns, ball() the unit ball B_Y and kernel() Y itself.
+    Each then holds its own split, lines and hulls, so the questions asked of
+    one subspace form them once.  Equality and hash ignore what is held."""
 
     dim: int
     functionals: tuple[Functional, ...] = ()
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _support: Support | None = field(default=None, init=False, repr=False, compare=False)
+    _ball: Polytope | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: Polytope | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -109,6 +129,30 @@ class Subspace:
 
     def residuals(self, v) -> np.ndarray:
         return self._rows @ as_vector(v, self.dim)
+
+    def support(self) -> Support | None:
+        """The support columns and the reduced unit box on them, held; None
+        when there are no functionals."""
+        if self._support is None and self.functionals:
+            slots = tuple(dict.fromkeys(k for mu in self.functionals for k in mu.support))
+            off = np.delete(np.arange(self.dim), slots)
+            off.setflags(write=False)
+            box = Polytope.box(len(slots), 1.0, self._rows[:, slots])
+            object.__setattr__(self, "_support", Support(slots, off, box))
+        return self._support
+
+    def ball(self) -> Polytope:
+        """The unit ball B_Y: the unit box cut by the rows, held."""
+        if self._ball is None:
+            object.__setattr__(self, "_ball", Polytope.box(self.dim, 1.0, self._rows))
+        return self._ball
+
+    def kernel(self) -> Polytope:
+        """Y itself: the rows as equalities, no inequality rows, held."""
+        if self._kernel is None:
+            kernel = Polytope(a_eq=self._rows, b_eq=np.zeros(len(self.functionals)), dim=self.dim)
+            object.__setattr__(self, "_kernel", kernel)
+        return self._kernel
 
 
 class Polytope:

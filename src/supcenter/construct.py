@@ -4,9 +4,10 @@ The constraint set is the unit ball of Y = (joint kernel of finitely many
 finitely-supported functionals).  Restricting attention to the support points
 turns the problem into a small compact one: the kernel ball restricted to
 the support columns, a unit box with one balance equality per functional and
-one coordinate per support point.  It is solved once for its optimum alpha,
-and the full radius R = max(alpha, off-support term) follows in closed form,
-so alpha <= R by construction.  The minimizer extends to an explicit center
+one coordinate per support point, which the subspace holds
+(Subspace.support).  It is solved once per family for its optimum alpha, and
+the full radius R = max(alpha, off-support term) follows in closed form, so
+alpha <= R by construction.  The minimizer extends to an explicit center
 by clamping, and a near-center g can be repaired into an exact center at
 sup-distance <= eps by projecting onto the reduced center set.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from . import lp
 from .centers import (CenterProblem, CenterReport, center_set, near_center_set,
                       perturbation_slack_bound)
-from .constraints import Polytope, Subspace
+from .constraints import Subspace
 from .errors import ConstructionError, DimensionMismatchError, PreconditionError
 from .space import FunctionFamily, as_vector, band, farthest_radius, sup_norm
 from .stability import p1_modulus
@@ -37,10 +38,11 @@ class SupportReduction:
 
     slots[i] is the ambient index of reduced coordinate i: each support point
     once, in order of first appearance.  problem is the reduced CenterProblem
-    (unit box on the slots, one balance equality per functional) and center
-    its solved CenterReport, both None when there are no functionals; alpha
-    is the reduced optimum and radius the full kernel-ball radius R, read off
-    in closed form; both are computed once here and read wherever needed.
+    (unit box on the slots, one balance equality per functional: the box the
+    subspace holds, Subspace.support) and center its solved CenterReport,
+    both None when there are no functionals; alpha is the reduced optimum
+    and radius the full kernel-ball radius R, read off in closed form; both
+    are computed once here and read wherever needed.
     """
 
     slots: tuple[int, ...]
@@ -62,22 +64,24 @@ def finite_reduction(family: FunctionFamily, y: Subspace) -> SupportReduction:
     """Solve the reduced problem for alpha and read R off in closed form:
     r(v, B) is a max over coordinates and each off-support i is free in
     [-1, 1], so R = max(alpha, max_i r_i) with r_i = max(hi_i - t_i, t_i - lo_i),
-    lo_i, hi_i = min_f f_i, max_f f_i and t_i = clip((lo_i + hi_i)/2, -1, 1)."""
+    lo_i, hi_i = min_f f_i, max_f f_i and t_i = clip((lo_i + hi_i)/2, -1, 1).
+    The slots, the off-support columns and the reduced box are y's own
+    (Subspace.support), so the box keeps its split and lines across calls."""
     if family.dim != y.dim:
         raise DimensionMismatchError(f"family dim {family.dim} != subspace dim {y.dim}")
-    slots = list(dict.fromkeys(k for mu in y.functionals for k in mu.support))
-    off = np.delete(family.values, slots, axis=1)
+    support = y.support()
+    off = family.values if support is None else family.values[:, support.off]
     lo, hi = off.min(axis=0), off.max(axis=0)
     mid = np.clip(0.5 * (lo + hi), -1.0, 1.0)
     off_radius = float(np.max(np.maximum(hi - mid, mid - lo), initial=0.0))
-    if not slots:
+    if support is None:
         return SupportReduction(slots=(), problem=None, center=None, alpha=0.0, radius=off_radius)
 
-    problem = CenterProblem(family=FunctionFamily(family.values[:, slots]),
-                            feasible=Polytope.box(len(slots), 1.0, y.rows()[:, slots]))
+    problem = CenterProblem(family=FunctionFamily(family.values[:, support.slots]),
+                            feasible=support.box)
     center = center_set(problem)
     alpha = max(center.radius, 0.0)
-    return SupportReduction(slots=tuple(slots), problem=problem, center=center, alpha=alpha,
+    return SupportReduction(slots=support.slots, problem=problem, center=center, alpha=alpha,
                             radius=max(alpha, off_radius))
 
 
@@ -135,8 +139,8 @@ class RepairInput:
 
     def __post_init__(self):
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        if self.eps <= 0:
-            raise PreconditionError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise PreconditionError(f"eps must be positive and finite, got {self.eps}")
         if not 0 < self.delta <= self.eps:
             raise PreconditionError(
                 f"slack must satisfy 0 < delta <= eps, got delta={self.delta}, eps={self.eps}")
@@ -154,9 +158,11 @@ class SlackChoice:
     radius: float
 
 
-# admissible_slack and repair_near_center alone still solve finite_reduction
-# when no reduction is given: the benchmark's slack table and its stability
-# and repair workloads call them that way
+# admissible_slack and repair_near_center solve finite_reduction when no
+# reduction is given, as the benchmark's slack table and its stability and
+# repair workloads call them.  The reduced box comes from y.support(), split
+# and with its lines after the first call on y; the family's reduced radius,
+# center set and support projection are solved on every call
 def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
                      reduction: SupportReduction | None = None) -> SlackChoice:
     """Slack delta such that any g in cent_{B_Y}(B, delta) repairs within eps.
@@ -168,8 +174,8 @@ def admissible_slack(family: FunctionFamily, y: Subspace, eps: float,
     inclusion, cent(beta + delta) against cent(beta), found by the same
     secant search (the bound degenerates with alpha).
     """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise PreconditionError(f"eps must be positive and finite, got {eps}")
     if reduction is None:
         reduction = finite_reduction(family, y)
     alpha, radius, regime = reduction.alpha, reduction.radius, reduction.regime

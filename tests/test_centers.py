@@ -111,6 +111,17 @@ def test_ball_problem_rejects_nonpositive_scale():
         sc.ball_problem(family, sc.Subspace(dim=2), 0.0)
 
 
+def test_the_unit_ball_and_the_kernel_are_the_subspaces_own(worked):
+    # lam = 1 and the subspace mode read the polytopes y holds; any other
+    # scale builds its box afresh and leaves y's ball as it was
+    family, y, problem = worked
+    assert problem.feasible is y.ball() is sc.ball_problem(family, y, 1.0).feasible
+    assert sc.subspace_problem(family, y).feasible is y.kernel()
+    scaled = [sc.ball_problem(family, y, 2.0).feasible for _ in range(2)]
+    assert scaled[0] is not scaled[1] and y.ball() not in scaled
+    assert np.array_equal(scaled[0].b_ub, np.full(6, 2.0))
+
+
 def test_solved_quantities_are_required_arguments():
     # each near-center object is built from a radius, center or reduction the
     # caller has already solved; none of them solves it again
@@ -193,6 +204,14 @@ class TestPerturbation:
         assert sc.perturbation_slack_bound(1.0, 2.0, 0.7) == pytest.approx(0.1)
         with pytest.raises(ValueError):
             sc.perturbation_slack_bound(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["radius", "gamma", "eps"])
+    def test_slack_bound_refuses_a_non_finite_argument(self, bad, slot):
+        args = [0.5, 0.5, 0.1]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            sc.perturbation_slack_bound(*args)
 
     def test_blend_certificate(self, worked, rng):
         from supcenter.sampling import near_center_point

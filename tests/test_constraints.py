@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,49 @@ class TestSubspace:
             assert y.rows() is rows and not rows.flags.writeable
             with pytest.raises(ValueError):
                 rows[..., 0] = 1.0
+
+    def test_held_polytopes_are_formed_once_and_match_fresh_ones(self):
+        y = con.Subspace(dim=5, functionals=(
+            con.Functional(support=(3, 1), weights=(0.5, -0.5)),
+            con.Functional(support=(1, 0), weights=(0.25, 0.75))))
+        support = y.support()
+        assert y.support() is support and y.ball() is y.ball() and y.kernel() is y.kernel()
+        assert support.slots == (3, 1, 0)
+        assert support.off.tolist() == [2, 4] and not support.off.flags.writeable
+        fresh = {"box": con.Polytope.box(3, 1.0, y.rows()[:, [3, 1, 0]]),
+                 "ball": con.Polytope.box(5, 1.0, y.rows()),
+                 "kernel": con.Polytope(a_eq=y.rows(), b_eq=np.zeros(2), dim=5)}
+        for held, want in zip((support.box, y.ball(), y.kernel()), fresh.values()):
+            for name in ("a_ub", "b_ub", "a_eq", "b_eq"):
+                assert_same_bytes(getattr(held, name), getattr(want, name))
+        assert con.Subspace(dim=3).support() is None
+
+    def test_equality_hash_and_repr_ignore_what_is_held(self):
+        def build():
+            return con.Subspace(dim=3, functionals=(
+                con.Functional(support=(0, 1), weights=(0.5, -0.5)),))
+        served, fresh = build(), build()
+        served.support(), served.ball(), served.kernel()
+        assert fresh._support is fresh._ball is fresh._kernel is None
+        assert served == fresh and hash(served) == hash(fresh) and repr(served) == repr(fresh)
+        held = [f for f in dataclasses.fields(con.Subspace) if f.name.startswith("_")]
+        assert [f.name for f in held] == ["_rows", "_support", "_ball", "_kernel"]
+        assert not any(f.compare or f.init or f.repr for f in held)
+
+    def test_building_a_subspace_forms_no_polytope(self, monkeypatch):
+        built = []
+        real = con.Polytope._init
+
+        def counted(poly, *args, **kwargs):
+            built.append(poly)
+            return real(poly, *args, **kwargs)
+
+        monkeypatch.setattr(con.Polytope, "_init", counted)
+        corpus = sc.load_corpus()
+        con.Subspace(dim=3, functionals=(con.Functional(support=(0, 1), weights=(0.5, -0.5)),))
+        assert not built
+        corpus[0].subspace.ball()  # the counter sees a polytope once one is formed
+        assert len(built) == 1
 
 
 def assert_residuals_match_the_functionals(y, v):
@@ -739,11 +784,17 @@ def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     # V holds no split: the band cut splits V, which holds the split and the
     # lines of its factors, so a second cut of V forms nothing.  A V that
     # holds its split but not its lines gives the split, and the cut's first
-    # line on each factor forms and holds the line of V's factor
+    # line on each factor forms and holds the line of V's factor.  V is built
+    # here, not read from the subspace, which holds its ball split
     inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
+
+    def unsplit_problem():
+        box = con.Polytope.box(inst.subspace.dim, 1.0, inst.subspace.rows())
+        return sc.CenterProblem(family=inst.family, feasible=box)
+
     radius = sc.center_set(inst.problem()).radius
     x = np.full(inst.family.dim, 0.9)
-    problem = inst.problem()
+    problem = unsplit_problem()
     cut = sc.near_center_set(problem, 0.1, radius)
     split_counts.clear()
     dist, point = lp.distance_to_polytope(x, cut)
@@ -756,7 +807,7 @@ def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     assert _same_floats(lp.distance_to_polytope(x, again)[0], dist)
     assert split_counts["factors"] == split_counts["_line"] == 0
 
-    problem = inst.problem()
+    problem = unsplit_problem()
     problem.feasible.vertices()  # splits V, forms no line
     assert all(sub._held_line == () for _, sub in problem.feasible.split())
     cut = sc.near_center_set(problem, 0.1, radius)

@@ -437,30 +437,111 @@ def test_line_blocks_reduce_and_repair_without_an_lp(inst, solve_counts):
     assert (reduce_solves, solve_counts["solves"]) == (expected, expected)
 
 
+def _fresh_subspace(y):
+    return sc.Subspace(dim=y.dim, functionals=y.functionals)
+
+
 @pytest.mark.parametrize("inst", [i for i in sc.load_corpus("center") if i.subspace.functionals],
                          ids=lambda inst: inst.name)
 def test_a_repair_splits_once_and_forms_each_line_once(inst, split_counts):
-    # the reduction's center_set splits the reduced box V and forms the line
-    # of each of its factors (None on a block wider than a line); the support
+    # the subspace holds the reduced box V (Subspace.support).  The first
+    # repair on a fresh subspace splits V once and forms the line of each of
+    # its factors (None on a block wider than a line); the support
     # projection's target, the center set (matched) or its beta-relaxation
-    # (gap), is V cut by a band and reads both off V, so the one factors
-    # call is on V.  03 has two line factors; 06 and 17 are in the gap
-    # regime, and 07's g already lies in its relaxed target, which is then
-    # never split
+    # (gap), is V cut by a band and reads both off V.  03 has two line
+    # factors; 06 and 17 are in the gap regime, and 07's g already lies in
+    # its relaxed target, which is then never split.  A second repair forms
+    # nothing, and an admissible_slack after it forms only the affine hull of
+    # each factor wider than a line, which the modulus search enumerates
+    # (08, 14 and 15), and nothing the second time
     red = finite_reduction(inst.family, inst.subspace)
     choice = admissible_slack(inst.family, inst.subspace, 0.1, reduction=red)
     verts = sc.near_center_set(sc.ball_problem(inst.family, inst.subspace), choice.value,
                                red.radius).vertices()
     h = constructive_center(inst.family, inst.subspace, reduction=red)
     g = verts[np.argmax(np.abs(verts - h).max(axis=1))]
-    factors = len(red.problem.feasible.split())
+    y = _fresh_subspace(inst.subspace)
+    inp = RepairInput(g=g, eps=0.1, delta=choice.value)
     split_counts.clear()
-    repair_near_center(RepairInput(g=g, eps=0.1, delta=choice.value), inst.family, inst.subspace)
-    assert split_counts["factors"] == 1
-    assert all(key[1]._band is None for key in split_counts if key[0] == "factors")
-    assert split_counts["_line"] == factors
+    repair_near_center(inp, inst.family, y)
+    box = y.support().box
+    subs = [sub for _, sub in box.split()]
+    assert split_counts["factors"] == split_counts["factors", box] == 1
+    assert split_counts["_line"] == len(subs)
+    assert all(split_counts["_line", sub] == 1 for sub in subs)
     if inst.name == "03-disjoint-supports":
-        assert factors == 2
+        assert len(subs) == 2
+
+    split_counts.clear()
+    repair_near_center(inp, inst.family, y)
+    assert not split_counts
+    wider = [sub for sub in subs if sub.line() is None]
+    assert bool(wider) == (inst.name in WIDER_THAN_A_LINE)
+    admissible_slack(inst.family, y, 0.1)
+    assert split_counts["factors"] == split_counts["_line"] == 0
+    assert split_counts["_affine_hull"] == len(wider)
+    assert all(split_counts["_affine_hull", sub] == 1 for sub in wider)
+    split_counts.clear()
+    admissible_slack(inst.family, y, 0.1)
+    repair_near_center(inp, inst.family, y)
+    assert not split_counts
+
+
+# the acceptance gate's repair budgets
+BUDGETS = (0.2, 0.1, 0.05)
+
+
+def _answers(family, y, inp):
+    """The bytes of center_set on y's ball problem (with its vertices), of
+    admissible_slack at inp.eps and of the repair of inp, all on y."""
+    center = sc.center_set(sc.ball_problem(family, y))
+    poly = center.center_polytope
+    choice = admissible_slack(family, y, inp.eps)
+    h = repair_near_center(inp, family, y)
+    return [np.float64(center.radius).tobytes(), center.representative.tobytes(),
+            *(getattr(poly, name).tobytes() for name in ("a_ub", "b_ub", "a_eq", "b_eq")),
+            poly.vertices().tobytes(),
+            np.array([choice.value, choice.alpha, choice.beta, choice.radius]).tobytes(),
+            choice.regime, choice.origin, h.tobytes()]
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_a_served_subspace_answers_as_a_fresh_one_bit_for_bit(inst):
+    # the subspace holds its reduced box and its ball with their splits,
+    # lines and hulls once earlier calls have formed them, here on another
+    # family as well; an equal subspace built afresh forms its own, and
+    # every answer must be the same bits
+    family, served = inst.family, inst.subspace
+    halved = sc.FunctionFamily(0.5 * family.values)
+    sc.center_set(sc.ball_problem(halved, served))
+    admissible_slack(halved, served, 0.1)
+    inputs = []
+    for eps in BUDGETS:
+        red = finite_reduction(family, served)
+        choice = admissible_slack(family, served, eps, reduction=red)
+        verts = sc.near_center_set(sc.ball_problem(family, served), choice.value,
+                                   red.radius).vertices()
+        h = constructive_center(family, served, reduction=red)
+        g = verts[np.argmax(np.abs(verts - h).max(axis=1))]
+        inputs.append(RepairInput(g=g, eps=eps, delta=choice.value))
+    assert served._ball is not None
+    assert (served._support is None) == (not served.functionals)
+    for inp in inputs:
+        assert _answers(family, served, inp) == _answers(family, _fresh_subspace(served), inp)
+
+
+@pytest.mark.parametrize("name", ["01-worked-instance", "06-gap-positive-alpha",
+                                  "12-no-constraints"])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf], ids=str)
+def test_a_non_finite_budget_is_refused(name, eps):
+    # as a non-positive one is: before any reduction is read or solved
+    inst = next(i for i in sc.load_corpus("center") if i.name == name)
+    red = finite_reduction(inst.family, inst.subspace)
+    for reduction in (None, red):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            admissible_slack(inst.family, inst.subspace, eps, reduction=reduction)
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        RepairInput(g=np.zeros(inst.family.dim), eps=eps, delta=0.1)
 
 
 def test_simplex_mode_tags_report(worked):
