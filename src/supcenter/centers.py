@@ -54,9 +54,10 @@ class CenterReport:
 def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> CenterProblem:
     """Problem with V = lam * (unit ball of the kernel subspace).  At lam = 1
     V is the ball y holds (Subspace.ball), whose split, lines and hulls serve
-    every problem on y; any other lam builds its box afresh."""
-    if lam <= 0:
-        raise ValueError(f"ball scale must be positive, got {lam}")
+    every problem on y; any other lam builds its box afresh.  A lam that is
+    not positive and finite raises ValueError."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"ball scale must be positive and finite, got {lam}")
     feasible = y.ball() if lam == 1.0 else Polytope.box(y.dim, lam, y.rows())
     return CenterProblem(family=family, feasible=feasible)
 
@@ -130,9 +131,10 @@ class ScalingIdentityReport:
 def check_scaling_identity(y: Subspace, family: FunctionFamily, lam: float,
                            delta: float | None = None) -> ScalingIdentityReport:
     """Certify cent_{lam B_Y}(B) = lam cent_{B_Y}(B / lam), and the
-    delta-version for near-center sets, each gap within IDENTITY_SET_TOL."""
-    if lam <= 0:
-        raise ValueError(f"scale must be positive, got {lam}")
+    delta-version for near-center sets, each gap within IDENTITY_SET_TOL.  A
+    lam that is not positive and finite raises ValueError."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {lam}")
     direct = ball_problem(family, y, lam)
     shrunk = ball_problem(FunctionFamily(family.values / lam), y)
     c_direct = center_set(direct)

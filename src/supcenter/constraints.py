@@ -454,11 +454,11 @@ def _enumerate_reduced(poly: Polytope) -> np.ndarray:
 def _tolerant_ranks(rows: np.ndarray) -> np.ndarray:
     # per column, values chained by gaps of at most DEDUP_TOL share a rank, so
     # last-ulp noise cannot reorder rows that agree in that column
-    order = np.argsort(rows, axis=0, kind="stable")
+    order = rows.argsort(axis=0, kind="stable")
     cols = np.arange(rows.shape[1])
-    steps = np.diff(rows[order, cols], axis=0) > DEDUP_TOL
+    ordered = rows[order, cols]
     ranks = np.zeros(rows.shape, dtype=np.int64)
-    ranks[order[1:], cols] = np.cumsum(steps, axis=0)
+    ranks[order[1:], cols] = (ordered[1:] - ordered[:-1] > DEDUP_TOL).cumsum(axis=0)
     return ranks
 
 
@@ -471,16 +471,22 @@ def merge_rows(rows: np.ndarray) -> np.ndarray:
     sorted values between them step by gaps no larger than their difference.
     So after the lexsort on the ranks, rows that can merge sit in one run of
     equal keys, a row alone in its run is kept, and the greedy scan runs only
-    inside runs of two or more rows.  The ranks only decide order and runs;
-    every returned row is an input row, unchanged.
+    inside runs of two or more rows; when no two adjacent keys agree, the
+    sorted rows are returned at once.  The ranks only decide order and runs;
+    every returned row is an input row, unchanged.  On lists of a few dozen
+    rows the Python wrappers of np.diff and np.flatnonzero cost more than the
+    arithmetic, so steps are slices and runs come from np.nonzero.
     """
     rows = np.asarray(rows, dtype=float)
     ranks = _tolerant_ranks(rows)
     order = np.lexsort(ranks.T[::-1])
     rows, ranks = rows[order], ranks[order]
-    bounds = np.flatnonzero(np.concatenate([[True], np.diff(ranks, axis=0).any(axis=1), [True]]))
+    change = (ranks[1:] != ranks[:-1]).any(axis=1)
+    if change.all():
+        return rows
+    bounds = np.nonzero(np.concatenate(([True], change, [True])))[0]
     keep = np.ones(len(rows), dtype=bool)
-    for run in np.flatnonzero(np.diff(bounds) > 1):
+    for run in np.nonzero(bounds[1:] - bounds[:-1] > 1)[0]:
         lo, hi = bounds[run], bounds[run + 1]
         kept = [lo]
         for i in range(lo + 1, hi):

@@ -33,8 +33,13 @@ vertices on the hyperplane and the crossings of its edges with it (Ziegler,
 Lectures on Polytopes, 1995).  build_model reads the facets and the edges of
 B off its one Qhull hull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996), as
 the distinct columns of the vertex-facet incidence and the vertex pairs
-whose common facets have rank n - 1, and each projection carries its
-vertices from one broadcast over the edges, certified against its own facet
+whose common facets have rank n - 1.  Which vertices lie on a level and
+which edges cross it depend only on the side of c on which each of the
+levels -1, 0 and 1 lies, so the model forms each of these at most five
+patterns once and holds it (GarkaviModel.level_section); a projection reads its
+vertices off the held pattern, by the same float operations as a fresh
+section (_level_section), and is one polytope on the model's held rows of Y
+with its own right-hand side, which certifies the vertices against its facet
 rows.  Every vertex of B has at least n edges (Balinski, Pacific J. Math.
 1961), which the build checks.  For |c| <= 1,
 B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, so B cap Y is the slab
@@ -49,7 +54,7 @@ facets, so that they stay a check (the replay measures a certified split).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,13 +78,16 @@ class GarkaviModel:
     gamma: float
     theta: float
     phi: Functional
+    phi_row: np.ndarray      # Phi as a dense row of length n
     x0: np.ndarray
     y0: np.ndarray
     alpha: float
     slab: Polytope           # U
     cube: Polytope           # V = x0 + B_gamma
     small_ball: Polytope     # B_gamma
+    kernel: Polytope         # Y, without inequality rows
     ball_facets: np.ndarray     # rows a with B = {z : a.z <= 1}, one per facet
+    projection_rows: np.ndarray  # -ball_facets: P_Y(x, l) = {y in Y : -a.y <= l - a.x}
     section_facets: np.ndarray  # rows s with B cap Y = U = {y in Y : s.y <= 1}
     section_vertices: np.ndarray  # the vertices of U
     hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
@@ -89,6 +97,30 @@ class GarkaviModel:
     certificates: dict[str, float]
     c_lower: float           # c_lower * |x|_inf <= gauge(x)
     c_upper: float           # gauge(x) <= c_upper * |x|_inf
+    # the distinct x0-levels of the hull points, and the section patterns
+    # formed so far (level_section), keyed by the side of c on which each lies
+    _levels: tuple[float, ...] = field(init=False, repr=False)
+    _sections: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self._levels = tuple(np.unique(self.hull_points[:, 0]).tolist())
+
+    def level_section(self, c: float) -> np.ndarray:
+        """_level_section of B at x0-level c, from its held pattern.
+
+        Which hull points lie on the level and which edges cross it depend
+        only on the side of c, within SECTION_LEVEL_TOL, on which each
+        x0-level of the hull points lies; B's sit at -1, 0 and 1, so a model
+        forms at most five patterns, each on first use, and holds them.
+        """
+        c = float(c)
+        key = tuple(0 if abs(level - c) <= SECTION_LEVEL_TOL else (1 if level > c else -1)
+                    for level in self._levels)
+        pattern = self._sections.get(key)
+        if pattern is None:
+            pattern = self._sections[key] = _Section.form(self.hull_points, self.vertices,
+                                                          self.edges, c)
+        return pattern.at(c)
 
 
 def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
@@ -163,7 +195,7 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
             certificate="gamma-slab")
 
     # certificate: the shrunk slab misses the ball around y0 (infeasibility LP)
-    kernel = _subspace_polytope(n)
+    kernel = Polytope(a_eq=eye[:1], b_eq=np.zeros(1))
     slab = kernel.with_rows(np.vstack([box_rows, phi_row, -phi_row]),
                             np.concatenate([np.ones(2 * (n - 1)), [shrink, shrink]]))
     meet = slab.with_rows(box_rows, gamma + box_rows @ y0)
@@ -200,24 +232,25 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     if degree < n:
         raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
                               certificate="edges")
-    ball_facets.setflags(write=False)
-
-    # B cap Y holds U; its vertices, the level-0 section of the edges, lie in U
-    if not np.all(_feasible(slab, _level_section(hull_points, vertices, edges, 0.0))):
-        raise EnumerationError("a vertex of B cap Y fails the feasibility filter of the slab")
+    projection_rows = -ball_facets
+    for held in (phi_row, ball_facets, projection_rows):
+        held.setflags(write=False)
     section_facets = slab.a_ub / slab.b_ub[:, None]
     section_facets.setflags(write=False)
+    model = GarkaviModel(n=n, seed=seed, gamma=gamma, theta=theta, phi=phi, phi_row=phi_row,
+                         x0=x0, y0=y0, alpha=alpha, slab=slab, cube=cube, small_ball=small_ball,
+                         kernel=kernel, ball_facets=ball_facets, projection_rows=projection_rows,
+                         section_facets=section_facets, section_vertices=slab_verts,
+                         hull_points=hull_points, vertices=vertices, edges=edges,
+                         split_cone=_split_cone(slab, cube), certificates=certificates,
+                         c_lower=0.0, c_upper=0.0)
+
+    # B cap Y holds U; its vertices, the level-0 section of the edges, lie in U
+    if not np.all(_feasible(slab, model.level_section(0.0))):
+        raise EnumerationError("a vertex of B cap Y fails the feasibility filter of the slab")
     certificates["section-interior"] = float(np.min(slab.b_ub / np.linalg.norm(slab.a_ub, axis=1)))
     if certificates["section-interior"] <= HULL_MARGIN_FLOOR:
         raise ModelBuildError("origin is not interior to B cap Y", certificate="section-interior")
-
-    model = GarkaviModel(n=n, seed=seed, gamma=gamma, theta=theta, phi=phi, x0=x0, y0=y0,
-                         alpha=alpha, slab=slab, cube=cube, small_ball=small_ball,
-                         ball_facets=ball_facets, section_facets=section_facets,
-                         section_vertices=slab_verts, hull_points=hull_points,
-                         vertices=vertices, edges=edges, split_cone=_split_cone(slab, cube),
-                         certificates=certificates,
-                         c_lower=0.0, c_upper=0.0)
 
     # norm-equivalence constants and the unit certificate for x0
     max_point_norm = float(np.max(np.abs(hull_points)))
@@ -294,17 +327,47 @@ def _certify_facets(points: np.ndarray, facets: np.ndarray) -> None:
                               f"fewer than n = {points.shape[1]}", certificate="facets")
 
 
+@dataclass(frozen=True)
+class _Section:
+    """What a section of conv(points) at an x0-level c takes from the side of
+    c on which each point lies: the vertices within SECTION_LEVEL_TOL of the
+    level, and for each edge whose ends lie past it on opposite sides its low
+    end, the x0-levels of both ends and its step (high end - low end)."""
+    on: np.ndarray
+    low: np.ndarray
+    low_level: np.ndarray
+    high_level: np.ndarray
+    step: np.ndarray
+
+    @classmethod
+    def form(cls, points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,
+             c: float) -> "_Section":
+        offset = points[:, 0] - c
+        side = np.where(np.abs(offset) <= SECTION_LEVEL_TOL, 0.0, np.sign(offset))
+        on = vertices[side[vertices] == 0.0]
+        lo, hi = edges[side[edges[:, 0]] * side[edges[:, 1]] < 0.0].T
+        section = cls(points[on], points[lo], points[lo, 0], points[hi, 0],
+                      points[hi] - points[lo])
+        for arr in vars(section).values():
+            arr.setflags(write=False)
+        return section
+
+    def at(self, c: float) -> np.ndarray:
+        """The section's vertices at level c, unmerged: the vertices on it and
+        the edges' crossings, low + t * step with t = (low_level - c) /
+        ((low_level - c) - (high_level - c))."""
+        low, high = self.low_level - c, self.high_level - c
+        t = low / (low - high)
+        return np.vstack([self.on, self.low + t[:, None] * self.step])
+
+
 def _level_section(points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,
                    c: float) -> np.ndarray:
     """Vertices of conv(points) cap {z_0 = c}, unmerged: the vertices within
     SECTION_LEVEL_TOL of the level c and the crossings of the edges whose
-    ends lie past it on opposite sides (Ziegler, Lectures on Polytopes)."""
-    offset = points[:, 0] - c
-    side = np.where(np.abs(offset) <= SECTION_LEVEL_TOL, 0.0, np.sign(offset))
-    on = vertices[side[vertices] == 0.0]
-    lo, hi = edges[side[edges[:, 0]] * side[edges[:, 1]] < 0.0].T
-    t = offset[lo] / (offset[lo] - offset[hi])
-    return np.vstack([points[on], points[lo] + t[:, None] * (points[hi] - points[lo])])
+    ends lie past it on opposite sides (Ziegler, Lectures on Polytopes),
+    formed afresh; GarkaviModel.level_section takes them from a held pattern."""
+    return _Section.form(points, vertices, edges, c).at(c)
 
 
 def _gauge_facets(model: GarkaviModel, x):
@@ -368,7 +431,7 @@ def _level_split(model: GarkaviModel, z: np.ndarray, c: float) -> tuple[np.ndarr
     a, b = 1.0 - abs(c), abs(c) * model.gamma
     lo, hi = np.maximum(z_y - a, -b), np.minimum(z_y + a, b)
     lo[0] = hi[0] = 0.0
-    phi = model.phi.dense(model.n)
+    phi = model.phi_row
     w_min, w_max = np.where(phi > 0.0, lo, hi), np.where(phi > 0.0, hi, lo)
     low, high = float(phi @ w_min), float(phi @ w_max)
     t = (min(max(float(phi @ z_y), low), high) - low) / (high - low) if high > low else 0.0
@@ -405,11 +468,6 @@ def _certify_decomposition(model: GarkaviModel, x: np.ndarray, value: float, par
         raise LPNumericalError(f"gauge decomposition misses its certificate by {miss!r}")
 
 
-def _subspace_polytope(n: int) -> Polytope:
-    """Y = ker(first coordinate) as a polytope without inequality rows."""
-    return Polytope(a_eq=np.eye(n)[:1], b_eq=np.zeros(1))
-
-
 def subspace_gauge_distance(model: GarkaviModel, x) -> tuple[float, np.ndarray]:
     """min over y in Y of gauge(x - y), with a nearest point, in closed form.
 
@@ -428,17 +486,19 @@ def _projection(model: GarkaviModel, x: np.ndarray, level: float) -> Polytope:
     """{y in Y : gauge(x - y) <= level} for a level >= |x_0|, one row
     a.(x - y) <= level per facet, carrying its vertices.  With c = x_0 / level
     they are x - level * s for the vertices s of the section of B at x0-level
-    c (_level_section), with y_0 set to 0; level 0 is the single point x_Y.
-    The polytope certifies them against its rows (EnumerationError on a miss).
+    c (GarkaviModel.level_section), with y_0 set to 0; level 0 is the single point
+    x_Y.  The rows are the model's projection_rows with the right-hand side
+    level - a.x, on Y's held equality.  The polytope certifies the vertices
+    against its rows (EnumerationError on a miss).
     """
-    facets = model.ball_facets
     if level > 0.0:
-        verts = x - level * _level_section(model.hull_points, model.vertices, model.edges,
-                                           x[0] / level)
+        verts = x - level * model.level_section(x[0] / level)
         verts[:, 0] = 0.0
     else:
         verts = np.concatenate(([0.0], x[1:]))[None]
-    return _subspace_polytope(model.n).with_rows(-facets, level - facets @ x, vertices=verts)
+    kernel = model.kernel
+    return Polytope._checked(model.projection_rows, level - model.ball_facets @ x,
+                             kernel.a_eq, kernel.b_eq, vertices=verts)
 
 
 def metric_projection(model: GarkaviModel, x, eps: float = 0.0) -> Polytope:
@@ -595,7 +655,7 @@ def center_trend(n_values: tuple[int, ...], seed: int = 0) -> tuple[TrendRow, ..
     for n in n_values:
         model = build_model(n, seed=seed)
         targets = np.vstack([np.zeros(n), model.x0 + model.y0])
-        radius, center = lp.epigraph_lp(model.ball_facets, targets, _subspace_polytope(n))
+        radius, center = lp.epigraph_lp(model.ball_facets, targets, model.kernel)
         rows.append(TrendRow(n=n, radius=radius,
                              phi_at_center=model.phi(center), alpha=model.alpha))
     return tuple(rows)

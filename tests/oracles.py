@@ -63,7 +63,7 @@ from supcenter.centers import CenterReport, near_center_set
 from supcenter.constraints import merge_rows
 from supcenter.errors import (InfeasiblePolytopeError, LPNumericalError,
                              UnboundedPolytopeError)
-from supcenter.garkavi import _level_section, _subspace_polytope
+from supcenter.garkavi import _level_section
 from supcenter.space import as_vector
 from supcenter.tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   EQ_CONSISTENT_TOL, MODULUS_RESOLUTION, NULL_ROW_TOL, PIVOT_EPS,
@@ -653,7 +653,7 @@ def reference_subspace_gauge_distance(model, x):
     LP over the ball facets."""
     x = as_vector(x, model.n)
     # gauge(x - y) = max_a a.(x - y) = max_a (-a).(y - x)
-    dist, y = lp.epigraph_lp(-model.ball_facets, x, _subspace_polytope(model.n))
+    dist, y = lp.epigraph_lp(-model.ball_facets, x, model.kernel)
     return max(dist, 0.0), y
 
 
@@ -700,7 +700,7 @@ def reference_section(model):
     section of the edge graph as its vertices: those vertices, the merged
     Qhull facets of their hull in Y (first coordinate 0), and the origin's
     least distance to those facets."""
-    section = _subspace_polytope(model.n).with_rows(
+    section = model.kernel.with_rows(
         model.ball_facets, np.ones(len(model.ball_facets)),
         vertices=_level_section(model.hull_points, model.vertices, model.edges, 0.0))
     verts = section.vertices()

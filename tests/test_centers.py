@@ -111,6 +111,17 @@ def test_ball_problem_rejects_nonpositive_scale():
         sc.ball_problem(family, sc.Subspace(dim=2), 0.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_scale_is_refused(worked, lam):
+    # nan <= 0 is false, so a bare sign test let these through: a nan scale
+    # answered a radius for a box whose rows read v <= nan
+    family, y, _ = worked
+    with pytest.raises(ValueError, match="positive and finite"):
+        sc.ball_problem(family, y, lam)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sc.check_scaling_identity(y, family, lam)
+
+
 def test_the_unit_ball_and_the_kernel_are_the_subspaces_own(worked):
     # lam = 1 and the subspace mode read the polytopes y holds; any other
     # scale builds its box afresh and leaves y's ball as it was

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -7,7 +9,7 @@ from scipy.spatial import QhullError
 
 from supcenter import cli, constraints, garkavi, lp
 from supcenter.constraints import Polytope
-from supcenter.errors import LPNumericalError, ModelBuildError
+from supcenter.errors import EnumerationError, LPNumericalError, ModelBuildError
 from supcenter.instances import load_corpus
 from supcenter.garkavi import (
     build_model,
@@ -19,6 +21,7 @@ from supcenter.garkavi import (
     subspace_gauge_distance,
     _forward_gap,
     _gauge_facets,
+    _level_section,
     _projection,
     _replay_crossing,
 )
@@ -550,11 +553,116 @@ def test_a_missing_edge_fails_the_build_through_the_balinski_guard(monkeypatch, 
 
 def test_a_section_vertex_outside_b_fails_with_exit_three(monkeypatch, capsys):
     # section vertices pushed 1 % outward leave the section's facets: the
-    # certificate of the carried vertices refuses them
-    real = garkavi._level_section
-    monkeypatch.setattr(garkavi, "_level_section", lambda *args: 1.01 * real(*args))
+    # build's level-0 check refuses them
+    real = garkavi._Section.at
+    monkeypatch.setattr(garkavi._Section, "at", lambda self, c: 1.01 * real(self, c))
     assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
     assert "feasibility filter" in capsys.readouterr().err
+
+
+def _outward(pattern):
+    """A section pattern whose vertices all sit 1 % further out."""
+    return dataclasses.replace(pattern, on=1.01 * pattern.on, low=1.01 * pattern.low,
+                               step=1.01 * pattern.step)
+
+
+@pytest.mark.parametrize("corrupt", ["routine", "held"])
+def test_a_projection_certifies_its_own_section(monkeypatch, corrupt):
+    # past the build's level-0 check, each projection's carried vertices meet
+    # the certificate of its own rows, whether the routine that forms them or
+    # a held pattern is wrong
+    model = build_model(4)
+    x = np.array([0.7, 0.1, -0.2, 0.3])
+    if corrupt == "routine":
+        real = garkavi._Section.at
+        monkeypatch.setattr(garkavi._Section, "at", lambda self, c: 1.01 * real(self, c))
+    else:
+        for c in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            model.level_section(c)
+        assert len(model._sections) == 5
+        for key, pattern in model._sections.items():
+            model._sections[key] = _outward(pattern)
+    with pytest.raises(EnumerationError, match="feasibility filter"):
+        metric_projection(model, x, 0.1)
+    with pytest.raises(EnumerationError, match="feasibility filter"):
+        half_ball_check(model, 1)
+
+
+# x0-levels on, next to and between B's levels -1, 0 and 1
+SECTION_LEVELS = (-1.0, -1.0 + 1e-14, -1.0 + 2e-14, -0.5, -2e-14, -1e-14, 0.0, 1e-14, 2e-14,
+                  0.5, 1.0 - 2e-14, 1.0 - 1e-14, 1.0)
+
+
+def _held_sections_match_fresh_ones(model, rng):
+    """Each held section bit for bit against _level_section formed afresh,
+    at the SECTION_LEVELS and at drawn levels, taken in a shuffled order so
+    that a pattern serves levels other than the one it was formed at; the
+    model forms one pattern per side pattern of B's levels, at most five."""
+    levels = [*SECTION_LEVELS, *rng.uniform(-1.0, 1.0, 20)]
+    for c in [levels[k] for k in rng.permutation(len(levels))]:
+        held = model.level_section(c)
+        fresh = _level_section(model.hull_points, model.vertices, model.edges, c)
+        assert held.shape == fresh.shape and held.tobytes() == fresh.tobytes(), c
+    assert len(model._sections) == 5
+
+
+@pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
+def test_held_sections_match_fresh_ones_on_corpus_models(inst):
+    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+    _held_sections_match_fresh_ones(model, np.random.default_rng(47))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_held_sections_match_fresh_ones_on_the_grid(n):
+    rng = np.random.default_rng(53 + n)
+    for args in GRID:
+        if args[0] == n:
+            _held_sections_match_fresh_ones(build_model(args[0], seed=args[1], gamma=args[2]),
+                                            rng)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_projections_in_one_band_share_a_pattern_and_the_held_rows(name, monkeypatch):
+    # the build forms the level-0 pattern; a projection forms the pattern of
+    # its band once, and each projection is the former vstack route's polytope
+    # on the model's held rows, with its own right-hand side
+    model = build_model(**MODELS[name])
+    formed = []
+    real = garkavi._Section.form.__func__
+
+    def counting(cls, *args):
+        formed.append(args[-1])
+        return real(cls, *args)
+
+    monkeypatch.setattr(garkavi._Section, "form", classmethod(counting))
+    rng = np.random.default_rng(59)
+    polys = []
+    for _ in range(4):
+        x = np.zeros(model.n)
+        x[0], x[1:] = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5, model.n - 1)
+        poly = metric_projection(model, x, 0.1)
+        level = abs(x[0]) + 0.1
+        former = Polytope(a_eq=np.eye(model.n)[:1], b_eq=np.zeros(1)).with_rows(
+            -model.ball_facets, level - model.ball_facets @ x, vertices=poly.vertices())
+        for name_ in ("a_ub", "b_ub", "a_eq", "b_eq"):
+            assert getattr(poly, name_).tobytes() == getattr(former, name_).tobytes()
+        polys.append(poly)
+    assert len(formed) == 1 and 0.0 < formed[0] < 1.0
+    assert len(model._sections) == 2
+    for poly in polys:
+        assert poly.a_ub is model.projection_rows
+        assert poly.a_eq is model.kernel.a_eq and poly.b_eq is model.kernel.b_eq
+    assert not model.projection_rows.flags.writeable
+    assert np.array_equal(model.projection_rows, -model.ball_facets)
+
+
+def test_the_gauge_split_reads_the_held_phi_row(model4, monkeypatch):
+    # Phi's dense row is formed once, by the build; gauge decompositions and
+    # the half-ball check read it off the model
+    assert model4.phi_row.tobytes() == model4.phi.dense(model4.n).tobytes()
+    monkeypatch.setattr(constraints.Functional, "dense", lambda *args: pytest.fail("re-formed"))
+    gauge_decomposition(model4, np.array([0.3, -0.2, 0.5, 0.1]))
+    assert half_ball_check(model4, 1).passed
 
 
 def _matches_the_enumeration(model, x, eps):
