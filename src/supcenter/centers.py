@@ -110,8 +110,11 @@ def near_center_set(problem: CenterProblem, delta: float, radius: float) -> Poly
     and its affine hull are V's, formed once by V and held (see Polytope),
     each factor cut by its slice of the band.  Nothing is formed when the set
     is built.  The stability search takes its probes as bands of V and builds
-    no near-center set per probe (stability._product_search)."""
+    no near-center set per probe (stability._product_search).  A radius that
+    is not finite (nan included) raises ValueError."""
     _check_slack(delta)
+    if not -np.inf < radius < np.inf:
+        raise ValueError(f"radius must be finite, got {radius}")
     return problem.feasible.with_band(*band(problem.family, radius + delta))
 
 

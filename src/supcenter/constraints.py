@@ -10,9 +10,13 @@ those blocks: one factor per connected component of the nonzeros of its rows
 polytope is the coupled support block times one interval per off-support
 coordinate.  The vertices of a product are the tuples of factor vertices
 (Ziegler, Lectures on Polytopes, 1995), so enumerate_vertices enumerates each
-factor once and takes the product.  A factor's vertices are enumerated on the
-affine hull of its equalities: by double description from dimension 2 up
-(_double_description), as the two ends of an interval in dimension 1.
+factor once and takes the product, merged once.  A factor that is a line
+(Polytope.line; an interval is the line of its one column) reads its two ends
+off its held line, with no affine hull.  Any other factor is enumerated on
+the affine hull of its equalities (Polytope.hull): by double description from
+dimension 2 up (_double_description), as the ends of an interval on a 1-D
+hull that _line does not parametrize (its equalities have redundant rows),
+and as the point its equalities pin in dimension 0.
 The restricted radius and the sup-norm distance, maxima over coordinates,
 split the same way (sup_center): a factor that is a line takes a 1-D
 minimax, a wider one the epigraph LP.
@@ -170,7 +174,8 @@ class Polytope:
     so what is derived from them alone is formed on first use and held for
     the life of the object: split() holds the factors and their
     sub-polytopes, line() the line parametrization (_line), hull() the
-    affine hull of the equalities (_affine_hull).  A call that raises holds
+    affine hull of the equalities (_affine_hull).  Vertex enumeration reads a
+    line's ends off line() and forms no hull for it.  A call that raises holds
     nothing, so an empty polytope raises on every call.  with_rows makes a
     new polytope, which forms its own on first use.
 
@@ -230,7 +235,10 @@ class Polytope:
 
     @classmethod
     def box(cls, dim: int, radius: float, a_eq=None) -> "Polytope":
-        """The cube [-radius, radius]^dim, cut by a_eq v = 0 when rows are given."""
+        """The cube [-radius, radius]^dim, cut by a_eq v = 0 when rows are given.
+        A radius that is not finite (nan included) raises ValueError."""
+        if not -np.inf < radius < np.inf:
+            raise ValueError(f"box radius must be finite, got {radius}")
         eye = np.eye(dim)
         b_eq = None if a_eq is None else np.zeros(len(a_eq))
         return cls(a_ub=np.vstack([eye, -eye]), b_ub=np.full(2 * dim, float(radius)),
@@ -432,8 +440,10 @@ def _feasible(poly: Polytope, raw: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_reduced(poly: Polytope) -> np.ndarray:
-    """Vertex candidates of a polytope on the affine hull of its equalities
-    (Polytope.hull)."""
+    """Vertex candidates of a polytope that is no line (see _factor_vertices)
+    on the affine hull of its equalities (Polytope.hull): the point they pin
+    in dimension 0, the ends of an interval in dimension 1 (a hull of
+    redundant equalities), and the double description from dimension 2 up."""
     v0, basis = poly.hull()
     d = basis.shape[1]
     if d == 0:
@@ -680,26 +690,61 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
     return value, point
 
 
-def _factor_vertices(poly: Polytope) -> np.ndarray:
-    """Vertices of a polytope taken whole: the candidates of _enumerate_reduced
-    that pass the feasibility filter (_feasible), merged by merge_rows.  The
-    kept rows are the raw candidates themselves."""
-    raw = _enumerate_reduced(poly)
+def _line_candidates(line) -> np.ndarray:
+    """The vertex candidates of a line (v0, dv, lower, upper) (see _line):
+    its ends v0 + lower dv and v0 + upper dv, lower first.  An infinite end
+    raises UnboundedPolytopeError, as interval does."""
+    v0, dv, lower, upper = line
+    if not (-np.inf < lower and upper < np.inf):
+        raise UnboundedPolytopeError("line is unbounded on one side")
+    return v0 + np.array([[lower], [upper]]) * dv
+
+
+def _kept(poly: Polytope, raw: np.ndarray) -> np.ndarray:
+    """The candidates raw that pass the feasibility filter (_feasible)."""
     keep = raw[_feasible(poly, raw)]
     if not keep.size:
         raise EnumerationError("all candidate vertices failed the feasibility filter")
-    return merge_rows(keep)
+    return keep
+
+
+def _factor_vertices(poly: Polytope) -> np.ndarray:
+    """Vertices of a polytope taken whole, merged once by merge_rows: a line
+    (Polytope.line) its held ends (_line_candidates), any other polytope the
+    candidates of _enumerate_reduced, each kept by the feasibility filter.
+    The kept rows are the raw candidates themselves."""
+    line = poly.line()
+    return merge_rows(_kept(poly, _enumerate_reduced(poly) if line is None
+                            else _line_candidates(line)))
+
+
+def _product_factor_vertices(poly: Polytope) -> np.ndarray:
+    """The vertex list of one factor of a product, which enumerate_vertices
+    merges once as a whole.  A line keeps its ends that pass the filter,
+    lower first and unmerged: _line makes |dv|_inf = 1, so upper - lower is
+    their sup distance, and they count as one vertex, the first kept, when
+    it is at most DEDUP_TOL.  Any other factor, whose double description can
+    return near-duplicates, is merged on its own (_factor_vertices)."""
+    line = poly.line()
+    if line is None:
+        return _factor_vertices(poly)
+    keep = _kept(poly, _line_candidates(line))
+    return keep[:1] if line[3] - line[2] <= DEDUP_TOL else keep
 
 
 def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """All vertices of a bounded polytope, merged by merge_rows and sorted.
 
     The split is poly's held one (Polytope.split).  A polytope of one factor
-    is enumerated whole.  Otherwise each factor is, and the product of the
-    factor lists is scattered into the columns and sorted by merge_rows; each
-    factor list is already merged, so no two tuples lie within DEDUP_TOL.  An
-    empty factor makes the product empty, so InfeasiblePolytopeError from any
-    factor wins over UnboundedPolytopeError from another.
+    is enumerated whole (_factor_vertices).  Otherwise each factor's list is
+    formed (_product_factor_vertices), and the product of the lists is
+    scattered into the columns and merged once by merge_rows, which sorts
+    it; no two rows of a factor list lie within DEDUP_TOL, so neither do two
+    tuples.  A factor that is a line reads its ends off its held line, so the
+    list of a polytope whose factors are all lines forms no affine hull and
+    runs no double description.  An empty factor makes the product empty, so
+    InfeasiblePolytopeError from any factor wins over UnboundedPolytopeError
+    from another.
 
     Raises InfeasiblePolytopeError / UnboundedPolytopeError for empty or
     unbounded systems.
@@ -711,7 +756,7 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
         lists, unbounded = [], None
         for _, sub in parts:
             try:
-                lists.append(_factor_vertices(sub))
+                lists.append(_product_factor_vertices(sub))
             except UnboundedPolytopeError as exc:
                 unbounded = unbounded or exc
         if unbounded is not None:

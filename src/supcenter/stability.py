@@ -192,9 +192,13 @@ def p1_modulus(problem: CenterProblem, eps: float, delta_max: float, center: Cen
     MODULUS_MAX_STEPS steps without that, LPNumericalError is raised.  A zero
     modulus is reported with the degenerate flag set: in finite dimension the
     modulus must be positive, so a zero is a diagnostic, not an answer.
+    eps and delta_max must be positive and finite, and resolution must lie
+    in (0, 1); anything else, nan included, raises ValueError.
     """
     if not (0.0 < eps < np.inf and 0.0 < delta_max < np.inf):
         raise ValueError(f"eps and delta_max must be positive and finite, got {eps}, {delta_max}")
+    if not 0.0 < resolution < 1.0:
+        raise ValueError(f"resolution must lie in (0, 1), got {resolution}")
     base = (center.center_polytope if base_slack == 0.0
             else near_center_set(problem, base_slack, radius=center.radius))
     # the representative lies in the center set, so in base for any base_slack;

@@ -60,21 +60,27 @@ def solve_counts(monkeypatch):
 
 @pytest.fixture
 def split_counts(monkeypatch):
-    """Counter of the split work: calls of constraints.factors, _line and
-    _affine_hull under their names, and each call also under (name,
-    polytope): a key that keeps its polytope alive, so no later polytope
-    takes over its id."""
+    """Counter of the split and enumeration work: calls of
+    constraints.factors, _line, _affine_hull, _double_description and
+    merge_rows under their names.  Each call of the first three, which take a
+    polytope, is also counted under (name, polytope): a key that keeps its
+    polytope alive, so no later polytope takes over its id."""
     counts = Counter()
 
-    def counted(name, fn):
-        def run(poly, *args, **kwargs):
+    def count(name, per_polytope):
+        fn = getattr(constraints, name)
+
+        def run(first, *args, **kwargs):
             counts[name] += 1
-            counts[name, poly] += 1
-            return fn(poly, *args, **kwargs)
-        return run
+            if per_polytope:
+                counts[name, first] += 1
+            return fn(first, *args, **kwargs)
+        monkeypatch.setattr(constraints, name, run)
 
     for name in ("factors", "_line", "_affine_hull"):
-        monkeypatch.setattr(constraints, name, counted(name, getattr(constraints, name)))
+        count(name, per_polytope=True)
+    for name in ("_double_description", "merge_rows"):
+        count(name, per_polytope=False)
     return counts
 
 

@@ -122,6 +122,18 @@ def test_a_non_finite_scale_is_refused(worked, lam):
         sc.check_scaling_identity(y, family, lam)
 
 
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf], ids=str)
+def test_a_non_finite_radius_is_refused(worked, radius):
+    # a nan radius failed every vertex in the feasibility filter
+    # (EnumerationError), +inf answered V's vertices, and a nan box was read
+    # as unbounded
+    _, _, problem = worked
+    with pytest.raises(ValueError, match="radius must be finite"):
+        sc.near_center_set(problem, 0.1, radius)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        sc.Polytope.box(2, radius)
+
 def test_the_unit_ball_and_the_kernel_are_the_subspaces_own(worked):
     # lam = 1 and the subspace mode read the polytopes y holds; any other
     # scale builds its box afresh and leaves y's ball as it was

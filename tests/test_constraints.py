@@ -13,7 +13,8 @@ from supcenter.errors import (
     InfeasiblePolytopeError,
     UnboundedPolytopeError,
 )
-from supcenter.tolerances import DEDUP_TOL, DEFAULT_TOL
+from supcenter.tolerances import (CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
+                                  VERTEX_FILTER_TOL)
 
 from oracles import (active_set_vertices, highs_support, kernel_basis, min_row_gap,
                      reference_enumerate_vertices, reference_farthest_vertex,
@@ -215,7 +216,8 @@ class TestVertexEnumeration:
     @pytest.mark.parametrize("a_ub, b_ub", [
         ([[1.0, 0.0]], [1.0]),                       # a half-plane
         ([[1.0], [2.0]], [1.0, 3.0]),                # a ray on the line
-    ], ids=["2d", "1d"])
+        ([[-1.0], [-2.0]], [1.0, 3.0]),              # the opposite ray
+    ], ids=["2d", "1d", "1d-upward"])
     def test_unbounded_polytope_raises(self, a_ub, b_ub):
         poly = con.Polytope(a_ub=np.array(a_ub), b_ub=np.array(b_ub))
         with pytest.raises(UnboundedPolytopeError):
@@ -580,9 +582,19 @@ def _filter_cases():
     return polys
 
 
+def _held_ends(poly):
+    """The ends of poly's held line, lower first, as the test forms them."""
+    v0, dv, lower, upper = poly.line()
+    return np.array([v0 + lower * dv, v0 + upper * dv])
+
+
 def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
+    # a line's candidates are the ends of its held line, any other
+    # polytope's those of _enumerate_reduced
     polys = _filter_cases()
-    expected = [reference_enumerate_vertices(p, con._enumerate_reduced(p)) for p in polys]
+    expected = [reference_enumerate_vertices(p, con._enumerate_reduced(p) if p.line() is None
+                                             else _held_ends(p)) for p in polys]
+    assert any(p.line() is not None for p in polys)
     calls = []
     real = con.Polytope.violation
 
@@ -604,6 +616,84 @@ def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
         scores = [reference_violation(poly, v) for v in points]
         assert con._violations(poly, points) == pytest.approx(scores, rel=1e-12, abs=1e-15)
         assert max(scores) > 0.0
+
+
+def test_an_exact_line_enumerates_its_exact_ends():
+    # v0 = v1 in the square: the line is (t, t), t in [-1, 1], so its
+    # vertices are exact, where the affine hull's SVD chart (entries
+    # +-1/sqrt(2)) gave +-(0.9999999999999998, 1.0)
+    poly = con.Polytope(**SQUARE, a_eq=[[0.5, -0.5]], b_eq=[0.0])
+    assert_same_bytes(poly.vertices(), np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    # the same line through a repeated row is no line to _line (k - 1 rows
+    # are asked for), so it keeps the hull's chart: the same list within
+    # DEDUP_TOL, not bit for bit
+    repeated = con.Polytope(**SQUARE, a_eq=[[0.5, -0.5], [0.5, -0.5]], b_eq=[0.0, 0.0])
+    assert repeated.line() is None
+    verts = repeated.vertices()
+    assert verts.shape == (2, 2)
+    assert np.max(np.abs(verts - poly.vertices())) <= DEDUP_TOL
+
+
+@pytest.mark.parametrize("row", [[1.0, 0.0], [-1.0, 0.0]], ids=["downward", "upward"])
+def test_a_ray_on_a_line_is_unbounded(row):
+    # v0 = v1 bounded on one side only: one end of the held line is infinite
+    poly = con.Polytope(a_ub=[row], b_ub=[1.0], a_eq=[[0.5, -0.5]], b_eq=[0.0])
+    assert poly.line() is not None
+    with pytest.raises(UnboundedPolytopeError):
+        poly.vertices()
+
+
+def _line_factor_cases():
+    """The corpus center and near sets, and the product of a one-point line
+    and an interval, whose line factor's ends coincide."""
+    for inst in sc.load_corpus("center"):
+        yield from _center_type_sets(inst.problem())
+    yield con.Polytope(a_ub=np.vstack([np.eye(3), -np.eye(3)]), b_ub=np.ones(6),
+                       a_eq=[[0.5, 0.5, 0.0]], b_eq=[1.0])
+
+
+def test_a_line_factors_list_is_its_held_ends():
+    # bit for bit: the ends of the held line that pass the filter, lower
+    # first and unmerged inside a product, one when they lie within
+    # DEDUP_TOL; a polytope that is one line merges them once
+    seen = {"product": 0, "whole": 0, "point": 0}
+    for poly in _line_factor_cases():
+        parts = poly.split()
+        for _, sub in parts:
+            if sub.line() is None:
+                continue
+            ends = _held_ends(sub)
+            lower, upper = sub.line()[2:]
+            scale = 1.0 + float(np.max(np.abs(ends)))
+            bar = max(VERTEX_FILTER_TOL * scale, DEFAULT_TOL * CERTIFY_SLACK_FACTOR)
+            kept = np.array([v for v in ends if reference_violation(sub, v) <= bar])
+            if len(parts) == 1:
+                assert_same_bytes(con.enumerate_vertices(poly), reference_merge_rows(kept))
+                seen["whole"] += 1
+            else:
+                if upper - lower <= DEDUP_TOL:
+                    kept = kept[:1]
+                    seen["point"] += 1
+                assert_same_bytes(con._product_factor_vertices(sub), kept)
+                seen["product"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
+def test_an_all_line_list_forms_no_hull_and_merges_once(inst, split_counts):
+    # a center list whose factors are all lines reads their ends off the
+    # held lines: no affine hull, no double description, one merge of the
+    # product.  A wider factor (08, 14, 15) keeps its hull, its double
+    # description and its own merge
+    center = sc.center_set(inst.problem()).center_polytope
+    parts = center.split()
+    wider = sum(1 for _, sub in parts if sub.line() is None)
+    assert bool(wider) == (inst.name in {"08-three-point-functional", "14-random-d4m3",
+                                         "15-random-d5m4"})
+    split_counts.clear()
+    center.vertices()
+    assert split_counts["_affine_hull"] == split_counts["_double_description"] == wider
+    assert split_counts["merge_rows"] == (1 if len(parts) == 1 else 1 + wider)
 
 
 SQUARE = {"a_ub": np.vstack([np.eye(2), -np.eye(2)]), "b_ub": np.ones(4)}
@@ -784,8 +874,9 @@ def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     # V holds no split: the band cut splits V, which holds the split and the
     # lines of its factors, so a second cut of V forms nothing.  A V that
     # holds its split but not its lines gives the split, and the cut's first
-    # line on each factor forms and holds the line of V's factor.  V is built
-    # here, not read from the subspace, which holds its ball split
+    # line on each factor forms and holds the line of V's factor.  A V whose
+    # vertices were listed holds both.  V is built here, not read from the
+    # subspace, which holds its ball split
     inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
 
     def unsplit_problem():
@@ -808,7 +899,7 @@ def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     assert split_counts["factors"] == split_counts["_line"] == 0
 
     problem = unsplit_problem()
-    problem.feasible.vertices()  # splits V, forms no line
+    problem.feasible.split()  # splits V, forms no line
     assert all(sub._held_line == () for _, sub in problem.feasible.split())
     cut = sc.near_center_set(problem, 0.1, radius)
     split_counts.clear()
@@ -818,6 +909,23 @@ def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     assert split_counts["_line"] == len(cut.split())
     assert all(split_counts["_line", sub] == 1 for _, sub in problem.feasible.split())
     assert all(sub._held_line != () for _, sub in problem.feasible.split())
+
+    # V's vertices split V and read each factor's ends off its line, which
+    # they form once and hold, forming no hull; the cut then forms nothing
+    problem = unsplit_problem()
+    split_counts.clear()
+    problem.feasible.vertices()
+    subs = [sub for _, sub in problem.feasible.split()]
+    assert split_counts["factors"] == split_counts["factors", problem.feasible] == 1
+    assert split_counts["_line"] == len(subs)
+    assert all(split_counts["_line", sub] == 1 for sub in subs)
+    assert all(sub._held_line not in ((), None) for sub in subs)
+    assert split_counts["_affine_hull"] == split_counts["_double_description"] == 0
+    cut = sc.near_center_set(problem, 0.1, radius)
+    split_counts.clear()
+    assert _same_floats(lp.distance_to_polytope(x, cut)[0], dist)
+    assert_same_bytes(lp.distance_to_polytope(x, cut)[1], point)
+    assert split_counts["factors"] == split_counts["_line"] == 0
 
 
 def test_a_split_gives_each_sub_polytope_its_lone_factor(split_counts):

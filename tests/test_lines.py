@@ -25,9 +25,10 @@ import supcenter as sc
 from supcenter import constraints as con
 from supcenter import lp
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
-from supcenter.tolerances import CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEFAULT_TOL
+from supcenter.tolerances import CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL
 
-from oracles import reference_center_set, reference_distance_to_polytope
+from oracles import (reference_center_set, reference_distance_to_polytope,
+                     reference_enumerate_vertices)
 
 BAR = DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR
 EXACT = 1e-15
@@ -142,6 +143,44 @@ def test_exact_lines_match_the_lp_to_rounding(poly, data):
 @given(poly=grid_lines(), data=st.data())
 def test_grid_lines_match_the_lp_within_its_tolerance(poly, data):
     check_line(poly, data, DEFAULT_TOL)
+
+
+def check_vertices(poly):
+    """The vertex list read off the line against the polar-dual route that
+    takes poly whole (reference_enumerate_vertices): equal counts, within
+    DEDUP_TOL, or the same refusal of an empty line.  The line given with its
+    first equality row twice, which _line does not parametrize and the
+    affine hull's chart enumerates, lists the same vertices."""
+    polys = [poly]
+    if poly.a_eq.shape[0]:
+        polys.append(sc.Polytope(a_ub=poly.a_ub, b_ub=poly.b_ub,
+                                 a_eq=np.vstack([poly.a_eq, poly.a_eq[:1]]),
+                                 b_eq=np.concatenate([poly.b_eq, poly.b_eq[:1]])))
+        assert polys[1].line() is None
+    try:
+        reference = reference_enumerate_vertices(poly)
+    except InfeasiblePolytopeError:
+        for p in polys:
+            with pytest.raises(InfeasiblePolytopeError):
+                con.enumerate_vertices(p)
+        return
+    assert poly.line() is not None
+    verts = con.enumerate_vertices(poly)
+    for other in [reference] + [con.enumerate_vertices(p) for p in polys[1:]]:
+        assert other.shape == verts.shape
+        assert np.max(np.abs(other - verts)) <= DEDUP_TOL
+
+
+@settings(max_examples=150)
+@given(poly=exact_lines())
+def test_exact_lines_enumerate_as_the_oracle(poly):
+    check_vertices(poly)
+
+
+@settings(max_examples=150)
+@given(poly=grid_lines())
+def test_grid_lines_enumerate_as_the_oracle(poly):
+    check_vertices(poly)
 
 
 @pytest.mark.parametrize("inst", [i for i in sc.load_corpus("center") if i.subspace.functionals],

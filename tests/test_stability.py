@@ -146,6 +146,18 @@ class TestModulus:
                 worst_near_center_distance(problem, bad, center=center)
 
 
+
+@pytest.mark.parametrize("resolution", [np.nan, -0.1, 0.0, 1.0, 2.0, np.inf], ids=str)
+def test_a_resolution_outside_the_unit_interval_is_refused(resolution):
+    # on 08 at eps 0.2 these raised EnumerationError (nan),
+    # InfeasiblePolytopeError (-0.1), or returned a false degenerate report
+    # (1, 2, inf) from a degeneracy probe at or past delta_max
+    inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
+    problem = inst.problem()
+    center = sc.center_set(problem)
+    with pytest.raises(ValueError, match="resolution"):
+        p1_modulus(problem, 0.2, delta_max=0.2, center=center, resolution=resolution)
+
 def _worsts_through(monkeypatch, change):
     """Makes each search that p1_modulus runs (_product_search) report
     change(worst) in place of its worst distance."""
@@ -508,10 +520,12 @@ def test_p1_modulus_splits_each_polytope_at_most_once(inst, split_counts):
         assert set(per_object) <= {1}
     assert split_counts["_affine_hull"] == wider
     # V's factors hold their hulls, so a second search on the same solved
-    # center solves none, and splits and lines nothing
+    # center solves none, and splits and lines nothing: what it counts is
+    # the enumeration of the probes' wider factors
     split_counts.clear()
     assert p1_modulus(problem, 0.05, delta_max=0.05, center=center).probes
-    assert not split_counts
+    assert set(split_counts) <= {"_double_description", "merge_rows"}
+    assert bool(split_counts) == bool(wider)
 
 
 def test_p1_modulus_solves_no_radius_again(solve_counts):
