@@ -53,7 +53,7 @@ class CenterReport:
 
 def ball_problem(family: FunctionFamily, y: Subspace, lam: float = 1.0) -> CenterProblem:
     """Problem with V = lam * (unit ball of the kernel subspace).  At lam = 1
-    V is the ball y holds (Subspace.ball), whose split, lines and hulls serve
+    V is the ball y holds (Subspace.ball), whose split, charts and lines serve
     every problem on y; any other lam builds its box afresh.  A lam that is
     not positive and finite raises ValueError."""
     if not 0 < lam < np.inf:
@@ -106,9 +106,9 @@ def near_center_set(problem: CenterProblem, delta: float, radius: float) -> Poly
     builds its center polytope here at delta = 0, so a caller holding the
     CenterReport reads center_polytope instead.
 
-    The set is V plus a band, V.with_band(lower, upper): its split, its lines
-    and its affine hull are V's, formed once by V and held (see Polytope),
-    each factor cut by its slice of the band.  Nothing is formed when the set
+    The set is V plus a band, V.with_band(lower, upper): its split and its
+    charts are V's, formed once by V and held (see Polytope), each factor
+    cut by its slice of the band.  Nothing is formed when the set
     is built.  The stability search takes its probes as bands of V and builds
     no near-center set per probe (stability._product_search).  A radius that
     is not finite (nan included) raises ValueError."""

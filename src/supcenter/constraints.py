@@ -10,13 +10,12 @@ those blocks: one factor per connected component of the nonzeros of its rows
 polytope is the coupled support block times one interval per off-support
 coordinate.  The vertices of a product are the tuples of factor vertices
 (Ziegler, Lectures on Polytopes, 1995), so enumerate_vertices enumerates each
-factor once and takes the product, merged once.  A factor that is a line
-(Polytope.line; an interval is the line of its one column) reads its two ends
-off its held line, with no affine hull.  Any other factor is enumerated on
-the affine hull of its equalities (Polytope.hull): by double description from
-dimension 2 up (_double_description), as the ends of an interval on a 1-D
-hull that _line does not parametrize (its equalities have redundant rows),
-and as the point its equalities pin in dimension 0.
+factor once and takes the product, merged once.  One chart parametrizes
+the flat of every polytope's equalities (_chart, held by Polytope.chart).  A
+factor whose chart has one column is a line (Polytope.line; an interval is
+the line of its one column) and reads its two ends off it.  Any other factor
+is enumerated on its chart: by double description from dimension 2 up
+(_double_description), and as the point its equalities pin in dimension 0.
 The restricted radius and the sup-norm distance, maxima over coordinates,
 split the same way (sup_center): a factor that is a line takes a 1-D
 minimax, a wider one the epigraph LP.
@@ -107,7 +106,7 @@ class Subspace:
     The polytopes that the functionals alone decide are formed on first use
     and held, as a Polytope holds its split: support() the reduced unit box
     on the support columns, ball() the unit ball B_Y and kernel() Y itself.
-    Each then holds its own split, lines and hulls, so the questions asked of
+    Each then holds its own split, charts and lines, so the questions asked of
     one subspace form them once.  Equality and hash ignore what is held."""
 
     dim: int
@@ -173,24 +172,24 @@ class Polytope:
     The constructor copies the arrays it is given and makes them read-only,
     so what is derived from them alone is formed on first use and held for
     the life of the object: split() holds the factors and their
-    sub-polytopes, line() the line parametrization (_line), hull() the
-    affine hull of the equalities (_affine_hull).  Vertex enumeration reads a
-    line's ends off line() and forms no hull for it.  A call that raises holds
-    nothing, so an empty polytope raises on every call.  with_rows makes a
-    new polytope, which forms its own on first use.
+    sub-polytopes, chart() the chart of the equalities (_chart), and line()
+    the ends of a one-column chart.  Vertex enumeration reads a line's ends
+    off line().  A call that raises holds nothing, so an empty polytope
+    raises on every call.  with_rows makes a new polytope, which forms its
+    own on first use.
 
     A band cut, V.with_band(lower, upper), is V plus a band: it keeps
     (V, lower, upper) and takes what V's equalities decide from V, by one
     route.  Its split is V's, each sub-polytope cut by its slice of the band,
-    its line V's (v0, dv) with its own ends, and its hull V's, each formed
-    once by V on first use and held.
+    and its chart V's, formed once by V on first use and held; its line is
+    V's (v0, dv) with its own ends.
 
     Polytopes derived from checked arrays (with_rows, with_band, split) are
     built by _checked, which neither checks nor copies them.
     """
 
     __slots__ = ("a_ub", "b_ub", "a_eq", "b_eq", "_vertices", "_parts", "_held_line",
-                 "_held_hull", "_band")
+                 "_held_chart", "_band")
 
     def __init__(self, a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim: int | None = None,
                  vertices=None):
@@ -211,8 +210,8 @@ class Polytope:
         for arr in (a_ub, b_ub, a_eq, b_eq):
             arr.setflags(write=False)
         self.a_ub, self.b_ub, self.a_eq, self.b_eq = a_ub, b_ub, a_eq, b_eq
-        self._vertices = self._parts = self._held_hull = None
-        self._held_line = ()  # () until line() has run: _line may return None
+        self._vertices = self._parts = self._held_chart = None
+        self._held_line = ()  # () until line() has run: it may hold None
         self._band = band  # (V, lower, upper) for a band cut of V (with_band)
         if vertices is not None:
             raw = np.asarray(vertices, dtype=float)
@@ -290,72 +289,108 @@ class Polytope:
                                for cols, sub in base.split()]
         return [(cols, sub or self) for cols, sub in self._parts]
 
-    def line(self):
-        """_line(self), formed on the first call and held.  A band cut takes
-        (v0, dv), which depend on the equalities alone, from V's line and
-        finds only its own ends (_line_ends)."""
-        if self._held_line == ():
-            held = self._band and self._band[0].line()
-            self._held_line = (_line(self) if self._band is None else
-                               held and _line_ends(self, *held[:2]))
-        return self._held_line
+    def chart(self):
+        """_chart(self), formed on the first call and held: a band cut's is
+        V's, since V's equalities are its own arrays."""
+        if self._held_chart is None:
+            self._held_chart = _chart(self) if self._band is None else self._band[0].chart()
+        return self._held_chart
 
-    def hull(self):
-        """_affine_hull(self), formed on the first call and held: a band
-        cut's is V's."""
-        if self._held_hull is None:
-            self._held_hull = _affine_hull(self) if self._band is None else self._band[0].hull()
-        return self._held_hull
+    def line(self):
+        """(v0, dv, lower, upper) when the chart has one column dv, with the
+        ends of this polytope's rows on it (_line_ends), else None; formed on
+        the first call and held."""
+        if self._held_line == ():
+            v0, basis = self.chart()
+            self._held_line = _line_ends(self, v0, basis[:, 0]) if basis.shape[1] == 1 else None
+        return self._held_line
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, ineqs={self.a_ub.shape[0]}, "
                 f"eqs={self.a_eq.shape[0]})")
 
 
-def _affine_hull(poly: Polytope):
-    """Particular solution and orthonormal null-space basis of poly's
-    equalities (Polytope.hull holds them)."""
-    a_eq, b_eq = poly.a_eq, poly.b_eq
-    if a_eq.shape[0] == 0:
-        return np.zeros(poly.dim), np.eye(poly.dim)
-    try:
-        v0, _, _, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-        if np.max(np.abs(a_eq @ v0 - b_eq)) > EQ_CONSISTENT_TOL * (1.0 + np.max(np.abs(b_eq))):
-            raise InfeasiblePolytopeError("equality system is inconsistent")
-        u, s, vh = np.linalg.svd(a_eq)
-    except np.linalg.LinAlgError as exc:
-        raise EnumerationError(f"affine hull of the equalities: {exc}") from exc
-    rank = int(np.sum(s > DEFAULT_TOL * (s[0] if s.size else 1.0)))
-    basis = vh[rank:].T  # (dim, d)
+def _pivot(t: np.ndarray, i: int, j: int, det: float) -> np.ndarray:
+    """t after an integer pivot on (i, j), det being the pivot before it:
+    row i stays, every other row k becomes (t[k] t[i, j] - t[k, j] t[i]) / det,
+    and each entry stays a minor of the first t (Bareiss, Math. Comp. 22, 1968)."""
+    out = (t * t[i, j] - np.outer(t[:, j], t[i])) / det
+    out[i] = t[i]
+    return out
+
+
+def _chart(poly: Polytope):
+    """The flat of poly's equalities as a chart (v0, basis), its points
+    v0 + basis z (Polytope.chart holds it).  As in the simplex's dictionary
+    form (Chvatal, Linear Programming, 1983), one dependent column per
+    independent row is solved for the free ones, on which basis is the
+    identity and v0 is 0.
+
+    The tableau [a_eq, b_eq] is pivoted by _pivot.  Elimination with complete
+    pivoting, the last column first among equal entries, picks the
+    independent rows and the first dependent columns; a pivot of at most
+    DEFAULT_TOL * max|a_eq| (after division) adds no rank.  Then while a
+    coefficient of basis exceeds 1 in magnitude, the largest is pivoted on,
+    swapping its free and dependent columns and multiplying |det| of the
+    dependent block by it, so the loop ends on a block of locally maximal
+    volume (Goreinov and Tyrtyshnikov, Contemp. Math. 280, 2001) with every
+    entry of basis in [-1, 1], or should rounding bring back a block it has
+    left.  Each coefficient is one division of two minors (Cramer's rule), so
+    a line, one free column dv, has |dv|_inf = 1 and exact data stays exact:
+    with weights (1/2, -1/2), v = (t, t).  Repeated rows add no rank, so a
+    line given with a row twice has the same chart.  v0 must meet the
+    equalities within EQ_CONSISTENT_TOL * (1 + max|b_eq|), or
+    InfeasiblePolytopeError is raised."""
+    a, b = poly.a_eq, poly.b_eq
+    m, n = a.shape
+    t, rows, dep, det = np.column_stack([a, b]), [], [], 1.0
+    bar = DEFAULT_TOL * float(np.max(np.abs(a), initial=0.0))
+    for _ in range(min(m, n)):
+        mag = np.abs(t[:, :n])
+        mag[rows] = 0.0
+        k = int(mag.T[::-1].argmax())  # by columns from the last, rows from the first
+        i, j = k % m, n - 1 - k // m
+        if mag[i, j] <= bar * abs(det):
+            break
+        t, det, rows, dep = _pivot(t, i, j, det), t[i, j], rows + [i], dep + [j]
+    t, free, seen = t[rows], [j for j in range(n) if j not in dep], set()
+    while True:
+        diag = t[np.arange(len(dep)), dep]
+        coef = t[:, free] / diag[:, None]
+        if not (dep and free) or np.abs(coef).max() <= 1.0 or frozenset(dep) in seen:
+            break
+        seen.add(frozenset(dep))
+        i, j = divmod(int(np.abs(coef).argmax()), len(free))
+        t, det = _pivot(t, i, free[j], det), t[i, free[j]]
+        dep[i], free[j] = free[j], dep[i]
+    v0, basis = np.zeros(n), np.eye(n)[:, free]
+    basis[dep] = -coef
+    if b.any():
+        v0[dep] = t[:, n] / diag
+    if np.max(np.abs(a @ v0 - b), initial=0.0) > EQ_CONSISTENT_TOL * (
+            1.0 + float(np.max(np.abs(b), initial=0.0))):
+        raise InfeasiblePolytopeError("equality system is inconsistent")
     return v0, basis
 
 
 def _ends(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """The ends (l, u) of {z : a z <= b} for a column a, infinite on a side
-    no row bounds.  A row with a = 0 holds when 0 <= b within DEFAULT_TOL *
-    (1 + max|b|), as in factors; that row, or ends that cross by more, raise
+    no row bounds.  A row with |a| <= NULL_ROW_TOL is zero on the line, as
+    on a wider chart (_enumerate_reduced), and holds when 0 <= b within
+    DEFAULT_TOL * (1 + max|b|); that row, or ends that cross by more, raise
     InfeasiblePolytopeError."""
     bar = DEFAULT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     lower, upper = -np.inf, np.inf
     # plain floats: the rows number in the tens, where numpy calls cost more
     for a_i, b_i in zip(a.tolist(), b.tolist()):
-        if a_i > 0.0:
+        if a_i > NULL_ROW_TOL:
             upper = min(upper, b_i / a_i)
-        elif a_i < 0.0:
+        elif a_i < -NULL_ROW_TOL:
             lower = max(lower, b_i / a_i)
         elif b_i < -bar:
             raise InfeasiblePolytopeError("a zero row has a negative right-hand side")
     if lower - upper > bar:
         raise InfeasiblePolytopeError("interval bounds cross: polytope is empty")
-    return lower, upper
-
-
-def interval(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """The ends (l, u) of {z : a z <= b} in one coordinate (see _ends),
-    raising as vertex enumeration does when it is empty or unbounded."""
-    lower, upper = _ends(a[:, 0], b)
-    if not (np.isfinite(lower) and np.isfinite(upper)):
-        raise UnboundedPolytopeError("interval is unbounded on one side")
     return lower, upper
 
 
@@ -441,12 +476,10 @@ def _feasible(poly: Polytope, raw: np.ndarray) -> np.ndarray:
 
 def _enumerate_reduced(poly: Polytope) -> np.ndarray:
     """Vertex candidates of a polytope that is no line (see _factor_vertices)
-    on the affine hull of its equalities (Polytope.hull): the point they pin
-    in dimension 0, the ends of an interval in dimension 1 (a hull of
-    redundant equalities), and the double description from dimension 2 up."""
-    v0, basis = poly.hull()
-    d = basis.shape[1]
-    if d == 0:
+    on its chart (Polytope.chart): the point its equalities pin in dimension
+    0, and the double description from dimension 2 up."""
+    v0, basis = poly.chart()
+    if basis.shape[1] == 0:
         if _violations(poly, v0[None])[0] <= DEFAULT_TOL * CERTIFY_SLACK_FACTOR:
             return v0.reshape(1, -1)
         raise InfeasiblePolytopeError("equality system pins an infeasible point")
@@ -456,9 +489,7 @@ def _enumerate_reduced(poly: Polytope) -> np.ndarray:
     live = np.linalg.norm(a, axis=1) > NULL_ROW_TOL
     if np.any(b[~live] < -DEFAULT_TOL * scale):
         raise InfeasiblePolytopeError("a constraint excludes the whole affine hull")
-    a, b = a[live], b[live]
-    pts = np.array(interval(a, b))[:, None] if d == 1 else _double_description(a, b)
-    return v0 + pts @ basis.T
+    return v0 + _double_description(a[live], b[live]) @ basis.T
 
 
 def _tolerant_ranks(rows: np.ndarray) -> np.ndarray:
@@ -598,45 +629,10 @@ def factors(poly: Polytope) -> list[Factor]:
             for c in comps]
 
 
-def _line(poly: Polytope):
-    """poly as the line v0 + t dv for t in [lower, upper], as
-    (v0, dv, lower, upper), or None when its equalities leave more or less
-    than a line.
-
-    The equalities, dim - 1 of them, leave a line when their cofactors
-    d_p = (-1)^p det(M_p), M_p being their matrix without column p, do not
-    all vanish; d spans their null space (Cramer's rule).  t is the
-    coordinate p of the first largest |d_p|, so dv = d / d_p has dv[p] = 1
-    exactly, and v0[p] = 0 with the other coordinates of v0 solved from M_p.
-    The test is |d_p| > DEFAULT_TOL times the product of the row norms, the
-    largest any |d_p| can be (Hadamard).  Each inequality row is then a bound
-    on t (_line_ends), so an empty line raises InfeasiblePolytopeError.  A
-    line through exact data stays exact: with weights (1/2, -1/2),
-    v = (t, t).
-    """
-    k = poly.dim
-    a_eq = poly.a_eq
-    if a_eq.shape[0] != k - 1:
-        return None
-    # row p of minor_cols lists the columns other than p
-    minor_cols = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
-    d = np.linalg.det(a_eq[:, minor_cols].transpose(1, 0, 2))
-    d[1::2] *= -1.0
-    p = int(np.abs(d).argmax())
-    if d[p] * d[p] <= DEFAULT_TOL * DEFAULT_TOL * (a_eq * a_eq).sum(axis=1).prod():
-        return None
-    dv = d / d[p]
-    v0 = np.zeros(k)
-    if poly.b_eq.any():
-        v0[minor_cols[p]] = np.linalg.solve(a_eq[:, minor_cols[p]], poly.b_eq)
-    return _line_ends(poly, v0, dv)
-
-
 def _line_ends(poly: Polytope, v0: np.ndarray, dv: np.ndarray):
-    """(v0, dv, lower, upper): the line v0 + t dv of poly's equalities, with
-    the ends of its inequality rows on it (_ends).  A band cut takes v0 and dv
-    from V's line, since V's equalities are its own arrays, and finds only its
-    ends here (Polytope.line)."""
+    """(v0, dv, lower, upper): the line v0 + t dv of poly's one-column chart,
+    V's for a band cut, with the ends of poly's inequality rows on it
+    (_ends), so an empty line raises InfeasiblePolytopeError."""
     lower, upper = _ends(poly.a_ub @ dv, poly.b_ub - poly.a_ub @ v0)
     return v0, dv, lower, upper
 
@@ -651,8 +647,8 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
     coordinate, the objective is max_j max(v_j - lo_j, hi_j - v_j), a max over
     coordinates, so over a product (see factors) it is the max of the factor
     values and each factor takes its own minimizer:
-    - a factor that is a line v0 + t dv (see _line; an interval is the line of
-      its one column) is the minimax of the lines dv_j t + v0_j - lo_j and
+    - a factor that is a line v0 + t dv (see Polytope.line; an interval is the
+      line of its one column) is the minimax of the lines dv_j t + v0_j - lo_j and
       hi_j - v0_j - dv_j t, solved by lp.line_minimax.  Its minimizer is the
       least t among the minimizers within DEFAULT_TOL, a vertex of the
       factor's own center set, and its value is read off that point, so the
@@ -691,9 +687,9 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
 
 
 def _line_candidates(line) -> np.ndarray:
-    """The vertex candidates of a line (v0, dv, lower, upper) (see _line):
-    its ends v0 + lower dv and v0 + upper dv, lower first.  An infinite end
-    raises UnboundedPolytopeError, as interval does."""
+    """The vertex candidates of a line (v0, dv, lower, upper) (see
+    Polytope.line): its ends v0 + lower dv and v0 + upper dv, lower first.
+    An infinite end raises UnboundedPolytopeError."""
     v0, dv, lower, upper = line
     if not (-np.inf < lower and upper < np.inf):
         raise UnboundedPolytopeError("line is unbounded on one side")
@@ -721,7 +717,7 @@ def _factor_vertices(poly: Polytope) -> np.ndarray:
 def _product_factor_vertices(poly: Polytope) -> np.ndarray:
     """The vertex list of one factor of a product, which enumerate_vertices
     merges once as a whole.  A line keeps its ends that pass the filter,
-    lower first and unmerged: _line makes |dv|_inf = 1, so upper - lower is
+    lower first and unmerged: its chart makes |dv|_inf = 1, so upper - lower is
     their sup distance, and they count as one vertex, the first kept, when
     it is at most DEDUP_TOL.  Any other factor, whose double description can
     return near-duplicates, is merged on its own (_factor_vertices)."""
@@ -741,8 +737,8 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     scattered into the columns and merged once by merge_rows, which sorts
     it; no two rows of a factor list lie within DEDUP_TOL, so neither do two
     tuples.  A factor that is a line reads its ends off its held line, so the
-    list of a polytope whose factors are all lines forms no affine hull and
-    runs no double description.  An empty factor makes the product empty, so
+    list of a polytope whose factors are all lines runs no double
+    description.  An empty factor makes the product empty, so
     InfeasiblePolytopeError from any factor wins over UnboundedPolytopeError
     from another.
 

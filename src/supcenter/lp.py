@@ -30,9 +30,9 @@ shape, built in one place by epigraph_lp: min t over v in a polytope with
 g.(v - target) <= t for every row g of a fixed matrix and every target.  The
 targets fold into one row per g, g.v - t <= min over targets of g.target, so
 the program has as many epigraph rows as the matrix has, however many
-targets there are.  On a factor of affine dimension 1 the same program is
-min over t of max_k (a_k t + b_k), the d = 1 case that line_minimax solves
-with no simplex.
+targets there are.  On a factor whose chart has one column (a line, see
+constraints.Polytope.line) the same program is min over t of
+max_k (a_k t + b_k), the d = 1 case that line_minimax solves with no simplex.
 """
 
 from __future__ import annotations

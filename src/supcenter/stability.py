@@ -89,15 +89,14 @@ def _product_search(feasible: Polytope, base: Polytope, representative: np.ndarr
       one column) is the segment v0 + t dv, t in [lo, hi], of near.line():
       V's held (v0, dv) with the ends of near's rows, which refuses crossed
       ends.  base's factor has V's equalities, so it lies on the same line,
-      over its own [l0, u0], read once.  _line makes |dv|_inf = 1, so the
-      distance of v0 + t dv to base's factor is the distance of t to
-      [l0, u0], and w_f = max(l0 - lo, hi - u0, 0), with no enumeration and
-      no LP; its vertices are the ends, lo first;
+      over its own [l0, u0], read once.  V's chart (Polytope.chart) makes
+      |dv|_inf = 1, so the distance of v0 + t dv to base's factor is the
+      distance of t to [l0, u0], and w_f = max(l0 - lo, hi - u0, 0), with no
+      enumeration and no LP; its vertices are the ends, lo first;
     - every factor wider than a line runs _farthest_vertex on the vertices
       of near, with its own known list, seeded by representative[cols] and
       kept across calls.  Its vertices take the unsplit route of
-      enumerate_vertices, on the affine hull that V's sub-polytope holds
-      (Polytope.hull).
+      enumerate_vertices, on the chart that V's sub-polytope holds.
 
     The witness is a vertex of the near set, None when w is 0.  The deciding
     factor is the first factor whose worst equals w, and it takes its own

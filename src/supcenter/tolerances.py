@@ -45,9 +45,10 @@ CERTIFY_FLOOR = 1e-7
 CERTIFY_SLACK_FACTOR = 100.0
 
 # Vertex enumeration, relative to the rhs scale 1 + max|b| of the system: the
-# equalities' least-squares solution may miss them by EQ_CONSISTENT_TOL.
+# base point of the equalities' chart (constraints._chart), solved from their
+# independent rows, may miss the others by EQ_CONSISTENT_TOL.
 EQ_CONSISTENT_TOL = 1e-7
-# Absolute: a row restricted to the equalities' hull is zero below this norm.
+# Absolute: a row restricted to the equalities' chart is zero below this norm.
 NULL_ROW_TOL = 1e-12
 # Absolute, the one zero test of the double description on its unit-norm
 # rows and rays: a ray is tight on a row when their product is within it, a

@@ -61,10 +61,10 @@ def solve_counts(monkeypatch):
 @pytest.fixture
 def split_counts(monkeypatch):
     """Counter of the split and enumeration work: calls of
-    constraints.factors, _line, _affine_hull, _double_description and
-    merge_rows under their names.  Each call of the first three, which take a
-    polytope, is also counted under (name, polytope): a key that keeps its
-    polytope alive, so no later polytope takes over its id."""
+    constraints.factors, _chart, _double_description and merge_rows under
+    their names.  Each call of the first two, which take a polytope, is also
+    counted under (name, polytope): a key that keeps its polytope alive, so
+    no later polytope takes over its id."""
     counts = Counter()
 
     def count(name, per_polytope):
@@ -77,7 +77,7 @@ def split_counts(monkeypatch):
             return fn(first, *args, **kwargs)
         monkeypatch.setattr(constraints, name, run)
 
-    for name in ("factors", "_line", "_affine_hull"):
+    for name in ("factors", "_chart"):
         count(name, per_polytope=True)
     for name in ("_double_description", "merge_rows"):
         count(name, per_polytope=False)

@@ -620,18 +620,29 @@ def test_vertex_filter_is_one_pass_and_keeps_the_same_candidates(monkeypatch):
 
 def test_an_exact_line_enumerates_its_exact_ends():
     # v0 = v1 in the square: the line is (t, t), t in [-1, 1], so its
-    # vertices are exact, where the affine hull's SVD chart (entries
+    # vertices are exact, where an orthonormal null-space chart (entries
     # +-1/sqrt(2)) gave +-(0.9999999999999998, 1.0)
     poly = con.Polytope(**SQUARE, a_eq=[[0.5, -0.5]], b_eq=[0.0])
     assert_same_bytes(poly.vertices(), np.array([[-1.0, -1.0], [1.0, 1.0]]))
-    # the same line through a repeated row is no line to _line (k - 1 rows
-    # are asked for), so it keeps the hull's chart: the same list within
-    # DEDUP_TOL, not bit for bit
+    # the same line through a repeated row: the repeat adds no rank, so it
+    # is the same line, with the same chart and the same bytes
     repeated = con.Polytope(**SQUARE, a_eq=[[0.5, -0.5], [0.5, -0.5]], b_eq=[0.0, 0.0])
-    assert repeated.line() is None
-    verts = repeated.vertices()
-    assert verts.shape == (2, 2)
-    assert np.max(np.abs(verts - poly.vertices())) <= DEDUP_TOL
+    assert_same_line(repeated.line(), poly.line())
+    assert_same_bytes(repeated.vertices(), poly.vertices())
+
+
+def test_a_repeated_functional_lists_the_same_centers():
+    # the worked instance with mu given twice: the repeat adds no rank, so
+    # the center list is (mu,)'s, bit for bit, where a chart that took the
+    # repeat as a second row listed (0.5, 0.5000000000000001, +-0.5)
+    mu = sc.Functional(support=(0, 1), weights=(0.5, -0.5))
+    family = sc.FunctionFamily([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    once, twice = (sc.center_set(sc.ball_problem(family, sc.Subspace(dim=3, functionals=fs)))
+                   for fs in ((mu,), (mu, mu)))
+    assert once.center_polytope.vertices().tolist() == [[0.5, 0.5, -0.5], [0.5, 0.5, 0.5]]
+    assert_same_bytes(twice.center_polytope.vertices(), once.center_polytope.vertices())
+    assert _same_floats(twice.radius, once.radius)
+    assert_same_bytes(twice.representative, once.representative)
 
 
 @pytest.mark.parametrize("row", [[1.0, 0.0], [-1.0, 0.0]], ids=["downward", "upward"])
@@ -682,9 +693,9 @@ def test_a_line_factors_list_is_its_held_ends():
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
 def test_an_all_line_list_forms_no_hull_and_merges_once(inst, split_counts):
     # a center list whose factors are all lines reads their ends off the
-    # held lines: no affine hull, no double description, one merge of the
-    # product.  A wider factor (08, 14, 15) keeps its hull, its double
-    # description and its own merge
+    # held lines: no double description, one merge of the product.  A wider
+    # factor (08, 14, 15) keeps its double description and its own merge.
+    # Each chart was formed by line() and is held, so the list forms none
     center = sc.center_set(inst.problem()).center_polytope
     parts = center.split()
     wider = sum(1 for _, sub in parts if sub.line() is None)
@@ -692,7 +703,8 @@ def test_an_all_line_list_forms_no_hull_and_merges_once(inst, split_counts):
                                          "15-random-d5m4"})
     split_counts.clear()
     center.vertices()
-    assert split_counts["_affine_hull"] == split_counts["_double_description"] == wider
+    assert split_counts["_chart"] == 0
+    assert split_counts["_double_description"] == wider
     assert split_counts["merge_rows"] == (1 if len(parts) == 1 else 1 + wider)
 
 
@@ -775,21 +787,28 @@ def test_a_held_split_is_formed_once(split_counts):
     for x in ([2.0, 0.0, 0.0, 0.0], [0.0, 3.0, -2.0, 0.5]):
         lp.distance_to_polytope(x, poly)
     poly.vertices()
-    assert split_counts["factors"] == 1 and split_counts["_line"] == 3
+    assert split_counts["factors"] == 1 and split_counts["_chart"] == 3
 
 
 @pytest.mark.parametrize("poly, raiser", [
     # a zero inequality row with a negative right-hand side: factors raises
     (con.Polytope(a_ub=np.vstack([np.zeros(2), np.eye(2), -np.eye(2)]),
                   b_ub=[-1.0, 1.0, 1.0, 1.0, 1.0]), "factors"),
-    # x <= -1 and x >= 1: the split holds, the line of its one column raises
-    (con.Polytope(a_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0]), "_line"),
-], ids=["zero-row", "crossed-ends"])
+    # v0 + v1 = 0 and v0 + v1 = 1: the split holds, the chart raises
+    (con.Polytope(**SQUARE, a_eq=[[0.5, 0.5], [0.5, 0.5]], b_eq=[0.0, 0.5]), "_chart"),
+    # x <= -1 and x >= 1: the split and the chart of its one column hold,
+    # and the ends of its line cross
+    (con.Polytope(a_ub=[[1.0], [-1.0]], b_ub=[-1.0, -1.0]), None),
+], ids=["zero-row", "inconsistent", "crossed-ends"])
 def test_a_failed_split_is_not_held(poly, raiser, split_counts):
     for calls in (1, 2, 3):
         with pytest.raises(InfeasiblePolytopeError):
             lp.distance_to_polytope(np.full(poly.dim, 5.0), poly)
-        assert split_counts[raiser, poly] == calls
+        if raiser is None:
+            assert split_counts["_chart", poly] == 1
+        else:
+            assert split_counts[raiser, poly] == calls
+        assert poly._held_line == ()
     for _ in range(2):
         with pytest.raises(InfeasiblePolytopeError):
             poly.vertices()
@@ -809,11 +828,11 @@ def assert_same_line(got, want):
 
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
 def test_a_band_cut_inherits_the_split_and_lines_of_a_fresh_one(inst, split_counts):
-    # center_set splits V and forms each factor's line; every band cut of V
-    # then takes V's split, each sub-polytope cut by its slice of the band,
-    # its lines' (v0, dv) off V's factors and its affine hulls from V's, runs
-    # factors on nothing, and must hold what a fresh polytope on its arrays
-    # would form itself
+    # center_set splits V and forms each factor's chart and line; every band
+    # cut of V then takes V's split, each sub-polytope cut by its slice of
+    # the band, and its charts from V's factors, runs factors and _chart on
+    # nothing, and must hold what a fresh polytope on its arrays would form
+    # itself
     for problem in (inst.problem(), sc.ball_problem(inst.family, inst.subspace)):
         center = sc.center_set(problem)
         held = problem.feasible.split()
@@ -823,19 +842,18 @@ def test_a_band_cut_inherits_the_split_and_lines_of_a_fresh_one(inst, split_coun
             split_counts.clear()
             derived = cut.split()
             lines = [sub.line() for _, sub in derived]
-            hulls = [sub.hull() for _, sub in derived]
-            assert split_counts["factors"] == split_counts["_line"] == 0
-            assert not any(split_counts["_affine_hull", sub] for _, sub in derived)
+            charts = [sub.chart() for _, sub in derived]
+            assert split_counts["factors"] == split_counts["_chart"] == 0
             want = _fresh(cut).split()
             assert len(derived) == len(want)
-            for (cols, sub), line, hull, (fresh_cols, fresh_sub) in zip(derived, lines, hulls,
-                                                                        want):
+            for (cols, sub), line, chart, (fresh_cols, fresh_sub) in zip(derived, lines, charts,
+                                                                         want):
                 assert cols.dtype == fresh_cols.dtype
                 assert_same_bytes(cols, fresh_cols)
                 for name in ("a_ub", "b_ub", "a_eq", "b_eq"):
                     assert_same_bytes(getattr(sub, name), getattr(fresh_sub, name))
-                assert_same_line(line, con._line(fresh_sub))
-                for got, expected in zip(hull, con._affine_hull(fresh_sub)):
+                assert_same_line(line, fresh_sub.line())
+                for got, expected in zip(chart, con._chart(fresh_sub)):
                     assert_same_bytes(got, expected)
         assert problem.feasible.split() == held
 
@@ -865,18 +883,18 @@ def test_a_crossed_band_raises_on_every_call_and_holds_nothing(split_counts):
             raised += 1
             assert sub._held_line == ()
     assert raised
-    assert split_counts["factors"] == split_counts["_line"] == 0
+    assert split_counts["factors"] == split_counts["_chart"] == 0
     assert [sub._band[0] for _, sub in crossed.split()] == [sub for _, sub, _ in held]
     assert [(cols, sub, sub.line()) for cols, sub in problem.feasible.split()] == held
 
 
 def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     # V holds no split: the band cut splits V, which holds the split and the
-    # lines of its factors, so a second cut of V forms nothing.  A V that
-    # holds its split but not its lines gives the split, and the cut's first
-    # line on each factor forms and holds the line of V's factor.  A V whose
-    # vertices were listed holds both.  V is built here, not read from the
-    # subspace, which holds its ball split
+    # charts of its factors, so a second cut of V forms nothing.  A V that
+    # holds its split but not its charts gives the split, and the cut's first
+    # line on each factor forms and holds the chart of V's factor.  A V whose
+    # vertices were listed holds both.  No band cut forms a chart of its own.
+    # V is built here, not read from the subspace, which holds its ball split
     inst = next(i for i in sc.load_corpus("center") if i.name == "03-disjoint-supports")
 
     def unsplit_problem():
@@ -890,42 +908,46 @@ def test_a_band_cut_of_an_unsplit_polytope_splits_it_once(split_counts):
     split_counts.clear()
     dist, point = lp.distance_to_polytope(x, cut)
     assert split_counts["factors"] == split_counts["factors", problem.feasible] == 1
-    assert split_counts["_line"] == len(cut.split())
-    assert all(split_counts["_line", sub] == 1 for _, sub in problem.feasible.split())
+    assert split_counts["_chart"] == len(cut.split())
+    assert all(split_counts["_chart", sub] == 1 for _, sub in problem.feasible.split())
+    assert not any(split_counts["_chart", sub] for _, sub in cut.split())
     assert problem.feasible._parts is not None
     split_counts.clear()
     again = sc.near_center_set(problem, 0.1, radius)
     assert _same_floats(lp.distance_to_polytope(x, again)[0], dist)
-    assert split_counts["factors"] == split_counts["_line"] == 0
+    assert split_counts["factors"] == split_counts["_chart"] == 0
 
     problem = unsplit_problem()
-    problem.feasible.split()  # splits V, forms no line
-    assert all(sub._held_line == () for _, sub in problem.feasible.split())
+    problem.feasible.split()  # splits V, forms no chart and no line
+    assert all(sub._held_chart is None and sub._held_line == ()
+               for _, sub in problem.feasible.split())
     cut = sc.near_center_set(problem, 0.1, radius)
     split_counts.clear()
     assert _same_floats(lp.distance_to_polytope(x, cut)[0], dist)
     assert_same_bytes(lp.distance_to_polytope(x, cut)[1], point)
     assert split_counts["factors"] == 0
-    assert split_counts["_line"] == len(cut.split())
-    assert all(split_counts["_line", sub] == 1 for _, sub in problem.feasible.split())
-    assert all(sub._held_line != () for _, sub in problem.feasible.split())
+    assert split_counts["_chart"] == len(cut.split())
+    assert all(split_counts["_chart", sub] == 1 for _, sub in problem.feasible.split())
+    assert not any(split_counts["_chart", sub] for _, sub in cut.split())
+    assert all(sub._held_chart is not None for _, sub in problem.feasible.split())
 
-    # V's vertices split V and read each factor's ends off its line, which
-    # they form once and hold, forming no hull; the cut then forms nothing
+    # V's vertices split V and read each factor's ends off its line, whose
+    # chart they form once and hold, running no double description; the cut
+    # then forms nothing
     problem = unsplit_problem()
     split_counts.clear()
     problem.feasible.vertices()
     subs = [sub for _, sub in problem.feasible.split()]
     assert split_counts["factors"] == split_counts["factors", problem.feasible] == 1
-    assert split_counts["_line"] == len(subs)
-    assert all(split_counts["_line", sub] == 1 for sub in subs)
+    assert split_counts["_chart"] == len(subs)
+    assert all(split_counts["_chart", sub] == 1 for sub in subs)
     assert all(sub._held_line not in ((), None) for sub in subs)
-    assert split_counts["_affine_hull"] == split_counts["_double_description"] == 0
+    assert split_counts["_double_description"] == 0
     cut = sc.near_center_set(problem, 0.1, radius)
     split_counts.clear()
     assert _same_floats(lp.distance_to_polytope(x, cut)[0], dist)
     assert_same_bytes(lp.distance_to_polytope(x, cut)[1], point)
-    assert split_counts["factors"] == split_counts["_line"] == 0
+    assert split_counts["factors"] == split_counts["_chart"] == 0
 
 
 def test_a_split_gives_each_sub_polytope_its_lone_factor(split_counts):
@@ -943,4 +965,4 @@ def test_a_split_gives_each_sub_polytope_its_lone_factor(split_counts):
     split_counts.clear()
     for sub in subs:
         lp.distance_to_polytope(np.full(sub.dim, 3.0), sub)
-    assert split_counts["factors"] == 0 and split_counts["_line"] == 3
+    assert split_counts["factors"] == 0 and split_counts["_chart"] == 3

@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 import supcenter as sc
 from supcenter import constraints as con
-from supcenter import lp
+from supcenter import garkavi, lp
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
-from supcenter.tolerances import CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL
+from supcenter.tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
+                                  EQ_CONSISTENT_TOL)
 
 from oracles import (reference_center_set, reference_distance_to_polytope,
                      reference_enumerate_vertices)
@@ -33,6 +34,7 @@ from oracles import (reference_center_set, reference_distance_to_polytope,
 BAR = DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR
 EXACT = 1e-15
 EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8.0)
+TENTHS = st.integers(-10, 10).map(lambda k: k / 10.0)
 POWERS_OF_TWO = st.sampled_from([1.0, 0.5, 0.25, 0.125, -1.0, -0.5, -0.25, -0.125])
 
 
@@ -90,11 +92,11 @@ def box_line(draw, a_eq):
 
 
 @st.composite
-def grid_lines(draw):
+def grid_lines(draw, weights=EIGHTHS):
     """A line of k = 1 to 3 columns whose k - 1 equality rows have any weights
-    on the grid of multiples of 1/8, zeros included."""
+    on the grid of multiples of 1/8 (or of the given weights), zeros included."""
     k = draw(st.sampled_from([2, 3, 1]))
-    rows = st.lists(st.lists(EIGHTHS, min_size=k, max_size=k), min_size=k - 1, max_size=k - 1)
+    rows = st.lists(st.lists(weights, min_size=k, max_size=k), min_size=k - 1, max_size=k - 1)
     return box_line(draw, np.array(draw(rows), dtype=float).reshape(k - 1, k))
 
 
@@ -124,13 +126,21 @@ def check_line(poly, data, tol):
             with pytest.raises(InfeasiblePolytopeError):
                 route()
         return
-    assert con._line(poly) is not None
+    assert poly.line() is not None
     center = check_center(problem, tol)
     # on a line the value is read off the point: the representative attains
     # the radius and the nearest point the distance exactly
     assert sc.farthest_radius(center.representative, problem.family) == center.radius
     dist, point = check_distance(x, poly, tol)
     assert float(np.max(np.abs(x - point))) == dist
+    # the line given with a repeated row measures the same bytes
+    repeated = sc.CenterProblem(family=problem.family, feasible=_repeated_row(poly))
+    again = sc.center_set(repeated)
+    assert np.float64(again.radius).tobytes() == np.float64(center.radius).tobytes()
+    assert again.representative.tobytes() == center.representative.tobytes()
+    got_dist, got_point = lp.distance_to_polytope(x, repeated.feasible)
+    assert np.float64(got_dist).tobytes() == np.float64(dist).tobytes()
+    assert got_point.tobytes() == point.tobytes()
 
 
 @settings(max_examples=150)
@@ -145,18 +155,46 @@ def test_grid_lines_match_the_lp_within_its_tolerance(poly, data):
     check_line(poly, data, DEFAULT_TOL)
 
 
+def _repeated_row(poly):
+    """poly with its first equality row given twice, poly itself when it has
+    no equality row."""
+    if not poly.a_eq.shape[0]:
+        return poly
+    return sc.Polytope(a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=np.vstack([poly.a_eq, poly.a_eq[:1]]),
+                       b_eq=np.concatenate([poly.b_eq, poly.b_eq[:1]]))
+
+
+@settings(max_examples=150)
+@given(poly=grid_lines(TENTHS), data=st.data())
+def test_decimal_lines_match_the_lp_within_its_tolerance(poly, data):
+    # binary floats round multiples of 1/10, so a direction entry whose exact
+    # value is 0 can come out near 1e-16: a row that meets the line in such
+    # an entry is zero on it (NULL_ROW_TOL), not a bound far off
+    check_line(poly, data, DEFAULT_TOL)
+
+
+def test_a_rounded_zero_entry_of_the_direction_bounds_nothing():
+    # columns 1 and 2 are proportional, so the equalities fix v0 = -1 and
+    # the direction's entry 0 is 0; in floats it comes out near 1e-16, where
+    # the box row on v0, with its right-hand side rounded near 0, would
+    # bound t far off and leave the line empty
+    a_eq = np.array([[0.6, 0.4, 0.3], [-1.0, 0.8, 0.6]])
+    poly = sc.Polytope(a_ub=np.vstack([np.eye(3), -np.eye(3)]), b_ub=np.ones(6), a_eq=a_eq,
+                       b_eq=a_eq @ np.array([-1.0, 0.4, -1.6]))
+    _, dv, lower, upper = poly.line()
+    assert abs(dv[0]) < 1e-15 and lower < upper
+    family = sc.FunctionFamily([[0.0, 0.0, 0.0], [0.5, -0.5, 0.25]])
+    check_center(sc.CenterProblem(family=family, feasible=poly), DEFAULT_TOL)
+    check_distance(np.zeros(3), poly, DEFAULT_TOL)
+
+
 def check_vertices(poly):
     """The vertex list read off the line against the polar-dual route that
     takes poly whole (reference_enumerate_vertices): equal counts, within
     DEDUP_TOL, or the same refusal of an empty line.  The line given with its
-    first equality row twice, which _line does not parametrize and the
-    affine hull's chart enumerates, lists the same vertices."""
-    polys = [poly]
-    if poly.a_eq.shape[0]:
-        polys.append(sc.Polytope(a_ub=poly.a_ub, b_ub=poly.b_ub,
-                                 a_eq=np.vstack([poly.a_eq, poly.a_eq[:1]]),
-                                 b_eq=np.concatenate([poly.b_eq, poly.b_eq[:1]])))
-        assert polys[1].line() is None
+    first equality row twice is the same line, with the same chart, and
+    lists the same bytes."""
+    polys = [poly, _repeated_row(poly)]
     try:
         reference = reference_enumerate_vertices(poly)
     except InfeasiblePolytopeError:
@@ -166,9 +204,61 @@ def check_vertices(poly):
         return
     assert poly.line() is not None
     verts = con.enumerate_vertices(poly)
-    for other in [reference] + [con.enumerate_vertices(p) for p in polys[1:]]:
-        assert other.shape == verts.shape
-        assert np.max(np.abs(other - verts)) <= DEDUP_TOL
+    assert reference.shape == verts.shape
+    assert np.max(np.abs(reference - verts)) <= DEDUP_TOL
+    for got, want in zip(polys[1].chart(), poly.chart()):
+        assert got.tobytes() == want.tobytes()
+    assert con.enumerate_vertices(polys[1]).tobytes() == verts.tobytes()
+
+
+def check_chart(poly):
+    """poly's held chart (v0, basis): one column per free dimension of the
+    equalities, the identity on as many free coordinates, where v0 is 0,
+    every entry of basis in [-1, 1], and v0 + basis z on the equalities
+    within EQ_CONSISTENT_TOL (1 + max|b_eq|) for z in the unit cube."""
+    v0, basis = poly.chart()
+    n, d = basis.shape
+    assert d == n - (np.linalg.matrix_rank(poly.a_eq) if poly.a_eq.size else 0)
+    for c in range(d):
+        assert np.any((basis == np.eye(d)[c]).all(axis=1) & (v0 == 0.0)), c
+    assert np.all(np.abs(basis) <= 1.0)
+    z = np.vstack([np.zeros(d), np.eye(d), -np.eye(d),
+                   np.random.default_rng(5).uniform(-1.0, 1.0, (4, d))])
+    bar = EQ_CONSISTENT_TOL * (1.0 + float(np.max(np.abs(poly.b_eq), initial=0.0)))
+    assert np.all(np.abs((v0 + z @ basis.T) @ poly.a_eq.T - poly.b_eq) <= bar)
+
+
+@settings(max_examples=150)
+@given(poly=st.one_of(exact_lines(), grid_lines()), repeat=st.booleans())
+def test_drawn_charts_are_unit_bounded_and_on_the_equalities(poly, repeat):
+    check_chart(_repeated_row(poly) if repeat else poly)
+
+
+def _corpus_and_renorm_polytopes():
+    for inst in sc.load_corpus("center"):
+        problem = inst.problem()
+        center = sc.center_set(problem)
+        polys = [problem.feasible, center.center_polytope, inst.subspace.kernel(),
+                 sc.near_center_set(problem, 0.1, center.radius)]
+        if inst.subspace.functionals:
+            polys.append(sc.finite_reduction(inst.family, inst.subspace).problem.feasible)
+        for poly in polys:
+            yield poly
+            yield from (sub for _, sub in poly.split() if sub is not poly)
+    for inst in sc.load_corpus("renorm"):
+        model = garkavi.build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
+        for poly in (model.slab, model.cube, model.small_ball, model.kernel, model.split_cone,
+                     garkavi.metric_projection(model, model.x0, 0.1)):
+            yield poly
+            yield from (sub for _, sub in poly.split() if sub is not poly)
+
+
+def test_corpus_and_renorm_charts_are_unit_bounded_and_on_the_equalities():
+    seen = 0
+    for poly in _corpus_and_renorm_polytopes():
+        check_chart(poly)
+        seen += 1
+    assert seen > 100
 
 
 @settings(max_examples=150)
@@ -203,7 +293,7 @@ def test_two_line_blocks_of_disjoint_supports():
     reduction = sc.finite_reduction(inst.family, inst.subspace)
     feasible = reduction.problem.feasible
     assert [part.cols.tolist() for part in con.factors(feasible)] == [[0, 1], [2, 3]]
-    assert all(con._line(sub) is not None for _, sub in feasible.split())
+    assert all(sub.line() is not None for _, sub in feasible.split())
     center = check_center(reduction.problem)
     target = sc.near_center_set(reduction.problem, 0.0, radius=center.radius)
     dist, point = check_distance(np.array([0.9, -0.9, 0.9, -0.9]), target)
@@ -220,11 +310,11 @@ def test_direction_with_a_zero_entry(b0):
                        a_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], b_eq=[b0, 0.0])
     x = np.array([0.0, 1.0, 1.0])
     if b0 > 1.0:
-        for route in (lambda: con._line(poly), lambda: lp.distance_to_polytope(x, poly)):
+        for route in (poly.line, lambda: lp.distance_to_polytope(x, poly)):
             with pytest.raises(InfeasiblePolytopeError):
                 route()
         return
-    v0, dv, lower, upper = con._line(poly)
+    v0, dv, lower, upper = poly.line()
     assert dv.tolist() == [0.0, 1.0, -1.0]
     assert (v0[0], lower, upper) == (0.5, -1.0, 1.0)
     family = sc.FunctionFamily([[0.0, 0.5, 0.0], [1.0, 0.0, 0.0]])
@@ -236,7 +326,7 @@ def test_line_of_one_point():
     # v0 + v1 = 2 inside [-1, 1]^2 leaves t_lo = t_hi = 1
     poly = sc.Polytope(a_ub=np.vstack([np.eye(2), -np.eye(2)]), b_ub=np.ones(4),
                        a_eq=[[0.5, 0.5]], b_eq=[1.0])
-    _, _, lower, upper = con._line(poly)
+    _, _, lower, upper = poly.line()
     assert lower == upper == 1.0
     problem = sc.CenterProblem(family=sc.FunctionFamily([[0.0, 0.0], [0.5, -0.5]]), feasible=poly)
     center = check_center(problem)
@@ -284,7 +374,7 @@ def test_wider_block_reaches_the_lp_with_the_same_arrays(monkeypatch):
     # reference route's
     inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
     problem = sc.finite_reduction(inst.family, inst.subspace).problem
-    assert con._line(problem.feasible) is None
+    assert problem.feasible.line() is None
     seen = []
     real = lp.solve
 
@@ -312,13 +402,16 @@ def test_closed_form_point_is_certified(monkeypatch):
 @pytest.mark.parametrize("rhs, empty", [(-1.0, True), (-1.5 * DEFAULT_TOL, False), (0.0, False)])
 def test_interval_checks_zero_rows(rhs, empty):
     # a zero row holds when 0 <= rhs within DEFAULT_TOL * (1 + max|b|), here
-    # 2 * DEFAULT_TOL, as in factors, and is never divided by
+    # 2 * DEFAULT_TOL, as in factors, and is never divided by: in _ends, and
+    # in the line of the interval polytope on those rows
     a = np.array([[0.0], [1.0], [-1.0]])
     b = np.array([rhs, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if empty:
-            with pytest.raises(InfeasiblePolytopeError):
-                con.interval(a, b)
-        else:
-            assert con.interval(a, b) == (-1.0, 1.0)
+        for route in (lambda: con._ends(a[:, 0], b),
+                      lambda: sc.Polytope(a_ub=a, b_ub=b).line()[2:]):
+            if empty:
+                with pytest.raises(InfeasiblePolytopeError):
+                    route()
+            else:
+                assert route() == (-1.0, 1.0)

@@ -4,8 +4,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import supcenter as sc
-from supcenter import constraints, construct, lp, stability
+from supcenter import construct, lp, stability
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
+from supcenter.reportio import dump_report
 from supcenter.space import band
 from supcenter.sampling import random_ball_problem
 from supcenter.tolerances import DEDUP_TOL, DEFAULT_TOL, MODULUS_CONFIRM_STEP
@@ -276,7 +277,7 @@ def test_line_factors_take_the_ends_of_their_rows(corpus_moduli):
 
 def test_a_crossed_interval_factor_is_refused():
     # a band whose interval factor crosses is refused as an empty near set,
-    # as interval() refuses the near set's rows
+    # as the line of the near set's factor refuses its rows
     inst = next(i for i in sc.load_corpus("center") if i.name == "08-three-point-functional")
     problem = inst.problem()
     center = sc.center_set(problem)
@@ -288,12 +289,13 @@ def test_a_crossed_interval_factor_is_refused():
     lower[col], upper[col] = 0.5, 0.5 - 1e-6
     _, near_sub = problem.feasible.with_band(lower, upper).split()[k]
     with pytest.raises(InfeasiblePolytopeError):
-        constraints.interval(near_sub.a_ub, near_sub.b_ub)
+        near_sub.line()
     with pytest.raises(InfeasiblePolytopeError):
         search(lower, upper)
     upper[col] = 0.5 - 1e-12  # crossed by less than the bar, so not empty
     _, near_sub = problem.feasible.with_band(lower, upper).split()[k]
-    constraints.interval(near_sub.a_ub, near_sub.b_ub)
+    assert near_sub.line()[2:] == (0.5, 0.5 - 1e-12)
+    assert near_sub.vertices().tolist() == [[0.5]]
     assert search(lower, upper)[0] > 0.0
 
 
@@ -491,41 +493,66 @@ def test_p1_modulus_splits_the_base_set_once(split_counts):
     # kernel ball is one factor, so the base set is its own target: its split
     # is the kernel ball's, which center_set holds, so the search runs
     # factors on nothing, every distance reads that held split, and every
-    # probe's enumeration reads the affine hull the kernel ball holds
+    # probe's enumeration reads the chart the kernel ball holds, which
+    # center_set formed
     inst = next(i for i in sc.load_corpus("center") if i.name == "15-random-d5m4")
     problem = inst.problem()
     center = sc.center_set(problem)
     split_counts.clear()
     report = p1_modulus(problem, 0.05, delta_max=0.05, center=center)
     assert len(report.probes) > 2
-    assert split_counts["factors"] == 0
-    assert split_counts["_affine_hull"] == split_counts["_affine_hull", problem.feasible] == 1
+    assert split_counts["factors"] == split_counts["_chart"] == 0
+    assert problem.feasible._held_chart is not None
 
 
 @pytest.mark.parametrize("inst", sc.load_corpus("center"), ids=lambda inst: inst.name)
 def test_p1_modulus_splits_each_polytope_at_most_once(inst, split_counts):
-    # the base set and each of its factors are split once, and the affine
-    # hull of each factor wider than a line is solved once for all the
-    # probes, since every near set has the base set's equalities; a line
-    # factor reads its ends off its held line, and solves no hull
-    problem = inst.problem()
-    center = sc.center_set(problem)
-    wider = sum(1 for _, sub in inst.problem().feasible.split() if sub.line() is None)
+    # the base set and each of its factors are split once, and the chart of
+    # each factor of V is formed once for the radius and all the probes,
+    # since every near set and the base set are band cuts of V, which form
+    # none of their own.  V is built on a fresh subspace, so nothing is held
+    problem = sc.ball_problem(inst.family, sc.Subspace(dim=inst.subspace.dim,
+                                                       functionals=inst.subspace.functionals))
     split_counts.clear()
+    center = sc.center_set(problem)
     report = p1_modulus(problem, 0.1, delta_max=0.1, center=center)
     assert report.probes
-    for name in ("factors", "_line"):
+    for name in ("factors", "_chart"):
         per_object = [n for key, n in split_counts.items()
                       if isinstance(key, tuple) and key[0] == name]
         assert set(per_object) <= {1}
-    assert split_counts["_affine_hull"] == wider
-    # V's factors hold their hulls, so a second search on the same solved
-    # center solves none, and splits and lines nothing: what it counts is
-    # the enumeration of the probes' wider factors
+    subs = [sub for _, sub in problem.feasible.split()]
+    assert split_counts["_chart"] == len(subs)
+    assert all(split_counts["_chart", sub] == 1 for sub in subs)
+    wider = sum(1 for sub in subs if sub.line() is None)
+    # V's factors hold their charts, so a second search on the same solved
+    # center forms none, and splits nothing: what it counts is the
+    # enumeration of the probes' wider factors
     split_counts.clear()
     assert p1_modulus(problem, 0.05, delta_max=0.05, center=center).probes
     assert set(split_counts) <= {"_double_description", "merge_rows"}
     assert bool(split_counts) == bool(wider)
+
+
+@pytest.mark.parametrize("inst", [i for i in sc.load_corpus("center") if i.subspace.functionals
+                                  and i.name not in {"08-three-point-functional",
+                                                     "14-random-d4m3", "15-random-d5m4"}],
+                         ids=lambda inst: inst.name)
+def test_a_repeated_functional_searches_the_same_bytes(inst):
+    # every factor of these kernel balls is a line; a subspace given its
+    # first functional twice has the same lines, with the same charts, so
+    # its radius, center list and modulus search have the same bytes
+    repeated = sc.Subspace(dim=inst.subspace.dim,
+                           functionals=inst.subspace.functionals + inst.subspace.functionals[:1])
+    reports = []
+    for y in (inst.subspace, repeated):
+        problem = sc.ball_problem(inst.family, y)
+        assert all(sub.line() is not None for _, sub in problem.feasible.split())
+        center = sc.center_set(problem)
+        modulus = p1_modulus(problem, 0.1, delta_max=0.1, center=center)
+        reports.append([np.float64(center.radius).tobytes(), center.representative.tobytes(),
+                        center.center_polytope.vertices().tobytes(), dump_report(modulus)])
+    assert reports[0] == reports[1]
 
 
 def test_p1_modulus_solves_no_radius_again(solve_counts):
