@@ -655,9 +655,10 @@ def sup_center(targets, poly: Polytope) -> tuple[float, np.ndarray]:
       value is that point's sup gap exactly.  The point must lie in the
       factor within DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR, the
       bar of center_set's own certificate, or LPNumericalError is raised;
-    - every other factor takes lp.epigraph_lp with the rows [I; -I].  A
-      polytope of one such factor reaches it with the same arrays as a
-      polytope taken whole.
+    - every other factor takes lp.epigraph_lp with the rows [I; -I], posed
+      on the factor's held chart (Polytope.chart), so its equalities reach
+      the simplex as no rows.  A polytope of one such factor reaches it with
+      the same arrays as a polytope taken whole.
     The split and each factor's line are poly's held ones (Polytope.split,
     Polytope.line), formed by the first call on poly, so a polytope measured
     against again and again, as the stability search does, is split once.

@@ -30,9 +30,14 @@ shape, built in one place by epigraph_lp: min t over v in a polytope with
 g.(v - target) <= t for every row g of a fixed matrix and every target.  The
 targets fold into one row per g, g.v - t <= min over targets of g.target, so
 the program has as many epigraph rows as the matrix has, however many
-targets there are.  On a factor whose chart has one column (a line, see
-constraints.Polytope.line) the same program is min over t of
-max_k (a_k t + b_k), the d = 1 case that line_minimax solves with no simplex.
+targets there are.  The program is posed on the polytope's chart
+(constraints.Polytope.chart), v = v0 + basis z, so its equalities hold by
+construction and reach the simplex as no rows at all, and t is shifted by
+the least t0 >= 0 that makes every epigraph row feasible at z = 0: phase 1
+runs only for the polytope's own rows that v0 violates.  On a factor whose
+chart has one column (a line, see constraints.Polytope.line) the same
+program is min over t of max_k (a_k t + b_k), the d = 1 case that
+line_minimax solves with no simplex.
 """
 
 from __future__ import annotations
@@ -229,28 +234,45 @@ def epigraph_lp(rows, targets, poly: "Polytope") -> tuple[float, np.ndarray]:
 
     The targets fold into one row per g: g.v - t <= min_j g.target_j.  With
     rows [I; -I] these rows are the band between the targets' envelopes, and
-    t is the sup-norm distance from v to the farthest target.  Raises
-    InfeasiblePolytopeError when poly is empty and LPNumericalError when the
-    LP ends in any other way without an optimum.
+    t is the sup-norm distance from v to the farthest target.
+
+    The program is solved on poly's chart (v0, basis), v = v0 + basis z, in
+    the d + 1 free variables (z, s) with t = t0 + s: the rows a_ub basis z <=
+    b_ub - a_ub v0 and (g basis) z - s <= r_g + t0, r_g = min_j g.target_j -
+    g.v0, and no equality rows.  t0 = max(0, -min_g r_g) makes every epigraph
+    row feasible at z = 0, so phase 1 runs only for the rows of poly that v0
+    violates.  The point v0 + basis z is certified against poly's own rows,
+    equalities included, within max(DEFAULT_TOL * FEAS_FACTOR, CERTIFY_FLOOR)
+    * (1 + max|b|), b being poly's right-hand sides and the min_j g.target_j,
+    the bar solve puts on the same program posed with equality rows; a miss
+    raises LPNumericalError.  Raises InfeasiblePolytopeError when poly is
+    empty and LPNumericalError when the LP ends in any other way without an
+    optimum.
     """
     rows = np.asarray(rows, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    n = rows.shape[1]
-    mi = poly.a_ub.shape[0]
-    a_ub = np.zeros((mi + rows.shape[0], n + 1))
-    a_ub[:mi, :n] = poly.a_ub
-    a_ub[mi:, :n] = rows
-    a_ub[mi:, n] = -1.0
-    b_ub = np.concatenate([poly.b_ub, (rows @ targets.T).min(axis=1)])
-    a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq))
+    v0, basis = poly.chart()
+    mi, d = poly.a_ub.shape[0], basis.shape[1]
+    bound = (rows @ targets.T).min(axis=1)
+    rhs = bound - rows @ v0
+    t0 = max(0.0, -float(rhs.min()))
+    a_ub = np.zeros((mi + rows.shape[0], d + 1))
+    a_ub[:mi, :d] = poly.a_ub @ basis
+    a_ub[mi:, :d] = rows @ basis
+    a_ub[mi:, d] = -1.0
+    b_ub = np.concatenate([poly.b_ub - poly.a_ub @ v0, rhs + t0])
+    c = np.zeros(d + 1)
+    c[d] = 1.0
+    sol = solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub))
     if sol.status == INFEASIBLE:
         raise InfeasiblePolytopeError("the polytope of the epigraph LP is empty")
     if sol.status != OPTIMAL:
         raise LPNumericalError(f"epigraph LP ended with status {sol.status}")
-    return float(sol.value), sol.x[:n]
+    v = v0 + basis @ sol.x[:d]
+    scale_b = 1.0 + float(np.abs(np.concatenate([poly.b_ub, poly.b_eq, bound])).max())
+    if poly.violation(v) > max(DEFAULT_TOL * FEAS_FACTOR, CERTIFY_FLOOR) * scale_b:
+        raise LPNumericalError("the epigraph LP's point leaves its polytope")
+    return t0 + float(sol.value), v
 
 
 def line_minimax(slopes, offsets, lower: float, upper: float) -> float:
@@ -277,8 +299,9 @@ def distance_to_polytope(x, poly: "Polytope") -> tuple[float, np.ndarray]:
     constraints.sup_center: in closed form on the factors of poly that are
     lines, by epigraph_lp on the others.
 
-    Zero (and x itself) when x already satisfies the constraints; raises
-    InfeasiblePolytopeError when the polytope is empty.
+    A point of poly is measured like any other, so its distance is 0 up to
+    the solver's rounding; raises InfeasiblePolytopeError when the polytope
+    is empty.
     """
     from .constraints import sup_center  # constraints imports this module
 
@@ -286,7 +309,5 @@ def distance_to_polytope(x, poly: "Polytope") -> tuple[float, np.ndarray]:
     n = x.size
     if poly.dim != n:
         raise ValueError(f"point dim {n} does not match polytope dim {poly.dim}")
-    if poly.contains(x, DEFAULT_TOL):
-        return 0.0, x.copy()
     dist, v = sup_center(x, poly)
     return max(dist, 0.0), v

@@ -6,11 +6,15 @@ route.  Between them every radius has two derivations that share no code
 with the implementation under test.  The package takes the radius and the
 sup-norm distance factor by factor, in closed form on a line; its former
 route, one epigraph LP over the whole polytope, stays as
-reference_center_set and reference_distance_to_polytope.  Vertex lists are
-checked against an exhaustive active-set search, which shares no code with
-the package's double description.  The simplex pivot rule has a scalar
-reference, reference_bland_loop, that the package's vectorized rule must
-match pivot for pivot.  The stability modulus has a bisection reference,
+reference_center_set and reference_distance_to_polytope.  Those, and the
+renormed-ball references below that take an epigraph LP, solve it by
+reference_epigraph_lp, in the ambient layout with the equalities as rows,
+which the package's epigraph_lp replaced by its program on the polytope's
+chart.  Vertex lists are checked against an exhaustive active-set search,
+which shares no code with the package's double description.  The simplex
+pivot rule has a scalar reference, reference_bland_loop, that the package's
+vectorized rule must match pivot for pivot.  The stability modulus has a
+bisection reference,
 reference_bisection_modulus, whose final bracket the package's secant search
 must land in; it measures each probe with reference_farthest_vertex, one
 distance per vertex, which the package's bound-ordered search must match bit
@@ -227,12 +231,42 @@ def highs_distance(x, poly):
     return float(res.fun)
 
 
+def epigraph_program(rows, targets, poly):
+    """lp.epigraph_lp's program in the package's former layout: min t over
+    the ambient (v, t), with poly's rows, one folded epigraph row
+    g.v - t <= min_j g.target_j per row g of rows, and poly's equalities as
+    equality rows."""
+    rows = np.asarray(rows, dtype=float)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    n = rows.shape[1]
+    mi = poly.a_ub.shape[0]
+    a_ub = np.zeros((mi + rows.shape[0], n + 1))
+    a_ub[:mi, :n] = poly.a_ub
+    a_ub[mi:, :n] = rows
+    a_ub[mi:, n] = -1.0
+    b_ub = np.concatenate([poly.b_ub, (rows @ targets.T).min(axis=1)])
+    a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
+    return lp.LinearProgram(c=np.eye(n + 1)[n], a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq)
+
+
+def reference_epigraph_lp(rows, targets, poly):
+    """min t over v in poly with g.(v - target) <= t for every row g of rows
+    and every target, as (t, v): epigraph_program, in the ambient layout the
+    package solved before it posed the program on poly's chart, by lp.solve."""
+    sol = lp.solve(epigraph_program(rows, targets, poly))
+    if sol.status == lp.INFEASIBLE:
+        raise InfeasiblePolytopeError("the polytope of the epigraph LP is empty")
+    if sol.status != lp.OPTIMAL:
+        raise LPNumericalError(f"epigraph LP ended with status {sol.status}")
+    return float(sol.value), sol.x[:-1]
+
+
 def reference_center_set(problem):
     """Restricted center set by one epigraph LP over the whole of V, the
     package's route before the radius took each factor of V on its own."""
     eye = np.eye(problem.dim)
-    radius, rep = lp.epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
-                                 problem.feasible)
+    radius, rep = reference_epigraph_lp(np.vstack([eye, -eye]), problem.family.values,
+                                        problem.feasible)
     poly = near_center_set(problem, 0.0, radius)
     if poly.violation(rep) > DEFAULT_TOL * CERTIFY_SLACK_FACTOR + CENTER_FLOOR:
         raise LPNumericalError("radius minimizer violates its own center polytope")
@@ -247,10 +281,8 @@ def reference_distance_to_polytope(x, poly):
     n = x.size
     if poly.dim != n:
         raise ValueError(f"point dim {n} does not match polytope dim {poly.dim}")
-    if poly.contains(x, DEFAULT_TOL):
-        return 0.0, x.copy()
     eye = np.eye(n)
-    dist, v = lp.epigraph_lp(np.vstack([eye, -eye]), x, poly)
+    dist, v = reference_epigraph_lp(np.vstack([eye, -eye]), x, poly)
     return max(dist, 0.0), v
 
 
@@ -542,7 +574,7 @@ def hull_gauge_distance(model, x, verts):
 def reference_forward_gap(model, near_verts, exact):
     """max over the near vertices v of min over p in the polytope exact of
     gauge(v - p), one epigraph LP over the section facets per vertex."""
-    return max(lp.epigraph_lp(-model.section_facets, v, exact)[0] for v in near_verts)
+    return max(reference_epigraph_lp(-model.section_facets, v, exact)[0] for v in near_verts)
 
 
 def reference_replay_crossing(model, direction, eta):
@@ -653,7 +685,7 @@ def reference_subspace_gauge_distance(model, x):
     LP over the ball facets."""
     x = as_vector(x, model.n)
     # gauge(x - y) = max_a a.(x - y) = max_a (-a).(y - x)
-    dist, y = lp.epigraph_lp(-model.ball_facets, x, model.kernel)
+    dist, y = reference_epigraph_lp(-model.ball_facets, x, model.kernel)
     return max(dist, 0.0), y
 
 

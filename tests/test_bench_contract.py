@@ -48,18 +48,18 @@ def test_recorder_counts_a_center_round():
 
     block = constraints.factors(problem.feasible)[0]
     assert block.cols.tolist() == [0, 1, 2]
-    # the radius LP on the block: its rows of V and one band row per
-    # coordinate bound
+    # the radius LP on the block's chart: its inequality rows of V and one
+    # band row per coordinate bound, and no equality rows
     assert rec.summarize("center", 1.0)["lp.solve.calls"] == 1
     assert rec.counts[("center", "lp.solve.pivots")] > 0
     assert rec.counts[("center", "lp.solve.rows_max")] == (
-        block.ub.size + block.eq.size + 2 * block.cols.size)
+        block.ub.size + 2 * block.cols.size)
     # the largest program of the modulus is a distance LP to the same block
-    # of the center set: the block's rows and two epigraph rows per block
-    # coordinate
+    # of the center set: the block's inequality rows and two epigraph rows
+    # per block coordinate
     block = constraints.factors(center.center_polytope)[0]
     assert block.cols.tolist() == [0, 1, 2]
     assert rec.counts[("modulus", "lp.solve.pivots")] > 0
     assert rec.counts[("modulus", "stability.p1_modulus.probes")] > 0
     assert rec.counts[("modulus", "lp.solve.rows_max")] == (
-        block.ub.size + block.eq.size + 2 * block.cols.size)
+        block.ub.size + 2 * block.cols.size)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supcenter as sc
 from supcenter import cli, garkavi, lp
@@ -7,7 +9,8 @@ from supcenter.constraints import Polytope
 from supcenter.errors import InfeasiblePolytopeError, LPNumericalError
 from supcenter.tolerances import DEFAULT_TOL, PIVOT_EPS
 
-from oracles import (reference_bland_loop, reference_center_set, reference_enumerate_vertices,
+from oracles import (epigraph_program, reference_bland_loop, reference_center_set,
+                     reference_enumerate_vertices, reference_epigraph_lp,
                      reference_gauge_decomposition, scipy_solve)
 
 
@@ -127,6 +130,104 @@ def test_epigraph_lp_matches_per_target_layout():
         assert np.max(rows @ v - (rows @ targets.T).min(axis=1)) <= value + 1e-9
 
 
+def check_epigraph(rows, targets, poly):
+    """epigraph_lp, on poly's chart, against its program in the ambient
+    layout with equality rows, solved by lp.solve (reference_epigraph_lp)
+    and by HiGHS: the values within 1e-9 (1 + |t|), both points in poly
+    within DEFAULT_TOL (1 + max|b|), and the chart's point at its value."""
+    value, v = lp.epigraph_lp(rows, targets, poly)
+    ref, w = reference_epigraph_lp(rows, targets, poly)
+    status, highs, _ = scipy_solve(epigraph_program(rows, targets, poly))
+    assert status == lp.OPTIMAL
+    bar = 1e-9 * (1.0 + abs(value))
+    assert abs(value - ref) <= bar and abs(value - highs) <= bar, (value, ref, highs)
+    scale = 1.0 + float(np.abs(np.concatenate([poly.b_ub, poly.b_eq])).max(initial=0.0))
+    assert poly.violation(v) <= DEFAULT_TOL * scale
+    assert poly.violation(w) <= DEFAULT_TOL * scale
+    assert np.max(rows @ v - (rows @ np.atleast_2d(targets).T).min(axis=1)) <= value + bar
+    return value, v
+
+
+def _wider(poly):
+    """(cols, sub) for each factor of poly wider than a line."""
+    return [(cols, sub) for cols, sub in poly.split() if sub.line() is None]
+
+
+@pytest.mark.parametrize("name", ["08-three-point-functional", "14-random-d4m3",
+                                  "15-random-d5m4"])
+def test_chart_epigraph_matches_the_ambient_layout_on_the_corpus_blocks(name):
+    # the radius LP of each block wider than a line, and the distance LP from
+    # every near-set vertex at delta 0.05 and 0.2 to the block of the center set
+    inst = next(i for i in sc.load_corpus("center") if i.name == name)
+    problem = inst.problem()
+    (cols, block), = _wider(problem.feasible)
+    eye = np.eye(cols.size)
+    band_rows = np.vstack([eye, -eye])
+    check_epigraph(band_rows, problem.family.values[:, cols], block)
+    center = sc.center_set(problem)
+    (cols, target), = _wider(center.center_polytope)
+    for delta in (0.05, 0.2):
+        for vertex in sc.near_center_set(problem, delta, center.radius).vertices():
+            check_epigraph(band_rows, vertex[cols], target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), eqs=st.integers(1, 3),
+       cuts=st.integers(0, 3), members=st.integers(1, 3), band_rows=st.booleans())
+def test_chart_epigraph_matches_the_ambient_layout_on_drawn_blocks(seed, n, eqs, cuts,
+                                                                  members, band_rows):
+    # a box cut by 1 to 3 equalities through a point p of it, and by up to 3
+    # rows through p that the chart's origin may violate, against members
+    # targets, with the rows [I; -I] or drawn rows
+    eqs = min(eqs, n - 1)
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.5, 0.5, n)
+    a_eq = rng.uniform(-1.0, 1.0, (eqs, n))
+    cut = rng.uniform(-1.0, 1.0, (cuts, n))
+    eye = np.eye(n)
+    poly = Polytope(a_ub=np.vstack([eye, -eye, cut]),
+                    b_ub=np.concatenate([np.ones(2 * n), cut @ p + rng.uniform(0.0, 0.2, cuts)]),
+                    a_eq=a_eq, b_eq=a_eq @ p)
+    rows = np.vstack([eye, -eye]) if band_rows else rng.uniform(-1.0, 1.0, (2 * n, n))
+    check_epigraph(rows, rng.uniform(-2.0, 2.0, (members, n)), poly)
+
+
+def test_chart_epigraph_of_a_point():
+    # n independent equalities pin one point: the chart has no column, the
+    # program has t alone, and its value is the point's farthest target
+    a_eq = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [0.5, 0.0, 0.25]])
+    p = np.array([0.25, -0.5, 0.75])
+    poly = Polytope.box(3, 1.0, a_eq)
+    poly = Polytope(a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=a_eq, b_eq=a_eq @ p)
+    assert poly.chart()[1].shape == (3, 0)
+    eye = np.eye(3)
+    targets = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
+    value, v = check_epigraph(np.vstack([eye, -eye]), targets, poly)
+    assert np.allclose(v, p, rtol=0.0, atol=1e-15)
+    assert value == pytest.approx(float(np.abs(targets - v).max()), abs=1e-15)
+    outside = Polytope(a_ub=poly.a_ub, b_ub=np.full(6, 0.6), a_eq=a_eq, b_eq=a_eq @ p)
+    for route in (lp.epigraph_lp, reference_epigraph_lp):
+        with pytest.raises(InfeasiblePolytopeError):
+            route(np.vstack([eye, -eye]), targets, outside)
+
+
+def test_chart_epigraph_certifies_its_point(monkeypatch):
+    # a solve whose z leaves the polytope is refused, not returned: the point
+    # v0 + basis z is measured against the polytope's own rows
+    real = lp.solve
+
+    def solve(prob):
+        sol = real(prob)
+        sol.x[:-1] += 0.5
+        return sol
+
+    monkeypatch.setattr(lp, "solve", solve)
+    poly = Polytope.box(3, 1.0, [[1.0, -1.0, 0.5]])
+    eye = np.eye(3)
+    with pytest.raises(LPNumericalError, match="leaves its polytope"):
+        lp.epigraph_lp(np.vstack([eye, -eye]), np.full(3, 0.9), poly)
+
+
 def _negative_rhs_program(rng, n, m):
     # rhs built around a point away from the origin, so many rows read b < 0
     x0 = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
@@ -222,6 +323,8 @@ def test_kernel_ball_radius_lp_pivots(monkeypatch):
     assert sol.value == pytest.approx(scipy_solve(prob)[1], abs=1e-7)
 
     # the program restricted_radius solves folds the members into the band
+    # and is posed on the chart of V: no equality rows, and the shift t0
+    # leaves no negative rhs, so it runs no phase 1
     seen = []
     real = lp.solve
 
@@ -232,7 +335,8 @@ def test_kernel_ball_radius_lp_pivots(monkeypatch):
     monkeypatch.setattr(lp, "solve", solve)
     radius = sc.restricted_radius(problem)
     folded, = seen
-    assert folded.a_ub.shape[0] == 4 * n and np.sum(folded.b_ub < 0) == 10
+    assert folded.a_ub.shape == (4 * n, n - poly.a_eq.shape[0] + 1) and folded.a_eq is None
+    assert np.sum(folded.b_ub < 0) == 0
     assert abs(radius - sol.value) <= 1e-12
 
 

@@ -425,9 +425,14 @@ def _line_block(seed, k, members):
 # center set is a point, so that the near ends at slack 0 and 1e-9 lie within
 # DEDUP_TOL of each other (test_line_block_example_covers_its_edge_cases)
 LINE_BLOCK_EXAMPLE = dict(seed=57, k=4, members=2, deltas=[0.0, 1e-9, 0.5])
+# a block on a steep line whose near end at slack 1e-9 lies 1.53e-7 from the
+# center set by sup distance, while it violates the center set's band rows by
+# only about 1e-9 (test_a_near_end_just_off_a_steep_line_is_measured)
+STEEP_LINE_EXAMPLE = dict(seed=77, k=3, members=1, deltas=[1e-9])
 
 
 @example(**LINE_BLOCK_EXAMPLE)
+@example(**STEEP_LINE_EXAMPLE)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), members=st.integers(1, 4),
        deltas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4))
 def test_line_block_search_matches_the_unsplit_scan(seed, k, members, deltas):
@@ -436,29 +441,25 @@ def test_line_block_search_matches_the_unsplit_scan(seed, k, members, deltas):
     # is one of those vertices.  The scan holds to DEFAULT_TOL: its vertices
     # come through an orthonormal basis, and a drawn line's rounding grows
     # with its conditioning (see tests/test_lines.py).  It also cannot see
-    # an end within DEDUP_TOL of the other one (a merged list keeps one), or
-    # within DEFAULT_TOL of the base's rows (distance_to_polytope takes it as
-    # inside, though on a steep line its sup distance is larger), so the
-    # closed form may exceed it by the distance of such an end
+    # an end within DEDUP_TOL of the other one (a merged list keeps one), so
+    # there the closed form may exceed it by the ends' distance, hi - lo
     problem = _line_block(seed, k, members)
     center = sc.center_set(problem)
     base = center.center_polytope
     search = stability._product_search(problem.feasible, base, center.representative)
-    _, _, l0, u0 = base.line()
     for delta in deltas:
         lower, upper = band(problem.family, center.radius + delta)
         worst, witness = search(lower, upper)
-        v0, dv, lo, hi = problem.feasible.with_band(lower, upper).line()
+        _, _, lo, hi = problem.feasible.with_band(lower, upper).line()
         merged = hi - lo <= DEDUP_TOL
-        unseen = max([max(l0 - t, t - u0, 0.0) for t in (lo, hi)
-                      if merged or base.violation(v0 + t * dv) <= DEFAULT_TOL], default=0.0)
         verts = reference_enumerate_vertices(sc.near_center_set(problem, delta, center.radius))
         want, _ = reference_farthest_vertex(verts, base)
         bar = DEFAULT_TOL * (1.0 + want)
+        unseen = hi - lo if merged else 0.0
         assert want - bar <= worst <= want + bar + unseen
         if witness is not None:
             gap = np.min(np.max(np.abs(verts - witness), axis=1))
-            assert gap <= 1e-12 + (hi - lo if merged else 0.0)
+            assert gap <= 1e-12 + unseen
 
 
 def test_line_block_example_covers_its_edge_cases():
@@ -472,6 +473,22 @@ def test_line_block_example_covers_its_edge_cases():
         lower, upper = band(problem.family, center.radius + delta)
         _, _, lo, hi = problem.feasible.with_band(lower, upper).line()
         assert hi - lo <= DEDUP_TOL
+
+
+def test_a_near_end_just_off_a_steep_line_is_measured():
+    # distance_to_polytope measures a point that is within DEFAULT_TOL of the
+    # center set's rows like any other, so the scan of the near set's
+    # vertices sees the end that the closed form takes, up to the rounding
+    # of the scan's vertices (about 1e-15 here)
+    problem = _line_block(*(STEEP_LINE_EXAMPLE[key] for key in ("seed", "k", "members")))
+    center = sc.center_set(problem)
+    delta, = STEEP_LINE_EXAMPLE["deltas"]
+    verts = reference_enumerate_vertices(sc.near_center_set(problem, delta, center.radius))
+    scan, far = reference_farthest_vertex(verts, center.center_polytope)
+    worst, _ = worst_near_center_distance(problem, delta, center=center)
+    assert 1.5e-7 < worst < 1.6e-7
+    assert abs(scan - worst) <= 1e-12
+    assert center.center_polytope.violation(far) <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("name, eps, solves", [("15-random-d5m4", 0.05, 14),
