@@ -3,10 +3,9 @@
 Exit codes: 0 all good, 1 a certified check or construction failed, 2 bad
 input (file, schema, precondition, a NaN or infinite number), 3 numerical
 trouble (LP iteration cap, enumeration failure, a failed numpy linear-algebra
-call, a failed Qhull call in the renormed-ball build), 4 any other failure
-(one ``error:`` line on stderr, no traceback).  --json switches any command
-to canonical JSON on stdout; the corpus summary is byte-identical between
-runs by construction.
+call), 4 any other failure (one ``error:`` line on stderr, no traceback).
+--json switches any command to canonical JSON on stdout; the corpus summary
+is byte-identical between runs by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .instances import CenterInstance, RenormInstance, load_corpus, load_instanc
 from .reportio import dump_report
 from .space import hausdorff
 from .stability import p1_modulus
-from .tolerances import DEFAULT_THETA, DEFAULT_TOL, PERTURB_RADIUS_FLOOR
+from .tolerances import DEFAULT_THETA, DEFAULT_TOL, MODEL_DIM_LIMIT, PERTURB_RADIUS_FLOOR
 
 OK, CHECK_FAILED, BAD_INPUT, NUMERICAL, INTERNAL = 0, 1, 2, 3, 4
 
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("renorm", help="build the renormed-ball model and check the half-ball identity")
     common(p, instance=False)
-    p.add_argument("--n", type=int, required=True, help="ambient dimension (>= 3)")
+    p.add_argument("--n", type=int, required=True, help=f"ambient dimension (3 to {MODEL_DIM_LIMIT})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=_finite_float, default=garkavi.DEFAULT_GAMMA)
     p.add_argument("--theta", type=_finite_float, default=DEFAULT_THETA,

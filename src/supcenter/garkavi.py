@@ -30,18 +30,21 @@ Every projection is a level section of B: for a level l >= |x_0|,
 P_Y(x, l) = {y in Y : x - y in l B} = x - l (B cap {z_0 = c}) with
 c = x_0 / l.  The vertices of a hyperplane section are the polytope's
 vertices on the hyperplane and the crossings of its edges with it (Ziegler,
-Lectures on Polytopes, 1995).  build_model reads the facets and the edges of
-B off its one Qhull hull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996), as
-the distinct columns of the vertex-facet incidence and the vertex pairs
-whose common facets have rank n - 1.  Which vertices lie on a level and
-which edges cross it depend only on the side of c on which each of the
-levels -1, 0 and 1 lies, so the model forms each of these at most five
-patterns once and holds it (GarkaviModel.level_section); a projection reads its
-vertices off the held pattern, by the same float operations as a fresh
-section (_level_section), and is one polytope on the model's held rows of Y
-with its own right-hand side, which certifies the vertices against its facet
-rows.  Every vertex of B has at least n edges (Balinski, Pacific J. Math.
-1961), which the build checks.  For |c| <= 1,
+Lectures on Polytopes, 1995).  B's facets are known in closed form by the
+Cayley trick (Huber, Rambau and Santos, J. Eur. Math. Soc. 2000): every
+facet other than z_0 = +-1 meets level 0 and one of the levels +-1, so it
+lifts a facet normal of the Minkowski sum U + B_gamma (_ball_facets).  Every
+hull point is a vertex of B: the cube's corners are those of its face
+z_0 = 1, and a point at level 0 that draws on the levels +-1 draws on
+B_gamma, inside U, so it is no vertex of U.  build_model reads the edges off
+the facets, as the pairs whose common facets have rank n - 1.  Which
+vertices lie on a level and which edges cross it depend only on the side of
+c on which each of the levels -1, 0 and 1 lies, so the model forms each of
+these at most five patterns once and holds it (GarkaviModel.level_section);
+a projection reads its vertices off the held pattern and is one polytope on
+the model's held rows of Y with its own right-hand side, which certifies the
+vertices against its facet rows.  Every vertex of B has at least n edges
+(Balinski, Pacific J. Math. 1961), which the build checks.  For |c| <= 1,
 B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, so B cap Y is the slab
 U, whose rows and vertices the model takes.  U and B_gamma are symmetric, so
 P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with x_Y = x - x_0 x0, and the
@@ -53,6 +56,7 @@ facets, so that they stay a check (the replay measures a certified split).
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -63,7 +67,8 @@ from .constraints import Functional, Polytope, _feasible, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import (DEFAULT_THETA, EDGE_INCIDENCE_TOL, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL,
-                         HULL_MARGIN_FLOOR, NULL_DIRECTION_TOL, SECTION_LEVEL_TOL, SET_TOL)
+                         HULL_MARGIN_FLOOR, MODEL_DIM_LIMIT, NULL_DIRECTION_TOL,
+                         SECTION_LEVEL_TOL, SET_TOL)
 
 # default radius of the cube V = x0 + B_gamma, inside the allowed (0, 1/12)
 DEFAULT_GAMMA = 1.0 / 16.0
@@ -91,7 +96,6 @@ class GarkaviModel:
     section_facets: np.ndarray  # rows s with B cap Y = U = {y in Y : s.y <= 1}
     section_vertices: np.ndarray  # the vertices of U
     hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
-    vertices: np.ndarray        # Qhull's vertices of B, as hull point indices
     edges: np.ndarray           # pairs of hull point indices spanning an edge of B
     split_cone: Polytope        # the gauge decompositions, see _split_cone
     certificates: dict[str, float]
@@ -106,7 +110,7 @@ class GarkaviModel:
         self._levels = tuple(np.unique(self.hull_points[:, 0]).tolist())
 
     def level_section(self, c: float) -> np.ndarray:
-        """_level_section of B at x0-level c, from its held pattern.
+        """The vertices of B cap {z_0 = c}, unmerged (_Section), off c's pattern.
 
         Which hull points lie on the level and which edges cross it depend
         only on the side of c, within SECTION_LEVEL_TOL, on which each
@@ -118,14 +122,14 @@ class GarkaviModel:
                     for level in self._levels)
         pattern = self._sections.get(key)
         if pattern is None:
-            pattern = self._sections[key] = _Section.form(self.hull_points, self.vertices,
-                                                          self.edges, c)
+            pattern = self._sections[key] = _Section.form(self.hull_points, self.edges, c)
         return pattern.at(c)
 
 
 def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                 theta: float = DEFAULT_THETA) -> GarkaviModel:
-    """Construct and certify the renormed-ball model in dimension n >= 3.
+    """Construct and certify the renormed-ball model in dimension n, from 3
+    to MODEL_DIM_LIMIT.
 
     The certificate ball y0 + [-gamma, gamma]^(n-1) in Y takes its margins
     from its corners, the disjointness of the slab is certified by an
@@ -135,14 +139,15 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     The gauges of c_upper and of x0 are certified decompositions
     (gauge_decomposition), and every hull point sits at an x0-level
     |z_0| <= 1, so that with gauge(x0) = 1 the distance to Y is |x_0|
-    (subspace_gauge_distance).  _edges reads B's facets and edges off its
-    hull and _certify_facets checks the facets (certificate "facets"); a
-    vertex with fewer than n edges fails the build (certificate "edges"), and
-    a failed rank test or a vertex of the level-0 section of the edges
-    outside U raises EnumerationError.  None of these checks adds a key to certificates.
+    (subspace_gauge_distance).  _ball_facets gives B's facets in closed form,
+    _edges its edges, and _certify_facets checks the facets (certificate
+    "facets"); a vertex with fewer than n edges fails the build (certificate
+    "edges"), and a failed rank test or a vertex of the level-0 section of
+    the edges outside U raises EnumerationError.  None of these checks adds a
+    key to certificates.
     """
-    if n < 3:
-        raise ValueError(f"the model needs dimension >= 3, got {n}")
+    if not 3 <= n <= MODEL_DIM_LIMIT:
+        raise ValueError(f"the model needs dimension 3 to {MODEL_DIM_LIMIT}, got {n}")
     if not 0 < gamma < 1.0 / 12.0:
         raise ValueError(f"gamma must sit in (0, 1/12), got {gamma}")
     if not theta >= 0:
@@ -212,7 +217,9 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                     a_eq=eye[:1], b_eq=np.ones(1))
     small_ball = kernel.with_rows(box_rows, np.full(2 * (n - 1), gamma))
 
-    slab_verts, cube_verts = slab.vertices(), cube.vertices()
+    # the cube's corners x0 + gamma (0, signs), in the order of cube.vertices()
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+    slab_verts, cube_verts = slab.vertices(), x0 + gamma * np.pad(signs, ((0, 0), (1, 0)))
     hull_points = np.vstack([slab_verts, cube_verts, -cube_verts])
     # B within the slab |z_0| <= 1 gives gauge(z) >= |z_0|: the lower half of
     # the closed form d(x, Y) = |x_0|, whose upper half is gauge(x0) = 1
@@ -220,15 +227,19 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     if level > 1.0 + GAUGE_CERTIFY_TOL:
         raise ModelBuildError(f"a hull point of B sits at x0-level {level}, past 1",
                               certificate="hull-level")
-    hull_rows, vertices, certificates["ball-interior"] = _hull_facets(hull_points)
+    ball_facets = _ball_facets(n, gamma, shrink, phi_row)
+    certificates["ball-interior"] = float(np.min(1.0 / np.linalg.norm(ball_facets, axis=1)))
+    if certificates["ball-interior"] <= HULL_MARGIN_FLOOR:
+        raise ModelBuildError("origin is not interior to the renormed ball",
+                              certificate="ball-interior")
     try:
-        edges, ball_facets = _edges(hull_points, vertices, hull_rows)
+        edges = _edges(hull_points, ball_facets)
         _certify_facets(hull_points, ball_facets)
     except np.linalg.LinAlgError as exc:
         raise EnumerationError(f"rank test of the renormed ball: {exc}") from exc
     # every vertex of a polytope has at least n edges (Balinski), a cheap
     # guard against a missing one
-    degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))[vertices]))
+    degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))))
     if degree < n:
         raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
                               certificate="edges")
@@ -241,7 +252,7 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
                          x0=x0, y0=y0, alpha=alpha, slab=slab, cube=cube, small_ball=small_ball,
                          kernel=kernel, ball_facets=ball_facets, projection_rows=projection_rows,
                          section_facets=section_facets, section_vertices=slab_verts,
-                         hull_points=hull_points, vertices=vertices, edges=edges,
+                         hull_points=hull_points, edges=edges,
                          split_cone=_split_cone(slab, cube), certificates=certificates,
                          c_lower=0.0, c_upper=0.0)
 
@@ -263,52 +274,49 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     return model
 
 
-def _hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Qhull's hull of conv(points): its rows a.z <= 1, one per simplex of
-    its triangulation, the indices of the points that are its vertices, and
-    the origin's interior margin (least row offset); a margin of at most
-    HULL_MARGIN_FLOOR raises ModelBuildError, and a Qhull failure
-    EnumerationError with the first line of Qhull's report."""
-    from scipy.spatial import ConvexHull, QhullError
+def _ball_facets(n: int, gamma: float, shrink: float, phi_row: np.ndarray) -> np.ndarray:
+    """B's facet rows a.z <= 1, one per facet, in the order of merge_rows.
 
-    try:
-        hull = ConvexHull(points)
-    except QhullError as exc:
-        raise EnumerationError("convex hull of the renormed ball: "
-                               + str(exc).splitlines()[0]) from exc
-    offsets = -hull.equations[:, -1]
-    margin = float(np.min(offsets))
-    if margin <= HULL_MARGIN_FLOOR:
-        raise ModelBuildError("origin is not interior to the renormed ball",
-                              certificate="ball-interior")
-    return hull.equations[:, :-1] / offsets[:, None], np.unique(hull.simplices), margin
-
-
-def _edges(points: np.ndarray, vertices: np.ndarray,
-           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of conv(points), as rows of two indices into points, and its
-    facets, one row each in the order of merge_rows.
-
-    rows holds Qhull's hyperplanes a.z <= 1 of the hull, one per simplex of
-    its triangulation.  A vertex lies on a row when |a.v - 1| is within
-    EDGE_INCIDENCE_TOL * |a|_1, and the facets are the distinct columns of
-    that incidence, each the row of its first simplex.  Two vertices span an
-    edge exactly when the facets that hold both have rank n - 1: one product
-    of the incidence counts the common facets of every pair, and only the
-    pairs with n - 1 or more take the rank test, all in one stacked call.
+    B_gamma lies inside U, so no facet has a_0 = 0, and each facet other than
+    z_0 = +-1 meets level 0 and one of the levels +-1: it is a facet of the
+    Cayley polytope of U and B_gamma (Huber, Rambau and Santos, J. Eur. Math.
+    Soc. 2000), (+-(1 - gamma |a|_1), a) for a facet normal a of U + B_gamma
+    scaled to h_U(a) = 1.  Those normals are the rays of the common
+    refinement of the normal fans of U and of the box: with w_j = |Phi_j|,
+    a = +-e_i / h_i for h_i = min(1, (s + 1 - w_i) / w_i), and
+    a = +-Phi_{J^c} / (s + w_J), Phi with the coordinates in J set to 0, for
+    every J of at most n - 3 coordinates with w_J < (1 - s) / 2 (then U's face
+    Phi.y = s, y_j = -sign(Phi_j) on J has the right dimension).  gamma
+    enters only in the lift, so no step compares cube corners 2 gamma apart.
     """
+    eye, w = np.eye(n), np.abs(phi_row)
+    normals = [eye[1:] / np.minimum(1.0, (shrink + 1.0 - w[1:]) / w[1:])[:, None]]
+    for size in range(n - 2):
+        for cut in map(list, itertools.combinations(range(1, n), size)):
+            w_cut = float(w[cut].sum())
+            if w_cut < (1.0 - shrink) / 2.0:
+                a = phi_row.copy()
+                a[cut] = 0.0
+                normals.append(a / (shrink + w_cut))
+    a = np.vstack(normals)
+    lift = (1.0 - gamma * np.abs(a).sum(axis=1))[:, None] * eye[0]
+    return merge_rows(np.vstack([eye[:1], -eye[:1], a + lift, a - lift, -a + lift, -a - lift]))
+
+
+def _edges(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """The edges of conv(points), every point a vertex, as index pairs, from
+    its facet rows a.z <= 1: a point lies on a facet when |a.v - 1| is within
+    EDGE_INCIDENCE_TOL * |a|_1, and two points span an edge exactly when the
+    facets holding both have rank n - 1.  One product of the incidence counts
+    the common facets of every pair; only the pairs with n - 1 or more take
+    the rank test, all in one stacked call."""
     n = points.shape[1]
-    incidence = (np.abs(points[vertices] @ rows.T - 1.0)
-                 <= EDGE_INCIDENCE_TOL * np.abs(rows).sum(axis=1))
-    columns = np.packbits(incidence, axis=0).T.copy()
-    _, first = np.unique(columns.view(np.dtype((np.void, columns.shape[1]))).ravel(),
-                         return_index=True)
-    incidence, rows = incidence[:, first], rows[first]
+    incidence = np.abs(points @ facets.T - 1.0) <= EDGE_INCIDENCE_TOL * np.abs(facets).sum(axis=1)
     counts = incidence.astype(np.intp)
     i, j = np.nonzero(np.triu(counts @ counts.T >= n - 1, 1))
     common = incidence[i] & incidence[j]
-    edge = np.linalg.matrix_rank(rows * common[:, :, None]) == n - 1
-    return np.stack([vertices[i[edge]], vertices[j[edge]]], axis=1), merge_rows(rows)
+    edge = np.linalg.matrix_rank(facets * common[:, :, None]) == n - 1
+    return np.stack([i[edge], j[edge]], axis=1)
 
 
 def _certify_facets(points: np.ndarray, facets: np.ndarray) -> None:
@@ -340,11 +348,10 @@ class _Section:
     step: np.ndarray
 
     @classmethod
-    def form(cls, points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,
-             c: float) -> "_Section":
+    def form(cls, points: np.ndarray, edges: np.ndarray, c: float) -> "_Section":
         offset = points[:, 0] - c
         side = np.where(np.abs(offset) <= SECTION_LEVEL_TOL, 0.0, np.sign(offset))
-        on = vertices[side[vertices] == 0.0]
+        on = np.flatnonzero(side == 0.0)
         lo, hi = edges[side[edges[:, 0]] * side[edges[:, 1]] < 0.0].T
         section = cls(points[on], points[lo], points[lo, 0], points[hi, 0],
                       points[hi] - points[lo])
@@ -359,15 +366,6 @@ class _Section:
         low, high = self.low_level - c, self.high_level - c
         t = low / (low - high)
         return np.vstack([self.on, self.low + t[:, None] * self.step])
-
-
-def _level_section(points: np.ndarray, vertices: np.ndarray, edges: np.ndarray,
-                   c: float) -> np.ndarray:
-    """Vertices of conv(points) cap {z_0 = c}, unmerged: the vertices within
-    SECTION_LEVEL_TOL of the level c and the crossings of the edges whose
-    ends lie past it on opposite sides (Ziegler, Lectures on Polytopes),
-    formed afresh; GarkaviModel.level_section takes them from a held pattern."""
-    return _Section.form(points, vertices, edges, c).at(c)
 
 
 def _gauge_facets(model: GarkaviModel, x):

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import constraints, lp
 from .centers import CenterProblem, CenterReport, _check_slack, near_center_set
-from .constraints import Polytope, _factor_vertices
+from .constraints import Polytope
 from .errors import LPNumericalError
 from .space import band
 from .tolerances import DEFAULT_TOL, MODULUS_CONFIRM_STEP, MODULUS_MAX_STEPS, MODULUS_RESOLUTION
@@ -95,8 +95,8 @@ def _product_search(feasible: Polytope, base: Polytope, representative: np.ndarr
       enumeration and no LP; its vertices are the ends, lo first;
     - every factor wider than a line runs _farthest_vertex on the vertices
       of near, with its own known list, seeded by representative[cols] and
-      kept across calls.  Its vertices take the unsplit route of
-      enumerate_vertices, on the chart that V's sub-polytope holds.
+      kept across calls.  Its vertices are enumerate_vertices' of near, a
+      polytope of one factor, on the chart that V's sub-polytope holds.
 
     The witness is a vertex of the near set, None when w is 0.  The deciding
     factor is the first factor whose worst equals w, and it takes its own
@@ -120,7 +120,7 @@ def _product_search(feasible: Polytope, base: Polytope, representative: np.ndarr
                 t = lo if max(l0 - lo, lo - u0) >= worst - DEFAULT_TOL else hi
                 own, first = v0 + t * dv, v0 + lo * dv
             else:
-                verts = _factor_vertices(near)
+                verts = constraints.enumerate_vertices(near)
                 worst, own = _farthest_vertex(verts, target, points)
                 first = verts[0]
             worsts.append(worst)

@@ -26,10 +26,9 @@ def rng():
 def solve_counts(monkeypatch):
     """Counter of lp.solve calls: all of them under "solves", and each under
     the innermost of distance_to_polytope ("distance") and a vertex
-    enumeration ("enumerate") running at the time, or "other" outside both.
-    A vertex enumeration is a call of enumerate_vertices, or of the one-factor
-    route that the stability search takes for its block factors.  Calls of
-    both kinds are counted under "calls:<name>"."""
+    enumeration ("enumerate", a call of enumerate_vertices) running at the
+    time, or "other" outside both.  Calls of both kinds are counted under
+    "calls:<name>"."""
     counts = Counter()
     scope: list[str] = []
     real_solve = lp.solve
@@ -53,8 +52,6 @@ def solve_counts(monkeypatch):
     monkeypatch.setattr(lp, "distance_to_polytope", scoped("distance", lp.distance_to_polytope))
     monkeypatch.setattr(constraints, "enumerate_vertices",
                         scoped("enumerate", constraints.enumerate_vertices))
-    monkeypatch.setattr(stability, "_factor_vertices",
-                        scoped("enumerate", stability._factor_vertices))
     return counts
 
 

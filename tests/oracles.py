@@ -33,13 +33,13 @@ ball facets, and the corners of the certificate ball have
 reference_extreme_values, one LP per direction.  Its edge graph, which the
 package finds by a rank test on common facets, has the face-lattice
 reference reference_edges, pair by pair.  Its facets, which the package
-takes from the distinct columns of the edge incidence, and its section
-B cap Y, which the package takes from the slab, keep their former routes as
-references: reference_ball_facets merges Qhull's per-simplex rows, and
-reference_section merges the Qhull facets of the level-0 section.  Vertex
-enumeration has a reference that takes each polytope whole, with no split
-into factors: reference_enumerate_vertices, whose candidates come from the
-package's former route, an interior-point LP and Qhull's hull of the polar
+takes in closed form by the Cayley trick, and its section B cap Y, which the
+package takes from the slab, keep their former routes as references:
+reference_ball_facets merges Qhull's per-simplex rows and lists Qhull's
+vertices, and reference_section merges the Qhull facets of the level-0
+section.  Vertex enumeration has a reference that takes each polytope whole,
+with no split into factors: reference_enumerate_vertices, whose candidates
+come from the package's former route, an interior-point LP and Qhull's hull of the polar
 dual (_polar_dual_candidates), whose filter scores one candidate at a time by
 reference_violation and whose merge is reference_merge_rows, the greedy scan
 over every kept row.  Handed the package's own candidates of a polytope of
@@ -67,7 +67,7 @@ from supcenter.centers import CenterReport, near_center_set
 from supcenter.constraints import merge_rows
 from supcenter.errors import (InfeasiblePolytopeError, LPNumericalError,
                              UnboundedPolytopeError)
-from supcenter.garkavi import _level_section
+from supcenter.garkavi import _Section
 from supcenter.space import as_vector
 from supcenter.tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   EQ_CONSISTENT_TOL, MODULUS_RESOLUTION, NULL_ROW_TOL, PIVOT_EPS,
@@ -699,18 +699,18 @@ def reference_extreme_values(poly, direction):
 
 
 def reference_edges(model):
-    """Edges of the renormed ball B, pair by pair over its vertices: the
-    facets of model.ball_facets tight at the midpoint of two vertices are the
-    facets holding both, the vertices on all of them span the least face
-    holding both, and the pair is an edge when that face has no third vertex."""
-    verts = model.vertices
-    points = model.hull_points[verts]
+    """Edges of the renormed ball B, pair by pair over its hull points, every
+    one a vertex: the facets of model.ball_facets tight at the midpoint of two
+    vertices are the facets holding both, the vertices on all of them span the
+    least face holding both, and the pair is an edge when that face has no
+    third vertex."""
+    points = model.hull_points
     on = np.abs(points @ model.ball_facets.T - 1.0) <= 1e-9
     edges = []
-    for a, b in itertools.combinations(range(len(verts)), 2):
+    for a, b in itertools.combinations(range(len(points)), 2):
         tight = np.abs(model.ball_facets @ ((points[a] + points[b]) / 2.0) - 1.0) <= 1e-9
         if tight.any() and np.count_nonzero(np.all(on[:, tight], axis=1)) == 2:
-            edges.append((verts[a], verts[b]))
+            edges.append((a, b))
     return np.array(edges)
 
 
@@ -723,8 +723,10 @@ def _qhull_rows(points):
 
 
 def reference_ball_facets(model):
-    """The facets of B as merge_rows over Qhull's per-simplex rows."""
-    return merge_rows(_qhull_rows(model.hull_points)[0])
+    """The facets of B as merge_rows over Qhull's per-simplex rows, and the
+    indices of the hull points that Qhull lists as vertices."""
+    hull = ConvexHull(model.hull_points)
+    return merge_rows(hull.equations[:, :-1] / -hull.equations[:, -1:]), np.unique(hull.simplices)
 
 
 def reference_section(model):
@@ -734,7 +736,7 @@ def reference_section(model):
     least distance to those facets."""
     section = model.kernel.with_rows(
         model.ball_facets, np.ones(len(model.ball_facets)),
-        vertices=_level_section(model.hull_points, model.vertices, model.edges, 0.0))
+        vertices=_Section.form(model.hull_points, model.edges, 0.0).at(0.0))
     verts = section.vertices()
     rows, margin = _qhull_rows(verts[:, 1:])
     in_y = merge_rows(rows)

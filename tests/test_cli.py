@@ -367,3 +367,27 @@ def test_center_type_commands_do_not_import_scipy():
     assert len(runs) == 3 * 17
     assert all(code in (OK, CHECK_FAILED) for _, _, code, _ in runs), runs
     assert not any(loaded for *_, loaded in runs), runs
+
+
+_NO_SCIPY_RENORM_SCRIPT = """
+import contextlib, io, json, sys
+from supcenter import cli
+runs = []
+for argv in (["corpus"], ["renorm", "--n", "5", "--samples", "2"], ["trend"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--json"])
+    runs.append([argv[0], code, sorted(key for key in sys.modules if key.startswith("scipy"))])
+print(json.dumps(runs))
+"""
+
+
+def test_renormed_ball_commands_do_not_import_scipy():
+    # B's facets are in closed form, so corpus, renorm and trend load no
+    # scipy module; one fresh interpreter runs all three
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RENORM_SCRIPT], capture_output=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [["corpus", OK, []], ["renorm", OK, []], ["trend", OK, []]]

@@ -5,7 +5,6 @@ import pytest
 import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial import QhullError
 
 from supcenter import cli, constraints, garkavi, lp
 from supcenter.constraints import Polytope
@@ -21,12 +20,12 @@ from supcenter.garkavi import (
     subspace_gauge_distance,
     _forward_gap,
     _gauge_facets,
-    _level_section,
     _projection,
     _replay_crossing,
+    _Section,
 )
 from supcenter.space import _hausdorff_points
-from supcenter.tolerances import DEDUP_TOL, SET_TOL
+from supcenter.tolerances import DEDUP_TOL, MODEL_DIM_LIMIT, SET_TOL
 
 from oracles import (hull_gauge_distance, min_row_gap, reference_ball_facets, reference_edges,
                      reference_extreme_values, reference_forward_gap,
@@ -83,6 +82,20 @@ class TestBuild:
             sup = float(np.max(np.abs(x)))
             assert model3.c_lower * sup <= g + 1e-9
             assert g <= model3.c_upper * sup + 1e-9
+
+
+def test_a_dimension_past_the_limit_is_refused_before_any_allocation(monkeypatch):
+    # the cube alone has 2^(n-1) corners: n = 64 is refused before numpy is
+    # touched, so it allocates nothing
+    monkeypatch.setattr(garkavi, "np", None)
+    with pytest.raises(ValueError, match=f"dimension 3 to {MODEL_DIM_LIMIT}, got 64"):
+        build_model(64)
+
+
+def test_renorm_past_the_dimension_limit_exits_two(capsys):
+    assert cli.main(["renorm", "--n", "64", "--samples", "0"]) == cli.BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got 64" in err
 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
@@ -351,14 +364,14 @@ def test_certificate_ball_matches_the_lp(n, gamma):
 
 
 def test_a_hull_point_past_level_one_fails_the_build_with_exit_one(monkeypatch, capsys):
-    # the cube's vertices come back at x0-level 1.5: d(x, Y) = |x_0| would
-    # then no longer hold, and the build refuses the model
+    # the slab's vertices, the build's one enumeration, come back at x0-level
+    # 1.5: d(x, Y) = |x_0| would then no longer hold, and the build refuses
+    # the model
     real = constraints.enumerate_vertices
 
     def lifted(poly):
         verts = real(poly).copy()
-        if np.array_equal(poly.b_eq, np.ones(1)):
-            verts[:, 0] *= 1.5
+        verts[:, 0] += 1.5
         return verts
 
     monkeypatch.setattr(constraints, "enumerate_vertices", lifted)
@@ -390,7 +403,7 @@ def test_edges_match_the_face_lattice(name):
     assert len(edges) == len(model.edges) == {3: 26, 4: 66, 5: 152}[model.n]
     assert edges == {tuple(e) for e in reference_edges(model).tolist()}
     degree = np.bincount(model.edges.ravel(), minlength=len(model.hull_points))
-    assert degree[model.vertices].min() >= model.n
+    assert degree.min() >= model.n
 
 
 # build_model arguments (n, seed, gamma) beyond the corpus
@@ -402,19 +415,25 @@ GRID = [(n, seed, gamma) for n in (3, 4, 5, 6) for seed in range(10)
 FORMER_QHULL_FAILS = {(5, 1, 1e-4): 22, (5, 11, 1e-3): 22, (6, 10, 1e-4): 26}
 
 
+def _same_rows(rows, reference, bar):
+    """Equal counts, and every row of each within bar of one of the other."""
+    assert rows.shape == reference.shape
+    gaps = np.max(np.abs(rows[:, None, :] - reference[None]), axis=2)
+    assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= bar
+
+
 def _matches_the_former_routes(model):
-    """The facets of B bit for bit against the merge of Qhull's simplex rows;
-    the section's vertices bit for bit, its facets as a set within 1e-13 and
-    its interior margin within 1e-13 against the level-0 section's hull."""
-    ball_facets = reference_ball_facets(model)
-    assert model.ball_facets.shape == ball_facets.shape
-    assert model.ball_facets.tobytes() == ball_facets.tobytes()
+    """The facets of B as a set within 1e-13 against the merge of Qhull's
+    simplex rows, with every hull point one of Qhull's vertices; the
+    section's vertices bit for bit, its facets as a set within 1e-13 and its
+    interior margin within 1e-13 against the level-0 section's hull."""
+    ball_facets, hull_vertices = reference_ball_facets(model)
+    _same_rows(model.ball_facets, ball_facets, 1e-13)
+    assert np.array_equal(hull_vertices, np.arange(len(model.hull_points)))
     verts, facets, margin = reference_section(model)
     assert model.section_vertices.shape == verts.shape
     assert model.section_vertices.tobytes() == verts.tobytes()
-    assert model.section_facets.shape == facets.shape
-    gaps = np.max(np.abs(model.section_facets[:, None, :] - facets[None]), axis=2)
-    assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-13
+    _same_rows(model.section_facets, facets, 1e-13)
     assert abs(model.certificates["section-interior"] - margin) <= 1e-13
 
 
@@ -442,19 +461,26 @@ def test_facets_and_section_match_the_former_routes_on_the_grid(n):
             _decompositions_match_the_triangulation(model)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_tiny_cube_keeps_its_corners_and_matches_qhull(n):
+    # at gamma = 1e-11 the cube's corners lie 2e-11 apart, inside the merge
+    # radius of a vertex list; formed in closed form they stay 2^(n-1)
+    # distinct corners, and B keeps its facets z_0 = +-1 (4n + 2 in all)
+    model = build_model(n, gamma=1e-11)
+    assert len(np.unique(model.hull_points, axis=0)) == len(model.hull_points)
+    assert len(model.ball_facets) == 4 * n + 2
+    _matches_the_former_routes(model)
+
+
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
-def test_build_model_builds_one_hull(inst, monkeypatch):
-    # B's hull only: the slab's vertices come from the double description,
-    # and the section of B in Y is the slab
-    real, sizes = scipy.spatial.ConvexHull, []
+def test_build_model_builds_no_hull(inst, monkeypatch):
+    # B's facets are in closed form, the slab's vertices come from the double
+    # description, and the section of B in Y is the slab
+    def fails(points, *args, **kwargs):
+        pytest.fail("the build formed a convex hull")
 
-    def counting(points, *args, **kwargs):
-        sizes.append(len(points))
-        return real(points, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
-    model = build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
-    assert sizes == [len(model.hull_points)]
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", fails)
+    build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
 
 
 @pytest.mark.parametrize("args", list(FORMER_QHULL_FAILS),
@@ -481,37 +507,20 @@ def test_the_former_qhull_failures_of_b_pass_the_facet_certificate(args, capsys)
 def test_a_facet_row_off_the_hull_fails_the_certificate(monkeypatch, capsys, scale, message):
     # one facet row scaled: at 1.01 the points it was tight on lie past it,
     # at 0.99 it is tight on no hull point
-    real = garkavi._edges
+    real = garkavi._ball_facets
 
-    def scaled(points, vertices, rows):
-        edges, facets = real(points, vertices, rows)
-        facets = facets.copy()
+    def scaled(*args):
+        facets = real(*args).copy()
         facets[0] *= scale
-        return edges, facets
+        return facets
 
-    monkeypatch.setattr(garkavi, "_edges", scaled)
+    monkeypatch.setattr(garkavi, "_ball_facets", scaled)
     with pytest.raises(ModelBuildError, match=message) as exc:
         build_model(4)
     assert exc.value.certificate == "facets"
     assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.CHECK_FAILED
     err = capsys.readouterr().err
     assert err.startswith("check failed:") and message in err
-
-
-def test_a_failed_hull_of_b_fails_the_build_with_exit_three(monkeypatch, capsys):
-    # B's hull, the build's one Qhull call, raises Qhull's multi-line report,
-    # of which the CLI prints the first line
-    calls = []
-
-    def fails(points, *args, **kwargs):
-        calls.append(len(points))
-        raise QhullError("QH6154 simulated initial simplex is flat\n\nWhile executing: | qhull")
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", fails)
-    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
-    assert calls == [28]  # 12 slab vertices and the 8 of each cube
-    assert capsys.readouterr().err == ("numerical failure: convex hull of the renormed ball: "
-                                       "QH6154 simulated initial simplex is flat\n")
 
 
 @pytest.mark.parametrize("call", [1, 2], ids=["edges", "facets"])
@@ -537,11 +546,11 @@ def test_a_missing_edge_fails_the_build_through_the_balinski_guard(monkeypatch, 
     # with n - 1, and the build refuses the model
     real = garkavi._edges
 
-    def one_short(points, vertices, rows):
-        edges, facets = real(points, vertices, rows)
+    def one_short(points, facets):
+        edges = real(points, facets)
         degree = np.bincount(edges.ravel(), minlength=len(points))
         return np.delete(edges, np.flatnonzero(np.any(degree[edges] == points.shape[1], axis=1))[0],
-                         axis=0), facets
+                         axis=0)
 
     monkeypatch.setattr(garkavi, "_edges", one_short)
     with pytest.raises(ModelBuildError) as exc:
@@ -594,14 +603,14 @@ SECTION_LEVELS = (-1.0, -1.0 + 1e-14, -1.0 + 2e-14, -0.5, -2e-14, -1e-14, 0.0, 1
 
 
 def _held_sections_match_fresh_ones(model, rng):
-    """Each held section bit for bit against _level_section formed afresh,
+    """Each held section bit for bit against a _Section formed afresh,
     at the SECTION_LEVELS and at drawn levels, taken in a shuffled order so
     that a pattern serves levels other than the one it was formed at; the
     model forms one pattern per side pattern of B's levels, at most five."""
     levels = [*SECTION_LEVELS, *rng.uniform(-1.0, 1.0, 20)]
     for c in [levels[k] for k in rng.permutation(len(levels))]:
         held = model.level_section(c)
-        fresh = _level_section(model.hull_points, model.vertices, model.edges, c)
+        fresh = _Section.form(model.hull_points, model.edges, c).at(c)
         assert held.shape == fresh.shape and held.tobytes() == fresh.tobytes(), c
     assert len(model._sections) == 5
 
