@@ -162,7 +162,7 @@ class Polytope:
     """H-polytope {v : a_ub v <= b_ub, a_eq v = b_eq}.
 
     A caller that knows the vertices another way (the renormed-ball
-    projections read them off the model's edge graph) passes them as
+    projections read them off the model's section pairs) passes them as
     vertices: each row is certified against the polytope's own rows by the
     feasibility filter of vertex enumeration (_feasible), a miss or an empty
     list raises EnumerationError, and the rows are merged by merge_rows into

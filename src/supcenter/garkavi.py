@@ -28,47 +28,44 @@ level set is read off the facets in closed form.
 
 Every projection is a level section of B: for a level l >= |x_0|,
 P_Y(x, l) = {y in Y : x - y in l B} = x - l (B cap {z_0 = c}) with
-c = x_0 / l.  The vertices of a hyperplane section are the polytope's
-vertices on the hyperplane and the crossings of its edges with it (Ziegler,
-Lectures on Polytopes, 1995).  B's facets are known in closed form by the
-Cayley trick (Huber, Rambau and Santos, J. Eur. Math. Soc. 2000): every
-facet other than z_0 = +-1 meets level 0 and one of the levels +-1, so it
-lifts a facet normal of the Minkowski sum U + B_gamma (_ball_facets).  Every
-hull point is a vertex of B: the cube's corners are those of its face
-z_0 = 1, and a point at level 0 that draws on the levels +-1 draws on
-B_gamma, inside U, so it is no vertex of U.  build_model reads the edges off
-the facets, as the pairs whose common facets have rank n - 1.  Which
-vertices lie on a level and which edges cross it depend only on the side of
-c on which each of the levels -1, 0 and 1 lies, so the model forms each of
-these at most five patterns once and holds it (GarkaviModel.level_section);
-a projection reads its vertices off the held pattern and is one polytope on
-the model's held rows of Y with its own right-hand side, which certifies the
-vertices against its facet rows.  Every vertex of B has at least n edges
-(Balinski, Pacific J. Math. 1961), which the build checks.  For |c| <= 1,
-B cap {z_0 = c} = c x0 + (1 - |c|) U + |c| B_gamma, so B cap Y is the slab
-U, whose rows and vertices the model takes.  U and B_gamma are symmetric, so
-P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with x_Y = x - x_0 x0, and the
-gauge decomposition splits x / gauge(x) by the identity at its level, with
-no LP, certified against the slab and cube rows.  The set gaps of
-half_ball_check compute nothing from the identity: they measure it from the
-facets, so that they stay a check (the replay measures a certified split).
+c = x_0 / l.  B's facets are known in closed form by the Cayley trick (Huber,
+Rambau and Santos, J. Eur. Math. Soc. 2000): every facet other than
+z_0 = +-1 meets level 0 and one of the levels +-1, so it lifts a facet normal
+of the Minkowski sum U + B_gamma (_ball_facets).  Every hull point is a
+vertex of B: the cube's corners are those of its face z_0 = 1, and a point
+at level 0 that draws on the levels +-1 draws on B_gamma, inside U, so it is
+no vertex of U.  For |c| <= 1, B cap {z_0 = c} = c x0 + (1 - |c|) U +
+|c| B_gamma, so B cap Y is the slab U, whose rows and vertices the model
+takes.  For 0 < |c| < 1 the section's vertices are c x0 + (1 - |c|) u +
+|c| gamma sigma over the pairs of a vertex u of U and a corner sign sigma
+whose normal cones meet (the face rule of Minkowski sums, Ziegler, Lectures
+on Polytopes, 1995); build_model forms those pairs once from U's tight rows
+and holds them (GarkaviModel.level_section), and at c = +-1 the section is
++-V.  A projection reads its vertices off the held pairs and is one
+polytope on the model's held rows of Y with its own right-hand side, which
+certifies the vertices against its facet rows.  U and B_gamma are
+symmetric, so P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U with
+x_Y = x - x_0 x0, and the gauge decomposition splits x / gauge(x) by the
+identity at its level, with no LP, certified against the slab and cube
+rows.  The set gaps of half_ball_check compute nothing from the identity:
+they measure it from the facets, so that they stay a check (the replay
+measures a certified split).
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .constraints import Functional, Polytope, _feasible, merge_rows
+from .constraints import Functional, Polytope, merge_rows
 from .errors import EnumerationError, LPNumericalError, ModelBuildError
 from .space import _hausdorff_points, as_vector
 from .tolerances import (DEFAULT_THETA, EDGE_INCIDENCE_TOL, GAUGE_CERTIFY_TOL, GAUGE_SPLIT_TOL,
-                         HULL_MARGIN_FLOOR, MODEL_DIM_LIMIT, NULL_DIRECTION_TOL,
-                         SECTION_LEVEL_TOL, SET_TOL)
+                         HULL_MARGIN_FLOOR, MODEL_DIM_LIMIT, NULL_DIRECTION_TOL, SET_TOL)
 
 # default radius of the cube V = x0 + B_gamma, inside the allowed (0, 1/12)
 DEFAULT_GAMMA = 1.0 / 16.0
@@ -96,34 +93,28 @@ class GarkaviModel:
     section_facets: np.ndarray  # rows s with B cap Y = U = {y in Y : s.y <= 1}
     section_vertices: np.ndarray  # the vertices of U
     hull_points: np.ndarray     # slab vertices, cube vertices, reflected cube vertices
-    edges: np.ndarray           # pairs of hull point indices spanning an edge of B
+    # the pairs (u, sigma) of a vertex of U and a corner sign whose normal
+    # cones meet (_pairs), as u and (0, sigma) row by row
+    pair_u: np.ndarray
+    pair_sign: np.ndarray
     split_cone: Polytope        # the gauge decompositions, see _split_cone
     certificates: dict[str, float]
     c_lower: float           # c_lower * |x|_inf <= gauge(x)
     c_upper: float           # gauge(x) <= c_upper * |x|_inf
-    # the distinct x0-levels of the hull points, and the section patterns
-    # formed so far (level_section), keyed by the side of c on which each lies
-    _levels: tuple[float, ...] = field(init=False, repr=False)
-    _sections: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        self._levels = tuple(np.unique(self.hull_points[:, 0]).tolist())
 
     def level_section(self, c: float) -> np.ndarray:
-        """The vertices of B cap {z_0 = c}, unmerged (_Section), off c's pattern.
+        """The vertices of B cap {z_0 = c} for |c| <= 1, unmerged.
 
-        Which hull points lie on the level and which edges cross it depend
-        only on the side of c, within SECTION_LEVEL_TOL, on which each
-        x0-level of the hull points lies; B's sit at -1, 0 and 1, so a model
-        forms at most five patterns, each on first use, and holds them.
+        For |c| < 1 the section is c x0 + (1 - |c|) U + |c| B_gamma, whose
+        vertices are c x0 + (1 - |c|) u + |c| gamma sigma over the held
+        pairs; for c = +-1 it is +-V, whose corners hull_points holds.
         """
         c = float(c)
-        key = tuple(0 if abs(level - c) <= SECTION_LEVEL_TOL else (1 if level > c else -1)
-                    for level in self._levels)
-        pattern = self._sections.get(key)
-        if pattern is None:
-            pattern = self._sections[key] = _Section.form(self.hull_points, self.edges, c)
-        return pattern.at(c)
+        if abs(c) == 1.0:
+            corners = 2 ** (self.n - 1)
+            start = len(self.section_vertices) + (0 if c > 0.0 else corners)
+            return self.hull_points[start:start + corners]
+        return c * self.x0 + (1.0 - abs(c)) * self.pair_u + abs(c) * self.gamma * self.pair_sign
 
 
 def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
@@ -139,12 +130,11 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
     The gauges of c_upper and of x0 are certified decompositions
     (gauge_decomposition), and every hull point sits at an x0-level
     |z_0| <= 1, so that with gauge(x0) = 1 the distance to Y is |x_0|
-    (subspace_gauge_distance).  _ball_facets gives B's facets in closed form,
-    _edges its edges, and _certify_facets checks the facets (certificate
-    "facets"); a vertex with fewer than n edges fails the build (certificate
-    "edges"), and a failed rank test or a vertex of the level-0 section of
-    the edges outside U raises EnumerationError.  None of these checks adds a
-    key to certificates.
+    (subspace_gauge_distance).  _ball_facets gives B's facets in closed form
+    and _certify_facets checks them (certificate "facets"; a failed rank
+    test raises EnumerationError).  _pairs forms the section pairs, and a
+    vertex of U or a corner sign in no pair fails the build (certificate
+    "edges").  None of these checks adds a key to certificates.
     """
     if not 3 <= n <= MODEL_DIM_LIMIT:
         raise ValueError(f"the model needs dimension 3 to {MODEL_DIM_LIMIT}, got {n}")
@@ -219,7 +209,8 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
 
     # the cube's corners x0 + gamma (0, signs), in the order of cube.vertices()
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
-    slab_verts, cube_verts = slab.vertices(), x0 + gamma * np.pad(signs, ((0, 0), (1, 0)))
+    corner_signs = np.pad(signs, ((0, 0), (1, 0)))
+    slab_verts, cube_verts = slab.vertices(), x0 + gamma * corner_signs
     hull_points = np.vstack([slab_verts, cube_verts, -cube_verts])
     # B within the slab |z_0| <= 1 gives gauge(z) >= |z_0|: the lower half of
     # the closed form d(x, Y) = |x_0|, whose upper half is gauge(x0) = 1
@@ -233,32 +224,27 @@ def build_model(n: int, seed: int = 0, gamma: float = DEFAULT_GAMMA,
         raise ModelBuildError("origin is not interior to the renormed ball",
                               certificate="ball-interior")
     try:
-        edges = _edges(hull_points, ball_facets)
         _certify_facets(hull_points, ball_facets)
     except np.linalg.LinAlgError as exc:
         raise EnumerationError(f"rank test of the renormed ball: {exc}") from exc
-    # every vertex of a polytope has at least n edges (Balinski), a cheap
-    # guard against a missing one
-    degree = int(np.min(np.bincount(edges.ravel(), minlength=len(hull_points))))
-    if degree < n:
-        raise ModelBuildError(f"a vertex of B has {degree} edges, fewer than n = {n}",
+    section_facets = slab.a_ub / slab.b_ub[:, None]
+    # U's vertex normal cones cover Y, so every vertex of U and every corner
+    # sign lies in some pair: a cheap guard against a missing one
+    on_u, on_sign = _pairs(slab_verts, section_facets, corner_signs)
+    if len(np.unique(on_u)) < len(slab_verts) or len(np.unique(on_sign)) < len(signs):
+        raise ModelBuildError("a vertex of U or a corner of the cube lies in no section pair",
                               certificate="edges")
     projection_rows = -ball_facets
-    for held in (phi_row, ball_facets, projection_rows):
+    pair_u, pair_sign = slab_verts[on_u], corner_signs[on_sign]
+    for held in (phi_row, ball_facets, projection_rows, section_facets, pair_u, pair_sign):
         held.setflags(write=False)
-    section_facets = slab.a_ub / slab.b_ub[:, None]
-    section_facets.setflags(write=False)
     model = GarkaviModel(n=n, seed=seed, gamma=gamma, theta=theta, phi=phi, phi_row=phi_row,
                          x0=x0, y0=y0, alpha=alpha, slab=slab, cube=cube, small_ball=small_ball,
                          kernel=kernel, ball_facets=ball_facets, projection_rows=projection_rows,
                          section_facets=section_facets, section_vertices=slab_verts,
-                         hull_points=hull_points, edges=edges,
+                         hull_points=hull_points, pair_u=pair_u, pair_sign=pair_sign,
                          split_cone=_split_cone(slab, cube), certificates=certificates,
                          c_lower=0.0, c_upper=0.0)
-
-    # B cap Y holds U; its vertices, the level-0 section of the edges, lie in U
-    if not np.all(_feasible(slab, model.level_section(0.0))):
-        raise EnumerationError("a vertex of B cap Y fails the feasibility filter of the slab")
     certificates["section-interior"] = float(np.min(slab.b_ub / np.linalg.norm(slab.a_ub, axis=1)))
     if certificates["section-interior"] <= HULL_MARGIN_FLOOR:
         raise ModelBuildError("origin is not interior to B cap Y", certificate="section-interior")
@@ -303,69 +289,47 @@ def _ball_facets(n: int, gamma: float, shrink: float, phi_row: np.ndarray) -> np
     return merge_rows(np.vstack([eye[:1], -eye[:1], a + lift, a - lift, -a + lift, -a - lift]))
 
 
-def _edges(points: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    """The edges of conv(points), every point a vertex, as index pairs, from
-    its facet rows a.z <= 1: a point lies on a facet when |a.v - 1| is within
-    EDGE_INCIDENCE_TOL * |a|_1, and two points span an edge exactly when the
-    facets holding both have rank n - 1.  One product of the incidence counts
-    the common facets of every pair; only the pairs with n - 1 or more take
-    the rank test, all in one stacked call."""
-    n = points.shape[1]
-    incidence = np.abs(points @ facets.T - 1.0) <= EDGE_INCIDENCE_TOL * np.abs(facets).sum(axis=1)
-    counts = incidence.astype(np.intp)
-    i, j = np.nonzero(np.triu(counts @ counts.T >= n - 1, 1))
-    common = incidence[i] & incidence[j]
-    edge = np.linalg.matrix_rank(facets * common[:, :, None]) == n - 1
-    return np.stack([i[edge], j[edge]], axis=1)
+def _tight(points: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps a.z - 1 of points z against rows a.z <= 1, and which points
+    lie on which rows: |a.z - 1| within EDGE_INCIDENCE_TOL * |a|_1, the most
+    a.z reaches on |z|_inf <= 1."""
+    gap = points @ rows.T - 1.0
+    return gap, np.abs(gap) <= EDGE_INCIDENCE_TOL * np.abs(rows).sum(axis=1)
+
+
+def _pairs(vertices: np.ndarray, rows: np.ndarray,
+           signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, sigma) of a vertex u of U = {y in Y : s.y <= 1} and a
+    corner sign sigma of the box whose normal cones meet, as index arrays
+    into vertices and signs, u by u.
+
+    By the face rule of Minkowski sums (Ziegler, Lectures on Polytopes, 1995,
+    7.1) these give the vertices of (1 - |c|) U + |c| B_gamma.  The open
+    normal cone of u holds the positive combinations of its tight rows, and
+    the corner's is the open orthant of sigma.  Every tight row but Phi's has
+    one nonzero entry, so a combination can take sign sigma_i in coordinate
+    i exactly when some tight row has that sign there.
+    """
+    tight = _tight(vertices, rows)[1]
+    rows, signs = rows[:, 1:], signs[:, 1:]
+    low, high = tight @ (rows < 0.0), tight @ (rows > 0.0)
+    meet = np.where(signs > 0.0, high[:, None, :], low[:, None, :]).all(axis=2)
+    return np.nonzero(meet)
 
 
 def _certify_facets(points: np.ndarray, facets: np.ndarray) -> None:
-    """B's facet rows a.z <= 1 against its hull points, within
-    EDGE_INCIDENCE_TOL * |a|_1 as in _edges: no point past a row, and each row
-    tight on n affinely independent points, which on a.z = 1 (off the origin)
-    is rank n.  A miss raises ModelBuildError (certificate "facets")."""
-    gap = points @ facets.T - 1.0
-    bar = EDGE_INCIDENCE_TOL * np.abs(facets).sum(axis=1)
-    if np.any(gap > bar):
+    """B's facet rows a.z <= 1 against its hull points, by the incidence rule
+    of _tight: no point past a row, and each row tight on n affinely
+    independent points, which on a.z = 1 (off the origin) is rank n.  A miss
+    raises ModelBuildError (certificate "facets")."""
+    gap, tight = _tight(points, facets)
+    if np.any((gap > 0.0) & ~tight):
         raise ModelBuildError(f"a hull point lies past a facet row of B by {gap.max()!r}",
                               certificate="facets")
-    rank = np.linalg.matrix_rank(points * (np.abs(gap) <= bar).T[:, :, None])
+    rank = np.linalg.matrix_rank(points * tight.T[:, :, None])
     if np.any(rank < points.shape[1]):
         raise ModelBuildError(f"a facet row of B is tight on hull points of rank {rank.min()}, "
                               f"fewer than n = {points.shape[1]}", certificate="facets")
-
-
-@dataclass(frozen=True)
-class _Section:
-    """What a section of conv(points) at an x0-level c takes from the side of
-    c on which each point lies: the vertices within SECTION_LEVEL_TOL of the
-    level, and for each edge whose ends lie past it on opposite sides its low
-    end, the x0-levels of both ends and its step (high end - low end)."""
-    on: np.ndarray
-    low: np.ndarray
-    low_level: np.ndarray
-    high_level: np.ndarray
-    step: np.ndarray
-
-    @classmethod
-    def form(cls, points: np.ndarray, edges: np.ndarray, c: float) -> "_Section":
-        offset = points[:, 0] - c
-        side = np.where(np.abs(offset) <= SECTION_LEVEL_TOL, 0.0, np.sign(offset))
-        on = np.flatnonzero(side == 0.0)
-        lo, hi = edges[side[edges[:, 0]] * side[edges[:, 1]] < 0.0].T
-        section = cls(points[on], points[lo], points[lo, 0], points[hi, 0],
-                      points[hi] - points[lo])
-        for arr in vars(section).values():
-            arr.setflags(write=False)
-        return section
-
-    def at(self, c: float) -> np.ndarray:
-        """The section's vertices at level c, unmerged: the vertices on it and
-        the edges' crossings, low + t * step with t = (low_level - c) /
-        ((low_level - c) - (high_level - c))."""
-        low, high = self.low_level - c, self.high_level - c
-        t = low / (low - high)
-        return np.vstack([self.on, self.low + t[:, None] * self.step])
 
 
 def _gauge_facets(model: GarkaviModel, x):
@@ -484,10 +448,11 @@ def _projection(model: GarkaviModel, x: np.ndarray, level: float) -> Polytope:
     """{y in Y : gauge(x - y) <= level} for a level >= |x_0|, one row
     a.(x - y) <= level per facet, carrying its vertices.  With c = x_0 / level
     they are x - level * s for the vertices s of the section of B at x0-level
-    c (GarkaviModel.level_section), with y_0 set to 0; level 0 is the single point
-    x_Y.  The rows are the model's projection_rows with the right-hand side
-    level - a.x, on Y's held equality.  The polytope certifies the vertices
-    against its rows (EnumerationError on a miss).
+    c, read off the held pairs or cube corners (GarkaviModel.level_section),
+    with y_0 set to 0; level 0 is the single point x_Y.  The rows are the
+    model's projection_rows with the right-hand side level - a.x, on Y's held
+    equality.  The polytope certifies the vertices against its rows
+    (EnumerationError on a miss).
     """
     if level > 0.0:
         verts = x - level * model.level_section(x[0] / level)

@@ -10,8 +10,8 @@ DEFAULT_TOL = 1e-9
 # Absolute: the gaps garkavi.half_ball_check reports pass at or below this.
 SET_TOL = 1e-7
 
-# Merge radius of constraints.merge_rows: a vertex, or a convex-hull facet
-# equation, within this sup distance of one already kept is the same row.
+# Merge radius of constraints.merge_rows: a vertex, or a facet row of the
+# renormed ball, within this sup distance of one already kept is the same row.
 DEDUP_TOL = 1e-7
 
 # Regime test of the support reduction: a full radius R within this of the
@@ -95,9 +95,10 @@ HULL_MARGIN_FLOOR = 1e-12
 NULL_DIRECTION_TOL = 1e-12
 
 # Absolute count, the largest dimension n garkavi.build_model takes: the cube
-# alone has 2^(n-1) corners.  On a 2-core Xeon (python 3.11, numpy 2.4) a
-# build took 0.33 s at n = 9 and 1.1 s, with a 386 MB peak, at n = 10, the
-# first past 1 s.
+# alone has 2^(n-1) corners, and every half-ball sample projects onto them.
+# On a 2-core Xeon (python 3.11, numpy 2.4) a build took 0.03 s at n = 9 and
+# 0.07 s at n = 10, with a 51 MB peak for the whole process; the facet
+# certificate's stacked rank test over all hull points is most of it.
 MODEL_DIM_LIMIT = 10
 
 # Relative to |z|_inf: the certificate bar of a gauge decomposition of z,
@@ -105,14 +106,10 @@ MODEL_DIM_LIMIT = 10
 # its weights to the facet value, each within this.
 GAUGE_SPLIT_TOL = 1e-9
 
-# Edge graph of the renormed ball B (garkavi), whose hull points have
-# |z|_inf <= 1.  EDGE_INCIDENCE_TOL is relative to a facet row's 1-norm |a|_1,
-# the most a.z reaches on them: a hull point lies on the facet a.z <= 1 when
-# |a.z - 1| is within it (on-facet points miss by 1e-15 at most, off-facet
-# points by 1e-8 or more down to gamma = 6e-8).  SECTION_LEVEL_TOL is absolute,
-# in x0-levels, where B's vertices sit at -1, 0 and 1: a vertex within it of a
-# section's level c lies on the section, and an edge crosses c only when its
-# ends lie past it on opposite sides, so a section vertex moves by at most
-# 2 * SECTION_LEVEL_TOL (an edge rises at least 1 over a sup-length of at most 2).
+# Incidence in the renormed-ball model (garkavi._tight), whose points have
+# |z|_inf <= 1: relative to a row's 1-norm |a|_1, the most a.z reaches on
+# them, a point lies on the row a.z <= 1 when |a.z - 1| is within it.  It
+# serves the facet certificate of B's hull points (on-facet points miss by
+# 1e-15 at most, off-facet points by 1e-8 or more down to gamma = 6e-8) and
+# the tight slab rows at U's vertices that form the section pairs.
 EDGE_INCIDENCE_TOL = 1e-10
-SECTION_LEVEL_TOL = 1e-14

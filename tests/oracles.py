@@ -30,11 +30,14 @@ reference_triangulation_decomposition, barycentric weights in the simplex of
 Qhull's triangulation of B that the point's ray leaves through.  Its closed forms have LP references too: the distance
 to Y, |x_0|, has reference_subspace_gauge_distance, one epigraph LP over the
 ball facets, and the corners of the certificate ball have
-reference_extreme_values, one LP per direction.  Its edge graph, which the
-package finds by a rank test on common facets, has the face-lattice
-reference reference_edges, pair by pair.  Its facets, which the package
-takes in closed form by the Cayley trick, and its section B cap Y, which the
-package takes from the slab, keep their former routes as references:
+reference_extreme_values, one LP per direction.  Its level sections, which
+the package reads off held pairs of a slab vertex and a corner sign (the
+Minkowski-sum face rule), keep their former route as
+reference_level_section: the vertices on the level and the crossings of the
+edges through it, with the edges from the face-lattice reference
+reference_edges, pair by pair.  Its facets, which the package takes in
+closed form by the Cayley trick, and its section B cap Y, which the package
+takes from the slab, keep their former routes as references:
 reference_ball_facets merges Qhull's per-simplex rows and lists Qhull's
 vertices, and reference_section merges the Qhull facets of the level-0
 section.  Vertex enumeration has a reference that takes each polytope whole,
@@ -54,6 +57,7 @@ handed to json.dumps, whose text it must match byte for byte.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -67,11 +71,14 @@ from supcenter.centers import CenterReport, near_center_set
 from supcenter.constraints import merge_rows
 from supcenter.errors import (InfeasiblePolytopeError, LPNumericalError,
                              UnboundedPolytopeError)
-from supcenter.garkavi import _Section
 from supcenter.space import as_vector
 from supcenter.tolerances import (CENTER_FLOOR, CERTIFY_SLACK_FACTOR, DEDUP_TOL, DEFAULT_TOL,
                                   EQ_CONSISTENT_TOL, MODULUS_RESOLUTION, NULL_ROW_TOL, PIVOT_EPS,
                                   VERTEX_FILTER_TOL)
+
+# absolute, in x0-levels, where B's vertices sit at -1, 0 and 1: a vertex
+# within this of a section's level lies on it (reference_level_section)
+SECTION_LEVEL_TOL = 1e-14
 
 GRID_STEP = 0.01
 # mesh covering radius (half-diagonal, d <= 3) plus the boundary shrink;
@@ -698,12 +705,13 @@ def reference_extreme_values(poly, direction):
     return -float(sol.value)
 
 
+@functools.lru_cache(maxsize=4)
 def reference_edges(model):
     """Edges of the renormed ball B, pair by pair over its hull points, every
     one a vertex: the facets of model.ball_facets tight at the midpoint of two
     vertices are the facets holding both, the vertices on all of them span the
     least face holding both, and the pair is an edge when that face has no
-    third vertex."""
+    third vertex.  A model's edges are held for its next sections (read-only)."""
     points = model.hull_points
     on = np.abs(points @ model.ball_facets.T - 1.0) <= 1e-9
     edges = []
@@ -711,7 +719,23 @@ def reference_edges(model):
         tight = np.abs(model.ball_facets @ ((points[a] + points[b]) / 2.0) - 1.0) <= 1e-9
         if tight.any() and np.count_nonzero(np.all(on[:, tight], axis=1)) == 2:
             edges.append((a, b))
-    return np.array(edges)
+    edges = np.array(edges)
+    edges.setflags(write=False)
+    return edges
+
+
+def reference_level_section(model, c):
+    """The vertices of B cap {z_0 = c}, unmerged, off the edge graph: the
+    hull points within SECTION_LEVEL_TOL of the level, and the crossing
+    low + t (high - low) of each edge of reference_edges whose ends lie past
+    the level on opposite sides (Ziegler, Lectures on Polytopes, 1995)."""
+    points, edges = model.hull_points, reference_edges(model)
+    offset = points[:, 0] - c
+    side = np.where(np.abs(offset) <= SECTION_LEVEL_TOL, 0.0, np.sign(offset))
+    lo, hi = edges[side[edges[:, 0]] * side[edges[:, 1]] < 0.0].T
+    low, high = offset[lo], offset[hi]
+    t = low / (low - high)
+    return np.vstack([points[side == 0.0], points[lo] + t[:, None] * (points[hi] - points[lo])])
 
 
 def _qhull_rows(points):
@@ -731,12 +755,11 @@ def reference_ball_facets(model):
 
 def reference_section(model):
     """B cap Y as the level-0 section polytope of B, carrying the level-0
-    section of the edge graph as its vertices: those vertices, the merged
-    Qhull facets of their hull in Y (first coordinate 0), and the origin's
-    least distance to those facets."""
-    section = model.kernel.with_rows(
-        model.ball_facets, np.ones(len(model.ball_facets)),
-        vertices=_Section.form(model.hull_points, model.edges, 0.0).at(0.0))
+    section of the edge graph (reference_level_section) as its vertices:
+    those vertices, the merged Qhull facets of their hull in Y (first
+    coordinate 0), and the origin's least distance to those facets."""
+    section = model.kernel.with_rows(model.ball_facets, np.ones(len(model.ball_facets)),
+                                     vertices=reference_level_section(model, 0.0))
     verts = section.vertices()
     rows, margin = _qhull_rows(verts[:, 1:])
     in_y = merge_rows(rows)

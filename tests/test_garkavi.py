@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.spatial
@@ -22,14 +20,14 @@ from supcenter.garkavi import (
     _gauge_facets,
     _projection,
     _replay_crossing,
-    _Section,
 )
 from supcenter.space import _hausdorff_points
 from supcenter.tolerances import DEDUP_TOL, MODEL_DIM_LIMIT, SET_TOL
 
-from oracles import (hull_gauge_distance, min_row_gap, reference_ball_facets, reference_edges,
+from oracles import (SECTION_LEVEL_TOL, hull_gauge_distance, min_row_gap, reference_ball_facets, reference_edges,
                      reference_extreme_values, reference_forward_gap,
-                     reference_gauge_decomposition, reference_replay_crossing, reference_section,
+                     reference_gauge_decomposition, reference_level_section,
+                     reference_replay_crossing, reference_section,
                      reference_subspace_gauge_distance, reference_triangulation_decomposition)
 
 
@@ -383,8 +381,8 @@ def test_a_hull_point_past_level_one_fails_the_build_with_exit_one(monkeypatch, 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
 def test_build_model_lp_solves(inst, solve_counts):
     # only the disjointness LP: the slab's vertices take none (double
-    # description) and the cube splits into intervals; the section is read
-    # off the edge graph and the certificate ball's extremes are its corners
+    # description) and the cube splits into intervals; the sections are read
+    # off the section pairs and the certificate ball's extremes are its corners
     build_model(inst.n, seed=inst.seed, gamma=inst.gamma, theta=inst.theta)
     assert solve_counts["solves"] == 1
 
@@ -396,14 +394,26 @@ def test_theta_zero_build_lp_solves(solve_counts):
     assert solve_counts["solves"] == 1
 
 
+def _edges_match_the_face_lattice(model):
+    """The held pairs (u, sigma) as (slab vertex, cube corner) index pairs
+    into hull_points, against the edges of reference_edges from level 0 to
+    level 1."""
+    points = model.hull_points
+    index = {row.tobytes(): i for i, row in enumerate(points)}
+    pairs = {(index[u.tobytes()], index[(model.x0 + model.gamma * sign).tobytes()])
+             for u, sign in zip(model.pair_u, model.pair_sign)}
+    assert len(pairs) == len(model.pair_u)
+    edges = {(i, j) if points[i, 0] == 0.0 else (j, i)
+             for i, j in reference_edges(model).tolist()
+             if {points[i, 0], points[j, 0]} == {0.0, 1.0}}
+    assert pairs == edges
+    return len(pairs)
+
+
 @pytest.mark.parametrize("name", list(MODELS))
 def test_edges_match_the_face_lattice(name):
     model = build_model(**MODELS[name])
-    edges = {tuple(e) for e in model.edges.tolist()}
-    assert len(edges) == len(model.edges) == {3: 26, 4: 66, 5: 152}[model.n]
-    assert edges == {tuple(e) for e in reference_edges(model).tolist()}
-    degree = np.bincount(model.edges.ravel(), minlength=len(model.hull_points))
-    assert degree.min() >= model.n
+    assert _edges_match_the_face_lattice(model) == {3: 6, 4: 12, 5: 22}[model.n]
 
 
 # build_model arguments (n, seed, gamma) beyond the corpus
@@ -413,6 +423,48 @@ GRID = [(n, seed, gamma) for n in (3, 4, 5, 6) for seed in range(10)
 # slab's vertices, its input, came from Qhull's polar dual; with them from
 # the double description they build, with these facet counts
 FORMER_QHULL_FAILS = {(5, 1, 1e-4): 22, (5, 11, 1e-3): 22, (6, 10, 1e-4): 26}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_edges_match_the_face_lattice_on_the_grid(n):
+    for args in GRID:
+        if args[0] == n:
+            _edges_match_the_face_lattice(build_model(args[0], seed=args[1], gamma=args[2]))
+
+
+def _pairs_have_meeting_normal_cones(model):
+    """Each held pair (u, sigma) by the proof of garkavi._pairs, at any
+    gamma: Phi's row with weight 1 when it is tight at u, and each tight box
+    row with a weight that turns its coordinate to sigma_i, form a positive
+    combination of the rows tight at u that has sign pattern sigma and, over
+    U's vertices, is maximized at u alone."""
+    rows, verts = model.section_facets, model.section_vertices
+    single = np.count_nonzero(rows, axis=1) == 1
+    for u, sign in zip(model.pair_u, model.pair_sign):
+        tight = np.abs(rows @ u - 1.0) <= 1e-9
+        a = rows[tight & ~single].sum(axis=0)
+        for row in rows[tight & single]:
+            i = np.flatnonzero(row)[0]
+            a = a + row * (2.0 * abs(a[i]) + 1.0 if row[i] * sign[i] > 0.0 else abs(a[i]) / 2.0)
+        assert np.array_equal(np.sign(a), sign)
+        scores = verts @ a
+        assert np.count_nonzero(scores >= scores.max()) == 1
+        assert verts[np.argmax(scores)].tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pairs_have_meeting_normal_cones_on_the_grid(n):
+    for args in GRID:
+        if args[0] == n:
+            _pairs_have_meeting_normal_cones(build_model(args[0], seed=args[1], gamma=args[2]))
+
+
+def test_pairs_have_meeting_normal_cones_at_a_tiny_gamma():
+    # below gamma = 1e-8 the face-lattice reference cannot separate B's
+    # facets; the proof's combinations hold at any gamma
+    model = build_model(5, seed=0, gamma=1e-11)
+    assert len(model.pair_u) == 22
+    _pairs_have_meeting_normal_cones(model)
 
 
 def _same_rows(rows, reference, bar):
@@ -523,10 +575,10 @@ def test_a_facet_row_off_the_hull_fails_the_certificate(monkeypatch, capsys, sca
     assert err.startswith("check failed:") and message in err
 
 
-@pytest.mark.parametrize("call", [1, 2], ids=["edges", "facets"])
+@pytest.mark.parametrize("call", [1], ids=["facets"])
 def test_a_failed_rank_test_fails_the_build_with_exit_three(monkeypatch, capsys, call):
-    # numpy's SVD fails in the build's first (edge test) or second (facet
-    # certificate) rank call: a numerical failure, not bad input
+    # numpy's SVD fails in the build's one rank call, the facet certificate:
+    # a numerical failure, not bad input
     real, calls = np.linalg.matrix_rank, []
 
     def fails(*args, **kwargs):
@@ -541,56 +593,48 @@ def test_a_failed_rank_test_fails_the_build_with_exit_three(monkeypatch, capsys,
                                        "SVD did not converge\n")
 
 
-def test_a_missing_edge_fails_the_build_through_the_balinski_guard(monkeypatch, capsys):
-    # drop one edge at a vertex with exactly n edges: that vertex is left
-    # with n - 1, and the build refuses the model
-    real = garkavi._edges
+def test_a_corner_in_no_pair_fails_the_build_through_the_cover_guard(monkeypatch, capsys):
+    # drop the only pair of one corner sign: that corner is left in no pair,
+    # and the build refuses the model
+    real = garkavi._pairs
 
-    def one_short(points, facets):
-        edges = real(points, facets)
-        degree = np.bincount(edges.ravel(), minlength=len(points))
-        return np.delete(edges, np.flatnonzero(np.any(degree[edges] == points.shape[1], axis=1))[0],
-                         axis=0)
+    def one_short(vertices, rows, signs):
+        on_u, on_sign = real(vertices, rows, signs)
+        drop = np.flatnonzero(np.bincount(on_sign)[on_sign] == 1)[0]
+        return np.delete(on_u, drop), np.delete(on_sign, drop)
 
-    monkeypatch.setattr(garkavi, "_edges", one_short)
+    monkeypatch.setattr(garkavi, "_pairs", one_short)
     with pytest.raises(ModelBuildError) as exc:
         build_model(4)
     assert exc.value.certificate == "edges"
     assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.CHECK_FAILED
-    assert "fewer than n = 4" in capsys.readouterr().err
+    assert "lies in no section pair" in capsys.readouterr().err
+
+
+def _outward(monkeypatch):
+    """Every section that GarkaviModel.level_section forms sits 1 % further out."""
+    real = garkavi.GarkaviModel.level_section
+    monkeypatch.setattr(garkavi.GarkaviModel, "level_section", lambda self, c: 1.01 * real(self, c))
 
 
 def test_a_section_vertex_outside_b_fails_with_exit_three(monkeypatch, capsys):
-    # section vertices pushed 1 % outward leave the section's facets: the
-    # build's level-0 check refuses them
-    real = garkavi._Section.at
-    monkeypatch.setattr(garkavi._Section, "at", lambda self, c: 1.01 * real(self, c))
-    assert cli.main(["renorm", "--n", "4", "--samples", "0"]) == cli.NUMERICAL
+    # section vertices pushed 1 % outward leave the projection's facets: the
+    # half-ball check's first projection refuses them
+    _outward(monkeypatch)
+    assert cli.main(["renorm", "--n", "4", "--samples", "1"]) == cli.NUMERICAL
     assert "feasibility filter" in capsys.readouterr().err
-
-
-def _outward(pattern):
-    """A section pattern whose vertices all sit 1 % further out."""
-    return dataclasses.replace(pattern, on=1.01 * pattern.on, low=1.01 * pattern.low,
-                               step=1.01 * pattern.step)
 
 
 @pytest.mark.parametrize("corrupt", ["routine", "held"])
 def test_a_projection_certifies_its_own_section(monkeypatch, corrupt):
-    # past the build's level-0 check, each projection's carried vertices meet
-    # the certificate of its own rows, whether the routine that forms them or
-    # a held pattern is wrong
+    # each projection's carried vertices meet the certificate of its own
+    # rows, whether the routine that forms them or the held pairs are wrong
     model = build_model(4)
     x = np.array([0.7, 0.1, -0.2, 0.3])
     if corrupt == "routine":
-        real = garkavi._Section.at
-        monkeypatch.setattr(garkavi._Section, "at", lambda self, c: 1.01 * real(self, c))
+        _outward(monkeypatch)
     else:
-        for c in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            model.level_section(c)
-        assert len(model._sections) == 5
-        for key, pattern in model._sections.items():
-            model._sections[key] = _outward(pattern)
+        model.pair_u = 1.01 * model.pair_u
     with pytest.raises(EnumerationError, match="feasibility filter"):
         metric_projection(model, x, 0.1)
     with pytest.raises(EnumerationError, match="feasibility filter"):
@@ -603,16 +647,20 @@ SECTION_LEVELS = (-1.0, -1.0 + 1e-14, -1.0 + 2e-14, -0.5, -2e-14, -1e-14, 0.0, 1
 
 
 def _held_sections_match_fresh_ones(model, rng):
-    """Each held section bit for bit against a _Section formed afresh,
-    at the SECTION_LEVELS and at drawn levels, taken in a shuffled order so
-    that a pattern serves levels other than the one it was formed at; the
-    model forms one pattern per side pattern of B's levels, at most five."""
-    levels = [*SECTION_LEVELS, *rng.uniform(-1.0, 1.0, 20)]
-    for c in [levels[k] for k in rng.permutation(len(levels))]:
-        held = model.level_section(c)
-        fresh = _Section.form(model.hull_points, model.edges, c).at(c)
-        assert held.shape == fresh.shape and held.tobytes() == fresh.tobytes(), c
-    assert len(model._sections) == 5
+    """Each section read off the held pairs against the former edge-graph
+    route formed afresh (reference_level_section), both merged by merge_rows,
+    at the SECTION_LEVELS and at drawn levels: equal counts, and a Hausdorff
+    gap within 2 SECTION_LEVEL_TOL where gamma >= 1e-4 (the reference snaps a
+    vertex within SECTION_LEVEL_TOL of c onto the level, which moves a
+    section vertex by up to twice that), within DEDUP_TOL below (where
+    near-duplicate vertices 2 |c| gamma apart merge, and each route keeps its
+    own representative)."""
+    bar = 2.0 * SECTION_LEVEL_TOL if model.gamma >= 1e-4 else DEDUP_TOL
+    for c in [*SECTION_LEVELS, *rng.uniform(-1.0, 1.0, 20)]:
+        held = constraints.merge_rows(model.level_section(c))
+        fresh = constraints.merge_rows(reference_level_section(model, c))
+        assert held.shape == fresh.shape, c
+        assert _hausdorff_points(held, fresh) <= bar, c
 
 
 @pytest.mark.parametrize("inst", load_corpus("renorm"), ids=lambda inst: inst.name)
@@ -632,18 +680,11 @@ def test_held_sections_match_fresh_ones_on_the_grid(n):
 
 @pytest.mark.parametrize("name", list(MODELS))
 def test_projections_in_one_band_share_a_pattern_and_the_held_rows(name, monkeypatch):
-    # the build forms the level-0 pattern; a projection forms the pattern of
-    # its band once, and each projection is the former vstack route's polytope
-    # on the model's held rows, with its own right-hand side
+    # the build forms the section pairs once, the one pattern that every
+    # projection with 0 < |c| < 1 reads; each projection is the former vstack
+    # route's polytope on the model's held rows, with its own right-hand side
     model = build_model(**MODELS[name])
-    formed = []
-    real = garkavi._Section.form.__func__
-
-    def counting(cls, *args):
-        formed.append(args[-1])
-        return real(cls, *args)
-
-    monkeypatch.setattr(garkavi._Section, "form", classmethod(counting))
+    monkeypatch.setattr(garkavi, "_pairs", lambda *args: pytest.fail("re-formed"))
     rng = np.random.default_rng(59)
     polys = []
     for _ in range(4):
@@ -656,12 +697,11 @@ def test_projections_in_one_band_share_a_pattern_and_the_held_rows(name, monkeyp
         for name_ in ("a_ub", "b_ub", "a_eq", "b_eq"):
             assert getattr(poly, name_).tobytes() == getattr(former, name_).tobytes()
         polys.append(poly)
-    assert len(formed) == 1 and 0.0 < formed[0] < 1.0
-    assert len(model._sections) == 2
     for poly in polys:
         assert poly.a_ub is model.projection_rows
         assert poly.a_eq is model.kernel.a_eq and poly.b_eq is model.kernel.b_eq
-    assert not model.projection_rows.flags.writeable
+    for held in (model.projection_rows, model.pair_u, model.pair_sign):
+        assert not held.flags.writeable
     assert np.array_equal(model.projection_rows, -model.ball_facets)
 
 
@@ -675,7 +715,7 @@ def test_the_gauge_split_reads_the_held_phi_row(model4, monkeypatch):
 
 
 def _matches_the_enumeration(model, x, eps):
-    """The edge-route vertex list of P_Y(x, eps) against the double
+    """The pair-route vertex list of P_Y(x, eps) against the double
     description of the same H-polytope: equal counts, Hausdorff gap <= 1e-12."""
     poly = metric_projection(model, x, eps)
     verts, reference = poly.vertices(), constraints.enumerate_vertices(poly)
@@ -726,7 +766,7 @@ def test_level_zero_is_the_single_point_x_y(model4):
 @pytest.mark.parametrize("name", list(MODELS))
 def test_projection_is_the_closed_form_sum(name):
     # P_Y(x, eps) = x_Y + |x_0| B_gamma + eps U: the support functions of the
-    # edge-route lists match the right-hand side, with h_{B_gamma}(d) =
+    # pair-route lists match the right-hand side, with h_{B_gamma}(d) =
     # gamma |d|_1 for d in Y and h_U the largest d.u over the slab vertices
     model = build_model(**MODELS[name])
     rng = np.random.default_rng(41)
@@ -785,7 +825,7 @@ def test_half_ball_check_solves_each_distance_once(model4, monkeypatch):
 
 
 def test_half_ball_check_lp_solves(solve_counts):
-    # the 10 projections carry their vertices from the edge graph (one LP
+    # the 10 projections carry their vertices from the section pairs (one LP
     # each to enumerate them before), the 3 distances are |x_0| in closed
     # form, every forward gap is witnessed, so no epigraph LP runs (61 solves
     # with one per near vertex), and the 4 replay decompositions come from the
